@@ -37,12 +37,14 @@ type version = {
   v_kind : string;
   v_meta : string;
   v_block : int; (* first block of the serialized version record *)
+  v_nblocks : int; (* blocks the serialized version record occupies *)
   v_leaves : int IntMap.t;
 }
 
 type epoch_info = {
   e_epoch : int;
   e_record_block : int;
+  e_record_nblocks : int;
   e_table : (int, version) Hashtbl.t; (* oid -> version *)
 }
 
@@ -275,11 +277,20 @@ let off_of_block b = b * block_size
 
 (* Superblock --------------------------------------------------------------- *)
 
-let write_superblock t ~now ~last_epoch ~record_block =
+(* [head] is the newest complete checkpoint: its record's location and
+   exact size let recovery read the record without guessing a length. *)
+let write_superblock t ~now head =
   let w = Wire.writer () in
   Wire.str w magic;
-  Wire.u64 w last_epoch;
-  Wire.u64 w record_block;
+  (match head with
+  | Some e ->
+      Wire.u64 w e.e_epoch;
+      Wire.u64 w e.e_record_block;
+      Wire.u64 w e.e_record_nblocks
+  | None ->
+      Wire.u64 w 0;
+      Wire.u64 w 0;
+      Wire.u64 w 0);
   Wire.u64 w t.next_block;
   Wire.u64 w t.next_oid;
   Wire.u64 w t.oldest_retained;
@@ -291,6 +302,11 @@ let write_superblock t ~now ~last_epoch ~record_block =
       Wire.u64 w j.j_gen)
     t.journals;
   Striped.write t.dev ~now ~off:(off_of_block superblock_block) (Wire.contents w)
+
+(* Records that do not parse are store corruption, reported as such: a
+   truncated or garbled record must never escape as a [Wire.Corrupt]. *)
+let parsing what f data =
+  try f data with Wire.Corrupt msg -> raise (Corrupt_store (what ^ ": " ^ msg))
 
 (* Version records ----------------------------------------------------------- *)
 
@@ -308,7 +324,8 @@ let serialize_version ~oid ~epoch v =
     (IntMap.bindings v.v_leaves);
   Wire.contents w
 
-let parse_version data =
+let parse_version =
+  parsing "version record" @@ fun data ->
   let r = Wire.reader data in
   if Wire.ru8 r <> 0xA2 then raise (Corrupt_store "bad version magic");
   let oid = Wire.ru64 r in
@@ -350,7 +367,8 @@ let serialize_leaf entries =
     entries;
   Wire.contents w
 
-let parse_leaf data =
+let parse_leaf =
+  parsing "leaf" @@ fun data ->
   let r = Wire.reader data in
   if Wire.ru8 r <> 0xA3 then raise (Corrupt_store "bad leaf magic");
   Wire.rlist r (fun r ->
@@ -449,7 +467,7 @@ let fresh dev clk =
 
 let format ~dev ~clock =
   let t = fresh dev clock in
-  let c = write_superblock t ~now:(Clock.now clock) ~last_epoch:0 ~record_block:0 in
+  let c = write_superblock t ~now:(Clock.now clock) None in
   Clock.advance_to clock c;
   Striped.settle dev ~clock;
   t
@@ -465,30 +483,38 @@ let reserve_oids t ~upto = if upto > t.next_oid then t.next_oid <- upto
 
 (* Checkpoint records ----------------------------------------------------------- *)
 
-let serialize_record ~epoch ~prev_block table =
+(* A checkpoint record names its predecessor and every live object's
+   version record by location and exact size, (first block, blocks), so
+   recovery reads each record once and no more than it occupies. *)
+let serialize_record ~epoch ~prev:(prev_block, prev_nblocks) table =
   let w = Wire.writer () in
   Wire.u8 w 0xA1;
   Wire.u64 w epoch;
   Wire.u64 w prev_block;
+  Wire.u32 w prev_nblocks;
   Wire.list w
-    (fun (oid, vblock) ->
+    (fun (oid, v) ->
       Wire.u64 w oid;
-      Wire.u64 w vblock)
+      Wire.u64 w v.v_block;
+      Wire.u32 w v.v_nblocks)
     table;
   Wire.contents w
 
-let parse_record data =
+let parse_record =
+  parsing "checkpoint record" @@ fun data ->
   let r = Wire.reader data in
   if Wire.ru8 r <> 0xA1 then raise (Corrupt_store "bad record magic");
   let epoch = Wire.ru64 r in
-  let prev = Wire.ru64 r in
+  let prev_block = Wire.ru64 r in
+  let prev_nblocks = Wire.ru32 r in
   let table =
     Wire.rlist r (fun r ->
         let oid = Wire.ru64 r in
         let vblock = Wire.ru64 r in
-        (oid, vblock))
+        let nblocks = Wire.ru32 r in
+        (oid, vblock, nblocks))
   in
-  (epoch, prev, table)
+  (epoch, (prev_block, prev_nblocks), table)
 
 let blocks_of_len len = max 1 ((len + block_size - 1) / block_size)
 
@@ -545,7 +571,7 @@ let write_record t ~now data =
   let n = blocks_of_len (Bytes.length data) in
   let blk = if n = 1 then alloc_block t else alloc_extent t n in
   let c = Striped.write t.dev ~now ~off:(off_of_block blk) data in
-  (blk, c, List.init n (fun i -> blk + i))
+  (blk, c, n)
 
 let last_epoch_info t =
   match List.rev t.epochs with [] -> None | e :: _ -> Some e
@@ -959,7 +985,7 @@ let commit_checkpoint t =
             r_npages = base.r_npages + n_delta;
             r_fp = base.r_fp lxor fp_delta;
           };
-        (oid, { v_kind = kind; v_meta = meta; v_block = 0; v_leaves = leaves }))
+        (oid, { v_kind = kind; v_meta = meta; v_block = 0; v_nblocks = 0; v_leaves = leaves }))
       staged_list
   in
   (* Version records ride coalesced extents too: one vectored submission
@@ -977,7 +1003,8 @@ let commit_checkpoint t =
         ignore
           (List.fold_left
              (fun blkoff (oid, v, _, nb) ->
-               Hashtbl.replace new_table oid { v with v_block = base + blkoff };
+               Hashtbl.replace new_table oid
+                 { v with v_block = base + blkoff; v_nblocks = nb };
                blkoff + nb)
              0 batch)
   in
@@ -996,16 +1023,22 @@ let commit_checkpoint t =
       batch_records [] 0 pending);
   (* Checkpoint record after all object data (write ordering). *)
   let table_list =
-    Hashtbl.fold (fun oid v acc -> (oid, v.v_block) :: acc) new_table []
-    |> List.sort compare
+    Hashtbl.fold (fun oid v acc -> (oid, v) :: acc) new_table []
+    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
   in
-  let prev_block =
-    match last_epoch_info t with Some e -> e.e_record_block | None -> 0
+  let prev =
+    match last_epoch_info t with
+    | Some e -> (e.e_record_block, e.e_record_nblocks)
+    | None -> (0, 0)
   in
-  let record = serialize_record ~epoch ~prev_block table_list in
-  let rblock, rc, _rblocks =
+  let record = serialize_record ~epoch ~prev table_list in
+  let rblock, rc, rnblocks =
     Otrace.with_span ~cat:"store" ~name:"commit.record" (fun () ->
         write_record t ~now:!data_done record)
+  in
+  let head =
+    { e_epoch = epoch; e_record_block = rblock; e_record_nblocks = rnblocks;
+      e_table = new_table }
   in
   (* Superblock strictly after the record.  The torture knob submits it at
      commit start instead — metadata racing ahead of data — so the
@@ -1013,10 +1046,9 @@ let commit_checkpoint t =
   let sb_submit = if t.torture_misorder then now else rc in
   let sc =
     Otrace.with_span ~cat:"store" ~name:"commit.superblock" (fun () ->
-        write_superblock t ~now:sb_submit ~last_epoch:epoch ~record_block:rblock)
+        write_superblock t ~now:sb_submit (Some head))
   in
-  t.epochs <-
-    t.epochs @ [ { e_epoch = epoch; e_record_block = rblock; e_table = new_table } ];
+  t.epochs <- t.epochs @ [ head ];
   t.staging <- None;
   t.durable <- sc;
   t.last_flush <-
@@ -1093,8 +1125,8 @@ let checkpoint_epochs t = List.map (fun e -> e.e_epoch) t.epochs
 
 (* Walk every distinct leaf block live in the retained epochs.  Version
    tables share version records across epochs (commit copies the table),
-   so the same leaf block appears under several epochs; each is visited
-   once. *)
+   so the same version, and the same leaf block, appears under several
+   epochs; each is visited once. *)
 let iter_live_leaves t f =
   let seen = Hashtbl.create 1024 in
   List.iter
@@ -1174,64 +1206,133 @@ let content_index_consistent t =
 
 (* Recovery ---------------------------------------------------------------------- *)
 
+(* Recovery reads what the record chain names, once each and at its exact
+   size.  Commit copies the version table, so consecutive epochs share
+   most version records: a record's versions already loaded for a newer
+   epoch are reused (the rebuilt tables share version values exactly as
+   they did before the crash), and the rest are read in block order, with
+   device-contiguous records coalesced into runs of at most
+   [max_extent_blocks], each one charged, retried read.  The cost is
+   O(records + distinct versions) in device time and parse work, not
+   O(epochs x objects). *)
+
+let parse_superblock =
+  parsing "superblock" @@ fun sb ->
+  let r = Wire.reader sb in
+  let m = try Wire.rstr r with Wire.Corrupt _ -> "" in
+  if m <> magic then raise (Corrupt_store "no superblock");
+  let last_epoch = Wire.ru64 r in
+  let record_block = Wire.ru64 r in
+  let record_nblocks = Wire.ru64 r in
+  let next_block = Wire.ru64 r in
+  let next_oid = Wire.ru64 r in
+  let oldest_retained = Wire.ru64 r in
+  let journals =
+    Wire.rlist r (fun r ->
+        let j_id = Wire.ru64 r in
+        let j_start = Wire.ru64 r in
+        let j_blocks = Wire.ru64 r in
+        let j_gen = Wire.ru64 r in
+        { j_id; j_start; j_blocks; j_head = 0; j_gen })
+  in
+  (last_epoch, (record_block, record_nblocks), next_block, next_oid, oldest_retained,
+   journals)
+
+(* A location read off the device must name allocated blocks. *)
+let check_extent t what blk nblocks =
+  if blk <= superblock_block || nblocks < 1 || blk + nblocks > t.next_block then
+    raise
+      (Corrupt_store
+         (Printf.sprintf "%s at block %d (+%d) outside the store (%d blocks)" what blk
+            nblocks t.next_block))
+
+(* Load every version of [table_list] not already in [loaded]
+   (vblock -> (oid, version)). *)
+let load_versions t loaded table_list =
+  let want = Hashtbl.create 64 in
+  List.iter
+    (fun (_, vblock, nblocks) ->
+      check_extent t "version record" vblock nblocks;
+      if not (Hashtbl.mem loaded vblock) then Hashtbl.replace want vblock nblocks)
+    table_list;
+  let todo =
+    Hashtbl.fold (fun b n acc -> (b, n) :: acc) want [] |> Array.of_list
+  in
+  Array.sort compare todo;
+  let n = Array.length todo in
+  let i = ref 0 in
+  while !i < n do
+    let base, first = todo.(!i) in
+    let j = ref (!i + 1) and run = ref first in
+    while
+      !j < n
+      && fst todo.(!j) = base + !run
+      && !run + snd todo.(!j) <= max_extent_blocks
+    do
+      run := !run + snd todo.(!j);
+      incr j
+    done;
+    let data = read_blocks t ~blk:base ~nblocks:!run in
+    for k = !i to !j - 1 do
+      let vblock, nblocks = todo.(k) in
+      let oid, kind, meta, leaves =
+        parse_version
+          (Bytes.sub data ((vblock - base) * block_size) (nblocks * block_size))
+      in
+      Hashtbl.replace loaded vblock
+        (oid, { v_kind = kind; v_meta = meta; v_block = vblock; v_nblocks = nblocks;
+                v_leaves = leaves })
+    done;
+    i := !j
+  done
+
 let recover ~dev ~clock =
   let t = fresh dev clock in
   let sb =
     retried_read t (fun () ->
         Striped.read dev ~clock ~off:(off_of_block superblock_block) ~len:block_size)
   in
-  let r = Wire.reader sb in
-  let m = try Wire.rstr r with Wire.Corrupt _ -> "" in
-  if m <> magic then raise (Corrupt_store "no superblock");
-  let last_epoch = Wire.ru64 r in
-  let record_block = Wire.ru64 r in
-  t.next_block <- Wire.ru64 r;
-  t.next_oid <- Wire.ru64 r;
-  t.oldest_retained <- Wire.ru64 r;
-  t.journals <-
-    Wire.rlist r (fun r ->
-        let j_id = Wire.ru64 r in
-        let j_start = Wire.ru64 r in
-        let j_blocks = Wire.ru64 r in
-        let j_gen = Wire.ru64 r in
-        { j_id; j_start; j_blocks; j_head = 0; j_gen });
+  let last_epoch, head, next_block, next_oid, oldest_retained, journals =
+    parse_superblock sb
+  in
+  t.next_block <- next_block;
+  t.next_oid <- next_oid;
+  t.oldest_retained <- oldest_retained;
+  t.journals <- journals;
   t.current_epoch <- last_epoch;
-  (* Walk the record chain, oldest last; rebuild every retained epoch. *)
-  let rec walk block acc =
+  let loaded = Hashtbl.create 1024 in
+  (* Walk the record chain, oldest last; rebuild every retained epoch.
+     Epochs strictly decrease along the chain, so a garbled prev pointer
+     cannot loop. *)
+  let rec walk (block, nblocks) ~below acc =
     if block = 0 then acc
     else begin
-      (* Records may span blocks; read generously (table of ~thousands). *)
-      let data = read_blocks t ~blk:block ~nblocks:64 in
-      let epoch, prev, table_list = parse_record data in
+      check_extent t "checkpoint record" block nblocks;
+      let epoch, prev, table_list = parse_record (read_blocks t ~blk:block ~nblocks) in
+      if epoch >= below then
+        raise (Corrupt_store (Printf.sprintf "checkpoint record of epoch %d out of order" epoch));
       (* Pruned epochs' blocks may have been reused: stop at the oldest
          retained record instead of following its prev pointer. *)
-      let prev = if epoch <= t.oldest_retained then 0 else prev in
+      let prev = if epoch <= t.oldest_retained then (0, 0) else prev in
+      load_versions t loaded table_list;
       let table = Hashtbl.create (List.length table_list) in
       List.iter
-        (fun (oid, vblock) ->
-          let vdata = read_blocks t ~blk:vblock ~nblocks:64 in
-          let v_oid, kind, meta, leaves = parse_version vdata in
-          if v_oid <> oid then raise (Corrupt_store "version/oid mismatch");
-          Hashtbl.replace table oid
-            { v_kind = kind; v_meta = meta; v_block = vblock; v_leaves = leaves })
+        (fun (oid, vblock, nblocks) ->
+          let v_oid, v = Hashtbl.find loaded vblock in
+          if v_oid <> oid || v.v_nblocks <> nblocks then
+            raise (Corrupt_store "version/oid mismatch");
+          Hashtbl.replace table oid v)
         table_list;
-      walk prev ({ e_epoch = epoch; e_record_block = block; e_table = table } :: acc)
+      walk prev ~below:epoch
+        ({ e_epoch = epoch; e_record_block = block; e_record_nblocks = nblocks;
+           e_table = table } :: acc)
     end
   in
-  t.epochs <- walk record_block [];
-  (* Warm the leaf cache over the retained leaves, so the first
-     post-recovery incremental commit doesn't re-parse every leaf. *)
-  List.iter
-    (fun e ->
-      Hashtbl.iter
-        (fun _ v ->
-          IntMap.iter
-            (fun _ leaf_blk -> ignore (cached_leaf t leaf_blk))
-            v.v_leaves)
-        e.e_table)
-    t.epochs;
-  (* The content index is derived state: rebuild it from the leaves just
-     parsed, so dedup after a crash only ever references durable pages. *)
+  t.epochs <- walk head ~below:(last_epoch + 1) [];
+  (* The content index is derived state: rebuild it from the durable
+     leaves, so dedup after a crash only ever references durable pages.
+     The walk parses every retained leaf once, which also warms the leaf
+     cache for the first post-recovery incremental commit. *)
   rebuild_content_index t;
   (* Journal heads are recovered lazily by scanning; see journal_records. *)
   t
@@ -1352,11 +1453,7 @@ let journal_create t ~size =
   t.journals <- t.journals @ [ j ];
   (* The registry lives in the superblock; persist it synchronously so the
      journal survives a crash that happens before the next checkpoint. *)
-  let c =
-    write_superblock t ~now:(Clock.now t.clk)
-      ~last_epoch:(last_complete_epoch t)
-      ~record_block:(match last_epoch_info t with Some e -> e.e_record_block | None -> 0)
-  in
+  let c = write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t) in
   Clock.advance_to t.clk c;
   j
 
@@ -1397,12 +1494,7 @@ let journal_truncate t j =
      replayed, and persist it (superblock) before invalidating the first
      header — the standard WAL-reset ordering. *)
   j.j_gen <- j.j_gen + 1;
-  let sb_done =
-    write_superblock t ~now:(Clock.now t.clk)
-      ~last_epoch:(last_complete_epoch t)
-      ~record_block:
-        (match last_epoch_info t with Some e -> e.e_record_block | None -> 0)
-  in
+  let sb_done = write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t) in
   Clock.advance_to t.clk sb_done;
   let c =
     Striped.write t.dev ~now:(Clock.now t.clk) ~off:(off_of_block j.j_start)
@@ -1440,20 +1532,15 @@ let journal_records t j =
    so it is exact even for a store instance rebuilt by recovery. *)
 let reachable_blocks t e =
   let out = Hashtbl.create 256 in
-  let add_record blk len =
-    for i = 0 to blocks_of_len len - 1 do
+  let add_record blk nblocks =
+    for i = 0 to nblocks - 1 do
       Hashtbl.replace out (blk + i) ()
     done
   in
-  let table_list =
-    Hashtbl.fold (fun oid v acc -> (oid, v.v_block) :: acc) e.e_table []
-  in
-  add_record e.e_record_block
-    (Bytes.length (serialize_record ~epoch:e.e_epoch ~prev_block:0 table_list));
+  add_record e.e_record_block e.e_record_nblocks;
   Hashtbl.iter
-    (fun oid v ->
-      add_record v.v_block
-        (Bytes.length (serialize_version ~oid ~epoch:e.e_epoch v));
+    (fun _ v ->
+      add_record v.v_block v.v_nblocks;
       IntMap.iter
         (fun _ leaf_blk ->
           Hashtbl.replace out leaf_blk ();
@@ -1516,12 +1603,7 @@ let prune_history t ~keep =
     rebuild_content_index t;
     (* Persist the new chain bound so recovery never follows a prev
        pointer into reused blocks. *)
-    let c =
-      write_superblock t ~now:(Clock.now t.clk)
-        ~last_epoch:(last_complete_epoch t)
-        ~record_block:
-          (match last_epoch_info t with Some e -> e.e_record_block | None -> 0)
-    in
+    let c = write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t) in
     Clock.advance_to t.clk c;
     !freed
   end

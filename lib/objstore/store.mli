@@ -10,8 +10,11 @@
 
     {2 On-store format}
 
-    Block 0 holds the superblock (magic, last complete checkpoint, journal
-    registry).  A checkpoint commit orders its writes like a real COW file
+    Block 0 holds the superblock (magic, last complete checkpoint and the
+    location and size of its record, journal registry).  Each checkpoint
+    record names its predecessor and every live object's version record
+    the same way, by first block and block count.  A checkpoint commit
+    orders its writes like a real COW file
     system: object data and version records first, then the checkpoint
     record, then the superblock — so a crash anywhere leaves the previous
     checkpoint intact, and {!recover} finds the last complete checkpoint by
@@ -37,9 +40,14 @@ val format : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
 (** Initialize an empty store on the device (writes the superblock). *)
 
 val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
-(** Mount after a crash or reboot: parses the superblock and the last
-    complete checkpoint's records off the device.  Raises
-    {!Corrupt_store} if no valid superblock is found. *)
+(** Mount after a crash or reboot: parses the superblock and the retained
+    checkpoints' records off the device.  Every record is read once at
+    the exact size its parent names, and a version record shared by
+    several epochs is read and parsed once, with contiguous version
+    records coalesced into charged runs; the cost is O(records + distinct
+    versions), not O(epochs x objects).  Raises {!Corrupt_store} if no
+    valid superblock is found or a record is truncated, garbled or out of
+    range. *)
 
 val clock : t -> Aurora_sim.Clock.t
 val device : t -> Aurora_block.Striped.t

@@ -50,16 +50,29 @@ let set_pager t p = t.obj_pager <- p
 let pager t = t.obj_pager
 let find_local t idx = Hashtbl.find_opt t.pages idx
 
-let lookup ~clock t idx =
+(* A level without a resident page asks its own pager before the walk
+   descends: a sibling's page-in may have made an older version resident
+   in a shared ancestor, and this level's pager holds the newer one.  A
+   page-in lands at the pager's level so sharers see it too; the pager
+   charges its own I/O. *)
+let lookup ?(on_pagein = ignore) ~clock t idx =
   let rec walk obj =
     match Hashtbl.find_opt obj.pages idx with
     | Some page -> Some (page, obj)
     | None -> (
-        match obj.shadow_parent with
-        | None -> None
-        | Some p ->
-            Clock.advance clock Cost.shadow_chain_hop;
-            walk p)
+        match Option.bind obj.obj_pager (fun pager -> pager idx) with
+        | Some payload ->
+            on_pagein ();
+            let page = Page.alloc_sized ~payload:(Bytes.length payload) in
+            Page.load_payload page payload;
+            Hashtbl.replace obj.pages idx page;
+            Some (page, obj)
+        | None -> (
+            match obj.shadow_parent with
+            | None -> None
+            | Some p ->
+                Clock.advance clock Cost.shadow_chain_hop;
+                walk p))
   in
   walk t
 

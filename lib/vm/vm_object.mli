@@ -50,20 +50,23 @@ val remove_page : t -> int -> unit
     elsewhere — the pager brings it back on demand). *)
 
 val set_pager : t -> (int -> bytes option) option -> unit
-(** Attach a pager: when a fault misses the whole shadow chain, the
-    chain's pagers are consulted for the payload (backed by the object
-    store).  This is the unified swap / lazy-restore data path of paper
-    section 6. *)
+(** Attach a pager: a fault that finds no page resident at this level
+    consults its pager for the payload (backed by the object store)
+    before descending the shadow chain.  This is the unified swap /
+    lazy-restore data path of paper section 6. *)
 
 val pager : t -> (int -> bytes option) option
 
 val find_local : t -> int -> Page.t option
 (** Page [idx] in this object only. *)
 
-val lookup : clock:Aurora_sim.Clock.t -> t -> int -> (Page.t * t) option
+val lookup :
+  ?on_pagein:(unit -> unit) -> clock:Aurora_sim.Clock.t -> t -> int -> (Page.t * t) option
 (** Walk the shadow chain for page [idx]; charges one
-    {!Aurora_sim.Cost.shadow_chain_hop} per level descended.  Returns the
-    page and the object it resides in. *)
+    {!Aurora_sim.Cost.shadow_chain_hop} per level descended.  A level with
+    no resident page consults its pager before descending; a paged-in
+    payload becomes that level's page and [on_pagein] is called.  Returns
+    the page and the object it resides in.  This is the fault path's walk. *)
 
 val iter_local : t -> (int -> Page.t -> unit) -> unit
 (** Iterate this object's resident pages (not the chain). *)

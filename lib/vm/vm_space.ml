@@ -83,12 +83,13 @@ let obj_index (e : Vm_map.entry) vpn = vpn - e.start_vpn + e.obj_pgoff
 
 (* Resolve a fault: find or create the page, install a PTE, charge the
    appropriate cost.  Returns the page the access should hit. *)
-let rec handle_fault t (e : Vm_map.entry) vpn ~write =
+let handle_fault t (e : Vm_map.entry) vpn ~write =
   let idx = obj_index e vpn in
   (match Vm_object.kind e.obj with
   | Vm_object.Device_backed _ when write -> raise (Fault "write to device mapping")
   | Vm_object.Anonymous | Vm_object.Vnode_backed _ | Vm_object.Device_backed _ -> ());
-  match Vm_object.lookup ~clock:t.clk e.obj idx with
+  let on_pagein () = t.st.pageins <- t.st.pageins + 1 in
+  match Vm_object.lookup ~on_pagein ~clock:t.clk e.obj idx with
   | Some (page, src) when src == e.obj ->
       (* Resident in the top object: plain soft fault. *)
       t.st.soft_faults <- t.st.soft_faults + 1;
@@ -112,42 +113,15 @@ let rec handle_fault t (e : Vm_map.entry) vpn ~write =
         Pmap.install t.phys vpn page ~writable:false;
         page
       end
-  | None -> (
-      (* The chain has no resident page.  A pager along the chain (swap,
-         lazy restore) supplies the payload; otherwise zero-fill into the
-         top object. *)
-      let rec find_pager obj =
-        match Vm_object.pager obj with
-        | Some pager -> (
-            match pager idx with
-            | Some payload -> Some (obj, payload)
-            | None -> (
-                match Vm_object.parent obj with
-                | None -> None
-                | Some p -> find_pager p))
-        | None -> (
-            match Vm_object.parent obj with
-            | None -> None
-            | Some p -> find_pager p)
-      in
-      match find_pager e.obj with
-      | Some (owner, payload) ->
-          (* Page-in at the pager's level so sharers see it too; the I/O
-             cost was charged by the pager itself.  Retry the fault: the
-             page may still need a COW copy into the top. *)
-          t.st.pageins <- t.st.pageins + 1;
-          let page = Page.alloc_sized ~payload:(Bytes.length payload) in
-          Page.load_payload page payload;
-          Vm_object.insert_page owner idx page;
-          handle_fault t e vpn ~write
-      | None ->
-          t.st.zero_fills <- t.st.zero_fills + 1;
-          Clock.advance t.clk Cost.soft_fault;
-          let page = Page.alloc () in
-          Vm_object.insert_page e.obj idx page;
-          Pmap.install t.phys vpn page ~writable:(write && e.prot.write)
-            ~dirty:write;
-          page)
+  | None ->
+      (* Nothing resident or paged anywhere on the chain: zero-fill into
+         the top object. *)
+      t.st.zero_fills <- t.st.zero_fills + 1;
+      Clock.advance t.clk Cost.soft_fault;
+      let page = Page.alloc () in
+      Vm_object.insert_page e.obj idx page;
+      Pmap.install t.phys vpn page ~writable:(write && e.prot.write) ~dirty:write;
+      page
 
 let access t ~vpn ~write =
   let e = entry_of_vpn t vpn in

@@ -9,6 +9,7 @@ module Vm_space = Aurora_vm.Vm_space
 module Vm_map = Aurora_vm.Vm_map
 module Page = Aurora_vm.Page
 module Store = Aurora_objstore.Store
+module Striped = Aurora_block.Striped
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
 module Api = Aurora_core.Api
@@ -330,6 +331,57 @@ let test_lazy_restore_contents_equal () =
       Alcotest.(check string) "lazy restore content" "lazy but correct"
         (Vm_space.read_string p'.Process.space ~addr ~len:16)
   | _ -> Alcotest.fail "expected 1 process"
+
+(* Lazy restore under copy-on-write sharing: after the fork the parent
+   and child share the arena's backing object, and the child rewrites a
+   page the parent never touches again.  The parent's read pages its copy
+   into the shared ancestor; the child's later read must still get its own
+   newer version, exactly as eager restore gives it, without paging any
+   page in twice. *)
+let test_lazy_restore_cow_siblings () =
+  let sys = Sls.boot () in
+  let m = sys.Sls.machine in
+  let npages = 4 in
+  let parent, _e, addr = spawn_with_memory sys ~name:"parent" ~npages in
+  let page_addr i = addr + (i * Page.logical_size) in
+  for i = 0 to npages - 1 do
+    Vm_space.write_string parent.Process.space ~addr:(page_addr i)
+      (Printf.sprintf "parent wrote %d" i)
+  done;
+  let child = Syscall.fork m parent in
+  Vm_space.write_string child.Process.space ~addr:(page_addr 1) "child rewrote 1";
+  let group = Sls.attach sys [ parent; child ] in
+  ignore (Group.checkpoint ~wait_durable:true group);
+  (* Parent first: its reads land the shared pages in the ancestor. *)
+  let read_all (result : Restore.result) =
+    List.concat_map
+      (fun (p : Process.t) ->
+        List.init npages (fun i ->
+            Vm_space.read_string p.Process.space ~addr:(page_addr i) ~len:15))
+      result.Restore.procs
+  in
+  let _, eager = Sls.reboot_and_restore sys in
+  let eager_bytes = read_all eager in
+  Alcotest.(check bool) "eager restore sees the child's rewrite" true
+    (List.mem "child rewrote 1" eager_bytes);
+  let _, lzy = Sls.reboot_and_restore ~lazy_pages:true sys in
+  let read0 = Striped.bytes_read sys.Sls.device in
+  Alcotest.(check (list string)) "lazy restore equals eager" eager_bytes (read_all lzy);
+  let read = Striped.bytes_read sys.Sls.device - read0 in
+  let pageins =
+    List.fold_left
+      (fun acc (p : Process.t) -> acc + (Vm_space.stats p.Process.space).Vm_space.pageins)
+      0 lzy.Restore.procs
+  in
+  (* Fault-path cost: each stored page (the parent's four plus the child's
+     rewrite) is paged in once, and asking the child's pager before the
+     shared ancestor costs at most about one block per access. *)
+  Alcotest.(check int) "each stored page paged in once" (npages + 1) pageins;
+  let accesses = 2 * npages in
+  Alcotest.(check bool)
+    (Printf.sprintf "fault-path reads %d B <= %d blocks" read (accesses + 1))
+    true
+    (read <= (accesses + 1) * Store.block_size)
 
 let test_lazy_restore_faster () =
   let measure ~lazy_pages =
@@ -1598,6 +1650,7 @@ let () =
         [
           Alcotest.test_case "time travel" `Quick test_time_travel_restore;
           Alcotest.test_case "lazy restore content" `Quick test_lazy_restore_contents_equal;
+          Alcotest.test_case "lazy restore COW siblings" `Quick test_lazy_restore_cow_siblings;
           Alcotest.test_case "lazy restore faster" `Quick test_lazy_restore_faster;
         ] );
       ( "api",

@@ -412,6 +412,197 @@ let test_read_retry_absorbs_transients () =
      with Fault.Io_error _ -> true);
   Striped.set_fault dev None
 
+(* Location (first block, blocks) of the newest checkpoint record, as the
+   superblock names it: magic string, last epoch, record block, record
+   blocks.  [record_blocks_offset] is where the last field sits. *)
+let record_blocks_offset = 4 + String.length "AURSTORE" + 8 + 8
+
+let head_record dev =
+  let sb = Striped.read_nocharge dev ~off:0 ~len:Store.block_size in
+  let r = Wire.reader sb in
+  ignore (Wire.rstr r);
+  ignore (Wire.ru64 r);
+  let blk = Wire.ru64 r in
+  (blk, Wire.ru64 r)
+
+let overwrite dev clock ~off data =
+  ignore (Striped.write dev ~now:(Clock.now clock) ~off data);
+  Striped.settle dev ~clock
+
+let raises_corrupt_store f =
+  try
+    ignore (f ());
+    false
+  with Store.Corrupt_store _ -> true
+
+(* Regression: recovery used to read a fixed 64 blocks per record, so a
+   version record over 256 KiB could not be recovered. *)
+let test_recover_large_version_record () =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  let meta = String.init (300 * 1024) (fun i -> Char.chr (i mod 251)) in
+  let e = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"proc" ~meta;
+  Store.put_pages store ~oid [ (3, payload 'v') ];
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  Striped.crash dev ~now:(Clock.now clock);
+  let store2 = Store.recover ~dev ~clock in
+  Alcotest.(check bool) "300 KiB meta recovered" true (Store.read_meta store2 ~epoch:e ~oid = meta);
+  Alcotest.(check (option bytes)) "page recovered" (Some (payload 'v'))
+    (Store.read_page store2 ~epoch:e ~oid ~idx:3)
+
+(* Regression: likewise a checkpoint record over 64 blocks (one epoch
+   holding 20k objects). *)
+let test_recover_large_checkpoint_record () =
+  let clock, dev, store = fresh () in
+  let n = 20_000 in
+  let oids = Array.init n (fun _ -> Store.alloc_oid store) in
+  let e = Store.begin_checkpoint store in
+  Array.iteri (fun i oid -> Store.put_object store ~oid ~kind:"obj" ~meta:(string_of_int i)) oids;
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  let _, record_blocks = head_record dev in
+  Alcotest.(check bool)
+    (Printf.sprintf "record spans %d blocks" record_blocks)
+    true (record_blocks > 64);
+  Striped.crash dev ~now:(Clock.now clock);
+  let store2 = Store.recover ~dev ~clock in
+  Alcotest.(check int) "all objects recovered" n (List.length (Store.objects_at store2 ~epoch:e));
+  Array.iteri
+    (fun i oid ->
+      if i mod 997 = 0 then
+        Alcotest.(check string) "meta" (string_of_int i) (Store.read_meta store2 ~epoch:e ~oid))
+    oids
+
+(* A garbled, truncated or looping checkpoint record, or a garbled version
+   record, surfaces as Corrupt_store, never as an untyped wire error. *)
+let test_recover_bad_record_is_corrupt_store () =
+  let build () =
+    let clock, dev, store = fresh () in
+    let oids = List.init 300 (fun _ -> Store.alloc_oid store) in
+    ignore (Store.begin_checkpoint store);
+    List.iter (fun oid -> Store.put_object store ~oid ~kind:"obj" ~meta:"m") oids;
+    ignore (Store.commit_checkpoint store);
+    Store.wait_durable store;
+    (clock, dev)
+  in
+  (* Garbled: a record header claiming far more entries than it holds. *)
+  let clock, dev = build () in
+  let blk, _ = head_record dev in
+  let junk = Bytes.make Store.block_size '\xff' in
+  Bytes.set junk 0 '\xa1';
+  overwrite dev clock ~off:(blk * Store.block_size) junk;
+  Alcotest.(check bool) "garbled record" true
+    (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
+  (* Truncated: the superblock names fewer blocks than the record holds. *)
+  let clock, dev = build () in
+  let _, nblocks = head_record dev in
+  Alcotest.(check bool) "record spans several blocks" true (nblocks > 1);
+  let one = Bytes.create 8 in
+  Bytes.set_int64_le one 0 1L;
+  overwrite dev clock ~off:record_blocks_offset one;
+  Alcotest.(check bool) "truncated record" true
+    (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
+  (* A record size beyond the store's allocated blocks. *)
+  let big = Bytes.create 8 in
+  Bytes.set_int64_le big 0 1_000_000L;
+  overwrite dev clock ~off:record_blocks_offset big;
+  Alcotest.(check bool) "oversized record" true
+    (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
+  (* A prev pointer naming the record itself: the epoch-order check stops
+     the walk instead of looping.  Record layout: magic u8, epoch u64,
+     prev block u64, prev blocks u32. *)
+  let clock, dev = build () in
+  let blk, nblocks = head_record dev in
+  let self = Bytes.create 12 in
+  Bytes.set_int64_le self 0 (Int64.of_int blk);
+  Bytes.set_int32_le self 8 (Int32.of_int nblocks);
+  overwrite dev clock ~off:((blk * Store.block_size) + 1 + 8) self;
+  Alcotest.(check bool) "prev pointer loop" true
+    (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
+  (* A garbled version record: right magic, then a string length far past
+     the record's end.  The first table entry's version block follows the
+     list count. *)
+  let clock, dev = build () in
+  let blk, _ = head_record dev in
+  let record = Striped.read_nocharge dev ~off:(blk * Store.block_size) ~len:Store.block_size in
+  let r = Wire.reader record in
+  ignore (Wire.ru8 r);
+  ignore (Wire.ru64 r);
+  ignore (Wire.ru64 r);
+  ignore (Wire.ru32 r);
+  ignore (Wire.ru32 r);
+  ignore (Wire.ru64 r);
+  let vblock = Wire.ru64 r in
+  let junk = Bytes.make Store.block_size '\xff' in
+  Bytes.set junk 0 '\xa2';
+  overwrite dev clock ~off:(vblock * Store.block_size) junk;
+  Alcotest.(check bool) "garbled version record" true
+    (raises_corrupt_store (fun () -> Store.recover ~dev ~clock))
+
+(* Recovery reads each distinct version record once, at its size: K
+   epochs that each rewrite one of M objects read about M + K version
+   blocks, not K x M, and every retained epoch comes back identical. *)
+let test_recover_read_volume () =
+  let clock, dev, store = fresh () in
+  let m = 40 and k = 12 in
+  let oids = Array.init m (fun _ -> Store.alloc_oid store) in
+  ignore (Store.begin_checkpoint store);
+  Array.iteri
+    (fun i oid ->
+      Store.put_object store ~oid ~kind:"memory" ~meta:(Printf.sprintf "obj %d v0" i);
+      Store.put_pages store ~oid [ (i, payload 'a') ])
+    oids;
+  ignore (Store.commit_checkpoint store);
+  for e = 1 to k - 1 do
+    ignore (Store.begin_checkpoint store);
+    let i = e * 7 mod m in
+    Store.put_object store ~oid:oids.(i) ~kind:"memory" ~meta:(Printf.sprintf "obj %d v%d" i e);
+    Store.put_pages store ~oid:oids.(i) [ (i, payload (Char.chr (Char.code 'a' + e))) ];
+    ignore (Store.commit_checkpoint store)
+  done;
+  Store.wait_durable store;
+  let snapshot st =
+    List.map
+      (fun epoch ->
+        ( epoch,
+          List.map
+            (fun (oid, kind) ->
+              (oid, kind, Store.read_meta st ~epoch ~oid, Store.page_crcs st ~epoch ~oid))
+            (Store.objects_at st ~epoch) ))
+      (Store.checkpoint_epochs st)
+  in
+  let before = snapshot store in
+  Alcotest.(check int) "epochs retained" k (List.length before);
+  Striped.crash dev ~now:(Clock.now clock);
+  let read0 = Striped.bytes_read dev in
+  let store2 = Store.recover ~dev ~clock in
+  let read = Striped.bytes_read dev - read0 in
+  (* Every version and checkpoint record here fits one block. *)
+  let bound = ((m + k) + k + 1) * Store.block_size in
+  Alcotest.(check bool) (Printf.sprintf "read %d bytes <= %d" read bound) true (read <= bound);
+  Alcotest.(check bool) "epochs identical after recovery" true (snapshot store2 = before);
+  Alcotest.(check bool) "content index consistent" true (Store.content_index_consistent store2);
+  (* A transient failure on a coalesced version run (a read wider than
+     one record) is retried and counted. *)
+  let f = Fault.create () in
+  let armed = ref true in
+  f.Fault.on_read <-
+    (fun r ->
+      if !armed && r.Fault.r_len > Store.block_size then begin
+        armed := false;
+        Fault.Fail
+      end
+      else Fault.Clean);
+  Striped.set_fault dev (Some f);
+  let store3 = Store.recover ~dev ~clock in
+  Striped.set_fault dev None;
+  Alcotest.(check bool) "a coalesced run was read" false !armed;
+  Alcotest.(check int) "fault absorbed and counted" 1 (Store.read_faults store3);
+  Alcotest.(check bool) "epochs identical after retried recovery" true
+    (snapshot store3 = before)
+
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -704,6 +895,12 @@ let () =
           Alcotest.test_case "uninitialized device" `Quick test_recover_uninitialized_device_fails;
           Alcotest.test_case "read retry absorbs transients" `Quick
             test_read_retry_absorbs_transients;
+          Alcotest.test_case "large version record" `Quick test_recover_large_version_record;
+          Alcotest.test_case "large checkpoint record" `Quick
+            test_recover_large_checkpoint_record;
+          Alcotest.test_case "bad record is Corrupt_store" `Quick
+            test_recover_bad_record_is_corrupt_store;
+          Alcotest.test_case "read volume" `Quick test_recover_read_volume;
         ] );
       ( "journal",
         [

@@ -60,6 +60,38 @@ let test_object_lookup_charges_hops () =
   Alcotest.(check int) "two hops charged" (2 * Cost.shadow_chain_hop)
     (Clock.now clock - before)
 
+(* A level's pager is consulted before the walk descends to a page already
+   resident in an ancestor, and the paged-in page lands at that level. *)
+let test_object_lookup_pager_before_ancestor () =
+  let clock = Clock.create () in
+  let base = Vm_object.create Vm_object.Anonymous in
+  let old_page = Page.alloc () in
+  Page.set old_page 0 'o';
+  Vm_object.insert_page base 3 old_page;
+  let s1 = Vm_object.shadow ~clock base in
+  let s2 = Vm_object.shadow ~clock s1 in
+  let newer = Page.alloc () in
+  Page.set newer 0 'n';
+  Vm_object.set_pager s1
+    (Some (fun idx -> if idx = 3 then Some (Page.blit_payload newer) else None));
+  let pageins = ref 0 in
+  let on_pagein () = incr pageins in
+  let before = Clock.now clock in
+  (match Vm_object.lookup ~on_pagein ~clock s2 3 with
+  | Some (p, src) ->
+      Alcotest.(check bool) "paged in at the pager's level" true (src == s1);
+      Alcotest.(check char) "pager's version wins" 'n' (Page.get p 0)
+  | None -> Alcotest.fail "page not found");
+  Alcotest.(check int) "one page-in" 1 !pageins;
+  Alcotest.(check int) "one hop charged" Cost.shadow_chain_hop (Clock.now clock - before);
+  (* The paged-in page is now resident: a second walk does not page in. *)
+  ignore (Vm_object.lookup ~on_pagein ~clock s2 3);
+  Alcotest.(check int) "resident after page-in" 1 !pageins;
+  (* A pager with nothing for the index lets the walk descend. *)
+  match Vm_object.lookup ~on_pagein ~clock s2 7 with
+  | None -> Alcotest.(check int) "miss does not page in" 1 !pageins
+  | Some _ -> Alcotest.fail "unexpected page"
+
 let make_chain ~parent_pages ~shadow_pages =
   let clock = Clock.create () in
   let base = Vm_object.create Vm_object.Anonymous in
@@ -548,6 +580,8 @@ let () =
         [
           Alcotest.test_case "shadow lookup" `Quick test_object_shadow_lookup;
           Alcotest.test_case "lookup charges hops" `Quick test_object_lookup_charges_hops;
+          Alcotest.test_case "lookup pages in before ancestor" `Quick
+            test_object_lookup_pager_before_ancestor;
           Alcotest.test_case "collapse stock" `Quick test_collapse_stock_direction;
           Alcotest.test_case "collapse aurora" `Quick test_collapse_aurora_direction;
           Alcotest.test_case "directions agree" `Quick test_collapse_directions_agree;
