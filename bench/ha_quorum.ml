@@ -1,11 +1,15 @@
-(* Quorum replication bench and gate driver.
+(* Replication torture, bench and gate driver: the one driver for the
+   replication plane (`Replica_set`).
 
-   `ha_quorum fast` (the @ha-quorum alias, wired into runtest) runs a
-   short quorum-torture sweep at N in {3,5}, one pipelined-vs-
-   stop-and-wait comparison and one live migration; `ha_quorum deep
-   [seed]` (@ha-quorum-deep) sweeps more seeds, rates and rounds;
-   `ha_quorum smoke` (part of @bench-smoke) additionally emits
-   BENCH_ha_quorum.json and applies the acceptance gates:
+   `ha_quorum fast` (the @ha-torture alias, wired into runtest) runs both
+   negative controls (the standby's corrupted newest epoch must be
+   skipped by the fallback loop), the single-standby sweep (N = 1) in
+   stop-the-world and speculative modes, a short quorum-torture sweep at
+   N in {3,5}, one pipelined-vs-stop-and-wait comparison and one live
+   migration; `ha_quorum deep [seed]` (@ha-torture-deep) sweeps more
+   seeds, rates and rounds; `ha_quorum smoke` (part of @bench-smoke)
+   additionally emits BENCH_ha_quorum.json and applies the acceptance
+   gates:
 
      - quorum convergence on 100% of runs (survivors elect an epoch no
        older than the quorum commit point, reference state matches, no
@@ -23,12 +27,18 @@ module Ha_torture = Aurora_faultsim.Ha_torture
 
 let ok = ref true
 
-let run_quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds =
-  let s = Ha_torture.quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds in
+let run_quorum_sweep ?(speculative = false) ~seed ~runs_per_cell ~rates ~ns
+    ~rounds () =
+  let s =
+    Ha_torture.quorum_sweep ~speculative ~seed ~runs_per_cell ~rates ~ns
+      ~rounds ()
+  in
   Printf.printf
-    "quorum seed=%-8d runs=%-3d ok=%-3d evict=%d rejoin=%d retx=%d \
-     released=%d dropped=%d\n\
+    "quorum n=%-4s %-4s seed=%-8d runs=%-3d ok=%-3d evict=%d rejoin=%d \
+     retx=%d released=%d dropped=%d\n\
      %!"
+    (String.concat "," (List.map string_of_int ns))
+    (if speculative then "spec" else "stw")
     seed s.Ha_torture.q_runs s.Ha_torture.q_ok s.Ha_torture.q_evictions
     s.Ha_torture.q_rejoins s.Ha_torture.q_retransmits s.Ha_torture.q_released
     s.Ha_torture.q_dropped;
@@ -37,6 +47,15 @@ let run_quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds =
     s.Ha_torture.q_failures;
   if s.Ha_torture.q_ok <> s.Ha_torture.q_runs then ok := false;
   s
+
+(* The single-standby sweep, both checkpoint modes on the same seeds. *)
+let run_single_sweeps ~seed ~runs_per_cell ~rates ~rounds =
+  List.iter
+    (fun speculative ->
+      ignore
+        (run_quorum_sweep ~speculative ~seed ~runs_per_cell ~rates ~ns:[ 1 ]
+           ~rounds ()))
+    [ false; true ]
 
 let run_pipeline ~seed ~rounds ~rate ~n =
   let p = Ha_torture.pipeline_vs_stop_and_wait ~seed ~rounds ~rate ~n in
@@ -71,20 +90,38 @@ let run_migration ~seed ~rate =
   if not m.Ha_torture.mc_ok then ok := false;
   m
 
+let controls () =
+  List.iter
+    (fun (label, mode) ->
+      match Ha_torture.negative_control ~mode with
+      | Ok () ->
+          Printf.printf "control %-5s corrupted newest epoch skipped\n%!" label
+      | Error e ->
+          Printf.printf "control %-5s FAIL %s\n%!" label e;
+          ok := false)
+    [ ("meta", Ha_torture.Meta); ("page", Ha_torture.Page) ]
+
 let fast () =
+  controls ();
+  run_single_sweeps ~seed:42 ~runs_per_cell:3 ~rates:[ 0.0; 0.05; 0.10 ]
+    ~rounds:6;
   ignore
     (run_quorum_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
-       ~ns:[ 3; 5 ] ~rounds:6);
+       ~ns:[ 3; 5 ] ~rounds:6 ());
   ignore (run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3);
   ignore (run_migration ~seed:42 ~rate:0.0)
 
 let deep seed =
+  controls ();
   List.iter
     (fun s ->
+      run_single_sweeps ~seed:s ~runs_per_cell:8
+        ~rates:[ 0.0; 0.01; 0.02; 0.05; 0.08; 0.10 ]
+        ~rounds:12;
       ignore
         (run_quorum_sweep ~seed:s ~runs_per_cell:4
            ~rates:[ 0.0; 0.02; 0.05; 0.08; 0.12 ]
-           ~ns:[ 3; 5 ] ~rounds:10))
+           ~ns:[ 3; 5 ] ~rounds:10 ()))
     [ seed; seed + 1; seed + 2 ];
   List.iter
     (fun rate -> ignore (run_pipeline ~seed ~rounds:30 ~rate ~n:3))
@@ -136,7 +173,7 @@ let json_out (q : Ha_torture.quorum_sweep_report)
 let smoke () =
   let q =
     run_quorum_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
-      ~ns:[ 3; 5 ] ~rounds:6
+      ~ns:[ 3; 5 ] ~rounds:6 ()
   in
   let p = run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3 in
   let m = run_migration ~seed:42 ~rate:0.0 in
@@ -168,6 +205,6 @@ let () =
       prerr_endline "usage: ha_quorum [fast | smoke | deep [seed]]";
       exit 2);
   if not !ok then begin
-    prerr_endline "ha_quorum: quorum torture found failures";
+    prerr_endline "ha_quorum: replication torture found failures";
     exit 1
   end

@@ -11,7 +11,8 @@ module Units = Aurora_util.Units
 module Store = Aurora_objstore.Store
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
-module Ha = Aurora_core.Ha
+module Replica_set = Aurora_core.Replica_set
+module Link = Aurora_net.Link
 module Replay = Aurora_core.Replay
 
 let () =
@@ -27,9 +28,15 @@ let () =
   let group = Sls.attach primary [ svc ] in
   let recorder = Replay.Recorder.attach group in
 
-  (* Standby: an empty machine whose store receives the stream. *)
+  (* Standby: an empty machine whose store receives the stream — a
+     one-standby replica set shipping stop-and-wait (window 1). *)
   let standby = Sls.boot () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
+  let rs =
+    Replica_set.create ~window:1 ~primary:group
+      ~standbys:[ (standby.Sls.store, Link.create ~name:"standby" ()) ]
+      ()
+  in
+  let shipped () = (Replica_set.view rs 0).Replica_set.sv_shipped_bytes in
 
   (* Steady state: serve requests, checkpoint, replicate. *)
   for round = 1 to 3 do
@@ -39,9 +46,10 @@ let () =
     | None -> ());
     ignore (Group.checkpoint ~wait_durable:true group);
     Replay.Recorder.on_checkpoint recorder;
-    let bytes =
-      match Ha.replicate_result ha with Ok b -> b | Error e -> failwith e
-    in
+    let before = shipped () in
+    Replica_set.ship rs;
+    if not (Replica_set.drain rs `All) then failwith "standby never acked";
+    let bytes = shipped () - before in
     Printf.printf "round %d: checkpointed and shipped %s to the standby\n" round
       (Units.bytes_to_string bytes)
   done;
@@ -57,10 +65,16 @@ let () =
 
   (* Failover: restore the last shipped checkpoint on the standby. *)
   let takeover = Machine.create () in
-  let result = Ha.failover ha ~machine:takeover in
-  let svc' = List.hd result.Aurora_core.Restore.procs in
+  let rep =
+    match Replica_set.elect_and_failover rs ~survivors:[ 0 ] ~machine:takeover with
+    | Ok rep -> rep
+    | Error e -> failwith e
+  in
+  let svc' =
+    List.hd rep.Replica_set.el_restore.Aurora_core.Restore.vr_result.Aurora_core.Restore.procs
+  in
   Printf.printf "standby took over at replicated epoch %d: state %S\n"
-    (Ha.shipped_epoch ha)
+    rep.Replica_set.el_source_epoch
     (Vm_space.read_string svc'.Process.space ~addr ~len:9);
 
   (* The primary's own store survives on its devices: recover it and

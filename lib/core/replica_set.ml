@@ -510,7 +510,7 @@ let ship t =
     let store = Group.store t.primary in
     (* Every epoch checkpointed since the last call becomes one frame;
        when the caller skipped rounds the single delta base..newest is
-       the whole gap, exactly like Ha's lag catch-up. *)
+       the whole gap. *)
     match build_frame ~store ~base:t.last_logged ~epoch:newest with
     | Error msg -> failwith ("Replica_set.ship: " ^ msg)
     | Ok (frame, bytes) ->

@@ -1,6 +1,7 @@
 (** Quorum replication to N standbys with pipelined shipping, election
-    failover and live migration (paper sections 3 and 10, scaled out from
-    the one-standby stop-and-wait of {!Ha}).
+    failover and live migration (paper sections 3 and 10).  This is the
+    one replication engine: a single hot standby is N = 1, and
+    stop-and-wait shipping is [~window:1] followed by [drain t `All].
 
     One primary ships sequenced, CRC-framed epoch deltas to N standbys
     over independent faultable {!Aurora_net.Link}s.  Shipping is a
@@ -11,7 +12,7 @@
     synchronize across replicas.  The receiver installs epochs strictly
     in order — a delta whose base it has not installed yet is buffered
     until the gap fills — and every install is verified against the
-    shipped manifest digest before it is acked, exactly as in {!Ha}.
+    shipped manifest digest before it is acked.
 
     {b Quorum.}  [quorum_epoch] is the newest primary epoch that
     ⌈(N+1)/2⌉ standbys have verified-acked; it advances monotonically

@@ -8,214 +8,64 @@ module Store = Aurora_objstore.Store
 module Link = Aurora_net.Link
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
-module Ha = Aurora_core.Ha
 module Restore = Aurora_core.Restore
 module Extsync = Aurora_core.Extsync
 module Replica_set = Aurora_core.Replica_set
 
-(* One torture run: a primary service mutating memory under continuous
-   checkpointing, shipping every epoch to a standby over a faulty link,
-   killed at a random round; the standby fails over and its recovered
-   state must match the reference model at the epoch the failover
-   reports.  The reference model is the per-round state string — each
-   round r overwrites the service's state page with "state-r", so the
-   store state at the primary epoch committed in round r renders as
-   "state-r" exactly. *)
+(* The reference model is the per-round state string: each round r
+   overwrites the service's state page with "state-r", so the store
+   state at the primary epoch committed in round r renders as "state-r"
+   exactly. *)
 
 let npages = 16
 let state_of_round r = Printf.sprintf "state-%06d" r
 let state_len = String.length (state_of_round 0)
 
-type run_report = {
-  hr_seed : int;
-  hr_rate : float;
-  hr_rounds : int;  (** rounds the primary completed before the kill *)
-  hr_shipped : int;  (** primary epochs acked by the standby *)
-  hr_source_epoch : int;  (** primary epoch the failover recovered *)
-  hr_fallbacks : int;  (** epochs skipped by the fallback loop *)
-  hr_retransmits : int;
-  hr_dup_acks : int;
-  hr_verify_rejects : int;
-  hr_outcome : string;  (** "match" or the failure detail *)
-  hr_ok : bool;
-}
-
-let run ?(speculative = false) ~seed ~rounds ~rate () =
-  let rng = Rng.create seed in
+(* A primary service: one process with an [npages] arena (the state page
+   first), plus [pipes] pipes, attached as one consistency group. *)
+let boot_service ?(pipes = 0) () =
   let primary = Sls.boot () in
   let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
   let e = Syscall.mmap_anon p ~npages in
   let addr = Vm_space.addr_of_entry e in
   Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-  (* In the speculative arm the service carries enough kernel objects
-     that each soft serialize pass exceeds the yield quantum, so
-     concurrency windows really open mid-checkpoint. *)
-  let pipes =
-    if speculative then Array.init 48 (fun _ -> Syscall.pipe primary.Sls.machine p)
-    else [||]
-  in
+  let pipes = Array.init pipes (fun _ -> Syscall.pipe primary.Sls.machine p) in
   let group = Sls.attach primary [ p ] in
-  let hook_fired = ref 0 in
-  if speculative then begin
-    Group.set_speculative group true;
-    (* Mutate a scratch page and a pipe whenever the soft-quiesce window
-       opens: the validator must splice these conflicts before the epoch
-       ships, and the shipped image must still byte-match the model
-       (which only reads the round's state page). *)
-    Machine.set_run_hook primary.Sls.machine
-      (Some
-         (fun _ns ->
-           incr hook_fired;
-           let n = !hook_fired in
-           Vm_space.write_string p.Process.space
-             ~addr:(addr + (((n mod (npages - 2)) + 2) * 4096))
-             (Printf.sprintf "mid-%d" n);
-           ignore
-             (Syscall.write primary.Sls.machine p
-                ~fd:(snd pipes.(n mod Array.length pipes))
-                "mid")))
-  end;
-  let standby = Sls.boot () in
-  let link = Link.create ~name:"ha-torture" () in
-  Link.set_faults link ~seed:(seed * 7919) (Link.lossy_profile rate);
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
-  let pclk = primary.Sls.machine.Machine.clock in
-  (* primary epoch -> round whose state it committed *)
-  let round_of_epoch = Hashtbl.create 32 in
-  let kill_round = 1 + Rng.int rng rounds in
-  (* Sometimes the primary dies with lag: the last round checkpoints but
-     never replicates, so failover must land on an older epoch. *)
-  let killed_before_replicate = Rng.bool rng in
-  let completed = ref 0 in
-  (try
-     for r = 1 to kill_round do
-       Vm_space.write_string p.Process.space ~addr (state_of_round r);
-       (* Touch a second, rotating page so deltas vary in shape. *)
-       Vm_space.write_string p.Process.space
-         ~addr:(addr + ((1 + (r mod (npages - 1))) * 4096))
-         (Printf.sprintf "fill-%d" r);
-       (* Keep every pipe dirty so the speculative pass re-serializes
-          them all and accumulates enough work to yield. *)
-       Array.iter
-         (fun (_, wr) -> ignore (Syscall.write primary.Sls.machine p ~fd:wr "r"))
-         pipes;
-       ignore (Group.checkpoint ~wait_durable:true group);
-       Hashtbl.replace round_of_epoch (Group.last_epoch group) r;
-       (* Occasional hard partition on top of the probabilistic faults. *)
-       if Rng.int rng 10 = 0 then
-         Link.partition link ~now:(Clock.now pclk)
-           ~duration:(500_000 + Rng.int rng 2_000_000);
-       if not (r = kill_round && killed_before_replicate) then
-         ignore (Ha.replicate_result ha);
-       incr completed
-     done
-   with _ -> ());
-  (* The primary machine and devices are gone; only the standby's store
-     survives.  Failover must recover a manifest-verified epoch. *)
-  let takeover = Machine.create () in
-  let hstats = Ha.stats ha in
-  let base =
-    {
-      hr_seed = seed;
-      hr_rate = rate;
-      hr_rounds = !completed;
-      hr_shipped = hstats.Ha.ha_shipments;
-      hr_source_epoch = 0;
-      hr_fallbacks = 0;
-      hr_retransmits = hstats.Ha.ha_retransmits;
-      hr_dup_acks = hstats.Ha.ha_dup_acks;
-      hr_verify_rejects = hstats.Ha.ha_verify_rejects;
-      hr_outcome = "match";
-      hr_ok = true;
-    }
-  in
-  match Ha.failover_verified ha ~machine:takeover with
-  | exception exn ->
-      { base with hr_outcome = "uncaught: " ^ Printexc.to_string exn; hr_ok = false }
-  | Error err ->
-      if Ha.shipped_epoch ha = 0 then
-        (* Nothing was ever acknowledged (possible at brutal rates with a
-           short run): no epoch to recover is the honest answer. *)
-        { base with hr_outcome = "nothing shipped"; hr_ok = true }
-      else
-        {
-          base with
-          hr_outcome = "no valid epoch: " ^ Restore.pp_restore_error err;
-          hr_ok = false;
-        }
-  | Ok report -> (
-      let source = report.Ha.fo_source_epoch in
-      let base =
-        {
-          base with
-          hr_source_epoch = source;
-          hr_fallbacks = List.length report.Ha.fo_restore.Restore.vr_skipped;
-        }
-      in
-      match Hashtbl.find_opt round_of_epoch source with
-      | None ->
-          {
-            base with
-            hr_outcome = Printf.sprintf "recovered unknown epoch %d" source;
-            hr_ok = false;
-          }
-      | Some round -> (
-          if source < Ha.shipped_epoch ha then
-            {
-              base with
-              hr_outcome =
-                Printf.sprintf "recovered epoch %d older than acked %d" source
-                  (Ha.shipped_epoch ha);
-              hr_ok = false;
-            }
-          else
-            match report.Ha.fo_restore.Restore.vr_result.Restore.procs with
-            | [ p' ] ->
-                let got =
-                  Vm_space.read_string p'.Process.space ~addr ~len:state_len
-                in
-                let want = state_of_round round in
-                if got = want then base
-                else
-                  {
-                    base with
-                    hr_outcome =
-                      Printf.sprintf "epoch %d rendered %S, model says %S"
-                        source got want;
-                    hr_ok = false;
-                  }
-            | procs ->
-                {
-                  base with
-                  hr_outcome =
-                    Printf.sprintf "expected 1 process, restored %d"
-                      (List.length procs);
-                  hr_ok = false;
-                }))
+  (primary, p, addr, group, pipes)
 
-(* Negative control: corrupt the standby's newest epoch after clean
-   replication and demand the fallback loop skips it — recovering the
-   previous round's state, never the corrupted bytes. *)
+(* Every evicted standby starts a catch-up shipment (a no-op for dead
+   ones). *)
+let rejoin_evicted rs =
+  List.iter
+    (fun (v : Replica_set.standby_view) ->
+      if v.Replica_set.sv_health = Replica_set.Evicted then
+        Replica_set.rejoin rs v.Replica_set.sv_idx)
+    (Replica_set.views rs)
+
+(* Negative control: replicate cleanly to one standby, stop-and-wait
+   (window 1, drained every round), corrupt the standby's newest epoch
+   and demand the fallback loop skips it — recovering the previous
+   round's state, never the corrupted bytes. *)
 type control = Meta | Page
 
-let negative_control ~seed ~mode =
-  let primary = Sls.boot () in
-  let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-  let e = Syscall.mmap_anon p ~npages in
-  let addr = Vm_space.addr_of_entry e in
-  Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-  let group = Sls.attach primary [ p ] in
+let negative_control ~mode =
+  let _primary, p, addr, group, _ = boot_service () in
   let standby = Sls.boot () in
   let link = Link.create ~name:"ha-control" () in
-  ignore seed;
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
+  let rs =
+    Replica_set.create ~window:1 ~primary:group
+      ~standbys:[ (standby.Sls.store, link) ] ()
+  in
   let rounds = 3 in
   for r = 1 to rounds do
     Vm_space.write_string p.Process.space ~addr (state_of_round r);
     ignore (Group.checkpoint ~wait_durable:true group);
-    match Ha.replicate_result ha with
-    | Ok _ -> ()
-    | Error msg -> failwith ("control replication failed: " ^ msg)
+    Replica_set.ship rs;
+    if
+      not
+        (Replica_set.drain rs `All
+        && Replica_set.quorum_epoch rs = Group.last_epoch group)
+    then failwith (Printf.sprintf "control replication failed in round %d" r)
   done;
   let store = standby.Sls.store in
   let newest = Store.last_complete_epoch store in
@@ -233,10 +83,10 @@ let negative_control ~seed ~mode =
   | Meta -> Store.corrupt_meta_for_tests store ~epoch:newest ~oid:victim
   | Page -> Store.corrupt_page_for_tests store ~epoch:newest ~oid:victim);
   let takeover = Machine.create () in
-  match Ha.failover_verified ha ~machine:takeover with
-  | Error err -> Error ("no epoch recovered: " ^ Restore.pp_restore_error err)
-  | Ok report -> (
-      let v = report.Ha.fo_restore in
+  match Replica_set.elect_and_failover rs ~survivors:[ 0 ] ~machine:takeover with
+  | Error msg -> Error ("no epoch recovered: " ^ msg)
+  | Ok rep -> (
+      let v = rep.Replica_set.el_restore in
       let skipped_newest =
         List.exists
           (fun (a : Restore.attempt) -> a.Restore.at_epoch = newest)
@@ -258,49 +108,6 @@ let negative_control ~seed ~mode =
         | procs ->
             Error (Printf.sprintf "expected 1 process, restored %d" (List.length procs)))
 
-(* Sweeps ------------------------------------------------------------------------- *)
-
-type sweep_report = {
-  h_runs : int;
-  h_ok : int;
-  h_shipments : int;
-  h_retransmits : int;
-  h_dup_acks : int;
-  h_verify_rejects : int;
-  h_fallbacks : int;
-  h_failures : run_report list;
-}
-
-let sweep ?(speculative = false) ~seed ~runs_per_rate ~rates ~rounds () =
-  let reports =
-    List.concat_map
-      (fun rate ->
-        List.init runs_per_rate (fun i ->
-            run ~speculative
-              ~seed:(seed + (i * 131) + int_of_float (rate *. 10_000.))
-              ~rounds ~rate ()))
-      rates
-  in
-  {
-    h_runs = List.length reports;
-    h_ok = List.length (List.filter (fun r -> r.hr_ok) reports);
-    h_shipments = List.fold_left (fun a r -> a + r.hr_shipped) 0 reports;
-    h_retransmits = List.fold_left (fun a r -> a + r.hr_retransmits) 0 reports;
-    h_dup_acks = List.fold_left (fun a r -> a + r.hr_dup_acks) 0 reports;
-    h_verify_rejects =
-      List.fold_left (fun a r -> a + r.hr_verify_rejects) 0 reports;
-    h_fallbacks = List.fold_left (fun a r -> a + r.hr_fallbacks) 0 reports;
-    h_failures = List.filter (fun r -> not r.hr_ok) reports;
-  }
-
-let pp_run r =
-  Printf.sprintf
-    "seed=%d rate=%.3f rounds=%d shipped=%d source=%d fallbacks=%d \
-     retx=%d dups=%d rejects=%d: %s"
-    r.hr_seed r.hr_rate r.hr_rounds r.hr_shipped r.hr_source_epoch
-    r.hr_fallbacks r.hr_retransmits r.hr_dup_acks r.hr_verify_rejects
-    r.hr_outcome
-
 (* Quorum torture ------------------------------------------------------------------ *)
 
 (* One quorum run: a primary pipelining epochs to N standbys over N
@@ -311,7 +118,9 @@ let pp_run r =
    primary dies, the survivors elect, and the run passes only if the
    election converges on an epoch at least as new as the quorum commit
    point, the restored state matches the reference model, and no
-   released message came from the discarded window. *)
+   released message came from the discarded window.  At N = 1 this is
+   the single-standby torture: no kills, and the election is plain
+   failover to the one standby. *)
 
 type quorum_report = {
   qr_seed : int;
@@ -332,15 +141,35 @@ type quorum_report = {
   qr_ok : bool;
 }
 
-let quorum_run ~seed ~rounds ~rate ~n =
+let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
   if n < 1 then invalid_arg "quorum_run: n < 1";
   let rng = Rng.create seed in
-  let primary = Sls.boot () in
-  let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-  let e = Syscall.mmap_anon p ~npages in
-  let addr = Vm_space.addr_of_entry e in
-  Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-  let group = Sls.attach primary [ p ] in
+  (* In the speculative arm the service carries enough kernel objects
+     that each soft serialize pass exceeds the yield quantum, so
+     concurrency windows really open mid-checkpoint. *)
+  let primary, p, addr, group, pipes =
+    boot_service ~pipes:(if speculative then 48 else 0) ()
+  in
+  if speculative then begin
+    Group.set_speculative group true;
+    (* Mutate a scratch page and a pipe whenever the soft-quiesce window
+       opens: the validator must splice these conflicts before the epoch
+       ships, and the shipped image must still byte-match the model
+       (which only reads the round's state page). *)
+    let hook_fired = ref 0 in
+    Machine.set_run_hook primary.Sls.machine
+      (Some
+         (fun _ns ->
+           incr hook_fired;
+           let k = !hook_fired in
+           Vm_space.write_string p.Process.space
+             ~addr:(addr + (((k mod (npages - 2)) + 2) * 4096))
+             (Printf.sprintf "mid-%d" k);
+           ignore
+             (Syscall.write primary.Sls.machine p
+                ~fd:(snd pipes.(k mod Array.length pipes))
+                "mid")))
+  end;
   let links =
     List.init n (fun i ->
         let link = Link.create ~name:(Printf.sprintf "quorum-%d" i) () in
@@ -398,6 +227,11 @@ let quorum_run ~seed ~rounds ~rate ~n =
        Vm_space.write_string p.Process.space
          ~addr:(addr + ((1 + (r mod (npages - 1))) * 4096))
          (Printf.sprintf "fill-%d" r);
+       (* Keep every pipe dirty so the speculative pass re-serializes
+          them all and accumulates enough work to yield. *)
+       Array.iter
+         (fun (_, wr) -> ignore (Syscall.write primary.Sls.machine p ~fd:wr "r"))
+         pipes;
        ignore (Group.checkpoint ~wait_durable:true group);
        let epoch = Group.last_epoch group in
        Hashtbl.replace round_of_epoch epoch r;
@@ -416,13 +250,7 @@ let quorum_run ~seed ~rounds ~rate ~n =
           failover must drop it. *)
        if not (abrupt_death && r = rounds) then Replica_set.ship rs;
        (* Evicted survivors come back with catch-up shipments. *)
-       if Rng.int rng 3 = 0 then
-         List.iter
-           (fun (v : Replica_set.standby_view) ->
-             if v.Replica_set.sv_health = Replica_set.Evicted
-                && not v.Replica_set.sv_dead
-             then Replica_set.rejoin rs v.Replica_set.sv_idx)
-           (Replica_set.views rs)
+       if Rng.int rng 3 = 0 then rejoin_evicted rs
      done;
      (* Unless death is abrupt, let the pipeline reach the quorum
         commit point, rejoining any survivor the fault plane evicted
@@ -431,12 +259,7 @@ let quorum_run ~seed ~rounds ~rate ~n =
        let tries = ref 0 in
        while (not (Replica_set.drain rs `Quorum)) && !tries < 10 do
          incr tries;
-         List.iter
-           (fun (v : Replica_set.standby_view) ->
-             if v.Replica_set.sv_health = Replica_set.Evicted
-                && not v.Replica_set.sv_dead
-             then Replica_set.rejoin rs v.Replica_set.sv_idx)
-           (Replica_set.views rs)
+         rejoin_evicted rs
        done
      end
    with exn -> uncaught := Printexc.to_string exn);
@@ -547,18 +370,18 @@ type quorum_sweep_report = {
   q_failures : quorum_report list;
 }
 
-let quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds =
+let quorum_sweep ?speculative ~seed ~runs_per_cell ~rates ~ns ~rounds () =
   let reports =
     List.concat_map
       (fun n ->
         List.concat_map
           (fun rate ->
             List.init runs_per_cell (fun i ->
-                quorum_run
+                quorum_run ?speculative
                   ~seed:
                     (seed + (i * 131) + (n * 17)
                     + int_of_float (rate *. 10_000.))
-                  ~rounds ~rate ~n))
+                  ~rounds ~rate ~n ()))
           rates)
       ns
   in
@@ -576,13 +399,13 @@ let quorum_sweep ~seed ~runs_per_cell ~rates ~ns ~rounds =
 (* Pipelined vs stop-and-wait ------------------------------------------------------ *)
 
 (* Replication-plane cost of R rounds to N standbys, both ways, same
-   fault profile and seeds.  Plane time is the virtual time the primary
-   spends blocked in the replication protocol: for stop-and-wait that is
-   every [replicate_result] (each waits out its own acks, standby after
-   standby); for the pipeline it is [ship] (non-blocking) plus the final
-   drain to every standby current.  Checkpoint production is identical
-   on both sides and excluded — it is the plane the pipeline does not
-   change. *)
+   links and seeds, one code path.  Stop-and-wait is a window of 1 that
+   blocks after every round until each standby has acked (rejoining any
+   the fault plane evicted); the pipeline is a window of 4 whose [ship]
+   never blocks, drained once at the end.  Plane time is the virtual time
+   the primary spends in the replication protocol: [ship], the rejoins
+   and every drain.  Checkpoint production is identical on both sides
+   and excluded — it is the plane the pipeline does not change. *)
 type pipeline_report = {
   pl_rounds : int;
   pl_n : int;
@@ -592,108 +415,67 @@ type pipeline_report = {
   pl_sw_total_ns : int;
   pl_pipe_total_ns : int;
   pl_speedup : float;  (** plane-time ratio, the figure the gate checks *)
-  pl_sw_ok : bool;  (** every stop-and-wait shipment eventually acked *)
+  pl_sw_ok : bool;  (** every stop-and-wait round drained, none evicted *)
   pl_pipe_ok : bool;  (** pipeline drained with no standby evicted *)
 }
 
 let pipeline_vs_stop_and_wait ~seed ~rounds ~rate ~n =
-  let mk_links tag =
-    List.init n (fun i ->
-        let link = Link.create ~name:(Printf.sprintf "%s-%d" tag i) () in
-        Link.set_faults link
-          ~seed:((seed * 104_729) + (i * 131) + 29)
-          (Link.lossy_profile rate);
-        link)
-  in
-  let boot_primary () =
-    let primary = Sls.boot () in
-    let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-    let e = Syscall.mmap_anon p ~npages in
-    let addr = Vm_space.addr_of_entry e in
-    Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-    let group = Sls.attach primary [ p ] in
-    (primary, p, addr, group)
-  in
-  let mutate p addr r =
-    Vm_space.write_string p.Process.space ~addr (state_of_round r);
-    Vm_space.write_string p.Process.space
-      ~addr:(addr + ((1 + (r mod (npages - 1))) * 4096))
-      (Printf.sprintf "fill-%d" r)
-  in
-  (* Stop-and-wait: N independent Ha instances, each shipment blocking
-     the primary until its ack (or retry exhaustion), in series. *)
-  let sw_plane, sw_total, sw_ok =
-    let primary, p, addr, group = boot_primary () in
-    let clk = primary.Sls.machine.Machine.clock in
-    let has =
-      List.map
-        (fun link ->
-          Ha.create ~link ~primary:group
-            ~standby_store:(Sls.boot ()).Sls.store ())
-        (mk_links "sw")
-    in
-    let t_begin = Clock.now clk in
-    let plane = ref 0 in
-    let ok = ref true in
-    for r = 1 to rounds do
-      mutate p addr r;
-      ignore (Group.checkpoint ~wait_durable:true group);
-      List.iter
-        (fun ha ->
-          let t0 = Clock.now clk in
-          (match Ha.replicate_result ha with
-          | Ok _ -> ()
-          | Error _ -> ok := false);
-          plane := !plane + (Clock.now clk - t0))
-        has
-    done;
-    (!plane, Clock.now clk - t_begin, !ok)
-  in
-  (* Pipelined: one replica set, ship never blocks, one drain at the
-     end waits for every standby to be current. *)
-  let pipe_plane, pipe_total, pipe_ok =
-    let primary, p, addr, group = boot_primary () in
+  let arm ~tag ~window ~blocking =
+    let primary, p, addr, group, _ = boot_service () in
     let clk = primary.Sls.machine.Machine.clock in
     let standbys =
-      List.map (fun link -> ((Sls.boot ()).Sls.store, link)) (mk_links "pl")
+      List.init n (fun i ->
+          let link = Link.create ~name:(Printf.sprintf "%s-%d" tag i) () in
+          Link.set_faults link
+            ~seed:((seed * 104_729) + (i * 131) + 29)
+            (Link.lossy_profile rate);
+          link)
+      |> List.map (fun link -> ((Sls.boot ()).Sls.store, link))
     in
-    let rs = Replica_set.create ~window:4 ~seed ~primary:group ~standbys () in
-    (* Stop-and-wait never gives up for good (every round retries from
-       the newer base), so the fair pipeline run rejoins standbys the
-       fault plane evicts instead of silently shipping to fewer. *)
-    let rejoin_evicted () =
-      List.iter
-        (fun (v : Replica_set.standby_view) ->
-          if v.Replica_set.sv_health = Replica_set.Evicted then
-            Replica_set.rejoin rs v.Replica_set.sv_idx)
-        (Replica_set.views rs)
-    in
-    let t_begin = Clock.now clk in
-    let plane = ref 0 in
-    for r = 1 to rounds do
-      mutate p addr r;
-      ignore (Group.checkpoint ~wait_durable:true group);
-      let t0 = Clock.now clk in
-      Replica_set.ship rs;
-      rejoin_evicted ();
-      plane := !plane + (Clock.now clk - t0)
-    done;
-    let t0 = Clock.now clk in
-    let drained = ref (Replica_set.drain rs `All) in
+    let rs = Replica_set.create ~window ~seed ~primary:group ~standbys () in
+    (* Every standby current, rejoining the ones the fault plane evicted
+       so neither arm silently ships to fewer. *)
     let behind () =
       List.exists
         (fun (v : Replica_set.standby_view) ->
           v.Replica_set.sv_health = Replica_set.Evicted)
         (Replica_set.views rs)
     in
-    let tries = ref 0 in
-    while behind () && !tries < 10 do
-      incr tries;
-      rejoin_evicted ();
-      drained := Replica_set.drain rs `All
+    let settle () =
+      let drained = ref (Replica_set.drain rs `All) in
+      let tries = ref 0 in
+      while behind () && !tries < 10 do
+        incr tries;
+        rejoin_evicted rs;
+        drained := Replica_set.drain rs `All
+      done;
+      !drained && not (behind ())
+    in
+    let plane = ref 0 in
+    let timed f =
+      let t0 = Clock.now clk in
+      let r = f () in
+      plane := !plane + (Clock.now clk - t0);
+      r
+    in
+    let t_begin = Clock.now clk in
+    let ok = ref true in
+    for r = 1 to rounds do
+      Vm_space.write_string p.Process.space ~addr (state_of_round r);
+      Vm_space.write_string p.Process.space
+        ~addr:(addr + ((1 + (r mod (npages - 1))) * 4096))
+        (Printf.sprintf "fill-%d" r);
+      ignore (Group.checkpoint ~wait_durable:true group);
+      timed (fun () ->
+          Replica_set.ship rs;
+          if blocking then ok := settle () && !ok else rejoin_evicted rs)
     done;
-    plane := !plane + (Clock.now clk - t0);
-    (!plane, Clock.now clk - t_begin, !drained && not (behind ()))
+    let ok = timed settle && !ok in
+    (!plane, Clock.now clk - t_begin, ok)
+  in
+  let sw_plane, sw_total, sw_ok = arm ~tag:"sw" ~window:1 ~blocking:true in
+  let pipe_plane, pipe_total, pipe_ok =
+    arm ~tag:"pl" ~window:4 ~blocking:false
   in
   {
     pl_rounds = rounds;
@@ -719,12 +501,7 @@ type migration_check = {
 }
 
 let migration_run ~seed ~rate =
-  let primary = Sls.boot () in
-  let p = Syscall.spawn primary.Sls.machine ~name:"svc" in
-  let e = Syscall.mmap_anon p ~npages in
-  let addr = Vm_space.addr_of_entry e in
-  Vm_space.touch_write p.Process.space ~addr ~len:(npages * 4096);
-  let group = Sls.attach primary [ p ] in
+  let _primary, p, addr, group, _ = boot_service () in
   let target = Sls.boot () in
   let link = Link.create ~name:"migrate" () in
   if rate > 0. then
@@ -741,8 +518,8 @@ let migration_run ~seed ~rate =
     done
   in
   match
-    Replica_set.migrate_live ~primary:group ~target_store:target.Sls.store
-      ~machine:takeover ~workload ()
+    Replica_set.migrate_live ~link ~primary:group
+      ~target_store:target.Sls.store ~machine:takeover ~workload ()
   with
   | Error msg ->
       {

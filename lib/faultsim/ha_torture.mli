@@ -1,76 +1,34 @@
 (** HA torture: checkpoint shipping and failover under network faults.
 
-    Each run boots a primary service under continuous checkpointing,
-    ships every epoch to a standby store through a {!Aurora_net.Link}
-    with an injected fault profile (drops, duplicates, reordering,
-    corruption, hard partitions), kills the primary at a random round —
-    sometimes before the final replicate, leaving the standby lagging —
-    and fails over.  The recovered state must byte-match the reference
-    model at exactly the primary epoch the failover reports, the
-    reported epoch must be no older than the last acknowledged one, and
-    nothing may escape as an uncaught exception.
+    Every run ships a primary service's epochs through
+    {!Aurora_core.Replica_set} over {!Aurora_net.Link}s with injected
+    fault profiles (drops, duplicates, reordering, corruption, hard
+    partitions) and checks failover against a reference model.  The
+    single-standby torture is the quorum torture at N = 1: one standby,
+    no kills, and the election is plain failover to it; the primary
+    sometimes dies abruptly with an unshipped epoch, leaving the standby
+    lagging.  The recovered state must byte-match the reference model at
+    exactly the primary epoch the failover reports, that epoch must be
+    no older than the last acknowledged one, and nothing may escape as
+    an uncaught exception.
 
     The negative control corrupts the standby's newest epoch after a
     clean replication and demands the epoch-fallback loop demonstrably
     skip it.  Everything is deterministic from the seed. *)
 
-type run_report = {
-  hr_seed : int;
-  hr_rate : float;
-  hr_rounds : int;  (** rounds the primary completed before the kill *)
-  hr_shipped : int;  (** primary epochs acked by the standby *)
-  hr_source_epoch : int;  (** primary epoch the failover recovered *)
-  hr_fallbacks : int;  (** epochs skipped by the fallback loop *)
-  hr_retransmits : int;
-  hr_dup_acks : int;
-  hr_verify_rejects : int;
-  hr_outcome : string;  (** "match" or the failure detail *)
-  hr_ok : bool;
-}
-
-val run :
-  ?speculative:bool -> seed:int -> rounds:int -> rate:float -> unit -> run_report
-(** One deterministic torture run at the given link fault rate
-    ({!Aurora_net.Link.lossy_profile}).  With [~speculative:true] the
-    primary checkpoints in soft-quiesce mode and a run hook mutates a
-    scratch page inside every speculation window, so each shipped epoch
-    carries validated conflict splices; when the primary dies with lag
-    (or mid-speculation), failover must still land on a previous
-    model-consistent epoch — never a half-spliced image. *)
-
 type control = Meta | Page
 
-val negative_control : seed:int -> mode:control -> (unit, string) result
-(** Replicate cleanly, corrupt the standby's newest epoch (object
-    metadata or a page payload), fail over: [Ok ()] iff the corrupted
-    epoch was skipped and the previous round's state came back intact. *)
-
-type sweep_report = {
-  h_runs : int;
-  h_ok : int;
-  h_shipments : int;
-  h_retransmits : int;
-  h_dup_acks : int;
-  h_verify_rejects : int;
-  h_fallbacks : int;
-  h_failures : run_report list;
-}
-
-val sweep :
-  ?speculative:bool ->
-  seed:int ->
-  runs_per_rate:int ->
-  rates:float list ->
-  rounds:int ->
-  unit ->
-  sweep_report
-(** [runs_per_rate] independent runs at every fault rate in [rates]. *)
-
-val pp_run : run_report -> string
+val negative_control : mode:control -> (unit, string) result
+(** Replicate three rounds stop-and-wait to one standby (window 1,
+    drained every round), corrupt the standby's newest epoch (object
+    metadata or a page payload), fail over through
+    {!Aurora_core.Replica_set.elect_and_failover}: [Ok ()] iff the
+    corrupted epoch was skipped and the previous round's state came back
+    intact. *)
 
 (** {1 Quorum torture}
 
-    The N-standby generalisation: a primary pipelines epochs through
+    A primary pipelines epochs through
     {!Aurora_core.Replica_set} to N standbys over independently faulty
     links (probabilistic faults plus scripted
     {!Aurora_net.Link.partition_at} windows), a random minority is
@@ -101,7 +59,21 @@ type quorum_report = {
   qr_ok : bool;
 }
 
-val quorum_run : seed:int -> rounds:int -> rate:float -> n:int -> quorum_report
+val quorum_run :
+  ?speculative:bool ->
+  seed:int ->
+  rounds:int ->
+  rate:float ->
+  n:int ->
+  unit ->
+  quorum_report
+(** One deterministic run at the given link fault rate
+    ({!Aurora_net.Link.lossy_profile}).  With [~speculative:true] the
+    primary service holds 48 pipes and checkpoints in soft-quiesce mode,
+    and a run hook mutates a scratch page and a pipe inside every
+    speculation window, so each shipped epoch carries validated conflict
+    splices; failover must still land on a model-consistent epoch —
+    never a half-spliced image. *)
 
 val pp_quorum : quorum_report -> string
 
@@ -117,14 +89,16 @@ type quorum_sweep_report = {
 }
 
 val quorum_sweep :
+  ?speculative:bool ->
   seed:int ->
   runs_per_cell:int ->
   rates:float list ->
   ns:int list ->
   rounds:int ->
+  unit ->
   quorum_sweep_report
 (** [runs_per_cell] independent runs for every (replica count, fault
-    rate) cell. *)
+    rate) cell; [ns = [1]] is the single-standby sweep. *)
 
 (** {1 Pipelined vs stop-and-wait} *)
 
@@ -137,17 +111,19 @@ type pipeline_report = {
   pl_sw_total_ns : int;
   pl_pipe_total_ns : int;
   pl_speedup : float;  (** plane-time ratio, the figure the gate checks *)
-  pl_sw_ok : bool;  (** every stop-and-wait shipment eventually acked *)
+  pl_sw_ok : bool;  (** every stop-and-wait round drained, none evicted *)
   pl_pipe_ok : bool;  (** pipeline drained with no standby evicted *)
 }
 
 val pipeline_vs_stop_and_wait :
   seed:int -> rounds:int -> rate:float -> n:int -> pipeline_report
-(** Same workload, same fault profile, N standbys: replication-plane
-    time (primary virtual time blocked in the shipping protocol) under
-    the stop-and-wait {!Aurora_core.Ha} versus the pipelined
-    {!Aurora_core.Replica_set}.  Checkpoint production is excluded — it
-    is identical on both sides. *)
+(** Same workload, same links and seeds, N standbys, one
+    {!Aurora_core.Replica_set} code path run twice: replication-plane
+    time (primary virtual time blocked in the shipping protocol) at
+    window 1 draining every standby after every round (stop-and-wait)
+    versus window 4 with non-blocking ships and one final drain
+    (pipelined).  Checkpoint production is excluded — it is identical on
+    both sides. *)
 
 (** {1 Live migration} *)
 

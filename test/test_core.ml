@@ -1203,148 +1203,126 @@ let test_restore_verified_empty_store () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored from a store with no group checkpoint"
 
-(* HA edge cases ------------------------------------------------------------------- *)
+(* High availability: one standby, stop-and-wait ------------------------------------- *)
 
-module Ha = Aurora_core.Ha
+(* A single hot standby is a one-standby replica set; stop-and-wait is a
+   window of 1 drained after every shipment. *)
+
+module Replica_set = Aurora_core.Replica_set
 module Link = Aurora_net.Link
 
-let ha_fixture () =
+let ha_fixture ?link () =
   let sys = Sls.boot () in
   let p, _e, addr = spawn_with_memory sys ~name:"svc" ~npages:8 in
   Vm_space.touch_write p.Process.space ~addr ~len:(8 * 4096);
   let group = Sls.attach sys [ p ] in
-  let standby = Sls.boot () in
-  (sys, p, addr, group, standby)
+  let link = match link with Some l -> l | None -> Link.create ~name:"ha" () in
+  let standby = (Sls.boot ()).Sls.store in
+  let rs =
+    Replica_set.create ~window:1 ~primary:group ~standbys:[ (standby, link) ] ()
+  in
+  (sys, p, addr, group, rs)
 
 let checkpoint_round group p ~addr r =
   Vm_space.write_string p.Process.space ~addr (Printf.sprintf "round-%d" r);
   ignore (Group.checkpoint ~wait_durable:true group)
 
-let test_ha_failover_before_replicate () =
-  let _sys, _p, _addr, group, standby = ha_fixture () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
-  (match Ha.failover_verified ha ~machine:(Machine.create ()) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "failover succeeded with nothing shipped");
-  match Ha.failover ha ~machine:(Machine.create ()) with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure"
+(* Ship the newest epoch and block until the standby acks it.  A hostile
+   link can run the standby out of retransmit attempts; like any
+   stop-and-wait sender, keep retrying — here by a rejoin catch-up. *)
+let replicate rs =
+  Replica_set.ship rs;
+  let rec settle tries =
+    let drained = Replica_set.drain rs `All in
+    if (Replica_set.view rs 0).Replica_set.sv_health = Replica_set.Evicted
+       && tries > 0
+    then begin
+      Replica_set.rejoin rs 0;
+      settle (tries - 1)
+    end
+    else drained
+  in
+  settle 3
 
-let test_ha_lag_recovers_shipped_epoch () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
-  checkpoint_round group p ~addr 1;
-  ignore (Ha.replicate_result ha);
-  checkpoint_round group p ~addr 2;
-  ignore (Ha.replicate_result ha);
-  (* Round 3 checkpoints but never replicates: the primary dies lagging. *)
-  checkpoint_round group p ~addr 3;
-  Alcotest.(check int) "one epoch of lag" 1 (Ha.lag_epochs ha);
-  match Ha.failover_verified ha ~machine:(Machine.create ()) with
-  | Error e -> Alcotest.fail (Restore.pp_restore_error e)
-  | Ok report -> (
-      Alcotest.(check int) "recovered the shipped epoch, not the latest"
-        (Ha.shipped_epoch ha) report.Ha.fo_source_epoch;
-      match report.Ha.fo_restore.Restore.vr_result.Restore.procs with
+let failover rs =
+  Replica_set.elect_and_failover rs ~survivors:[ 0 ] ~machine:(Machine.create ())
+
+let failover_state rs ~addr =
+  match failover rs with
+  | Error e -> Alcotest.fail e
+  | Ok rep -> (
+      match rep.Replica_set.el_restore.Restore.vr_result.Restore.procs with
       | [ p' ] ->
-          Alcotest.(check string) "round-2 state" "round-2"
-            (Vm_space.read_string p'.Process.space ~addr ~len:7)
+          ( rep.Replica_set.el_source_epoch,
+            Vm_space.read_string p'.Process.space ~addr ~len:7 )
       | _ -> Alcotest.fail "expected 1 process")
 
-let test_ha_double_failover_idempotent () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
+let test_ha_failover_before_replicate () =
+  let _sys, _p, _addr, _group, rs = ha_fixture () in
+  match failover rs with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "failover succeeded with nothing shipped"
+
+let test_ha_lag_recovers_shipped_epoch () =
+  let _sys, p, addr, group, rs = ha_fixture () in
   checkpoint_round group p ~addr 1;
-  ignore (Ha.replicate_result ha);
+  ignore (replicate rs);
   checkpoint_round group p ~addr 2;
-  ignore (Ha.replicate_result ha);
-  let fo () =
-    match Ha.failover_verified ha ~machine:(Machine.create ()) with
-    | Error e -> Alcotest.fail (Restore.pp_restore_error e)
-    | Ok report -> (
-        match report.Ha.fo_restore.Restore.vr_result.Restore.procs with
-        | [ p' ] ->
-            ( report.Ha.fo_source_epoch,
-              Vm_space.read_string p'.Process.space ~addr ~len:7 )
-        | _ -> Alcotest.fail "expected 1 process")
-  in
-  let first = fo () in
-  let second = fo () in
+  ignore (replicate rs);
+  (* Round 3 checkpoints but never replicates: the primary dies lagging. *)
+  checkpoint_round group p ~addr 3;
+  Alcotest.(check int) "one epoch of lag" 1
+    (Group.last_epoch group - Replica_set.quorum_epoch rs);
+  let source, state = failover_state rs ~addr in
+  Alcotest.(check int) "recovered the shipped epoch, not the latest"
+    (Replica_set.quorum_epoch rs) source;
+  Alcotest.(check string) "round-2 state" "round-2" state
+
+let test_ha_double_failover_idempotent () =
+  let _sys, p, addr, group, rs = ha_fixture () in
+  checkpoint_round group p ~addr 1;
+  ignore (replicate rs);
+  checkpoint_round group p ~addr 2;
+  ignore (replicate rs);
+  let first = failover_state rs ~addr in
+  let second = failover_state rs ~addr in
   Alcotest.(check (pair int string)) "same epoch, same state" first second;
   Alcotest.(check string) "round-2 state" "round-2" (snd first)
 
 let test_ha_replication_over_lossy_link () =
-  let _sys, p, addr, group, standby = ha_fixture () in
   let link = Link.create ~name:"lossy" () in
   Link.set_faults link ~seed:1905 (Link.lossy_profile 0.25);
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
+  let _sys, p, addr, group, rs = ha_fixture ~link () in
   for r = 1 to 8 do
     checkpoint_round group p ~addr r;
-    match Ha.replicate_result ha with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail (Printf.sprintf "round %d not acknowledged: %s" r e)
+    if not (replicate rs && Replica_set.quorum_epoch rs = Group.last_epoch group)
+    then Alcotest.fail (Printf.sprintf "round %d not acknowledged" r)
   done;
-  Alcotest.(check int) "standby current" 0 (Ha.lag_epochs ha);
-  let s = Ha.stats ha in
-  Alcotest.(check int) "every epoch shipped" 8 s.Ha.ha_shipments;
+  let s = Replica_set.stats rs in
+  Alcotest.(check int) "every epoch acked" 8 s.Replica_set.rs_acked_total;
   Alcotest.(check bool)
-    (Printf.sprintf "faults forced retransmits (%d)" s.Ha.ha_retransmits)
+    (Printf.sprintf "faults forced retransmits (%d)" s.Replica_set.rs_retransmits)
     true
-    (s.Ha.ha_retransmits > 0);
+    (s.Replica_set.rs_retransmits > 0);
   (* And the recovered state is the last round despite the chaos. *)
-  match Ha.failover_verified ha ~machine:(Machine.create ()) with
-  | Error e -> Alcotest.fail (Restore.pp_restore_error e)
-  | Ok report -> (
-      match report.Ha.fo_restore.Restore.vr_result.Restore.procs with
-      | [ p' ] ->
-          Alcotest.(check string) "round-8 state" "round-8"
-            (Vm_space.read_string p'.Process.space ~addr ~len:7)
-      | _ -> Alcotest.fail "expected 1 process")
+  Alcotest.(check string) "round-8 state" "round-8"
+    (snd (failover_state rs ~addr))
 
 let test_ha_partition_outwaited () =
-  let sys, p, addr, group, standby = ha_fixture () in
   let link = Link.create ~name:"partitioned" () in
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
+  let sys, p, addr, group, rs = ha_fixture ~link () in
   checkpoint_round group p ~addr 1;
   (* Cut the cable for 5 ms of virtual time right before the shipment. *)
   let now = Clock.now sys.Sls.machine.Machine.clock in
   Link.partition link ~now ~duration:5_000_000;
-  (match Ha.replicate_result ha with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("partition not outwaited: " ^ e));
-  Alcotest.(check int) "standby current after heal" 0 (Ha.lag_epochs ha);
+  Replica_set.ship rs;
+  Alcotest.(check bool) "partition outwaited" true (Replica_set.drain rs `All);
+  Alcotest.(check int) "standby current after heal" (Group.last_epoch group)
+    (Replica_set.quorum_epoch rs);
   Alcotest.(check bool) "retransmitted across the partition" true
-    ((Ha.stats ha).Ha.ha_retransmits > 0);
+    ((Replica_set.stats rs).Replica_set.rs_retransmits > 0);
   Alcotest.(check bool) "primary clock crossed the heal" true
     (Clock.now sys.Sls.machine.Machine.clock > now + 5_000_000)
-
-let test_ha_standby_rejects_divergent_state () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let ha = Ha.create ~primary:group ~standby_store:standby.Sls.store () in
-  checkpoint_round group p ~addr 1;
-  (match Ha.replicate_result ha with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  (* Silently corrupt the standby's carried metadata (every object: the
-     page-granular delta re-ships only what changed, so the untouched
-     ones are composed from this corrupted state).  The next delta's
-     digest cannot match the primary's manifest, so the standby must
-     refuse and the epoch must not count as shipped. *)
-  let store = standby.Sls.store in
-  let newest = Store.last_complete_epoch store in
-  List.iter
-    (fun (oid, kind) ->
-      if kind <> Serial.kind_manifest then
-        Store.corrupt_meta_for_tests store ~epoch:newest ~oid)
-    (Store.objects_at store ~epoch:newest);
-  let shipped_before = Ha.shipped_epoch ha in
-  checkpoint_round group p ~addr 2;
-  (match Ha.replicate_result ha with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "standby installed a divergent epoch");
-  Alcotest.(check int) "shipped epoch did not advance" shipped_before
-    (Ha.shipped_epoch ha);
-  Alcotest.(check bool) "reject counted" true ((Ha.stats ha).Ha.ha_verify_rejects > 0)
 
 (* Extsync drop_after edges -------------------------------------------------------- *)
 
@@ -1425,27 +1403,7 @@ let test_restore_fallback_two_corrupt_epochs () =
             (Vm_space.read_string p'.Process.space ~addr ~len:5)
       | _ -> Alcotest.fail "expected 1 process")
 
-(* HA backoff accounting ----------------------------------------------------------- *)
-
-let test_ha_backoff_accounted () =
-  let _sys, p, addr, group, standby = ha_fixture () in
-  let link = Link.create ~name:"lossy" () in
-  Link.set_faults link ~seed:77 (Link.lossy_profile 0.3);
-  let ha = Ha.create ~link ~primary:group ~standby_store:standby.Sls.store () in
-  for r = 1 to 6 do
-    checkpoint_round group p ~addr r;
-    ignore (Ha.replicate_result ha)
-  done;
-  let s = Ha.stats ha in
-  Alcotest.(check bool) "losses forced retransmits" true (s.Ha.ha_retransmits > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "backoff time accounted (%d ns)" s.Ha.ha_backoff_ns)
-    true
-    (s.Ha.ha_backoff_ns > 0)
-
 (* Quorum replica set -------------------------------------------------------------- *)
-
-module Replica_set = Aurora_core.Replica_set
 
 let rset_fixture ?(n = 3) ?outbox ?(fault = fun _ _ -> ()) () =
   let sys = Sls.boot () in
@@ -1706,10 +1664,6 @@ let () =
           Alcotest.test_case "replication over lossy link" `Quick
             test_ha_replication_over_lossy_link;
           Alcotest.test_case "partition outwaited" `Quick test_ha_partition_outwaited;
-          Alcotest.test_case "standby rejects divergent state" `Quick
-            test_ha_standby_rejects_divergent_state;
-          Alcotest.test_case "backoff time accounted" `Quick
-            test_ha_backoff_accounted;
         ] );
       ( "quorum replication",
         [

@@ -365,22 +365,26 @@ let fam_qcheck =
 
 module Ha_torture = Aurora_faultsim.Ha_torture
 
+(* The single-standby torture is the quorum run at N = 1. *)
 let test_ha_torture_run () =
-  let r = Ha_torture.run ~seed:2026 ~rounds:5 ~rate:0.08 () in
-  Alcotest.(check bool) (Ha_torture.pp_run r) true r.Ha_torture.hr_ok
+  let r = Ha_torture.quorum_run ~seed:2026 ~rounds:5 ~rate:0.08 ~n:1 () in
+  Alcotest.(check bool) (Ha_torture.pp_quorum r) true r.Ha_torture.qr_ok
 
 (* Same torture under speculative soft-quiesce checkpoints, with the
    mid-window mutator forcing conflict splices into every shipped epoch:
    failover must still land on a model-consistent epoch. *)
 let test_ha_torture_run_speculative () =
-  let r = Ha_torture.run ~speculative:true ~seed:2026 ~rounds:5 ~rate:0.08 () in
-  Alcotest.(check bool) (Ha_torture.pp_run r) true r.Ha_torture.hr_ok
+  let r =
+    Ha_torture.quorum_run ~speculative:true ~seed:2026 ~rounds:5 ~rate:0.08
+      ~n:1 ()
+  in
+  Alcotest.(check bool) (Ha_torture.pp_quorum r) true r.Ha_torture.qr_ok
 
 let test_ha_torture_negative_controls () =
-  (match Ha_torture.negative_control ~seed:1 ~mode:Ha_torture.Meta with
+  (match Ha_torture.negative_control ~mode:Ha_torture.Meta with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("meta control: " ^ e));
-  match Ha_torture.negative_control ~seed:1 ~mode:Ha_torture.Page with
+  match Ha_torture.negative_control ~mode:Ha_torture.Page with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("page control: " ^ e)
 

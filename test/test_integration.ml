@@ -18,6 +18,7 @@ module Group = Aurora_core.Group
 module Api = Aurora_core.Api
 module Restore = Aurora_core.Restore
 module Migrate = Aurora_core.Migrate
+module Replica_set = Aurora_core.Replica_set
 module Memcached_bench = Aurora_apps.Memcached_bench
 
 (* Swap / memory overcommitment (paper section 6) ------------------------- *)
@@ -844,17 +845,27 @@ let test_ha_failover () =
   let addr = Vm_space.addr_of_entry e in
   Vm_space.touch_write p.Process.space ~addr ~len:(64 * 4096);
   let group = Sls.attach primary_sys [ p ] in
+  (* One hot standby, stop-and-wait: a window of 1, drained every round. *)
   let standby_sys = Sls.boot () in
-  let ha = Aurora_core.Ha.create ~primary:group ~standby_store:standby_sys.Sls.store () in
+  let link = Aurora_net.Link.create ~name:"ha" () in
+  let rs =
+    Replica_set.create ~window:1 ~primary:group
+      ~standbys:[ (standby_sys.Sls.store, link) ] ()
+  in
+  let shipped () = (Replica_set.view rs 0).Replica_set.sv_shipped_bytes in
   (* Steady state: checkpoint, replicate, repeat. *)
   let first_bytes = ref 0 and later_bytes = ref 0 in
   for round = 1 to 5 do
     Vm_space.write_string p.Process.space ~addr (Printf.sprintf "round-%d" round);
     ignore (Group.checkpoint ~wait_durable:true group);
-    let b = match Aurora_core.Ha.replicate_result ha with Ok b -> b | Error e -> Alcotest.fail e in
+    let before = shipped () in
+    Replica_set.ship rs;
+    if not (Replica_set.drain rs `All) then Alcotest.fail "standby never acked";
+    let b = shipped () - before in
     if round = 1 then first_bytes := b else later_bytes := !later_bytes + b
   done;
-  Alcotest.(check int) "standby is current" 0 (Aurora_core.Ha.lag_epochs ha);
+  Alcotest.(check int) "standby is current" 0
+    (Replica_set.view rs 0).Replica_set.sv_lag_epochs;
   (* Incremental rounds ship far less than the initial full stream. *)
   Alcotest.(check bool)
     (Printf.sprintf "deltas are small (%d first vs %d for 4 later)" !first_bytes !later_bytes)
@@ -863,17 +874,20 @@ let test_ha_failover () =
   (* The primary machine AND its devices are destroyed; only the standby
      survives. *)
   let takeover = Machine.create () in
-  let result = Aurora_core.Ha.failover ha ~machine:takeover in
-  (match result.Restore.procs with
-  | [ p' ] ->
-      Alcotest.(check string) "standby has the last replicated state" "round-5"
-        (Vm_space.read_string p'.Process.space ~addr ~len:7)
-  | _ -> Alcotest.fail "expected 1 process");
+  (match Replica_set.elect_and_failover rs ~survivors:[ 0 ] ~machine:takeover with
+  | Error e -> Alcotest.fail e
+  | Ok rep -> (
+      match rep.Replica_set.el_restore.Restore.vr_result.Restore.procs with
+      | [ p' ] ->
+          Alcotest.(check string) "standby has the last replicated state" "round-5"
+            (Vm_space.read_string p'.Process.space ~addr ~len:7)
+      | _ -> Alcotest.fail "expected 1 process"));
   (* The recovery point is explicit: anything after the last replicate
      would be lost — write one more round without replicating. *)
   Vm_space.write_string p.Process.space ~addr "round-6";
   ignore (Group.checkpoint ~wait_durable:true group);
-  Alcotest.(check int) "one epoch of lag" 1 (Aurora_core.Ha.lag_epochs ha)
+  Alcotest.(check int) "one epoch of lag" 1
+    (Group.last_epoch group - Replica_set.quorum_epoch rs)
 
 (* Store robustness -------------------------------------------------------- *)
 
