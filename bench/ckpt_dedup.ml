@@ -9,9 +9,9 @@
 
    Every configuration runs twice on identical deterministic workloads:
 
-   - baseline: [Store.set_content_dedup false] + [set_compression false]
-     restores the block-per-page layout with full-block write charges —
-     the whole-page flush path previous to the content-addressed index;
+   - baseline: [Store.set_packed_layout false] restores the
+     block-per-page layout with full-block write charges — the
+     whole-page flush path previous to the content-addressed index;
    - dedup: the defaults (content index + RLE coding + packed extents).
 
    Fork share forks a fraction of the group from one parent after arena
@@ -60,10 +60,7 @@ let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
 let run_side ~procs ~npages ~fork_share ~ratio ~intervals ~dedup =
   let sys = Sls.boot () in
   let m = sys.Sls.machine in
-  if not dedup then begin
-    Store.set_content_dedup sys.Sls.store false;
-    Store.set_compression sys.Sls.store false
-  end;
+  if not dedup then Store.set_packed_layout sys.Sls.store false;
   let forked = int_of_float (Float.round (fork_share *. float_of_int (procs - 1))) in
   let independents = procs - 1 - forked in
   let stamp_arena p base stamp =

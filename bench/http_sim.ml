@@ -1,7 +1,7 @@
 (* HTTP serving tier under continuous checkpointing: SLO tail latency
    (p50/p99/p999) versus checkpoint period, figures 4-5 style.
 
-   Each configuration (conns x route mix) runs an identical open-loop
+   Each connection count runs an identical open-loop
    zipfian schedule three ways: uncheckpointed baseline, stop-the-world
    checkpointing, and speculative soft-quiesce — the latter keeps serving
    background dynamic requests inside yield windows via the run hook.
@@ -19,7 +19,6 @@ type arm = { a_name : string; a_period : int option; a_spec : bool }
 
 type sample = {
   s_conns : int;
-  s_dyn_ratio : float;
   s_arm : string;
   s_period : int option;
   s_out : Http_sim.outcome;
@@ -28,21 +27,19 @@ type sample = {
 let base_cfg ~duration_ns ~rate =
   { Http_sim.default_config with duration_ns; rate }
 
-let measure ~duration_ns ~rate ~conns ~dynamic_ratio arms =
+let measure ~duration_ns ~rate ~conns arms =
   List.map
     (fun a ->
       let cfg =
         {
           (base_cfg ~duration_ns ~rate) with
           Http_sim.conns;
-          dynamic_ratio;
           period_ns = a.a_period;
           speculative = a.a_spec;
         }
       in
       {
         s_conns = conns;
-        s_dyn_ratio = dynamic_ratio;
         s_arm = a.a_name;
         s_period = a.a_period;
         s_out = Http_sim.run cfg;
@@ -58,7 +55,7 @@ let print_samples samples =
     Text_table.create
       ~header:
         [
-          "conns"; "dyn%"; "arm"; "period"; "req"; "rps"; "p50"; "p99"; "p999";
+          "conns"; "arm"; "period"; "req"; "rps"; "p50"; "p99"; "p999";
           "max"; "stop avg"; "reconn"; "hook ops";
         ]
   in
@@ -67,7 +64,6 @@ let print_samples samples =
       Text_table.add_row table
         [
           string_of_int s.s_conns;
-          Printf.sprintf "%.0f" (s.s_dyn_ratio *. 100.0);
           s.s_arm;
           period_str s.s_period;
           string_of_int s.s_out.Http_sim.completed;
@@ -92,12 +88,12 @@ let json_of_samples samples =
       let o = s.s_out in
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"conns\": %d, \"dynamic_ratio\": %.2f, \"arm\": \"%s\", \
+           "    {\"conns\": %d, \"arm\": \"%s\", \
             \"period_ns\": %d, \"completed\": %d, \"throughput_rps\": %.0f, \
             \"p50_ns\": %.0f, \"p99_ns\": %.0f, \"p999_ns\": %.0f, \
             \"max_ns\": %.0f, \"checkpoints\": %d, \"avg_stop_ns\": %.0f, \
             \"hook_ops\": %d, \"reconnects\": %d}"
-           s.s_conns s.s_dyn_ratio s.s_arm
+           s.s_conns s.s_arm
            (match s.s_period with None -> 0 | Some p -> p)
            o.Http_sim.completed o.Http_sim.throughput_rps o.Http_sim.p50_ns
            o.Http_sim.p99_ns o.Http_sim.p999_ns o.Http_sim.max_ns
@@ -149,7 +145,7 @@ let gate samples ~long_period ~short_period =
   end;
   !ok
 
-let run ~duration_ns ~rate ~conn_sweep ~mix_sweep ~periods =
+let run ~duration_ns ~rate ~conn_sweep ~periods =
   print_endline
     "http-sim: event-loop HTTP/1.1 tier under continuous checkpointing";
   print_endline
@@ -168,33 +164,20 @@ let run ~duration_ns ~rate ~conn_sweep ~mix_sweep ~periods =
          periods
   in
   let base_conns = List.hd conn_sweep in
-  let base_mix = List.hd mix_sweep in
-  (* The full arm matrix runs on the base configuration; the conns and
-     route-mix sweeps run the checkpointed arms at the paper period. *)
-  let samples =
-    measure ~duration_ns ~rate ~conns:base_conns ~dynamic_ratio:base_mix arms
-  in
+  (* The full arm matrix runs on the base configuration; the conns sweep
+     runs the checkpointed arms at the paper period. *)
+  let samples = measure ~duration_ns ~rate ~conns:base_conns arms in
   let extra =
     List.concat_map
       (fun conns ->
         if conns = base_conns then []
         else
-          measure ~duration_ns ~rate ~conns ~dynamic_ratio:base_mix
+          measure ~duration_ns ~rate ~conns
             [
               { a_name = "stw"; a_period = Some long_period; a_spec = false };
               { a_name = "spec"; a_period = Some long_period; a_spec = true };
             ])
       conn_sweep
-    @ List.concat_map
-        (fun mix ->
-          if mix = base_mix then []
-          else
-            measure ~duration_ns ~rate ~conns:base_conns ~dynamic_ratio:mix
-              [
-                { a_name = "stw"; a_period = Some long_period; a_spec = false };
-                { a_name = "spec"; a_period = Some long_period; a_spec = true };
-              ])
-        mix_sweep
   in
   let all = samples @ extra in
   print_samples all;
@@ -213,7 +196,7 @@ let () =
   match Array.to_list Sys.argv with
   | _ :: [ "smoke" ] ->
       run ~duration_ns:300_000_000 ~rate:20_000.0 ~conn_sweep:[ 384 ]
-        ~mix_sweep:[ 0.3 ] ~periods:[ 100_000_000; 5_000_000 ]
+        ~periods:[ 100_000_000; 5_000_000 ]
   | _ ->
       run ~duration_ns:400_000_000 ~rate:30_000.0 ~conn_sweep:[ 384; 512 ]
-        ~mix_sweep:[ 0.3; 0.7 ] ~periods:[ 100_000_000; 20_000_000; 5_000_000 ]
+        ~periods:[ 100_000_000; 20_000_000; 5_000_000 ]

@@ -310,7 +310,6 @@ type config = {
   speculative : bool;
   static_routes : int;
   dynamic_routes : int;
-  dynamic_ratio : float;
   workers : int;
   dynamic_pages : int;
   probe_interval_ns : int;
@@ -326,7 +325,6 @@ let default_config =
     speculative = false;
     static_routes = 96;
     dynamic_routes = 32;
-    dynamic_ratio = 0.3;
     workers = 4;
     dynamic_pages = 64;
     probe_interval_ns = 2_500_000;
@@ -415,7 +413,7 @@ let run cfg =
   let schedule =
     Http_load.generate ~seed:cfg.seed ~rate:cfg.rate ~duration_ns:cfg.duration_ns
       ~conns:cfg.conns ~static_routes:cfg.static_routes
-      ~dynamic_routes:cfg.dynamic_routes ~dynamic_ratio:cfg.dynamic_ratio ()
+      ~dynamic_routes:cfg.dynamic_routes ()
   in
   List.iter
     (fun r ->

@@ -88,7 +88,6 @@ type config = {
   speculative : bool;
   static_routes : int;
   dynamic_routes : int;
-  dynamic_ratio : float;
   workers : int;
   dynamic_pages : int;
   probe_interval_ns : int;

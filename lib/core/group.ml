@@ -188,7 +188,6 @@ let detach_process t p =
 
 let ext_sync_enabled t = t.ext_sync
 let set_ext_sync t v = t.ext_sync <- v
-let speculative_enabled t = t.speculative
 let set_speculative t v = t.speculative <- v
 let group_oid t = t.grp_oid
 let last_epoch t = t.last_epoch_committed
@@ -957,29 +956,6 @@ let stage_group_obj t ~proc_oids =
            i_ephemeral_parents = ephemeral_parents;
          })
 
-(* The OS-state serialize pass, shared between the stop-the-world path
-   and the speculation phase.  [fs] gates the file-backed work (vnode
-   dirty-bit harvest plus FS staging): the speculative pass runs with
-   [~fs:false] because file state must be captured at the stop, not
-   mid-execution.  [group_obj] likewise gates the group-object staging,
-   which the validation window redoes from stop-time membership. *)
-let serialize_os t procs ~flush ~fs ~group_obj =
-  if fs then begin
-    harvest_file_dirty t procs;
-    match t.filesystem with
-    | Some filesystem when flush -> Fs.flush_to_store filesystem
-    | Some _ | None -> ()
-  end;
-  let proc_oids = List.map (fun p -> checkpoint_proc t p) procs in
-  (* Shared-memory segments live in global namespaces, not fd tables: the
-     System V namespace is scanned every checkpoint (its Table 4 cost),
-     and named POSIX segments are persisted even when no descriptor is
-     currently open. *)
-  Hashtbl.iter (fun _ shm -> ignore (checkpoint_shm t shm)) t.mach.Machine.sysv_shm;
-  Hashtbl.iter (fun _ shm -> ignore (checkpoint_shm t shm)) t.mach.Machine.posix_shm;
-  if group_obj && flush then stage_group_obj t ~proc_oids;
-  proc_oids
-
 (* Speculative soft-quiesce ---------------------------------------------------
 
    The expensive OS-object serialize runs on a spare core while the
@@ -989,7 +965,8 @@ let serialize_os t procs ~flush ~fs ~group_obj =
    the conflict set down while still soft; the short validation pass
    inside the stop window then re-copies only what moved since and
    splices it over the staged image (the store's staging layer replaces
-   rows in place, so the newest copy wins). *)
+   rows in place, so the newest copy wins).  Stop-the-world is the same
+   pipeline with a zero-length window (see [validate]). *)
 
 let spec_max_rounds = 4
 let spec_converged = 2 (* refine again only above this many conflicts *)
@@ -1040,10 +1017,10 @@ let spec_splice_pages t spaces =
 
 (* One conflict-chasing round over the OS objects: processes whose
    composite stamp moved since their last visit, the logged kernel-object
-   mutations, and shared-memory segments created mid-window (they have no
-   thunk and may have no open descriptor).  Work is proportional to the
-   mutation count, not the object count — clean objects cost one
-   dirty-check for procs and nothing at all otherwise. *)
+   mutations, and shared-memory segments the soft pass did not visit.
+   Work is proportional to the mutation count, not the object count —
+   clean objects cost one dirty-check for procs and nothing at all
+   otherwise. *)
 let spec_refine_round t procs =
   Hashtbl.reset t.seen;
   let s0 = t.c_serialized in
@@ -1062,6 +1039,11 @@ let spec_refine_round t procs =
       | Some thunk -> thunk ()
       | None -> ())
     (Genlog.drain ());
+  (* Shared-memory segments live in global namespaces, not fd tables: the
+     System V namespace is scanned every checkpoint (its Table 4 cost),
+     and named POSIX segments are persisted even when no descriptor is
+     currently open.  A segment with a thunk is already covered by the
+     mutation log; one created mid-window has none. *)
   let scan _ shm =
     if not (Hashtbl.mem t.spec_thunks (Genlog.kind_shm, Shm.id shm)) then
       ignore (checkpoint_shm t shm)
@@ -1072,11 +1054,10 @@ let spec_refine_round t procs =
 
 (* The soft window: serialize and harvest concurrently with execution,
    then refine until the conflict set converges (or give up and let the
-   stop window drain the rest). *)
+   stop window drain the rest).  File-backed state and the group object
+   are left to [validate]: they must be captured at the stop. *)
 let speculate t procs spaces =
   List.iter Vm_space.spec_begin spaces;
-  Hashtbl.reset t.spec_thunks;
-  Hashtbl.reset t.spec_proc_snap;
   Genlog.arm ();
   t.spec_phase <- true;
   t.spec_busy_ns <- 0;
@@ -1087,7 +1068,9 @@ let speculate t procs spaces =
         (Process.effective_generation p))
     procs;
   Otrace.with_span ~cat:"ckpt" ~name:"speculate.serialize" (fun () ->
-      ignore (serialize_os t procs ~flush:t.persist ~fs:false ~group_obj:false : int list);
+      List.iter (fun p -> ignore (checkpoint_proc t p : int)) procs;
+      Hashtbl.iter (fun _ shm -> ignore (checkpoint_shm t shm)) t.mach.Machine.sysv_shm;
+      Hashtbl.iter (fun _ shm -> ignore (checkpoint_shm t shm)) t.mach.Machine.posix_shm;
       spec_account t);
   Otrace.with_span ~cat:"ckpt" ~name:"speculate.harvest" (fun () ->
       List.iter
@@ -1116,22 +1099,26 @@ let speculate t procs spaces =
   refine 0;
   t.spec_phase <- false
 
-(* The validation pass, inside the stop window: capture file-backed state
+(* The OS-state pass inside every stop window: capture file-backed state
    (never speculated), drain the last conflicts, splice the final page
-   set, and restage the group object from stop-time membership.  On a
-   structural change (fork/unmap mid-window) the speculative page staging
-   is discarded wholesale: the normal flush path rewrites every row from
-   the frozen shadows with stop-time content, exactly as stop-the-world
-   would have. *)
-let spec_validate t procs spaces =
+   set, and restage the group object from stop-time membership.  After a
+   zero-length window (stop-the-world) the generation snapshot and the
+   thunk table are empty, so the round serializes every member process
+   and every shm segment — still through [ckpt_obj]'s incremental skip —
+   and no page was staged to splice over.  On a structural change
+   (fork/unmap mid-window) the speculative page staging is discarded
+   wholesale: the normal flush path rewrites every row from the frozen
+   shadows with stop-time content, exactly as stop-the-world would
+   have. *)
+let validate t procs spaces =
   harvest_file_dirty t procs;
   (match t.filesystem with
   | Some filesystem when t.persist -> Fs.flush_to_store filesystem
   | Some _ | None -> ());
   ignore (spec_refine_round t procs : int);
-  if List.exists Vm_space.spec_structural spaces then
-    Hashtbl.reset t.spec_pages
-  else ignore (spec_splice_pages t spaces : int);
+  if Hashtbl.length t.spec_pages > 0 then
+    if List.exists Vm_space.spec_structural spaces then Hashtbl.reset t.spec_pages
+    else ignore (spec_splice_pages t spaces : int);
   if t.persist then stage_group_obj t ~proc_oids:(List.map (proc_oid t) procs);
   List.iter Vm_space.spec_end spaces;
   Genlog.disarm ()
@@ -1150,9 +1137,15 @@ let checkpoint_common t ~flush ~full ~speculative =
   t.c_spec_base <- 0;
   t.c_conflict_pages <- 0;
   Hashtbl.reset t.seen;
+  (* Window state is cycle-scoped and reset here, once: a generation
+     snapshot left from an earlier cycle would let [validate] skip a
+     clean process together with its dirty children. *)
+  Hashtbl.reset t.spec_thunks;
+  Hashtbl.reset t.spec_proc_snap;
   Hashtbl.reset t.spec_pages;
   (* Speculation needs generation stamps to carry meaning (incremental)
-     and a staged image to splice over (flushed). *)
+     and a staged image to splice over (flushed); any other cycle runs a
+     zero-length window. *)
   let spec = speculative && flush && not full in
   let epoch = if flush then Store.begin_checkpoint t.st else Store.last_complete_epoch t.st in
   (* The epoch span covers the synchronous work of the cycle: the
@@ -1163,7 +1156,8 @@ let checkpoint_common t ~flush ~full ~speculative =
   Otrace.with_span ~cat:"ckpt" ~name:"epoch"
     ~args:[ ("epoch", Otrace.Int epoch); ("flush", Otrace.Int (Bool.to_int flush)) ]
   @@ fun () ->
-  (* 0. Speculate: soft serialize + harvest, concurrently with execution. *)
+  (* 0. Speculate: soft serialize + harvest, concurrently with execution
+     (zero-length unless [spec]). *)
   let spec_t0 = Clock.now clk in
   if spec then begin
     let procs = persistent_members t in
@@ -1186,18 +1180,12 @@ let checkpoint_common t ~flush ~full ~speculative =
   (* 2. Collapse the flushed shadows of the previous epoch. *)
   Otrace.with_span ~cat:"ckpt" ~name:"collapse" (fun () ->
       Hashtbl.iter (fun _ r -> collapse_frozen t r) t.memrecs);
-  (* 3. Serialize OS state (each POSIX object into its own store object),
-     or — under speculation — validate the staged image against what
-     moved during the soft window. *)
+  (* 3. Validate the staged image against what moved during the window.
+     After a zero-length window this serializes the OS state (each POSIX
+     object into its own store object), so the span keeps that name. *)
   let os_begin = Clock.now clk in
-  if spec then
-    Otrace.with_span ~cat:"ckpt" ~name:"validate" (fun () ->
-        spec_validate t procs spaces)
-  else
-    ignore
-      (Otrace.with_span ~cat:"ckpt" ~name:"serialize" (fun () ->
-           serialize_os t procs ~flush ~fs:true ~group_obj:true)
-        : int list);
+  Otrace.with_span ~cat:"ckpt" ~name:(if spec then "validate" else "serialize") (fun () ->
+      validate t procs spaces);
   let os_ns = Clock.elapsed_since clk os_begin in
   let validate_ns = if spec then os_ns else 0 in
   (* 4. System shadowing: freeze the dirty sets, one shadow per writable

@@ -114,8 +114,6 @@ val detach_process : t -> Aurora_kern.Process.t -> unit
 val ext_sync_enabled : t -> bool
 val set_ext_sync : t -> bool -> unit
 
-val speculative_enabled : t -> bool
-
 val set_speculative : t -> bool -> unit
 (** Make speculative soft-quiesce the group's default checkpoint mode
     (equivalent to passing [~speculative:true] to every {!checkpoint}). *)
@@ -132,8 +130,11 @@ val checkpoint :
     ([Cost.ckpt_dirty_check]) and skipped — not re-serialized, not
     re-staged; the store's epoch-composed read path resolves it from the
     prior epoch and the manifest folds in its cached checksums.
-    [~full:true] forces every object to re-serialize and re-stage (the
-    measurement path for Tables 4 and 7, and a safety valve).
+    [~full:true] forces every object to re-serialize and re-stage: the
+    byte-identity oracle the incremental and speculative images are
+    checked against, the cure for a mutation that bypassed its stamp, and
+    the paired arm of [bench/ckpt_steady].  The paper tables (4 and 7
+    included) run incremental cycles.
 
     [~speculative:true] (default: the group's {!set_speculative} mode)
     runs the speculative soft-quiesce cycle: the serialize and harvest
@@ -145,9 +146,10 @@ val checkpoint :
     kernel-object mutation log and the pmap's speculative dirty-bit
     plane.  The committed image is byte-identical to what a
     stop-the-world checkpoint at the same stop point would have written.
-    Speculation silently degrades to stop-the-world for [~full:true] and
-    memory-only cycles, where stamps respectively carry no meaning or
-    nothing is staged. *)
+    Both modes run the same phase sequence; stop-the-world is the
+    zero-length window, whose validation serializes the whole dirty set.
+    The window is zero-length for [~full:true] and memory-only cycles,
+    where stamps respectively carry no meaning or nothing is staged. *)
 
 val checkpoint_mem_only : t -> ckpt_stats
 (** Stop, serialize and shadow, but skip the store flush — the "Mem"

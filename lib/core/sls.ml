@@ -19,20 +19,8 @@ let boot () =
   Machine.mount machine (Fs.vfs_ops fs);
   { machine; device; store; fs }
 
-(* Global default checkpoint mode for newly attached groups (the
-   speculative soft-quiesce knob; per-group override via
-   [Group.set_speculative]). *)
-let speculative_default = ref false
-
-let set_speculative v = speculative_default := v
-let speculative_enabled () = !speculative_default
-
 let attach ?period_ns sys procs =
-  let g =
-    Group.attach ~machine:sys.machine ~store:sys.store ~fs:sys.fs ?period_ns procs
-  in
-  if !speculative_default then Group.set_speculative g true;
-  g
+  Group.attach ~machine:sys.machine ~store:sys.store ~fs:sys.fs ?period_ns procs
 
 let crash sys = Striped.crash sys.device ~now:(Clock.now sys.machine.Machine.clock)
 

@@ -30,16 +30,9 @@ val boot : unit -> system
     the Aurora file system mounted. *)
 
 val attach : ?period_ns:int -> system -> Aurora_kern.Process.t list -> Group.t
-(** [sls attach]: put processes under transparent persistence.  Groups
-    attached while {!set_speculative} is on default to speculative
-    soft-quiesce checkpoints. *)
-
-val set_speculative : bool -> unit
-(** Process-wide default checkpoint mode for groups attached from now on:
-    [true] makes them serialize speculatively, concurrent with execution,
-    and validate in a short stop window (see {!Group.checkpoint}). *)
-
-val speculative_enabled : unit -> bool
+(** [sls attach]: put processes under transparent persistence.  The group
+    checkpoints stop-the-world until {!Group.set_speculative} makes
+    speculative soft-quiesce its mode. *)
 
 val crash : system -> unit
 (** Power failure now: all volatile state is lost; only device-durable

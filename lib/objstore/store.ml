@@ -170,8 +170,9 @@ type t = {
          index.  A flush-path page whose (hash, olen, crc) triple already
          appears here is recorded as a leaf reference to the existing
          location and never re-written. *)
-  mutable dedup_on : bool;
-  mutable compress_on : bool;
+  mutable packed : bool;
+      (* content-addressed packed layout (dedup index + RLE coding +
+         packed extents); false is the pre-dedup block-per-page layout *)
   rows : (int, mrow) Hashtbl.t;
       (* oid -> manifest row of the newest committed epoch; updated at
          commit_checkpoint (the single choke point every epoch passes
@@ -434,8 +435,7 @@ let fresh dev clk =
     freed = 0;
     leaf_cache = Hashtbl.create 1024;
     content = Hashtbl.create 4096;
-    dedup_on = true;
-    compress_on = true;
+    packed = true;
     rows = Hashtbl.create 1024;
     epochs = [];
     current_epoch = 0;
@@ -721,49 +721,38 @@ let build_version t ~now ~prev st =
         let crc = Crc32.of_bytes payload in
         let hash = Hash64.of_bytes payload in
         idents.(k) <- (hash, olen, crc);
-        if t.dedup_on then
-          cpu := !cpu + Cost.transfer_time ~bandwidth:Cost.page_hash_bandwidth olen;
-        let dedup_hit =
-          if not t.dedup_on then None
-          else
-            match Hashtbl.find_opt t.content hash with
-            | Some ce when ce.c_olen = olen && ce.c_crc = crc -> Some ce
-            | Some _ | None -> None
+        let write stored comp =
+          t.stat_comp_in <- t.stat_comp_in + olen;
+          t.stat_comp_out <- t.stat_comp_out + Bytes.length stored;
+          plans.(k) <- P_write { stored; comp }
         in
-        match dedup_hit with
-        | Some ce ->
-            t.stat_pages_deduped <- t.stat_pages_deduped + 1;
-            plans.(k) <- P_ref ce
-        | None -> (
-            match
-              if t.dedup_on then Hashtbl.find_opt batch (hash, olen, crc)
-              else None
-            with
-            | Some k0 ->
-                t.stat_pages_deduped <- t.stat_pages_deduped + 1;
-                plans.(k) <- P_alias k0
-            | None ->
-                if t.dedup_on then Hashtbl.replace batch (hash, olen, crc) k;
-                let stored, comp =
-                  if not t.compress_on then (payload, false)
-                  else begin
-                    cpu :=
-                      !cpu
-                      + Cost.transfer_time
-                          ~bandwidth:(class_bandwidth (Rle.classify payload))
-                          olen;
-                    match Rle.compress payload with
-                    | Some c -> (c, true)
-                    | None -> (payload, false)
-                  end
-                in
-                t.stat_comp_in <- t.stat_comp_in + olen;
-                t.stat_comp_out <- t.stat_comp_out + Bytes.length stored;
-                plans.(k) <- P_write { stored; comp }))
+        if not t.packed then write payload false
+        else begin
+          cpu := !cpu + Cost.transfer_time ~bandwidth:Cost.page_hash_bandwidth olen;
+          match Hashtbl.find_opt t.content hash with
+          | Some ce when ce.c_olen = olen && ce.c_crc = crc ->
+              t.stat_pages_deduped <- t.stat_pages_deduped + 1;
+              plans.(k) <- P_ref ce
+          | Some _ | None -> (
+              match Hashtbl.find_opt batch (hash, olen, crc) with
+              | Some k0 ->
+                  t.stat_pages_deduped <- t.stat_pages_deduped + 1;
+                  plans.(k) <- P_alias k0
+              | None -> (
+                  Hashtbl.replace batch (hash, olen, crc) k;
+                  cpu :=
+                    !cpu
+                    + Cost.transfer_time
+                        ~bandwidth:(class_bandwidth (Rle.classify payload))
+                        olen;
+                  match Rle.compress payload with
+                  | Some c -> write c true
+                  | None -> write payload false))
+        end)
       fresh;
     t.stat_compress_ns <- t.stat_compress_ns + (!cpu - now);
     (* 3. Submit the surviving payloads once the CPU pass is done.  With
-       compression off the legacy block-per-page layout (and its
+       the packed layout off the legacy block-per-page layout (and its
        full-block device charge) is kept, as the pre-dedup baseline. *)
     let write_slots = ref [] in
     Array.iteri
@@ -777,7 +766,7 @@ let build_version t ~now ~prev st =
     in
     let locs = Array.make (Array.length write_slots) (0, 0) in
     if Array.length write_slots > 0 then begin
-      if t.compress_on then begin
+      if t.packed then begin
         let c, ls =
           let stored = Array.map stored_of write_slots in
           let ls, c = write_packed t ~now:!cpu stored in
@@ -810,7 +799,7 @@ let build_version t ~now ~prev st =
           let blk, off = locs.(Hashtbl.find slot_of k) in
           (blk, off, Bytes.length stored, comp)
     in
-    if t.dedup_on then
+    if t.packed then
       Array.iter
         (fun k ->
           let hash, olen, crc = idents.(k) in
@@ -892,7 +881,7 @@ let build_version t ~now ~prev st =
       write_extents_chunked t ~now:!cpu leaf_items (fun k blk ->
           let leaf_idx, entries = rebuilt.(k) in
           cache_leaf t blk entries;
-          if t.dedup_on then
+          if t.packed then
             List.iter
               (fun p ->
                 match Hashtbl.find_opt t.content p.p_hash with
@@ -1151,7 +1140,7 @@ let iter_live_leaves t f =
    be lost, or vice versa. *)
 let rebuild_content_index t =
   Hashtbl.reset t.content;
-  if t.dedup_on then
+  if t.packed then
     iter_live_leaves t (fun entries ->
         List.iter
           (fun p ->
@@ -1172,13 +1161,11 @@ let rebuild_content_index t =
                   })
           entries)
 
-let set_content_dedup t flag =
-  if flag <> t.dedup_on then begin
-    t.dedup_on <- flag;
+let set_packed_layout t flag =
+  if flag <> t.packed then begin
+    t.packed <- flag;
     rebuild_content_index t
   end
-
-let set_compression t flag = t.compress_on <- flag
 let content_index_size t = Hashtbl.length t.content
 
 (* Check the incrementally maintained index against the durable leaves:
@@ -1188,7 +1175,7 @@ let content_index_size t = Hashtbl.length t.content
    location.  The crash-atomicity property tests recover a store and
    call this. *)
 let content_index_consistent t =
-  (not t.dedup_on)
+  (not t.packed)
   ||
   let counts = Hashtbl.create 1024 in
   iter_live_leaves t (fun entries ->

@@ -121,13 +121,12 @@ val flush_stats : t -> flush_stats
     back-to-back into extents, and charged compression CPU time by
     compressibility class ({!Aurora_util.Rle.cls}). *)
 
-val set_content_dedup : t -> bool -> unit
-(** Default on.  Turning dedup on rebuilds the index from the retained
-    epochs; turning it off clears it (benchmark A/B baseline). *)
-
-val set_compression : t -> bool -> unit
-(** Default on.  Off restores the block-per-page layout with full-block
-    write charges (benchmark A/B baseline). *)
+val set_packed_layout : t -> bool -> unit
+(** Default on.  Off restores the pre-dedup block-per-page layout — no
+    content index, no compression, full-block write charges — as the
+    benchmark A/B baseline and the round-trip reference store.  Turning
+    it on rebuilds the index from the retained epochs; turning it off
+    clears it. *)
 
 val content_index_size : t -> int
 (** Distinct content hashes the index currently tracks. *)
@@ -137,7 +136,7 @@ val content_index_consistent : t -> bool
     the durable leaves: every index entry must be backed by live leaf
     entries at exactly its recorded location, counted once per distinct
     leaf block.  Property tests call this after crash/recover cycles and
-    mid-epoch prunes.  Always true when dedup is off. *)
+    mid-epoch prunes.  Always true with the packed layout off. *)
 
 (** {1 Fault tolerance} *)
 

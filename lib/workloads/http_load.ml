@@ -13,6 +13,9 @@ let path_of_route = function
   | Static i -> Printf.sprintf "/static/%d" i
   | Dynamic i -> Printf.sprintf "/api/%d" i
 
+(* Probability mass routed to mutating handlers. *)
+let dynamic_ratio = 0.3
+
 (* One schedule entry per request, arrival times fixed up front: the
    client is open-loop (it does not wait for responses before sending the
    next request), which is what makes checkpoint stop windows visible as
@@ -23,7 +26,7 @@ let path_of_route = function
    distribution contains both cacheable and mutating routes in
    [dynamic_ratio] proportion. *)
 let generate ~seed ~rate ~duration_ns ~conns ~static_routes ~dynamic_routes
-    ?(dynamic_ratio = 0.3) ?(theta = 0.99) ?(frag_prob = 0.15) () =
+    ?(theta = 0.99) ?(frag_prob = 0.15) () =
   let rng = Rng.create seed in
   let nroutes = static_routes + dynamic_routes in
   let zipf = Zipf.create ~n:nroutes ~theta (Rng.split rng) in

@@ -26,12 +26,11 @@ val generate :
   conns:int ->
   static_routes:int ->
   dynamic_routes:int ->
-  ?dynamic_ratio:float ->
   ?theta:float ->
   ?frag_prob:float ->
   unit ->
   req list
 (** Deterministic for a fixed seed; arrival times strictly increase.
-    [dynamic_ratio] (default 0.3) is the probability mass routed to
-    mutating handlers, [theta] (default 0.99) the zipf skew, [frag_prob]
-    (default 0.15) the fraction of requests split across two segments. *)
+    30% of the probability mass is routed to mutating handlers.  [theta]
+    (default 0.99) is the zipf skew, [frag_prob] (default 0.15) the
+    fraction of requests split across two segments. *)

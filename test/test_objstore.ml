@@ -804,8 +804,7 @@ let qcheck_tests =
              epochs_spec;
            let full = Hashtbl.fold (fun idx c acc -> (idx, payload c) :: acc) model [] in
            let _clock_b, _dev_b, b = fresh () in
-           Store.set_content_dedup b false;
-           Store.set_compression b false;
+           Store.set_packed_layout b false;
            let oid_b = Store.alloc_oid b in
            let eb = Store.begin_checkpoint b in
            Store.put_object b ~oid:oid_b ~kind:"memory" ~meta:"full";

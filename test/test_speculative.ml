@@ -210,9 +210,12 @@ let test_crash_during_speculation_recovers_previous_epoch () =
 
 (* Random traces under speculation: interleave application ops (some from
    inside the soft window via the run hook, including structural
-   fork-free map/unmap churn) with speculative checkpoints, then compare
-   the final speculative epoch byte-for-byte against a forced-full one.
-   Mirrors test_incremental's trace property with ~speculative:true. *)
+   fork-free map/unmap churn) with speculative and incremental
+   stop-the-world checkpoints, then compare the final epoch byte-for-byte
+   against a forced-full one.  Mirrors test_incremental's trace property
+   with ~speculative:true.  The final checkpoint is speculative unless the
+   generator picks stop-the-world, which checks an incremental STW epoch
+   taken after speculative ones directly. *)
 
 type op =
   | Pwrite of int * string
@@ -221,6 +224,7 @@ type op =
   | Mtouch of int
   | Sig of int
   | Ckpt
+  | Ckpt_stw
 
 let op_gen =
   let open QCheck.Gen in
@@ -240,16 +244,20 @@ let op_gen =
       (4, map (fun i -> Mtouch i) (int_bound 31));
       (1, map (fun s -> Sig (1 + s)) (int_bound 10));
       (3, return Ckpt);
+      (2, return Ckpt_stw);
     ]
 
 let trace_arb =
   QCheck.make
-    ~print:(fun (ops, structural) ->
-      Printf.sprintf "%d ops%s" (List.length ops)
-        (if structural then " +structural" else ""))
-    QCheck.Gen.(pair (list_size (int_range 5 40) op_gen) bool)
+    ~print:(fun (ops, structural, final_stw) ->
+      Printf.sprintf "%d ops%s%s" (List.length ops)
+        (if structural then " +structural" else "")
+        (if final_stw then " +final-stw" else ""))
+    QCheck.Gen.(
+      triple (list_size (int_range 5 40) op_gen) bool
+        (map (fun k -> k = 0) (int_bound 3)))
 
-let run_spec_trace (ops, structural) =
+let run_spec_trace (ops, structural, final_stw) =
   let w = make_world ~npipes:4 ~nsocks:8 () in
   dirty_everything w;
   let hooked = ref 0 in
@@ -285,9 +293,13 @@ let run_spec_trace (ops, structural) =
             ~len:Page.logical_size
       | Sig signo -> ignore (Syscall.kill w.m ~pid:w.p.Process.pid_global ~signo)
       | Ckpt ->
-          ignore (Group.checkpoint ~wait_durable:true ~speculative:true w.group))
+          ignore (Group.checkpoint ~wait_durable:true ~speculative:true w.group)
+      | Ckpt_stw ->
+          ignore (Group.checkpoint ~wait_durable:true ~speculative:false w.group))
     ops;
-  let c1 = Group.checkpoint ~wait_durable:true ~speculative:true w.group in
+  let c1 =
+    Group.checkpoint ~wait_durable:true ~speculative:(not final_stw) w.group
+  in
   Machine.set_run_hook w.m None;
   let c2 = Group.checkpoint ~wait_durable:true ~full:true w.group in
   if c2.Group.objects_skipped <> 0 then
@@ -297,6 +309,22 @@ let run_spec_trace (ops, structural) =
   let e1 = c1.Group.epoch and e2 = c2.Group.epoch in
   let objs1 = Store.objects_at w.sys.Sls.store ~epoch:e1 in
   let objs2 = Store.objects_at w.sys.Sls.store ~epoch:e2 in
+  (* The oracle itself must be whole: a cycle that trusts a generation
+     snapshot left by an earlier cycle skips a clean process together
+     with its dirty children, and a forced-full cycle doing so would miss
+     the same objects as the epoch under test. *)
+  let os_objects =
+    List.length
+      (List.filter
+         (fun (_, kind) ->
+           List.mem kind
+             Serial.[ kind_proc; kind_fdesc; kind_pipe; kind_socket; kind_kqueue; kind_pty; kind_shm ])
+         objs2)
+  in
+  if c2.Group.objects_serialized <> os_objects then
+    QCheck.Test.fail_report
+      (Printf.sprintf "full cycle serialized %d of %d OS objects"
+         c2.Group.objects_serialized os_objects);
   if objs1 <> objs2 then
     QCheck.Test.fail_report "speculative and full epochs hold different objects";
   List.iter
