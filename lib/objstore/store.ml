@@ -137,6 +137,11 @@ let pent_blocks p f =
     f b
   done
 
+(* A cached leaf: its parsed entries, and whether a charged device read
+   of the block has brought it into memory.  Only a resident leaf serves
+   a charged lookup without device time. *)
+type cleaf = { entries : pent list; mutable resident : bool }
+
 (* One content-index entry: a stored page location keyed by content hash.
    [c_refs] counts the leaf entries (across all retained epochs, each
    leaf counted once) that reference the location; the index is derived
@@ -161,10 +166,11 @@ type t = {
   free_set : (int, unit) Hashtbl.t; (* reusable single blocks, O(1) dedup *)
   mutable free_stack : int list; (* LIFO over [free_set]; may hold stale ids *)
   mutable freed : int;
-  leaf_cache : (int, pent list) Hashtbl.t;
-      (* leaf block -> parsed entries.  Leaf blocks are COW (written once),
-         so the cache is exact as long as freed blocks are invalidated
-         before reuse (free_block) and a recovered instance starts cold. *)
+  leaf_cache : (int, cleaf) Hashtbl.t;
+      (* leaf block -> parsed entries and residency.  Leaf blocks are COW
+         (written once), so the cache is exact as long as freed blocks are
+         invalidated before reuse (free_block) and a recovered instance
+         starts cold. *)
   content : (int, centry) Hashtbl.t;
       (* content hash -> stored location: the content-addressed page
          index.  A flush-path page whose (hash, olen, crc) triple already
@@ -403,22 +409,34 @@ let read_blocks t ~blk ~nblocks =
 
 (* Leaf cache ----------------------------------------------------------------- *)
 
-let cache_leaf t blk entries =
+let cache_leaf t blk leaf =
   if Hashtbl.length t.leaf_cache >= leaf_cache_capacity then
     Hashtbl.reset t.leaf_cache;
-  Hashtbl.replace t.leaf_cache blk entries
+  Hashtbl.replace t.leaf_cache blk leaf
 
-(* Parsed entries of [blk] without charging device time (housekeeping and
-   commit paths). *)
-let cached_leaf t blk =
+(* Parsed entries of leaf [blk].  A [~charged] lookup (the page-read
+   paths) pays one retried device read of the block unless it is already
+   resident, and leaves it resident once a read succeeds: a leaf costs
+   device time once, not once per page.  Uncharged lookups (recovery,
+   verification CRCs, commit, prune) parse without charging and never make
+   a leaf resident, so no read path is ever served by a read nobody paid
+   for. *)
+let leaf_entries t ~charged blk =
   match Hashtbl.find_opt t.leaf_cache blk with
-  | Some entries ->
+  | Some c ->
       t.stat_leaf_hits <- t.stat_leaf_hits + 1;
-      entries
+      if charged && not c.resident then begin
+        ignore (read_blocks t ~blk ~nblocks:1);
+        c.resident <- true
+      end;
+      c.entries
   | None ->
       t.stat_leaf_misses <- t.stat_leaf_misses + 1;
-      let entries = parse_leaf (read_block_nocharge t blk) in
-      cache_leaf t blk entries;
+      let data =
+        if charged then read_blocks t ~blk ~nblocks:1 else read_block_nocharge t blk
+      in
+      let entries = parse_leaf data in
+      cache_leaf t blk { entries; resident = charged };
       entries
 
 (* Lifecycle ------------------------------------------------------------------ *)
@@ -836,7 +854,7 @@ let build_version t ~now ~prev st =
       let old_entries =
         match IntMap.find_opt leaf_idx prev_leaves with
         | None -> []
-        | Some blk -> cached_leaf t blk
+        | Some blk -> leaf_entries t ~charged:false blk
       in
       let carried = ref [] in
       List.iter
@@ -880,7 +898,7 @@ let build_version t ~now ~prev st =
     let c =
       write_extents_chunked t ~now:!cpu leaf_items (fun k blk ->
           let leaf_idx, entries = rebuilt.(k) in
-          cache_leaf t blk entries;
+          cache_leaf t blk { entries; resident = false };
           if t.packed then
             List.iter
               (fun p ->
@@ -909,7 +927,7 @@ let committed_row t oid v =
             (fun p ->
               incr npages;
               fp := !fp lxor fp_one p.p_idx p.p_crc)
-            (cached_leaf t leaf_blk))
+            (leaf_entries t ~charged:false leaf_blk))
         v.v_leaves;
       let r =
         {
@@ -1126,7 +1144,7 @@ let iter_live_leaves t f =
             (fun _ leaf_blk ->
               if not (Hashtbl.mem seen leaf_blk) then begin
                 Hashtbl.replace seen leaf_blk ();
-                f (cached_leaf t leaf_blk)
+                f (leaf_entries t ~charged:false leaf_blk)
               end)
             v.v_leaves)
         e.e_table)
@@ -1319,7 +1337,9 @@ let recover ~dev ~clock =
   (* The content index is derived state: rebuild it from the durable
      leaves, so dedup after a crash only ever references durable pages.
      The walk parses every retained leaf once, which also warms the leaf
-     cache for the first post-recovery incremental commit. *)
+     cache for the first post-recovery incremental commit.  The walk is
+     uncharged, so no leaf is resident: the first page read after
+     recovery still pays its leaf read. *)
   rebuild_content_index t;
   (* Journal heads are recovered lazily by scanning; see journal_records. *)
   t
@@ -1342,21 +1362,6 @@ let objects_at t ~epoch =
 
 let read_meta t ~epoch ~oid = (version_exn t ~epoch ~oid).v_meta
 
-(* Charged leaf fetch: the device read is still paid (the cache holds
-   parsed entries, not a page-cache residency guarantee), but a warm cache
-   skips the re-parse. *)
-let leaf_entries_charged t blk =
-  let data = read_blocks t ~blk ~nblocks:1 in
-  match Hashtbl.find_opt t.leaf_cache blk with
-  | Some entries ->
-      t.stat_leaf_hits <- t.stat_leaf_hits + 1;
-      entries
-  | None ->
-      t.stat_leaf_misses <- t.stat_leaf_misses + 1;
-      let entries = parse_leaf data in
-      cache_leaf t blk entries;
-      entries
-
 (* Recover a page's original payload from its stored (possibly RLE-coded)
    bytes; a stream that does not decode cleanly is store corruption, not
    a programming error — restore verification catches it as such. *)
@@ -1373,7 +1378,7 @@ let read_page t ~epoch ~oid ~idx =
   | None -> None
   | Some leaf_blk -> (
       match
-        List.find_opt (fun p -> p.p_idx = idx) (leaf_entries_charged t leaf_blk)
+        List.find_opt (fun p -> p.p_idx = idx) (leaf_entries t ~charged:true leaf_blk)
       with
       | None -> None
       | Some p ->
@@ -1396,7 +1401,7 @@ let read_pages t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
   IntMap.fold
     (fun _ leaf_blk acc ->
-      let entries = leaf_entries_charged t leaf_blk in
+      let entries = leaf_entries t ~charged:true leaf_blk in
       let stored_bytes =
         List.fold_left (fun a p -> a + p.p_clen) 0 entries
       in
@@ -1423,7 +1428,9 @@ let page_indices t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
   IntMap.fold
     (fun _ leaf_blk acc ->
-      List.fold_left (fun acc p -> p.p_idx :: acc) acc (cached_leaf t leaf_blk))
+      List.fold_left
+        (fun acc p -> p.p_idx :: acc)
+        acc (leaf_entries t ~charged:false leaf_blk))
     v.v_leaves []
   |> List.sort compare
 
@@ -1533,7 +1540,7 @@ let reachable_blocks t e =
           Hashtbl.replace out leaf_blk ();
           List.iter
             (fun p -> pent_blocks p (fun b -> Hashtbl.replace out b ()))
-            (cached_leaf t leaf_blk))
+            (leaf_entries t ~charged:false leaf_blk))
         v.v_leaves)
     e.e_table;
   out
@@ -1574,7 +1581,8 @@ let prune_history t ~keep =
       (fun b () ->
         if not (Hashtbl.mem live b) then begin
           (* free_block also invalidates the leaf cache for [b], so a
-             reused block can never serve stale parsed entries. *)
+             reused block can never serve stale parsed entries or a stale
+             residency. *)
           free_block t b;
           incr freed
         end)
@@ -1606,7 +1614,7 @@ let page_crcs t ~epoch ~oid =
     (fun _ leaf_blk acc ->
       List.fold_left
         (fun acc p -> (p.p_idx, p.p_crc) :: acc)
-        acc (cached_leaf t leaf_blk))
+        acc (leaf_entries t ~charged:false leaf_blk))
     v.v_leaves []
   |> List.sort compare
 
@@ -1647,7 +1655,7 @@ let staging_manifest_source t =
             (fun _ leaf_blk ->
               List.iter
                 (fun p -> Hashtbl.replace crcs p.p_idx p.p_crc)
-                (cached_leaf t leaf_blk))
+                (leaf_entries t ~charged:false leaf_blk))
             v.v_leaves);
       (match st with
       | None -> ()
@@ -1729,7 +1737,7 @@ let staging_manifest_entries t =
                           fp := !fp lxor fp_one p.p_idx p.p_crc;
                           decr npages
                         end)
-                      (cached_leaf t blk)))
+                      (leaf_entries t ~charged:false blk)))
           by_leaf;
         Hashtbl.iter
           (fun idx payload ->
@@ -1769,7 +1777,10 @@ let corrupt_page_for_tests t ~epoch ~oid =
       (fun _ leaf_blk acc ->
         match acc with
         | Some _ -> acc
-        | None -> ( match cached_leaf t leaf_blk with e :: _ -> Some e | [] -> None))
+        | None -> (
+            match leaf_entries t ~charged:false leaf_blk with
+            | e :: _ -> Some e
+            | [] -> None))
       v.v_leaves None
   in
   match entry with

@@ -176,8 +176,18 @@ val objects_at : t -> epoch:int -> (int * string) list
 
 val read_meta : t -> epoch:int -> oid:int -> string
 val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
+(** One page, charged as one device read of its stored bytes, plus one
+    read of its radix leaf block unless that leaf is already resident.
+    A leaf becomes resident once a charged read of it (by [read_page] or
+    {!read_pages}) succeeds, and stays so until its block is freed, the
+    leaf cache is recycled, or the store is recovered: a leaf costs
+    device time once, not once per page.  A read that raises leaves the
+    leaf as it was. *)
+
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
-(** All resident pages, charged as device reads. *)
+(** All stored pages: per leaf, the leaf block under the same residency
+    rule as {!read_page}, then one streamed read of its pages' stored
+    bytes. *)
 
 val page_indices : t -> epoch:int -> oid:int -> int list
 
@@ -189,8 +199,10 @@ val page_indices : t -> epoch:int -> oid:int -> int list
     manifest and a deep re-read of the data blocks. *)
 
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
-(** [(page index, payload CRC-32)] of every resident page, from the leaf
-    entries alone (no data-block reads, no device charge). *)
+(** [(page index, payload CRC-32)] of every stored page, from the leaf
+    entries alone (no data-block reads, no device charge).  Being
+    uncharged, it never makes a leaf resident, nor do recovery, commit or
+    pruning: only a paid read does (see {!read_page}). *)
 
 val staging_manifest_source : t -> (int * string * string * (int * int) list) list
 (** [(oid, kind, meta, page_crcs)] of every object the open staging epoch

@@ -10,6 +10,7 @@ module Vm_map = Aurora_vm.Vm_map
 module Page = Aurora_vm.Page
 module Store = Aurora_objstore.Store
 module Striped = Aurora_block.Striped
+module Fault = Aurora_block.Fault
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
 module Api = Aurora_core.Api
@@ -365,23 +366,29 @@ let test_lazy_restore_cow_siblings () =
   Alcotest.(check bool) "eager restore sees the child's rewrite" true
     (List.mem "child rewrote 1" eager_bytes);
   let _, lzy = Sls.reboot_and_restore ~lazy_pages:true sys in
-  let read0 = Striped.bytes_read sys.Sls.device in
+  let reads = ref 0 in
+  let h = Fault.create () in
+  h.Fault.on_read <-
+    (fun _ ->
+      incr reads;
+      Fault.Clean);
+  Striped.set_fault sys.Sls.device (Some h);
   Alcotest.(check (list string)) "lazy restore equals eager" eager_bytes (read_all lzy);
-  let read = Striped.bytes_read sys.Sls.device - read0 in
+  Striped.set_fault sys.Sls.device None;
   let pageins =
     List.fold_left
       (fun acc (p : Process.t) -> acc + (Vm_space.stats p.Process.space).Vm_space.pageins)
       0 lzy.Restore.procs
   in
   (* Fault-path cost: each stored page (the parent's four plus the child's
-     rewrite) is paged in once, and asking the child's pager before the
-     shared ancestor costs at most about one block per access. *)
+     rewrite) is paged in once, by one data read.  Each distinct radix
+     leaf (the shared ancestor's and the child's) is read once, by the
+     first fault that needs it; every later fault, including the child's
+     pager being asked before the shared ancestor, finds it resident. *)
   Alcotest.(check int) "each stored page paged in once" (npages + 1) pageins;
-  let accesses = 2 * npages in
-  Alcotest.(check bool)
-    (Printf.sprintf "fault-path reads %d B <= %d blocks" read (accesses + 1))
-    true
-    (read <= (accesses + 1) * Store.block_size)
+  let distinct_leaves = 2 in
+  Alcotest.(check int) "fault-path device reads: one per page-in, one per leaf"
+    (pageins + distinct_leaves) !reads
 
 let test_lazy_restore_faster () =
   let measure ~lazy_pages =

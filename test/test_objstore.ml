@@ -603,6 +603,132 @@ let test_recover_read_volume () =
   Alcotest.(check bool) "epochs identical after retried recovery" true
     (snapshot store3 = before)
 
+(* Leaf residency ------------------------------------------------------------ *)
+
+(* A full page of incompressible bytes: stored raw, one block, so a data
+   read of it costs exactly one 4 KiB device read. *)
+let noise_page seed =
+  let r = Aurora_util.Rng.create seed in
+  Bytes.init Store.block_size (fun _ -> Char.chr (Aurora_util.Rng.int r 256))
+
+(* One object whose pages [0, n) all sit in radix leaf 0, durable and
+   settled, so the device queues are idle. *)
+let one_leaf_store n =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  let epoch = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+  Store.put_pages store ~oid (List.init n (fun i -> (i, noise_page i)));
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  Striped.settle dev ~clock;
+  (clock, dev, store, oid, epoch)
+
+(* Run [f] with a pass-through fault handler that records every device
+   read it issues as [(device, offset)], in issue order. *)
+let device_reads dev f =
+  let h = Fault.create () in
+  let reads = ref [] in
+  h.Fault.on_read <-
+    (fun r ->
+      reads := (r.Fault.r_dev, r.Fault.r_off) :: !reads;
+      Fault.Clean);
+  Striped.set_fault dev (Some h);
+  let v = Fun.protect ~finally:(fun () -> Striped.set_fault dev None) f in
+  (v, List.rev !reads)
+
+(* Virtual time of one 4 KiB read on an idle device. *)
+let one_block_read =
+  Aurora_sim.Cost.nvme_read_latency
+  + Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth
+      Store.block_size
+
+let test_leaf_resident_after_charged_read () =
+  let clock, dev, store, oid, epoch = one_leaf_store 3 in
+  let timed_read idx =
+    let t0 = Clock.now clock in
+    let page = Store.read_page store ~epoch ~oid ~idx in
+    Alcotest.(check (option bytes)) (Printf.sprintf "page %d" idx) (Some (noise_page idx)) page;
+    Clock.now clock - t0
+  in
+  (* Commit parsed the leaf but never paid for it: the first read does. *)
+  Alcotest.(check int) "first read: leaf + data" (2 * one_block_read) (timed_read 0);
+  Alcotest.(check int) "same leaf: one data read" one_block_read (timed_read 1);
+  Alcotest.(check int) "same page again: one data read" one_block_read (timed_read 0);
+  (* A bulk read charges its data as one streamed read; over a resident
+     leaf it issues no block read at all. *)
+  let pages, reads = device_reads dev (fun () -> Store.read_pages store ~epoch ~oid) in
+  Alcotest.(check int) "read_pages: every page" 3 (List.length pages);
+  Alcotest.(check int) "read_pages: no leaf read" 0 (List.length reads)
+
+let test_recovered_store_starts_cold () =
+  let clock, dev, store, oid, epoch = one_leaf_store 2 in
+  ignore (Store.read_page store ~epoch ~oid ~idx:0);
+  let store2 = Store.recover ~dev ~clock in
+  (* The content-index rebuild, the page CRCs and the index listing all
+     parse leaf 0 without charging it: none of them makes it resident. *)
+  Alcotest.(check int) "crcs listed" 2 (List.length (Store.page_crcs store2 ~epoch ~oid));
+  Alcotest.(check (list int)) "indices listed" [ 0; 1 ] (Store.page_indices store2 ~epoch ~oid);
+  let _, cold = device_reads dev (fun () -> Store.read_page store2 ~epoch ~oid ~idx:0) in
+  Alcotest.(check int) "first read after recovery pays the leaf" 2 (List.length cold);
+  let _, warm = device_reads dev (fun () -> Store.read_page store2 ~epoch ~oid ~idx:1) in
+  Alcotest.(check int) "then the leaf is resident" 1 (List.length warm)
+
+let test_freed_leaf_block_recharged () =
+  let _clock, dev, store, oid, e1 = one_leaf_store 1 in
+  let _, first = device_reads dev (fun () -> Store.read_page store ~epoch:e1 ~oid ~idx:0) in
+  let leaf_read = List.hd first in
+  (* Dropping every epoch frees the whole store back to the frontier, so
+     the next commit lays its leaf on the block that was resident. *)
+  ignore (Store.prune_history store ~keep:0);
+  let e2 = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m2";
+  Store.put_pages store ~oid [ (0, noise_page 99) ];
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  let page, reads = device_reads dev (fun () -> Store.read_page store ~epoch:e2 ~oid ~idx:0) in
+  Alcotest.(check bool) "the new leaf reuses the freed block" true
+    (List.hd reads = leaf_read);
+  Alcotest.(check int) "reused leaf charged again" 2 (List.length reads);
+  Alcotest.(check (option bytes)) "new bytes, not the freed leaf's" (Some (noise_page 99)) page
+
+let test_failed_leaf_read_not_resident () =
+  let _clock, dev, store, oid, epoch = one_leaf_store 2 in
+  let h = Fault.create () in
+  h.Fault.on_read <- (fun _ -> Fault.Fail);
+  Striped.set_fault dev (Some h);
+  Store.set_read_policy store ~retries:1 ~backoff_ns:20_000;
+  Alcotest.(check bool) "persistent failure surfaces" true
+    (try
+       ignore (Store.read_page store ~epoch ~oid ~idx:0);
+       false
+     with Fault.Io_error _ -> true);
+  Alcotest.(check int) "the retry was counted" 1 (Store.read_faults store);
+  (* The failed attempts left the leaf cold.  One transient failure, then
+     clean: the leaf read is retried and counted, and only its successful
+     retry makes the leaf resident. *)
+  let calls = ref 0 in
+  h.Fault.on_read <-
+    (fun _ ->
+      incr calls;
+      if !calls = 1 then Fault.Fail else Fault.Clean);
+  Alcotest.(check (option bytes)) "read through a transient" (Some (noise_page 0))
+    (Store.read_page store ~epoch ~oid ~idx:0);
+  Alcotest.(check int) "failed leaf read, its retry, the data read" 3 !calls;
+  Alcotest.(check int) "transient counted" 2 (Store.read_faults store);
+  Striped.set_fault dev None;
+  let _, reads = device_reads dev (fun () -> Store.read_page store ~epoch ~oid ~idx:1) in
+  Alcotest.(check int) "resident after the successful read" 1 (List.length reads)
+
+let test_resident_hit_skips_on_read () =
+  let _clock, dev, store, oid, epoch = one_leaf_store 2 in
+  let _, cold = device_reads dev (fun () -> Store.read_page store ~epoch ~oid ~idx:0) in
+  let leaf_read = List.hd cold in
+  let page, warm = device_reads dev (fun () -> Store.read_page store ~epoch ~oid ~idx:1) in
+  Alcotest.(check (option bytes)) "page 1" (Some (noise_page 1)) page;
+  Alcotest.(check bool) "on_read never sees the resident leaf" false (List.mem leaf_read warm);
+  Alcotest.(check int) "on_read sees the data read only" 1 (List.length warm)
+
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -909,6 +1035,19 @@ let () =
           Alcotest.test_case "timing anchor" `Quick test_journal_timing_anchor;
         ] );
       ("history", [ Alcotest.test_case "prune frees blocks" `Quick test_prune_history_frees_blocks ]);
+      ( "residency",
+        [
+          Alcotest.test_case "charged read makes leaf resident" `Quick
+            test_leaf_resident_after_charged_read;
+          Alcotest.test_case "recovered store starts cold" `Quick
+            test_recovered_store_starts_cold;
+          Alcotest.test_case "freed leaf block charged again" `Quick
+            test_freed_leaf_block_recharged;
+          Alcotest.test_case "failed leaf read not resident" `Quick
+            test_failed_leaf_read_not_resident;
+          Alcotest.test_case "resident hit skips on_read" `Quick
+            test_resident_hit_skips_on_read;
+        ] );
       ( "boundaries",
         [
           Alcotest.test_case "leaf span" `Quick test_leaf_span_boundaries;
