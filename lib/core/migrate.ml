@@ -33,40 +33,31 @@ let serialize ~store ~epoch =
     (List.filter streamable (Store.objects_at store ~epoch))
 
 (* Page-granular deltas: an object appears if it is new, its metadata
-   changed, or some of its pages changed — and only the changed pages are
-   shipped (the receiver composes them onto the base it already holds). *)
+   changed, or some of its pages moved — and only the moved pages are
+   shipped (the receiver composes them onto the base it already holds).
+   The store finds them from its copy-on-write leaf metadata
+   ([Store.read_changed_pages]), so an object or leaf that [epoch] shares
+   with [base] costs no read at all. *)
 let serialize_incremental ~store ~base ~epoch =
-  let base_objects = Store.objects_at store ~epoch:base in
-  let delta_pages oid =
-    let exists_in_base = List.exists (fun (o, _) -> o = oid) base_objects in
-    let current = Store.read_pages store ~epoch ~oid in
-    if not exists_in_base then current
-    else begin
-      let old = Store.read_pages store ~epoch:base ~oid in
-      List.filter
-        (fun (idx, payload) ->
-          match List.assoc_opt idx old with
-          | Some old_payload -> not (Bytes.equal payload old_payload)
-          | None -> true)
-        current
-    end
-  in
-  let changed_meta (oid, _) =
-    (not (List.exists (fun (o, _) -> o = oid) base_objects))
-    || Store.read_meta store ~epoch ~oid <> Store.read_meta store ~epoch:base ~oid
-  in
-  let page_deltas = Hashtbl.create 32 in
+  let in_base = Hashtbl.create 64 in
+  List.iter (fun (oid, _) -> Hashtbl.replace in_base oid ()) (Store.objects_at store ~epoch:base);
+  let deltas = Hashtbl.create 32 in
   let objects =
     List.filter
       (fun (oid, _) ->
-        let pages = delta_pages oid in
-        Hashtbl.replace page_deltas oid pages;
-        pages <> [] || changed_meta (oid, ""))
+        if not (Hashtbl.mem in_base oid) then begin
+          Hashtbl.replace deltas oid (Store.read_pages store ~epoch ~oid);
+          true
+        end
+        else begin
+          let pages = Store.read_changed_pages store ~base ~epoch ~oid in
+          Hashtbl.replace deltas oid pages;
+          pages <> []
+          || Store.read_meta store ~epoch ~oid <> Store.read_meta store ~epoch:base ~oid
+        end)
       (List.filter streamable (Store.objects_at store ~epoch))
   in
-  serialize_objects ~store ~epoch
-    ~pages_of:(fun oid -> Option.value ~default:[] (Hashtbl.find_opt page_deltas oid))
-    objects
+  serialize_objects ~store ~epoch ~pages_of:(Hashtbl.find deltas) objects
 
 let stream_size s = String.length s
 

@@ -2,17 +2,25 @@
 
     A checkpoint serializes to a self-contained byte stream (all objects,
     metadata and pages); the receiver installs it as a fresh checkpoint in
-    its own store and can then restore it.  {!send_incremental} ships only
-    the objects whose version changed since a base epoch, which is the
-    building block for live migration and high availability (pre-copy
-    iterations of dirty state). *)
+    its own store and can then restore it.  {!serialize_incremental}
+    ships only what changed since a base epoch, which is the building
+    block for live migration and high availability (pre-copy iterations
+    of dirty state). *)
 
 val serialize : store:Aurora_objstore.Store.t -> epoch:int -> string
 (** The full checkpoint as a portable stream. *)
 
 val serialize_incremental :
   store:Aurora_objstore.Store.t -> base:int -> epoch:int -> string
-(** Only objects whose pages or metadata changed between the epochs. *)
+(** The delta from [base] to [epoch]: every object new since [base] with
+    all its pages, and every object whose metadata or page locations
+    changed with only the pages whose stored location changed
+    ({!Aurora_objstore.Store.read_changed_pages}).  Blocks are
+    copy-on-write, so that page set is a superset of the pages whose
+    bytes changed, never a subset: a page rewritten with identical bytes
+    at a new location ships again, one deduplicated onto its old location
+    does not.  Composed onto [base], the stream yields [epoch]'s pages
+    and metadata exactly. *)
 
 val stream_size : string -> int
 

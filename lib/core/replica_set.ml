@@ -244,7 +244,7 @@ let rs_receive sb (d : Link.delivery) =
       else begin
         install sh;
         (* The install may have filled the hole in front of buffered
-           frames: drain everything now continguous, oldest first. *)
+           frames: drain everything now contiguous, oldest first. *)
         let rec drain_gap () =
           let ready, held =
             List.partition

@@ -1393,36 +1393,75 @@ let read_page t ~epoch ~oid ~idx =
               (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth p.p_olen);
           Some (decode_payload p stored))
 
-(* Bulk page reads are issued at depth (restore, migration): charge one
-   leaf I/O plus a streamed read of the pages' stored bytes instead of a
-   full device round trip per page; decompression time is charged once
-   per leaf over the coded pages' original bytes. *)
+(* Bulk page reads are issued at depth (restore, migration): [entries]
+   cost one streamed read of their stored bytes instead of a full device
+   round trip per page, and decompression is charged once over the coded
+   pages' original bytes.  The pages are pushed onto [acc] in reverse. *)
+let stream_entries t entries acc =
+  Striped.charge_read t.dev ~clock:t.clk
+    ~bytes:(List.fold_left (fun a p -> a + p.p_clen) 0 entries);
+  let coded_olen =
+    List.fold_left (fun a p -> if p.p_comp then a + p.p_olen else a) 0 entries
+  in
+  if coded_olen > 0 then
+    Clock.advance t.clk
+      (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
+  List.fold_left
+    (fun acc p ->
+      let stored =
+        Striped.read_nocharge t.dev ~off:(off_of_block p.p_blk + p.p_off) ~len:p.p_clen
+      in
+      (p.p_idx, decode_payload p stored) :: acc)
+    acc entries
+
+(* One leaf I/O (unless resident) and one streamed read per leaf. *)
 let read_pages t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
   IntMap.fold
-    (fun _ leaf_blk acc ->
-      let entries = leaf_entries t ~charged:true leaf_blk in
-      let stored_bytes =
-        List.fold_left (fun a p -> a + p.p_clen) 0 entries
-      in
-      Striped.charge_read t.dev ~clock:t.clk ~bytes:stored_bytes;
-      let coded_olen =
-        List.fold_left (fun a p -> if p.p_comp then a + p.p_olen else a) 0 entries
-      in
-      if coded_olen > 0 then
-        Clock.advance t.clk
-          (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
-      List.fold_left
-        (fun acc p ->
-          let stored =
-            Striped.read_nocharge t.dev
-              ~off:(off_of_block p.p_blk + p.p_off)
-              ~len:p.p_clen
-          in
-          (p.p_idx, decode_payload p stored) :: acc)
-        acc entries)
+    (fun _ leaf_blk acc -> stream_entries t (leaf_entries t ~charged:true leaf_blk) acc)
     v.v_leaves []
   |> List.sort compare
+
+(* Leaf and data blocks are copy-on-write and [base] keeps its blocks
+   live, so an entry at the same location in both epochs holds the same
+   bytes, and a version record or leaf block shared by both epochs
+   changed nothing beneath it.  Only the leaves that differ are read
+   (each under the residency rule of [read_page]); the pages whose
+   location moved are then fetched as one streamed read. *)
+let read_changed_pages t ~base ~epoch ~oid =
+  let v = version_exn t ~epoch ~oid in
+  let b = version_exn t ~epoch:base ~oid in
+  if v.v_block = b.v_block then []
+  else begin
+    let same p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen in
+    (* Both entry lists are sorted by page index; [acc] collects moved
+       entries in descending index order, across leaves too, so the
+       streamed pages come back ascending. *)
+    let rec moved acc news olds =
+      match (news, olds) with
+      | [], _ -> acc
+      | _, [] -> List.rev_append news acc
+      | n :: ns, o :: os ->
+          if o.p_idx < n.p_idx then moved acc news os
+          else if o.p_idx > n.p_idx then moved (n :: acc) ns olds
+          else moved (if same n o then acc else n :: acc) ns os
+    in
+    let changed =
+      IntMap.fold
+        (fun leaf_idx leaf_blk acc ->
+          match IntMap.find_opt leaf_idx b.v_leaves with
+          | Some base_blk when base_blk = leaf_blk -> acc
+          | base_blk ->
+              let olds =
+                match base_blk with
+                | Some blk -> leaf_entries t ~charged:true blk
+                | None -> []
+              in
+              moved acc (leaf_entries t ~charged:true leaf_blk) olds)
+        v.v_leaves []
+    in
+    stream_entries t changed []
+  end
 
 let page_indices t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in

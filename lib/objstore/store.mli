@@ -189,6 +189,20 @@ val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
     rule as {!read_page}, then one streamed read of its pages' stored
     bytes. *)
 
+val read_changed_pages : t -> base:int -> epoch:int -> oid:int -> (int * bytes) list
+(** The pages of [oid] at [epoch] whose stored location differs from
+    [base] (both epochs retained, [oid] in both), sorted by index.  The
+    diff is read off copy-on-write metadata, never off page bytes: a
+    version record shared by both epochs returns [[]] without a read; a
+    leaf block shared by both is skipped without a read; every other leaf
+    is read at both epochs under the residency rule of {!read_page}, and
+    its entries are compared by stored location (block, offset, stored
+    length).  The moved pages' stored bytes are then charged as one
+    streamed read, plus decompression of the RLE-coded ones.  Same
+    location means same bytes, so the result is a superset of the pages
+    whose bytes changed: a page rewritten with identical bytes at a new
+    location is returned, a dedup hit on its old location is not. *)
+
 val page_indices : t -> epoch:int -> oid:int -> int list
 
 (** {1 Verification}

@@ -1,0 +1,389 @@
+(* Incremental streams: the location diff behind Migrate.serialize_incremental,
+   checked against a byte-compare oracle, plus its exact device cost. *)
+
+module Clock = Aurora_sim.Clock
+module Cost = Aurora_sim.Cost
+module Rng = Aurora_util.Rng
+module Striped = Aurora_block.Striped
+module Fault = Aurora_block.Fault
+module Wire = Aurora_objstore.Wire
+module Store = Aurora_objstore.Store
+module Migrate = Aurora_core.Migrate
+module Serial = Aurora_core.Serial
+
+let fresh_store ?(packed = true) () =
+  let store = Store.format ~dev:(Striped.create ()) ~clock:(Clock.create ()) in
+  Store.set_packed_layout store packed;
+  store
+
+let noise_page seed =
+  let r = Rng.create seed in
+  Bytes.init Store.block_size (fun _ -> Char.chr (Rng.int r 256))
+
+(* Stream codec, mirroring Migrate's wire format ------------------------------ *)
+
+let stream_of ~epoch objects =
+  let w = Wire.writer () in
+  Wire.str w "AURSTRM1";
+  Wire.u64 w epoch;
+  Wire.list w
+    (fun (oid, kind, meta, pages) ->
+      Wire.u64 w oid;
+      Wire.str w kind;
+      Wire.str w meta;
+      Wire.list w
+        (fun (idx, payload) ->
+          Wire.u32 w idx;
+          Wire.str w (Bytes.to_string payload))
+        pages)
+    objects;
+  Bytes.to_string (Wire.contents w)
+
+(* [(oid, shipped page indices)] of a stream. *)
+let stream_pages stream =
+  let r = Wire.reader (Bytes.of_string stream) in
+  ignore (Wire.rstr r);
+  ignore (Wire.ru64 r);
+  Wire.rlist r (fun r ->
+      let oid = Wire.ru64 r in
+      ignore (Wire.rstr r);
+      ignore (Wire.rstr r);
+      let idxs =
+        Wire.rlist r (fun r ->
+            let idx = Wire.ru32 r in
+            ignore (Wire.rstr r);
+            idx)
+      in
+      (oid, idxs))
+
+(* The byte-compare diff the sender used before the location diff: read
+   every page at both epochs and ship those whose bytes differ.  Kept only
+   as the oracle for the property below. *)
+let oracle_incremental ~store ~base ~epoch =
+  let base_objects = Store.objects_at store ~epoch:base in
+  let in_base oid = List.mem_assoc oid base_objects in
+  let objects =
+    List.filter_map
+      (fun (oid, kind) ->
+        let current = Store.read_pages store ~epoch ~oid in
+        let meta = Store.read_meta store ~epoch ~oid in
+        if not (in_base oid) then Some (oid, kind, meta, current)
+        else begin
+          let old = Store.read_pages store ~epoch:base ~oid in
+          let pages =
+            List.filter
+              (fun (idx, payload) ->
+                match List.assoc_opt idx old with
+                | Some p -> not (Bytes.equal payload p)
+                | None -> true)
+              current
+          in
+          if pages <> [] || meta <> Store.read_meta store ~epoch:base ~oid then
+            Some (oid, kind, meta, pages)
+          else None
+        end)
+      (Store.objects_at store ~epoch)
+  in
+  stream_of ~epoch objects
+
+(* Every non-manifest object of an epoch, pages read back in full. *)
+let snapshot store ~epoch =
+  List.filter_map
+    (fun (oid, kind) ->
+      if kind = Serial.kind_manifest then None
+      else
+        Some
+          ( oid,
+            kind,
+            Store.read_meta store ~epoch ~oid,
+            List.map (fun (i, b) -> (i, Bytes.to_string b)) (Store.read_pages store ~epoch ~oid) ))
+    (Store.objects_at store ~epoch)
+
+let manifest_oid = 1_000_000
+
+(* A replication frame carrying [body], with the digest of the sender's
+   epoch, as the shipping layer builds it. *)
+let shipment ~store ~base ~epoch body =
+  let entries =
+    List.map
+      (fun (oid, kind) ->
+        Serial.manifest_entry_of_source
+          (oid, kind, Store.read_meta store ~epoch ~oid, Store.page_crcs store ~epoch ~oid))
+      (Store.objects_at store ~epoch)
+  in
+  let frame =
+    Migrate.seal_shipment ~seq:epoch ~base ~epoch ~manifest_oid
+      ~count:(List.length entries) ~summary:(Serial.manifest_summary entries) body
+  in
+  match Migrate.open_shipment frame with
+  | Ok sh -> sh
+  | Error e -> failwith e
+
+(* A standby that holds [base], installed from a verified full stream. *)
+let standby_at ~store ~base =
+  let sb = fresh_store () in
+  (match
+     Migrate.install_verified ~store:sb
+       (shipment ~store ~base:0 ~epoch:base (Migrate.serialize ~store ~epoch:base))
+   with
+  | Ok _ -> ()
+  | Error e -> failwith ("full stream rejected: " ^ e));
+  sb
+
+(* Random histories ----------------------------------------------------------- *)
+
+type op =
+  | Write of int * int * int  (** object slot, page index, content *)
+  | Rewrite of int * int  (** the same bytes again *)
+  | Meta of int * int  (** a metadata-only change *)
+  | Touch of int  (** restaged with unchanged metadata and no pages *)
+
+let show_op = function
+  | Write (s, i, c) -> Printf.sprintf "W(%d,%d,%d)" s i c
+  | Rewrite (s, i) -> Printf.sprintf "R(%d,%d)" s i
+  | Meta (s, m) -> Printf.sprintf "M(%d,%d)" s m
+  | Touch s -> Printf.sprintf "T(%d)" s
+
+(* Few distinct contents, so rewrites often repeat bytes and dedup hits;
+   short, RLE-coded and incompressible pages all occur. *)
+let content k =
+  match k mod 3 with
+  | 0 -> Bytes.make 64 (Char.chr (65 + k))
+  | 1 -> Bytes.make Store.block_size (Char.chr (65 + k))
+  | _ -> noise_page k
+
+let gen_op =
+  let open QCheck.Gen in
+  let slot = int_bound 2 in
+  (* Four pages in each of three radix leaves. *)
+  let idx = map2 (fun leaf off -> (leaf * Store.leaf_span) + off) (int_bound 2) (int_bound 3) in
+  frequency
+    [
+      (5, map3 (fun s i c -> Write (s, i, c)) slot idx (int_bound 5));
+      (3, map2 (fun s i -> Rewrite (s, i)) slot idx);
+      (1, map2 (fun s m -> Meta (s, m)) slot (int_bound 3));
+      (1, map (fun s -> Touch s) slot);
+    ]
+
+let arb_history =
+  QCheck.make
+    ~print:(fun (packed, epochs) ->
+      Printf.sprintf "packed=%b %s" packed
+        (String.concat " | "
+           (List.map (fun ops -> String.concat " " (List.map show_op ops)) epochs)))
+    QCheck.Gen.(
+      pair bool (list_size (int_range 2 5) (list_size (int_range 1 6) gen_op)))
+
+(* Commit one epoch per op list; objects appear the first time an op
+   names their slot.  Returns the store and its epochs. *)
+let build_history (packed, epochs) =
+  let store = fresh_store ~packed () in
+  let oids = Hashtbl.create 4 and metas = Hashtbl.create 4 in
+  let pages = Hashtbl.create 16 in
+  let oid_of slot =
+    match Hashtbl.find_opt oids slot with
+    | Some oid -> oid
+    | None ->
+        let oid = Store.alloc_oid store in
+        Hashtbl.replace oids slot oid;
+        Hashtbl.replace metas slot (Printf.sprintf "obj%d" slot);
+        Store.put_object store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas slot);
+        oid
+  in
+  let write slot idx k =
+    Hashtbl.replace pages (slot, idx) k;
+    Store.put_pages store ~oid:(oid_of slot) [ (idx, content k) ]
+  in
+  let apply = function
+    | Write (s, i, k) -> write s i k
+    | Rewrite (s, i) ->
+        write s i (Option.value ~default:0 (Hashtbl.find_opt pages (s, i)))
+    | Meta (s, m) ->
+        let oid = oid_of s in
+        Hashtbl.replace metas s (Printf.sprintf "obj%d-v%d" s m);
+        Store.put_object store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas s)
+    | Touch s ->
+        let oid = oid_of s in
+        Store.put_object store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas s)
+  in
+  let committed =
+    List.map
+      (fun ops ->
+        let e = Store.begin_checkpoint store in
+        List.iter apply ops;
+        ignore (Store.commit_checkpoint store);
+        Store.wait_durable store;
+        e)
+      epochs
+  in
+  (store, committed)
+
+let rec pairs = function
+  | [] -> []
+  | b :: rest -> List.map (fun e -> (b, e)) rest @ pairs rest
+
+(* For every base < epoch: the location-diff stream passes the standby's
+   digest check and composes to exactly what the oracle's stream composes
+   to (and to the sender's epoch), and it ships every page the oracle
+   ships, possibly more. *)
+let check_pair store (base, epoch) =
+  let stream = Migrate.serialize_incremental ~store ~base ~epoch in
+  let oracle = oracle_incremental ~store ~base ~epoch in
+  let want = snapshot store ~epoch in
+  let verified =
+    let sb = standby_at ~store ~base in
+    match Migrate.install_verified ~store:sb (shipment ~store ~base ~epoch stream) with
+    | Ok e -> if snapshot sb ~epoch:e = want then "ok" else "composed state differs"
+    | Error msg -> "rejected: " ^ msg
+  in
+  let oracle_state =
+    let sb = standby_at ~store ~base in
+    snapshot sb ~epoch:(Migrate.install ~store:sb oracle)
+  in
+  let shipped = stream_pages stream in
+  let missing =
+    List.concat_map
+      (fun (oid, idxs) ->
+        List.filter_map
+          (fun idx ->
+            match List.assoc_opt oid shipped with
+            | Some got when List.mem idx got -> None
+            | _ -> Some (Printf.sprintf "%d:%d" oid idx))
+          idxs)
+      (stream_pages oracle)
+  in
+  if verified = "ok" && oracle_state = want && missing = [] then true
+  else
+    QCheck.Test.fail_reportf
+      "base %d epoch %d: verified install %s; oracle install %s; pages the oracle ships but the stream does not: [%s]"
+      base epoch verified
+      (if oracle_state = want then "matches" else "differs")
+      (String.concat " " missing)
+
+let qcheck_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"location diff composes like the byte-compare oracle"
+         ~count:60 arb_history (fun h ->
+           let store, epochs = build_history h in
+           List.for_all (check_pair store) (pairs epochs)));
+  ]
+
+(* Pinned cost and edge cases -------------------------------------------------- *)
+
+(* Run [f] with a pass-through fault handler; returns its result, the
+   virtual time it took and the device reads that met the injector. *)
+let measured store f =
+  let dev = Store.device store and clock = Store.clock store in
+  Striped.settle dev ~clock;
+  let h = Fault.create () in
+  let reads = ref 0 in
+  h.Fault.on_read <-
+    (fun _ ->
+      incr reads;
+      Fault.Clean);
+  Striped.set_fault dev (Some h);
+  let t0 = Clock.now clock in
+  let v = Fun.protect ~finally:(fun () -> Striped.set_fault dev None) f in
+  (v, Clock.now clock - t0, !reads)
+
+let one_block_read =
+  Cost.nvme_read_latency + Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth Store.block_size
+
+let streamed_read bytes =
+  let n = Cost.nvme_stripe_devices in
+  Cost.nvme_read_latency
+  + Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth ((bytes + n - 1) / n)
+
+let commit store f =
+  let e = Store.begin_checkpoint store in
+  f ();
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  e
+
+(* Object [a] spans three radix leaves and object [b] one; the second
+   epoch rewrites [k] pages inside [a]'s middle leaf. *)
+let test_cost_changed_leaf_only () =
+  let store = fresh_store () in
+  let a = Store.alloc_oid store and b = Store.alloc_oid store in
+  let k = 3 in
+  let e1 =
+    commit store (fun () ->
+        Store.put_object store ~oid:a ~kind:"memory" ~meta:"a";
+        Store.put_pages store ~oid:a
+          (List.init 3 (fun leaf -> (leaf * Store.leaf_span, noise_page leaf))
+          @ List.init k (fun i -> (Store.leaf_span + 1 + i, noise_page (10 + i))));
+        Store.put_object store ~oid:b ~kind:"memory" ~meta:"b";
+        Store.put_pages store ~oid:b [ (0, noise_page 20); (1, noise_page 21) ])
+  in
+  let e2 =
+    commit store (fun () ->
+        Store.put_pages store ~oid:a
+          (List.init k (fun i -> (Store.leaf_span + 1 + i, noise_page (30 + i)))))
+  in
+  let stream, took, reads =
+    measured store (fun () -> Migrate.serialize_incremental ~store ~base:e1 ~epoch:e2)
+  in
+  Alcotest.(check (list (pair int (list int))))
+    "only the rewritten pages ship"
+    [ (a, List.init k (fun i -> Store.leaf_span + 1 + i)) ]
+    (stream_pages stream);
+  Alcotest.(check int) "the changed leaf at both epochs meets the injector" 2 reads;
+  Alcotest.(check int) "leaf pair plus the pages' stored bytes"
+    ((2 * one_block_read) + streamed_read (k * Store.block_size))
+    took;
+  (* An untouched object costs nothing, at any residency. *)
+  let pages, took, reads =
+    measured store (fun () -> Store.read_changed_pages store ~base:e1 ~epoch:e2 ~oid:b)
+  in
+  Alcotest.(check int) "untouched object: no pages" 0 (List.length pages);
+  Alcotest.(check int) "untouched object: no device time" 0 took;
+  Alcotest.(check int) "untouched object: no reads" 0 reads;
+  (* The leaf pair is resident now: only the data is paid again. *)
+  let _, took, reads =
+    measured store (fun () -> Store.read_changed_pages store ~base:e1 ~epoch:e2 ~oid:a)
+  in
+  Alcotest.(check int) "resident leaves: no reads" 0 reads;
+  Alcotest.(check int) "resident leaves: data only" (streamed_read (k * Store.block_size)) took
+
+(* Rewrite page 1 of a two-page object with its own bytes, ship the delta
+   to a standby holding the base, and return the shipped pages. *)
+let identical_rewrite ~packed =
+  let store = fresh_store ~packed () in
+  let oid = Store.alloc_oid store in
+  let e1 =
+    commit store (fun () ->
+        Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+        Store.put_pages store ~oid [ (0, noise_page 1); (1, noise_page 2) ])
+  in
+  let e2 = commit store (fun () -> Store.put_pages store ~oid [ (1, noise_page 2) ]) in
+  let stream = Migrate.serialize_incremental ~store ~base:e1 ~epoch:e2 in
+  let sb = standby_at ~store ~base:e1 in
+  (match Migrate.install_verified ~store:sb (shipment ~store ~base:e1 ~epoch:e2 stream) with
+  | Ok e ->
+      Alcotest.(check bool) "standby equals the sender" true
+        (snapshot sb ~epoch:e = snapshot store ~epoch:e2)
+  | Error msg -> Alcotest.failf "standby rejected the delta: %s" msg);
+  (oid, stream_pages stream)
+
+let test_identical_rewrite_unpacked_ships () =
+  let oid, shipped = identical_rewrite ~packed:false in
+  Alcotest.(check (list (pair int (list int)))) "a new location ships" [ (oid, [ 1 ]) ] shipped
+
+let test_dedup_hit_not_shipped () =
+  let _, shipped = identical_rewrite ~packed:true in
+  Alcotest.(check (list (pair int (list int)))) "the same location ships nothing" [] shipped
+
+let () =
+  Alcotest.run "aurora_migrate"
+    [
+      ( "location diff",
+        [
+          Alcotest.test_case "cost: changed leaf only" `Quick test_cost_changed_leaf_only;
+          Alcotest.test_case "identical rewrite, unpacked, ships" `Quick
+            test_identical_rewrite_unpacked_ships;
+          Alcotest.test_case "dedup hit not shipped" `Quick test_dedup_hit_not_shipped;
+        ] );
+      ("properties", qcheck_tests);
+    ]
