@@ -18,8 +18,8 @@ let enumeration_ok = ref true
    shrinks below it (a recorder regression silently emitting fewer
    device-submission boundaries) fails the sweep even with zero crash
    failures. *)
-let run_enumeration ?floor label ops =
-  let r = Torture.enumerate ops in
+let run_enumeration ?floor label workloads =
+  let r = Torture.enumerate workloads in
   Printf.printf "enumerate %-18s %4d boundaries, %5d crash points, %d failures\n%!"
     label r.Torture.r_boundaries r.Torture.r_crash_points
     (List.length r.Torture.r_failures);
@@ -37,21 +37,11 @@ let run_enumeration ?floor label ops =
 
 (* Two small per-tenant workloads, deterministic so the boundary/crash-point
    counts below are stable run to run.  Kept shorter than [standard]: the
-   pair enumeration replays the combined workload once per crash point. *)
+   two-tenant enumeration replays the combined workload once per crash
+   point. *)
 let pair_workloads ~seed =
   let gen s = Workload.gen_ops (Rng.create s) ~n:8 ~max_oid:4 ~max_pages:10 in
   (gen seed, gen (seed lxor 0x5f5f))
-
-let run_pair_enumeration label (ops_a, ops_b) =
-  let r = Torture.enumerate_pair ops_a ops_b in
-  Printf.printf
-    "enumerate %-18s %4d boundaries, %5d crash points, %d failures\n%!" label
-    r.Torture.r_boundaries r.Torture.r_crash_points
-    (List.length r.Torture.r_failures);
-  List.iter
-    (fun f -> Printf.printf "  FAIL %s\n%!" (Torture.pp_failure f))
-    r.Torture.r_failures;
-  if r.Torture.r_failures <> [] then enumeration_ok := false
 
 let run_sweep label ~seed ~runs profile =
   let s = Torture.sweep ~seed ~runs profile in
@@ -67,43 +57,46 @@ let run_sweep label ~seed ~runs profile =
 let fork_bomb_floor = 60
 let shm_ring_floor = 40
 
+(* Coverage floor for the two-tenant rows: 56 boundaries at seed 20260809. *)
+let two_group_floor = 50
+
 let fast () =
-  run_enumeration "standard" Workload.standard;
-  run_enumeration "standard-spec" (Workload.speculative_arm Workload.standard);
+  run_enumeration "standard" [ Workload.standard ];
+  run_enumeration "standard-spec" [ Workload.speculative_arm Workload.standard ];
   (let fb = Workload.fork_bomb () in
-   run_enumeration ~floor:fork_bomb_floor "fork-bomb" fb;
+   run_enumeration ~floor:fork_bomb_floor "fork-bomb" [ fb ];
    run_enumeration ~floor:fork_bomb_floor "fork-bomb-spec"
-     (Workload.speculative_arm fb));
+     [ Workload.speculative_arm fb ]);
   (let ring = Workload.shm_ring () in
-   run_enumeration ~floor:shm_ring_floor "shm-ring" ring;
+   run_enumeration ~floor:shm_ring_floor "shm-ring" [ ring ];
    run_enumeration ~floor:shm_ring_floor "shm-ring-spec"
-     (Workload.speculative_arm ring));
+     [ Workload.speculative_arm ring ]);
   (let a, b = pair_workloads ~seed:20260809 in
-   run_pair_enumeration "two-group" (a, b);
-   run_pair_enumeration "two-group-spec"
-     (Workload.speculative_arm a, Workload.speculative_arm b));
+   run_enumeration ~floor:two_group_floor "two-group" [ a; b ];
+   run_enumeration ~floor:two_group_floor "two-group-spec"
+     [ Workload.speculative_arm a; Workload.speculative_arm b ]);
   run_sweep "read-errors" ~seed:42 ~runs:4 (Injector.read_errors_profile 0.05);
   run_sweep "write-loss" ~seed:42 ~runs:4 (Injector.write_loss_profile 0.1)
 
 let deep seed =
-  run_enumeration "standard" Workload.standard;
-  run_enumeration "standard-spec" (Workload.speculative_arm Workload.standard);
+  run_enumeration "standard" [ Workload.standard ];
+  run_enumeration "standard-spec" [ Workload.speculative_arm Workload.standard ];
   for i = 0 to 2 do
     let fb = Workload.fork_bomb ~seed:(seed + i) ~epochs:7 () in
-    run_enumeration (Printf.sprintf "fork-bomb(seed=%d)" (seed + i)) fb;
+    run_enumeration (Printf.sprintf "fork-bomb(seed=%d)" (seed + i)) [ fb ];
     let ring = Workload.shm_ring ~seed:(seed + i) ~epochs:10 () in
-    run_enumeration (Printf.sprintf "shm-ring(seed=%d)" (seed + i)) ring;
+    run_enumeration (Printf.sprintf "shm-ring(seed=%d)" (seed + i)) [ ring ];
     run_enumeration
       (Printf.sprintf "shm-ring-spec(seed=%d)" (seed + i))
-      (Workload.speculative_arm ring)
+      [ Workload.speculative_arm ring ]
   done;
   for i = 0 to 2 do
     let rng = Rng.create (seed + i) in
     let ops = Workload.gen_ops rng ~n:10 ~max_oid:5 ~max_pages:12 in
-    run_enumeration (Printf.sprintf "random(seed=%d)" (seed + i)) ops;
+    run_enumeration (Printf.sprintf "random(seed=%d)" (seed + i)) [ ops ];
     run_enumeration
       (Printf.sprintf "random-spec(seed=%d)" (seed + i))
-      (Workload.speculative_arm ops)
+      [ Workload.speculative_arm ops ]
   done;
   run_sweep "read-errors" ~seed ~runs:25 (Injector.read_errors_profile 0.1);
   run_sweep "write-loss" ~seed ~runs:25 (Injector.write_loss_profile 0.15);

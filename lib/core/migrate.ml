@@ -27,20 +27,19 @@ let serialize_objects ~store ~epoch ~pages_of oids =
     oids;
   Bytes.to_string (Wire.contents w)
 
-let serialize ~store ~epoch =
-  serialize_objects ~store ~epoch
-    ~pages_of:(fun oid -> Store.read_pages store ~epoch ~oid)
-    (List.filter streamable (Store.objects_at store ~epoch))
-
 (* Page-granular deltas: an object appears if it is new, its metadata
    changed, or some of its pages moved — and only the moved pages are
    shipped (the receiver composes them onto the base it already holds).
    The store finds them from its copy-on-write leaf metadata
    ([Store.read_changed_pages]), so an object or leaf that [epoch] shares
-   with [base] costs no read at all. *)
+   with [base] costs no read at all.  Epoch 0 is the empty base: every
+   object is new, so the delta from it is the full checkpoint. *)
 let serialize_incremental ~store ~base ~epoch =
   let in_base = Hashtbl.create 64 in
-  List.iter (fun (oid, _) -> Hashtbl.replace in_base oid ()) (Store.objects_at store ~epoch:base);
+  if base <> 0 then
+    List.iter
+      (fun (oid, _) -> Hashtbl.replace in_base oid ())
+      (Store.objects_at store ~epoch:base);
   let deltas = Hashtbl.create 32 in
   let objects =
     List.filter
@@ -58,6 +57,8 @@ let serialize_incremental ~store ~base ~epoch =
       (List.filter streamable (Store.objects_at store ~epoch))
   in
   serialize_objects ~store ~epoch ~pages_of:(Hashtbl.find deltas) objects
+
+let serialize ~store ~epoch = serialize_incremental ~store ~base:0 ~epoch
 
 let stream_size s = String.length s
 

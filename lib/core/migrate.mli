@@ -8,7 +8,8 @@
     of dirty state). *)
 
 val serialize : store:Aurora_objstore.Store.t -> epoch:int -> string
-(** The full checkpoint as a portable stream. *)
+(** The full checkpoint as a portable stream: the delta from the empty
+    base, [serialize_incremental ~base:0]. *)
 
 val serialize_incremental :
   store:Aurora_objstore.Store.t -> base:int -> epoch:int -> string
@@ -20,7 +21,8 @@ val serialize_incremental :
     bytes changed, never a subset: a page rewritten with identical bytes
     at a new location ships again, one deduplicated onto its old location
     does not.  Composed onto [base], the stream yields [epoch]'s pages
-    and metadata exactly. *)
+    and metadata exactly.  [~base:0] names the empty base: every object
+    is new and the stream is the full checkpoint. *)
 
 val stream_size : string -> int
 

@@ -185,10 +185,7 @@ let manifest_of_epoch ~store ~epoch =
       | m -> Ok (moid, m))
 
 let build_frame ~store ~base ~epoch =
-  let stream =
-    if base = 0 then Migrate.serialize ~store ~epoch
-    else Migrate.serialize_incremental ~store ~base ~epoch
-  in
+  let stream = Migrate.serialize_incremental ~store ~base ~epoch in
   match manifest_of_epoch ~store ~epoch with
   | Error e -> Error e
   | Ok (moid, m) ->

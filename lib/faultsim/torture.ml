@@ -49,52 +49,85 @@ let observe store =
 
 (* Recording run ------------------------------------------------------------ *)
 
+(* [n] stores, each formatted on its own striped array, sharing one clock. *)
+let setup ~misorder n =
+  let clock = Clock.create () in
+  let devs = Array.init n (fun _ -> Striped.create ()) in
+  let stores = Array.map (fun dev -> Store.format ~dev ~clock) devs in
+  if misorder then Array.iter (fun s -> Store.set_torture_misorder s true) stores;
+  (clock, devs, stores)
+
+(* One fault handler on every array, so a submission index names a global
+   device-submission boundary across all tenants. *)
+let set_fault devs fault = Array.iter (fun dev -> Striped.set_fault dev fault) devs
+
+(* Round-robin merge of the tenants' workloads, tenant 0 first; a workload
+   that runs out drops out and the rest run on. *)
+let interleave workloads =
+  let rec rounds acc queues =
+    match List.filter (fun (_, ops) -> ops <> []) queues with
+    | [] -> List.rev acc
+    | queues ->
+        rounds
+          (List.fold_left (fun acc (s, ops) -> (s, List.hd ops) :: acc) acc queues)
+          (List.map (fun (s, ops) -> (s, List.tl ops)) queues)
+  in
+  rounds [] (List.mapi (fun s ops -> (s, ops)) workloads)
+
 type recording = {
-  rc_eps : string array; (* model epoch render after first k ops, k in 0..N *)
-  rc_jrn : string array; (* model journal render after first k ops *)
-  rc_guarantees : int array;
-      (* rc_guarantees.(k): crash at T >= it implies snapshot k is durable.
-         Running max of per-op durability times — Store.durable_at for
-         asynchronous checkpoints, the post-op clock for synchronous ops. *)
+  rc_eps : string array array;
+      (* rc_eps.(s).(k): tenant s's model epoch render after the first k ops *)
+  rc_jrn : string array array; (* the same for tenant s's journals *)
+  rc_guarantees : int array array;
+      (* rc_guarantees.(s).(k): crash at T >= it implies tenant s's snapshot
+         k is durable.  Running max of per-op durability times —
+         Store.durable_at for asynchronous checkpoints, the post-op clock for
+         synchronous ops. *)
   rc_timeline : (int, int) Hashtbl.t; (* submission index -> ack completion *)
   rc_submissions : int;
 }
 
-let record ?(misorder = false) ops =
+let record ~misorder ~tenants ops =
   let ops_a = Array.of_list ops in
   let n = Array.length ops_a in
-  let clock = Clock.create () in
-  let dev = Striped.create () in
-  let store = Store.format ~dev ~clock in
-  if misorder then Store.set_torture_misorder store true;
+  let clock, devs, stores = setup ~misorder tenants in
   (* The fault handler goes in after format: submission 1 is the first
      workload write, and the enumerator never crashes inside format. *)
   let fault, timeline = Injector.counting () in
-  Striped.set_fault dev (Some fault);
-  let runner = Workload.runner store in
-  let model = Model.create () in
-  let eps = Array.make (n + 1) "" in
-  let jrn = Array.make (n + 1) "" in
-  let gua = Array.make (n + 1) 0 in
-  let e0, j0 = Model.render_parts model in
-  eps.(0) <- e0;
-  jrn.(0) <- j0;
+  set_fault devs (Some fault);
+  let runners = Array.map Workload.runner stores in
+  let models = Array.init tenants (fun _ -> Model.create ()) in
+  let eps = Array.init tenants (fun _ -> Array.make (n + 1) "") in
+  let jrn = Array.init tenants (fun _ -> Array.make (n + 1) "") in
+  let gua = Array.init tenants (fun _ -> Array.make (n + 1) 0) in
   Array.iteri
-    (fun i op ->
-      Workload.run_op runner op;
-      Model.apply model op;
-      let e, j = Model.render_parts model in
-      eps.(i + 1) <- e;
-      jrn.(i + 1) <- j;
+    (fun s model ->
+      let e0, j0 = Model.render_parts model in
+      eps.(s).(0) <- e0;
+      jrn.(s).(0) <- j0)
+    models;
+  Array.iteri
+    (fun i (s, op) ->
+      (* The other tenants' state is untouched by this op. *)
+      for s' = 0 to tenants - 1 do
+        eps.(s').(i + 1) <- eps.(s').(i);
+        jrn.(s').(i + 1) <- jrn.(s').(i);
+        gua.(s').(i + 1) <- gua.(s').(i)
+      done;
+      Workload.run_op runners.(s) op;
+      Model.apply models.(s) op;
+      let e, j = Model.render_parts models.(s) in
+      eps.(s).(i + 1) <- e;
+      jrn.(s).(i + 1) <- j;
       let g_op =
         match op with
-        | Workload.Checkpoint _ -> Store.durable_at store
-        | Workload.Advance _ -> gua.(i)
+        | Workload.Checkpoint _ -> Store.durable_at stores.(s)
+        | Workload.Advance _ -> gua.(s).(i)
         | _ -> Clock.now clock
       in
-      gua.(i + 1) <- max gua.(i) g_op)
+      gua.(s).(i + 1) <- max gua.(s).(i) g_op)
     ops_a;
-  Striped.set_fault dev None;
+  set_fault devs None;
   {
     rc_eps = eps;
     rc_jrn = jrn;
@@ -103,30 +136,27 @@ let record ?(misorder = false) ops =
     rc_submissions = Fault.submissions fault;
   }
 
-(* Replay [ops] against a fresh store with a crash planted at global device
-   submission [stop]; returns the crashed device, the virtual time at which
+(* Replay [ops] against fresh stores with a crash planted at global device
+   submission [stop]; returns the crashed devices, the virtual time at which
    Crash_point fired (None if the workload completed first) and how many
    ops finished. *)
-let replay_to_crash ?(misorder = false) ops ~stop =
-  let clock = Clock.create () in
-  let dev = Striped.create () in
-  let store = Store.format ~dev ~clock in
-  if misorder then Store.set_torture_misorder store true;
-  Striped.set_fault dev (Some (Injector.crash_at ~index:stop));
-  let runner = Workload.runner store in
+let replay_to_crash ~misorder ~tenants ops ~stop =
+  let _clock, devs, stores = setup ~misorder tenants in
+  set_fault devs (Some (Injector.crash_at ~index:stop));
+  let runners = Array.map Workload.runner stores in
   let ops_done = ref 0 in
   let crash_now =
     try
       List.iter
-        (fun op ->
-          Workload.run_op runner op;
+        (fun (s, op) ->
+          Workload.run_op runners.(s) op;
           incr ops_done)
         ops;
       None
     with Fault.Crash_point { now; _ } -> Some now
   in
-  Striped.set_fault dev None;
-  (dev, crash_now, !ops_done)
+  set_fault devs None;
+  (devs, crash_now, !ops_done)
 
 (* Crash-point enumeration --------------------------------------------------- *)
 
@@ -155,19 +185,24 @@ let recover_observed dev ~crash_time =
   let store = Store.recover ~dev ~clock:rclock in
   observe_parts store
 
-(* One crash scenario: replay to [stop], cut durability at [crash_time],
-   recover, and demand the observation equals some model snapshot in the
-   window the durability guarantees allow.  Epochs and journals may match
-   different snapshots: checkpoint durability is asynchronous while journal
-   appends are synchronous, so the journals legitimately run ahead. *)
+(* One crash scenario: replay to [stop], cut every device at the same
+   durability horizon [crash_time], recover each tenant, and demand its
+   observation equal one of its own model snapshots in the window its
+   durability guarantees allow.  A crash planted mid-flush of one tenant
+   thus also checks the others: their recovery must land on a consistent
+   epoch whatever the cut did to the shared submission stream.  Epochs and
+   journals may match different snapshots: checkpoint durability is
+   asynchronous while journal appends are synchronous, so the journals
+   legitimately run ahead. *)
 let check_point rc ops ~misorder ~nops ~boundary ~mode ~stop ~time =
-  let dev, crash_now, ops_done = replay_to_crash ~misorder ops ~stop in
+  let tenants = Array.length rc.rc_eps in
+  let devs, crash_now, ops_done = replay_to_crash ~misorder ~tenants ops ~stop in
   let crash_time =
     match time with
     | `At_raise -> ( match crash_now with Some t -> t | None -> 0)
     | `Fixed t -> t
   in
-  Striped.crash dev ~now:crash_time;
+  Array.iter (fun dev -> Striped.crash dev ~now:crash_time) devs;
   (* An op interrupted mid-flight may have made its decisive write durable
      already (e.g. a truncate's generation bump), so the in-progress op's
      snapshot stays in the window. *)
@@ -176,58 +211,62 @@ let check_point rc ops ~misorder ~nops ~boundary ~mode ~stop ~time =
      bind only up to the last op that finished: the in-progress op's
      submissions were cut off, and [crash_time] can lie far past the cut
      (a crashed host whose device drained its queue). *)
-  let lb =
-    let glimit = match crash_now with Some _ -> ops_done | None -> nops in
-    let rec go best k =
-      if k > glimit then best
-      else if rc.rc_guarantees.(k) <= crash_time then go k (k + 1)
-      else best
-    in
-    go 0 0
-  in
-  match recover_observed dev ~crash_time with
-  | eobs, jobs ->
-      let find arr target =
-        let rec go k =
-          if k > ub then None else if arr.(k) = target then Some k else go (k + 1)
-        in
-        go lb
+  let glimit = match crash_now with Some _ -> ops_done | None -> nops in
+  let check_tenant s dev =
+    let fail detail =
+      let tenant =
+        if tenants = 1 then "" else Printf.sprintf "tenant %c: " (Char.chr (65 + s))
       in
-      let me = find rc.rc_eps eobs and mj = find rc.rc_jrn jobs in
-      if me <> None && mj <> None then None
-      else
-        let side name = function
-          | Some k -> Printf.sprintf "%s = snapshot %d" name k
-          | None -> Printf.sprintf "%s matches none" name
-        in
-        Some
-          {
-            f_boundary = boundary;
-            f_mode = mode;
-            f_crash_time = crash_time;
-            f_detail =
-              Printf.sprintf "no snapshot in [%d,%d] fits (%s; %s)" lb ub
-                (side "epochs" me) (side "journals" mj);
-          }
-  | exception exn ->
       Some
         {
           f_boundary = boundary;
           f_mode = mode;
           f_crash_time = crash_time;
-          f_detail = "recovery raised " ^ Printexc.to_string exn;
+          f_detail = tenant ^ detail;
         }
+    in
+    let lb =
+      let rec go best k =
+        if k > glimit then best
+        else if rc.rc_guarantees.(s).(k) <= crash_time then go k (k + 1)
+        else best
+      in
+      go 0 0
+    in
+    match recover_observed dev ~crash_time with
+    | eobs, jobs ->
+        let find arr target =
+          let rec go k =
+            if k > ub then None else if arr.(k) = target then Some k else go (k + 1)
+          in
+          go lb
+        in
+        let me = find rc.rc_eps.(s) eobs and mj = find rc.rc_jrn.(s) jobs in
+        if me <> None && mj <> None then None
+        else
+          let part name = function
+            | Some k -> Printf.sprintf "%s = snapshot %d" name k
+            | None -> Printf.sprintf "%s matches none" name
+          in
+          fail
+            (Printf.sprintf "no snapshot in [%d,%d] fits (%s; %s)" lb ub
+               (part "epochs" me) (part "journals" mj))
+    | exception exn -> fail ("recovery raised " ^ Printexc.to_string exn)
+  in
+  List.filter_map Fun.id (List.mapi check_tenant (Array.to_list devs))
 
-let enumerate ?(misorder = false) ops =
-  let rc = record ~misorder ops in
+let enumerate ?(misorder = false) workloads =
+  let ops = interleave workloads in
+  let rc = record ~misorder ~tenants:(List.length workloads) ops in
   let nops = List.length ops in
   let failures = ref [] in
   let points = ref 0 in
   let run ~boundary ~mode ~stop ~time =
     incr points;
-    match check_point rc ops ~misorder ~nops ~boundary ~mode ~stop ~time with
-    | None -> ()
-    | Some f -> failures := f :: !failures
+    failures :=
+      List.rev_append
+        (check_point rc ops ~misorder ~nops ~boundary ~mode ~stop ~time)
+        !failures
   in
   for k = 1 to rc.rc_submissions do
     let completion =
@@ -244,211 +283,6 @@ let enumerate ?(misorder = false) ops =
   done;
   {
     r_boundaries = rc.rc_submissions;
-    r_crash_points = !points;
-    r_failures = List.rev !failures;
-  }
-
-(* Two-group interleaved enumeration ----------------------------------------- *)
-
-type side = A | B
-
-let side_name = function A -> "A" | B -> "B"
-
-let interleave a b =
-  let rec zip acc xs ys =
-    match (xs, ys) with
-    | [], [] -> List.rev acc
-    | x :: xs', [] -> zip ((A, x) :: acc) xs' []
-    | [], y :: ys' -> zip ((B, y) :: acc) [] ys'
-    | x :: xs', y :: ys' -> zip ((B, y) :: (A, x) :: acc) xs' ys'
-  in
-  zip [] a b
-
-type pair_recording = {
-  pc_eps : string array array; (* side -> render after first k combined ops *)
-  pc_jrn : string array array;
-  pc_gua : int array array; (* per-side durability guarantees, combined index *)
-  pc_timeline : (int, int) Hashtbl.t;
-  pc_submissions : int;
-}
-
-let sidx = function A -> 0 | B -> 1
-
-(* Record the interleaved workload once: two stores on two striped arrays
-   sharing one clock and ONE counting fault handler, so a submission index
-   names a global boundary across both tenants' devices. *)
-let record_pair ops =
-  let ops_a = Array.of_list ops in
-  let n = Array.length ops_a in
-  let clock = Clock.create () in
-  let dev_a = Striped.create () and dev_b = Striped.create () in
-  let store_a = Store.format ~dev:dev_a ~clock in
-  let store_b = Store.format ~dev:dev_b ~clock in
-  let fault, timeline = Injector.counting () in
-  Striped.set_fault dev_a (Some fault);
-  Striped.set_fault dev_b (Some fault);
-  let runners = [| Workload.runner store_a; Workload.runner store_b |] in
-  let stores = [| store_a; store_b |] in
-  let models = [| Model.create (); Model.create () |] in
-  let eps = Array.init 2 (fun _ -> Array.make (n + 1) "") in
-  let jrn = Array.init 2 (fun _ -> Array.make (n + 1) "") in
-  let gua = Array.init 2 (fun _ -> Array.make (n + 1) 0) in
-  for s = 0 to 1 do
-    let e0, j0 = Model.render_parts models.(s) in
-    eps.(s).(0) <- e0;
-    jrn.(s).(0) <- j0
-  done;
-  Array.iteri
-    (fun i (side, op) ->
-      let s = sidx side in
-      Workload.run_op runners.(s) op;
-      Model.apply models.(s) op;
-      for s' = 0 to 1 do
-        if s' = s then begin
-          let e, j = Model.render_parts models.(s') in
-          eps.(s').(i + 1) <- e;
-          jrn.(s').(i + 1) <- j;
-          let g_op =
-            match op with
-            | Workload.Checkpoint _ -> Store.durable_at stores.(s')
-            | Workload.Advance _ -> gua.(s').(i)
-            | _ -> Clock.now clock
-          in
-          gua.(s').(i + 1) <- max gua.(s').(i) g_op
-        end
-        else begin
-          (* The other tenant's state is untouched by this op. *)
-          eps.(s').(i + 1) <- eps.(s').(i);
-          jrn.(s').(i + 1) <- jrn.(s').(i);
-          gua.(s').(i + 1) <- gua.(s').(i)
-        end
-      done)
-    ops_a;
-  Striped.set_fault dev_a None;
-  Striped.set_fault dev_b None;
-  {
-    pc_eps = eps;
-    pc_jrn = jrn;
-    pc_gua = gua;
-    pc_timeline = timeline;
-    pc_submissions = Fault.submissions fault;
-  }
-
-let replay_pair_to_crash ops ~stop =
-  let clock = Clock.create () in
-  let dev_a = Striped.create () and dev_b = Striped.create () in
-  let store_a = Store.format ~dev:dev_a ~clock in
-  let store_b = Store.format ~dev:dev_b ~clock in
-  let fault = Injector.crash_at ~index:stop in
-  Striped.set_fault dev_a (Some fault);
-  Striped.set_fault dev_b (Some fault);
-  let runners = [| Workload.runner store_a; Workload.runner store_b |] in
-  let ops_done = ref 0 in
-  let crash_now =
-    try
-      List.iter
-        (fun (side, op) ->
-          Workload.run_op runners.(sidx side) op;
-          incr ops_done)
-        ops;
-      None
-    with Fault.Crash_point { now; _ } -> Some now
-  in
-  Striped.set_fault dev_a None;
-  Striped.set_fault dev_b None;
-  ([| dev_a; dev_b |], crash_now, !ops_done)
-
-(* One pair crash scenario: the host crash cuts BOTH tenants' devices at
-   the same durability horizon; each tenant must then recover to one of
-   its own model snapshots inside its own durability window.  A crash
-   planted mid-flush of tenant A exercises exactly the cross-tenant
-   hazard: B's recovery runs against a device whose last writes were cut
-   by A's activity pattern, and must still land on a consistent epoch. *)
-let check_pair_point rc ops ~nops ~boundary ~mode ~stop ~time =
-  let devs, crash_now, ops_done = replay_pair_to_crash ops ~stop in
-  let crash_time =
-    match time with
-    | `At_raise -> ( match crash_now with Some t -> t | None -> 0)
-    | `Fixed t -> t
-  in
-  Array.iter (fun dev -> Striped.crash dev ~now:crash_time) devs;
-  let ub = match crash_now with Some _ -> min nops (ops_done + 1) | None -> nops in
-  let glimit = match crash_now with Some _ -> ops_done | None -> nops in
-  let check_side side =
-    let s = sidx side in
-    let lb =
-      let rec go best k =
-        if k > glimit then best
-        else if rc.pc_gua.(s).(k) <= crash_time then go k (k + 1)
-        else best
-      in
-      go 0 0
-    in
-    match recover_observed devs.(s) ~crash_time with
-    | eobs, jobs ->
-        let find arr target =
-          let rec go k =
-            if k > ub then None
-            else if arr.(k) = target then Some k
-            else go (k + 1)
-          in
-          go lb
-        in
-        let me = find rc.pc_eps.(s) eobs and mj = find rc.pc_jrn.(s) jobs in
-        if me <> None && mj <> None then None
-        else
-          let part name = function
-            | Some k -> Printf.sprintf "%s = snapshot %d" name k
-            | None -> Printf.sprintf "%s matches none" name
-          in
-          Some
-            {
-              f_boundary = boundary;
-              f_mode = mode;
-              f_crash_time = crash_time;
-              f_detail =
-                Printf.sprintf "tenant %s: no snapshot in [%d,%d] fits (%s; %s)"
-                  (side_name side) lb ub (part "epochs" me) (part "journals" mj);
-            }
-    | exception exn ->
-        Some
-          {
-            f_boundary = boundary;
-            f_mode = mode;
-            f_crash_time = crash_time;
-            f_detail =
-              Printf.sprintf "tenant %s: recovery raised %s" (side_name side)
-                (Printexc.to_string exn);
-          }
-  in
-  match (check_side A, check_side B) with
-  | None, None -> []
-  | fa, fb -> List.filter_map (fun x -> x) [ fa; fb ]
-
-let enumerate_pair ops_a ops_b =
-  let ops = interleave ops_a ops_b in
-  let rc = record_pair ops in
-  let nops = List.length ops in
-  let failures = ref [] in
-  let points = ref 0 in
-  let run ~boundary ~mode ~stop ~time =
-    incr points;
-    match check_pair_point rc ops ~nops ~boundary ~mode ~stop ~time with
-    | [] -> ()
-    | fs -> failures := List.rev_append fs !failures
-  in
-  for k = 1 to rc.pc_submissions do
-    let completion =
-      match Hashtbl.find_opt rc.pc_timeline k with
-      | Some c -> c
-      | None -> invalid_arg "Torture.enumerate_pair: missing timeline entry"
-    in
-    run ~boundary:k ~mode:"pre-submit" ~stop:k ~time:`At_raise;
-    run ~boundary:k ~mode:"pre-complete" ~stop:(k + 1) ~time:(`Fixed (completion - 1));
-    run ~boundary:k ~mode:"post-complete" ~stop:(k + 1) ~time:(`Fixed completion)
-  done;
-  {
-    r_boundaries = rc.pc_submissions;
     r_crash_points = !points;
     r_failures = List.rev !failures;
   }

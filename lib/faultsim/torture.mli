@@ -3,22 +3,31 @@
 
     {2 Enumeration}
 
-    {!enumerate} records a workload once against a fault-free store (with
-    the reference {!Model} applied op for op), noting every global
-    device-submission boundary and its acknowledged completion time.  It
-    then replays the workload from scratch for every boundary [k] under
-    three durability horizons — before submission [k] is issued
-    ([pre-submit]), after it is issued but one tick before it completes
-    ([pre-complete]), and exactly at its completion ([post-complete]) —
-    cuts the device there ([Striped.crash]), runs [Store.recover], and
-    demands the recovered state byte-match a model snapshot inside the
-    window the durability guarantees allow.  Epoch and journal state may
-    match different snapshots in that window: checkpoint durability is
-    asynchronous while journal appends are synchronous, so journals
-    legitimately run ahead of epochs.
+    {!enumerate} takes one workload per tenant.  Each tenant gets its own
+    store on its own striped array; all stores share one virtual clock and
+    ONE counting fault handler, so a submission index names a global
+    device-submission boundary across every tenant's devices.  The
+    workloads are interleaved round-robin (tenant 0 first, a workload that
+    runs out drops out) and recorded once fault-free, with each tenant's
+    reference {!Model} applied op for op, noting every boundary and its
+    acknowledged completion time.  The enumerator then replays the
+    interleaved workload from scratch for every boundary [k] under three
+    durability horizons — before submission [k] is issued ([pre-submit]),
+    after it is issued but one tick before it completes ([pre-complete]),
+    and exactly at its completion ([post-complete]) — cuts every device at
+    that horizon ([Striped.crash]), runs [Store.recover] per tenant, and
+    demands each recovered state byte-match one of that tenant's own model
+    snapshots inside the window its durability guarantees allow.  Epoch
+    and journal state may match different snapshots in that window:
+    checkpoint durability is asynchronous while journal appends are
+    synchronous, so journals legitimately run ahead of epochs.
+
+    A single store is the enumerator at one tenant.  With two or more, a
+    crash planted mid-flush of tenant A must never leave tenant B
+    unrecoverable; any such corruption shows up as a [tenant B] failure.
 
     Everything is deterministic: a failure names its boundary, mode and
-    crash time, and re-running the same workload reproduces it. *)
+    crash time, and re-running the same workloads reproduces it. *)
 
 val observe : Aurora_objstore.Store.t -> string
 (** Canonical render of the store's visible state (same format as
@@ -39,35 +48,14 @@ type report = {
 
 val pp_failure : failure -> string
 
-val enumerate : ?misorder:bool -> Workload.op list -> report
-(** Crash everywhere, recover everywhere, compare everywhere.  With
-    [~misorder:true] the store's deliberate metadata-before-data bug knob
+val enumerate : ?misorder:bool -> Workload.op list list -> report
+(** Crash everywhere, recover everywhere, compare everywhere.  With two or
+    more tenants, [f_detail] starts with the affected tenant ([tenant A:],
+    [tenant B:], ...).  With [~misorder:true] every store's deliberate
+    metadata-before-data bug knob
     ({!Aurora_objstore.Store.set_torture_misorder}) is switched on — the
     enumeration is then expected to return failures; that expectation is
     itself a test that the harness can catch ordering bugs. *)
-
-(** {2 Two-group interleaved enumeration}
-
-    The multi-tenant variant: two stores on two striped arrays share one
-    virtual clock and ONE counting fault handler, so a submission index
-    names a global device-submission boundary across both tenants.  The
-    two workloads are interleaved round-robin and each boundary is crashed
-    under the same three durability horizons; the host crash cuts both
-    devices at the same time, and each tenant's recovery must
-    independently land on one of its own model snapshots inside its own
-    durability window.  A crash planted mid-flush of tenant A must never
-    leave tenant B unrecoverable — any such corruption shows up as a
-    [tenant B] failure. *)
-
-type side = A | B
-
-val interleave : Workload.op list -> Workload.op list -> (side * Workload.op) list
-(** Round-robin merge (A first); the tail of the longer list runs out
-    solo. *)
-
-val enumerate_pair : Workload.op list -> Workload.op list -> report
-(** Enumerate every crash point of the interleaved two-tenant workload.
-    Failures carry the affected tenant in [f_detail]. *)
 
 (** {2 Randomized sweeps} *)
 

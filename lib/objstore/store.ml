@@ -997,37 +997,22 @@ let commit_checkpoint t =
   in
   (* Version records ride coalesced extents too: one vectored submission
      covers many objects' records. *)
-  let flush_records batch =
-    match batch with
-    | [] -> ()
-    | _ ->
-        let base, c =
-          write_extent t ~now
-            (Array.of_list
-               (List.map (fun (_, _, payload, nb) -> (payload, nb)) batch))
-        in
-        if c > !data_done then data_done := c;
-        ignore
-          (List.fold_left
-             (fun blkoff (oid, v, _, nb) ->
-               Hashtbl.replace new_table oid
-                 { v with v_block = base + blkoff; v_nblocks = nb };
-               blkoff + nb)
-             0 batch)
-  in
-  let rec batch_records acc nblocks = function
-    | [] -> flush_records (List.rev acc)
-    | (oid, v) :: rest ->
-        let payload = serialize_version ~oid ~epoch v in
-        let nb = blocks_of_len (Bytes.length payload) in
-        if nblocks > 0 && nblocks + nb > max_extent_blocks then begin
-          flush_records (List.rev acc);
-          batch_records [ (oid, v, payload, nb) ] nb rest
-        end
-        else batch_records ((oid, v, payload, nb) :: acc) (nblocks + nb) rest
-  in
   Otrace.with_span ~cat:"store" ~name:"commit.records" (fun () ->
-      batch_records [] 0 pending);
+      let pending = Array.of_list pending in
+      let items =
+        Array.map
+          (fun (oid, v) ->
+            let payload = serialize_version ~oid ~epoch v in
+            (payload, blocks_of_len (Bytes.length payload)))
+          pending
+      in
+      let c =
+        write_extents_chunked t ~now items (fun i blk ->
+            let oid, v = pending.(i) in
+            Hashtbl.replace new_table oid
+              { v with v_block = blk; v_nblocks = snd items.(i) })
+      in
+      if c > !data_done then data_done := c);
   (* Checkpoint record after all object data (write ordering). *)
   let table_list =
     Hashtbl.fold (fun oid v acc -> (oid, v) :: acc) new_table []

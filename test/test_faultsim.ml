@@ -13,7 +13,7 @@ module Torture = Aurora_faultsim.Torture
    workload — hundreds of crash points — and recovery matches the pure
    reference model at every one of them. *)
 let test_enumerate_standard () =
-  let r = Torture.enumerate Workload.standard in
+  let r = Torture.enumerate [ Workload.standard ] in
   List.iter
     (fun f -> Printf.printf "FAIL %s\n%!" (Torture.pp_failure f))
     r.Torture.r_failures;
@@ -34,7 +34,7 @@ let test_enumerate_standard () =
    the enumerator must still find recovery consistent at every device
    submission boundary (never a half-spliced image). *)
 let test_enumerate_speculative_arm () =
-  let r = Torture.enumerate (Workload.speculative_arm Workload.standard) in
+  let r = Torture.enumerate [ Workload.speculative_arm Workload.standard ] in
   List.iter
     (fun f -> Printf.printf "FAIL %s\n%!" (Torture.pp_failure f))
     r.Torture.r_failures;
@@ -48,12 +48,31 @@ let test_enumerate_speculative_arm () =
    superblock submitted before the checkpoint record completes — must be
    caught by the same enumeration. *)
 let test_enumerate_catches_misorder () =
-  let r = Torture.enumerate ~misorder:true Workload.standard in
+  let r = Torture.enumerate ~misorder:true [ Workload.standard ] in
   Alcotest.(check bool)
     (Printf.sprintf "metadata-before-data bug caught (%d failures)"
        (List.length r.Torture.r_failures))
     true
     (r.Torture.r_failures <> [])
+
+(* The same negative control with two tenants on one clock: every store's
+   misorder knob on, the workloads of torture_sweep's two-group row.  The
+   enumerator must still catch the bug and name the tenant it hit. *)
+let test_enumerate_two_tenants_catches_misorder () =
+  let gen s = Workload.gen_ops (Rng.create s) ~n:8 ~max_oid:4 ~max_pages:10 in
+  let seed = 20260809 in
+  let r = Torture.enumerate ~misorder:true [ gen seed; gen (seed lxor 0x5f5f) ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "misorder caught across tenants (%d failures, %d boundaries)"
+       (List.length r.Torture.r_failures) r.Torture.r_boundaries)
+    true
+    (r.Torture.r_failures <> []);
+  let names_tenant f =
+    let d = f.Torture.f_detail in
+    String.starts_with ~prefix:"tenant A:" d || String.starts_with ~prefix:"tenant B:" d
+  in
+  Alcotest.(check bool) "failures name their tenant" true
+    (List.exists names_tenant r.Torture.r_failures)
 
 (* The reference model shadows the live store op for op, not only after
    recovery. *)
@@ -152,7 +171,7 @@ let qcheck_tests =
    @torture gate). *)
 let test_fork_bomb_enumerates_clean () =
   let ops = Workload.fork_bomb () in
-  let r = Torture.enumerate ops in
+  let r = Torture.enumerate [ ops ] in
   List.iter
     (fun f -> Printf.printf "FAIL %s\n%!" (Torture.pp_failure f))
     r.Torture.r_failures;
@@ -161,13 +180,13 @@ let test_fork_bomb_enumerates_clean () =
     (Printf.sprintf "coverage floor (%d boundaries)" r.Torture.r_boundaries)
     true
     (r.Torture.r_boundaries >= 60);
-  let r' = Torture.enumerate (Workload.speculative_arm ops) in
+  let r' = Torture.enumerate [ Workload.speculative_arm ops ] in
   Alcotest.(check int) "speculative arm: no failures" 0
     (List.length r'.Torture.r_failures)
 
 let test_shm_ring_enumerates_clean () =
   let ops = Workload.shm_ring () in
-  let r = Torture.enumerate ops in
+  let r = Torture.enumerate [ ops ] in
   List.iter
     (fun f -> Printf.printf "FAIL %s\n%!" (Torture.pp_failure f))
     r.Torture.r_failures;
@@ -397,6 +416,8 @@ let () =
           Alcotest.test_case "speculative splice arm clean" `Quick
             test_enumerate_speculative_arm;
           Alcotest.test_case "catches misorder bug" `Quick test_enumerate_catches_misorder;
+          Alcotest.test_case "two tenants catch misorder bug" `Quick
+            test_enumerate_two_tenants_catches_misorder;
           Alcotest.test_case "fork-bomb profile clean" `Quick
             test_fork_bomb_enumerates_clean;
           Alcotest.test_case "shm-ring profile clean" `Quick
