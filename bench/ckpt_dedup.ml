@@ -18,10 +18,10 @@
    init: the family's COW copies mutate to byte-identical content, which
    only the content index can collapse across objects.
 
-   Emits BENCH_ckpt_dedup.json.
+   A full run writes BENCH_ckpt_dedup.json.
 
-     dune exec bench/ckpt_dedup.exe          # full sweep
-     dune exec bench/ckpt_dedup.exe smoke    # tiny CI pass (gated) *)
+     dune exec bench/main.exe -- ckpt-dedup          # full sweep
+     dune exec bench/main.exe -- ckpt-dedup smoke    # tiny CI pass (gated) *)
 
 module Clock = Aurora_sim.Clock
 module Syscall = Aurora_kern.Syscall
@@ -30,8 +30,6 @@ module Vm_space = Aurora_vm.Vm_space
 module Store = Aurora_objstore.Store
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
-module Text_table = Aurora_util.Text_table
-module Units = Aurora_util.Units
 
 let page = 4096
 
@@ -51,8 +49,6 @@ type sample = {
   base : side;
   dedup : side;
 }
-
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
 
 (* One run: [forked] of the [procs] members are COW children of member 0,
    forked after its arena is initialized; the rest own private arenas
@@ -117,12 +113,12 @@ let run_side ~procs ~npages ~fork_share ~ratio ~intervals ~dedup =
   done;
   let stats = List.map fst !samples in
   {
-    s_bytes = avg (List.map (fun s -> float_of_int s.Group.bytes_written) stats);
-    s_window_ns = avg (List.map (fun (_, w) -> float_of_int w) !samples);
-    s_pages = avg (List.map (fun s -> float_of_int s.Group.pages_flushed) stats);
+    s_bytes = Report.mean (List.map (fun s -> float_of_int s.Group.bytes_written) stats);
+    s_window_ns = Report.mean (List.map (fun (_, w) -> float_of_int w) !samples);
+    s_pages = Report.mean (List.map (fun s -> float_of_int s.Group.pages_flushed) stats);
     s_serialized =
-      avg (List.map (fun s -> float_of_int s.Group.pages_serialized) stats);
-    s_deduped = avg (List.map (fun s -> float_of_int s.Group.pages_deduped) stats);
+      Report.mean (List.map (fun s -> float_of_int s.Group.pages_serialized) stats);
+    s_deduped = Report.mean (List.map (fun s -> float_of_int s.Group.pages_deduped) stats);
   }
 
 let measure ~procs ~npages ~fork_share ~ratio ~intervals =
@@ -130,119 +126,64 @@ let measure ~procs ~npages ~fork_share ~ratio ~intervals =
   let dedup = run_side ~procs ~npages ~fork_share ~ratio ~intervals ~dedup:true in
   { procs; npages; fork_share; ratio; base; dedup }
 
-let json_of_samples samples =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"bench\": \"ckpt_dedup\",\n  \"configs\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"procs\": %d, \"npages\": %d, \"fork_share\": %.2f, \
-            \"mutation_ratio\": %.4f, \"baseline\": {\"bytes_per_ckpt\": %.0f, \
-            \"window_ns\": %.0f, \"pages\": %.1f}, \"dedup\": \
-            {\"bytes_per_ckpt\": %.0f, \"window_ns\": %.0f, \"pages\": %.1f, \
-            \"pages_serialized\": %.1f, \"pages_deduped\": %.1f}, \
-            \"bytes_reduction\": %.2f, \"window_speedup\": %.2f}"
-           s.procs s.npages s.fork_share s.ratio s.base.s_bytes
-           s.base.s_window_ns s.base.s_pages s.dedup.s_bytes
-           s.dedup.s_window_ns s.dedup.s_pages s.dedup.s_serialized
-           s.dedup.s_deduped
-           (s.base.s_bytes /. Float.max 1.0 s.dedup.s_bytes)
-           (s.base.s_window_ns /. Float.max 1.0 s.dedup.s_window_ns)))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+let reduction s = s.base.s_bytes /. Float.max 1.0 s.dedup.s_bytes
+let speedup s = s.base.s_window_ns /. Float.max 1.0 s.dedup.s_window_ns
 
-let run ~configs ~intervals =
+let columns : sample Report.column list =
+  Report.
+    [
+      ("procs", "procs", fun s -> Count s.procs);
+      ("pages", "npages", fun s -> Count s.npages);
+      ("forked", "fork_share", fun s -> Percent s.fork_share);
+      ("mutation", "mutation_ratio", fun s -> Percent s.ratio);
+      ("base bytes", "baseline_bytes_per_ckpt", fun s -> Bytes s.base.s_bytes);
+      ("dedup bytes", "dedup_bytes_per_ckpt", fun s -> Bytes s.dedup.s_bytes);
+      ("reduction", "bytes_reduction", fun s -> Num (2, reduction s));
+      ("base window", "baseline_window_ns", fun s -> Ns s.base.s_window_ns);
+      ("dedup window", "dedup_window_ns", fun s -> Ns s.dedup.s_window_ns);
+      ("speedup", "window_speedup", fun s -> Num (2, speedup s));
+      ("base pages", "baseline_pages", fun s -> Num (1, s.base.s_pages));
+      ("dedup pages", "dedup_pages", fun s -> Num (1, s.dedup.s_pages));
+      ("serialized", "dedup_pages_serialized", fun s -> Num (1, s.dedup.s_serialized));
+      ("deduped", "dedup_pages_deduped", fun s -> Num (1, s.dedup.s_deduped));
+    ]
+
+(* Acceptance gate: at 1% mutation the dedup+compress flush must write
+   >= 5x fewer device bytes than the block-per-page baseline and shrink
+   the flush window. *)
+let gates samples =
+  match List.filter (fun s -> s.ratio <= 0.011) samples with
+  | [] -> []
+  | low ->
+      let worst f = Report.worst f low in
+      Report.gates "ckpt-dedup"
+        [
+          ("1% bytes reduction", Num (2, worst reduction), ">= 5", worst reduction >= 5.0);
+          ("1% window speedup", Num (2, worst speedup), "> 1", worst speedup > 1.0);
+        ]
+
+let run mode =
+  let configs, intervals =
+    match mode with
+    | Report.Smoke -> ([ (3, 2048, 0.5, 0.01); (3, 2048, 0.5, 0.25) ], 3)
+    | Full ->
+        ( List.concat_map
+            (fun share -> List.map (fun ratio -> (4, 4096, share, ratio)) [ 0.01; 0.10; 0.50 ])
+            [ 0.0; 0.5 ]
+          @ [ (8, 4096, 0.75, 0.01); (8, 4096, 0.75, 0.10) ],
+          5 )
+    | _ -> raise Report.Usage
+  in
   print_endline "ckpt-dedup: page-granular dedup + compression, bytes per checkpoint";
   print_endline
     "  (paired runs: block-per-page baseline vs content index + RLE + packed \
      extents)";
   print_newline ();
-  let table =
-    Text_table.create
-      ~header:
-        [
-          "procs";
-          "pages";
-          "forked";
-          "mutation";
-          "base bytes";
-          "dedup bytes";
-          "reduction";
-          "base window";
-          "dedup window";
-          "speedup";
-          "ser/dedup";
-        ]
-  in
   let samples =
     List.map
       (fun (procs, npages, fork_share, ratio) ->
         measure ~procs ~npages ~fork_share ~ratio ~intervals)
       configs
   in
-  List.iter
-    (fun s ->
-      Text_table.add_row table
-        [
-          string_of_int s.procs;
-          string_of_int s.npages;
-          Printf.sprintf "%.0f%%" (s.fork_share *. 100.0);
-          Printf.sprintf "%.0f%%" (s.ratio *. 100.0);
-          Units.bytes_to_string (int_of_float s.base.s_bytes);
-          Units.bytes_to_string (int_of_float s.dedup.s_bytes);
-          Printf.sprintf "%.1fx" (s.base.s_bytes /. Float.max 1.0 s.dedup.s_bytes);
-          Units.ns_to_string (int_of_float s.base.s_window_ns);
-          Units.ns_to_string (int_of_float s.dedup.s_window_ns);
-          Printf.sprintf "%.1fx"
-            (s.base.s_window_ns /. Float.max 1.0 s.dedup.s_window_ns);
-          Printf.sprintf "%.1f/%.1f" s.dedup.s_serialized s.dedup.s_deduped;
-        ])
-    samples;
-  Text_table.print table;
-  print_newline ();
-  let out = open_out "BENCH_ckpt_dedup.json" in
-  output_string out (json_of_samples samples);
-  close_out out;
-  print_endline "wrote BENCH_ckpt_dedup.json";
-  (* Acceptance gate: at 1% mutation the dedup+compress flush must write
-     >= 5x fewer device bytes than the block-per-page baseline and shrink
-     the flush window. *)
-  let gated = List.filter (fun s -> s.ratio <= 0.011) samples in
-  List.iter
-    (fun s ->
-      let reduction = s.base.s_bytes /. Float.max 1.0 s.dedup.s_bytes in
-      let speedup = s.base.s_window_ns /. Float.max 1.0 s.dedup.s_window_ns in
-      if reduction < 5.0 || speedup <= 1.0 then begin
-        Printf.eprintf
-          "ckpt-dedup: FAIL: 1%%-mutation bytes reduction %.1fx (need >= 5x), \
-           window speedup %.2fx (need > 1x)\n"
-          reduction speedup;
-        exit 1
-      end)
-    gated;
-  if gated <> [] then
-    print_endline
-      "acceptance: >= 5x bytes-written reduction and a shorter flush window at \
-       1% mutation"
-
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
-      run ~configs:[ (3, 2048, 0.5, 0.01); (3, 2048, 0.5, 0.25) ] ~intervals:3
-  | _ ->
-      run
-        ~configs:
-          [
-            (4, 4096, 0.0, 0.01);
-            (4, 4096, 0.0, 0.10);
-            (4, 4096, 0.0, 0.50);
-            (4, 4096, 0.5, 0.01);
-            (4, 4096, 0.5, 0.10);
-            (4, 4096, 0.5, 0.50);
-            (8, 4096, 0.75, 0.01);
-            (8, 4096, 0.75, 0.10);
-          ]
-        ~intervals:5
+  Report.emit mode ~bench:"ckpt_dedup" ~file:"BENCH_ckpt_dedup.json" columns samples;
+  gates samples

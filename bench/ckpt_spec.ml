@@ -20,10 +20,10 @@
    one with no intervening ops must hold identical objects, metadata and
    page checksums.
 
-   Emits BENCH_ckpt_spec.json.
+   A full run writes BENCH_ckpt_spec.json.
 
-     dune exec bench/ckpt_spec.exe          # full sweep
-     dune exec bench/ckpt_spec.exe smoke    # tiny CI pass (>= 5x gate) *)
+     dune exec bench/main.exe -- ckpt-spec          # full sweep
+     dune exec bench/main.exe -- ckpt-spec smoke    # tiny CI pass (gated) *)
 
 module Clock = Aurora_sim.Clock
 module Process = Aurora_kern.Process
@@ -35,8 +35,6 @@ module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
 module Memcached = Aurora_apps.Memcached_sim
 module Mutilate = Aurora_workloads.Mutilate
-module Text_table = Aurora_util.Text_table
-module Units = Aurora_util.Units
 
 type side = {
   s_stop_ns : float;
@@ -51,8 +49,7 @@ type side = {
 
 type sample = { conns : int; npages : int; rate : float; stw : side; spec : side }
 
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
-let avgi f stats = avg (List.map (fun s -> float_of_int (f s)) stats)
+let avgi f stats = Report.mean (List.map (fun s -> float_of_int (f s)) stats)
 
 let serve mc mut =
   match Mutilate.next mut with
@@ -165,34 +162,50 @@ let identity_check ~conns ~nkeys =
                = Store.page_crcs store ~epoch:e2 ~oid)
        objs2
 
-let json_of_samples samples ~identity =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"bench\": \"ckpt_spec\",\n  \"byte_identity\": %b,\n  \"configs\": [\n"
-       identity);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"conns\": %d, \"npages\": %d, \"mutation_rate\": %.4f, \
-            \"stw\": {\"stop_ns\": %.0f, \"quiesce_ns\": %.0f, \
-            \"serialize_ns\": %.0f}, \"spec\": {\"stop_ns\": %.0f, \
-            \"quiesce_ns\": %.0f, \"speculate_ns\": %.0f, \"validate_ns\": \
-            %.0f, \"spare_core_ns\": %.0f, \"conflict_objects\": %.1f, \
-            \"conflict_pages\": %.1f, \"hook_ops_per_ckpt\": %.1f}, \
-            \"stop_reduction\": %.2f}"
-           s.conns s.npages s.rate s.stw.s_stop_ns s.stw.s_quiesce_ns
-           s.stw.s_serialize_ns s.spec.s_stop_ns s.spec.s_quiesce_ns
-           s.spec.s_speculate_ns s.spec.s_validate_ns s.spec.s_serialize_ns
-           s.spec.s_conflict_objects s.spec.s_conflict_pages s.spec.s_hook_ops
-           (s.stw.s_stop_ns /. Float.max 1.0 s.spec.s_stop_ns)))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+let reduction s = s.stw.s_stop_ns /. Float.max 1.0 s.spec.s_stop_ns
 
-let run ~configs ~intervals =
+let columns : sample Report.column list =
+  Report.
+    [
+      ("conns", "conns", fun s -> Count s.conns);
+      ("pages", "npages", fun s -> Count s.npages);
+      ("mutation", "mutation_rate", fun s -> Percent s.rate);
+      ("stw stop", "stw_stop_ns", fun s -> Ns s.stw.s_stop_ns);
+      ("stw quiesce", "stw_quiesce_ns", fun s -> Ns s.stw.s_quiesce_ns);
+      ("stw serialize", "stw_serialize_ns", fun s -> Ns s.stw.s_serialize_ns);
+      ("spec stop", "spec_stop_ns", fun s -> Ns s.spec.s_stop_ns);
+      ("spec quiesce", "spec_quiesce_ns", fun s -> Ns s.spec.s_quiesce_ns);
+      ("speculate", "spec_speculate_ns", fun s -> Ns s.spec.s_speculate_ns);
+      ("validate", "spec_validate_ns", fun s -> Ns s.spec.s_validate_ns);
+      ("spare core", "spec_spare_core_ns", fun s -> Ns s.spec.s_serialize_ns);
+      ("conflict obj", "spec_conflict_objects", fun s -> Num (1, s.spec.s_conflict_objects));
+      ("conflict pg", "spec_conflict_pages", fun s -> Num (1, s.spec.s_conflict_pages));
+      ("ops-in-ckpt", "spec_hook_ops_per_ckpt", fun s -> Num (1, s.spec.s_hook_ops));
+      ("reduction", "stop_reduction", fun s -> Num (2, reduction s));
+    ]
+
+(* Acceptance gate: at <= 1% mutation the speculative stop window must
+   be >= 5x shorter than stop-the-world, and the speculative image must
+   be byte-identical to a forced-full one. *)
+let gates samples ~identity =
+  let identity = ("byte identity vs forced-full", Report.Bool identity, "true", identity) in
+  match List.filter (fun s -> s.rate <= 0.011) samples with
+  | [] -> Report.gates "ckpt-spec" [ identity ]
+  | low ->
+      let worst = Report.worst reduction low in
+      Report.gates "ckpt-spec"
+        [ identity; ("1% stop reduction", Num (2, worst), ">= 5", worst >= 5.0) ]
+
+let run mode =
+  let configs, intervals =
+    match mode with
+    | Report.Smoke -> ([ (384, 8192, 0.01); (384, 8192, 0.10) ], 4)
+    | Full ->
+        ( List.map (fun rate -> (384, 16384, rate)) [ 0.01; 0.05; 0.10; 0.25 ]
+          @ List.map (fun rate -> (512, 16384, rate)) [ 0.01; 0.05 ],
+          8 )
+    | _ -> raise Report.Usage
+  in
   print_endline
     "ckpt-spec: speculative soft-quiesce vs stop-the-world, 100 Hz stop window";
   print_endline
@@ -204,85 +217,9 @@ let run ~configs ~intervals =
       (fun (conns, nkeys, rate) -> measure ~conns ~nkeys ~rate ~intervals)
       configs
   in
-  let table =
-    Text_table.create
-      ~header:
-        [
-          "conns";
-          "pages";
-          "mutation";
-          "stw stop";
-          "spec stop";
-          "reduction";
-          "speculate";
-          "validate";
-          "conflicts";
-          "ops-in-ckpt";
-        ]
-  in
-  List.iter
-    (fun s ->
-      Text_table.add_row table
-        [
-          string_of_int s.conns;
-          string_of_int s.npages;
-          Printf.sprintf "%.0f%%" (s.rate *. 100.0);
-          Units.ns_to_string (int_of_float s.stw.s_stop_ns);
-          Units.ns_to_string (int_of_float s.spec.s_stop_ns);
-          Printf.sprintf "%.1fx" (s.stw.s_stop_ns /. Float.max 1.0 s.spec.s_stop_ns);
-          Units.ns_to_string (int_of_float s.spec.s_speculate_ns);
-          Units.ns_to_string (int_of_float s.spec.s_validate_ns);
-          Printf.sprintf "%.1f obj/%.1f pg" s.spec.s_conflict_objects
-            s.spec.s_conflict_pages;
-          Printf.sprintf "%.1f" s.spec.s_hook_ops;
-        ])
-    samples;
-  Text_table.print table;
-  print_newline ();
   let conns, nkeys, _ = List.hd configs in
   let identity = identity_check ~conns:(min conns 16) ~nkeys in
-  Printf.printf "byte-identity (speculative vs forced-full): %s\n"
-    (if identity then "OK" else "MISMATCH");
-  let out = open_out "BENCH_ckpt_spec.json" in
-  output_string out (json_of_samples samples ~identity);
-  close_out out;
-  print_endline "wrote BENCH_ckpt_spec.json";
-  (* Acceptance gate: at <= 1% mutation the speculative stop window must
-     be >= 5x shorter than stop-the-world, and the speculative image must
-     be byte-identical to a forced-full one. *)
-  if not identity then begin
-    prerr_endline "ckpt-spec: FAIL: speculative epoch differs from forced-full";
-    exit 1
-  end;
-  List.iter
-    (fun s ->
-      if s.rate <= 0.011 then begin
-        let reduction = s.stw.s_stop_ns /. Float.max 1.0 s.spec.s_stop_ns in
-        if reduction < 5.0 then begin
-          Printf.eprintf
-            "ckpt-spec: FAIL: 1%%-mutation stop_ns reduction %.2fx (need >= 5x)\n"
-            reduction;
-          exit 1
-        end
-      end)
-    samples;
-  print_endline
-    "acceptance: >= 5x stop-window reduction at 1% mutation, byte-identical \
-     image"
-
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
-      run ~configs:[ (384, 8192, 0.01); (384, 8192, 0.10) ] ~intervals:4
-  | _ ->
-      run
-        ~configs:
-          [
-            (384, 16384, 0.01);
-            (384, 16384, 0.05);
-            (384, 16384, 0.10);
-            (384, 16384, 0.25);
-            (512, 16384, 0.01);
-            (512, 16384, 0.05);
-          ]
-        ~intervals:8
+  Report.emit mode ~bench:"ckpt_spec" ~file:"BENCH_ckpt_spec.json"
+    ~extra:[ ("byte_identity", Bool identity) ]
+    columns samples;
+  gates samples ~identity

@@ -9,16 +9,14 @@
    identical state — the full-reserialize baseline the paper's system
    shadowing always pays for OS state.
 
-   Emits BENCH_ckpt_steady.json next to the binary's working directory.
+   A full run writes BENCH_ckpt_steady.json to the working directory.
 
-     dune exec bench/ckpt_steady.exe          # full sweep
-     dune exec bench/ckpt_steady.exe smoke    # tiny CI pass *)
+     dune exec bench/main.exe -- ckpt-steady          # full sweep
+     dune exec bench/main.exe -- ckpt-steady smoke    # tiny CI pass (gated) *)
 
 module Syscall = Aurora_kern.Syscall
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
-module Text_table = Aurora_util.Text_table
-module Units = Aurora_util.Units
 
 type sample = {
   procs : int;
@@ -32,8 +30,6 @@ type sample = {
   full_serialize_ns : float;
   full_meta_bytes : float;
 }
-
-let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
 
 (* One configuration: G procs, each with [pipes_per_proc] pipe pairs and a
    one-page arena.  OS objects per proc: the proc, 2 descriptions and 1
@@ -70,7 +66,7 @@ let measure ~procs:g ~pipes_per_proc:pp ~ratio ~intervals =
     (* Identical state, full reserialization: the baseline. *)
     full := Group.checkpoint ~full:true group :: !full
   done;
-  let f sel l = avg (List.map sel l) in
+  let f sel l = Report.mean (List.map sel l) in
   {
     procs = g;
     objects;
@@ -84,120 +80,62 @@ let measure ~procs:g ~pipes_per_proc:pp ~ratio ~intervals =
     full_meta_bytes = f (fun s -> float_of_int s.Group.meta_bytes_written) !full;
   }
 
-let json_of_samples samples =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"bench\": \"ckpt_steady\",\n  \"configs\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"procs\": %d, \"objects\": %d, \"mutation_ratio\": %.4f, \
-            \"pipes_dirtied\": %d, \"incremental\": {\"serialize_ns\": %.1f, \
-            \"meta_bytes\": %.1f, \"objects_serialized\": %.2f, \
-            \"objects_skipped\": %.2f}, \"full\": {\"serialize_ns\": %.1f, \
-            \"meta_bytes\": %.1f}, \"serialize_speedup\": %.2f, \
-            \"meta_reduction\": %.2f}"
-           s.procs s.objects s.ratio s.pipes_dirtied s.inc_serialize_ns
-           s.inc_meta_bytes s.inc_serialized s.inc_skipped s.full_serialize_ns
-           s.full_meta_bytes
-           (s.full_serialize_ns /. Float.max 1.0 s.inc_serialize_ns)
-           (s.full_meta_bytes /. Float.max 1.0 s.inc_meta_bytes)))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+let speedup s = s.full_serialize_ns /. Float.max 1.0 s.inc_serialize_ns
+let reduction s = s.full_meta_bytes /. Float.max 1.0 s.inc_meta_bytes
 
-let run ~configs ~intervals =
+let columns : sample Report.column list =
+  Report.
+    [
+      ("procs", "procs", fun s -> Count s.procs);
+      ("objects", "objects", fun s -> Count s.objects);
+      ("mutation", "mutation_ratio", fun s -> Percent s.ratio);
+      ("dirtied", "pipes_dirtied", fun s -> Count s.pipes_dirtied);
+      ("inc serialize", "incremental_serialize_ns", fun s -> Ns s.inc_serialize_ns);
+      ("full serialize", "full_serialize_ns", fun s -> Ns s.full_serialize_ns);
+      ("speedup", "serialize_speedup", fun s -> Num (2, speedup s));
+      ("inc meta B", "incremental_meta_bytes", fun s -> Num (1, s.inc_meta_bytes));
+      ("full meta B", "full_meta_bytes", fun s -> Num (1, s.full_meta_bytes));
+      ("reduction", "meta_reduction", fun s -> Num (2, reduction s));
+      ("ser", "incremental_objects_serialized", fun s -> Num (2, s.inc_serialized));
+      ("skip", "incremental_objects_skipped", fun s -> Num (2, s.inc_skipped));
+    ]
+
+(* Acceptance gate: at the lowest mutation ratio the incremental pass
+   must beat full reserialization by >= 10x on both serialize time and
+   staged meta bytes. *)
+let gates samples =
+  match List.filter (fun s -> s.ratio <= 0.011) samples with
+  | [] -> []
+  | low ->
+      let worst f = Report.worst f low in
+      Report.gates "ckpt-steady"
+        [
+          ("1% serialize speedup", Num (2, worst speedup), ">= 10", worst speedup >= 10.0);
+          ("1% meta reduction", Num (2, worst reduction), ">= 10", worst reduction >= 10.0);
+        ]
+
+let run mode =
+  let configs, intervals =
+    match mode with
+    (* Tiny CI pass; still crosses the 10x gate at the ~1% point. *)
+    | Report.Smoke -> ([ (8, 5, 0.01); (8, 5, 0.25) ], 3)
+    | Full ->
+        ( List.concat_map
+            (fun g -> List.map (fun ratio -> (g, 4, ratio)) [ 0.01; 0.10; 0.50 ])
+            [ 4; 16; 64 ]
+          @ [ (64, 4, 1.00) ],
+          8 )
+    | _ -> raise Report.Usage
+  in
   print_endline "ckpt-steady: steady-state incremental checkpoint cost";
   print_endline
     "  (paired intervals: incremental pass vs ~full:true reserialization of \
      the same state)";
   print_newline ();
-  let table =
-    Text_table.create
-      ~header:
-        [
-          "procs";
-          "objects";
-          "mutation";
-          "inc serialize";
-          "full serialize";
-          "speedup";
-          "inc meta";
-          "full meta";
-          "reduction";
-          "ser/skip";
-        ]
-  in
   let samples =
     List.map
       (fun (g, pp, ratio) -> measure ~procs:g ~pipes_per_proc:pp ~ratio ~intervals)
       configs
   in
-  List.iter
-    (fun s ->
-      Text_table.add_row table
-        [
-          string_of_int s.procs;
-          string_of_int s.objects;
-          Printf.sprintf "%.0f%%" (s.ratio *. 100.0);
-          Units.ns_to_string (int_of_float s.inc_serialize_ns);
-          Units.ns_to_string (int_of_float s.full_serialize_ns);
-          Printf.sprintf "%.1fx" (s.full_serialize_ns /. Float.max 1.0 s.inc_serialize_ns);
-          Printf.sprintf "%.0f B" s.inc_meta_bytes;
-          Printf.sprintf "%.0f B" s.full_meta_bytes;
-          Printf.sprintf "%.1fx" (s.full_meta_bytes /. Float.max 1.0 s.inc_meta_bytes);
-          Printf.sprintf "%.1f/%.1f" s.inc_serialized s.inc_skipped;
-        ])
-    samples;
-  Text_table.print table;
-  print_newline ();
-  let out = open_out "BENCH_ckpt_steady.json" in
-  output_string out (json_of_samples samples);
-  close_out out;
-  print_endline "wrote BENCH_ckpt_steady.json";
-  (* Acceptance gate: at the lowest mutation ratio the incremental pass
-     must beat full reserialization by >= 10x on both serialize time and
-     staged meta bytes. *)
-  let worst =
-    List.filter (fun s -> s.ratio <= 0.011) samples
-    |> List.map (fun s ->
-           ( s.full_serialize_ns /. Float.max 1.0 s.inc_serialize_ns,
-             s.full_meta_bytes /. Float.max 1.0 s.inc_meta_bytes ))
-  in
-  List.iter
-    (fun (speedup, reduction) ->
-      if speedup < 10.0 || reduction < 10.0 then begin
-        Printf.eprintf
-          "ckpt-steady: FAIL: 1%% mutation speedup %.1fx / meta reduction %.1fx \
-           (need >= 10x)\n"
-          speedup reduction;
-        exit 1
-      end)
-    worst;
-  if worst <> [] then
-    print_endline "acceptance: >= 10x serialize and meta reduction at 1% mutation"
-
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
-      (* Tiny CI pass; still crosses the 10x gate at the ~1% point. *)
-      run
-        ~configs:[ (8, 5, 0.01); (8, 5, 0.25) ]
-        ~intervals:3
-  | _ ->
-      run
-        ~configs:
-          [
-            (4, 4, 0.01);
-            (4, 4, 0.10);
-            (4, 4, 0.50);
-            (16, 4, 0.01);
-            (16, 4, 0.10);
-            (16, 4, 0.50);
-            (64, 4, 0.01);
-            (64, 4, 0.10);
-            (64, 4, 0.50);
-            (64, 4, 1.00);
-          ]
-        ~intervals:8
+  Report.emit mode ~bench:"ckpt_steady" ~file:"BENCH_ckpt_steady.json" columns samples;
+  gates samples

@@ -5,34 +5,24 @@
    traffic drained through the shared bandwidth arbiter with staggered
    TDM windows — and runs the fleet scheduler for a fixed number of
    periods.  Reported per cell: aggregate checkpoint throughput, the
-   worst per-tenant p99 stop time against the identical tenant run alone
-   on a private store at the same period, the Jain fairness index over
+   worst per-tenant p99 stop time against the identical tenant run as a
+   one-tenant fleet at the same period, the Jain fairness index over
    per-tenant flushed bytes, flush-span collisions between distinct
    tenants, and the admission-control delay/reject counts.
 
-   Emits BENCH_fleet.json.
+   A full run writes BENCH_fleet.json.
 
-     dune exec bench/fleet.exe          # full sweep (up to 128 groups)
-     dune exec bench/fleet.exe smoke    # tiny CI pass *)
+     dune exec bench/main.exe -- fleet          # full sweep (up to 128 groups)
+     dune exec bench/main.exe -- fleet smoke    # tiny CI pass (gated) *)
 
 module Fleet = Aurora_core.Fleet
-module Text_table = Aurora_util.Text_table
-module Units = Aurora_util.Units
 
 type sample = {
   groups : int;
   period_ns : int;
   ratio : float;
-  epochs : int;
-  throughput : float; (* checkpoint epochs per virtual second, aggregate *)
-  bytes_per_s : float;
-  p99_stop_ns : float; (* worst tenant's p99 stop time *)
-  solo_p99_ns : float; (* same spec, same period, alone on a private store *)
-  jain : float;
-  collisions : int;
-  delayed : int;
-  rejected : int;
-  accounting_ok : bool;
+  r : Fleet.report;
+  solo_p99_ns : float; (* same spec, same period, as a one-tenant fleet *)
 }
 
 let spec_of ~ratio i =
@@ -48,82 +38,86 @@ let measure ~groups ~period_ns ~ratio ~periods =
   let f = Fleet.create ~period_ns specs in
   Fleet.run_for f ~duration:(periods * period_ns);
   let r = Fleet.report f in
-  let solo = Fleet.solo ~period_ns (List.hd specs) in
-  Fleet.solo_run_for solo ~duration:(periods * period_ns);
-  let solo_p99 = Fleet.solo_stop_p99 solo in
-  let worst_p99 =
-    List.fold_left
-      (fun acc tr -> Float.max acc tr.Fleet.tr_stop_p99)
-      0.0 r.Fleet.r_tenants
-  in
-  let sum sel = List.fold_left (fun acc tr -> acc + sel tr) 0 r.Fleet.r_tenants in
-  {
-    groups;
-    period_ns;
-    ratio;
-    epochs = r.Fleet.r_epochs;
-    throughput = r.Fleet.r_ckpt_throughput;
-    bytes_per_s = r.Fleet.r_bytes_per_s;
-    p99_stop_ns = worst_p99;
-    solo_p99_ns = solo_p99;
-    jain = r.Fleet.r_jain;
-    collisions = r.Fleet.r_collisions;
-    delayed = sum (fun tr -> tr.Fleet.tr_delayed);
-    rejected = sum (fun tr -> tr.Fleet.tr_rejected);
-    accounting_ok = r.Fleet.r_accounting_ok;
-  }
+  (* The baseline: the same tenant as a one-tenant fleet, alone on its
+     store and the flush lane. *)
+  let solo = Fleet.create ~period_ns [ List.hd specs ] in
+  Fleet.run_for solo ~duration:(periods * period_ns);
+  let solo_p99_ns = (List.hd (Fleet.report solo).Fleet.r_tenants).Fleet.tr_stop_p99 in
+  { groups; period_ns; ratio; r; solo_p99_ns }
 
-let slowdown s = s.p99_stop_ns /. Float.max 1.0 s.solo_p99_ns
+let sum s sel = List.fold_left (fun acc tr -> acc + sel tr) 0 s.r.Fleet.r_tenants
 
-let json_of_samples samples =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"bench\": \"fleet\",\n  \"configs\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"groups\": %d, \"period_ns\": %d, \"mutation_ratio\": %.4f, \
-            \"epochs\": %d, \"ckpt_throughput_per_s\": %.1f, \
-            \"bytes_per_s\": %.0f, \"p99_stop_ns\": %.0f, \
-            \"solo_p99_stop_ns\": %.0f, \"p99_slowdown\": %.3f, \
-            \"jain\": %.4f, \"collisions\": %d, \"delayed\": %d, \
-            \"rejected\": %d, \"accounting_ok\": %b}"
-           s.groups s.period_ns s.ratio s.epochs s.throughput s.bytes_per_s
-           s.p99_stop_ns s.solo_p99_ns (slowdown s) s.jain s.collisions
-           s.delayed s.rejected s.accounting_ok))
-    samples;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+(* The worst tenant's p99 stop time. *)
+let p99_stop s =
+  List.fold_left (fun acc tr -> Float.max acc tr.Fleet.tr_stop_p99) 0.0 s.r.Fleet.r_tenants
 
-(* Acceptance gates, applied to every measured cell: perfect window
+let slowdown s = p99_stop s /. Float.max 1.0 s.solo_p99_ns
+
+let columns : sample Report.column list =
+  Report.
+    [
+      ("groups", "groups", fun s -> Count s.groups);
+      ("period", "period_ns", fun s -> Ns (float_of_int s.period_ns));
+      ("mutation", "mutation_ratio", fun s -> Percent s.ratio);
+      ("epochs", "epochs", fun s -> Count s.r.Fleet.r_epochs);
+      ("ckpt/s", "ckpt_throughput_per_s", fun s -> Num (1, s.r.Fleet.r_ckpt_throughput));
+      ("bytes/s", "bytes_per_s", fun s -> Bytes s.r.Fleet.r_bytes_per_s);
+      ("p99 stop", "p99_stop_ns", fun s -> Ns (p99_stop s));
+      ("solo p99", "solo_p99_stop_ns", fun s -> Ns s.solo_p99_ns);
+      ("slowdown", "p99_slowdown", fun s -> Num (3, slowdown s));
+      ("jain", "jain", fun s -> Num (4, s.r.Fleet.r_jain));
+      ("coll", "collisions", fun s -> Count s.r.Fleet.r_collisions);
+      ("delayed", "delayed", fun s -> Count (sum s (fun tr -> tr.Fleet.tr_delayed)));
+      ("rejected", "rejected", fun s -> Count (sum s (fun tr -> tr.Fleet.tr_rejected)));
+      ("lanes ok", "accounting_ok", fun s -> Bool s.r.Fleet.r_accounting_ok);
+    ]
+
+(* Acceptance gates, over every measured cell: perfect window
    partitioning (zero cross-tenant flush overlaps), the arbiter's
    attribution identity, and fairness >= 0.9.  The interference gate —
-   p99 stop within 3x of the solo baseline — binds at the largest fleet,
-   where a shared-lane pileup would show first. *)
-let check_gates ~max_groups samples =
-  let ok = ref true in
-  List.iter
-    (fun s ->
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg ->
-            Printf.eprintf "fleet: FAIL [G=%d period=%s mutation=%.0f%%]: %s\n"
-              s.groups
-              (Units.ns_to_string s.period_ns)
-              (s.ratio *. 100.0) msg;
-            ok := false)
-          fmt
-      in
-      if s.collisions <> 0 then fail "%d flush-window collisions" s.collisions;
-      if not s.accounting_ok then fail "lane attribution identity violated";
-      if s.jain < 0.9 then fail "jain %.3f < 0.9" s.jain;
-      if s.groups >= max_groups && slowdown s > 3.0 then
-        fail "p99 stop %.0f ns > 3x solo %.0f ns" s.p99_stop_ns s.solo_p99_ns)
-    samples;
-  !ok
+   p99 stop within 3x of the one-tenant baseline — binds at the largest
+   fleet, where a shared-lane pileup would show first. *)
+let gates samples =
+  let max_groups = List.fold_left (fun acc s -> max acc s.groups) 0 samples in
+  let collisions = List.fold_left (fun acc s -> acc + s.r.Fleet.r_collisions) 0 samples in
+  let accounting = List.for_all (fun s -> s.r.Fleet.r_accounting_ok) samples in
+  let jain = Report.worst (fun s -> s.r.Fleet.r_jain) samples in
+  let slowdown =
+    List.fold_left
+      (fun acc s -> if s.groups = max_groups then Float.max acc (slowdown s) else acc)
+      0.0 samples
+  in
+  Report.gates "fleet"
+    [
+      ("flush-window collisions", Count collisions, "0", collisions = 0);
+      ("lane accounting exact", Bool accounting, "true", accounting);
+      ("min jain", Num (4, jain), ">= 0.9", jain >= 0.9);
+      ( Printf.sprintf "p99 stop / solo at %d groups" max_groups,
+        Num (3, slowdown),
+        "<= 3",
+        slowdown <= 3.0 );
+    ]
 
-let run ~configs ~periods ~max_groups =
+let run mode =
+  let ms = 1_000_000 in
+  let configs =
+    match mode with
+    | Report.Smoke -> [ (2, 10 * ms, 0.25); (4, 10 * ms, 1.0) ]
+    | Full ->
+        [
+          (1, 10 * ms, 0.25);
+          (8, 10 * ms, 0.25);
+          (8, 10 * ms, 1.0);
+          (32, 10 * ms, 0.25);
+          (32, 10 * ms, 1.0);
+          (32, 5 * ms, 1.0);
+          (128, 10 * ms, 0.25);
+          (128, 10 * ms, 1.0);
+          (128, 5 * ms, 1.0);
+        ]
+    | _ -> raise Report.Usage
+  in
+  let periods = if mode = Smoke then 6 else 12 in
   print_endline
     "fleet: multi-tenant interleaved checkpointing (shared clock, shared \
      flush lane, staggered TDM windows)";
@@ -133,71 +127,5 @@ let run ~configs ~periods ~max_groups =
       (fun (groups, period_ns, ratio) -> measure ~groups ~period_ns ~ratio ~periods)
       configs
   in
-  let table =
-    Text_table.create
-      ~header:
-        [
-          "groups";
-          "period";
-          "mutation";
-          "epochs";
-          "ckpt/s";
-          "p99 stop";
-          "solo p99";
-          "slowdown";
-          "jain";
-          "coll";
-          "delay/rej";
-        ]
-  in
-  List.iter
-    (fun s ->
-      Text_table.add_row table
-        [
-          string_of_int s.groups;
-          Units.ns_to_string s.period_ns;
-          Printf.sprintf "%.0f%%" (s.ratio *. 100.0);
-          string_of_int s.epochs;
-          Printf.sprintf "%.1f" s.throughput;
-          Units.ns_to_string (int_of_float s.p99_stop_ns);
-          Units.ns_to_string (int_of_float s.solo_p99_ns);
-          Printf.sprintf "%.2fx" (slowdown s);
-          Printf.sprintf "%.3f" s.jain;
-          string_of_int s.collisions;
-          Printf.sprintf "%d/%d" s.delayed s.rejected;
-        ])
-    samples;
-  Text_table.print table;
-  print_newline ();
-  let out = open_out "BENCH_fleet.json" in
-  output_string out (json_of_samples samples);
-  close_out out;
-  print_endline "wrote BENCH_fleet.json";
-  if not (check_gates ~max_groups samples) then exit 1;
-  Printf.printf
-    "acceptance: zero collisions, jain >= 0.9, lane accounting exact, p99 \
-     within 3x of solo at %d groups\n"
-    max_groups
-
-let () =
-  let ms = 1_000_000 in
-  match Array.to_list Sys.argv with
-  | _ :: [ "smoke" ] ->
-      run
-        ~configs:[ (2, 10 * ms, 0.25); (4, 10 * ms, 1.0) ]
-        ~periods:6 ~max_groups:4
-  | _ ->
-      run
-        ~configs:
-          [
-            (1, 10 * ms, 0.25);
-            (8, 10 * ms, 0.25);
-            (8, 10 * ms, 1.0);
-            (32, 10 * ms, 0.25);
-            (32, 10 * ms, 1.0);
-            (32, 5 * ms, 1.0);
-            (128, 10 * ms, 0.25);
-            (128, 10 * ms, 1.0);
-            (128, 5 * ms, 1.0);
-          ]
-        ~periods:12 ~max_groups:128
+  Report.emit mode ~bench:"fleet" ~file:"BENCH_fleet.json" columns samples;
+  gates samples

@@ -160,7 +160,10 @@ type sample = {
   legacy_ops : int;
 }
 
-let measure n =
+(* The measured workload: one incremental commit of [n] dirty pages of
+   one object.  Returns the store, the virtual time the commit began and
+   its host wall-clock. *)
+let incremental_commit n =
   let clock = Clock.create () in
   let dev = Striped.create () in
   let store = Store.format ~dev ~clock in
@@ -177,6 +180,10 @@ let measure n =
   let t0 = Clock.now clock in
   Gc.compact ();
   let (), wall_s = wall (fun () -> ignore (Store.commit_checkpoint store)) in
+  (store, t0, wall_s)
+
+let measure n =
+  let store, t0, wall_s = incremental_commit n in
   let sim_flush_ns = Store.durable_at store - t0 in
   let stats = Store.flush_stats store in
   let legacy_wall_s, legacy_ops = legacy_commit_walltime n in

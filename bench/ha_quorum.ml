@@ -1,15 +1,16 @@
 (* Replication torture, bench and gate driver: the one driver for the
    replication plane (`Replica_set`).
 
-   `ha_quorum fast` (the @ha-torture alias, wired into runtest) runs both
+   `main.exe ha-quorum fast` (the @ha-torture alias, wired into runtest;
+   also the default) runs both
    negative controls (the standby's corrupted newest epoch must be
    skipped by the fallback loop), the single-standby sweep (N = 1) in
    stop-the-world and speculative modes, a short quorum-torture sweep at
    N in {3,5}, one pipelined-vs-stop-and-wait comparison and one live
-   migration; `ha_quorum deep [seed]` (@ha-torture-deep) sweeps more
-   seeds, rates and rounds; `ha_quorum smoke` (part of @bench-smoke)
-   additionally emits BENCH_ha_quorum.json and applies the acceptance
-   gates:
+   migration; `ha-quorum deep [seed]` (@ha-torture-deep) sweeps more
+   seeds, rates and rounds; `ha-quorum smoke` (part of @bench-smoke)
+   runs the quorum sweep, the pipeline comparison and the migration and
+   applies the acceptance gates:
 
      - quorum convergence on 100% of runs (survivors elect an epoch no
        older than the quorum commit point, reference state matches, no
@@ -19,13 +20,15 @@
      - live-migration downtime <= 2 checkpoint periods with a
        byte-identical target.
 
-   Exit status is nonzero on any gate or run failure; every failure
-   prints its seed so it reproduces by rerunning with the same
-   arguments. *)
+   Every run failure and failed gate is returned to [main.exe], which
+   exits nonzero; every failure prints its seed so it reproduces by
+   rerunning with the same arguments. *)
 
 module Ha_torture = Aurora_faultsim.Ha_torture
 
-let ok = ref true
+(* Run failures, newest first; [run] returns them. *)
+let failures = ref []
+let fail what = failures := ("ha-quorum: " ^ what) :: !failures
 
 let run_quorum_sweep ?(speculative = false) ~seed ~runs_per_cell ~rates ~ns
     ~rounds () =
@@ -45,7 +48,9 @@ let run_quorum_sweep ?(speculative = false) ~seed ~runs_per_cell ~rates ~ns
   List.iter
     (fun r -> Printf.printf "  FAIL %s\n%!" (Ha_torture.pp_quorum r))
     s.Ha_torture.q_failures;
-  if s.Ha_torture.q_ok <> s.Ha_torture.q_runs then ok := false;
+  if s.Ha_torture.q_ok <> s.Ha_torture.q_runs then
+    fail (Printf.sprintf "quorum sweep seed=%d: %d/%d ok" seed s.Ha_torture.q_ok
+            s.Ha_torture.q_runs);
   s
 
 (* The single-standby sweep, both checkpoint modes on the same seeds. *)
@@ -71,7 +76,8 @@ let run_pipeline ~seed ~rounds ~rate ~n =
     (float_of_int p.Ha_torture.pl_sw_total_ns /. 1e6)
     (if p.Ha_torture.pl_pipe_ok then "" else " [pipeline INCOMPLETE]")
     (if p.Ha_torture.pl_sw_ok then "" else " [stop-and-wait INCOMPLETE]");
-  if not p.Ha_torture.pl_pipe_ok then ok := false;
+  if not p.Ha_torture.pl_pipe_ok then
+    fail (Printf.sprintf "pipeline seed=%d n=%d rate=%.2f incomplete" seed n rate);
   p
 
 let run_migration ~seed ~rate =
@@ -87,7 +93,9 @@ let run_migration ~seed ~rate =
     (float_of_int r.Aurora_core.Replica_set.mig_downtime_ns /. 1e6)
     m.Ha_torture.mc_downtime_periods r.Aurora_core.Replica_set.mig_identical
     m.Ha_torture.mc_outcome;
-  if not m.Ha_torture.mc_ok then ok := false;
+  if not m.Ha_torture.mc_ok then
+    fail (Printf.sprintf "migration seed=%d rate=%.2f: %s" seed rate
+            m.Ha_torture.mc_outcome);
   m
 
 let controls () =
@@ -98,7 +106,7 @@ let controls () =
           Printf.printf "control %-5s corrupted newest epoch skipped\n%!" label
       | Error e ->
           Printf.printf "control %-5s FAIL %s\n%!" label e;
-          ok := false)
+          fail ("control " ^ label))
     [ ("meta", Ha_torture.Meta); ("page", Ha_torture.Page) ]
 
 let fast () =
@@ -133,43 +141,7 @@ let deep seed =
       ignore (run_migration ~seed:s ~rate:0.02))
     [ seed; seed + 1 ]
 
-(* Smoke: the @bench-smoke artifact and its gates. *)
-
-let json_out (q : Ha_torture.quorum_sweep_report)
-    (p : Ha_torture.pipeline_report) (m : Ha_torture.migration_check) =
-  let r = m.Ha_torture.mc_report in
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n";
-  Printf.bprintf buf
-    "  \"quorum\": {\"runs\": %d, \"ok\": %d, \"evictions\": %d, \
-     \"rejoins\": %d, \"retransmits\": %d, \"released\": %d, \"dropped\": \
-     %d},\n"
-    q.Ha_torture.q_runs q.Ha_torture.q_ok q.Ha_torture.q_evictions
-    q.Ha_torture.q_rejoins q.Ha_torture.q_retransmits q.Ha_torture.q_released
-    q.Ha_torture.q_dropped;
-  Printf.bprintf buf
-    "  \"pipeline\": {\"n\": %d, \"rate\": %.3f, \"rounds\": %d, \
-     \"sw_plane_ns\": %d, \"pipe_plane_ns\": %d, \"sw_total_ns\": %d, \
-     \"pipe_total_ns\": %d, \"speedup\": %.2f},\n"
-    p.Ha_torture.pl_n p.Ha_torture.pl_rate p.Ha_torture.pl_rounds
-    p.Ha_torture.pl_sw_plane_ns p.Ha_torture.pl_pipe_plane_ns
-    p.Ha_torture.pl_sw_total_ns p.Ha_torture.pl_pipe_total_ns
-    p.Ha_torture.pl_speedup;
-  Printf.bprintf buf
-    "  \"migration\": {\"rounds\": %d, \"precopy_bytes\": %d, \
-     \"final_bytes\": %d, \"downtime_ns\": %d, \"period_ns\": %d, \
-     \"downtime_periods\": %.3f, \"identical\": %b}\n"
-    r.Aurora_core.Replica_set.mig_rounds
-    r.Aurora_core.Replica_set.mig_precopy_bytes
-    r.Aurora_core.Replica_set.mig_final_bytes
-    r.Aurora_core.Replica_set.mig_downtime_ns m.Ha_torture.mc_period_ns
-    m.Ha_torture.mc_downtime_periods r.Aurora_core.Replica_set.mig_identical;
-  Printf.bprintf buf "}\n";
-  let out = open_out "BENCH_ha_quorum.json" in
-  output_string out (Buffer.contents buf);
-  close_out out;
-  print_endline "wrote BENCH_ha_quorum.json"
-
+(* Smoke: the @bench-smoke runs and their gates. *)
 let smoke () =
   let q =
     run_quorum_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
@@ -177,34 +149,27 @@ let smoke () =
   in
   let p = run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3 in
   let m = run_migration ~seed:42 ~rate:0.0 in
-  json_out q p m;
-  if q.Ha_torture.q_ok <> q.Ha_torture.q_runs then begin
-    Printf.printf "GATE FAIL: quorum convergence %d/%d < 100%%\n%!"
-      q.Ha_torture.q_ok q.Ha_torture.q_runs;
-    ok := false
-  end;
-  if p.Ha_torture.pl_speedup < 3.0 then begin
-    Printf.printf
-      "GATE FAIL: pipelined plane speedup %.2fx < 3x stop-and-wait\n%!"
-      p.Ha_torture.pl_speedup;
-    ok := false
-  end;
-  if not m.Ha_torture.mc_ok then begin
-    Printf.printf "GATE FAIL: migration (%s)\n%!" m.Ha_torture.mc_outcome;
-    ok := false
-  end
+  let q_ok = q.Ha_torture.q_ok and q_runs = q.Ha_torture.q_runs in
+  Report.gates "ha-quorum"
+    [
+      ("quorum convergence", Str (Printf.sprintf "%d/%d" q_ok q_runs), "100%", q_ok = q_runs);
+      ( "pipelined plane speedup at n=3",
+        Num (1, p.Ha_torture.pl_speedup),
+        ">= 3",
+        p.Ha_torture.pl_speedup >= 3.0 );
+      ("migration", Str m.Ha_torture.mc_outcome, "<= 2 periods, identical", m.Ha_torture.mc_ok);
+    ]
 
-let () =
-  (match Array.to_list Sys.argv with
-  | _ :: "fast" :: _ | [ _ ] -> fast ()
-  | _ :: "smoke" :: _ -> smoke ()
-  | _ :: "deep" :: rest ->
-      let seed = match rest with s :: _ -> int_of_string s | [] -> 20260809 in
-      deep seed
-  | _ ->
-      prerr_endline "usage: ha_quorum [fast | smoke | deep [seed]]";
-      exit 2);
-  if not !ok then begin
-    prerr_endline "ha_quorum: replication torture found failures";
-    exit 1
-  end
+let run mode =
+  failures := [];
+  let gates =
+    match mode with
+    | Report.Full | Fast ->
+        fast ();
+        []
+    | Smoke -> smoke ()
+    | Deep seed ->
+        deep (Option.value seed ~default:20260809);
+        []
+  in
+  List.rev !failures @ gates

@@ -1,10 +1,18 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (section 9), plus the design ablations and a set of
-   wall-clock microbenchmarks.
+   wall-clock microbenchmarks, and runs the A/B, gate and torture
+   commands.
 
-     dune exec bench/main.exe            # everything except micro
-     dune exec bench/main.exe table5 fig3
-     dune exec bench/main.exe micro      # Bechamel wall-clock runs *)
+     dune exec bench/main.exe                   # every paper artifact
+     dune exec bench/main.exe -- table5 fig3    # some of them
+     dune exec bench/main.exe -- micro          # Bechamel wall-clock runs
+     dune exec bench/main.exe -- smoke          # every smoke pass and gate
+     dune exec bench/main.exe -- NAME [smoke | fast | deep [seed]]
+
+   A command with no mode runs its full sweep (the torture commands:
+   their fast pass); only a full run writes BENCH_*.json or
+   OBS_trace.json.  Every failed gate is listed at the end and the exit
+   status is 1. *)
 
 let artifacts =
   [
@@ -22,42 +30,77 @@ let artifacts =
     ("flush-scale", "coalesced flush pipeline vs dirty-set size", fun () -> Flush_scale.run ());
   ]
 
-let run_one name =
+let commands =
+  [
+    ("ckpt-steady", "incremental vs full OS-state serialization", Ckpt_steady.run);
+    ("ckpt-dedup", "page dedup + compression vs block-per-page", Ckpt_dedup.run);
+    ("ckpt-spec", "speculative soft-quiesce vs stop-the-world", Ckpt_spec.run);
+    ("obs-report", "per-phase latency table and span identity", Obs_report.run);
+    ("obs-overhead", "tracing cost gate", Obs_overhead.run);
+    ("fleet", "multi-tenant interleaved checkpointing", Fleet.run);
+    ("ha-quorum", "replication torture, bench and gates", Ha_quorum.run);
+    ("http-sim", "HTTP tier SLO vs checkpoint period", Http_sim.run);
+    ("torture", "crash-consistency torture sweep", Torture_sweep.run);
+  ]
+
+(* Tiny-parameter pass over the bench machinery (the bench-smoke dune
+   alias): flush-scale, the micro harness, then every command's smoke
+   run with its gates. *)
+let smoke () =
+  Flush_scale.run ~sizes:[ 256; 1024 ] ();
+  Micro.run ();
+  List.concat_map
+    (fun (name, _, run) -> if name = "torture" then [] else run Report.Smoke)
+    commands
+
+let usage () =
+  print_endline "usage: main.exe [artifact...] | main.exe COMMAND [smoke | fast | deep [seed]]";
+  print_endline "artifacts:";
+  List.iter (fun (n, d, _) -> Printf.printf "  %-12s %s\n" n d) artifacts;
+  print_endline "  micro        Bechamel wall-clock microbenchmarks";
+  print_endline "  smoke        every smoke pass and gate (dune build @bench-smoke)";
+  print_endline "commands:";
+  List.iter (fun (n, d, _) -> Printf.printf "  %-12s %s\n" n d) commands;
+  exit 1
+
+let run_artifact name =
   match List.find_opt (fun (n, _, _) -> n = name) artifacts with
   | Some (_, _, f) ->
       f ();
-      true
+      []
   | None -> (
       match name with
       | "micro" ->
           Micro.run ();
-          true
-      | "smoke" ->
-          (* Tiny-parameter pass over the bench machinery (the bench-smoke
-             dune alias): exercises the flush-scale sweep and the micro
-             harness quickly enough for CI. *)
-          Flush_scale.run ~sizes:[ 256; 1024 ] ();
-          Micro.run ();
-          true
-      | _ -> false)
+          []
+      | "smoke" -> smoke ()
+      | _ -> usage ())
 
-let usage () =
-  print_endline "usage: main.exe [artifact...]";
-  print_endline "artifacts:";
-  List.iter (fun (n, d, _) -> Printf.printf "  %-8s %s\n" n d) artifacts;
-  print_endline "  micro    Bechamel wall-clock microbenchmarks";
-  print_endline "  smoke    tiny-parameter smoke pass (dune build @bench-smoke)"
+let mode_of_args = function
+  | [] -> Report.Full
+  | [ "smoke" ] -> Smoke
+  | [ "fast" ] -> Fast
+  | [ "deep" ] -> Deep None
+  | [ "deep"; seed ] -> (
+      match int_of_string_opt seed with Some s -> Deep (Some s) | None -> usage ())
+  | _ -> usage ()
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: [] ->
-      print_endline "=== Aurora single level store: paper evaluation suite ===";
-      print_newline ();
-      List.iter (fun (_, _, f) -> f ()) artifacts
-  | _ :: names ->
-      let ok = List.for_all run_one names in
-      if not ok then begin
-        usage ();
-        exit 1
-      end
-  | [] -> usage ()
+  let failures =
+    match Array.to_list Sys.argv with
+    | [] | [ _ ] ->
+        print_endline "=== Aurora single level store: paper evaluation suite ===";
+        print_newline ();
+        List.iter (fun (_, _, f) -> f ()) artifacts;
+        []
+    | _ :: name :: args -> (
+        match List.find_opt (fun (n, _, _) -> n = name) commands with
+        | Some (_, _, run) -> (
+            try run (mode_of_args args) with Report.Usage -> usage ())
+        | None -> List.concat_map run_artifact (name :: args))
+  in
+  if failures <> [] then begin
+    prerr_endline "failures:";
+    List.iter (fun f -> prerr_endline ("  " ^ f)) failures;
+    exit 1
+  end

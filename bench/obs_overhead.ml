@@ -15,41 +15,21 @@
 
    A direct A/B of the sweep with tracing on vs off also runs, with a
    generous bound (enabled tracing buffers events and must stay within
-   3x; it is usually well under 1.2x).  Exits non-zero on violation, so
-   @bench-smoke fails if instrumentation creeps onto a hot path. *)
+   3x; it is usually well under 1.2x).  Both bounds are gates, so
+   @bench-smoke fails if instrumentation creeps onto a hot path.
+
+     dune exec bench/main.exe -- obs-overhead smoke *)
 
 module Clock = Aurora_sim.Clock
-module Striped = Aurora_block.Striped
-module Store = Aurora_objstore.Store
 module Trace = Aurora_obs.Trace
 module Metrics = Aurora_obs.Metrics
 
-let payload i = Bytes.make 64 (Char.chr (32 + (i mod 90)))
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* One flush-scale style incremental commit of [n] dirty pages; returns
-   the wall-clock of the commit itself. *)
-let commit_walltime n =
-  let clock = Clock.create () in
-  let dev = Striped.create () in
-  let store = Store.format ~dev ~clock in
-  let oid = Store.alloc_oid store in
-  ignore (Store.begin_checkpoint store);
-  Store.put_object store ~oid ~kind:"bench" ~meta:"obs-overhead";
-  Store.put_pages store ~oid (List.init n (fun i -> (i, payload i)));
-  ignore (Store.commit_checkpoint store);
-  Store.wait_durable store;
-  ignore (Store.begin_checkpoint store);
-  Store.put_pages store ~oid (List.init n (fun i -> (i, payload (i + 1))));
-  Gc.compact ();
-  let (), w = wall (fun () -> ignore (Store.commit_checkpoint store)) in
-  w
-
-let sweep sizes = List.fold_left (fun acc n -> acc +. commit_walltime n) 0.0 sizes
+let sweep sizes =
+  List.fold_left
+    (fun acc n ->
+      let _, _, w = Flush_scale.incremental_commit n in
+      acc +. w)
+    0.0 sizes
 
 let best_of k f =
   let best = ref infinity in
@@ -61,13 +41,16 @@ let best_of k f =
 
 let per_call_ns iters f =
   Gc.compact ();
-  let (), w = wall (fun () -> for _ = 1 to iters do f () done) in
+  let (), w = Flush_scale.wall (fun () -> for _ = 1 to iters do f () done) in
   w *. 1e9 /. float_of_int iters
 
-let () =
-  let smoke = Array.length Sys.argv > 1 && Sys.argv.(1) = "smoke" in
-  let sizes = if smoke then [ 1024; 4096 ] else [ 1024; 4096; 16384 ] in
-  let iters = if smoke then 2_000_000 else 5_000_000 in
+let run mode =
+  let sizes, iters =
+    match mode with
+    | Report.Smoke -> ([ 1024; 4096 ], 2_000_000)
+    | Full -> ([ 1024; 4096; 16384 ], 5_000_000)
+    | _ -> raise Report.Usage
+  in
   Trace.disable ();
   Metrics.set_enabled false;
   (* 1. Disabled per-call costs. *)
@@ -96,18 +79,20 @@ let () =
      around it). *)
   let est_ns = float_of_int (8 * calls) *. c_call in
   let est_pct = est_ns /. (w_off *. 1e9) *. 100.0 in
-  let ratio = w_on /. w_off in
   Printf.printf
     "sweep (%s pages): off %.1f ms, on %.1f ms (%.2fx), %d trace calls per sweep\n"
     (String.concat "+" (List.map string_of_int sizes))
-    (w_off *. 1e3) (w_on *. 1e3) ratio calls;
+    (w_off *. 1e3) (w_on *. 1e3) (w_on /. w_off) calls;
   Printf.printf
     "disabled-overhead bound: %d sites x 8 x %.2f ns = %.3f ms = %.3f%% of sweep\n"
     calls c_call (est_ns /. 1e6) est_pct;
-  let ok_off = est_pct <= 1.0 in
   (* Noise guard: tiny smoke sweeps jitter; require 3x or 100 ms slack. *)
-  let ok_on = w_on <= (3.0 *. w_off) +. 0.1 in
-  Printf.printf "gate: disabled <= 1%% %s; enabled bounded %s\n"
-    (if ok_off then "OK" else "FAILED")
-    (if ok_on then "OK" else "FAILED");
-  if not (ok_off && ok_on) then exit 1
+  let bound = (3.0 *. w_off) +. 0.1 in
+  Report.gates "obs-overhead"
+    [
+      ("disabled tracer % of sweep", Num (3, est_pct), "<= 1", est_pct <= 1.0);
+      ( "enabled sweep ms",
+        Num (1, w_on *. 1e3),
+        Printf.sprintf "<= 3x off + 100 = %.1f" (bound *. 1e3),
+        w_on <= bound );
+    ]

@@ -1,8 +1,12 @@
 (* Checkpoint-pipeline observability report: run the standard 100 Hz
    workload with tracing and metrics on, print per-phase latency
    percentiles (virtual time), check the span accounting identity (an
-   epoch's children sum to the epoch), and dump the Chrome trace of the
-   run to OBS_trace.json plus the final epoch's text timeline. *)
+   epoch's children sum to the epoch), and print the final epoch's text
+   timeline; a full run also dumps the run's Chrome trace to
+   OBS_trace.json.
+
+     dune exec bench/main.exe -- obs-report          # 40 epochs
+     dune exec bench/main.exe -- obs-report smoke    # 6 epochs (gated) *)
 
 module Clock = Aurora_sim.Clock
 module Process = Aurora_kern.Process
@@ -52,25 +56,6 @@ let run_workload ~epochs =
   Metrics.set_enabled false;
   (group, Option.get !last)
 
-(* Virtual duration of each completed span named [name], from the event
-   stream (Begin/End pairing, innermost-first). *)
-let span_durs name events =
-  let durs = ref [] in
-  let stack = ref [] in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.ev_ph with
-      | Trace.Begin -> stack := (e.Trace.ev_name, e.Trace.ev_ts) :: !stack
-      | Trace.End -> (
-          match !stack with
-          | (n, t) :: rest ->
-              stack := rest;
-              if n = name then durs := (e.Trace.ev_ts - t) :: !durs
-          | [] -> ())
-      | _ -> ())
-    events;
-  List.rev !durs
-
 let phase_table () =
   let table = Text_table.create ~header:[ "phase"; "n"; "p50"; "p99"; "max" ] in
   let row name hist =
@@ -110,7 +95,10 @@ let last_epoch_text () =
   if !start < 0 then text
   else String.concat "\n" (List.filteri (fun i _ -> i >= !start) lines)
 
-let run ~epochs =
+let run mode =
+  let epochs =
+    match mode with Report.Smoke -> 6 | Full -> 40 | _ -> raise Report.Usage
+  in
   let _group, stats = run_workload ~epochs in
   Printf.printf "obs-report: %d checkpoint epochs at 100 Hz (virtual time)\n\n"
     epochs;
@@ -120,7 +108,6 @@ let run ~epochs =
      duration equals the sum of its phase children, and stop_ns from
      ckpt_stats matches the trace's stop-window phases. *)
   let all_events = Trace.events () in
-  let events = all_events in
   (* Restrict the identity to the final epoch's events: a span name that
      only occurs in one cycle shape (serialize vs speculate/validate)
      must not leak in from an earlier epoch of the other shape. *)
@@ -129,10 +116,10 @@ let run ~epochs =
     (fun i (e : Trace.event) ->
       if e.Trace.ev_ph = Trace.Begin && e.Trace.ev_name = "epoch" then
         last_epoch_start := i)
-    events;
-  let events = List.filteri (fun i _ -> i >= !last_epoch_start) events in
+    all_events;
+  let events = List.filteri (fun i _ -> i >= !last_epoch_start) all_events in
   let last_of name =
-    match List.rev (span_durs name events) with d :: _ -> d | [] -> 0
+    match List.rev (Trace.spans name events) with (_, d) :: _ -> d | [] -> 0
   in
   let epoch_dur = last_of "epoch" in
   (* "speculate" and "validate" appear only on speculative epochs;
@@ -161,21 +148,24 @@ let run ~epochs =
     (Units.ns_to_string (sum - last_of "flush" - last_of "speculate"))
     (Units.ns_to_string stats.Group.flush_ns)
     (Units.ns_to_string (last_of "flush"));
-  let ok = epoch_dur = sum && Trace.dropped () = 0 in
+  let dropped = Trace.dropped () in
+  Printf.printf "\n%d events, %d dropped\n" (List.length all_events) dropped;
   (* Chrome trace for chrome://tracing / Perfetto. *)
-  let oc = open_out "OBS_trace.json" in
-  output_string oc (Trace.export_json ());
-  close_out oc;
-  Printf.printf "\nwrote OBS_trace.json (%d events, %d dropped)\n"
-    (List.length all_events) (Trace.dropped ());
+  if mode = Full then begin
+    let oc = open_out "OBS_trace.json" in
+    output_string oc (Trace.export_json ());
+    close_out oc;
+    print_endline "wrote OBS_trace.json"
+  end;
   print_endline "\nfinal epoch timeline (virtual ns):";
   print_string (last_epoch_text ());
   Trace.disable ();
-  if not ok then begin
-    print_endline "obs-report: FAILED accounting identity";
-    exit 1
-  end
-
-let () =
-  let smoke = Array.length Sys.argv > 1 && Sys.argv.(1) = "smoke" in
-  run ~epochs:(if smoke then 6 else 40)
+  print_newline ();
+  Report.gates "obs-report"
+    [
+      ( "phase spans sum to epoch span",
+        Ns (float_of_int sum),
+        Units.ns_to_string epoch_dur,
+        epoch_dur = sum );
+      ("dropped events", Count dropped, "0", dropped = 0);
+    ]

@@ -1,18 +1,21 @@
 (* Crash-consistency torture sweep driver.
 
-   `torture_sweep fast` (the @torture alias, wired into runtest) runs the
-   standard-workload crash-point enumeration plus small randomized fault
-   sweeps; `torture_sweep deep [seed]` (@torture-deep) adds random-workload
-   enumerations and much larger sweeps.  Exit status is nonzero on any
-   enumeration failure, and every run prints the seeds involved so a
-   failure reproduces by rerunning with the same arguments. *)
+   `main.exe torture fast` (the @torture alias, wired into runtest; also
+   the default) runs the standard-workload crash-point enumeration plus
+   small randomized fault sweeps; `torture deep [seed]` (@torture-deep)
+   adds random-workload enumerations and much larger sweeps.  Every
+   enumeration failure is returned to [main.exe], which exits nonzero,
+   and every run prints the seeds involved so a failure reproduces by
+   rerunning with the same arguments. *)
 
 module Workload = Aurora_faultsim.Workload
 module Injector = Aurora_faultsim.Injector
 module Torture = Aurora_faultsim.Torture
 module Rng = Aurora_util.Rng
 
-let enumeration_ok = ref true
+(* Enumeration failures, newest first; [run] returns them. *)
+let failures = ref []
+let fail fmt = Printf.ksprintf (fun s -> failures := ("torture: " ^ s) :: !failures) fmt
 
 (* [floor] is the checked-in coverage floor: a recorded profile that
    shrinks below it (a recorder regression silently emitting fewer
@@ -26,13 +29,14 @@ let run_enumeration ?floor label workloads =
   List.iter
     (fun f -> Printf.printf "  FAIL %s\n%!" (Torture.pp_failure f))
     r.Torture.r_failures;
-  if r.Torture.r_failures <> [] then enumeration_ok := false;
+  if r.Torture.r_failures <> [] then
+    fail "%s: %d crash-point failures" label (List.length r.Torture.r_failures);
   (match floor with
   | Some f when r.Torture.r_boundaries < f ->
       Printf.printf
         "  FAIL %s: coverage regressed to %d boundaries (floor %d)\n%!" label
         r.Torture.r_boundaries f;
-      enumeration_ok := false
+      fail "%s: %d boundaries below the floor %d" label r.Torture.r_boundaries f
   | _ -> ())
 
 (* Two small per-tenant workloads, deterministic so the boundary/crash-point
@@ -111,16 +115,10 @@ let deep seed =
       p_flip = 0.0;
     }
 
-let () =
-  (match Array.to_list Sys.argv with
-  | _ :: "fast" :: _ | [ _ ] -> fast ()
-  | _ :: "deep" :: rest ->
-      let seed = match rest with s :: _ -> int_of_string s | [] -> 20260807 in
-      deep seed
-  | _ ->
-      prerr_endline "usage: torture_sweep [fast | deep [seed]]";
-      exit 2);
-  if not !enumeration_ok then begin
-    prerr_endline "torture_sweep: crash-point enumeration found failures";
-    exit 1
-  end
+let run mode =
+  failures := [];
+  (match mode with
+  | Report.Full | Fast -> fast ()
+  | Deep seed -> deep (Option.value seed ~default:20260807)
+  | Smoke -> raise Report.Usage);
+  List.rev !failures

@@ -39,7 +39,6 @@ type t = {
   kq_fd : int;
   workers : Resource.t array;
   static_base : int;
-  static_pages : int;
   dynamic_base : int;
   dynamic_pages : int;
   keep_alive_max : int;
@@ -48,7 +47,10 @@ type t = {
   mutable served : int;
 }
 
-let create ~machine ?(workers = 4) ?(static_pages = 64) ?(dynamic_pages = 64)
+(* Pages in the read-only static-content arena. *)
+let static_pages = 64
+
+let create ~machine ?(workers = 4) ?(dynamic_pages = 64)
     ?(keep_alive_max = 200) () =
   let proc = Syscall.spawn machine ~name:"httpd" in
   let client = Syscall.spawn machine ~name:"wrk" in
@@ -83,7 +85,6 @@ let create ~machine ?(workers = 4) ?(static_pages = 64) ?(dynamic_pages = 64)
     workers = Array.init (max 1 workers) (fun i ->
         Resource.create ~name:(Printf.sprintf "httpd-worker-%d" i));
     static_base;
-    static_pages;
     dynamic_base;
     dynamic_pages;
     keep_alive_max;
@@ -191,7 +192,7 @@ let serve_one t c ~now ~head_bytes ?on route =
   let body_bytes, base_ns =
     match route with
     | Http_load.Static i ->
-        let page = i mod t.static_pages in
+        let page = i mod static_pages in
         Vm_space.touch_read t.http_proc.Process.space
           ~addr:(t.static_base + (page * Page.logical_size))
           ~len:static_body_bytes;

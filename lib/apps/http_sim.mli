@@ -27,7 +27,6 @@ type conn = {
 val create :
   machine:Aurora_kern.Machine.t ->
   ?workers:int ->
-  ?static_pages:int ->
   ?dynamic_pages:int ->
   ?keep_alive_max:int ->
   unit ->

@@ -74,9 +74,10 @@ type t = {
   mutable f_spans : (int * int * int) list;
 }
 
-(* The workload surface every tenant (and its solo baseline) is built
-   from, in one fixed construction order so pid and oid allocation are
-   identical across the two. *)
+(* The workload surface every tenant is built from, in one fixed
+   construction order, so a tenant's pid and oid allocation do not depend
+   on its fleet: the same spec as a one-tenant fleet is a byte-identical
+   baseline. *)
 let build_workload machine ~spec =
   List.init spec.sp_procs (fun i ->
       let p = Syscall.spawn machine ~name:(Printf.sprintf "%s-p%d" spec.sp_name i) in
@@ -261,62 +262,6 @@ let run_for t ~duration =
     else Clock.advance_to t.f_clock deadline
   in
   loop ()
-
-(* Solo baseline ------------------------------------------------------------- *)
-
-type solo = {
-  so_machine : Machine.t;
-  so_device : Striped.t;
-  so_store : Store.t;
-  so_group : Group.t;
-  so_handles : proc_handle list;
-  so_spec : spec;
-  so_stop : Histogram.t;
-  mutable so_round : int;
-}
-
-let solo ~period_ns spec =
-  let clock = Clock.create () in
-  let machine = Machine.create ~clock () in
-  let device = Striped.create () in
-  let store = Store.format ~dev:device ~clock in
-  let fs = Fs.create ~store in
-  Machine.mount machine (Fs.vfs_ops fs);
-  let handles = build_workload machine ~spec in
-  let group =
-    Group.attach ~machine ~store ~fs ~period_ns
-      (List.map (fun h -> h.ph_proc) handles)
-  in
-  {
-    so_machine = machine;
-    so_device = device;
-    so_store = store;
-    so_group = group;
-    so_handles = handles;
-    so_spec = spec;
-    so_stop = Histogram.create ();
-    so_round = 0;
-  }
-
-let solo_run_for s ~duration =
-  let clk = s.so_machine.Machine.clock in
-  let period = Group.period_ns s.so_group in
-  let deadline = Clock.now clk + duration in
-  let next = ref (Clock.now clk) in
-  while !next <= deadline do
-    Clock.advance_to clk !next;
-    mutate_workload ~spec:s.so_spec ~machine:s.so_machine ~handles:s.so_handles
-      ~round:s.so_round;
-    s.so_round <- s.so_round + 1;
-    let stats = Group.checkpoint s.so_group in
-    Histogram.add s.so_stop (float_of_int stats.Group.stop_ns);
-    next := !next + period
-  done;
-  Clock.advance_to clk deadline
-
-let solo_stop_p99 s =
-  if Histogram.count s.so_stop = 0 then 0.0
-  else Histogram.percentile_interp s.so_stop 99.0
 
 (* Reporting ------------------------------------------------------------------ *)
 

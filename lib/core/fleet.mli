@@ -72,36 +72,6 @@ val run_for : t -> duration:int -> unit
     is force-admitted, so an oversubscribed fleet degrades fairly
     instead of starving phase-unlucky tenants. *)
 
-(** {1 A solo baseline}
-
-    The same tenant run alone: private clock, private store and devices,
-    no arbitration — the reference for both the isolation property (the
-    interleaved store must match this one byte for byte) and the
-    interference gate (fleet p99 stop must stay within a small factor of
-    solo p99). *)
-
-type solo = {
-  so_machine : Aurora_kern.Machine.t;
-  so_device : Aurora_block.Striped.t;
-  so_store : Aurora_objstore.Store.t;
-  so_group : Group.t;
-  so_handles : proc_handle list;
-  so_spec : spec;
-  so_stop : Aurora_util.Histogram.t;  (** stop-time samples from [solo_run_for] *)
-  mutable so_round : int;  (** built-in workload rotation counter *)
-}
-
-val solo : period_ns:int -> spec -> solo
-(** Built with the identical construction order as a fleet tenant, so pid
-    and oid allocation — and therefore the serialized images — coincide
-    exactly with the fleet run of the same spec and trace. *)
-
-val solo_run_for : solo -> duration:int -> unit
-(** Drive the solo tenant's built-in workload at the same period, for the
-    interference baseline. *)
-
-val solo_stop_p99 : solo -> float
-
 (** {1 Accounting} *)
 
 type tenant_report = {

@@ -133,7 +133,7 @@ val checkpoint :
     [~full:true] forces every object to re-serialize and re-stage: the
     byte-identity oracle the incremental and speculative images are
     checked against, the cure for a mutation that bypassed its stamp, and
-    the paired arm of [bench/ckpt_steady].  The paper tables (4 and 7
+    the paired arm of [bench/main.exe ckpt-steady].  The paper tables (4 and 7
     included) run incremental cycles.
 
     [~speculative:true] (default: the group's {!set_speculative} mode)

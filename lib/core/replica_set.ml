@@ -86,9 +86,6 @@ type t = {
   primary : Group.t;
   outbox : Extsync.t option;
   window : int;
-  max_retries : int;
-  degrade_after : int;
-  evict_after : int;
   standbys : standby array;
   mutable log : log_entry list; (* newest first *)
   mutable log_len : int;
@@ -101,8 +98,13 @@ type t = {
   mutable st_released : int;
 }
 
-let create ?(window = 4) ?(max_retries = 8) ?(degrade_after = 2)
-    ?(evict_after = 6) ?(seed = 1) ?outbox ~primary ~standbys () =
+(* Attempts per frame before the standby is evicted, and the
+   consecutive-timeout thresholds of the health state machine. *)
+let max_retries = 8
+let degrade_after = 2
+let evict_after = 6
+
+let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
   if standbys = [] then invalid_arg "Replica_set.create: no standbys";
   if window < 1 then invalid_arg "Replica_set.create: window < 1";
   let mk i (store, link) =
@@ -137,9 +139,6 @@ let create ?(window = 4) ?(max_retries = 8) ?(degrade_after = 2)
     primary;
     outbox;
     window;
-    max_retries;
-    degrade_after;
-    evict_after;
     standbys = Array.of_list (List.mapi mk standbys);
     log = [];
     log_len = 0;
@@ -396,10 +395,10 @@ let on_timeout t sb ~what =
   sb.sb_timeouts <- sb.sb_timeouts + 1;
   sb.sb_consec_timeouts <- sb.sb_consec_timeouts + 1;
   Ometrics.incr m_rs_timeouts;
-  if sb.sb_consec_timeouts >= t.evict_after then
+  if sb.sb_consec_timeouts >= evict_after then
     evict t sb
       ~reason:(Printf.sprintf "%d consecutive timeouts" sb.sb_consec_timeouts)
-  else if sb.sb_consec_timeouts >= t.degrade_after && sb.sb_health = Healthy
+  else if sb.sb_consec_timeouts >= degrade_after && sb.sb_health = Healthy
   then begin
     sb.sb_health <- Degraded;
     if Otrace.is_on () then
@@ -425,7 +424,7 @@ let pump_standby t sb ~now =
         if alive_active sb && inf.if_deadline <= now then begin
           on_timeout t sb ~what;
           if alive_active sb then begin
-            if inf.if_attempts >= t.max_retries then
+            if inf.if_attempts >= max_retries then
               evict t sb
                 ~reason:
                   (Printf.sprintf "epoch %d unacked after %d attempts"
@@ -826,18 +825,22 @@ type migration_report = {
   mig_identical : bool;
 }
 
-let migrate_live ?(window = 4) ?(max_rounds = 8) ?(stop_ratio = 0.1) ?link
-    ~primary ~target_store ~machine ~workload () =
+(* Pre-copy rounds stop after [migrate_max_rounds], or once a round's
+   delta falls below [migrate_stop_ratio] of the first full stream. *)
+let migrate_max_rounds = 8
+let migrate_stop_ratio = 0.1
+
+let migrate_live ?link ~primary ~target_store ~machine ~workload () =
   let link =
     match link with Some l -> l | None -> Link.create ~name:"migrate" ()
   in
   let t =
-    create ~window ~primary ~standbys:[ (target_store, link) ] ()
+    create ~primary ~standbys:[ (target_store, link) ] ()
   in
   let clk = pclock t in
   let t_begin = Clock.now clk in
   Otrace.with_span ~cat:"rset" ~name:"migrate"
-    ~args:[ ("max_rounds", Otrace.Int max_rounds) ]
+    ~args:[ ("max_rounds", Otrace.Int migrate_max_rounds) ]
   @@ fun () ->
   (* Pre-copy: the service keeps running (the workload mutates between
      rounds, modeling execution concurrent with the previous round's
@@ -846,7 +849,7 @@ let migrate_live ?(window = 4) ?(max_rounds = 8) ?(stop_ratio = 0.1) ?link
   let precopy = ref 0 in
   let rounds = ref 0 in
   (try
-     for r = 1 to max_rounds do
+     for r = 1 to migrate_max_rounds do
        rounds := r;
        workload r;
        ignore (Group.checkpoint ~wait_durable:true primary);
@@ -858,7 +861,7 @@ let migrate_live ?(window = 4) ?(max_rounds = 8) ?(stop_ratio = 0.1) ?link
        precopy := !precopy + shipped;
        (* Converged: the last delta is a small fraction of the full
           stream, so the stop-and-copy tail will be short. *)
-       if r > 1 && float_of_int shipped < stop_ratio *. float_of_int !first_bytes
+       if r > 1 && float_of_int shipped < migrate_stop_ratio *. float_of_int !first_bytes
        then raise Exit
      done
    with Exit -> ());

@@ -56,20 +56,16 @@ type health = Healthy | Degraded | Evicted | Rejoining
 
 val create :
   ?window:int ->
-  ?max_retries:int ->
-  ?degrade_after:int ->
-  ?evict_after:int ->
   ?seed:int ->
   ?outbox:Extsync.t ->
   primary:Group.t ->
   standbys:(Aurora_objstore.Store.t * Aurora_net.Link.t) list ->
   unit ->
   t
-(** [window] (default 4) bounds in-flight epochs per standby;
-    [max_retries] (default 8) bounds attempts per frame before the
-    standby is evicted; [degrade_after]/[evict_after] (defaults 2/6) are
-    the consecutive-timeout thresholds of the health state machine;
-    [seed] (default 1) drives the per-standby retransmit jitter.
+(** [window] (default 4) bounds in-flight epochs per standby.  A frame
+    gets 8 attempts before its standby is evicted; a standby degrades
+    after 2 consecutive timeouts and is evicted after 6.  [seed]
+    (default 1) drives the per-standby retransmit jitter.
     [outbox] is the primary's external-synchrony buffer: messages are
     released as [quorum_epoch] advances and dropped past the failover
     point. *)
@@ -195,9 +191,6 @@ type migration_report = {
 }
 
 val migrate_live :
-  ?window:int ->
-  ?max_rounds:int ->
-  ?stop_ratio:float ->
   ?link:Aurora_net.Link.t ->
   primary:Group.t ->
   target_store:Aurora_objstore.Store.t ->
@@ -207,9 +200,8 @@ val migrate_live :
   (migration_report, string) result
 (** Iterative pre-copy: round [r] runs [workload r] (the still-live
     service dirtying state), checkpoints, and pipelines the delta to the
-    target; rounds stop when the delta shrinks below [stop_ratio]
-    (default 0.1) of the first full stream or [max_rounds] (default 8)
-    is hit.  Cut-over: the workload stops, a final delta ships, and the
+    target (window 4); rounds stop when the delta shrinks below 10% of
+    the first full stream or after 8 rounds.  Cut-over: the workload stops, a final delta ships, and the
     target machine restores the verified epoch; downtime is that whole
     tail, measured in virtual time.  [Error] if the target store ends up
     evicted (link too hostile) or the restore fails. *)

@@ -622,18 +622,10 @@ type verified = {
   vr_skipped : attempt list;
 }
 
-let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid
-    ?max_fallback () =
-  let newest_first = List.rev (Store.checkpoint_epochs store) in
-  let epochs =
-    match max_fallback with
-    | None -> newest_first
-    | Some n ->
-        List.filteri (fun i _ -> i <= n) newest_first
-  in
-  match epochs with
+let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid () =
+  match List.rev (Store.checkpoint_epochs store) with
   | [] -> Error No_checkpoints
-  | _ ->
+  | epochs ->
       let rec go tried = function
         | [] -> Error (No_valid_epoch (List.rev tried))
         | epoch :: rest -> (

@@ -86,11 +86,9 @@ val restore_verified :
   store:Aurora_objstore.Store.t ->
   ?lazy_pages:bool ->
   ?group_oid:int ->
-  ?max_fallback:int ->
   unit ->
   (verified, restore_error) Stdlib.result
 (** Restore the newest epoch that passes {!verify_epoch}, falling back to
-    older epochs when verification (or the restore itself) fails.
-    [max_fallback] bounds how many epochs below the newest may be tried
-    (default: all retained epochs).  Never raises on corrupt state: a
+    older epochs — every retained one, newest first — when verification
+    (or the restore itself) fails.  Never raises on corrupt state: a
     store with no recoverable epoch yields [Error]. *)

@@ -15,7 +15,6 @@ type t = {
          checkpoint fold visits only a group's own AIOs instead of scanning
          the machine-wide table *)
   mutable vfs : Vfs.ops option;
-  ncpus : int;
   device_whitelist : string list;
   (* Soft-quiesce scheduling hook: while a speculative checkpoint
      serializes, the orchestrator opens concurrency windows during which
@@ -28,7 +27,7 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ?clock ?(ncpus = 24) () =
+let create ?clock () =
   {
     clock = (match clock with Some c -> c | None -> Clock.create ());
     procs = Hashtbl.create 64;
@@ -40,7 +39,6 @@ let create ?clock ?(ncpus = 24) () =
     aios = Hashtbl.create 16;
     aios_by_pid = Hashtbl.create 16;
     vfs = None;
-    ncpus;
     device_whitelist = [ "hpet0"; "vdso"; "null"; "zero"; "urandom" ];
     run_hook = None;
     hook_depth = 0;

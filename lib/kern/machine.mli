@@ -20,7 +20,6 @@ type t = {
           [add_aio]/[remove_aio]; lets a consistency group's checkpoint
           visit only its members' AIOs *)
   mutable vfs : Vfs.ops option;
-  ncpus : int;
   device_whitelist : string list;
   mutable run_hook : (int -> unit) option;
       (** soft-quiesce scheduling hook; see {!set_run_hook} *)
@@ -28,7 +27,7 @@ type t = {
   mutable stopped : bool;  (** latched between {!quiesce} and {!resume} *)
 }
 
-val create : ?clock:Aurora_sim.Clock.t -> ?ncpus:int -> unit -> t
+val create : ?clock:Aurora_sim.Clock.t -> unit -> t
 (** [?clock] shares an existing virtual clock instead of creating a fresh
     one — the multi-tenant fleet runs one machine per tenant on a single
     fleet clock so their checkpoint phases interleave on one timeline. *)

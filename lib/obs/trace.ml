@@ -124,6 +124,22 @@ let events () =
 
 let dropped () = match !state with None -> 0 | Some st -> st.dropped
 
+let spans name events =
+  let found = ref [] and stack = ref [] in
+  List.iter
+    (fun e ->
+      match e.ev_ph with
+      | Begin -> stack := (e.ev_name, e.ev_ts) :: !stack
+      | End -> (
+          match !stack with
+          | (n, t) :: rest ->
+              stack := rest;
+              if n = name then found := (t, e.ev_ts - t) :: !found
+          | [] -> ())
+      | _ -> ())
+    events;
+  List.rev !found
+
 let reset () =
   match !state with
   | None -> ()

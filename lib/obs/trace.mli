@@ -13,7 +13,7 @@
     Every recording entry point first checks the singleton: when
     disabled, [with_span] is a single branch plus the call to the traced
     thunk, and the other entry points are a single branch — cheap enough
-    to leave in every hot path (gated by [bench/obs_overhead.exe]).
+    to leave in every hot path (gated by [bench/main.exe obs-overhead]).
     Call sites that must compute arguments should guard with {!is_on} so
     argument construction is also skipped when disabled. *)
 
@@ -67,6 +67,12 @@ val counter : ?ts:int -> cat:string -> name:string -> int -> unit
 
 val events : unit -> event list
 (** Buffered events, oldest first.  Empty when disabled. *)
+
+val spans : string -> event list -> (int * int) list
+(** [spans name events] pairs each [Begin]/[End] of a span called [name]
+    and returns its (start, duration) in virtual ns, in closing order —
+    so a span nested in a same-named one comes first.  An [End] with no
+    open span is ignored. *)
 
 val dropped : unit -> int
 (** Events evicted from the ring since {!enable}/{!reset}. *)

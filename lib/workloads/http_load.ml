@@ -16,6 +16,9 @@ let path_of_route = function
 (* Probability mass routed to mutating handlers. *)
 let dynamic_ratio = 0.3
 
+(* Fraction of requests split across two segments. *)
+let frag_prob = 0.15
+
 (* One schedule entry per request, arrival times fixed up front: the
    client is open-loop (it does not wait for responses before sending the
    next request), which is what makes checkpoint stop windows visible as
@@ -26,7 +29,7 @@ let dynamic_ratio = 0.3
    distribution contains both cacheable and mutating routes in
    [dynamic_ratio] proportion. *)
 let generate ~seed ~rate ~duration_ns ~conns ~static_routes ~dynamic_routes
-    ?(theta = 0.99) ?(frag_prob = 0.15) () =
+    ?(theta = 0.99) () =
   let rng = Rng.create seed in
   let nroutes = static_routes + dynamic_routes in
   let zipf = Zipf.create ~n:nroutes ~theta (Rng.split rng) in

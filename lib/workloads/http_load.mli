@@ -27,10 +27,9 @@ val generate :
   static_routes:int ->
   dynamic_routes:int ->
   ?theta:float ->
-  ?frag_prob:float ->
   unit ->
   req list
 (** Deterministic for a fixed seed; arrival times strictly increase.
     30% of the probability mass is routed to mutating handlers.  [theta]
-    (default 0.99) is the zipf skew, [frag_prob] (default 0.15) the
-    fraction of requests split across two segments. *)
+    (default 0.99) is the zipf skew; 15% of requests are split across
+    two segments. *)

@@ -33,23 +33,6 @@ module Http_sim = Aurora_apps.Http_sim
 let fail fmt =
   Printf.ksprintf (fun s -> prerr_endline ("obs_http_trace_gen: " ^ s); exit 1) fmt
 
-let span_durs name events =
-  let durs = ref [] in
-  let stack = ref [] in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.ev_ph with
-      | Trace.Begin -> stack := (e.Trace.ev_name, e.Trace.ev_ts) :: !stack
-      | Trace.End -> (
-          match !stack with
-          | (n, t) :: rest ->
-              stack := rest;
-              if n = name then durs := (t, e.Trace.ev_ts - t) :: !durs
-          | [] -> ())
-      | _ -> ())
-    events;
-  List.rev !durs
-
 let contains line sub =
   let n = String.length line and m = String.length sub in
   let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
@@ -118,7 +101,7 @@ let () =
     events;
   let epoch_events = List.filteri (fun i _ -> i >= !last_epoch_start) events in
   let one name =
-    match span_durs name epoch_events with
+    match Trace.spans name epoch_events with
     | [ (t, d) ] -> (t, d)
     | l ->
         fail "expected exactly one %s span in the final epoch, got %d" name

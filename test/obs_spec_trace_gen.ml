@@ -30,23 +30,6 @@ module Trace = Aurora_obs.Trace
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("obs_spec_trace_gen: " ^ s); exit 1) fmt
 
-let span_durs name events =
-  let durs = ref [] in
-  let stack = ref [] in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.ev_ph with
-      | Trace.Begin -> stack := (e.Trace.ev_name, e.Trace.ev_ts) :: !stack
-      | Trace.End -> (
-          match !stack with
-          | (n, t) :: rest ->
-              stack := rest;
-              if n = name then durs := (t, e.Trace.ev_ts - t) :: !durs
-          | [] -> ())
-      | _ -> ())
-    events;
-  List.rev !durs
-
 let contains line sub =
   let n = String.length line and m = String.length sub in
   let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
@@ -101,7 +84,7 @@ let () =
     events;
   let events = List.filteri (fun i _ -> i >= !last_epoch_start) events in
   let one name =
-    match span_durs name events with
+    match Trace.spans name events with
     | [ (t, d) ] -> (t, d)
     | l -> fail "expected exactly one %s span in the final epoch, got %d" name (List.length l)
   in

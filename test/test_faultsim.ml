@@ -56,7 +56,7 @@ let test_enumerate_catches_misorder () =
     (r.Torture.r_failures <> [])
 
 (* The same negative control with two tenants on one clock: every store's
-   misorder knob on, the workloads of torture_sweep's two-group row.  The
+   misorder knob on, the workloads of the torture sweep's two-group row.  The
    enumerator must still catch the bug and name the tenant it hit. *)
 let test_enumerate_two_tenants_catches_misorder () =
   let gen s = Workload.gen_ops (Rng.create s) ~n:8 ~max_oid:4 ~max_pages:10 in

@@ -182,7 +182,7 @@ let test_jain () =
 
 (* A mutation trace drives a tenant's workload surface through its
    handles; [Ck] checkpoints.  The same trace applied to the tenant inside
-   an interleaved fleet and to an identically constructed solo tenant must
+   an interleaved fleet and to the same tenant as a one-tenant fleet must
    produce byte-identical stores, epoch for epoch. *)
 type mop = Rw of int * int | Touch of int * int | Ck
 
@@ -273,20 +273,20 @@ let isolation_prop traces =
   for i = 0 to n - 1 do
     ignore (Fleet.checkpoint_now ~wait_durable:true fleet i)
   done;
-  (* Each tenant alone on a private store, same construction, same trace. *)
+  (* Each tenant alone as a one-tenant fleet, same construction, same
+     trace. *)
   List.iteri
     (fun i trace ->
-      let s = Fleet.solo ~period_ns:period (List.nth specs i) in
+      let s = Fleet.create ~period_ns:period [ List.nth specs i ] in
       List.iter
         (fun op ->
           match op with
-          | Ck -> ignore (Group.checkpoint s.Fleet.so_group)
-          | op ->
-              apply_mop ~machine:s.Fleet.so_machine ~handles:s.Fleet.so_handles op)
+          | Ck -> ignore (Group.checkpoint (Fleet.group s 0))
+          | op -> apply_mop ~machine:(Fleet.machine s 0) ~handles:(Fleet.handles s 0) op)
         trace;
-      ignore (Group.checkpoint ~wait_durable:true s.Fleet.so_group);
+      ignore (Group.checkpoint ~wait_durable:true (Fleet.group s 0));
       let fleet_r = render_store (Fleet.store fleet i) in
-      let solo_r = render_store s.Fleet.so_store in
+      let solo_r = render_store (Fleet.store s 0) in
       if fleet_r <> solo_r then
         QCheck.Test.fail_reportf
           "tenant %d diverged from its solo run:\n--- fleet ---\n%s--- solo ---\n%s"

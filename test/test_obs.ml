@@ -126,6 +126,24 @@ let test_span_nesting () =
         (contains json needle))
     [ "\"traceEvents\""; "\"ph\":\"B\""; "\"ph\":\"E\""; "\"name\":\"outer\"" ]
 
+let test_spans_same_name () =
+  let clock = Clock.create () in
+  Trace.enable ~capacity:64 ~clock ();
+  Trace.with_span ~cat:"t" ~name:"a" (fun () ->
+      Clock.advance clock 1;
+      Trace.with_span ~cat:"t" ~name:"b" (fun () ->
+          Trace.with_span ~cat:"t" ~name:"a" (fun () -> Clock.advance clock 2));
+      Clock.advance clock 3);
+  Trace.with_span ~cat:"t" ~name:"a" (fun () -> Clock.advance clock 4);
+  let evs = Trace.events () in
+  quiesce_obs ();
+  Alcotest.(check (list (pair int int)))
+    "innermost first, then in closing order"
+    [ (1, 2); (0, 6); (6, 4) ]
+    (Trace.spans "a" evs);
+  Alcotest.(check (list (pair int int))) "b" [ (1, 2) ] (Trace.spans "b" evs);
+  Alcotest.(check (list (pair int int))) "absent" [] (Trace.spans "c" evs)
+
 let test_span_exception_safe () =
   let clock = Clock.create () in
   Trace.enable ~capacity:16 ~clock ();
@@ -406,6 +424,7 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "spans nest" `Quick test_span_nesting;
           Alcotest.test_case "spans close on exception" `Quick test_span_exception_safe;
+          Alcotest.test_case "spans walks same-named nesting" `Quick test_spans_same_name;
           Alcotest.test_case "ring overflow drops oldest" `Quick test_ring_overflow;
           Alcotest.test_case "complete and counter events" `Quick test_complete_and_counter;
         ] );
