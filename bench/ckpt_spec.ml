@@ -30,7 +30,6 @@ module Process = Aurora_kern.Process
 module Syscall = Aurora_kern.Syscall
 module Vm_space = Aurora_vm.Vm_space
 module Store = Aurora_objstore.Store
-module Serial = Aurora_core.Serial
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
 module Memcached = Aurora_apps.Memcached_sim
@@ -154,12 +153,9 @@ let identity_check ~conns ~nkeys =
   let objs2 = Store.objects_at store ~epoch:e2 in
   objs1 = objs2
   && List.for_all
-       (fun (oid, kind) ->
-         kind = Serial.kind_manifest
-         || Store.read_meta store ~epoch:e1 ~oid
-              = Store.read_meta store ~epoch:e2 ~oid
-            && Store.page_crcs store ~epoch:e1 ~oid
-               = Store.page_crcs store ~epoch:e2 ~oid)
+       (fun (oid, _) ->
+         Store.read_meta store ~epoch:e1 ~oid = Store.read_meta store ~epoch:e2 ~oid
+         && Store.page_crcs store ~epoch:e1 ~oid = Store.page_crcs store ~epoch:e2 ~oid)
        objs2
 
 let reduction s = s.stw.s_stop_ns /. Float.max 1.0 s.spec.s_stop_ns

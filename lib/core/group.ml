@@ -99,7 +99,6 @@ type t = {
          exactly once per checkpoint no matter how many references reach
          it — the POSIX-object-model property. *)
   mutable persist : bool; (* false during memory-only checkpoints *)
-  mutable manifest_oid : int; (* 0 until first flushed checkpoint *)
   last_gen : (int, int) Hashtbl.t;
       (* oid -> generation stamp at the object's last persisted image;
          an object whose current stamp still matches is skipped by the
@@ -149,7 +148,6 @@ let attach ~machine ~store ?fs ?(period_ns = 10_000_000) ?group_oid procs =
       last_ckpt_time = Clock.now machine.Machine.clock;
       seen = Hashtbl.create 128;
       persist = true;
-      manifest_oid = 0;
       last_gen = Hashtbl.create 128;
       full_cycle = false;
       c_serialized = 0;
@@ -351,61 +349,6 @@ let spec_register t ~kind ~id thunk =
 
 let put_obj t ~oid ~kind ~meta =
   if t.persist then Store.put_object t.st ~oid ~kind ~meta
-
-(* The manifest object keeps one stable oid per store: after a restore the
-   group discovers it in the last committed epoch instead of allocating a
-   second one. *)
-let manifest_oid t =
-  if t.manifest_oid <> 0 then t.manifest_oid
-  else begin
-    let oid =
-      let e = Store.last_complete_epoch t.st in
-      let found =
-        if e = 0 then None
-        else
-          List.find_opt
-            (fun (_, kind) -> kind = Serial.kind_manifest)
-            (Store.objects_at t.st ~epoch:e)
-      in
-      match found with Some (oid, _) -> oid | None -> Store.alloc_oid t.st
-    in
-    t.manifest_oid <- oid;
-    oid
-  end
-
-(* Stage the epoch's manifest as the last object before commit: count,
-   epoch id and per-object checksums of everything the commit will
-   contain (the manifest itself excluded), built from the merged
-   staged-plus-carried state the store will actually write.  The rows come
-   from the store's delta-aware summary, so a mostly-skipped incremental
-   checkpoint doesn't pay a full per-page manifest walk; entries for
-   skipped objects carry the cached CRCs of their prior image, keeping
-   verified shipping and restore verification over the full composed
-   state. *)
-let stage_manifest t ~epoch =
-  if t.persist then begin
-    let moid = manifest_oid t in
-    let entries =
-      Store.staging_manifest_entries t.st
-      |> List.filter (fun (oid, _, _, _, _) -> oid <> moid)
-      |> List.map (fun (oid, kind, meta_crc, npages, fp) ->
-             {
-               Serial.i_me_oid = oid;
-               i_me_kind = kind;
-               i_me_meta_crc = meta_crc;
-               i_me_pages = npages;
-               i_me_pages_crc = fp;
-             })
-    in
-    Store.put_object t.st ~oid:moid ~kind:Serial.kind_manifest
-      ~meta:
-        (Serial.manifest_to_string
-           {
-             Serial.i_m_epoch = epoch;
-             i_m_count = List.length entries;
-             i_m_entries = entries;
-           })
-  end
 
 let put_pgs t ~oid pages = if t.persist then Store.put_pages t.st ~oid pages
 
@@ -1223,8 +1166,10 @@ let checkpoint_common t ~flush ~full ~speculative =
         Otrace.with_span ~cat:"ckpt" ~name:"flush.static" (fun () ->
             Hashtbl.fold (fun _ r acc -> acc + flush_static t r) t.memrecs 0)
       in
+      (* The manifest is the last object staged, so it describes the
+         whole epoch it is part of. *)
       Otrace.with_span ~cat:"ckpt" ~name:"manifest" (fun () ->
-          stage_manifest t ~epoch);
+          ignore (Store.put_manifest t.st ~oid:(Store.manifest_oid t.st)));
       charge t Cost.ckpt_record_write;
       Otrace.with_span ~cat:"ckpt" ~name:"commit" (fun () ->
           ignore (Store.commit_checkpoint t.st));
@@ -1333,7 +1278,7 @@ let checkpoint_region t (entry : Vm_map.entry) =
   charge t Cost.async_flush_setup;
   let mark_ns = Clock.elapsed_since clk stop_begin in
   let pages = flush_frozen t r in
-  stage_manifest t ~epoch;
+  ignore (Store.put_manifest t.st ~oid:(Store.manifest_oid t.st));
   charge t Cost.ckpt_record_write;
   ignore (Store.commit_checkpoint t.st);
   t.last_epoch_committed <- epoch;

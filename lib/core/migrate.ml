@@ -1,14 +1,10 @@
 module Cost = Aurora_sim.Cost
 module Crc32 = Aurora_util.Crc32
+module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
 module Wire = Aurora_objstore.Wire
 
 let magic = "AURSTRM1"
-
-(* Manifests never cross the wire as stream objects: each side writes its
-   own (the receiver after verifying the composed state, see
-   [install_verified]), so incremental streams stay page-sized. *)
-let streamable (_, kind) = kind <> Serial.kind_manifest
 
 let serialize_objects ~store ~epoch ~pages_of oids =
   let w = Wire.writer () in
@@ -54,7 +50,7 @@ let serialize_incremental ~store ~base ~epoch =
           pages <> []
           || Store.read_meta store ~epoch ~oid <> Store.read_meta store ~epoch:base ~oid
         end)
-      (List.filter streamable (Store.objects_at store ~epoch))
+      (Store.objects_at store ~epoch)
   in
   serialize_objects ~store ~epoch ~pages_of:(Hashtbl.find deltas) objects
 
@@ -202,8 +198,11 @@ let open_ack s =
     s
 
 (* Install a shipment, verifying the composed epoch against the sender's
-   manifest digest before committing anything.  On [Error] the standby
-   store is untouched (the composition is computed read-only first). *)
+   manifest digest before committing anything.  The delta is staged first;
+   the check composes it over the previous epoch from the epoch table and
+   the leaves ([Store.staging_manifest_source]), independently of the row
+   cache the standby's own manifest is then built from.  On [Error] the
+   staging epoch is aborted and the standby store is untouched. *)
 let install_verified ~store (sh : shipment) =
   match parse_stream sh.sh_body with
   | exception Failure msg -> Error msg
@@ -214,70 +213,27 @@ let install_verified ~store (sh : shipment) =
           (Printf.sprintf "stream epoch %d contradicts frame epoch %d" src_epoch
              sh.sh_epoch)
       else begin
-        (* Composed state = previous standby epoch overridden by the
-           delta, mirroring how commit merges staged pages into leaves. *)
-        let composed = Hashtbl.create 64 in
-        let prev = Store.last_complete_epoch store in
-        if prev <> 0 then
-          List.iter
-            (fun (oid, kind) ->
-              if kind <> Serial.kind_manifest then begin
-                let crcs = Hashtbl.create 8 in
-                List.iter
-                  (fun (idx, crc) -> Hashtbl.replace crcs idx crc)
-                  (Store.page_crcs store ~epoch:prev ~oid);
-                Hashtbl.replace composed oid
-                  (kind, Store.read_meta store ~epoch:prev ~oid, crcs)
-              end)
-            (Store.objects_at store ~epoch:prev);
-        List.iter
-          (fun (oid, kind, meta, pages) ->
-            let crcs =
-              match Hashtbl.find_opt composed oid with
-              | Some (_, _, crcs) -> crcs
-              | None -> Hashtbl.create 8
-            in
-            List.iter
-              (fun (idx, payload) ->
-                Hashtbl.replace crcs idx (Crc32.of_bytes payload))
-              pages;
-            Hashtbl.replace composed oid (kind, meta, crcs))
-          objects;
+        let epoch = install_objects ~store objects in
         let entries =
-          Hashtbl.fold
-            (fun oid (kind, meta, crcs) acc ->
-              let pages =
-                Hashtbl.fold (fun i c a -> (i, c) :: a) crcs []
-                |> List.sort compare
-              in
-              Serial.manifest_entry_of_source (oid, kind, meta, pages) :: acc)
-            composed []
-          |> List.sort (fun a b ->
-                 compare a.Serial.i_me_oid b.Serial.i_me_oid)
+          List.map Manifest.entry_of_source (Store.staging_manifest_source store)
         in
-        if List.length entries <> sh.sh_count then
-          Error
-            (Printf.sprintf "composed epoch has %d objects, manifest says %d"
-               (List.length entries) sh.sh_count)
-        else if Serial.manifest_summary entries <> sh.sh_summary then
-          Error "composed epoch contradicts the shipped manifest digest"
-        else begin
-          let epoch = install_objects ~store objects in
-          Store.reserve_oids store ~upto:sh.sh_manifest_oid;
-          (* The standby's manifest names its own epoch (epochs are local
-             to a store); the primary-epoch correspondence is the
-             shipping layer's to remember. *)
-          Store.put_object store ~oid:sh.sh_manifest_oid
-            ~kind:Serial.kind_manifest
-            ~meta:
-              (Serial.manifest_to_string
-                 {
-                   Serial.i_m_epoch = epoch;
-                   i_m_count = List.length entries;
-                   i_m_entries = entries;
-                 });
-          ignore (Store.commit_checkpoint store);
-          Store.wait_durable store;
-          Ok epoch
-        end
+        let verdict =
+          if List.length entries <> sh.sh_count then
+            Error
+              (Printf.sprintf "composed epoch has %d objects, manifest says %d"
+                 (List.length entries) sh.sh_count)
+          else if Manifest.summary entries <> sh.sh_summary then
+            Error "composed epoch contradicts the shipped manifest digest"
+          else Ok epoch
+        in
+        (match verdict with
+        | Error _ -> Store.abort_checkpoint store
+        | Ok _ ->
+            (* The standby's manifest names its own epoch (epochs are local
+               to a store); the primary-epoch correspondence is the
+               shipping layer's to remember. *)
+            ignore (Store.put_manifest store ~oid:sh.sh_manifest_oid);
+            ignore (Store.commit_checkpoint store);
+            Store.wait_durable store);
+        verdict
       end

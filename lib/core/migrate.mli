@@ -38,9 +38,10 @@ val transfer_time_ns : bytes:int -> int
 
     HA shipments wrap a stream in a sequenced frame with a CRC-32
     trailer plus a digest of the sender's epoch manifest.  Manifests
-    themselves never cross the wire as stream objects: the receiver
-    composes the delta onto its previous epoch, recomputes the manifest
-    of the result, and commits (and acks) only if the digests agree. *)
+    themselves never cross the wire as stream objects (the store does
+    not list them): the receiver stages the delta over its previous
+    epoch, recomputes the manifest digest of the result, and commits
+    (and acks) only if the digests agree. *)
 
 type shipment = {
   sh_seq : int;  (** ARQ sequence number *)
@@ -48,7 +49,8 @@ type shipment = {
   sh_epoch : int;  (** sender epoch the stream materializes *)
   sh_manifest_oid : int;  (** oid the manifest object lives at *)
   sh_count : int;  (** objects in the epoch, manifest excluded *)
-  sh_summary : int;  (** {!Serial.manifest_summary} of the sender manifest *)
+  sh_summary : int;
+      (** {!Aurora_objstore.Manifest.summary} of the sender manifest *)
   sh_body : string;  (** the {!serialize}/{!serialize_incremental} stream *)
 }
 
@@ -73,6 +75,10 @@ val open_ack : string -> (ack, string) result
 
 val install_verified :
   store:Aurora_objstore.Store.t -> shipment -> (int, string) result
-(** Install a shipment: compose, verify against the manifest digest,
-    then commit — writing the receiver's own manifest object into the
-    new epoch.  On [Error] the store is untouched. *)
+(** Install a shipment: stage the delta, check the object count and
+    digest of the composed epoch, which
+    {!Aurora_objstore.Store.staging_manifest_source} reads off the epoch
+    table and the leaves, then stage the receiver's own manifest at the
+    frame's manifest oid and commit.  On [Error] the staging epoch is
+    aborted ({!Aurora_objstore.Store.abort_checkpoint}) and the store is
+    untouched. *)

@@ -1,5 +1,6 @@
 module Clock = Aurora_sim.Clock
 module Machine = Aurora_kern.Machine
+module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
 module Link = Aurora_net.Link
 module Rng = Aurora_util.Rng
@@ -170,22 +171,9 @@ let quorum_epoch t =
 
 (* Frame construction ---------------------------------------------------- *)
 
-let manifest_of_epoch ~store ~epoch =
-  match
-    List.find_opt
-      (fun (_, kind) -> kind = Serial.kind_manifest)
-      (Store.objects_at store ~epoch)
-  with
-  | None -> Error (Printf.sprintf "epoch %d carries no manifest" epoch)
-  | Some (moid, _) -> (
-      match Serial.manifest_of_string (Store.read_meta store ~epoch ~oid:moid) with
-      | exception Serial.Malformed msg ->
-          Error ("manifest unreadable: " ^ msg)
-      | m -> Ok (moid, m))
-
 let build_frame ~store ~base ~epoch =
   let stream = Migrate.serialize_incremental ~store ~base ~epoch in
-  match manifest_of_epoch ~store ~epoch with
+  match Store.manifest store ~epoch with
   | Error e -> Error e
   | Ok (moid, m) ->
       let frame =
@@ -193,8 +181,8 @@ let build_frame ~store ~base ~epoch =
            totally ordered chain, so no separate counter is needed and
            every standby's selective acks name epochs directly. *)
         Migrate.seal_shipment ~seq:epoch ~base ~epoch ~manifest_oid:moid
-          ~count:m.Serial.i_m_count
-          ~summary:(Serial.manifest_summary m.Serial.i_m_entries)
+          ~count:m.Manifest.m_count
+          ~summary:(Manifest.summary m.Manifest.m_entries)
           stream
       in
       Ok (frame, Migrate.stream_size stream)
@@ -797,12 +785,8 @@ let elect_and_failover t ~survivors ~machine =
 (* Byte-identity of two checkpoints -------------------------------------- *)
 
 let stores_identical ~src ~src_epoch ~dst ~dst_epoch =
-  let objs store epoch =
-    Store.objects_at store ~epoch
-    |> List.filter (fun (_, kind) -> kind <> Serial.kind_manifest)
-    |> List.sort compare
-  in
-  let a = objs src src_epoch and b = objs dst dst_epoch in
+  let a = Store.objects_at src ~epoch:src_epoch
+  and b = Store.objects_at dst ~epoch:dst_epoch in
   List.length a = List.length b
   && List.for_all2
        (fun (oa, ka) (ob, kb) ->

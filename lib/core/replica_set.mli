@@ -212,6 +212,7 @@ val stores_identical :
   dst:Aurora_objstore.Store.t ->
   dst_epoch:int ->
   bool
-(** Byte-identity of two checkpoints: equal non-manifest object sets,
-    equal kinds and metadata, equal page CRC sets.  (Manifests are
-    excluded — each store writes its own, naming its local epoch.) *)
+(** Byte-identity of two checkpoints: equal object sets
+    ({!Aurora_objstore.Store.objects_at}, which leaves out the manifest
+    each store writes for its local epoch), equal kinds and metadata,
+    equal page CRC sets. *)

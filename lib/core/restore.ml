@@ -513,7 +513,8 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
 
 (* Verified restore --------------------------------------------------------------- *)
 
-module Crc32 = Aurora_util.Crc32
+module Fault = Aurora_block.Fault
+module Manifest = Aurora_objstore.Manifest
 module Wire = Aurora_objstore.Wire
 
 type attempt = { at_epoch : int; at_reason : string }
@@ -531,94 +532,17 @@ let pp_restore_error = function
              (fun a -> Printf.sprintf "epoch %d (%s)" a.at_epoch a.at_reason)
              attempts)
 
-(* Check one epoch against its own manifest: every object the manifest
-   names must be present with the recorded kind, its metadata and page
-   payloads must hash to the recorded CRCs, and the metadata must still
-   parse.  All reads are charged normally but nothing is mutated. *)
+(* Check one epoch against its own manifest (see [Store.verify_epoch]);
+   each object's metadata must also still parse as its kind. *)
 let verify_epoch ~store ~epoch =
   Otrace.with_span ~cat:"restore" ~name:"verify"
     ~args:[ ("epoch", Otrace.Int epoch) ]
-  @@ fun () ->
-  try
-    let objects = Store.objects_at store ~epoch in
-    match List.filter (fun (_, k) -> k = Serial.kind_manifest) objects with
-    | [] -> Error "no manifest object"
-    | _ :: _ :: _ -> Error "several manifest objects"
-    | [ (moid, _) ] ->
-        let m = Serial.manifest_of_string (Store.read_meta store ~epoch ~oid:moid) in
-        if m.Serial.i_m_epoch <> epoch then
-          Error
-            (Printf.sprintf "manifest written for epoch %d, found in epoch %d"
-               m.Serial.i_m_epoch epoch)
-        else begin
-          let others = List.filter (fun (oid, _) -> oid <> moid) objects in
-          if List.length others <> m.Serial.i_m_count then
-            Error
-              (Printf.sprintf "epoch holds %d objects, manifest says %d"
-                 (List.length others) m.Serial.i_m_count)
-          else begin
-            let check (e : Serial.manifest_entry) =
-              let oid = e.Serial.i_me_oid in
-              match List.find_opt (fun (o, _) -> o = oid) others with
-              | None -> Error (Printf.sprintf "oid %d named but absent" oid)
-              | Some (_, kind) when kind <> e.Serial.i_me_kind ->
-                  Error
-                    (Printf.sprintf "oid %d is %S, manifest says %S" oid kind
-                       e.Serial.i_me_kind)
-              | Some (_, kind) ->
-                  let meta = Store.read_meta store ~epoch ~oid in
-                  if Crc32.of_string meta <> e.Serial.i_me_meta_crc then
-                    Error (Printf.sprintf "oid %d metadata CRC mismatch" oid)
-                  else begin
-                    let crcs = Store.page_crcs store ~epoch ~oid in
-                    if List.length crcs <> e.Serial.i_me_pages then
-                      Error
-                        (Printf.sprintf "oid %d has %d pages, manifest says %d"
-                           oid (List.length crcs) e.Serial.i_me_pages)
-                    else if
-                      Serial.pages_fingerprint crcs <> e.Serial.i_me_pages_crc
-                    then Error (Printf.sprintf "oid %d page-set fingerprint mismatch" oid)
-                    else begin
-                      match Serial.parse_check ~kind meta with
-                      | Error msg ->
-                          Error (Printf.sprintf "oid %d metadata unparseable: %s" oid msg)
-                      | Ok () ->
-                          (* Deep check: the payloads on disk, not just the
-                             CRCs the leaves recorded at write time. *)
-                          let bad =
-                            List.find_opt
-                              (fun (idx, payload) ->
-                                match List.assoc_opt idx crcs with
-                                | Some crc -> Crc32.of_bytes payload <> crc
-                                | None -> true)
-                              (Store.read_pages store ~epoch ~oid)
-                          in
-                          (match bad with
-                          | Some (idx, _) ->
-                              Error
-                                (Printf.sprintf "oid %d page %d payload corrupt" oid idx)
-                          | None -> Ok ())
-                    end
-                  end
-            in
-            let rec all = function
-              | [] -> Ok m
-              | e :: rest -> (
-                  match check e with Ok () -> all rest | Error _ as err -> err)
-            in
-            all m.Serial.i_m_entries
-          end
-        end
-  with
-  | Serial.Malformed msg -> Error ("malformed manifest: " ^ msg)
-  | Wire.Corrupt msg -> Error ("corrupt manifest encoding: " ^ msg)
-  | Store.Corrupt_store msg -> Error ("corrupt store: " ^ msg)
-  | Failure msg -> Error msg
+  @@ fun () -> Store.verify_epoch store ~epoch ~check_meta:Serial.parse_check
 
 type verified = {
   vr_result : result;
   vr_epoch : int;
-  vr_manifest : Serial.manifest_image;
+  vr_manifest : Manifest.t;
   vr_skipped : attempt list;
 }
 
@@ -650,6 +574,7 @@ let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid () =
                     (( Serial.Malformed msg
                      | Wire.Corrupt msg
                      | Store.Corrupt_store msg
+                     | Fault.Io_error msg
                      | Failure msg ) as _e) ->
                     go
                       ({ at_epoch = epoch; at_reason = "restore failed: " ^ msg }

@@ -48,11 +48,12 @@ val restore :
 
 (** {1 Verified restore}
 
-    Every committed epoch carries a manifest object (per-object metadata
-    and page CRCs, see {!Serial.manifest_image}).  Verified restore checks
-    an epoch against its manifest before touching it, and falls back
-    epoch-by-epoch when the newest checkpoint fails verification —
-    degraded recovery instead of a crash on a torn or corrupted epoch. *)
+    Every committed epoch carries a manifest ({!Aurora_objstore.Manifest}:
+    per-object metadata and page CRCs) that the store writes and checks.
+    Verified restore checks an epoch against its manifest before touching
+    it, and falls back epoch-by-epoch when the newest checkpoint fails
+    verification — degraded recovery instead of a crash on a torn,
+    corrupted or unreadable epoch. *)
 
 type attempt = { at_epoch : int; at_reason : string }
 (** An epoch that failed verification (or restore) and was skipped. *)
@@ -67,17 +68,17 @@ val pp_restore_error : restore_error -> string
 val verify_epoch :
   store:Aurora_objstore.Store.t ->
   epoch:int ->
-  (Serial.manifest_image, string) Stdlib.result
-(** Check [epoch] against its own manifest: exactly one manifest object
-    must exist, its entry set must match the epoch's objects, each
-    object's metadata CRC, page count, page-set fingerprint, and on-disk
-    page payload CRCs must agree, and the metadata must still parse.
-    Read-only; never raises. *)
+  (Aurora_objstore.Manifest.t, string) Stdlib.result
+(** {!Aurora_objstore.Store.verify_epoch} with {!Serial.parse_check} as
+    its metadata check: exactly one manifest object, its entry set
+    matching the epoch's objects, each object's metadata CRC, page count,
+    page-set fingerprint and on-disk page payload CRCs agreeing, and the
+    metadata still parsing.  Read-only; never raises. *)
 
 type verified = {
   vr_result : result;
   vr_epoch : int;  (** the epoch actually restored *)
-  vr_manifest : Serial.manifest_image;  (** its verified manifest *)
+  vr_manifest : Aurora_objstore.Manifest.t;  (** its verified manifest *)
   vr_skipped : attempt list;  (** newer epochs rejected on the way *)
 }
 
@@ -90,5 +91,6 @@ val restore_verified :
   (verified, restore_error) Stdlib.result
 (** Restore the newest epoch that passes {!verify_epoch}, falling back to
     older epochs — every retained one, newest first — when verification
-    (or the restore itself) fails.  Never raises on corrupt state: a
-    store with no recoverable epoch yields [Error]. *)
+    (or the restore itself) fails, including on a read that still fails
+    after the store's retries.  Never raises on corrupt state: a store
+    with no recoverable epoch yields [Error]. *)

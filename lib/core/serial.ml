@@ -1,4 +1,3 @@
-module Crc32 = Aurora_util.Crc32
 module Wire = Aurora_objstore.Wire
 module Thread = Aurora_kern.Thread
 
@@ -96,24 +95,6 @@ type group_image = {
   i_ephemeral_parents : int list;
 }
 
-(* The epoch manifest: object count, epoch id and a per-object checksum
-   line for everything the epoch contains.  Written as an ordinary store
-   object ([kind_manifest]) into the very epoch it describes, and checked
-   on replication install and on restore. *)
-type manifest_entry = {
-  i_me_oid : int;
-  i_me_kind : string;
-  i_me_meta_crc : int;
-  i_me_pages : int;
-  i_me_pages_crc : int;
-}
-
-type manifest_image = {
-  i_m_epoch : int;
-  i_m_count : int;
-  i_m_entries : manifest_entry list;
-}
-
 let kind_group = "sls.group"
 let kind_proc = "sls.proc"
 let kind_fdesc = "sls.fdesc"
@@ -123,7 +104,6 @@ let kind_kqueue = "sls.kqueue"
 let kind_pty = "sls.pty"
 let kind_shm = "sls.shm"
 let kind_memobj = "sls.memobj"
-let kind_manifest = "sls.manifest"
 
 exception Malformed of string
 
@@ -544,79 +524,6 @@ let group_of_string s =
   let i_ephemeral_parents = Wire.rlist r Wire.ru64 in
   { i_proc_oids; i_period; i_ext_sync_on; i_name_ckpts; i_ephemeral_parents }
 
-(* Manifests ------------------------------------------------------------------------- *)
-
-(* v2: pages fingerprint widened to the 62-bit Hash64 fold. *)
-let manifest_magic = "AURMANF2"
-
-let manifest_to_string (m : manifest_image) =
-  let w = Wire.writer () in
-  Wire.str w manifest_magic;
-  Wire.u64 w m.i_m_epoch;
-  Wire.u32 w m.i_m_count;
-  Wire.list w
-    (fun e ->
-      Wire.u64 w e.i_me_oid;
-      Wire.str w e.i_me_kind;
-      Wire.u32 w e.i_me_meta_crc;
-      Wire.u32 w e.i_me_pages;
-      Wire.u64 w e.i_me_pages_crc)
-    m.i_m_entries;
-  finish w
-
-let manifest_of_string s =
-  let r = start s in
-  (match Wire.rstr r with
-  | m when m = manifest_magic -> ()
-  | m -> raise (Wire.Corrupt (Printf.sprintf "bad manifest magic %S" m)));
-  let i_m_epoch = Wire.ru64 r in
-  let i_m_count = Wire.ru32 r in
-  let i_m_entries =
-    Wire.rlist r (fun r ->
-        let i_me_oid = Wire.ru64 r in
-        let i_me_kind = Wire.rstr r in
-        let i_me_meta_crc = Wire.ru32 r in
-        let i_me_pages = Wire.ru32 r in
-        let i_me_pages_crc = Wire.ru64 r in
-        { i_me_oid; i_me_kind; i_me_meta_crc; i_me_pages; i_me_pages_crc })
-  in
-  { i_m_epoch; i_m_count; i_m_entries }
-
-(* Order-independent combination of per-page checksums: manifests compare
-   whole page maps without fixing an iteration order.  Each (index, CRC)
-   pair is mixed through Hash64 before the XOR fold — a plain XOR of the
-   raw values is zeroed by duplicate pages and blind to permutations with
-   colliding sums.  Must stay bit-identical to the store's leaf-side fold
-   (Store.staging_manifest_entries). *)
-let pages_fingerprint crcs =
-  List.fold_left
-    (fun acc (idx, crc) -> acc lxor Aurora_util.Hash64.pair idx crc)
-    0 crcs
-
-let manifest_entry_of_source (oid, kind, meta, crcs) =
-  {
-    i_me_oid = oid;
-    i_me_kind = kind;
-    i_me_meta_crc = Crc32.of_string meta;
-    i_me_pages = List.length crcs;
-    i_me_pages_crc = pages_fingerprint crcs;
-  }
-
-(* Whole-manifest digest: shipped in the replication frame (a few bytes)
-   so the receiver can check its freshly composed epoch against the
-   sender's manifest without the manifest itself crossing the wire. *)
-let manifest_summary entries =
-  List.fold_left
-    (fun acc e ->
-      let w = Wire.writer () in
-      Wire.u64 w e.i_me_oid;
-      Wire.str w e.i_me_kind;
-      Wire.u32 w e.i_me_meta_crc;
-      Wire.u32 w e.i_me_pages;
-      Wire.u64 w e.i_me_pages_crc;
-      acc lxor Crc32.of_bytes (Wire.contents w))
-    0 entries
-
 (* Hardened exports ------------------------------------------------------------------ *)
 
 let proc_of_string = hardened kind_proc proc_of_string
@@ -628,11 +535,11 @@ let pty_of_string = hardened kind_pty pty_of_string
 let shm_of_string = hardened kind_shm shm_of_string
 let memobj_of_string = hardened kind_memobj memobj_of_string
 let group_of_string = hardened kind_group group_of_string
-let manifest_of_string = hardened kind_manifest manifest_of_string
 
-(* Can [meta] be parsed as a [kind] image?  Restore verification runs this
-   over every manifest entry so a corrupt image is rejected *before* the
-   restore path starts materializing kernel objects from it. *)
+(* Can [meta] be parsed as a [kind] image?  Restore verification passes
+   this to [Store.verify_epoch] as its [check_meta], so a corrupt image is
+   rejected *before* the restore path starts materializing kernel objects
+   from it. *)
 let parse_check ~kind meta =
   let parsers =
     [
@@ -645,7 +552,6 @@ let parse_check ~kind meta =
       (kind_shm, fun s -> ignore (shm_of_string s));
       (kind_memobj, fun s -> ignore (memobj_of_string s));
       (kind_group, fun s -> ignore (group_of_string s));
-      (kind_manifest, fun s -> ignore (manifest_of_string s));
     ]
   in
   match List.assoc_opt kind parsers with

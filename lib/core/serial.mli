@@ -116,26 +116,6 @@ type group_image = {
           children were not persisted and look exited (section 3) *)
 }
 
-(** The epoch manifest (one per committed epoch, stored as an object of
-    [kind_manifest] inside the epoch it describes): object count, epoch
-    id, and per-object checksums — metadata CRC-32 plus a fingerprint of
-    the per-page CRC-32s the store keeps in its radix leaves.  Checked
-    when a replicated checkpoint installs and again on restore, so
-    corruption is detected instead of deserialized. *)
-type manifest_entry = {
-  i_me_oid : int;
-  i_me_kind : string;
-  i_me_meta_crc : int;  (** CRC-32 of the serialized metadata *)
-  i_me_pages : int;  (** resident page count *)
-  i_me_pages_crc : int;  (** {!pages_fingerprint} of the page CRCs *)
-}
-
-type manifest_image = {
-  i_m_epoch : int;  (** the epoch id at the machine that wrote it *)
-  i_m_count : int;  (** objects in the epoch, manifest excluded *)
-  i_m_entries : manifest_entry list;  (** sorted by oid *)
-}
-
 (** {1 Object kind tags used in the store} *)
 
 val kind_group : string
@@ -147,7 +127,6 @@ val kind_kqueue : string
 val kind_pty : string
 val kind_shm : string
 val kind_memobj : string
-val kind_manifest : string
 
 exception Malformed of string
 (** The single typed error every [*_of_string] parser raises on malformed
@@ -175,23 +154,6 @@ val memobj_to_string : memobj_image -> string
 val memobj_of_string : string -> memobj_image
 val group_to_string : group_image -> string
 val group_of_string : string -> group_image
-val manifest_to_string : manifest_image -> string
-val manifest_of_string : string -> manifest_image
-
-(** {1 Manifest helpers} *)
-
-val pages_fingerprint : (int * int) list -> int
-(** Order-independent combination of [(page index, CRC-32)] pairs. *)
-
-val manifest_entry_of_source : int * string * string * (int * int) list -> manifest_entry
-(** Build an entry from one row of
-    {!Aurora_objstore.Store.staging_manifest_source} (or the equivalent
-    committed-epoch accessors). *)
-
-val manifest_summary : manifest_entry list -> int
-(** Order-independent digest of a whole manifest; travels in replication
-    frames so the receiver can verify its composed epoch against the
-    sender's manifest without shipping the manifest body. *)
 
 val parse_check : kind:string -> string -> (unit, string) result
 (** Try parsing [meta] as a [kind] image; [Ok ()] for kinds serialized

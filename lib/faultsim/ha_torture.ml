@@ -69,7 +69,7 @@ let negative_control ~mode =
   done;
   let store = standby.Sls.store in
   let newest = Store.last_complete_epoch store in
-  (* Corrupt a non-manifest object in the newest standby epoch. *)
+  (* Corrupt a memory object in the newest standby epoch. *)
   let victim =
     match
       List.find_opt

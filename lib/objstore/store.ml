@@ -99,19 +99,11 @@ let empty_flush_stats =
     fs_comp_out = 0;
   }
 
-(* Cached manifest row of one object's last committed version: everything a
-   checkpoint manifest needs, maintained incrementally at commit so staging
-   a manifest never re-walks the leaves of carried (unchanged) objects. *)
-type mrow = { r_kind : string; r_meta_crc : int; r_npages : int; r_fp : int }
-
-let zero_row = { r_kind = "memory"; r_meta_crc = 0; r_npages = 0; r_fp = 0 }
-
-(* One page's order-independent fingerprint contribution; the XOR fold over
-   these must stay bit-identical to Serial.pages_fingerprint.  Hash64.pair
-   mixes the index before the fold, so duplicate page contents at
-   different indices no longer cancel (the old CRC/XOR fold's latent
-   false-skip hazard). *)
-let fp_one idx crc = Hash64.pair idx crc
+(* The manifest row of an object with no committed version.  Rows are
+   cached per object at commit (see [committed_row]), so staging a
+   manifest never re-walks the leaves of carried (unchanged) objects. *)
+let zero_row =
+  { Manifest.me_oid = 0; me_kind = "memory"; me_meta_crc = 0; me_pages = 0; me_pages_crc = 0 }
 
 (* One stored page: where its bytes live ([p_blk] + byte offset [p_off],
    [p_clen] stored bytes, possibly RLE-coded), and the identity of the
@@ -179,7 +171,7 @@ type t = {
   mutable packed : bool;
       (* content-addressed packed layout (dedup index + RLE coding +
          packed extents); false is the pre-dedup block-per-page layout *)
-  rows : (int, mrow) Hashtbl.t;
+  rows : (int, Manifest.entry) Hashtbl.t;
       (* oid -> manifest row of the newest committed epoch; updated at
          commit_checkpoint (the single choke point every epoch passes
          through, including migration installs), recomputed lazily from
@@ -188,6 +180,7 @@ type t = {
   mutable current_epoch : int;
   mutable staging : (int, staged) Hashtbl.t option;
   mutable staging_epoch : int;
+  mutable staging_next_oid : int; (* [next_oid] at begin_checkpoint *)
   mutable data_done : int; (* completion time of staged data writes *)
   mutable durable : int; (* completion time of the last superblock write *)
   mutable journals : journal list;
@@ -439,6 +432,16 @@ let leaf_entries t ~charged blk =
       cache_leaf t blk { entries; resident = charged };
       entries
 
+(* [(page index, CRC-32)] of a version's stored pages, unsorted, off its
+   leaves without a charge. *)
+let version_crcs t v =
+  IntMap.fold
+    (fun _ leaf_blk acc ->
+      List.fold_left
+        (fun acc p -> (p.p_idx, p.p_crc) :: acc)
+        acc (leaf_entries t ~charged:false leaf_blk))
+    v.v_leaves []
+
 (* Lifecycle ------------------------------------------------------------------ *)
 
 let fresh dev clk =
@@ -459,6 +462,7 @@ let fresh dev clk =
     current_epoch = 0;
     staging = None;
     staging_epoch = 0;
+    staging_next_oid = 0;
     data_done = 0;
     durable = 0;
     journals = [];
@@ -594,6 +598,9 @@ let write_record t ~now data =
 let last_epoch_info t =
   match List.rev t.epochs with [] -> None | e :: _ -> Some e
 
+let head_table t =
+  match last_epoch_info t with Some e -> e.e_table | None -> Hashtbl.create 0
+
 let begin_checkpoint t =
   if t.staging <> None then invalid_arg "Store.begin_checkpoint: already staging";
   (* Housekeeping: fold already-durable writes into the committed device
@@ -602,6 +609,7 @@ let begin_checkpoint t =
   t.current_epoch <- t.current_epoch + 1;
   t.staging <- Some (Hashtbl.create 64);
   t.staging_epoch <- t.current_epoch;
+  t.staging_next_oid <- t.next_oid;
   t.data_done <- Clock.now t.clk;
   t.stat_extents <- 0;
   t.stat_extent_blocks <- 0;
@@ -624,6 +632,15 @@ let staging_exn t =
   match t.staging with
   | Some s -> s
   | None -> invalid_arg "Store: no checkpoint in progress"
+
+(* Nothing reaches the device or the committed state before commit, so
+   dropping the staging epoch and winding the epoch and oid counters back
+   leaves the store as [begin_checkpoint] found it. *)
+let abort_checkpoint t =
+  ignore (staging_exn t);
+  t.staging <- None;
+  t.current_epoch <- t.staging_epoch - 1;
+  t.next_oid <- t.staging_next_oid
 
 let staged_for t oid =
   let s = staging_exn t in
@@ -862,7 +879,7 @@ let build_version t ~now ~prev st =
           if not (mem_run !i !j p.p_idx) then carried := p :: !carried
           else begin
             (* Replaced: fold the old entry's contribution back out. *)
-            fp_delta := !fp_delta lxor fp_one p.p_idx p.p_crc;
+            fp_delta := !fp_delta lxor Manifest.page_fp p.p_idx p.p_crc;
             decr n_delta
           end)
         old_entries;
@@ -871,7 +888,7 @@ let build_version t ~now ~prev st =
         let idx, _ = fresh.(k) in
         let hash, olen, crc = idents.(k) in
         let blk, off, clen, comp = loc_of k in
-        fp_delta := !fp_delta lxor fp_one idx crc;
+        fp_delta := !fp_delta lxor Manifest.page_fp idx crc;
         incr n_delta;
         fresh_entries :=
           { p_idx = idx; p_blk = blk; p_off = off; p_clen = clen; p_olen = olen;
@@ -920,23 +937,7 @@ let committed_row t oid v =
   match Hashtbl.find_opt t.rows oid with
   | Some r -> r
   | None ->
-      let npages = ref 0 and fp = ref 0 in
-      IntMap.iter
-        (fun _ leaf_blk ->
-          List.iter
-            (fun p ->
-              incr npages;
-              fp := !fp lxor fp_one p.p_idx p.p_crc)
-            (leaf_entries t ~charged:false leaf_blk))
-        v.v_leaves;
-      let r =
-        {
-          r_kind = v.v_kind;
-          r_meta_crc = Crc32.of_string v.v_meta;
-          r_npages = !npages;
-          r_fp = !fp;
-        }
-      in
+      let r = Manifest.entry_of_source (oid, v.v_kind, v.v_meta, version_crcs t v) in
       Hashtbl.replace t.rows oid r;
       r
 
@@ -944,11 +945,7 @@ let commit_checkpoint t =
   let s = staging_exn t in
   let now = Clock.now t.clk in
   let epoch = t.staging_epoch in
-  let prev_table =
-    match last_epoch_info t with
-    | Some e -> e.e_table
-    | None -> Hashtbl.create 0
-  in
+  let prev_table = head_table t in
   let new_table : (int, version) Hashtbl.t = Hashtbl.copy prev_table in
   let data_done = ref now in
   (* One flush thread does the hashing and compression: each object's
@@ -985,12 +982,13 @@ let commit_checkpoint t =
         if c > !data_done then data_done := c;
         Hashtbl.replace t.rows oid
           {
-            r_kind = kind;
-            r_meta_crc =
+            Manifest.me_oid = oid;
+            me_kind = kind;
+            me_meta_crc =
               (if st.s_meta <> "" then Crc32.of_string st.s_meta
-               else base.r_meta_crc);
-            r_npages = base.r_npages + n_delta;
-            r_fp = base.r_fp lxor fp_delta;
+               else base.me_meta_crc);
+            me_pages = base.me_pages + n_delta;
+            me_pages_crc = base.me_pages_crc lxor fp_delta;
           };
         (oid, { v_kind = kind; v_meta = meta; v_block = 0; v_nblocks = 0; v_leaves = leaves }))
       staged_list
@@ -1342,7 +1340,9 @@ let version_exn t ~epoch ~oid =
   | None -> raise (Corrupt_store (Printf.sprintf "oid %d not in epoch %d" oid epoch))
 
 let objects_at t ~epoch =
-  Hashtbl.fold (fun oid v acc -> (oid, v.v_kind) :: acc) (epoch_info t epoch).e_table []
+  Hashtbl.fold
+    (fun oid v acc -> if v.v_kind = Manifest.kind then acc else (oid, v.v_kind) :: acc)
+    (epoch_info t epoch).e_table []
   |> List.sort compare
 
 let read_meta t ~epoch ~oid = (version_exn t ~epoch ~oid).v_meta
@@ -1632,28 +1632,29 @@ let blocks_free t = Hashtbl.length t.free_set
 
 (* Verification ------------------------------------------------------------------------ *)
 
-let page_crcs t ~epoch ~oid =
-  let v = version_exn t ~epoch ~oid in
-  IntMap.fold
-    (fun _ leaf_blk acc ->
-      List.fold_left
-        (fun acc p -> (p.p_idx, p.p_crc) :: acc)
-        acc (leaf_entries t ~charged:false leaf_blk))
-    v.v_leaves []
+let page_crcs t ~epoch ~oid = List.sort compare (version_crcs t (version_exn t ~epoch ~oid))
+
+(* Manifests ---------------------------------------------------------------------------- *)
+
+(* The manifest is store bookkeeping, not an object of its epoch:
+   [objects_at], [staging_manifest_source] and the manifest's own entries
+   leave it out.  These are an epoch's manifest objects, lowest oid first;
+   a sound epoch has exactly one. *)
+let manifest_oids e =
+  Hashtbl.fold
+    (fun oid v acc -> if v.v_kind = Manifest.kind then oid :: acc else acc)
+    e.e_table []
   |> List.sort compare
 
 (* What the open staging epoch will contain once committed: carried
    objects included, with per-page checksums merged the same way
    [commit_checkpoint] merges leaves (previous leaves overridden by staged
-   payloads).  The SLS builds the epoch's manifest from this, *before*
-   commit, so the manifest is part of the very epoch it describes. *)
+   payloads).  Reads the epoch table and the leaves, never the row cache,
+   so it is the reference [put_manifest] is checked against and the
+   independent composition a verified install checks a frame with. *)
 let staging_manifest_source t =
   let s = staging_exn t in
-  let prev_table =
-    match last_epoch_info t with
-    | Some e -> e.e_table
-    | None -> Hashtbl.create 0
-  in
+  let prev_table = head_table t in
   let oids = Hashtbl.create 64 in
   Hashtbl.iter (fun oid _ -> Hashtbl.replace oids oid ()) prev_table;
   Hashtbl.iter (fun oid _ -> Hashtbl.replace oids oid ()) s;
@@ -1666,57 +1667,45 @@ let staging_manifest_source t =
         | Some st when st.s_kind <> "" -> st.s_kind
         | _ -> ( match prev with Some v -> v.v_kind | None -> "memory")
       in
-      let meta =
-        match st with
-        | Some st when st.s_meta <> "" -> st.s_meta
-        | _ -> ( match prev with Some v -> v.v_meta | None -> "")
-      in
-      let crcs = Hashtbl.create 16 in
-      (match prev with
-      | None -> ()
-      | Some v ->
-          IntMap.iter
-            (fun _ leaf_blk ->
-              List.iter
-                (fun p -> Hashtbl.replace crcs p.p_idx p.p_crc)
-                (leaf_entries t ~charged:false leaf_blk))
-            v.v_leaves);
-      (match st with
-      | None -> ()
-      | Some st ->
-          Hashtbl.iter
-            (fun idx payload -> Hashtbl.replace crcs idx (Crc32.of_bytes payload))
-            st.s_pages);
-      let pages =
-        Hashtbl.fold (fun idx crc acc -> (idx, crc) :: acc) crcs []
-        |> List.sort compare
-      in
-      (oid, kind, meta, pages) :: acc)
+      if kind = Manifest.kind then acc
+      else begin
+        let meta =
+          match st with
+          | Some st when st.s_meta <> "" -> st.s_meta
+          | _ -> ( match prev with Some v -> v.v_meta | None -> "")
+        in
+        let crcs = Hashtbl.create 16 in
+        Option.iter
+          (fun v -> List.iter (fun (idx, crc) -> Hashtbl.replace crcs idx crc) (version_crcs t v))
+          prev;
+        (match st with
+        | None -> ()
+        | Some st ->
+            Hashtbl.iter
+              (fun idx payload -> Hashtbl.replace crcs idx (Crc32.of_bytes payload))
+              st.s_pages);
+        let pages =
+          Hashtbl.fold (fun idx crc acc -> (idx, crc) :: acc) crcs []
+          |> List.sort compare
+        in
+        (oid, kind, meta, pages) :: acc
+      end)
     oids []
   |> List.sort compare
 
-(* Delta-aware manifest: same composed state as [staging_manifest_source]
-   but summarized — (oid, kind, meta crc, page count, pages fingerprint).
-   Carried objects cost O(1) via the manifest-row cache; staged objects pay
-   only for the leaves their dirty pages touch.  This is what makes the
-   manifest affordable when an incremental checkpoint skips most of the
-   group: the full source walk is O(union of all objects' pages).
-   [staging_manifest_source] stays as the reference implementation the
-   tests check this against. *)
+(* Delta-aware manifest entries: the same composed state as
+   [staging_manifest_source], summarized.  Carried objects cost O(1) via
+   the manifest-row cache; staged objects pay only for the leaves their
+   dirty pages touch.  This is what makes the manifest affordable when an
+   incremental checkpoint skips most of the group: the full source walk
+   is O(union of all objects' pages). *)
 let staging_manifest_entries t =
   let s = staging_exn t in
-  let prev_table =
-    match last_epoch_info t with
-    | Some e -> e.e_table
-    | None -> Hashtbl.create 0
-  in
+  let prev_table = head_table t in
   let acc = ref [] in
+  let add (e : Manifest.entry) = if e.me_kind <> Manifest.kind then acc := e :: !acc in
   Hashtbl.iter
-    (fun oid v ->
-      if not (Hashtbl.mem s oid) then begin
-        let r = committed_row t oid v in
-        acc := (oid, r.r_kind, r.r_meta_crc, r.r_npages, r.r_fp) :: !acc
-      end)
+    (fun oid v -> if not (Hashtbl.mem s oid) then add (committed_row t oid v))
     prev_table;
   Hashtbl.iter
     (fun oid st ->
@@ -1724,11 +1713,7 @@ let staging_manifest_entries t =
       let base =
         match prev with Some v -> committed_row t oid v | None -> zero_row
       in
-      let kind = if st.s_kind <> "" then st.s_kind else base.r_kind in
-      let meta_crc =
-        if st.s_meta <> "" then Crc32.of_string st.s_meta else base.r_meta_crc
-      in
-      let fp = ref base.r_fp and npages = ref base.r_npages in
+      let fp = ref base.me_pages_crc and npages = ref base.me_pages in
       if Hashtbl.length st.s_pages > 0 then begin
         (* Group the staged page indexes per leaf so each touched leaf of
            the previous version is walked once to fold out the entries the
@@ -1758,20 +1743,118 @@ let staging_manifest_entries t =
                     List.iter
                       (fun p ->
                         if Hashtbl.mem idxs p.p_idx then begin
-                          fp := !fp lxor fp_one p.p_idx p.p_crc;
+                          fp := !fp lxor Manifest.page_fp p.p_idx p.p_crc;
                           decr npages
                         end)
                       (leaf_entries t ~charged:false blk)))
           by_leaf;
         Hashtbl.iter
           (fun idx payload ->
-            fp := !fp lxor fp_one idx (Crc32.of_bytes payload);
+            fp := !fp lxor Manifest.page_fp idx (Crc32.of_bytes payload);
             incr npages)
           st.s_pages
       end;
-      acc := (oid, kind, meta_crc, !npages, !fp) :: !acc)
+      add
+        {
+          me_oid = oid;
+          me_kind = (if st.s_kind <> "" then st.s_kind else base.me_kind);
+          me_meta_crc =
+            (if st.s_meta <> "" then Crc32.of_string st.s_meta else base.me_meta_crc);
+          me_pages = !npages;
+          me_pages_crc = !fp;
+        })
     s;
-  List.sort compare !acc
+  List.sort (fun a b -> compare a.Manifest.me_oid b.Manifest.me_oid) !acc
+
+(* One stable manifest oid per store: the one the head epoch's manifest
+   carries, so a restored or failed-over store keeps writing its manifest
+   where it found it. *)
+let manifest_oid t =
+  match Option.map manifest_oids (last_epoch_info t) with
+  | Some (oid :: _) -> oid
+  | Some [] | None -> alloc_oid t
+
+(* Stage the epoch's manifest as the last object before commit, so the
+   manifest is part of the very epoch it describes. *)
+let put_manifest t ~oid =
+  let entries = staging_manifest_entries t in
+  let m =
+    {
+      Manifest.m_epoch = t.staging_epoch;
+      m_count = List.length entries;
+      m_entries = entries;
+    }
+  in
+  reserve_oids t ~upto:oid;
+  put_object t ~oid ~kind:Manifest.kind ~meta:(Manifest.to_string m);
+  m
+
+let manifest t ~epoch =
+  match manifest_oids (epoch_info t epoch) with
+  | [] -> Error (Printf.sprintf "epoch %d carries no manifest" epoch)
+  | moid :: _ -> (
+      match Manifest.of_string (read_meta t ~epoch ~oid:moid) with
+      | Ok m -> Ok (moid, m)
+      | Error msg -> Error ("manifest unreadable: " ^ msg))
+
+(* The check order and reason strings are part of the contract (see the
+   .mli); the last check re-reads the payloads on disk, not just the CRCs
+   the leaves recorded at write time. *)
+let verify_epoch t ~epoch ~check_meta =
+  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  try
+    let e = epoch_info t epoch in
+    match manifest_oids e with
+    | [] -> Error "no manifest object"
+    | _ :: _ :: _ -> Error "several manifest objects"
+    | [ moid ] -> (
+        let objects = Hashtbl.length e.e_table - 1 in
+        match Manifest.of_string (Hashtbl.find e.e_table moid).v_meta with
+        | Error msg -> Error ("malformed manifest: " ^ msg)
+        | Ok m when m.Manifest.m_epoch <> epoch ->
+            fail "manifest written for epoch %d, found in epoch %d" m.Manifest.m_epoch epoch
+        | Ok m when objects <> m.Manifest.m_count ->
+            fail "epoch holds %d objects, manifest says %d" objects m.Manifest.m_count
+        | Ok m ->
+            let check (me : Manifest.entry) =
+              let oid = me.Manifest.me_oid in
+              match if oid = moid then None else Hashtbl.find_opt e.e_table oid with
+              | None -> fail "oid %d named but absent" oid
+              | Some v when v.v_kind <> me.Manifest.me_kind ->
+                  fail "oid %d is %S, manifest says %S" oid v.v_kind me.Manifest.me_kind
+              | Some v when Crc32.of_string v.v_meta <> me.Manifest.me_meta_crc ->
+                  fail "oid %d metadata CRC mismatch" oid
+              | Some v -> (
+                  let crcs = page_crcs t ~epoch ~oid in
+                  let npages = List.length crcs in
+                  if npages <> me.Manifest.me_pages then
+                    fail "oid %d has %d pages, manifest says %d" oid npages me.Manifest.me_pages
+                  else if Manifest.fingerprint crcs <> me.Manifest.me_pages_crc then
+                    fail "oid %d page-set fingerprint mismatch" oid
+                  else
+                    match check_meta ~kind:v.v_kind v.v_meta with
+                    | Error msg -> fail "oid %d metadata unparseable: %s" oid msg
+                    | Ok () -> (
+                        let want = Hashtbl.create npages in
+                        List.iter (fun (idx, crc) -> Hashtbl.replace want idx crc) crcs;
+                        let corrupt (idx, payload) =
+                          match Hashtbl.find_opt want idx with
+                          | Some crc -> Crc32.of_bytes payload <> crc
+                          | None -> true
+                        in
+                        match List.find_opt corrupt (read_pages t ~epoch ~oid) with
+                        | Some (idx, _) -> fail "oid %d page %d payload corrupt" oid idx
+                        | None -> Ok ()))
+            in
+            let rec all = function
+              | [] -> Ok m
+              | me :: rest -> ( match check me with Ok () -> all rest | Error _ as err -> err)
+            in
+            all m.Manifest.m_entries)
+  with
+  | Corrupt_store msg -> Error ("corrupt store: " ^ msg)
+  | Aurora_block.Fault.Io_error msg -> Error ("read failed: " ^ msg)
+  | Failure msg -> Error msg
 
 (* Deliberate-corruption knobs, torture-harness counterparts of
    [set_torture_misorder]: they exist so the negative-control tests can

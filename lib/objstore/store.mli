@@ -73,6 +73,12 @@ val put_pages : t -> oid:int -> (int * bytes) list -> unit
     later one — replaces the payload in O(1): the newest staged version of
     a page wins, decided here rather than at commit time. *)
 
+val abort_checkpoint : t -> unit
+(** Drop the open staging epoch: nothing staged is written, and the
+    epoch and oid counters return to their values at {!begin_checkpoint},
+    so the next epoch takes the same number and a fresh {!alloc_oid}
+    returns what it would have. *)
+
 val commit_checkpoint : t -> int
 (** Write out the staged epoch asynchronously; returns the virtual time at
     which the checkpoint is fully durable (superblock written).  The
@@ -172,7 +178,8 @@ val checkpoint_epochs : t -> int list
 (** {1 Reading} *)
 
 val objects_at : t -> epoch:int -> (int * string) list
-(** [(oid, kind)] of every object in the checkpoint. *)
+(** [(oid, kind)] of every object in the checkpoint, sorted by oid.  The
+    epoch's manifest is store bookkeeping and is not listed. *)
 
 val read_meta : t -> epoch:int -> oid:int -> string
 val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
@@ -205,12 +212,14 @@ val read_changed_pages : t -> base:int -> epoch:int -> oid:int -> (int * bytes) 
 
 val page_indices : t -> epoch:int -> oid:int -> int list
 
-(** {1 Verification}
+(** {1 Manifests and verification}
 
     Every flushed page carries a CRC-32 in its radix-leaf entry, computed
-    once at flush time.  Checkpoint manifests are built from these
-    checksums, and restore verification compares them against both the
-    manifest and a deep re-read of the data blocks. *)
+    once at flush time.  Each epoch written through {!put_manifest}
+    carries a {!Manifest.t} built from these checksums, stored as an
+    object of kind {!Manifest.kind} that {!objects_at} does not list.
+    {!verify_epoch} compares an epoch against both its manifest and a
+    deep re-read of the data blocks. *)
 
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 (** [(page index, payload CRC-32)] of every stored page, from the leaf
@@ -221,18 +230,42 @@ val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 val staging_manifest_source : t -> (int * string * string * (int * int) list) list
 (** [(oid, kind, meta, page_crcs)] of every object the open staging epoch
     will contain once committed — carried objects included, previous
-    leaves merged with staged payloads exactly as commit merges them.
-    Invalid outside [begin_checkpoint] .. [commit_checkpoint]. *)
+    leaves merged with staged payloads exactly as commit merges them, the
+    manifest left out.  Sorted by oid.  It reads the epoch table and the
+    leaves, not the cache {!put_manifest} uses, so it is an independent
+    reference for that cache.  Invalid outside [begin_checkpoint] ..
+    [commit_checkpoint]. *)
 
-val staging_manifest_entries : t -> (int * string * int * int * int) list
-(** [(oid, kind, meta CRC-32, page count, pages fingerprint)] for the same
-    composed state as {!staging_manifest_source}, but summarized and
-    computed incrementally: carried (unchanged) objects come from a
-    manifest-row cache maintained at commit in O(1) each, and staged
-    objects pay only for the leaves their dirty pages touch.  The
-    fingerprint is the order-independent XOR fold used by
-    [Serial.pages_fingerprint].  Sorted by oid; invalid outside
-    [begin_checkpoint] .. [commit_checkpoint]. *)
+val manifest_oid : t -> int
+(** The oid the head epoch's manifest lives at, or a fresh {!alloc_oid}
+    when the head epoch has none (or no epoch is committed). *)
+
+val put_manifest : t -> oid:int -> Manifest.t
+(** Stage the open epoch's manifest at [oid] as the last object before
+    {!commit_checkpoint} and return it: its epoch is the staging epoch,
+    its entries describe the same composed state as
+    {!staging_manifest_source} (the manifest left out).  Carried objects
+    come from a row cache maintained at commit in O(1) each; staged
+    objects pay only for the leaves their dirty pages touch.  Uncharged.
+    Future allocations exceed [oid]. *)
+
+val manifest : t -> epoch:int -> (int * Manifest.t, string) result
+(** [(oid, manifest)] of a committed epoch, or why it has no readable
+    manifest. *)
+
+val verify_epoch :
+  t ->
+  epoch:int ->
+  check_meta:(kind:string -> string -> (unit, string) result) ->
+  (Manifest.t, string) result
+(** Check [epoch] against its own manifest, in this order: exactly one
+    manifest object, its epoch id, its object count; then per entry,
+    sorted by oid: presence, kind, metadata CRC, page count, page-set
+    fingerprint, [check_meta ~kind meta], and every page re-read with
+    {!read_pages} against its leaf CRC.  The first failure is the
+    [Error] reason.  The re-reads are charged; nothing is mutated.  Never
+    raises on corrupt or unreadable state: a read that still fails after
+    the read policy's retries is [Error "read failed: ..."]. *)
 
 val corrupt_meta_for_tests : t -> epoch:int -> oid:int -> unit
 (** TESTING ONLY: flip a byte of the object's committed metadata in the

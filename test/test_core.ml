@@ -18,6 +18,7 @@ module Restore = Aurora_core.Restore
 module Extsync = Aurora_core.Extsync
 module Coredump = Aurora_core.Coredump
 module Migrate = Aurora_core.Migrate
+module Manifest = Aurora_objstore.Manifest
 
 let spawn_with_memory sys ~name ~npages =
   let p = Syscall.spawn sys.Sls.machine ~name in
@@ -891,15 +892,6 @@ let sample_proc =
     i_aio_reads = [ (3, 0, 64) ];
   }
 
-let sample_manifest =
-  let entries =
-    [
-      Serial.manifest_entry_of_source (3, "sls.memobj", "meta-a", [ (0, 17); (1, 99) ]);
-      Serial.manifest_entry_of_source (5, "sls.proc", "meta-b", []);
-    ]
-  in
-  { Serial.i_m_epoch = 12; i_m_count = 2; i_m_entries = entries }
-
 let roundtrip_qcheck_tests =
   let t name gen image_of roundtrip =
     QCheck_alcotest.to_alcotest
@@ -971,24 +963,6 @@ let roundtrip_qcheck_tests =
           i_ephemeral_parents = parents;
         })
       (fun i -> Serial.group_of_string (Serial.group_to_string i) = i);
-    t "manifest image round-trips"
-      QCheck.(
-        pair small_nat
-          (small_list
-             (triple small_nat small_string (small_list (pair small_nat small_nat)))))
-      (fun (epoch, sources) ->
-        let entries =
-          List.mapi
-            (fun i (oid, meta, crcs) ->
-              Serial.manifest_entry_of_source (oid + (i * 1000), "sls.kind", meta, crcs))
-            sources
-        in
-        {
-          Serial.i_m_epoch = epoch;
-          i_m_count = List.length entries;
-          i_m_entries = entries;
-        })
-      (fun i -> Serial.manifest_of_string (Serial.manifest_to_string i) = i);
   ]
 
 (* Hardened parsers: truncation and bit-flips surface [Serial.Malformed],
@@ -1055,8 +1029,6 @@ let test_parsers_raise_typed_malformed () =
             i_ephemeral_parents = [ 2 ];
           },
         fun s -> ignore (Serial.group_of_string s) );
-      ("manifest", Serial.manifest_to_string sample_manifest,
-       fun s -> ignore (Serial.manifest_of_string s));
     ]
   in
   List.iter
@@ -1172,8 +1144,8 @@ let test_verify_epoch_and_fallback () =
   let newest = Store.last_complete_epoch store in
   (match Restore.verify_epoch ~store ~epoch:newest with
   | Ok m ->
-      Alcotest.(check int) "manifest names its epoch" newest m.Serial.i_m_epoch;
-      Alcotest.(check bool) "covers the epoch's objects" true (m.Serial.i_m_count > 0)
+      Alcotest.(check int) "manifest names its epoch" newest m.Manifest.m_epoch;
+      Alcotest.(check bool) "covers the epoch's objects" true (m.Manifest.m_count > 0)
   | Error e -> Alcotest.fail ("healthy epoch rejected: " ^ e));
   (* Corrupt the newest epoch's memory-object metadata: verification must
      fail there and verified restore must fall back to gen-1. *)
@@ -1209,6 +1181,68 @@ let test_restore_verified_empty_store () =
   match Restore.restore_verified ~machine:(Machine.create ()) ~store:sys.Sls.store () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "restored from a store with no group checkpoint"
+
+(* A block under the newest epoch that keeps failing to read, retries
+   spent, is a reason to fall back just like corruption: verification
+   reports the failed read and verified restore takes the older epoch. *)
+let test_unreadable_epoch_falls_back () =
+  let sys = Sls.boot () in
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages:8 in
+  let group = Sls.attach sys [ p ] in
+  Vm_space.write_string p.Process.space ~addr "gen-1";
+  ignore (Group.checkpoint ~wait_durable:true group);
+  Vm_space.write_string p.Process.space ~addr "gen-2";
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let dev = sys.Sls.device in
+  let newest, older =
+    match List.rev (Store.checkpoint_epochs sys.Sls.store) with
+    | n :: o :: _ -> (n, o)
+    | _ -> Alcotest.fail "expected two epochs"
+  in
+  (* The device reads a recovery plus a cold verification of [epoch] make. *)
+  let reads_of epoch =
+    let seen = ref [] in
+    let h = Fault.create () in
+    h.Fault.on_read <-
+      (fun r ->
+        seen := (r.Fault.r_dev, r.Fault.r_off, r.Fault.r_len) :: !seen;
+        Fault.Clean);
+    Striped.set_fault dev (Some h);
+    let store = Store.recover ~dev ~clock:(Clock.create ()) in
+    (match Restore.verify_epoch ~store ~epoch with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "epoch %d rejected: %s" epoch e);
+    Striped.set_fault dev None;
+    !seen
+  in
+  let shared = reads_of older in
+  let failing = List.filter (fun r -> not (List.mem r shared)) (reads_of newest) in
+  Alcotest.(check bool) "the newest epoch has reads of its own" true (failing <> []);
+  let h = Fault.create () in
+  h.Fault.on_read <-
+    (fun r ->
+      if List.mem (r.Fault.r_dev, r.Fault.r_off, r.Fault.r_len) failing then Fault.Fail
+      else Fault.Clean);
+  Striped.set_fault dev (Some h);
+  let machine = Machine.create () in
+  let store = Store.recover ~dev ~clock:machine.Machine.clock in
+  let verdict = Restore.restore_verified ~machine ~store () in
+  Striped.set_fault dev None;
+  match verdict with
+  | Error e -> Alcotest.fail ("fallback found nothing: " ^ Restore.pp_restore_error e)
+  | Ok v -> (
+      Alcotest.(check int) "older epoch restored" older v.Restore.vr_epoch;
+      (match v.Restore.vr_skipped with
+      | [ a ] ->
+          Alcotest.(check int) "the unreadable epoch was skipped" newest a.Restore.at_epoch;
+          Alcotest.(check bool) "skipped for a failed read" true
+            (String.starts_with ~prefix:"read failed: " a.Restore.at_reason)
+      | _ -> Alcotest.fail "expected exactly the newest epoch skipped");
+      match v.Restore.vr_result.Restore.procs with
+      | [ p' ] ->
+          Alcotest.(check string) "previous generation" "gen-1"
+            (Vm_space.read_string p'.Process.space ~addr ~len:5)
+      | _ -> Alcotest.fail "expected 1 process")
 
 (* High availability: one standby, stop-and-wait ------------------------------------- *)
 
@@ -1550,10 +1584,10 @@ let test_rset_divergent_standby_evicted () =
   let store0 = List.hd stores in
   let newest = Store.last_complete_epoch store0 in
   List.iter
-    (fun (oid, kind) ->
-      if kind <> Serial.kind_manifest then
-        Store.corrupt_meta_for_tests store0 ~epoch:newest ~oid)
+    (fun (oid, _) -> Store.corrupt_meta_for_tests store0 ~epoch:newest ~oid)
     (Store.objects_at store0 ~epoch:newest);
+  let epochs0 = Store.checkpoint_epochs store0 in
+  let next_oid0 = Store.alloc_oid store0 + 1 in
   rset_round group p ~addr rs 2;
   Alcotest.(check bool) "quorum survives one divergent standby" true
     (Replica_set.drain rs `Quorum);
@@ -1562,6 +1596,13 @@ let test_rset_divergent_standby_evicted () =
     (v0.Replica_set.sv_health = Replica_set.Evicted);
   Alcotest.(check bool) "reject counted" true
     (v0.Replica_set.sv_verify_rejects > 0);
+  (* The rejected frame was staged, then aborted: nothing of it stays. *)
+  Alcotest.(check (list int)) "rejected standby keeps its epochs" epochs0
+    (Store.checkpoint_epochs store0);
+  Alcotest.(check int) "rejected standby keeps its last epoch" newest
+    (Store.last_complete_epoch store0);
+  Alcotest.(check int) "rejected standby keeps its oid counter" next_oid0
+    (Store.alloc_oid store0);
   (* The healthy majority is unaffected. *)
   Alcotest.(check int) "quorum at the newest epoch"
     (Replica_set.last_logged_epoch rs)
@@ -1659,6 +1700,8 @@ let () =
           Alcotest.test_case "empty store" `Quick test_restore_verified_empty_store;
           Alcotest.test_case "fallback across two corrupt epochs" `Quick
             test_restore_fallback_two_corrupt_epochs;
+          Alcotest.test_case "unreadable epoch falls back" `Quick
+            test_unreadable_epoch_falls_back;
         ] );
       ( "high availability",
         [

@@ -18,8 +18,8 @@ module Pty = Aurora_kern.Pty
 module Vnode = Aurora_kern.Vnode
 module Vm_space = Aurora_vm.Vm_space
 module Page = Aurora_vm.Page
+module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
-module Serial = Aurora_core.Serial
 module Sls = Aurora_core.Sls
 module Group = Aurora_core.Group
 module Restore = Aurora_core.Restore
@@ -139,58 +139,55 @@ let test_unstamped_mutation_control () =
     (run ~cure:false);
   Alcotest.(check string) "full pass captures it" "v2" (run ~cure:true)
 
-(* Store-level: the delta-maintained manifest rows must match the
-   reference full-walk implementation, across carried objects, replaced
-   pages and meta-only updates. *)
+(* Store-level: the manifest [put_manifest] stages from the
+   delta-maintained row cache must match the reference full walk, across
+   carried objects, replaced pages and meta-only updates, over warm rows
+   and over the cold rows a recovered store rebuilds from its leaves. *)
 let test_manifest_entries_match_reference () =
   let clock = Clock.create () in
   let dev = Striped.create () in
-  let store = Store.format ~dev ~clock in
+  let store = ref (Store.format ~dev ~clock) in
   let payload c = Bytes.make 128 c in
-  let check_equiv what =
-    let reference =
-      Store.staging_manifest_source store
-      |> List.map (fun src ->
-             let e = Serial.manifest_entry_of_source src in
-             ( e.Serial.i_me_oid,
-               e.Serial.i_me_kind,
-               e.Serial.i_me_meta_crc,
-               e.Serial.i_me_pages,
-               e.Serial.i_me_pages_crc ))
-    in
-    Alcotest.(check (list (pair int (pair string (pair int (pair int int))))))
-      what
-      (List.map (fun (a, b, c, d, e) -> (a, (b, (c, (d, e))))) reference)
-      (List.map
-         (fun (a, b, c, d, e) -> (a, (b, (c, (d, e)))))
-         (Store.staging_manifest_entries store))
+  let row (e : Manifest.entry) =
+    ( e.Manifest.me_oid,
+      (e.Manifest.me_kind, (e.Manifest.me_meta_crc, (e.Manifest.me_pages, e.Manifest.me_pages_crc))) )
   in
-  let o1 = Store.alloc_oid store in
-  let o2 = Store.alloc_oid store in
-  let o3 = Store.alloc_oid store in
-  ignore (Store.begin_checkpoint store);
-  Store.put_object store ~oid:o1 ~kind:"proc" ~meta:"proc-meta-1";
-  Store.put_pages store ~oid:o1 [ (0, payload 'a'); (40, payload 'b') ];
-  Store.put_object store ~oid:o2 ~kind:"memory" ~meta:"";
-  Store.put_pages store ~oid:o2 (List.init 20 (fun i -> (i * 3, payload 'm')));
-  check_equiv "first epoch: all staged";
-  ignore (Store.commit_checkpoint store);
-  Store.wait_durable store;
-  ignore (Store.begin_checkpoint store);
+  let commit_checked what stage =
+    let epoch = Store.begin_checkpoint !store in
+    stage !store;
+    let reference = List.map Manifest.entry_of_source (Store.staging_manifest_source !store) in
+    let m = Store.put_manifest !store ~oid:(Store.manifest_oid !store) in
+    Alcotest.(check (list (pair int (pair string (pair int (pair int int))))))
+      what (List.map row reference) (List.map row m.Manifest.m_entries);
+    Alcotest.(check (pair int int)) (what ^ ": epoch and count")
+      (epoch, List.length reference) (m.Manifest.m_epoch, m.Manifest.m_count);
+    ignore (Store.commit_checkpoint !store);
+    Store.wait_durable !store;
+    match Restore.verify_epoch ~store:!store ~epoch with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: committed epoch fails verification: %s" what e
+  in
+  let o1 = Store.alloc_oid !store in
+  let o2 = Store.alloc_oid !store in
+  let o3 = Store.alloc_oid !store in
+  commit_checked "first epoch: all staged" (fun st ->
+      Store.put_object st ~oid:o1 ~kind:"proc" ~meta:"proc-meta-1";
+      Store.put_pages st ~oid:o1 [ (0, payload 'a'); (40, payload 'b') ];
+      Store.put_object st ~oid:o2 ~kind:"memory" ~meta:"";
+      Store.put_pages st ~oid:o2 (List.init 20 (fun i -> (i * 3, payload 'm'))));
   (* o1 carried untouched; o2 replaces some pages and adds others; o3 new. *)
-  Store.put_pages store ~oid:o2
-    [ (0, payload 'x'); (3, payload 'y'); (100, payload 'z') ];
-  Store.put_object store ~oid:o3 ~kind:"pipe" ~meta:"pipe-meta";
-  check_equiv "second epoch: carried + page deltas + new object";
-  ignore (Store.commit_checkpoint store);
-  Store.wait_durable store;
-  ignore (Store.begin_checkpoint store);
+  commit_checked "second epoch: carried + page deltas + new object" (fun st ->
+      Store.put_pages st ~oid:o2 [ (0, payload 'x'); (3, payload 'y'); (100, payload 'z') ];
+      Store.put_object st ~oid:o3 ~kind:"pipe" ~meta:"pipe-meta");
   (* Meta-only restage of o1; o2/o3 carried from their commit-maintained
      cache rows. *)
-  Store.put_object store ~oid:o1 ~kind:"proc" ~meta:"proc-meta-2";
-  check_equiv "third epoch: meta-only update over warm rows";
-  ignore (Store.commit_checkpoint store);
-  Store.wait_durable store
+  commit_checked "third epoch: meta-only update over warm rows" (fun st ->
+      Store.put_object st ~oid:o1 ~kind:"proc" ~meta:"proc-meta-2");
+  (* A recovered store starts with no rows: carried objects take the cold
+     path, rebuilt from their leaves. *)
+  store := Store.recover ~dev ~clock;
+  commit_checked "after recover: cold rows" (fun st ->
+      Store.put_pages st ~oid:o2 [ (3, payload 'q'); (200, payload 'r') ])
 
 (* Random syscall traces: every mutation must bump the owning stamp, and
    the trace's incremental epoch must be byte-identical (meta and page
@@ -319,20 +316,18 @@ let run_trace ops =
     QCheck.Test.fail_report "incremental and full epochs hold different objects";
   List.iter
     (fun (oid, kind) ->
-      if kind <> Serial.kind_manifest then begin
-        let m1 = Store.read_meta sys.Sls.store ~epoch:e1 ~oid in
-        let m2 = Store.read_meta sys.Sls.store ~epoch:e2 ~oid in
-        if m1 <> m2 then
-          QCheck.Test.fail_report
-            (Printf.sprintf "meta of oid %d (%s) diverged from forced-full" oid
-               kind);
-        let p1 = Store.page_crcs sys.Sls.store ~epoch:e1 ~oid in
-        let p2 = Store.page_crcs sys.Sls.store ~epoch:e2 ~oid in
-        if p1 <> p2 then
-          QCheck.Test.fail_report
-            (Printf.sprintf "pages of oid %d (%s) diverged from forced-full" oid
-               kind)
-      end)
+      let m1 = Store.read_meta sys.Sls.store ~epoch:e1 ~oid in
+      let m2 = Store.read_meta sys.Sls.store ~epoch:e2 ~oid in
+      if m1 <> m2 then
+        QCheck.Test.fail_report
+          (Printf.sprintf "meta of oid %d (%s) diverged from forced-full" oid
+             kind);
+      let p1 = Store.page_crcs sys.Sls.store ~epoch:e1 ~oid in
+      let p2 = Store.page_crcs sys.Sls.store ~epoch:e2 ~oid in
+      if p1 <> p2 then
+        QCheck.Test.fail_report
+          (Printf.sprintf "pages of oid %d (%s) diverged from forced-full" oid
+             kind))
     objs2;
   true
 

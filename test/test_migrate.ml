@@ -7,9 +7,9 @@ module Rng = Aurora_util.Rng
 module Striped = Aurora_block.Striped
 module Fault = Aurora_block.Fault
 module Wire = Aurora_objstore.Wire
+module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
 module Migrate = Aurora_core.Migrate
-module Serial = Aurora_core.Serial
 
 let fresh_store ?(packed = true) () =
   let store = Store.format ~dev:(Striped.create ()) ~clock:(Clock.create ()) in
@@ -86,17 +86,14 @@ let oracle_incremental ~store ~base ~epoch =
   in
   stream_of ~epoch objects
 
-(* Every non-manifest object of an epoch, pages read back in full. *)
+(* Every object of an epoch, pages read back in full. *)
 let snapshot store ~epoch =
-  List.filter_map
+  List.map
     (fun (oid, kind) ->
-      if kind = Serial.kind_manifest then None
-      else
-        Some
-          ( oid,
-            kind,
-            Store.read_meta store ~epoch ~oid,
-            List.map (fun (i, b) -> (i, Bytes.to_string b)) (Store.read_pages store ~epoch ~oid) ))
+      ( oid,
+        kind,
+        Store.read_meta store ~epoch ~oid,
+        List.map (fun (i, b) -> (i, Bytes.to_string b)) (Store.read_pages store ~epoch ~oid) ))
     (Store.objects_at store ~epoch)
 
 let manifest_oid = 1_000_000
@@ -107,13 +104,13 @@ let shipment ~store ~base ~epoch body =
   let entries =
     List.map
       (fun (oid, kind) ->
-        Serial.manifest_entry_of_source
+        Manifest.entry_of_source
           (oid, kind, Store.read_meta store ~epoch ~oid, Store.page_crcs store ~epoch ~oid))
       (Store.objects_at store ~epoch)
   in
   let frame =
     Migrate.seal_shipment ~seq:epoch ~base ~epoch ~manifest_oid
-      ~count:(List.length entries) ~summary:(Serial.manifest_summary entries) body
+      ~count:(List.length entries) ~summary:(Manifest.summary entries) body
   in
   match Migrate.open_shipment frame with
   | Ok sh -> sh
@@ -375,6 +372,50 @@ let test_dedup_hit_not_shipped () =
   let _, shipped = identical_rewrite ~packed:true in
   Alcotest.(check (list (pair int (list int)))) "the same location ships nothing" [] shipped
 
+(* A frame whose digest contradicts the standby's composed epoch is
+   rejected after its delta is staged; the abort must leave the standby
+   exactly as it was, oid and epoch counters included, so the next good
+   frame installs as the following epoch. *)
+let test_rejected_frame_leaves_standby () =
+  let store = fresh_store () in
+  let a = Store.alloc_oid store in
+  let e1 =
+    commit store (fun () ->
+        Store.put_object store ~oid:a ~kind:"memory" ~meta:"a";
+        Store.put_pages store ~oid:a [ (0, noise_page 1) ])
+  in
+  (* An oid above the standby's manifest oid, so staging it moves the
+     standby's oid counter. *)
+  Store.reserve_oids store ~upto:(2 * manifest_oid);
+  let b = Store.alloc_oid store in
+  let e2 =
+    commit store (fun () ->
+        Store.put_pages store ~oid:a [ (1, noise_page 2) ];
+        Store.put_object store ~oid:b ~kind:"memory" ~meta:"b";
+        Store.put_pages store ~oid:b [ (0, noise_page 3) ])
+  in
+  let stream = Migrate.serialize_incremental ~store ~base:e1 ~epoch:e2 in
+  let good = shipment ~store ~base:e1 ~epoch:e2 stream in
+  let sb = standby_at ~store ~base:e1 in
+  let epochs = Store.checkpoint_epochs sb and last = Store.last_complete_epoch sb in
+  let next_oid = Store.alloc_oid sb + 1 in
+  let bad = { good with Migrate.sh_summary = good.Migrate.sh_summary lxor 1 } in
+  (match Migrate.install_verified ~store:sb bad with
+  | Ok e -> Alcotest.failf "a contradicting digest installed as epoch %d" e
+  | Error msg ->
+      Alcotest.(check string) "reason" "composed epoch contradicts the shipped manifest digest" msg);
+  Alcotest.(check (list int)) "epochs unchanged" epochs (Store.checkpoint_epochs sb);
+  Alcotest.(check int) "last complete epoch unchanged" last (Store.last_complete_epoch sb);
+  Alcotest.(check int) "oid counter unchanged" next_oid (Store.alloc_oid sb);
+  match Migrate.install_verified ~store:sb good with
+  | Error msg -> Alcotest.failf "the good frame was rejected: %s" msg
+  | Ok e ->
+      Alcotest.(check int) "installs as the following epoch" (last + 1) e;
+      Alcotest.(check bool) "standby equals the sender" true
+        (snapshot sb ~epoch:e = snapshot store ~epoch:e2);
+      Alcotest.(check bool) "installed epoch verifies" true
+        (Result.is_ok (Store.verify_epoch sb ~epoch:e ~check_meta:(fun ~kind:_ _ -> Ok ())))
+
 let () =
   Alcotest.run "aurora_migrate"
     [
@@ -384,6 +425,11 @@ let () =
           Alcotest.test_case "identical rewrite, unpacked, ships" `Quick
             test_identical_rewrite_unpacked_ships;
           Alcotest.test_case "dedup hit not shipped" `Quick test_dedup_hit_not_shipped;
+        ] );
+      ( "install",
+        [
+          Alcotest.test_case "rejected frame leaves standby untouched" `Quick
+            test_rejected_frame_leaves_standby;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -2,6 +2,7 @@ module Clock = Aurora_sim.Clock
 module Striped = Aurora_block.Striped
 module Fault = Aurora_block.Fault
 module Wire = Aurora_objstore.Wire
+module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
 
 let payload c = Bytes.make 64 c
@@ -995,6 +996,57 @@ let qcheck_tests =
            && Store.read_meta store2 ~epoch:last ~oid = List.nth metas (List.length metas - 1)));
   ]
 
+(* Manifest codec ---------------------------------------------------------------- *)
+
+let sample_manifest =
+  let entries =
+    [
+      Manifest.entry_of_source (3, "sls.memobj", "meta-a", [ (0, 17); (1, 99) ]);
+      Manifest.entry_of_source (5, "sls.proc", "meta-b", []);
+    ]
+  in
+  { Manifest.m_epoch = 12; m_count = 2; m_entries = entries }
+
+let manifest_roundtrip_test =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"manifest image round-trips" ~count:200
+       QCheck.(
+         pair small_nat
+           (small_list (triple small_nat small_string (small_list (pair small_nat small_nat)))))
+       (fun (epoch, sources) ->
+         let entries =
+           List.mapi
+             (fun i (oid, meta, crcs) ->
+               Manifest.entry_of_source (oid + (i * 1000), "sls.kind", meta, crcs))
+             sources
+         in
+         let m =
+           { Manifest.m_epoch = epoch; m_count = List.length entries; m_entries = entries }
+         in
+         Manifest.of_string (Manifest.to_string m) = Ok m))
+
+(* Truncation and bit-flips yield [Error "sls.manifest: ..."], never an
+   exception. *)
+let test_manifest_parser_typed () =
+  let valid = Manifest.to_string sample_manifest in
+  let parse what s =
+    match Manifest.of_string s with
+    | Ok _ -> ()
+    | Error msg ->
+        if not (String.starts_with ~prefix:"sls.manifest: " msg) then
+          Alcotest.failf "%s: untyped reason %S" what msg
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  for len = 0 to String.length valid - 1 do
+    parse (Printf.sprintf "truncated at %d" len) (String.sub valid 0 len)
+  done;
+  String.iteri
+    (fun i _ ->
+      let b = Bytes.of_string valid in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x41));
+      parse (Printf.sprintf "flipped byte %d" i) (Bytes.to_string b))
+    valid
+
 let () =
   Alcotest.run "aurora_objstore"
     [
@@ -1056,5 +1108,6 @@ let () =
           Alcotest.test_case "journal generations" `Quick test_journal_generation_isolation;
           Alcotest.test_case "prune/crash/recover" `Quick test_prune_then_crash_recover;
         ] );
-      ("properties", qcheck_tests);
+      ("manifest", [ Alcotest.test_case "typed malformed parser" `Quick test_manifest_parser_typed ]);
+      ("properties", qcheck_tests @ [ manifest_roundtrip_test ]);
     ]

@@ -65,16 +65,14 @@ let check_epochs_identical ~what sys e1 e2 =
     (what ^ ": same object set") objs2 objs1;
   List.iter
     (fun (oid, kind) ->
-      if kind <> Serial.kind_manifest then begin
-        Alcotest.(check string)
-          (Printf.sprintf "%s: meta of oid %d (%s)" what oid kind)
-          (Store.read_meta sys.Sls.store ~epoch:e2 ~oid)
-          (Store.read_meta sys.Sls.store ~epoch:e1 ~oid);
-        Alcotest.(check (list (pair int int)))
-          (Printf.sprintf "%s: pages of oid %d (%s)" what oid kind)
-          (Store.page_crcs sys.Sls.store ~epoch:e2 ~oid)
-          (Store.page_crcs sys.Sls.store ~epoch:e1 ~oid)
-      end)
+      Alcotest.(check string)
+        (Printf.sprintf "%s: meta of oid %d (%s)" what oid kind)
+        (Store.read_meta sys.Sls.store ~epoch:e2 ~oid)
+        (Store.read_meta sys.Sls.store ~epoch:e1 ~oid);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%s: pages of oid %d (%s)" what oid kind)
+        (Store.page_crcs sys.Sls.store ~epoch:e2 ~oid)
+        (Store.page_crcs sys.Sls.store ~epoch:e1 ~oid))
     objs2
 
 (* Tentpole: the soft window makes real application progress (the run
@@ -329,22 +327,20 @@ let run_spec_trace (ops, structural, final_stw) =
     QCheck.Test.fail_report "speculative and full epochs hold different objects";
   List.iter
     (fun (oid, kind) ->
-      if kind <> Serial.kind_manifest then begin
-        if
-          Store.read_meta w.sys.Sls.store ~epoch:e1 ~oid
-          <> Store.read_meta w.sys.Sls.store ~epoch:e2 ~oid
-        then
-          QCheck.Test.fail_report
-            (Printf.sprintf "meta of oid %d (%s) diverged from forced-full" oid
-               kind);
-        if
-          Store.page_crcs w.sys.Sls.store ~epoch:e1 ~oid
-          <> Store.page_crcs w.sys.Sls.store ~epoch:e2 ~oid
-        then
-          QCheck.Test.fail_report
-            (Printf.sprintf "pages of oid %d (%s) diverged from forced-full" oid
-               kind)
-      end)
+      if
+        Store.read_meta w.sys.Sls.store ~epoch:e1 ~oid
+        <> Store.read_meta w.sys.Sls.store ~epoch:e2 ~oid
+      then
+        QCheck.Test.fail_report
+          (Printf.sprintf "meta of oid %d (%s) diverged from forced-full" oid
+             kind);
+      if
+        Store.page_crcs w.sys.Sls.store ~epoch:e1 ~oid
+        <> Store.page_crcs w.sys.Sls.store ~epoch:e2 ~oid
+      then
+        QCheck.Test.fail_report
+          (Printf.sprintf "pages of oid %d (%s) diverged from forced-full" oid
+             kind))
     objs2;
   true
 
