@@ -25,6 +25,7 @@ module Restore = Aurora_core.Restore
 module Api = Aurora_core.Api
 module Coredump = Aurora_core.Coredump
 module Migrate = Aurora_core.Migrate
+module Link = Aurora_net.Link
 
 (* Persistent machine images: with --image PATH the simulated devices'
    durable bytes live in a host file, so state accumulates across tool
@@ -231,16 +232,26 @@ let send_cmd =
     let src, app, addr = boot_workload ~mem_mib:mem in
     let group = Sls_core.attach src [ app ] in
     let stats = Group.checkpoint ~wait_durable:true group in
-    let stream = Migrate.serialize ~store:src.Sls_core.store ~epoch:stats.Group.epoch in
-    Printf.printf "sls send: %s over 10 GbE takes %s\n"
-      (Units.bytes_to_string (Migrate.stream_size stream))
-      (Units.ns_to_string (Migrate.transfer_time_ns ~bytes:(Migrate.stream_size stream)));
+    let frame, bytes =
+      match Migrate.frame ~store:src.Sls_core.store ~base:0 ~epoch:stats.Group.epoch with
+      | Ok sent -> sent
+      | Error e -> failwith ("sls send: " ^ e)
+    in
+    Printf.printf "sls send: %s over 10 GbE takes %s\n" (Units.bytes_to_string bytes)
+      (Units.ns_to_string (Link.delivery_time (Link.create ()) ~now:0 ~bytes));
     let dst = Sls_core.boot () in
-    let epoch = Migrate.install ~store:dst.Sls_core.store stream in
-    let result = Restore.restore ~machine:dst.Sls_core.machine ~store:dst.Sls_core.store ~epoch () in
-    let app' = List.hd result.Restore.procs in
-    Printf.printf "sls recv: restored on the remote; state %S\n"
-      (Vm_space.read_string app'.Process.space ~addr ~len:17)
+    (match
+       Result.bind (Migrate.open_shipment frame)
+         (Migrate.install_verified ~store:dst.Sls_core.store)
+     with
+    | Ok _ -> ()
+    | Error e -> failwith ("sls recv: " ^ e));
+    match Restore.restore_verified ~machine:dst.Sls_core.machine ~store:dst.Sls_core.store () with
+    | Error e -> failwith ("sls recv: " ^ Restore.pp_restore_error e)
+    | Ok v ->
+        let app' = List.hd v.Restore.vr_result.Restore.procs in
+        Printf.printf "sls recv: restored on the remote; state %S\n"
+          (Vm_space.read_string app'.Process.space ~addr ~len:17)
   in
   Cmd.v
     (Cmd.info "send" ~doc:"Serialize a checkpoint and receive it on a second machine.")

@@ -144,7 +144,6 @@ let create ?bandwidth ~period_ns specs =
   }
 
 let clock t = t.f_clock
-let num_tenants t = Array.length t.f_tenants
 let tenant_name t i = t.f_tenants.(i).t_spec.sp_name
 let machine t i = t.f_tenants.(i).t_machine
 let group t i = t.f_tenants.(i).t_group

@@ -41,7 +41,6 @@ val create : ?bandwidth:int -> period_ns:int -> spec list -> t
     aggregate, [nvme_stripe_devices * nvme_device_bandwidth]). *)
 
 val clock : t -> Aurora_sim.Clock.t
-val num_tenants : t -> int
 val tenant_name : t -> int -> string
 val machine : t -> int -> Aurora_kern.Machine.t
 val group : t -> int -> Group.t

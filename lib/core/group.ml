@@ -172,7 +172,6 @@ let store t = t.st
 let fs t = t.filesystem
 let clock t = t.mach.Machine.clock
 let period_ns t = t.period
-let set_period_ns t p = t.period <- p
 
 let members t =
   List.filter_map (fun pid -> Machine.proc t.mach pid) t.member_pids
@@ -184,7 +183,6 @@ let add_process t p =
 let detach_process t p =
   t.member_pids <- List.filter (fun pid -> pid <> p.Process.pid_global) t.member_pids
 
-let ext_sync_enabled t = t.ext_sync
 let set_ext_sync t v = t.ext_sync <- v
 let set_speculative t v = t.speculative <- v
 let group_oid t = t.grp_oid
@@ -213,19 +211,9 @@ let desc_oid t (d : Fdesc.t) =
       Hashtbl.replace t.desc_oids d.Fdesc.desc_id oid;
       oid
 
-let oid_of_desc t d = Hashtbl.find_opt t.desc_oids d.Fdesc.desc_id
-
 (* Memory records ------------------------------------------------------------ *)
 
 let memrec_of_top t obj = Hashtbl.find_opt t.top_index (Vm_object.id obj)
-
-let memrec_oid_of_object t obj =
-  match memrec_of_top t obj with
-  | Some r -> Some r.mo_oid
-  | None -> (
-      match Hashtbl.find_opt t.memrecs (Vm_object.id obj) with
-      | Some r -> Some r.mo_oid
-      | None -> None)
 
 (* Find the memrec owning [obj] anywhere in its role (logical, top or
    frozen); used to resolve parent links of fork-created shadows. *)

@@ -103,7 +103,6 @@ val store : t -> Aurora_objstore.Store.t
 val fs : t -> Aurora_fs.Fs.t option
 val clock : t -> Aurora_sim.Clock.t
 val period_ns : t -> int
-val set_period_ns : t -> int -> unit
 
 val members : t -> Aurora_kern.Process.t list
 
@@ -111,7 +110,6 @@ val add_process : t -> Aurora_kern.Process.t -> unit
 val detach_process : t -> Aurora_kern.Process.t -> unit
 (** [sls detach]: the process becomes ephemeral from the next checkpoint. *)
 
-val ext_sync_enabled : t -> bool
 val set_ext_sync : t -> bool -> unit
 
 val set_speculative : t -> bool -> unit
@@ -186,9 +184,6 @@ val run_for : t -> int -> unit
     recent version back from the object store through the VM pager.  The
     same path implements lazy restore. *)
 
-val install_pagers : t -> unit
-(** Attach store-backed pagers to every flushed memory object. *)
-
 val evict_clean_pages : t -> target:int -> int
 (** Evict up to [target] clean resident pages (zero-copy: they are
     already in the store); waits for the covering checkpoint to be
@@ -199,8 +194,6 @@ val resident_group_pages : t -> int
 (** {1 Used by the restore path and the API} *)
 
 val group_oid : t -> int
-val oid_of_desc : t -> Aurora_kern.Fdesc.t -> int option
-val memrec_oid_of_object : t -> Aurora_vm.Vm_object.t -> int option
 val register_restored_memobj :
   t -> oid:int -> Aurora_vm.Vm_object.t -> unit
 (** Seed the group's memory-object table after a restore so subsequent

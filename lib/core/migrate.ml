@@ -1,27 +1,9 @@
-module Cost = Aurora_sim.Cost
 module Crc32 = Aurora_util.Crc32
 module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
 module Wire = Aurora_objstore.Wire
 
 let magic = "AURSTRM1"
-
-let serialize_objects ~store ~epoch ~pages_of oids =
-  let w = Wire.writer () in
-  Wire.str w magic;
-  Wire.u64 w epoch;
-  Wire.list w
-    (fun (oid, kind) ->
-      Wire.u64 w oid;
-      Wire.str w kind;
-      Wire.str w (Store.read_meta store ~epoch ~oid);
-      Wire.list w
-        (fun (idx, payload) ->
-          Wire.u32 w idx;
-          Wire.str w (Bytes.to_string payload))
-        (pages_of oid))
-    oids;
-  Bytes.to_string (Wire.contents w)
 
 (* Page-granular deltas: an object appears if it is new, its metadata
    changed, or some of its pages moved — and only the moved pages are
@@ -52,18 +34,25 @@ let serialize_incremental ~store ~base ~epoch =
         end)
       (Store.objects_at store ~epoch)
   in
-  serialize_objects ~store ~epoch ~pages_of:(Hashtbl.find deltas) objects
-
-let serialize ~store ~epoch = serialize_incremental ~store ~base:0 ~epoch
-
-let stream_size s = String.length s
+  let w = Wire.writer () in
+  Wire.str w magic;
+  Wire.u64 w epoch;
+  Wire.list w
+    (fun (oid, kind) ->
+      Wire.u64 w oid;
+      Wire.str w kind;
+      Wire.str w (Store.read_meta store ~epoch ~oid);
+      Wire.list w
+        (fun (idx, payload) ->
+          Wire.u32 w idx;
+          Wire.str w (Bytes.to_string payload))
+        (Hashtbl.find deltas oid))
+    objects;
+  Bytes.to_string (Wire.contents w)
 
 let parse_stream stream =
   let r = Wire.reader (Bytes.of_string stream) in
-  (match Wire.rstr r with
-  | m when m = magic -> ()
-  | _ -> failwith "Migrate.install: bad stream magic"
-  | exception Wire.Corrupt msg -> failwith ("Migrate.install: " ^ msg));
+  if Wire.rstr r <> magic then failwith "bad stream magic";
   let src_epoch = Wire.ru64 r in
   let objects =
     Wire.rlist r (fun r ->
@@ -80,34 +69,15 @@ let parse_stream stream =
   in
   (src_epoch, objects)
 
-let install_objects ~store objects =
-  let epoch = Store.begin_checkpoint store in
-  List.iter
-    (fun (oid, kind, meta, pages) ->
-      Store.reserve_oids store ~upto:oid;
-      Store.put_object store ~oid ~kind ~meta;
-      Store.put_pages store ~oid pages)
-    objects;
-  epoch
+(* Frames ---------------------------------------------------------------------------- *)
 
-let install ~store stream =
-  let _src_epoch, objects = parse_stream stream in
-  let epoch = install_objects ~store objects in
-  ignore (Store.commit_checkpoint store);
-  Store.wait_durable store;
-  epoch
-
-let transfer_time_ns ~bytes =
-  Cost.net_one_way_latency + Cost.transfer_time ~bandwidth:Cost.net_bandwidth bytes
-
-(* Replication frames --------------------------------------------------------------- *)
-
-(* HA shipments wrap a stream in a sequenced frame with a CRC-32 trailer,
-   so a corrupted delivery is rejected (and retransmitted) instead of
-   parsed.  Alongside the stream travels a digest of the sender's epoch
-   manifest: the receiver composes the delta onto its own previous epoch,
-   recomputes the manifest of the result, and only commits — and acks —
-   if the digests agree.  That makes the ack a statement about the
+(* Every transfer — [sls send], live migration, HA shipping — wraps a
+   stream in a sequenced frame with a CRC-32 trailer, so a corrupted
+   delivery is rejected (and retransmitted) instead of parsed.  Alongside
+   the stream travels a digest of the sender's epoch manifest: the
+   receiver composes the delta onto its own previous epoch, recomputes
+   the manifest of the result, and only commits — and acks — if the
+   digests agree.  That makes the ack a statement about the
    *composed standby state*, not just about the bytes that crossed. *)
 
 let shipment_magic = "AURSHIP1"
@@ -159,6 +129,23 @@ let seal_shipment ~seq ~base ~epoch ~manifest_oid ~count ~summary body =
       Wire.u32 w count;
       Wire.u32 w summary;
       Wire.str w body)
+
+(* The one way a checkpoint leaves a store: the delta from [base] to
+   [epoch], sealed with the digest of [epoch]'s manifest.  The epoch
+   doubles as the ARQ sequence number: the replication log is a totally
+   ordered chain, so no separate counter is needed and every standby's
+   selective acks name epochs directly. *)
+let frame ~store ~base ~epoch =
+  let body = serialize_incremental ~store ~base ~epoch in
+  match Store.manifest store ~epoch with
+  | Error e -> Error e
+  | Ok (manifest_oid, m) ->
+      Ok
+        ( seal_shipment ~seq:epoch ~base ~epoch ~manifest_oid
+            ~count:m.Manifest.m_count
+            ~summary:(Manifest.summary m.Manifest.m_entries)
+            body,
+          String.length body )
 
 let open_shipment s =
   open_sealed ~what:"shipment"
@@ -213,7 +200,13 @@ let install_verified ~store (sh : shipment) =
           (Printf.sprintf "stream epoch %d contradicts frame epoch %d" src_epoch
              sh.sh_epoch)
       else begin
-        let epoch = install_objects ~store objects in
+        let epoch = Store.begin_checkpoint store in
+        List.iter
+          (fun (oid, kind, meta, pages) ->
+            Store.reserve_oids store ~upto:oid;
+            Store.put_object store ~oid ~kind ~meta;
+            Store.put_pages store ~oid pages)
+          objects;
         let entries =
           List.map Manifest.entry_of_source (Store.staging_manifest_source store)
         in

@@ -1,22 +1,24 @@
-(** [sls send] / [sls recv]: ship checkpoints between machines.
+(** [sls send] / [sls recv], live migration and HA shipping: one way to
+    move a checkpoint between stores.
 
-    A checkpoint serializes to a self-contained byte stream (all objects,
-    metadata and pages); the receiver installs it as a fresh checkpoint in
-    its own store and can then restore it.  {!serialize_incremental}
-    ships only what changed since a base epoch, which is the building
-    block for live migration and high availability (pre-copy iterations
-    of dirty state). *)
-
-val serialize : store:Aurora_objstore.Store.t -> epoch:int -> string
-(** The full checkpoint as a portable stream: the delta from the empty
-    base, [serialize_incremental ~base:0]. *)
+    The sender builds a {!frame}: the delta from a base epoch
+    ({!serialize_incremental}; base 0 ships the full checkpoint), sealed
+    with a CRC-32 trailer and the digest of the sender's epoch manifest.
+    The receiver opens it ({!open_shipment}), reads its base and epoch for
+    its own gap and duplicate rules, and installs it with
+    {!install_verified}, the only install: the delta is composed onto the
+    receiver's previous epoch and committed, with the receiver's own
+    manifest, only if the composed epoch matches the digest.  A received
+    epoch therefore always passes {!Restore.restore_verified}.  Manifests
+    never cross the wire as stream objects (the store does not list
+    them). *)
 
 val serialize_incremental :
   store:Aurora_objstore.Store.t -> base:int -> epoch:int -> string
-(** The delta from [base] to [epoch]: every object new since [base] with
-    all its pages, and every object whose metadata or page locations
-    changed with only the pages whose stored location changed
-    ({!Aurora_objstore.Store.read_changed_pages}).  Blocks are
+(** The frame body: the delta from [base] to [epoch], every object new
+    since [base] with all its pages, and every object whose metadata or
+    page locations changed with only the pages whose stored location
+    changed ({!Aurora_objstore.Store.read_changed_pages}).  Blocks are
     copy-on-write, so that page set is a superset of the pages whose
     bytes changed, never a subset: a page rewritten with identical bytes
     at a new location ships again, one deduplicated onto its old location
@@ -24,24 +26,7 @@ val serialize_incremental :
     and metadata exactly.  [~base:0] names the empty base: every object
     is new and the stream is the full checkpoint. *)
 
-val stream_size : string -> int
-
-val install :
-  store:Aurora_objstore.Store.t -> string -> int
-(** Install a stream as a new checkpoint in the target store; returns its
-    epoch there.  Raises [Failure] on a corrupt stream. *)
-
-val transfer_time_ns : bytes:int -> int
-(** Time to push a stream over the 10 GbE link of the testbed. *)
-
-(** {1 Replication frames}
-
-    HA shipments wrap a stream in a sequenced frame with a CRC-32
-    trailer plus a digest of the sender's epoch manifest.  Manifests
-    themselves never cross the wire as stream objects (the store does
-    not list them): the receiver stages the delta over its previous
-    epoch, recomputes the manifest digest of the result, and commits
-    (and acks) only if the digests agree. *)
+(** {1 Frames} *)
 
 type shipment = {
   sh_seq : int;  (** ARQ sequence number *)
@@ -51,7 +36,7 @@ type shipment = {
   sh_count : int;  (** objects in the epoch, manifest excluded *)
   sh_summary : int;
       (** {!Aurora_objstore.Manifest.summary} of the sender manifest *)
-  sh_body : string;  (** the {!serialize}/{!serialize_incremental} stream *)
+  sh_body : string;  (** the {!serialize_incremental} stream *)
 }
 
 type ack = { ack_seq : int; ack_epoch : int; ack_ok : bool; ack_reason : string }
@@ -65,6 +50,13 @@ val seal_shipment :
   summary:int ->
   string ->
   string
+
+val frame :
+  store:Aurora_objstore.Store.t -> base:int -> epoch:int -> (string * int, string) result
+(** The sealed frame carrying [epoch] as a delta from [base], with
+    [sh_seq = epoch], and the size of its stream body.  [Error] when
+    [epoch] has no readable manifest
+    ({!Aurora_objstore.Store.manifest}). *)
 
 val open_shipment : string -> (shipment, string) result
 (** Checks the CRC trailer before parsing; a flipped bit anywhere in the

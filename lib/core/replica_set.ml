@@ -1,6 +1,5 @@
 module Clock = Aurora_sim.Clock
 module Machine = Aurora_kern.Machine
-module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
 module Link = Aurora_net.Link
 module Rng = Aurora_util.Rng
@@ -24,7 +23,7 @@ let health_name = function
 (* One sequenced frame of the shared epoch log: the delta from the
    previous logged epoch (full stream for the first).  Frames are the
    same bytes for every standby because every standby follows the same
-   chain; only catch-up shipments are built per standby. *)
+   chain; only rejoin catch-up frames are built per standby. *)
 type log_entry = {
   le_idx : int;
   le_epoch : int;
@@ -52,13 +51,12 @@ type standby = {
   mutable sb_dead : bool;
   (* sender side *)
   mutable sb_next : int; (* log index of the next epoch to put in flight *)
-  mutable sb_inflight : inflight list; (* oldest epoch first *)
+  mutable sb_inflight : inflight list;
+      (* oldest epoch first; while Rejoining, just the catch-up frame *)
   mutable sb_acked : int; (* newest primary epoch verified-acked *)
   mutable sb_acked_bytes : int;
   mutable sb_consec_timeouts : int;
   mutable sb_pending_acks : (int * Migrate.ack) list; (* arrival, ack *)
-  mutable sb_catchup : inflight option; (* the Rejoining shipment *)
-  mutable sb_catchup_target : int;
   (* receiver side (the standby proper) *)
   mutable sb_rcv_epoch : int; (* newest primary epoch installed *)
   mutable sb_gap : (int * Migrate.shipment) list; (* epoch -> buffered frame *)
@@ -125,8 +123,6 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
       sb_acked_bytes = 0;
       sb_consec_timeouts = 0;
       sb_pending_acks = [];
-      sb_catchup = None;
-      sb_catchup_target = 0;
       sb_rcv_epoch = 0;
       sb_gap = [];
       sb_installed = [];
@@ -152,7 +148,6 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
     st_released = 0;
   }
 
-let standby_count t = Array.length t.standbys
 let quorum t = (Array.length t.standbys / 2) + 1
 let last_logged_epoch t = t.last_logged
 let pclock t = Store.clock (Group.store t.primary)
@@ -168,24 +163,6 @@ let quorum_epoch t =
     |> List.sort (fun a b -> compare b a)
   in
   List.nth acked (quorum t - 1)
-
-(* Frame construction ---------------------------------------------------- *)
-
-let build_frame ~store ~base ~epoch =
-  let stream = Migrate.serialize_incremental ~store ~base ~epoch in
-  match Store.manifest store ~epoch with
-  | Error e -> Error e
-  | Ok (moid, m) ->
-      let frame =
-        (* The epoch doubles as the ARQ sequence number: the log is a
-           totally ordered chain, so no separate counter is needed and
-           every standby's selective acks name epochs directly. *)
-        Migrate.seal_shipment ~seq:epoch ~base ~epoch ~manifest_oid:moid
-          ~count:m.Manifest.m_count
-          ~summary:(Manifest.summary m.Manifest.m_entries)
-          stream
-      in
-      Ok (frame, Migrate.stream_size stream)
 
 (* Receiver -------------------------------------------------------------- *)
 
@@ -285,7 +262,6 @@ let evict t sb ~reason =
   if sb.sb_health <> Evicted then begin
     sb.sb_health <- Evicted;
     sb.sb_inflight <- [];
-    sb.sb_catchup <- None;
     t.st_evictions <- t.st_evictions + 1;
     Ometrics.incr m_rs_evictions;
     if Otrace.is_on () then
@@ -343,11 +319,10 @@ let apply_ack t sb ~arrival (a : Migrate.ack) =
       | Some inf ->
           Ometrics.observe_ns h_rs_ack_ns (max 0 (arrival - inf.if_sent_at))
       | None -> ());
-      (match sb.sb_catchup with
-      | Some inf when cum >= inf.if_epoch ->
-          (* The catch-up stream covers the whole (acked, target] gap in
+      (match (sb.sb_health, sb.sb_inflight) with
+      | Rejoining, [ inf ] when cum >= inf.if_epoch ->
+          (* The catch-up frame covers the whole (acked, target] gap in
              one cumulative delta; count its bytes, not the log's. *)
-          sb.sb_catchup <- None;
           sb.sb_acked_bytes <- sb.sb_acked_bytes + inf.if_bytes;
           t.st_acked_total <- t.st_acked_total + 1
       | _ ->
@@ -364,7 +339,7 @@ let apply_ack t sb ~arrival (a : Migrate.ack) =
         List.filter (fun inf -> inf.if_epoch > cum) sb.sb_inflight;
       (match sb.sb_health with
       | Degraded -> sb.sb_health <- Healthy
-      | Rejoining when sb.sb_catchup = None && cum >= sb.sb_catchup_target ->
+      | Rejoining when sb.sb_inflight = [] ->
           sb.sb_health <- Healthy;
           sb.sb_next <- idx_of_epoch t cum
       | _ -> ());
@@ -379,7 +354,7 @@ let apply_ack t sb ~arrival (a : Migrate.ack) =
     end
   end
 
-let on_timeout t sb ~what =
+let on_timeout t sb =
   sb.sb_timeouts <- sb.sb_timeouts + 1;
   sb.sb_consec_timeouts <- sb.sb_consec_timeouts + 1;
   Ometrics.incr m_rs_timeouts;
@@ -391,7 +366,7 @@ let on_timeout t sb ~what =
     sb.sb_health <- Degraded;
     if Otrace.is_on () then
       Otrace.instant ~cat:"rset" "degrade"
-        ~args:[ ("standby", Otrace.Int sb.sb_idx); ("what", Otrace.Str what) ]
+        ~args:[ ("standby", Otrace.Int sb.sb_idx) ]
   end
 
 let pump_standby t sb ~now =
@@ -408,9 +383,9 @@ let pump_standby t sb ~now =
       (* 2. Expired frames: back off and retransmit, unless the frame is
          out of attempts — then the standby cannot make in-order
          progress and is evicted. *)
-      let retransmit inf ~what =
+      let retransmit inf =
         if alive_active sb && inf.if_deadline <= now then begin
-          on_timeout t sb ~what;
+          on_timeout t sb;
           if alive_active sb then begin
             if inf.if_attempts >= max_retries then
               evict t sb
@@ -427,10 +402,7 @@ let pump_standby t sb ~now =
           end
         end
       in
-      List.iter (fun inf -> retransmit inf ~what:"window") sb.sb_inflight;
-      (match sb.sb_catchup with
-      | Some inf -> retransmit inf ~what:"catchup"
-      | None -> ());
+      List.iter retransmit sb.sb_inflight;
       (* 3. Fill the window with the next epochs of the chain. *)
       if sb.sb_health = Healthy || sb.sb_health = Degraded then begin
         while
@@ -495,7 +467,7 @@ let ship t =
     (* Every epoch checkpointed since the last call becomes one frame;
        when the caller skipped rounds the single delta base..newest is
        the whole gap. *)
-    match build_frame ~store ~base:t.last_logged ~epoch:newest with
+    match Migrate.frame ~store ~base:t.last_logged ~epoch:newest with
     | Error msg -> failwith ("Replica_set.ship: " ^ msg)
     | Ok (frame, bytes) ->
         let le =
@@ -517,7 +489,7 @@ let drained t = function
       Array.for_all
         (fun sb ->
           (not (alive_active sb))
-          || (sb.sb_acked >= t.last_logged && sb.sb_catchup = None))
+          || (sb.sb_acked >= t.last_logged && sb.sb_inflight = []))
         t.standbys
 
 let next_event t =
@@ -534,14 +506,9 @@ let next_event t =
             (fun acc (arrival, _) -> fold_min acc arrival)
             acc sb.sb_pending_acks
         in
-        let acc =
-          List.fold_left
-            (fun acc inf -> fold_min acc inf.if_deadline)
-            acc sb.sb_inflight
-        in
-        match sb.sb_catchup with
-        | Some inf -> fold_min acc inf.if_deadline
-        | None -> acc
+        List.fold_left
+          (fun acc inf -> fold_min acc inf.if_deadline)
+          acc sb.sb_inflight
       end)
     None t.standbys
 
@@ -586,11 +553,12 @@ let rejoin t i =
   if (not sb.sb_dead) && sb.sb_health = Evicted && t.last_logged > 0 then begin
     let now = Clock.now (pclock t) in
     let store = Group.store t.primary in
-    (* Catch-up shipment: the cumulative delta from the standby's last
-       acked epoch (the full checkpoint stream when it never acked
-       anything).  One verified ack covers the whole gap and returns the
-       standby to normal window shipping. *)
-    match build_frame ~store ~base:sb.sb_acked ~epoch:t.last_logged with
+    (* Catch-up: a window of one frame, the cumulative delta from the
+       standby's last acked epoch (the full checkpoint stream when it
+       never acked anything).  The verified ack that empties the window
+       covers the whole gap and returns the standby to normal window
+       shipping. *)
+    match Migrate.frame ~store ~base:sb.sb_acked ~epoch:t.last_logged with
     | Error msg -> failwith ("Replica_set.rejoin: " ^ msg)
     | Ok (frame, bytes) ->
         let inf =
@@ -605,8 +573,7 @@ let rejoin t i =
         in
         sb.sb_health <- Rejoining;
         sb.sb_consec_timeouts <- 0;
-        sb.sb_catchup <- Some inf;
-        sb.sb_catchup_target <- t.last_logged;
+        sb.sb_inflight <- [ inf ];
         sb.sb_next <- t.log_len;
         t.st_rejoins <- t.st_rejoins + 1;
         if Otrace.is_on () then

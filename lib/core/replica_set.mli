@@ -3,8 +3,8 @@
     one replication engine: a single hot standby is N = 1, and
     stop-and-wait shipping is [~window:1] followed by [drain t `All].
 
-    One primary ships sequenced, CRC-framed epoch deltas to N standbys
-    over independent faultable {!Aurora_net.Link}s.  Shipping is a
+    One primary ships sequenced, sealed epoch deltas ({!Migrate.frame})
+    to N standbys over independent faultable {!Aurora_net.Link}s.  Shipping is a
     sliding-window pipeline: up to [window] epochs are in flight per
     standby, acks are selective (the standby acks each epoch it installs,
     carrying its cumulative installed epoch), and retransmissions back
@@ -26,10 +26,10 @@
     [Healthy → Degraded → Evicted → Rejoining]: consecutive ack
     timeouts degrade and then evict (eviction discards the standby's
     window so a dead or partitioned minority degrades throughput instead
-    of stalling the pipeline); an evicted standby rejoins via a single
-    catch-up shipment — the cumulative delta from its last acked epoch
-    (a full checkpoint stream if it never acked anything) — and returns
-    to [Healthy] when the catch-up is verified-acked.  A standby that
+    of stalling the pipeline); an evicted standby rejoins with a window
+    of one frame — the cumulative catch-up delta from its last acked
+    epoch (a full checkpoint stream if it never acked anything) — and
+    returns to [Healthy] when the ack for it empties the window.  A standby that
     {e nacks} a composed epoch has diverged and is evicted immediately;
     retransmitting cannot help it.
 
@@ -70,8 +70,6 @@ val create :
     released as [quorum_epoch] advances and dropped past the failover
     point. *)
 
-val standby_count : t -> int
-
 val quorum : t -> int
 (** ⌈(N+1)/2⌉ — acks needed before an epoch is quorum-committed. *)
 
@@ -106,11 +104,12 @@ val kill : t -> int -> unit
     cannot. *)
 
 val rejoin : t -> int -> unit
-(** Bring an evicted standby back: state [Rejoining], one catch-up
-    shipment (cumulative delta from its last acked epoch, or the full
-    checkpoint stream if it never acked) replaces its window; a verified
-    ack returns it to [Healthy] and normal window shipping resumes.
-    No-op unless the standby is evicted and alive. *)
+(** Bring an evicted standby back: state [Rejoining], and its window is
+    one catch-up frame (cumulative delta from its last acked epoch, or the
+    full checkpoint stream if it never acked), retransmitted like any
+    other frame; the verified ack that empties the window returns it to
+    [Healthy] and normal window shipping resumes.  No-op unless the
+    standby is evicted and alive. *)
 
 (** {1 Introspection} *)
 

@@ -321,14 +321,19 @@ let restore_proc ctx (image : Serial.proc_image) =
 
 (* Entry point ------------------------------------------------------------------------------ *)
 
-let groups_at ~store ~epoch =
+(* Every consistency group among [objects], with its parsed image. *)
+let group_images ~store ~epoch objects =
   List.filter_map
     (fun (oid, kind) ->
       if kind = Serial.kind_group then
-        let image = Serial.group_of_string (Store.read_meta store ~epoch ~oid) in
-        Some (oid, image.Serial.i_proc_oids)
+        Some (oid, Serial.group_of_string (Store.read_meta store ~epoch ~oid))
       else None)
-    (Store.objects_at store ~epoch)
+    objects
+
+let groups_at ~store ~epoch =
+  List.map
+    (fun (oid, image) -> (oid, image.Serial.i_proc_oids))
+    (group_images ~store ~epoch (Store.objects_at store ~epoch))
 
 let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   let epoch =
@@ -372,15 +377,7 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   (match restored_fs with Some filesystem -> Machine.mount machine (Fs.vfs_ops filesystem) | None -> ());
   (* The group object drives everything else. *)
   let group_oid, group_image =
-    let candidates =
-      List.filter_map
-        (fun (oid, kind) ->
-          if kind = Serial.kind_group then
-            Some (oid, Serial.group_of_string (Store.read_meta store ~epoch ~oid))
-          else None)
-        objects
-    in
-    match (candidates, group_oid) with
+    match (group_images ~store ~epoch objects, group_oid) with
     | [], _ -> failwith "restore: no consistency group in checkpoint"
     | [ g ], None -> g
     | gs, Some want -> (
@@ -393,12 +390,13 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
            ~group_oid (see Restore.groups_at)"
   in
 
+  let proc_oids = group_image.Serial.i_proc_oids in
   let restored =
     List.map
       (fun proc_oid ->
         restore_proc ctx
           (Serial.proc_of_string (Store.read_meta store ~epoch ~oid:proc_oid)))
-      group_image.Serial.i_proc_oids
+      proc_oids
   in
   (* Relink the process tree by local pids, now that all exist.  Local
      pids are meaningful only within this group: resolve among the
@@ -468,19 +466,12 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   in
   Group.set_ext_sync group group_image.Serial.i_ext_sync_on;
   Group.set_named group group_image.Serial.i_name_ckpts;
-  List.iter
-    (fun (p : Process.t) ->
-      match
-        List.find_opt
-          (fun (oid, kind) ->
-            kind = Serial.kind_proc
-            && (Serial.proc_of_string (Store.read_meta store ~epoch ~oid)).Serial.i_pid_local
-               = p.Process.pid_local)
-          objects
-      with
-      | Some (oid, _) -> Group.seed_proc_oid group ~pid_local:p.Process.pid_local ~oid
-      | None -> ())
-    procs;
+  (* Each process keeps the oid it was restored from: local pids are
+     unique only within a group, so matching them store-wide could hand
+     this group another group's process object. *)
+  List.iter2
+    (fun (p : Process.t) oid -> Group.seed_proc_oid group ~pid_local:p.Process.pid_local ~oid)
+    procs proc_oids;
   Hashtbl.iter
     (fun oid (d : Fdesc.t) -> Group.seed_desc_oid group ~desc_id:d.Fdesc.desc_id ~oid)
     ctx.descs;

@@ -90,7 +90,6 @@ let set_faults t ~seed profile =
   t.fault_seed <- seed;
   t.faults <- Some (Rng.create seed, profile)
 
-let clear_faults t = t.faults <- None
 let stats t = t.stats
 
 (* A scripted window that covers [now] behaves exactly like an active

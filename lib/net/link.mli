@@ -51,8 +51,6 @@ val lossy_profile : float -> fault_profile
 val set_faults : t -> seed:int -> fault_profile -> unit
 (** Install a deterministic fault plane; replaces any previous one. *)
 
-val clear_faults : t -> unit
-
 val partition : t -> now:int -> duration:int -> unit
 (** Explicitly cut the link for [duration] ns of virtual time; both
     directions drop everything transmitted before the window closes. *)

@@ -1628,7 +1628,6 @@ let prune_history t ~keep =
   end
 
 let blocks_allocated t = t.next_block - Hashtbl.length t.free_set
-let blocks_free t = Hashtbl.length t.free_set
 
 (* Verification ------------------------------------------------------------------------ *)
 

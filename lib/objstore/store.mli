@@ -298,4 +298,3 @@ val prune_history : t -> keep:int -> int
 (** Drop the oldest checkpoints beyond [keep]; returns freed blocks. *)
 
 val blocks_allocated : t -> int
-val blocks_free : t -> int

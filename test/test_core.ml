@@ -19,6 +19,7 @@ module Extsync = Aurora_core.Extsync
 module Coredump = Aurora_core.Coredump
 module Migrate = Aurora_core.Migrate
 module Manifest = Aurora_objstore.Manifest
+module Link = Aurora_net.Link
 
 let spawn_with_memory sys ~name ~npages =
   let p = Syscall.spawn sys.Sls.machine ~name in
@@ -521,16 +522,30 @@ let test_replayer_interleaved_fds () =
   Alcotest.(check (option string)) "fd7 again" (Some "b2") (Replayer.recv_msg r ~fd:7);
   Alcotest.(check int) "exhausted" 0 (Replayer.remaining r)
 
-let test_migrate_stream_accessors () =
+(* A frame carries the epoch as its sequence number and the digest of
+   the sender's manifest for that epoch. *)
+let test_migrate_frame () =
   let sys = Sls.boot () in
-  let p, _e, _addr = spawn_with_memory sys ~name:"app" ~npages:4 in
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages:4 in
   let group = Sls.attach sys [ p ] in
-  let stats = Group.checkpoint ~wait_durable:true group in
-  let stream = Migrate.serialize ~store:sys.Sls.store ~epoch:stats.Group.epoch in
-  Alcotest.(check int) "stream size accessor" (String.length stream)
-    (Migrate.stream_size stream);
-  let t = Migrate.transfer_time_ns ~bytes:(Migrate.stream_size stream) in
-  Alcotest.(check bool) "transfer time sane" true (t > 0 && t < 1_000_000_000)
+  let base = (Group.checkpoint ~wait_durable:true group).Group.epoch in
+  Vm_space.write_string p.Process.space ~addr "second epoch";
+  let epoch = (Group.checkpoint ~wait_durable:true group).Group.epoch in
+  let store = sys.Sls.store in
+  match (Migrate.frame ~store ~base ~epoch, Store.manifest store ~epoch) with
+  | Error e, _ | _, Error e -> Alcotest.fail e
+  | Ok (frame, bytes), Ok (moid, m) -> (
+      match Migrate.open_shipment frame with
+      | Error e -> Alcotest.failf "the frame does not open: %s" e
+      | Ok sh ->
+          Alcotest.(check int) "body size" (String.length sh.Migrate.sh_body) bytes;
+          Alcotest.(check int) "seq is the epoch" epoch sh.Migrate.sh_seq;
+          Alcotest.(check int) "base" base sh.Migrate.sh_base;
+          Alcotest.(check int) "epoch" epoch sh.Migrate.sh_epoch;
+          Alcotest.(check int) "manifest oid" moid sh.Migrate.sh_manifest_oid;
+          Alcotest.(check int) "count" m.Manifest.m_count sh.Migrate.sh_count;
+          Alcotest.(check int) "summary" (Manifest.summary m.Manifest.m_entries)
+            sh.Migrate.sh_summary)
 
 let test_store_error_paths () =
   let sys = Sls.boot () in
@@ -624,19 +639,34 @@ let test_migration_between_machines () =
   Vm_space.write_string p.Process.space ~addr "crossing machines";
   let group = Sls.attach src [ p ] in
   let stats = Group.checkpoint ~wait_durable:true group in
-  let stream = Migrate.serialize ~store:src.Sls.store ~epoch:stats.Group.epoch in
-  Alcotest.(check bool) "stream is nonempty" true (Migrate.stream_size stream > 0);
-  (* Receive on a fresh machine. *)
+  let frame, bytes =
+    match Migrate.frame ~store:src.Sls.store ~base:0 ~epoch:stats.Group.epoch with
+    | Ok sent -> sent
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "stream is nonempty" true (bytes > 0);
+  (* Receive on a fresh machine: the installed epoch carries its own
+     manifest, so verified restore accepts it first time. *)
   let dst = Sls.boot () in
   Clock.advance dst.Sls.machine.Machine.clock
-    (Migrate.transfer_time_ns ~bytes:(Migrate.stream_size stream));
-  let epoch' = Migrate.install ~store:dst.Sls.store stream in
-  let result = Restore.restore ~machine:dst.Sls.machine ~store:dst.Sls.store ~epoch:epoch' () in
-  match result.Restore.procs with
-  | [ p' ] ->
-      Alcotest.(check string) "migrated intact" "crossing machines"
-        (Vm_space.read_string p'.Process.space ~addr ~len:17)
-  | _ -> Alcotest.fail "expected 1 process"
+    (Link.delivery_time (Link.create ()) ~now:0 ~bytes);
+  let epoch' =
+    match
+      Result.bind (Migrate.open_shipment frame) (Migrate.install_verified ~store:dst.Sls.store)
+    with
+    | Ok e -> e
+    | Error e -> Alcotest.fail e
+  in
+  match Restore.restore_verified ~machine:dst.Sls.machine ~store:dst.Sls.store () with
+  | Error e -> Alcotest.fail (Restore.pp_restore_error e)
+  | Ok v -> (
+      Alcotest.(check int) "restores the installed epoch" epoch' v.Restore.vr_epoch;
+      Alcotest.(check int) "no epoch skipped" 0 (List.length v.Restore.vr_skipped);
+      match v.Restore.vr_result.Restore.procs with
+      | [ p' ] ->
+          Alcotest.(check string) "migrated intact" "crossing machines"
+            (Vm_space.read_string p'.Process.space ~addr ~len:17)
+      | _ -> Alcotest.fail "expected 1 process")
 
 let test_detach_makes_ephemeral () =
   let sys = Sls.boot () in
@@ -1250,7 +1280,6 @@ let test_unreadable_epoch_falls_back () =
    window of 1 drained after every shipment. *)
 
 module Replica_set = Aurora_core.Replica_set
-module Link = Aurora_net.Link
 
 let ha_fixture ?link () =
   let sys = Sls.boot () in
@@ -1666,7 +1695,7 @@ let () =
           Alcotest.test_case "journal" `Quick test_journal_api;
           Alcotest.test_case "memckpt shared region" `Quick test_memckpt_shared_region;
           Alcotest.test_case "replayer interleaving" `Quick test_replayer_interleaved_fds;
-          Alcotest.test_case "migrate accessors" `Quick test_migrate_stream_accessors;
+          Alcotest.test_case "migrate frame" `Quick test_migrate_frame;
           Alcotest.test_case "store error paths" `Quick test_store_error_paths;
           Alcotest.test_case "fdctl" `Quick test_fdctl;
           Alcotest.test_case "external synchrony" `Quick test_extsync_buffering;

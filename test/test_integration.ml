@@ -21,6 +21,19 @@ module Migrate = Aurora_core.Migrate
 module Replica_set = Aurora_core.Replica_set
 module Memcached_bench = Aurora_apps.Memcached_bench
 
+(* The frame carrying [epoch] as a delta from [base], and its body size. *)
+let frame ~store ~base ~epoch =
+  match Migrate.frame ~store ~base ~epoch with
+  | Ok sent -> sent
+  | Error e -> Alcotest.fail e
+
+(* Receive a frame the way every store does: open it, check it against
+   the sender's manifest digest, commit.  Returns the installed epoch. *)
+let recv ~store frame =
+  match Result.bind (Migrate.open_shipment frame) (Migrate.install_verified ~store) with
+  | Ok epoch -> epoch
+  | Error e -> Alcotest.fail e
+
 (* Swap / memory overcommitment (paper section 6) ------------------------- *)
 
 let test_swap_evict_and_fault_back () =
@@ -251,6 +264,40 @@ let test_continuous_operation_across_crashes () =
       (Vm_space.read_string !current.Process.space ~addr:(addr + (generation * 100)) ~len:5)
   done
 
+let test_restore_keeps_groups_apart () =
+  (* Two machines attached to one store: each machine's first process
+     has local pid 1.  Restoring B and checkpointing it must write B's
+     process object, never A's. *)
+  let sys = Sls.boot () in
+  let clock = sys.Sls.machine.Machine.clock in
+  let second = Machine.create ~clock () in
+  let mk machine name text =
+    let p = Syscall.spawn machine ~name in
+    let addr = Vm_space.addr_of_entry (Syscall.mmap_anon p ~npages:4) in
+    Vm_space.write_string p.Process.space ~addr text;
+    (p, addr)
+  in
+  let pa, addr_a = mk sys.Sls.machine "group-A" "alpha" in
+  let pb, addr_b = mk second "group-B" "bravo" in
+  Alcotest.(check int) "local pids collide" pa.Process.pid_local pb.Process.pid_local;
+  let ga = Sls.attach sys [ pa ] in
+  let gb = Group.attach ~machine:second ~store:sys.Sls.store [ pb ] in
+  ignore (Group.checkpoint ~wait_durable:true ga);
+  ignore (Group.checkpoint ~wait_durable:true gb);
+  let restore group =
+    Restore.restore ~machine:(Machine.create ~clock ()) ~store:sys.Sls.store
+      ~group_oid:(Group.group_oid group) ()
+  in
+  let rb = restore gb in
+  Vm_space.write_string (List.hd rb.Restore.procs).Process.space ~addr:addr_b "bravo v2";
+  ignore (Group.checkpoint ~wait_durable:true rb.Restore.group);
+  match (restore ga).Restore.procs with
+  | [ p ] ->
+      Alcotest.(check string) "A's process" "group-A" p.Process.name;
+      Alcotest.(check string) "A's memory" "alpha"
+        (Vm_space.read_string p.Process.space ~addr:addr_a ~len:5)
+  | _ -> Alcotest.fail "expected 1 process"
+
 let test_pid_collision_scoped_signals () =
   (* Two restored groups can both contain "local pid 1"; a signal sent by
      a member must reach its own group's process (paper section 5.3's
@@ -262,15 +309,16 @@ let test_pid_collision_scoped_signals () =
     let child = Syscall.fork sys.Sls.machine parent in
     let group = Sls.attach sys [ parent; child ] in
     ignore (Group.checkpoint ~wait_durable:true group);
-    Migrate.serialize ~store:sys.Sls.store
-      ~epoch:(Store.last_complete_epoch sys.Sls.store)
+    fst
+      (frame ~store:sys.Sls.store ~base:0
+         ~epoch:(Store.last_complete_epoch sys.Sls.store))
   in
   let img_a = make_image () and img_b = make_image () in
   (* Install both applications on one machine. *)
   let host = Sls.boot () in
-  let ea = Migrate.install ~store:host.Sls.store img_a in
+  let ea = recv ~store:host.Sls.store img_a in
   let ra = Restore.restore ~machine:host.Sls.machine ~store:host.Sls.store ~epoch:ea () in
-  let eb = Migrate.install ~store:host.Sls.store img_b in
+  let eb = recv ~store:host.Sls.store img_b in
   let rb = Restore.restore ~machine:host.Sls.machine ~store:host.Sls.store ~epoch:eb () in
   let parent_a = List.hd ra.Restore.procs and child_a = List.nth ra.Restore.procs 1 in
   let parent_b = List.hd rb.Restore.procs and child_b = List.nth rb.Restore.procs 1 in
@@ -729,16 +777,12 @@ let test_multi_round_precopy_migration () =
             (Char.chr (Char.code 'a' + round))
         done;
         let stats = Group.checkpoint ~wait_durable:true group in
-        let stream =
-          if !prev_epoch = 0 then
-            Migrate.serialize ~store:src.Sls.store ~epoch:stats.Group.epoch
-          else
-            Migrate.serialize_incremental ~store:src.Sls.store ~base:!prev_epoch
-              ~epoch:stats.Group.epoch
+        let sent, bytes =
+          frame ~store:src.Sls.store ~base:!prev_epoch ~epoch:stats.Group.epoch
         in
         prev_epoch := stats.Group.epoch;
-        ignore (Migrate.install ~store:dst.Sls.store stream);
-        Migrate.stream_size stream)
+        ignore (recv ~store:dst.Sls.store sent);
+        bytes)
       [ 1; 2; 3 ]
   in
   (match sizes with
@@ -922,6 +966,9 @@ let test_wire_fuzz_rejects_garbage () =
   done;
   Alcotest.(check pass) "no unexpected exceptions" () ()
 
+(* Garbage bodies sealed into well-formed frames pass the CRC check, so
+   only the stream parser and the digest check stand between them and
+   the store: each must be an [Error], never an exception or an epoch. *)
 let test_migrate_stream_fuzz () =
   let rng = Aurora_util.Rng.create 7 in
   for _ = 1 to 200 do
@@ -929,13 +976,16 @@ let test_migrate_stream_fuzz () =
     let garbage =
       String.init len (fun _ -> Char.chr (Aurora_util.Rng.int rng 256))
     in
-    let sys = lazy (Sls.boot ()) in
-    match Migrate.install ~store:(Lazy.force sys).Sls.store garbage with
-    | _ -> Alcotest.fail "garbage stream accepted"
-    | exception Failure _ -> ()
-    | exception Wire.Corrupt _ -> ()
-  done;
-  Alcotest.(check pass) "garbage streams rejected" () ()
+    let sealed =
+      Migrate.seal_shipment ~seq:1 ~base:0 ~epoch:1 ~manifest_oid:1 ~count:1
+        ~summary:(Aurora_util.Rng.int rng 0x10000) garbage
+    in
+    let store = (Sls.boot ()).Sls.store in
+    match Result.bind (Migrate.open_shipment sealed) (Migrate.install_verified ~store) with
+    | Ok e -> Alcotest.failf "garbage stream installed as epoch %d" e
+    | Error _ ->
+        Alcotest.(check int) "store still at epoch 0" 0 (Store.last_complete_epoch store)
+  done
 
 let test_history_prune_preserves_latest_restorability () =
   let sys = Sls.boot () in
@@ -1045,6 +1095,7 @@ let () =
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
           Alcotest.test_case "mmap file unified" `Quick test_mmap_file_unified_page_cache;
           Alcotest.test_case "scoped pid signals" `Quick test_pid_collision_scoped_signals;
+          Alcotest.test_case "restore keeps groups apart" `Quick test_restore_keeps_groups_apart;
           Alcotest.test_case "late attach" `Quick test_attach_new_process_to_running_group;
           Alcotest.test_case "bounded history" `Quick test_bounded_history_under_continuous_checkpointing;
           Alcotest.test_case "prune then restore" `Quick test_history_prune_preserves_latest_restorability;

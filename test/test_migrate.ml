@@ -121,7 +121,8 @@ let standby_at ~store ~base =
   let sb = fresh_store () in
   (match
      Migrate.install_verified ~store:sb
-       (shipment ~store ~base:0 ~epoch:base (Migrate.serialize ~store ~epoch:base))
+       (shipment ~store ~base:0 ~epoch:base
+          (Migrate.serialize_incremental ~store ~base:0 ~epoch:base))
    with
   | Ok _ -> ()
   | Error e -> failwith ("full stream rejected: " ^ e));
@@ -235,7 +236,9 @@ let check_pair store (base, epoch) =
   in
   let oracle_state =
     let sb = standby_at ~store ~base in
-    snapshot sb ~epoch:(Migrate.install ~store:sb oracle)
+    match Migrate.install_verified ~store:sb (shipment ~store ~base ~epoch oracle) with
+    | Ok e -> if snapshot sb ~epoch:e = want then "matches" else "differs"
+    | Error msg -> "rejected: " ^ msg
   in
   let shipped = stream_pages stream in
   let missing =
@@ -249,13 +252,11 @@ let check_pair store (base, epoch) =
           idxs)
       (stream_pages oracle)
   in
-  if verified = "ok" && oracle_state = want && missing = [] then true
+  if verified = "ok" && oracle_state = "matches" && missing = [] then true
   else
     QCheck.Test.fail_reportf
       "base %d epoch %d: verified install %s; oracle install %s; pages the oracle ships but the stream does not: [%s]"
-      base epoch verified
-      (if oracle_state = want then "matches" else "differs")
-      (String.concat " " missing)
+      base epoch verified oracle_state (String.concat " " missing)
 
 let qcheck_tests =
   [
