@@ -36,8 +36,9 @@ let leaf_cache_capacity = 65_536
 type version = {
   v_kind : string;
   v_meta : string;
-  v_block : int; (* first block of the serialized version record *)
-  v_nblocks : int; (* blocks the serialized version record occupies *)
+  v_blk : int; (* where the serialized version record is packed: block, *)
+  v_off : int; (* byte offset in that block, *)
+  v_len : int; (* and exact length *)
   v_leaves : int IntMap.t;
 }
 
@@ -122,10 +123,14 @@ type pent = {
   p_hash : int;
 }
 
-(* Blocks covered by a stored page (it may straddle block boundaries
-   inside its packed extent). *)
-let pent_blocks p f =
-  for b = p.p_blk to p.p_blk + ((p.p_off + max 1 p.p_clen - 1) / block_size) do
+(* Last block covered by [len] bytes stored at byte [off] of block [blk]:
+   a packed page or version record may straddle block boundaries inside
+   its extent.  The one block-liveness rule: every block of
+   [blk .. span_end] is live while the bytes are. *)
+let span_end blk off len = blk + ((off + max 1 len - 1) / block_size)
+
+let span_blocks blk off len f =
+  for b = blk to span_end blk off len do
     f b
   done
 
@@ -243,8 +248,6 @@ let alloc_extent t n =
   let b = t.next_block in
   t.next_block <- t.next_block + n;
   b
-
-let alloc_contiguous t n = alloc_extent t n
 
 let free_block t b =
   (* Double frees and out-of-range blocks are dropped: the free set is a
@@ -505,9 +508,10 @@ let reserve_oids t ~upto = if upto > t.next_oid then t.next_oid <- upto
 
 (* Checkpoint records ----------------------------------------------------------- *)
 
-(* A checkpoint record names its predecessor and every live object's
-   version record by location and exact size, (first block, blocks), so
-   recovery reads each record once and no more than it occupies. *)
+(* A checkpoint record names its predecessor by (first block, blocks) and
+   every live object's version record by its packed byte location, (block,
+   offset, length), so recovery reads each record once and no more than
+   the store wrote. *)
 let serialize_record ~epoch ~prev:(prev_block, prev_nblocks) table =
   let w = Wire.writer () in
   Wire.u8 w 0xA1;
@@ -517,8 +521,9 @@ let serialize_record ~epoch ~prev:(prev_block, prev_nblocks) table =
   Wire.list w
     (fun (oid, v) ->
       Wire.u64 w oid;
-      Wire.u64 w v.v_block;
-      Wire.u32 w v.v_nblocks)
+      Wire.u64 w v.v_blk;
+      Wire.u32 w v.v_off;
+      Wire.u32 w v.v_len)
     table;
   Wire.contents w
 
@@ -532,9 +537,10 @@ let parse_record =
   let table =
     Wire.rlist r (fun r ->
         let oid = Wire.ru64 r in
-        let vblock = Wire.ru64 r in
-        let nblocks = Wire.ru32 r in
-        (oid, vblock, nblocks))
+        let blk = Wire.ru64 r in
+        let off = Wire.ru32 r in
+        let len = Wire.ru32 r in
+        (oid, blk, off, len))
   in
   (epoch, (prev_block, prev_nblocks), table)
 
@@ -563,7 +569,9 @@ let write_extent t ~now items =
 
 (* Write [items] as a run of coalesced extents split at [max_extent_blocks];
    [emit i blk] reports the first block assigned to item [i].  Returns the
-   latest completion time. *)
+   latest completion time.  Radix leaves and the unpacked page layout use
+   it; page payloads and version records otherwise go through
+   [write_packed]. *)
 let write_extents_chunked t ~now items emit =
   let n = Array.length items in
   let completion = ref now in
@@ -990,26 +998,22 @@ let commit_checkpoint t =
             me_pages = base.me_pages + n_delta;
             me_pages_crc = base.me_pages_crc lxor fp_delta;
           };
-        (oid, { v_kind = kind; v_meta = meta; v_block = 0; v_nblocks = 0; v_leaves = leaves }))
+        (oid, { v_kind = kind; v_meta = meta; v_blk = 0; v_off = 0; v_len = 0; v_leaves = leaves }))
       staged_list
   in
-  (* Version records ride coalesced extents too: one vectored submission
-     covers many objects' records. *)
+  (* Version records pack back to back into fresh extents, like page
+     payloads and in either page layout: one exact-length submission covers
+     many objects' records. *)
   Otrace.with_span ~cat:"store" ~name:"commit.records" (fun () ->
       let pending = Array.of_list pending in
-      let items =
-        Array.map
-          (fun (oid, v) ->
-            let payload = serialize_version ~oid ~epoch v in
-            (payload, blocks_of_len (Bytes.length payload)))
-          pending
-      in
-      let c =
-        write_extents_chunked t ~now items (fun i blk ->
-            let oid, v = pending.(i) in
-            Hashtbl.replace new_table oid
-              { v with v_block = blk; v_nblocks = snd items.(i) })
-      in
+      let records = Array.map (fun (oid, v) -> serialize_version ~oid ~epoch v) pending in
+      let locs, c = write_packed t ~now records in
+      Array.iteri
+        (fun i (oid, v) ->
+          let blk, off = locs.(i) in
+          Hashtbl.replace new_table oid
+            { v with v_blk = blk; v_off = off; v_len = Bytes.length records.(i) })
+        pending;
       if c > !data_done then data_done := c);
   (* Checkpoint record after all object data (write ordering). *)
   let table_list =
@@ -1194,12 +1198,11 @@ let content_index_consistent t =
 
 (* Recovery ---------------------------------------------------------------------- *)
 
-(* Recovery reads what the record chain names, once each and at its exact
-   size.  Commit copies the version table, so consecutive epochs share
-   most version records: a record's versions already loaded for a newer
-   epoch are reused (the rebuilt tables share version values exactly as
-   they did before the crash), and the rest are read in block order, with
-   device-contiguous records coalesced into runs of at most
+(* Recovery reads what the record chain names, once each.  Commit copies
+   the version table, so consecutive epochs share most version records:
+   each distinct version is loaded once (the rebuilt tables share version
+   values exactly as they did before the crash), and the blocks its packed
+   bytes cover are read in block order, coalesced into runs of at most
    [max_extent_blocks], each one charged, retried read.  The cost is
    O(records + distinct versions) in device time and parse work, not
    O(epochs x objects). *)
@@ -1234,45 +1237,55 @@ let check_extent t what blk nblocks =
          (Printf.sprintf "%s at block %d (+%d) outside the store (%d blocks)" what blk
             nblocks t.next_block))
 
-(* Load every version of [table_list] not already in [loaded]
-   (vblock -> (oid, version)). *)
-let load_versions t loaded table_list =
-  let want = Hashtbl.create 64 in
+(* Load every distinct version [entries] name, as a (blk, off) -> (oid,
+   version) table.  The blocks covering the records are read in runs
+   (records sharing a block or in adjacent blocks join one run), each run
+   once, and every record is sliced out at its offset. *)
+let load_versions t entries =
+  let loaded = Hashtbl.create 1024 and want = Hashtbl.create 1024 in
   List.iter
-    (fun (_, vblock, nblocks) ->
-      check_extent t "version record" vblock nblocks;
-      if not (Hashtbl.mem loaded vblock) then Hashtbl.replace want vblock nblocks)
-    table_list;
+    (fun (_, blk, off, len) ->
+      if off >= block_size || len < 1 then
+        raise
+          (Corrupt_store
+             (Printf.sprintf "version record at block %d: offset %d, length %d" blk off len));
+      check_extent t "version record" blk (span_end blk off len - blk + 1);
+      Hashtbl.replace want (blk, off) len)
+    entries;
   let todo =
-    Hashtbl.fold (fun b n acc -> (b, n) :: acc) want [] |> Array.of_list
+    Hashtbl.fold (fun (blk, off) len acc -> (blk, off, len) :: acc) want [] |> Array.of_list
   in
   Array.sort compare todo;
+  let last k =
+    let blk, off, len = todo.(k) in
+    span_end blk off len
+  in
   let n = Array.length todo in
   let i = ref 0 in
   while !i < n do
-    let base, first = todo.(!i) in
-    let j = ref (!i + 1) and run = ref first in
+    let base, _, _ = todo.(!i) in
+    let j = ref (!i + 1) and run_end = ref (last !i) in
     while
       !j < n
-      && fst todo.(!j) = base + !run
-      && !run + snd todo.(!j) <= max_extent_blocks
+      && (let blk, _, _ = todo.(!j) in blk <= !run_end + 1)
+      && last !j - base < max_extent_blocks
     do
-      run := !run + snd todo.(!j);
+      run_end := max !run_end (last !j);
       incr j
     done;
-    let data = read_blocks t ~blk:base ~nblocks:!run in
+    let data = read_blocks t ~blk:base ~nblocks:(!run_end - base + 1) in
     for k = !i to !j - 1 do
-      let vblock, nblocks = todo.(k) in
+      let blk, off, len = todo.(k) in
       let oid, kind, meta, leaves =
-        parse_version
-          (Bytes.sub data ((vblock - base) * block_size) (nblocks * block_size))
+        parse_version (Bytes.sub data (((blk - base) * block_size) + off) len)
       in
-      Hashtbl.replace loaded vblock
-        (oid, { v_kind = kind; v_meta = meta; v_block = vblock; v_nblocks = nblocks;
+      Hashtbl.replace loaded (blk, off)
+        (oid, { v_kind = kind; v_meta = meta; v_blk = blk; v_off = off; v_len = len;
                 v_leaves = leaves })
     done;
     i := !j
-  done
+  done;
+  loaded
 
 let recover ~dev ~clock =
   let t = fresh dev clock in
@@ -1288,10 +1301,8 @@ let recover ~dev ~clock =
   t.oldest_retained <- oldest_retained;
   t.journals <- journals;
   t.current_epoch <- last_epoch;
-  let loaded = Hashtbl.create 1024 in
-  (* Walk the record chain, oldest last; rebuild every retained epoch.
-     Epochs strictly decrease along the chain, so a garbled prev pointer
-     cannot loop. *)
+  (* Walk the record chain, oldest last.  Epochs strictly decrease along
+     the chain, so a garbled prev pointer cannot loop. *)
   let rec walk (block, nblocks) ~below acc =
     if block = 0 then acc
     else begin
@@ -1302,21 +1313,27 @@ let recover ~dev ~clock =
       (* Pruned epochs' blocks may have been reused: stop at the oldest
          retained record instead of following its prev pointer. *)
       let prev = if epoch <= t.oldest_retained then (0, 0) else prev in
-      load_versions t loaded table_list;
-      let table = Hashtbl.create (List.length table_list) in
-      List.iter
-        (fun (oid, vblock, nblocks) ->
-          let v_oid, v = Hashtbl.find loaded vblock in
-          if v_oid <> oid || v.v_nblocks <> nblocks then
-            raise (Corrupt_store "version/oid mismatch");
-          Hashtbl.replace table oid v)
-        table_list;
-      walk prev ~below:epoch
-        ({ e_epoch = epoch; e_record_block = block; e_record_nblocks = nblocks;
-           e_table = table } :: acc)
+      walk prev ~below:epoch ((epoch, block, nblocks, table_list) :: acc)
     end
   in
-  t.epochs <- walk head ~below:(last_epoch + 1) [];
+  let chain = walk head ~below:(last_epoch + 1) [] in
+  (* Then every retained epoch's versions in one pass, so a block shared
+     by several epochs' records is read once. *)
+  let loaded = load_versions t (List.concat_map (fun (_, _, _, tl) -> tl) chain) in
+  t.epochs <-
+    List.map
+      (fun (epoch, block, nblocks, table_list) ->
+        let table = Hashtbl.create (List.length table_list) in
+        List.iter
+          (fun (oid, blk, off, len) ->
+            let v_oid, v = Hashtbl.find loaded (blk, off) in
+            if v_oid <> oid || v.v_len <> len then
+              raise (Corrupt_store "version/oid mismatch");
+            Hashtbl.replace table oid v)
+          table_list;
+        { e_epoch = epoch; e_record_block = block; e_record_nblocks = nblocks;
+          e_table = table })
+      chain;
   (* The content index is derived state: rebuild it from the durable
      leaves, so dedup after a crash only ever references durable pages.
      The walk parses every retained leaf once, which also warms the leaf
@@ -1416,7 +1433,7 @@ let read_pages t ~epoch ~oid =
 let read_changed_pages t ~base ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
   let b = version_exn t ~epoch:base ~oid in
-  if v.v_block = b.v_block then []
+  if v.v_blk = b.v_blk && v.v_off = b.v_off then []
   else begin
     let same p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen in
     (* Both entry lists are sorted by page index; [acc] collects moved
@@ -1465,7 +1482,7 @@ let journal_find t id = List.find_opt (fun j -> j.j_id = id) t.journals
 
 let journal_create t ~size =
   let nblocks = blocks_of_len size in
-  let start = alloc_contiguous t nblocks in
+  let start = alloc_extent t nblocks in
   let id = List.length t.journals + 1 in
   let j = { j_id = id; j_start = start; j_blocks = nblocks; j_head = 0; j_gen = 0 } in
   t.journals <- t.journals @ [ j ];
@@ -1550,20 +1567,16 @@ let journal_records t j =
    so it is exact even for a store instance rebuilt by recovery. *)
 let reachable_blocks t e =
   let out = Hashtbl.create 256 in
-  let add_record blk nblocks =
-    for i = 0 to nblocks - 1 do
-      Hashtbl.replace out (blk + i) ()
-    done
-  in
-  add_record e.e_record_block e.e_record_nblocks;
+  let add b = Hashtbl.replace out b () in
+  span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) add;
   Hashtbl.iter
     (fun _ v ->
-      add_record v.v_block v.v_nblocks;
+      span_blocks v.v_blk v.v_off v.v_len add;
       IntMap.iter
         (fun _ leaf_blk ->
-          Hashtbl.replace out leaf_blk ();
+          add leaf_blk;
           List.iter
-            (fun p -> pent_blocks p (fun b -> Hashtbl.replace out b ()))
+            (fun p -> span_blocks p.p_blk p.p_off p.p_clen add)
             (leaf_entries t ~charged:false leaf_blk))
         v.v_leaves)
     e.e_table;

@@ -12,9 +12,14 @@
 
     Block 0 holds the superblock (magic, last complete checkpoint and the
     location and size of its record, journal registry).  Each checkpoint
-    record names its predecessor and every live object's version record
-    the same way, by first block and block count.  A checkpoint commit
-    orders its writes like a real COW file
+    record names its predecessor the same way, by first block and block
+    count, and every live object's version record by its byte-granular
+    location [(block, offset, length)]: version records are packed back to
+    back into fresh extents, like page payloads, so an epoch's records
+    take the bytes they hold, not a block each.  A packed extent never
+    shares a block with an earlier commit, so a torn write cannot touch a
+    durable record.  A checkpoint commit orders its writes like a real
+    COW file
     system: object data and version records first, then the checkpoint
     record, then the superblock — so a crash anywhere leaves the previous
     checkpoint intact, and {!recover} finds the last complete checkpoint by
@@ -41,13 +46,16 @@ val format : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
 
 val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
 (** Mount after a crash or reboot: parses the superblock and the retained
-    checkpoints' records off the device.  Every record is read once at
-    the exact size its parent names, and a version record shared by
-    several epochs is read and parsed once, with contiguous version
-    records coalesced into charged runs; the cost is O(records + distinct
+    checkpoints' records off the device.  The checkpoint records are read
+    first, each once at the size its parent names; then every distinct
+    version record they name, over all retained epochs, is loaded once,
+    keyed by [(block, offset)]: the blocks covering the records are
+    coalesced into charged runs, each run is read once, and each record
+    is sliced out at its offset.  The cost is O(records + distinct
     versions), not O(epochs x objects).  Raises {!Corrupt_store} if no
-    valid superblock is found or a record is truncated, garbled or out of
-    range. *)
+    valid superblock is found, a record is truncated, garbled or out of
+    range, or a version entry has an offset past its block, a zero
+    length, or a byte range past the allocated blocks. *)
 
 val clock : t -> Aurora_sim.Clock.t
 val device : t -> Aurora_block.Striped.t
@@ -87,7 +95,8 @@ val commit_checkpoint : t -> int
     The flush is coalesced: each object's fresh data blocks are sorted,
     allocated as contiguous extents and submitted as a handful of
     stripe-spanning vectored writes ({!Aurora_block.Striped.write_vec});
-    rewritten radix leaves and version records ride extents of their own.
+    rewritten radix leaves ride extents of their own, and version records
+    are packed back to back into exact-length writes.
     A 10k-dirty-page epoch issues O(extents) device submissions instead of
     O(pages). *)
 
@@ -132,7 +141,8 @@ val set_packed_layout : t -> bool -> unit
     content index, no compression, full-block write charges — as the
     benchmark A/B baseline and the round-trip reference store.  Turning
     it on rebuilds the index from the retained epochs; turning it off
-    clears it. *)
+    clears it.  It governs pages only: version records are packed in
+    both layouts. *)
 
 val content_index_size : t -> int
 (** Distinct content hashes the index currently tracks. *)

@@ -430,6 +430,42 @@ let overwrite dev clock ~off data =
   ignore (Striped.write dev ~now:(Clock.now clock) ~off data);
   Striped.settle dev ~clock
 
+(* Checkpoint record layout: magic u8, epoch u64, prev block u64, prev
+   blocks u32, entry count u32, then per entry oid u64, version block u64,
+   offset u32, length u32. *)
+let first_entry_offset = 1 + 8 + 8 + 4 + 4
+
+(* [(oid, (block, offset, length))] of every version record the head
+   checkpoint record names, in oid order. *)
+let version_locations dev =
+  let blk, nblocks = head_record dev in
+  let r =
+    Wire.reader
+      (Striped.read_nocharge dev ~off:(blk * Store.block_size)
+         ~len:(nblocks * Store.block_size))
+  in
+  ignore (Wire.ru8 r);
+  ignore (Wire.ru64 r);
+  ignore (Wire.ru64 r);
+  ignore (Wire.ru32 r);
+  Wire.rlist r (fun r ->
+      let oid = Wire.ru64 r in
+      let vblock = Wire.ru64 r in
+      let off = Wire.ru32 r in
+      let len = Wire.ru32 r in
+      (oid, (vblock, off, len)))
+
+(* Every retained epoch's objects, metadata and page CRCs. *)
+let snapshot st =
+  List.map
+    (fun epoch ->
+      ( epoch,
+        List.map
+          (fun (oid, kind) ->
+            (oid, kind, Store.read_meta st ~epoch ~oid, Store.page_crcs st ~epoch ~oid))
+          (Store.objects_at st ~epoch) ))
+    (Store.checkpoint_epochs st)
+
 let raises_corrupt_store f =
   try
     ignore (f ());
@@ -523,70 +559,79 @@ let test_recover_bad_record_is_corrupt_store () =
   Alcotest.(check bool) "prev pointer loop" true
     (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
   (* A garbled version record: right magic, then a string length far past
-     the record's end.  The first table entry's version block follows the
-     list count. *)
+     the record's end, written at the first entry's packed location. *)
   let clock, dev = build () in
-  let blk, _ = head_record dev in
-  let record = Striped.read_nocharge dev ~off:(blk * Store.block_size) ~len:Store.block_size in
-  let r = Wire.reader record in
-  ignore (Wire.ru8 r);
-  ignore (Wire.ru64 r);
-  ignore (Wire.ru64 r);
-  ignore (Wire.ru32 r);
-  ignore (Wire.ru32 r);
-  ignore (Wire.ru64 r);
-  let vblock = Wire.ru64 r in
-  let junk = Bytes.make Store.block_size '\xff' in
+  let _, (vblock, voff, _) = List.hd (version_locations dev) in
+  let junk = Bytes.make 64 '\xff' in
   Bytes.set junk 0 '\xa2';
-  overwrite dev clock ~off:(vblock * Store.block_size) junk;
+  overwrite dev clock ~off:((vblock * Store.block_size) + voff) junk;
   Alcotest.(check bool) "garbled version record" true
-    (raises_corrupt_store (fun () -> Store.recover ~dev ~clock))
+    (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
+  (* A version entry whose offset, length or byte range is out of bounds
+     is Corrupt_store too, never Invalid_argument or a raw wire error. *)
+  let bad_entry what ~field value =
+    let clock, dev = build () in
+    let blk, _ = head_record dev in
+    let v = Bytes.create 4 in
+    Bytes.set_int32_le v 0 (Int32.of_int value);
+    overwrite dev clock ~off:((blk * Store.block_size) + first_entry_offset + field) v;
+    Alcotest.(check bool) what true (raises_corrupt_store (fun () -> Store.recover ~dev ~clock))
+  in
+  bad_entry "version offset past its block" ~field:16 Store.block_size;
+  bad_entry "empty version record" ~field:20 0;
+  bad_entry "version record past the allocated blocks" ~field:20 1_000_000
 
-(* Recovery reads each distinct version record once, at its size: K
-   epochs that each rewrite one of M objects read about M + K version
-   blocks, not K x M, and every retained epoch comes back identical. *)
+(* Recovery reads each distinct version record once, and only the blocks
+   its packed bytes cover: K epochs that each rewrite one of M objects read
+   the first epoch's packed run plus one block per later epoch, not K x M
+   records, and every retained epoch comes back identical. *)
 let test_recover_read_volume () =
   let clock, dev, store = fresh () in
   let m = 40 and k = 12 in
+  (* Fixed-size metas, so the first epoch's M records pack into a run of
+     several blocks. *)
+  let meta i e = Printf.sprintf "%-256s" (Printf.sprintf "obj %d v%d" i e) in
+  (* magic, oid, epoch, kind "memory", meta, one leaf (index u32, block u64) *)
+  let record_len = 1 + 8 + 8 + (4 + 6) + (4 + 256) + (4 + 12) in
   let oids = Array.init m (fun _ -> Store.alloc_oid store) in
   ignore (Store.begin_checkpoint store);
   Array.iteri
     (fun i oid ->
-      Store.put_object store ~oid ~kind:"memory" ~meta:(Printf.sprintf "obj %d v0" i);
+      Store.put_object store ~oid ~kind:"memory" ~meta:(meta i 0);
       Store.put_pages store ~oid [ (i, payload 'a') ])
     oids;
   ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  let first = version_locations dev in
+  Alcotest.(check bool) "records packed at their exact length" true
+    (List.for_all (fun (_, (_, _, len)) -> len = record_len) first);
+  let first_run = ((m * record_len) + Store.block_size - 1) / Store.block_size in
+  let lo = List.fold_left (fun a (_, (b, _, _)) -> min a b) max_int first in
+  let hi = List.fold_left (fun a (_, (b, _, _)) -> max a b) 0 first in
+  Alcotest.(check int) "first epoch's records span one packed run" first_run (hi - lo + 1);
+  Alcotest.(check bool) "the run spans several blocks" true (first_run >= 2);
   for e = 1 to k - 1 do
     ignore (Store.begin_checkpoint store);
     let i = e * 7 mod m in
-    Store.put_object store ~oid:oids.(i) ~kind:"memory" ~meta:(Printf.sprintf "obj %d v%d" i e);
+    Store.put_object store ~oid:oids.(i) ~kind:"memory" ~meta:(meta i e);
     Store.put_pages store ~oid:oids.(i) [ (i, payload (Char.chr (Char.code 'a' + e))) ];
     ignore (Store.commit_checkpoint store)
   done;
   Store.wait_durable store;
-  let snapshot st =
-    List.map
-      (fun epoch ->
-        ( epoch,
-          List.map
-            (fun (oid, kind) ->
-              (oid, kind, Store.read_meta st ~epoch ~oid, Store.page_crcs st ~epoch ~oid))
-            (Store.objects_at st ~epoch) ))
-      (Store.checkpoint_epochs st)
-  in
   let before = snapshot store in
   Alcotest.(check int) "epochs retained" k (List.length before);
   Striped.crash dev ~now:(Clock.now clock);
   let read0 = Striped.bytes_read dev in
   let store2 = Store.recover ~dev ~clock in
   let read = Striped.bytes_read dev - read0 in
-  (* Every version and checkpoint record here fits one block. *)
-  let bound = ((m + k) + k + 1) * Store.block_size in
+  (* The superblock, K one-block checkpoint records, the first epoch's
+     packed run and one block for each later epoch's lone record. *)
+  let bound = (1 + k + first_run + (k - 1)) * Store.block_size in
   Alcotest.(check bool) (Printf.sprintf "read %d bytes <= %d" read bound) true (read <= bound);
   Alcotest.(check bool) "epochs identical after recovery" true (snapshot store2 = before);
   Alcotest.(check bool) "content index consistent" true (Store.content_index_consistent store2);
-  (* A transient failure on a coalesced version run (a read wider than
-     one record) is retried and counted. *)
+  (* A transient failure on the coalesced version run (the only read wider
+     than one block) is retried and counted. *)
   let f = Fault.create () in
   let armed = ref true in
   f.Fault.on_read <-
@@ -603,6 +648,93 @@ let test_recover_read_volume () =
   Alcotest.(check int) "fault absorbed and counted" 1 (Store.read_faults store3);
   Alcotest.(check bool) "epochs identical after retried recovery" true
     (snapshot store3 = before)
+
+(* Byte-granular liveness ---------------------------------------------------- *)
+
+(* A store whose first epoch holds one paged object that every later epoch
+   carries, so the content index has live entries throughout.  Its blocks
+   stay live, so of that epoch a prune frees only the checkpoint record. *)
+let liveness_store () =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  ignore (Store.begin_checkpoint store);
+  Store.put_object store ~oid ~kind:"memory" ~meta:"paged";
+  Store.put_pages store ~oid [ (0, payload 'p'); (1, payload 'q') ];
+  ignore (Store.commit_checkpoint store);
+  (clock, dev, store)
+
+(* One epoch rewriting only the metadata of [metas]: no pages, so its
+   blocks are its packed version records and its checkpoint record. *)
+let commit_metas store metas =
+  ignore (Store.begin_checkpoint store);
+  List.iter (fun (oid, meta) -> Store.put_object store ~oid ~kind:"obj" ~meta) metas;
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store
+
+(* Crash and recover: every retained epoch reads back as before and the
+   content index matches the durable leaves.  Returns the recovered
+   store. *)
+let recovers what clock dev store =
+  let before = snapshot store in
+  Striped.crash dev ~now:(Clock.now clock);
+  let store = Store.recover ~dev ~clock in
+  Alcotest.(check bool) (what ^ ": epochs identical after recovery") true
+    (snapshot store = before);
+  Alcotest.(check bool) (what ^ ": content index consistent") true
+    (Store.content_index_consistent store);
+  store
+
+(* A version record straddling a block boundary keeps both blocks live:
+   rewriting its neighbours and pruning their old records frees only the
+   block no live record covers, and the blocks a prune freed can be
+   reused without touching the straddling record. *)
+let test_straddling_record_lives () =
+  let clock, dev, store = liveness_store () in
+  let a = Store.alloc_oid store and b = Store.alloc_oid store and c = Store.alloc_oid store in
+  let big ch = String.make 3000 ch in
+  commit_metas store [ (a, big 'a'); (b, big 'b'); (c, big 'c') ];
+  let blk, off, len = List.assoc b (version_locations dev) in
+  let c_blk, _, _ = List.assoc c (version_locations dev) in
+  Alcotest.(check bool) "b's record straddles a block boundary" true
+    (off + len > Store.block_size);
+  Alcotest.(check int) "c's record starts where b's ends" (blk + 1) c_blk;
+  let store = recovers "straddle" clock dev store in
+  commit_metas store [ (a, big 'A'); (c, big 'C') ];
+  let frontier, _ = head_record dev in
+  (* Dropped: both older checkpoint records, and the last block of the
+     three-block run, which held only the tail of c's old record.  b's
+     record keeps the first two live. *)
+  Alcotest.(check int) "freed blocks" 3 (Store.prune_history store ~keep:1);
+  (* Each new checkpoint record takes a freed block (the free set is not
+     persisted, so this runs before any recovery). *)
+  for i = 1 to 3 do
+    commit_metas store [ (a, big (Char.chr (Char.code 'a' + i))) ];
+    Alcotest.(check bool) "checkpoint record reuses a freed block" true
+      (fst (head_record dev) < frontier)
+  done;
+  let store = recovers "straddle, pruned and reused" clock dev store in
+  Alcotest.(check string) "b intact" (big 'b')
+    (Store.read_meta store ~epoch:(Store.last_complete_epoch store) ~oid:b)
+
+(* A block holding one live and one dead version record survives a prune;
+   once both records are dead, the next prune frees it. *)
+let test_shared_record_block () =
+  let clock, dev, store = liveness_store () in
+  let a = Store.alloc_oid store and b = Store.alloc_oid store in
+  commit_metas store [ (a, "a0"); (b, "b0") ];
+  let a_blk, _, _ = List.assoc a (version_locations dev) in
+  let b_blk, _, _ = List.assoc b (version_locations dev) in
+  Alcotest.(check int) "a and b share a block" a_blk b_blk;
+  let store = recovers "shared" clock dev store in
+  commit_metas store [ (a, "a1") ];
+  (* Dropped: the two older checkpoint records; b0 keeps the shared
+     block live. *)
+  Alcotest.(check int) "one dead record: block kept" 2 (Store.prune_history store ~keep:1);
+  let store = recovers "shared, a dead" clock dev store in
+  commit_metas store [ (b, "b1") ];
+  (* Dropped: the previous checkpoint record and the shared block. *)
+  Alcotest.(check int) "both dead: block freed" 2 (Store.prune_history store ~keep:1);
+  ignore (recovers "shared, both dead" clock dev store)
 
 (* Leaf residency ------------------------------------------------------------ *)
 
@@ -1086,7 +1218,12 @@ let () =
           Alcotest.test_case "crash survival" `Quick test_journal_survives_crash;
           Alcotest.test_case "timing anchor" `Quick test_journal_timing_anchor;
         ] );
-      ("history", [ Alcotest.test_case "prune frees blocks" `Quick test_prune_history_frees_blocks ]);
+      ( "history",
+        [
+          Alcotest.test_case "prune frees blocks" `Quick test_prune_history_frees_blocks;
+          Alcotest.test_case "straddling record lives" `Quick test_straddling_record_lives;
+          Alcotest.test_case "shared record block" `Quick test_shared_record_block;
+        ] );
       ( "residency",
         [
           Alcotest.test_case "charged read makes leaf resident" `Quick
