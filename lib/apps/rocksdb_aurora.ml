@@ -31,21 +31,8 @@ type t = {
   mutable n_checkpoints : int;
 }
 
-let journal_record batch =
-  let w = Wire.writer () in
-  Wire.list w
-    (fun (key, size) ->
-      Wire.u64 w key;
-      Wire.u32 w size)
-    batch;
-  Bytes.to_string (Wire.contents w)
-
-let parse_record s =
-  let r = Wire.reader (Bytes.of_string s) in
-  Wire.rlist r (fun r ->
-      let key = Wire.ru64 r in
-      let size = Wire.ru32 r in
-      (key, size))
+(* A WAL record: the batch's (key, value size) pairs. *)
+let record_codec = Wire.Codec.(list (pair u64 u32))
 
 let create_raw ~sys ~nkeys ~wal_limit ~wal_group_size ~journal ~group ~proc
     ~node_base ~value_base =
@@ -106,7 +93,7 @@ let put t ~key ~value_bytes =
   t.wal_bytes <- t.wal_bytes + value_bytes + 16;
   if t.wal_pos >= t.wal_group_size then begin
     (* Group leader: one synchronous journal append covers the batch. *)
-    Api.sls_journal t.grp t.journal (journal_record (List.rev t.batch));
+    Api.sls_journal t.grp t.journal (Wire.to_string record_codec (List.rev t.batch));
     t.batch <- [];
     t.wal_pos <- 0
   end;
@@ -114,7 +101,7 @@ let put t ~key ~value_bytes =
     (* WAL full: take a checkpoint and clear the journal (the paper's
        protocol).  This op pays for it — the 99.9th percentile. *)
     if t.batch <> [] then begin
-      Api.sls_journal t.grp t.journal (journal_record (List.rev t.batch));
+      Api.sls_journal t.grp t.journal (Wire.to_string record_codec (List.rev t.batch));
       t.batch <- [];
       t.wal_pos <- 0
     end;
@@ -176,7 +163,7 @@ let recover ~sys =
         (fun (key, size) ->
           Hashtbl.replace t.table key size;
           incr replayed)
-        (parse_record record))
+        (Wire.of_string record_codec record))
     (Api.sls_journal_recover group journal);
   (t, !replayed)
 

@@ -14,6 +14,9 @@
 
 type t
 
+val record_codec : (int * int) list Aurora_objstore.Wire.codec
+(** One group-committed WAL record: the batch's (key, value size) pairs. *)
+
 val create :
   sys:Aurora_core.Sls.system ->
   nkeys:int ->
