@@ -11,110 +11,14 @@
     Serializers are pure; the checkpoint path charges the modeled
     serialization costs separately. *)
 
-(** {1 Images} *)
+(** {1 Images}
 
-type regs_image = {
-  i_rip : int;
-  i_rsp : int;
-  i_rflags : int;
-  i_gp : int array;
-  i_fpu : string;
-}
+    Each kind's image record and its codec are declared once, in {!Image},
+    and re-exported here. *)
 
-type thread_image = {
-  i_tid_local : int;
-  i_regs : regs_image;
-  i_sigmask : int;
-  i_pending : int list;
-  i_priority : int;
-}
-
-type entry_image = {
-  i_start_vpn : int;
-  i_npages : int;
-  i_read : bool;
-  i_write : bool;
-  i_exec : bool;
-  i_shared : bool;
-  i_excluded : bool;
-  i_obj_oid : int;
-  i_obj_pgoff : int;
-}
-
-type proc_image = {
-  i_pid_local : int;
-  i_ppid_local : int;
-  i_pgid : int;
-  i_sid : int;
-  i_name : string;
-  i_ephemeral : bool;
-  i_cwd : string;
-  i_threads : thread_image list;
-  i_fds : (int * int) list;  (** (slot, description oid) *)
-  i_entries : entry_image list;
-  i_proc_pending : int list;
-  i_aio_reads : (int * int * int) list;
-      (** in-flight asynchronous reads [(fd slot, offset, length)]: they
-          are recorded in the checkpoint and reissued at restore (paper
-          section 5.3); in-flight writes are not recorded — the checkpoint
-          instead waits for them before completing *)
-}
-
-type fdesc_kind_image =
-  | I_vnode of { inode : int; offset : int; append : bool }
-  | I_pipe_r of int
-  | I_pipe_w of int
-  | I_socket of int
-  | I_kqueue of int
-  | I_pty_m of int
-  | I_pty_s of int
-  | I_shm of int
-  | I_device of string
-
-type fdesc_image = { i_kind : fdesc_kind_image; i_ext_sync : bool }
-
-type pipe_image = { i_data : string; i_rd_open : bool; i_wr_open : bool }
-
-type msg_image = { i_msg_data : string; i_ctl_oids : int list }
-
-type socket_image = {
-  i_domain : int;
-  i_proto : int;
-  i_laddr : (string * int) option;
-  i_raddr : (string * int) option;
-  i_opts : (string * int) list;
-  i_tcp : int;  (** 0 closed, 1 listening, 2 established *)
-  i_snd_seq : int;
-  i_rcv_seq : int;
-  i_peer_oid : int;  (** 0 when unconnected *)
-  i_recvq : msg_image list;
-  i_sendq : msg_image list;
-}
-
-type kevent_image = { i_ident : int; i_filter : int; i_flags : int; i_udata : int }
-
-type pty_image = {
-  i_unit : int;
-  i_echo : bool;
-  i_canonical : bool;
-  i_baud : int;
-  i_input : string;
-  i_output : string;
-}
-
-type shm_image = { i_shm_kind : (string, int) Either.t; i_npages : int; i_backing_oid : int }
-
-type memobj_image = { i_parent_oid : int option; i_anon : bool }
-
-type group_image = {
-  i_proc_oids : int list;
-  i_period : int;
-  i_ext_sync_on : bool;
-  i_name_ckpts : (string * int) list;  (** named checkpoints -> epoch *)
-  i_ephemeral_parents : int list;
-      (** local pids to signal with SIGCHLD after restore: their ephemeral
-          children were not persisted and look exited (section 3) *)
-}
+include module type of struct
+  include Image
+end
 
 (** {1 Object kind tags used in the store} *)
 
@@ -134,7 +38,12 @@ exception Malformed of string
     tags, and anything a hostile payload would otherwise provoke out of
     the runtime as [Failure]/[Invalid_argument]. *)
 
-(** {1 Serializers} *)
+(** {1 Serializers}
+
+    Every [*_to_string]/[*_of_string] pair below and {!parse_check} come
+    from one kind -> codec table, so a serializer and its parser cannot
+    disagree.  Adding a kind means one codec in {!Image} and one table
+    entry. *)
 
 val proc_to_string : proc_image -> string
 val proc_of_string : string -> proc_image
