@@ -180,7 +180,9 @@ let rs_receive sb (d : Link.delivery) =
       let acks = ref [] in
       let ack ~epoch ~ok ~reason =
         acks :=
-          Migrate.seal_ack ~seq:sb.sb_rcv_epoch ~epoch ~ok ~reason :: !acks
+          Migrate.seal Migrate.ack_codec
+            { ack_seq = sb.sb_rcv_epoch; ack_epoch = epoch; ack_ok = ok; ack_reason = reason }
+          :: !acks
       in
       let install sh =
         match Migrate.install_verified ~store:sb.sb_store sh with

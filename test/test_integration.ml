@@ -977,8 +977,16 @@ let test_migrate_stream_fuzz () =
       String.init len (fun _ -> Char.chr (Aurora_util.Rng.int rng 256))
     in
     let sealed =
-      Migrate.seal_shipment ~seq:1 ~base:0 ~epoch:1 ~manifest_oid:1 ~count:1
-        ~summary:(Aurora_util.Rng.int rng 0x10000) garbage
+      Migrate.seal Migrate.shipment_codec
+        {
+          Migrate.sh_seq = 1;
+          sh_base = 0;
+          sh_epoch = 1;
+          sh_manifest_oid = 1;
+          sh_count = 1;
+          sh_summary = Aurora_util.Rng.int rng 0x10000;
+          sh_body = garbage;
+        }
     in
     let store = (Sls.boot ()).Sls.store in
     match Result.bind (Migrate.open_shipment sealed) (Migrate.install_verified ~store) with

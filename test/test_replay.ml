@@ -46,7 +46,7 @@ let test_entry_roundtrip () =
   List.iter
     (fun e ->
       Alcotest.check entry_t "round-trips" e
-        (Replay.entry_of_string (Replay.entry_to_string e)))
+        (Wire.of_string Replay.entry_codec (Wire.to_string Replay.entry_codec e)))
     [
       Replay.Recv_msg (0, "");
       Replay.Recv_msg (7, "payload with \x00 bytes \xff");
@@ -60,7 +60,7 @@ let test_entry_corrupt_kind () =
   let s = Bytes.to_string (Wire.contents w) in
   Alcotest.(check bool) "bad kind rejected" true
     (try
-       ignore (Replay.entry_of_string s);
+       ignore (Wire.of_string Replay.entry_codec s);
        false
      with Wire.Corrupt _ -> true)
 
