@@ -322,7 +322,9 @@ let sweep ~seed ~runs (profile : Injector.profile) =
          streaks; persistence past it still surfaces as Io_error. *)
       Store.set_read_policy store ~retries:8 ~backoff_ns:20_000;
     Striped.set_fault dev (Some (Injector.random ~seed:(seed lxor (r * 31)) profile));
-    let runner = Workload.runner store in
+    let runner =
+      Workload.runner ~check_counts:(profile.p_drop = 0. && profile.p_torn = 0.) store
+    in
     List.iter (Workload.run_op runner) ops;
     Store.wait_durable store;
     Striped.settle dev ~clock;

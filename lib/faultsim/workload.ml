@@ -54,11 +54,13 @@ let ops_to_string ops =
 
 type runner = {
   store : Store.t;
+  check_counts : bool;
   journals : (int, Store.journal) Hashtbl.t;
   mutable journal_heads : (int * int * int) list; (* id, head bytes, capacity *)
 }
 
-let runner store = { store; journals = Hashtbl.create 4; journal_heads = [] }
+let runner ?(check_counts = true) store =
+  { store; check_counts; journals = Hashtbl.create 4; journal_heads = [] }
 
 let journal_fits t id len =
   match List.find_opt (fun (i, _, _) -> i = id) t.journal_heads with
@@ -84,7 +86,11 @@ let run_op t op =
               (List.map (fun (i, c) -> (i, page_payload c)) pages))
         objs;
       ignore (Store.commit_checkpoint t.store)
-  | Prune keep -> ignore (Store.prune_history t.store ~keep:(max 1 keep))
+  | Prune keep ->
+      ignore (Store.prune_history t.store ~keep:(max 1 keep));
+      (* The live store's incrementally kept counts, before any cut. *)
+      if t.check_counts && not (Store.content_index_consistent t.store) then
+        failwith (Printf.sprintf "Prune %d: block counts disagree with a fresh walk" keep)
   | Journal_create size ->
       let j = Store.journal_create t.store ~size in
       Hashtbl.replace t.journals (Store.journal_id j) j;

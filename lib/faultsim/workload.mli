@@ -11,7 +11,9 @@ type op =
           are {!payload_size}-byte runs of the fill character.  Staged with
           [begin_checkpoint] .. [commit_checkpoint], no wait: commits
           pipeline. *)
-  | Prune of int  (** [Store.prune_history ~keep] (clamped to >= 1). *)
+  | Prune of int
+      (** [Store.prune_history ~keep] (clamped to >= 1), then the counts
+          check (see {!runner}). *)
   | Journal_create of int  (** [Store.journal_create ~size]. *)
   | Journal_append of int * string
       (** Append to the journal with this id; skipped (deterministically,
@@ -39,7 +41,13 @@ val ops_to_string : op list -> string
 
 type runner
 
-val runner : Aurora_objstore.Store.t -> runner
+val runner : ?check_counts:bool -> Aurora_objstore.Store.t -> runner
+(** With [check_counts] (the default), every [Prune] raises [Failure]
+    unless [Store.content_index_consistent] then holds: the live store's
+    incrementally kept block counts are checked before any crash cut.
+    Turn it off on a device that drops or tears writes on purpose, where
+    stored bytes legitimately disagree with the content index. *)
+
 val run_op : runner -> op -> unit
 
 (** {1 Workload generation} *)

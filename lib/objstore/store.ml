@@ -30,9 +30,8 @@ let max_extent_blocks = max 1 (Cost.nvme_max_extent_bytes / block_size)
 let leaf_cache_capacity = 65_536
 
 (* In-memory view of one committed object version.  [leaves] maps leaf
-   index -> leaf block; pruning recovers a version's blocks by
-   reachability through the leaves, so versions carry no ownership
-   lists. *)
+   index -> leaf block; pruning finds a dead version's blocks through
+   its leaves, so versions carry no ownership lists. *)
 type version = {
   v_kind : string;
   v_meta : string;
@@ -123,10 +122,10 @@ let span_blocks blk off len f =
 type cleaf = { entries : leaf_entry list; mutable resident : bool }
 
 (* One content-index entry: a stored page location keyed by content hash.
-   [c_refs] counts the leaf entries (across all retained epochs, each
-   leaf counted once) that reference the location; the index is derived
-   state, rebuilt from the durable leaves at recovery and after pruning,
-   so it is crash-consistent by construction. *)
+   It names allocated blocks only (a prune drops the entries over blocks
+   it frees), though no live leaf need still reference it: blocks are
+   immutable while allocated, and a leaf that dedups against the entry
+   counts its blocks again. *)
 type centry = {
   c_blk : int;
   c_off : int;
@@ -134,7 +133,6 @@ type centry = {
   c_olen : int;
   c_comp : bool;
   c_crc : int;
-  mutable c_refs : int;
 }
 
 type t = {
@@ -146,6 +144,12 @@ type t = {
   free_set : (int, unit) Hashtbl.t; (* reusable single blocks, O(1) dedup *)
   mutable free_stack : int list; (* LIFO over [free_set]; may hold stale ids *)
   mutable freed : int;
+  mutable refs : int array;
+      (* block -> live items covering it: each retained checkpoint record,
+         distinct version record, distinct leaf block, entry of a distinct
+         live leaf (over its span) and journal extent.  Commit and
+         journal creation count what they write, prune uncounts what died
+         and frees a block at zero, recovery counts from scratch. *)
   leaf_cache : (int, cleaf) Hashtbl.t;
       (* leaf block -> parsed entries and residency.  Leaf blocks are COW
          (written once), so the cache is exact as long as freed blocks are
@@ -259,6 +263,23 @@ let free_block t b =
     t.freed <- t.freed + 1
   end
 
+(* [counts] with block [b] counted once more, grown as needed. *)
+let bump counts b =
+  let n = Array.length counts in
+  let counts =
+    if b < n then counts
+    else begin
+      let grown = Array.make (Int.max (b + 1) (2 * n)) 0 in
+      Array.blit counts 0 grown 0 n;
+      grown
+    end
+  in
+  counts.(b) <- counts.(b) + 1;
+  counts
+
+let ref_block t b = t.refs <- bump t.refs b
+let ref_count counts b = if b < Array.length counts then counts.(b) else 0
+
 let off_of_block b = b * block_size
 
 (* Records that do not parse are store corruption, reported as such: a
@@ -266,11 +287,14 @@ let off_of_block b = b * block_size
 let decode what codec data =
   try Wire.decode codec data with Wire.Corrupt msg -> raise (Corrupt_store (what ^ ": " ^ msg))
 
+(* With no epoch retained, [oldest_retained] is the newest epoch ever
+   committed (0, or the last one a prune dropped), so a recovered store
+   numbers its epochs above every record the chain bound stops at. *)
 let write_superblock t ~now head =
   let sb_epoch, sb_record_block, sb_record_nblocks =
     match head with
     | Some e -> (e.e_epoch, e.e_record_block, e.e_record_nblocks)
-    | None -> (0, 0, 0)
+    | None -> (t.oldest_retained, 0, 0)
   in
   Striped.write t.dev ~now ~off:(off_of_block superblock_block)
     (Wire.encode superblock_codec
@@ -356,6 +380,7 @@ let fresh dev clk =
     free_set = Hashtbl.create 1024;
     free_stack = [];
     freed = 0;
+    refs = Array.make 1024 0;
     leaf_cache = Hashtbl.create 1024;
     content = Hashtbl.create 4096;
     packed = true;
@@ -710,7 +735,7 @@ let build_version t ~now ~prev st =
           let blk, off, clen, comp = loc_of k in
           Hashtbl.replace t.content hash
             { c_blk = blk; c_off = off; c_clen = clen; c_olen = olen; c_comp = comp;
-              c_crc = crc; c_refs = 0 })
+              c_crc = crc })
         write_slots;
     (* 4. Rebuild the touched leaves.  [fresh] is sorted by page index, so
        each leaf's dirty pages are one contiguous run of the array, and
@@ -735,23 +760,25 @@ let build_version t ~now ~prev st =
       let j = ref !i in
       while !j < npages && fst fresh.(!j) / leaf_span = leaf_idx do incr j done;
       (* Carry over this leaf's unchanged entries; replaced entries are
-         simply dropped (their blocks stay reachable from older epochs
-         until pruning sweeps them). *)
+         simply dropped (the old leaf still counts their blocks until
+         a prune finds it dead). *)
       let old_entries =
         match IntMap.find_opt leaf_idx prev_leaves with
         | None -> []
         | Some blk -> leaf_entries t ~charged:false blk
       in
-      let carried = ref [] in
-      List.iter
-        (fun p ->
-          if not (mem_run !i !j p.p_idx) then carried := p :: !carried
-          else begin
-            (* Replaced: fold the old entry's contribution back out. *)
-            fp_delta := !fp_delta lxor Manifest.page_fp p.p_idx p.p_crc;
-            decr n_delta
-          end)
-        old_entries;
+      let carried =
+        List.filter
+          (fun p ->
+            let replaced = mem_run !i !j p.p_idx in
+            if replaced then begin
+              (* Fold the old entry's contribution back out. *)
+              fp_delta := !fp_delta lxor Manifest.page_fp p.p_idx p.p_crc;
+              decr n_delta
+            end;
+            not replaced)
+          old_entries
+      in
       let fresh_entries = ref [] in
       for k = !j - 1 downto !i do
         let idx, _ = fresh.(k) in
@@ -764,19 +791,21 @@ let build_version t ~now ~prev st =
             p_comp = comp; p_crc = crc; p_hash = hash }
           :: !fresh_entries
       done;
-      let entries =
-        List.sort compare (List.rev_append !carried !fresh_entries)
+      (* Both runs ascend by page index and share none: merge them. *)
+      let rec merge ps qs =
+        match (ps, qs) with
+        | [], l | l, [] -> l
+        | p :: ps', q :: qs' ->
+            if p.p_idx < q.p_idx then p :: merge ps' qs else q :: merge ps qs'
       in
+      let entries = merge carried !fresh_entries in
       rebuilt := (leaf_idx, entries) :: !rebuilt;
       i := !j
     done;
     let rebuilt = Array.of_list (List.rev !rebuilt) in
     (* 5. Coalesced extents for the rewritten leaves (write-through into
-       the cache).  Every entry of a new leaf — fresh and carried alike —
-       counts one more reference on its content-index location: the
-       index's refcounts mirror "entries across distinct live leaf
-       blocks", which is exactly what recovery and pruning rebuild from
-       the durable leaves. *)
+       the cache).  A new leaf is a new item, and so is every entry it
+       holds, fresh and carried alike: each counts the blocks it covers. *)
     let leaf_items =
       Array.map (fun (_, entries) -> (Wire.encode leaf_codec entries, 1)) rebuilt
     in
@@ -785,14 +814,8 @@ let build_version t ~now ~prev st =
       write_extents_chunked t ~now:!cpu leaf_items (fun k blk ->
           let leaf_idx, entries = rebuilt.(k) in
           cache_leaf t blk { entries; resident = false };
-          if t.packed then
-            List.iter
-              (fun p ->
-                match Hashtbl.find_opt t.content p.p_hash with
-                | Some ce when ce.c_blk = p.p_blk && ce.c_off = p.p_off ->
-                    ce.c_refs <- ce.c_refs + 1
-                | Some _ | None -> ())
-              entries;
+          ref_block t blk;
+          List.iter (fun p -> span_blocks p.p_blk p.p_off p.p_clen (ref_block t)) entries;
           leaves := IntMap.add leaf_idx blk !leaves)
     in
     if c > !completion then completion := c;
@@ -878,9 +901,9 @@ let commit_checkpoint t =
       let locs, c = write_packed t ~now records in
       Array.iteri
         (fun i (oid, v) ->
-          let blk, off = locs.(i) in
-          Hashtbl.replace new_table oid
-            { v with v_blk = blk; v_off = off; v_len = Bytes.length records.(i) })
+          let blk, off = locs.(i) and v_len = Bytes.length records.(i) in
+          span_blocks blk off v_len (ref_block t);
+          Hashtbl.replace new_table oid { v with v_blk = blk; v_off = off; v_len })
         pending;
       if c > !data_done then data_done := c);
   (* Checkpoint record after all object data (write ordering). *)
@@ -906,6 +929,7 @@ let commit_checkpoint t =
     Otrace.with_span ~cat:"store" ~name:"commit.record" (fun () ->
         write_record t ~now:!data_done record)
   in
+  span_blocks rblock 0 (rnblocks * block_size) (ref_block t);
   let head =
     { e_epoch = epoch; e_record_block = rblock; e_record_nblocks = rnblocks;
       e_table = new_table }
@@ -991,52 +1015,55 @@ let last_complete_epoch t =
 
 let checkpoint_epochs t = List.map (fun e -> e.e_epoch) t.epochs
 
-(* Content-addressed index maintenance ------------------------------------- *)
+(* Live items and the content index ----------------------------------------- *)
 
-(* Walk every distinct leaf block live in the retained epochs, as [f
-   leaf_blk entries].  Version tables share version records across epochs
-   (commit copies the table), so the same version, and the same leaf
-   block, appears under several epochs; each is visited once. *)
-let iter_live_leaves t f =
-  let seen = Hashtbl.create 1024 in
+(* Walk every item the retained epochs and journals hold, as [f b] once
+   per block of each item: journal extents, checkpoint records, then
+   each distinct version record and each distinct leaf block with its
+   entries ([entry p] too).  Commit copies the version table, so the same
+   version, and the same leaf block, appears under several epochs; each is
+   visited once.  Recovery counts blocks with this walk, and
+   [content_index_consistent] recounts with it. *)
+let iter_items t ~entry f =
+  List.iter (fun j -> span_blocks j.j_start 0 (j.j_blocks * block_size) f) t.journals;
+  List.iter (fun e -> span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) f) t.epochs;
+  let versions = Hashtbl.create 1024 and leaves = Hashtbl.create 1024 in
+  let leaf leaf_blk =
+    if not (Hashtbl.mem leaves leaf_blk) then begin
+      Hashtbl.replace leaves leaf_blk ();
+      f leaf_blk;
+      List.iter
+        (fun p ->
+          span_blocks p.p_blk p.p_off p.p_clen f;
+          entry p)
+        (leaf_entries t ~charged:false leaf_blk)
+    end
+  in
   List.iter
     (fun e ->
       Hashtbl.iter
         (fun _ v ->
-          IntMap.iter
-            (fun _ leaf_blk ->
-              if not (Hashtbl.mem seen leaf_blk) then begin
-                Hashtbl.replace seen leaf_blk ();
-                f leaf_blk (leaf_entries t ~charged:false leaf_blk)
-              end)
-            v.v_leaves)
+          let key = (v.v_blk * block_size) + v.v_off in
+          if not (Hashtbl.mem versions key) then begin
+            Hashtbl.replace versions key ();
+            span_blocks v.v_blk v.v_off v.v_len f;
+            IntMap.iter (fun _ leaf_blk -> leaf leaf_blk) v.v_leaves
+          end)
         e.e_table)
     t.epochs
 
+(* The first live entry seen for a hash names its location. *)
 let index_entry t p =
-  match Hashtbl.find_opt t.content p.p_hash with
-  | Some ce -> if ce.c_blk = p.p_blk && ce.c_off = p.p_off then ce.c_refs <- ce.c_refs + 1
-  | None ->
-      Hashtbl.replace t.content p.p_hash
-        {
-          c_blk = p.p_blk;
-          c_off = p.p_off;
-          c_clen = p.p_clen;
-          c_olen = p.p_olen;
-          c_comp = p.p_comp;
-          c_crc = p.p_crc;
-          c_refs = 1;
-        }
+  if not (Hashtbl.mem t.content p.p_hash) then
+    Hashtbl.replace t.content p.p_hash
+      { c_blk = p.p_blk; c_off = p.p_off; c_clen = p.p_clen; c_olen = p.p_olen;
+        c_comp = p.p_comp; c_crc = p.p_crc }
 
 (* Rebuild the content index purely from the durable leaves: entries
-   carry the hash, so no data blocks are read.  Because this is the only
-   source of truth after a crash (recover) and after a prune reshapes the
-   reachable set, the index's refcounts are crash-atomic by construction:
-   there is no moment where a leaf is durable but its index entry could
-   be lost, or vice versa. *)
+   carry the hash, so no data blocks are read. *)
 let rebuild_content_index t =
   Hashtbl.reset t.content;
-  if t.packed then iter_live_leaves t (fun _ entries -> List.iter (index_entry t) entries)
+  if t.packed then iter_items t ~entry:(index_entry t) ignore
 
 let set_packed_layout t flag =
   if flag <> t.packed then begin
@@ -1045,28 +1072,38 @@ let set_packed_layout t flag =
   end
 let content_index_size t = Hashtbl.length t.content
 
-(* Check the incrementally maintained index against the durable leaves:
-   every entry must point at a location some live leaf entry stores the
-   same content at, with a refcount equal to the number of live leaf
-   entries (distinct leaf blocks counted once) referencing exactly that
-   location.  The crash-atomicity property tests recover a store and
-   call this. *)
+(* Check the incrementally kept counts, free set and index against a
+   fresh walk: the counts must be equal block for block, the free set
+   must be exactly the uncounted blocks between the superblock and the
+   frontier, and every index entry must lie in counted blocks whose bytes
+   (read uncharged) decode to a payload of its hash, length and CRC. *)
 let content_index_consistent t =
-  (not t.packed)
-  ||
-  let counts = Hashtbl.create 1024 in
-  iter_live_leaves t (fun _ entries ->
-      List.iter
-        (fun p ->
-          let key = (p.p_hash, p.p_blk, p.p_off) in
-          Hashtbl.replace counts key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
-        entries);
-  Hashtbl.fold
-    (fun hash ce ok ->
-      ok
-      && Hashtbl.find_opt counts (hash, ce.c_blk, ce.c_off) = Some ce.c_refs)
-    t.content true
+  let fresh = ref [||] in
+  iter_items t ~entry:ignore (fun b -> fresh := bump !fresh b);
+  let ok = ref true and free = ref 0 in
+  for b = 0 to Int.max (Array.length t.refs) (Array.length !fresh) - 1 do
+    let n = ref_count t.refs b in
+    if n <> ref_count !fresh b then ok := false;
+    if b > superblock_block && b < t.next_block && n = 0 then
+      if Hashtbl.mem t.free_set b then incr free else ok := false
+  done;
+  let holds hash ce =
+    let counted = ref true in
+    span_blocks ce.c_blk ce.c_off ce.c_clen (fun b ->
+        if ref_count t.refs b = 0 then counted := false);
+    !counted
+    &&
+    let stored =
+      Striped.read_nocharge t.dev ~off:(off_of_block ce.c_blk + ce.c_off) ~len:ce.c_clen
+    in
+    match if ce.c_comp then Rle.decompress ~olen:ce.c_olen stored else stored with
+    | payload ->
+        Bytes.length payload = ce.c_olen && Crc32.of_bytes payload = ce.c_crc
+        && Hash64.of_bytes payload = hash
+    | exception Invalid_argument _ -> false
+  in
+  !ok && !free = Hashtbl.length t.free_set
+  && Hashtbl.fold (fun hash ce ok -> ok && holds hash ce) t.content true
 
 (* Recovery ---------------------------------------------------------------------- *)
 
@@ -1138,32 +1175,23 @@ let load_versions t entries =
   done;
   loaded
 
-(* The free set is not persisted, so recovery rebuilds it.  A block
-   between the superblock and the frontier that neither [walk mark] marks
-   live nor a journal covers was freed before the crash, or taken by a
+(* Neither the counts nor the free set is persisted, so recovery counts
+   every live item afresh.  A block between the superblock and the
+   frontier that no item covers was freed before the crash, or taken by a
    commit that never completed.  The dead top of the store folds back
    into the frontier; the rest is freed highest first, so the lowest free
-   block is reused first.  The marks live in a bitmap that grows with the
-   highest block marked, never with a frontier read off the device. *)
-let rebuild_free_set t walk =
-  let live = ref (Bytes.make 4096 '\000') and top = ref superblock_block in
-  let mark b =
-    if b > superblock_block && b < t.next_block then begin
-      let n = Bytes.length !live in
-      if b >= n then begin
-        let grown = Bytes.make (Int.max (b + 1) (2 * n)) '\000' in
-        Bytes.blit !live 0 grown 0 n;
-        live := grown
-      end;
-      Bytes.set !live b '\001';
-      if b > !top then top := b
-    end
-  in
-  List.iter (fun j -> span_blocks j.j_start 0 (j.j_blocks * block_size) mark) t.journals;
-  walk mark;
+   block is reused first.  The counts grow with the highest block
+   counted, never with a frontier read off the device. *)
+let rebuild_free_set t =
+  let top = ref superblock_block in
+  iter_items t ~entry:(index_entry t) (fun b ->
+      if b > superblock_block && b < t.next_block then begin
+        ref_block t b;
+        if b > !top then top := b
+      end);
   t.next_block <- !top + 1;
   for b = !top - 1 downto superblock_block + 1 do
-    if Bytes.get !live b = '\000' then free_block t b
+    if ref_count t.refs b = 0 then free_block t b
   done
 
 let recover ~dev ~clock =
@@ -1215,27 +1243,14 @@ let recover ~dev ~clock =
         { e_epoch = epoch; e_record_block = block; e_record_nblocks = nblocks;
           e_table = table })
       chain;
-  (* Both derived structures come from one uncharged walk over what the
-     retained epochs reach: every distinct leaf is parsed once, which also
-     warms the leaf cache for the first post-recovery incremental commit,
-     and none becomes resident, so the first page read after recovery
-     still pays its leaf read.  The content index is rebuilt from the
-     durable leaves, so dedup after a crash only ever references durable
-     pages; the free set from every block the walk reaches. *)
-  rebuild_free_set t (fun mark ->
-      List.iter
-        (fun e -> span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) mark)
-        t.epochs;
-      Hashtbl.iter (fun _ (_, v) -> span_blocks v.v_blk v.v_off v.v_len mark) loaded;
-      iter_live_leaves t (fun leaf_blk entries ->
-          mark leaf_blk;
-          List.iter
-            (fun p ->
-              for b = p.p_blk to span_end p.p_blk p.p_off p.p_clen do
-                mark b
-              done;
-              index_entry t p)
-            entries));
+  (* The counts, the free set and the content index come from one
+     uncharged walk over what the retained epochs reach: every distinct
+     leaf is parsed once, which also warms the leaf cache for the first
+     post-recovery incremental commit, and none becomes resident, so the
+     first page read after recovery still pays its leaf read.  The index
+     is rebuilt from the durable leaves, so dedup after a crash only ever
+     references durable pages. *)
+  rebuild_free_set t;
   (* Journal heads are recovered lazily by scanning; see journal_records. *)
   t
 
@@ -1378,6 +1393,7 @@ let journal_find t id = List.find_opt (fun j -> j.j_id = id) t.journals
 let journal_create t ~size =
   let nblocks = blocks_of_len size in
   let start = alloc_extent t nblocks in
+  span_blocks start 0 (nblocks * block_size) (ref_block t);
   let id = List.length t.journals + 1 in
   let j = { j_id = id; j_start = start; j_blocks = nblocks; j_head = 0; j_gen = 0 } in
   t.journals <- t.journals @ [ j ];
@@ -1447,26 +1463,14 @@ let journal_records t j =
 
 (* History ------------------------------------------------------------------------------- *)
 
-(* Every block reachable from one epoch: its checkpoint record, each
-   version record, each leaf, and each data block.  Computed structurally
-   so it is exact even for a store instance rebuilt by recovery. *)
-let reachable_blocks t e =
-  let out = Hashtbl.create 256 in
-  let add b = Hashtbl.replace out b () in
-  span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) add;
-  Hashtbl.iter
-    (fun _ v ->
-      span_blocks v.v_blk v.v_off v.v_len add;
-      IntMap.iter
-        (fun _ leaf_blk ->
-          add leaf_blk;
-          List.iter
-            (fun p -> span_blocks p.p_blk p.p_off p.p_clen add)
-            (leaf_entries t ~charged:false leaf_blk))
-        v.v_leaves)
-    e.e_table;
-  out
-
+(* Only what died is walked.  Tables are copied at every commit and never
+   lose an oid, so a version, or a leaf block, that any kept epoch holds
+   is held by the oldest kept epoch under the same oid (and leaf index):
+   every other version a dropped epoch names is dead, and so is each of
+   its leaves the oid's oldest kept version does not hold.  Each dead
+   item, counted once, gives back its blocks; a block at zero is freed,
+   in ascending order, and the index forgets every location over a freed
+   block before anything can dedup against it. *)
 let prune_history t ~keep =
   let n = List.length t.epochs in
   if n <= keep then 0
@@ -1483,46 +1487,67 @@ let prune_history t ~keep =
       in
       split 0 [] t.epochs
     in
-    (* Mark everything the kept epochs reach, sweep what only the dropped
-       epochs reached. *)
-    let live = Hashtbl.create 1024 in
-    List.iter
-      (fun e -> Hashtbl.iter (fun b () -> Hashtbl.replace live b ()) (reachable_blocks t e))
-      kept;
-    (* Deduplicate across the dropped epochs: several of them typically
-       share blocks, and a block must enter the free list exactly once. *)
-    let candidates = Hashtbl.create 1024 in
+    let oldest = match kept with e :: _ -> e.e_table | [] -> Hashtbl.create 0 in
+    let dead = ref [] in
+    let unref b =
+      t.refs.(b) <- t.refs.(b) - 1;
+      if t.refs.(b) = 0 then dead := b :: !dead
+    in
+    let versions = Hashtbl.create 64 and leaves = Hashtbl.create 256 in
     List.iter
       (fun e ->
+        span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) unref;
         Hashtbl.iter
-          (fun b () -> Hashtbl.replace candidates b ())
-          (reachable_blocks t e))
+          (fun oid v ->
+            let keeper = Hashtbl.find_opt oldest oid in
+            let key = (v.v_blk * block_size) + v.v_off in
+            let live =
+              match keeper with Some k -> (k.v_blk * block_size) + k.v_off = key | None -> false
+            in
+            if not (live || Hashtbl.mem versions key) then begin
+              Hashtbl.replace versions key ();
+              span_blocks v.v_blk v.v_off v.v_len unref;
+              IntMap.iter
+                (fun idx leaf_blk ->
+                  let held =
+                    match Option.bind keeper (fun k -> IntMap.find_opt idx k.v_leaves) with
+                    | Some b -> b = leaf_blk
+                    | None -> false
+                  in
+                  if not (held || Hashtbl.mem leaves leaf_blk) then begin
+                    Hashtbl.replace leaves leaf_blk ();
+                    unref leaf_blk;
+                    List.iter
+                      (fun p -> span_blocks p.p_blk p.p_off p.p_clen unref)
+                      (leaf_entries t ~charged:false leaf_blk)
+                  end)
+                v.v_leaves
+            end)
+          e.e_table)
       dropped;
-    let freed = ref 0 in
-    Hashtbl.iter
-      (fun b () ->
-        if not (Hashtbl.mem live b) then begin
-          (* free_block also invalidates the leaf cache for [b], so a
-             reused block can never serve stale parsed entries or a stale
-             residency. *)
-          free_block t b;
-          incr freed
-        end)
-      candidates;
+    (* free_block also invalidates the leaf cache for each block, so a
+       reused block can never serve stale parsed entries or a stale
+       residency. *)
+    List.iter (free_block t) (List.sort Int.compare !dead);
+    if !dead <> [] then begin
+      let gone = ref [] in
+      Hashtbl.iter
+        (fun hash ce ->
+          let b = ref ce.c_blk and last = span_end ce.c_blk ce.c_off ce.c_clen in
+          while !b <= last && t.refs.(!b) > 0 do incr b done;
+          if !b <= last then gone := hash :: !gone)
+        t.content;
+      List.iter (Hashtbl.remove t.content) !gone
+    end;
     t.epochs <- kept;
-    (match kept with
-    | e :: _ -> t.oldest_retained <- e.e_epoch
-    | [] -> ());
-    (* Drop pruned locations from the content index before anything can
-       dedup against them; rebuilding from the kept leaves also restores
-       exact refcounts without ever decrementing through a window where a
-       crash could leave the count wrong. *)
-    rebuild_content_index t;
     (* Persist the new chain bound so recovery never follows a prev
-       pointer into reused blocks. *)
+       pointer into reused blocks.  With nothing kept it is the newest
+       dropped epoch, which also numbers the next one (see
+       [write_superblock]). *)
+    t.oldest_retained <- (match kept with e :: _ -> e | [] -> List.nth dropped (drop - 1)).e_epoch;
     let c = write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t) in
     Clock.advance_to t.clk c;
-    !freed
+    List.length !dead
   end
 
 let blocks_allocated t = t.next_block - Hashtbl.length t.free_set

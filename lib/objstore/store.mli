@@ -60,11 +60,14 @@ val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
     keyed by [(block, offset)]: the blocks covering the records are
     coalesced into charged runs, each run is read once, and each record
     is sliced out at its offset.  The cost is O(records + distinct
-    versions), not O(epochs x objects).  The free set is not persisted:
-    recovery rebuilds it, freeing every block below the frontier that no
-    retained epoch, journal or the superblock reaches (blocks a prune
-    freed, or an incomplete commit wrote), so {!blocks_allocated} survives
-    a crash.  Raises {!Corrupt_store} if no
+    versions), not O(epochs x objects).  Neither the per-block reference
+    counts (see {!prune_history}) nor the free set is persisted: one
+    uncharged walk counts every item the retained epochs and the
+    journals hold, and every block below the frontier that no item
+    covers (a block a prune freed, or an incomplete commit wrote) is
+    freed, so {!blocks_allocated} survives a crash.  An empty store
+    keeps numbering its epochs above the newest one a prune dropped.
+    Raises {!Corrupt_store} if no
     valid superblock is found, a record is truncated, garbled or out of
     range, or a version entry has an offset past its block, a zero
     length, or a byte range past the allocated blocks. *)
@@ -140,13 +143,18 @@ val flush_stats : t -> flush_stats
 
     The flush path keys every staged payload by its {!Aurora_util.Hash64}
     content hash: a page whose (hash, length, CRC) triple already names a
-    live stored location is recorded in the radix leaf as a reference to
-    that location and never re-flushed.  The index is {e derived} state —
-    rebuilt wholesale from the durable leaves at {!recover} and after
-    {!prune_history} — so its refcounts are crash-atomic by construction.
-    Payloads that do flush are RLE-coded when that shrinks them, packed
-    back-to-back into extents, and charged compression CPU time by
-    compressibility class ({!Aurora_util.Rle.cls}). *)
+    stored location is recorded in the radix leaf as a reference to that
+    location and never re-flushed.  The index is {e derived} state, kept
+    beside per-block reference counts: commit adds what it writes to
+    both, {!prune_history} drops every entry over a block it frees, and
+    {!recover} rebuilds both from the durable leaves, so nothing about
+    them needs to be crash-atomic.  An entry always lies in allocated
+    blocks, but no live leaf need still reference it: blocks are
+    immutable while allocated, and a leaf that dedups against the entry
+    counts its blocks again.  Payloads that do flush are RLE-coded when
+    that shrinks them, packed back-to-back into extents, and charged
+    compression CPU time by compressibility class
+    ({!Aurora_util.Rle.cls}). *)
 
 val set_packed_layout : t -> bool -> unit
 (** Default on.  Off restores the pre-dedup block-per-page layout — no
@@ -160,11 +168,14 @@ val content_index_size : t -> int
 (** Distinct content hashes the index currently tracks. *)
 
 val content_index_consistent : t -> bool
-(** Check the incrementally maintained refcounts against a fresh walk of
-    the durable leaves: every index entry must be backed by live leaf
-    entries at exactly its recorded location, counted once per distinct
-    leaf block.  Property tests call this after crash/recover cycles and
-    mid-epoch prunes.  Always true with the packed layout off. *)
+(** Check the state commit and prune keep incrementally against the walk
+    {!recover} counts with: the per-block reference counts equal a fresh
+    count block for block, the free set is exactly the uncounted blocks
+    between the superblock and the frontier, and every index entry lies
+    in counted blocks whose stored bytes (read uncharged) decode to a
+    payload of the entry's hash, length and CRC.  Costs a walk of every
+    live leaf plus one read per index entry.  Property tests, the fault
+    simulator's prunes and the benchmark call it. *)
 
 (** {1 Fault tolerance} *)
 
@@ -317,6 +328,17 @@ val journal_records : t -> journal -> string list
 (** {1 History and space} *)
 
 val prune_history : t -> keep:int -> int
-(** Drop the oldest checkpoints beyond [keep]; returns freed blocks. *)
+(** Drop the oldest checkpoints beyond [keep] and return the number of
+    blocks freed; [keep:0] drops them all.  Every block carries a
+    reference count: the live items covering it, where an item is a
+    retained checkpoint record, a distinct version record, a distinct
+    leaf block, an entry of a distinct live leaf, or a journal.  Only
+    what died is walked: the dropped epochs' records, the versions the
+    oldest kept epoch no longer holds, and those versions' leaves that
+    it does not hold at the same index, each with its entries.  Blocks
+    reaching zero are freed in ascending order, and then the index
+    forgets every location over a freed block.  The cost is O(dropped
+    items): the dropped epochs' table entries and the dead items, plus
+    one pass over the content index; the kept epochs are never walked. *)
 
 val blocks_allocated : t -> int

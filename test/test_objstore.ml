@@ -756,6 +756,22 @@ let test_shared_record_block () =
   Alcotest.(check int) "both dead: block freed" 2 (Store.prune_history store ~keep:1);
   ignore (recovers "shared, both dead" clock dev store)
 
+(* Dropping every epoch keeps the epoch counter: a recovered store numbers
+   its next epochs above the chain bound the prune persisted, so a later
+   recovery walks all of them instead of stopping at that bound. *)
+let test_prune_all_keeps_numbering () =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  List.iter (fun m -> commit_metas store [ (oid, m) ]) [ "a"; "b"; "c" ];
+  ignore (Store.prune_history store ~keep:1);
+  ignore (Store.prune_history store ~keep:0);
+  let store = recovers "all pruned" clock dev store in
+  List.iter (fun m -> commit_metas store [ (oid, m) ]) [ "d"; "e"; "f"; "g" ];
+  let epochs = Store.checkpoint_epochs store in
+  let store = recovers "recommitted" clock dev store in
+  Alcotest.(check (list int)) "all four recover" epochs (Store.checkpoint_epochs store);
+  Alcotest.(check bool) "numbered above the dropped epochs" true (List.hd epochs > 3)
+
 (* Leaf residency ------------------------------------------------------------ *)
 
 (* A full page of incompressible bytes: stored raw, one block, so a data
@@ -881,6 +897,135 @@ let test_resident_hit_skips_on_read () =
   Alcotest.(check (option bytes)) "page 1" (Some (noise_page 1)) page;
   Alcotest.(check bool) "on_read never sees the resident leaf" false (List.mem leaf_read warm);
   Alcotest.(check int) "on_read sees the data read only" 1 (List.length warm)
+
+(* Random store histories for the reference-count property.  Objects are
+   slots into a fixed oid array; a page's content is a code (see
+   [content]). *)
+type step =
+  | Commit of (int * (int * int) list) list  (** (object, [(page, content)]) *)
+  | Prune of int  (** [prune_history ~keep] between epochs *)
+  | Prune_mid of int * (int * (int * int) list) list
+      (** the same prune, run after these objects are staged *)
+  | Crash  (** wait for durability, crash, recover *)
+  | Toggle_packed
+
+(* Zero pages, short runs of four letters that later epochs and other
+   objects re-stage (dedup bait), and full incompressible pages. *)
+let content c =
+  match c mod 8 with
+  | 0 -> Bytes.make Store.block_size '\000'
+  | k when k < 5 -> payload (Char.chr (Char.code 'a' + k))
+  | _ -> noise_page c
+
+let step_to_string =
+  let objs o =
+    String.concat "; "
+      (List.map
+         (fun (slot, pages) ->
+           Printf.sprintf "(%d, [%s])" slot
+             (String.concat "; " (List.map (fun (i, c) -> Printf.sprintf "(%d, %d)" i c) pages)))
+         o)
+  in
+  function
+  | Commit o -> Printf.sprintf "Commit [%s]" (objs o)
+  | Prune k -> Printf.sprintf "Prune %d" k
+  | Prune_mid (k, o) -> Printf.sprintf "Prune_mid (%d, [%s])" k (objs o)
+  | Crash -> "Crash"
+  | Toggle_packed -> "Toggle_packed"
+
+let gen_steps =
+  QCheck.Gen.(
+    let pages = list_size (int_range 0 12) (pair (int_range 0 250) (int_range 0 15)) in
+    let objs = list_size (int_range 1 3) (pair (int_range 0 2) pages) in
+    list_size (int_range 1 14)
+      (frequency
+         [
+           (5, map (fun o -> Commit o) objs);
+           (2, map (fun k -> Prune k) (int_range 0 3));
+           (2, map2 (fun k o -> Prune_mid (k, o)) (int_range 0 3) objs);
+           (1, return Crash);
+           (1, return Toggle_packed);
+         ]))
+
+(* Replay [steps] against a store and a model of every retained epoch's
+   pages.  After each step the store's incrementally kept counts, free
+   set and index must match a fresh walk, and every page of every
+   retained epoch must read back. *)
+let counts_match_a_fresh_walk steps =
+  let clock = Clock.create () and dev = Striped.create () in
+  let store = ref (Store.format ~dev ~clock) in
+  let oids = Array.init 3 (fun _ -> Store.alloc_oid !store) in
+  let packed = ref true in
+  (* (epoch, [(oid, pages ascending)]) per retained epoch, oldest first. *)
+  let history = ref [] in
+  let stage objs =
+    let e = Store.begin_checkpoint !store in
+    List.iter
+      (fun (slot, pages) ->
+        Store.put_object !store ~oid:oids.(slot) ~kind:"memory" ~meta:"m";
+        Store.put_pages !store ~oid:oids.(slot) (List.map (fun (i, c) -> (i, content c)) pages))
+      objs;
+    e
+  in
+  (* The staged objects compose over the head epoch at commit time, so
+     over what a mid-epoch prune left. *)
+  let commit e objs =
+    ignore (Store.commit_checkpoint !store);
+    let state = Hashtbl.create 4 in
+    (match List.rev !history with
+    | (_, head) :: _ ->
+        List.iter
+          (fun (oid, pages) -> Hashtbl.replace state oid (Hashtbl.of_seq (List.to_seq pages)))
+          head
+    | [] -> ());
+    List.iter
+      (fun (slot, pages) ->
+        let oid = oids.(slot) in
+        if not (Hashtbl.mem state oid) then Hashtbl.replace state oid (Hashtbl.create 16);
+        List.iter (fun (i, c) -> Hashtbl.replace (Hashtbl.find state oid) i c) pages)
+      objs;
+    let objs =
+      Hashtbl.fold
+        (fun oid h acc -> (oid, List.sort compare (List.of_seq (Hashtbl.to_seq h))) :: acc)
+        state []
+    in
+    history := !history @ [ (e, objs) ]
+  in
+  let prune k =
+    ignore (Store.prune_history !store ~keep:k);
+    let n = List.length !history in
+    history := List.filteri (fun i _ -> i >= n - k) !history
+  in
+  let holds () =
+    Store.content_index_consistent !store
+    && Store.checkpoint_epochs !store = List.map fst !history
+    && List.for_all
+         (fun (epoch, objs) ->
+           List.for_all
+             (fun (oid, pages) ->
+               Store.read_pages !store ~epoch ~oid = List.map (fun (i, c) -> (i, content c)) pages)
+             objs)
+         !history
+  in
+  List.for_all
+    (fun step ->
+      (match step with
+      | Commit objs -> commit (stage objs) objs
+      | Prune k -> prune k
+      | Prune_mid (k, objs) ->
+          let e = stage objs in
+          prune k;
+          commit e objs
+      | Crash ->
+          Store.wait_durable !store;
+          Striped.crash dev ~now:(Clock.now clock);
+          store := Store.recover ~dev ~clock;
+          packed := true
+      | Toggle_packed ->
+          packed := not !packed;
+          Store.set_packed_layout !store !packed);
+      holds ())
+    steps
 
 let qcheck_tests =
   [
@@ -1146,6 +1291,13 @@ let qcheck_tests =
            let store2 = Store.recover ~dev ~clock in
            Store.last_complete_epoch store2 = last
            && Store.read_meta store2 ~epoch:last ~oid = List.nth metas (List.length metas - 1)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"reference counts equal a fresh walk over random histories"
+         ~count:60
+         (QCheck.make ~shrink:QCheck.Shrink.list
+            ~print:(fun l -> String.concat "\n" (List.map step_to_string l))
+            gen_steps)
+         counts_match_a_fresh_walk);
   ]
 
 (* Manifest codec ---------------------------------------------------------------- *)
@@ -1245,6 +1397,7 @@ let () =
           Alcotest.test_case "shared record block" `Quick test_shared_record_block;
           Alcotest.test_case "freed blocks survive recovery" `Quick
             test_recovery_keeps_freed_blocks;
+          Alcotest.test_case "prune all keeps numbering" `Quick test_prune_all_keeps_numbering;
         ] );
       ( "residency",
         [
