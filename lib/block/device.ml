@@ -273,9 +273,12 @@ let read_nocharge t ~off ~len =
 
 let charge_read_raw t ~now ~duration = Resource.submit t.queue ~now ~duration
 
-let read t ~clock ~off ~len =
+(* A read is submitted, then collected: the queue is occupied for the
+   transfer at submission and the completion trails by the read latency;
+   the bytes (and the fault handler's verdict on them) are taken at that
+   completion.  {!Striped.read_vec} submits many before collecting any. *)
+let submit_read t ~now ~off ~len =
   let transfer = Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth len in
-  let now = Clock.now clock in
   let start, qcomp = Resource.submit_timed t.queue ~now ~duration:transfer in
   let completion = qcomp + Cost.nvme_read_latency in
   if Otrace.is_on () then
@@ -287,19 +290,19 @@ let read t ~clock ~off ~len =
           ("len", Otrace.Int len);
           ("qwait", Otrace.Int (start - now));
         ];
-  Clock.advance_to clock completion;
   t.read_bytes <- t.read_bytes + len;
+  completion
+
+let collect_read t ~completion ~off ~len =
   match t.fault with
-  | None -> read_nocharge t ~off ~len
+  | None -> Ok (read_nocharge t ~off ~len)
   | Some f -> (
-      (* The attempt's device time is charged above whatever the outcome:
-         a failed or corrupted read still occupied the queue. *)
-      match Fault.read_outcome f ~dev:t.dev_name ~now:(Clock.now clock) ~off ~len with
-      | Fault.Clean -> read_nocharge t ~off ~len
+      (* The attempt's device time was charged at submission whatever the
+         outcome: a failed or corrupted read still occupied the queue. *)
+      match Fault.read_outcome f ~dev:t.dev_name ~now:completion ~off ~len with
+      | Fault.Clean -> Ok (read_nocharge t ~off ~len)
       | Fault.Fail ->
-          raise
-            (Fault.Io_error
-               (Printf.sprintf "%s: transient read error at %d+%d" t.dev_name off len))
+          Error (Printf.sprintf "%s: transient read error at %d+%d" t.dev_name off len)
       | Fault.Flip offs ->
           let out = read_nocharge t ~off ~len in
           List.iter
@@ -307,7 +310,14 @@ let read t ~clock ~off ~len =
               if o >= 0 && o < len then
                 Bytes.set out o (Char.chr (Char.code (Bytes.get out o) lxor 0x40)))
             offs;
-          out)
+          Ok out)
+
+let read t ~clock ~off ~len =
+  let completion = submit_read t ~now:(Clock.now clock) ~off ~len in
+  Clock.advance_to clock completion;
+  match collect_read t ~completion ~off ~len with
+  | Ok data -> data
+  | Error msg -> raise (Fault.Io_error msg)
 
 let durable_until t =
   List.fold_left (fun acc p -> max acc p.completion) 0 t.inflight

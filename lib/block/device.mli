@@ -67,12 +67,25 @@ val write_priority : t -> now:int -> off:int -> bytes -> completion:int -> int
     caller-supplied [completion].  The synchronous journal append path uses
     this so its acknowledgement time and durability time coincide. *)
 
+val submit_read : t -> now:int -> off:int -> len:int -> int
+(** [submit_read t ~now ~off ~len] queues a read of [len] bytes at [off]
+    and returns its completion: the queue is occupied for the transfer
+    behind whatever it already holds, and the read latency trails it.
+    Nothing is returned yet; {!collect_read} takes the bytes at that
+    completion.  The device time is charged here, whatever the outcome. *)
+
+val collect_read : t -> completion:int -> off:int -> len:int -> (bytes, string) result
+(** The bytes of a read {!submit_read} queued, as of its [completion],
+    under the installed fault handler's verdict ({!Fault.read_outcome},
+    consulted once per call): [Error] is the message of a transient
+    failure; a [Flip] verdict returns the corrupted bytes.  Unwritten
+    ranges read as zeroes, as on a trimmed flash namespace. *)
+
 val read : t -> clock:Aurora_sim.Clock.t -> off:int -> len:int -> bytes
-(** Read [len] bytes at [off], charging read latency + transfer time.
-    Unwritten ranges read as zeroes, as on a trimmed flash namespace.
-    With a fault handler installed this may raise {!Fault.Io_error} or
-    return deliberately corrupted bytes; the device time is charged either
-    way. *)
+(** Submit, wait, collect: {!submit_read}, advance the clock to its
+    completion (read latency + transfer behind the queue), then
+    {!collect_read}.  A failed read raises {!Fault.Io_error}, after the
+    clock has advanced. *)
 
 val read_nocharge : t -> off:int -> len:int -> bytes
 (** Read without charging time; used by integrity checks in tests. *)

@@ -150,12 +150,54 @@ let write_sync ?charge t ~clock ~off data =
       let frag = payload_slice data frag_off frag_len in
       Device.write_sync ~charge:frag_len dev ~clock ~off:dev_off frag)
 
+(* Every fragment of every range is queued at the same instant, so the
+   member devices work in parallel while each serialises its own
+   transfers; the clock then waits once, for the last completion.  A
+   range is collected fragment by fragment, in order, and fails at its
+   first failed fragment. *)
+let submit_ranges t ~clock ranges =
+  let now = Clock.now clock in
+  let frags =
+    Array.map
+      (fun (off, len) ->
+        let acc = ref [] in
+        iter_fragments t ~off ~len (fun dev dev_off frag_off frag_len ->
+            let completion = Device.submit_read dev ~now ~off:dev_off ~len:frag_len in
+            acc := (dev, dev_off, frag_off, frag_len, completion) :: !acc);
+        List.rev !acc)
+      ranges
+  in
+  Clock.advance_to clock
+    (Array.fold_left (List.fold_left (fun m (_, _, _, _, c) -> max m c)) now frags);
+  Array.map2
+    (fun (_, len) fl ->
+      let out = Bytes.make len '\000' in
+      let rec collect = function
+        | [] -> Ok out
+        | (dev, dev_off, frag_off, frag_len, completion) :: rest -> (
+            match Device.collect_read dev ~completion ~off:dev_off ~len:frag_len with
+            | Ok frag ->
+                Bytes.blit frag 0 out frag_off frag_len;
+                collect rest
+            | Error _ as err -> err)
+      in
+      collect fl)
+    ranges frags
+
+let read_vec t ~clock ranges =
+  if Otrace.is_on () then
+    Otrace.instant ~cat:"blk" "read_vec"
+      ~args:
+        [
+          ("ranges", Otrace.Int (Array.length ranges));
+          ("bytes", Otrace.Int (Array.fold_left (fun a (_, len) -> a + len) 0 ranges));
+        ];
+  submit_ranges t ~clock ranges
+
 let read t ~clock ~off ~len =
-  let out = Bytes.make len '\000' in
-  iter_fragments t ~off ~len (fun dev dev_off frag_off frag_len ->
-      let frag = Device.read dev ~clock ~off:dev_off ~len:frag_len in
-      Bytes.blit frag 0 out frag_off frag_len);
-  out
+  match (submit_ranges t ~clock [| (off, len) |]).(0) with
+  | Ok data -> data
+  | Error msg -> raise (Fault.Io_error msg)
 
 let read_nocharge t ~off ~len =
   let out = Bytes.make len '\000' in

@@ -5,6 +5,7 @@ module Hash64 = Aurora_util.Hash64
 module Rle = Aurora_util.Rle
 module Resource = Aurora_sim.Resource
 module Striped = Aurora_block.Striped
+module Fault = Aurora_block.Fault
 module IntMap = Map.Make (Int)
 module Otrace = Aurora_obs.Trace
 module Ometrics = Aurora_obs.Metrics
@@ -310,21 +311,46 @@ let write_superblock t ~now head =
 
 let read_block_nocharge t blk = Striped.read_nocharge t.dev ~off:(off_of_block blk) ~len:block_size
 
-(* Charged reads retry transient device errors with exponential backoff in
-   virtual time; a persistently failing range surfaces the last error. *)
-let retried_read t f =
-  let rec go attempt backoff =
-    try f ()
-    with Aurora_block.Fault.Io_error _ when attempt < t.read_retries ->
-      t.stat_read_faults <- t.stat_read_faults + 1;
-      Clock.advance t.clk backoff;
-      go (attempt + 1) (2 * backoff)
+(* Charged reads of byte ranges [(off, len)], submitted as one vectored
+   batch (a lone range is a plain read).  Transient errors are retried per
+   range: only the ranges that failed are resubmitted, up to
+   [read_retries] times, backing off exponentially from [read_backoff] ns
+   of virtual time.  A range in retry round r failed in every earlier
+   round, so r is its own attempt count.  A range that keeps failing
+   surfaces its error. *)
+let read_ranges t ranges =
+  let out = Array.make (Array.length ranges) Bytes.empty in
+  let rec go pending attempt backoff =
+    let batch = Array.map (fun i -> ranges.(i)) pending in
+    let results =
+      match batch with
+      | [||] -> [||]
+      | [| (off, len) |] -> (
+          try [| Ok (Striped.read t.dev ~clock:t.clk ~off ~len) |]
+          with Fault.Io_error msg -> [| Error msg |])
+      | _ -> Striped.read_vec t.dev ~clock:t.clk batch
+    in
+    let failed = ref [] in
+    Array.iteri
+      (fun k -> function
+        | Ok data -> out.(pending.(k)) <- data
+        | Error msg -> failed := (pending.(k), msg) :: !failed)
+      results;
+    match List.rev !failed with
+    | [] -> ()
+    | (_, msg) :: _ when attempt >= t.read_retries -> raise (Fault.Io_error msg)
+    | failed ->
+        t.stat_read_faults <- t.stat_read_faults + List.length failed;
+        Clock.advance t.clk backoff;
+        go (Array.of_list (List.map fst failed)) (attempt + 1) (2 * backoff)
   in
-  go 0 t.read_backoff
+  go (Array.init (Array.length ranges) Fun.id) 0 t.read_backoff;
+  out
+
+let read_range t ~off ~len = (read_ranges t [| (off, len) |]).(0)
 
 let read_blocks t ~blk ~nblocks =
-  retried_read t (fun () ->
-      Striped.read t.dev ~clock:t.clk ~off:(off_of_block blk) ~len:(nblocks * block_size))
+  read_range t ~off:(off_of_block blk) ~len:(nblocks * block_size)
 
 (* Leaf cache ----------------------------------------------------------------- *)
 
@@ -357,6 +383,42 @@ let leaf_entries t ~charged blk =
       let entries = decode "leaf" leaf_codec data in
       cache_leaf t blk { entries; resident = charged };
       entries
+
+(* The leaf blocks of version [v], pushed onto [acc]. *)
+let leaf_blocks v acc = IntMap.fold (fun _ blk acc -> blk :: acc) v.v_leaves acc
+
+(* Make every leaf in [blks] resident: the ones not yet resident are read,
+   in block order, in vectored batches of at most the cache's capacity, recycling the cache before a batch that would overflow it,
+   so no batch evicts its own leaves.  A leaf the cache already parsed is
+   only marked; one whose bytes do not parse stays as it was, for the
+   charged lookup that reaches it to report. *)
+let make_resident t blks =
+  let cold =
+    Array.of_list
+      (List.filter
+         (fun b ->
+           match Hashtbl.find_opt t.leaf_cache b with Some c -> not c.resident | None -> true)
+         (List.sort_uniq compare blks))
+  in
+  let n = Array.length cold in
+  let i = ref 0 in
+  while !i < n do
+    let batch = Array.sub cold !i (Int.min leaf_cache_capacity (n - !i)) in
+    if Hashtbl.length t.leaf_cache + Array.length batch > leaf_cache_capacity then
+      Hashtbl.reset t.leaf_cache;
+    let data = read_ranges t (Array.map (fun b -> (off_of_block b, block_size)) batch) in
+    Array.iteri
+      (fun k b ->
+        match Hashtbl.find_opt t.leaf_cache b with
+        | Some c -> c.resident <- true
+        | None -> (
+            t.stat_leaf_misses <- t.stat_leaf_misses + 1;
+            match decode "leaf" leaf_codec data.(k) with
+            | entries -> Hashtbl.replace t.leaf_cache b { entries; resident = true }
+            | exception Corrupt_store _ -> ()))
+      batch;
+    i := !i + Array.length batch
+  done
 
 (* [(page index, CRC-32)] of a version's stored pages, unsorted, off its
    leaves without a charge. *)
@@ -1111,10 +1173,10 @@ let content_index_consistent t =
    the version table, so consecutive epochs share most version records:
    each distinct version is loaded once (the rebuilt tables share version
    values exactly as they did before the crash), and the blocks its packed
-   bytes cover are read in block order, coalesced into runs of at most
-   [max_extent_blocks], each one charged, retried read.  The cost is
-   O(records + distinct versions) in device time and parse work, not
-   O(epochs x objects). *)
+   bytes cover are coalesced, in block order, into runs of at most
+   [max_extent_blocks], all read in one charged vectored batch.  The cost
+   is O(records + distinct versions) in parse work, not O(epochs x
+   objects), and one round trip in device time after the chain walk. *)
 
 (* A location read off the device must name allocated blocks. *)
 let check_extent t what blk nblocks =
@@ -1126,8 +1188,8 @@ let check_extent t what blk nblocks =
 
 (* Load every distinct version [entries] name, as a (blk, off) -> (oid,
    version) table.  The blocks covering the records are read in runs
-   (records sharing a block or in adjacent blocks join one run), each run
-   once, and every record is sliced out at its offset. *)
+   (records sharing a block or in adjacent blocks join one run), every
+   run once in one batch, and every record is sliced out at its offset. *)
 let load_versions t entries =
   let loaded = Hashtbl.create 1024 and want = Hashtbl.create 1024 in
   List.iter
@@ -1148,7 +1210,8 @@ let load_versions t entries =
     span_end blk off len
   in
   let n = Array.length todo in
-  let i = ref 0 in
+  (* Runs as (first record, last record + 1, first block, blocks). *)
+  let runs = ref [] and i = ref 0 in
   while !i < n do
     let base, _, _ = todo.(!i) in
     let j = ref (!i + 1) and run_end = ref (last !i) in
@@ -1160,19 +1223,27 @@ let load_versions t entries =
       run_end := max !run_end (last !j);
       incr j
     done;
-    let data = read_blocks t ~blk:base ~nblocks:(!run_end - base + 1) in
-    for k = !i to !j - 1 do
-      let blk, off, len = todo.(k) in
-      let vr =
-        decode "version record" version_codec
-          (Bytes.sub data (((blk - base) * block_size) + off) len)
-      in
-      Hashtbl.replace loaded (blk, off)
-        (vr.vr_oid, { v_kind = vr.vr_kind; v_meta = vr.vr_meta; v_blk = blk; v_off = off;
-                      v_len = len; v_leaves = IntMap.of_seq (List.to_seq vr.vr_leaves) })
-    done;
+    runs := (!i, !j, base, !run_end - base + 1) :: !runs;
     i := !j
   done;
+  let runs = Array.of_list (List.rev !runs) in
+  let data =
+    read_ranges t
+      (Array.map (fun (_, _, base, nblocks) -> (off_of_block base, nblocks * block_size)) runs)
+  in
+  Array.iteri
+    (fun r (first, stop, base, _) ->
+      for k = first to stop - 1 do
+        let blk, off, len = todo.(k) in
+        let vr =
+          decode "version record" version_codec
+            (Bytes.sub data.(r) (((blk - base) * block_size) + off) len)
+        in
+        Hashtbl.replace loaded (blk, off)
+          (vr.vr_oid, { v_kind = vr.vr_kind; v_meta = vr.vr_meta; v_blk = blk; v_off = off;
+                        v_len = len; v_leaves = IntMap.of_seq (List.to_seq vr.vr_leaves) })
+      done)
+    runs;
   loaded
 
 (* Neither the counts nor the free set is persisted, so recovery counts
@@ -1197,10 +1268,8 @@ let rebuild_free_set t =
 let recover ~dev ~clock =
   let t = fresh dev clock in
   let sb =
-    retried_read t (fun () ->
-        Striped.read dev ~clock ~off:(off_of_block superblock_block) ~len:block_size)
+    decode "superblock" superblock_codec (read_blocks t ~blk:superblock_block ~nblocks:1)
   in
-  let sb = decode "superblock" superblock_codec sb in
   t.next_block <- sb.sb_next_block;
   t.next_oid <- sb.sb_next_oid;
   t.oldest_retained <- sb.sb_oldest_retained;
@@ -1294,12 +1363,7 @@ let read_page t ~epoch ~oid ~idx =
       with
       | None -> None
       | Some p ->
-          let stored =
-            retried_read t (fun () ->
-                Striped.read t.dev ~clock:t.clk
-                  ~off:(off_of_block p.p_blk + p.p_off)
-                  ~len:p.p_clen)
-          in
+          let stored = read_range t ~off:(off_of_block p.p_blk + p.p_off) ~len:p.p_clen in
           if p.p_comp then
             Clock.advance t.clk
               (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth p.p_olen);
@@ -1326,13 +1390,17 @@ let stream_entries t entries acc =
       (p.p_idx, decode_payload p stored) :: acc)
     acc entries
 
-(* One leaf I/O (unless resident) and one streamed read per leaf. *)
+(* The leaves not yet resident in one vectored read, then one streamed
+   read of every page they name. *)
 let read_pages t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
-  IntMap.fold
-    (fun _ leaf_blk acc -> stream_entries t (leaf_entries t ~charged:true leaf_blk) acc)
-    v.v_leaves []
-  |> List.sort compare
+  make_resident t (leaf_blocks v []);
+  let entries =
+    IntMap.fold
+      (fun _ leaf_blk acc -> List.rev_append (leaf_entries t ~charged:true leaf_blk) acc)
+      v.v_leaves []
+  in
+  stream_entries t entries [] |> List.sort compare
 
 (* Leaf and data blocks are copy-on-write and [base] keeps its blocks
    live, so an entry at the same location in both epochs holds the same
@@ -1445,11 +1513,7 @@ let journal_truncate t j =
   Clock.advance_to t.clk c
 
 let journal_records t j =
-  let data =
-    retried_read t (fun () ->
-        Striped.read t.dev ~clock:t.clk ~off:(off_of_block j.j_start)
-          ~len:(journal_capacity j))
-  in
+  let data = read_range t ~off:(off_of_block j.j_start) ~len:(journal_capacity j) in
   let r = Wire.reader data in
   let rec scan acc =
     if Wire.remaining r < 9 then List.rev acc
@@ -1738,6 +1802,9 @@ let verify_epoch t ~epoch ~check_meta =
         | Ok m when objects <> m.Manifest.m_count ->
             fail "epoch holds %d objects, manifest says %d" objects m.Manifest.m_count
         | Ok m ->
+            (* Every leaf the page checks will reach, resident up front in
+               one vectored read instead of one round trip each. *)
+            make_resident t (Hashtbl.fold (fun _ v acc -> leaf_blocks v acc) e.e_table []);
             let check (me : Manifest.entry) =
               let oid = me.Manifest.me_oid in
               match if oid = moid then None else Hashtbl.find_opt e.e_table oid with
@@ -1775,7 +1842,7 @@ let verify_epoch t ~epoch ~check_meta =
             all m.Manifest.m_entries)
   with
   | Corrupt_store msg -> Error ("corrupt store: " ^ msg)
-  | Aurora_block.Fault.Io_error msg -> Error ("read failed: " ^ msg)
+  | Fault.Io_error msg -> Error ("read failed: " ^ msg)
   | Failure msg -> Error msg
 
 (* Deliberate-corruption knobs, torture-harness counterparts of

@@ -55,12 +55,15 @@ val format : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
 val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
 (** Mount after a crash or reboot: parses the superblock and the retained
     checkpoints' records off the device.  The checkpoint records are read
-    first, each once at the size its parent names; then every distinct
-    version record they name, over all retained epochs, is loaded once,
-    keyed by [(block, offset)]: the blocks covering the records are
-    coalesced into charged runs, each run is read once, and each record
-    is sliced out at its offset.  The cost is O(records + distinct
-    versions), not O(epochs x objects).  Neither the per-block reference
+    first, one after another, each once at the size its parent names
+    (each record names the previous one); then every distinct version
+    record they name, over all retained epochs, is loaded once, keyed by
+    [(block, offset)]: the blocks covering the records are coalesced into
+    runs, every run is read once in a single vectored batch
+    ({!Aurora_block.Striped.read_vec}), and each record is sliced out at
+    its offset.  The device cost is the chain walk's round trips plus one
+    read latency and the runs' transfers; the work is O(records +
+    distinct versions), not O(epochs x objects).  Neither the per-block reference
     counts (see {!prune_history}) nor the free set is persisted: one
     uncharged walk counts every item the retained epochs and the
     journals hold, and every block below the frontier that no item
@@ -183,8 +186,10 @@ val set_read_policy : t -> retries:int -> backoff_ns:int -> unit
 (** Transient-read-error policy: a charged read raising
     {!Aurora_block.Fault.Io_error} is retried up to [retries] times, with
     exponential backoff starting at [backoff_ns] of virtual time.  The
-    default is 4 retries from 20 µs.  A range that keeps failing re-raises
-    the error to the caller. *)
+    default is 4 retries from 20 µs.  Retries are per range: when a
+    vectored batch (recovery's version runs, a leaf batch) meets errors,
+    only the failed ranges are resubmitted, each within its own budget.
+    A range that keeps failing re-raises the error to the caller. *)
 
 val read_faults : t -> int
 (** Transient read errors absorbed by retries over the store's lifetime. *)
@@ -218,16 +223,17 @@ val read_meta : t -> epoch:int -> oid:int -> string
 val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
 (** One page, charged as one device read of its stored bytes, plus one
     read of its radix leaf block unless that leaf is already resident.
-    A leaf becomes resident once a charged read of it (by [read_page] or
-    {!read_pages}) succeeds, and stays so until its block is freed, the
+    A leaf becomes resident once a charged read of it (by [read_page],
+    {!read_pages} or {!verify_epoch}) succeeds, and stays so until its block is freed, the
     leaf cache is recycled, or the store is recovered: a leaf costs
     device time once, not once per page.  A read that raises leaves the
     leaf as it was. *)
 
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
-(** All stored pages: per leaf, the leaf block under the same residency
-    rule as {!read_page}, then one streamed read of its pages' stored
-    bytes. *)
+(** All stored pages: the object's leaves not yet resident are read in
+    one vectored batch and become resident (the rule of {!read_page}),
+    then every page's stored bytes are charged as one streamed read for
+    the whole object, not one per leaf. *)
 
 val read_changed_pages : t -> base:int -> epoch:int -> oid:int -> (int * bytes) list
 (** The pages of [oid] at [epoch] whose stored location differs from
@@ -296,9 +302,14 @@ val verify_epoch :
     sorted by oid: presence, kind, metadata CRC, page count, page-set
     fingerprint, [check_meta ~kind meta], and every page re-read with
     {!read_pages} against its leaf CRC.  The first failure is the
-    [Error] reason.  The re-reads are charged; nothing is mutated.  Never
-    raises on corrupt or unreadable state: a read that still fails after
-    the read policy's retries is [Error "read failed: ..."]. *)
+    [Error] reason.  The re-reads are charged: once the epoch-level
+    checks pass, every leaf of the epoch not yet resident is read in one
+    vectored batch (at most the leaf cache's capacity per batch) and
+    becomes resident, so an N-leaf epoch pays one leaf round trip, not
+    N, and then each object's pages stream once.  A restore that follows
+    reads no leaf again.  Nothing else is mutated.  Never raises on
+    corrupt or unreadable state: a read that still fails after the read
+    policy's retries is [Error "read failed: ..."]. *)
 
 val corrupt_meta_for_tests : t -> epoch:int -> oid:int -> unit
 (** TESTING ONLY: flip a byte of the object's committed metadata in the

@@ -252,6 +252,68 @@ let test_import_sectors_resets_used_device () =
   Alcotest.(check int) "stats reset" 0 (Device.write_ops dst);
   Alcotest.(check int) "nothing in flight" 0 (Device.durable_until dst)
 
+(* One vectored read: one-block ranges spread over all four members
+   complete in one read latency plus the busiest member's queued
+   transfers, each range returns what a plain read of it does, and a
+   fault on one fragment touches only that fragment's range. *)
+let test_read_vec () =
+  let stripe = Cost.nvme_stripe_size and block = 4096 in
+  let s = Striped.create () in
+  let clock = Clock.create () in
+  let data = Bytes.init (4 * stripe) (fun i -> Char.chr (((i * 31) + (i / 4096)) land 0xFF)) in
+  ignore (Striped.write s ~now:0 ~off:0 data);
+  Striped.settle s ~clock;
+  (* Range i is block i/4 of stripe i mod 4, on member i mod 4: members 0
+     and 1 serve three ranges, members 2 and 3 two. *)
+  let ranges = Array.init 10 (fun i -> (((i mod 4) * stripe) + (i / 4 * block), block)) in
+  let t0 = Clock.now clock in
+  let got = Striped.read_vec s ~clock ranges in
+  Alcotest.(check int) "one latency plus the busiest member's transfers"
+    (Cost.nvme_read_latency
+    + (3 * Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth block))
+    (Clock.now clock - t0);
+  Array.iteri
+    (fun i (off, len) ->
+      match got.(i) with
+      | Ok b ->
+          Alcotest.(check string) (Printf.sprintf "range %d = plain read" i)
+            (Bytes.to_string (Striped.read s ~clock ~off ~len)) (Bytes.to_string b)
+      | Error msg -> Alcotest.failf "range %d failed: %s" i msg)
+    ranges;
+  (* A range across a stripe boundary reads both fragments. *)
+  (match Striped.read_vec s ~clock [| (stripe - 100, 200); (0, 8) |] with
+  | [| Ok b; Ok _ |] ->
+      Alcotest.(check string) "stripe-spanning range" (Bytes.sub_string data (stripe - 100) 200)
+        (Bytes.to_string b)
+  | _ -> Alcotest.fail "stripe-spanning batch failed");
+  (* Fail range 2's only fragment (member 2, device offset 0) and flip a
+     byte of range 5's (member 1, device offset 4096). *)
+  let f = Fault.create () in
+  f.Fault.on_read <-
+    (fun r ->
+      match (r.Fault.r_dev, r.Fault.r_off) with
+      | "nvme2", 0 -> Fault.Fail
+      | "nvme1", 4096 -> Fault.Flip [ 0 ]
+      | _ -> Fault.Clean);
+  Striped.set_fault s (Some f);
+  let t0 = Clock.now clock in
+  let faulty = Striped.read_vec s ~clock ranges in
+  Striped.set_fault s None;
+  Alcotest.(check bool) "the failed batch still took device time" true (Clock.now clock > t0);
+  Array.iteri
+    (fun i (off, len) ->
+      let want = Bytes.sub data off len in
+      match (i, faulty.(i)) with
+      | 2, Error _ -> ()
+      | 2, Ok _ -> Alcotest.fail "range 2 should fail"
+      | 5, Ok b ->
+          Alcotest.(check bool) "range 5 corrupted" false (Bytes.equal b want);
+          Alcotest.(check string) "only its first byte" (Bytes.sub_string want 1 (len - 1))
+            (Bytes.sub_string b 1 (len - 1))
+      | _, Ok b -> Alcotest.(check bool) (Printf.sprintf "range %d intact" i) true (Bytes.equal b want)
+      | _, Error msg -> Alcotest.failf "range %d failed: %s" i msg)
+    ranges
+
 (* Torn vectored writes: a fault that keeps only a prefix of each device's
    submission tears the extent along per-device segment order — the lowest
    device-local offsets survive, later segments vanish — and tearing one
@@ -407,6 +469,7 @@ let () =
           Alcotest.test_case "parallelism" `Quick test_striped_parallelism;
           Alcotest.test_case "crash" `Quick test_striped_crash;
           Alcotest.test_case "charge fragments" `Quick test_striped_charge_fragments;
+          Alcotest.test_case "read_vec" `Quick test_read_vec;
           Alcotest.test_case "write_vec roundtrip" `Quick test_write_vec_roundtrip;
           Alcotest.test_case "write_vec unsorted" `Quick test_write_vec_unsorted;
           Alcotest.test_case "write_vec submissions" `Quick

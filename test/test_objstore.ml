@@ -586,7 +586,13 @@ let test_recover_bad_record_is_corrupt_store () =
    its packed bytes cover: K epochs that each rewrite one of M objects read
    the first epoch's packed run plus one block per later epoch, not K x M
    records, and every retained epoch comes back identical. *)
-let test_recover_read_volume () =
+(* [m] objects whose fixed-size version records pack the first epoch into
+   a run of several blocks, then [k - 1] epochs each rewriting one object,
+   so recovery reads one multi-block run and one lone block per later
+   epoch.  Durable and crashed with nothing in flight; returns the clock,
+   the device, [k], the first run's block count and the pre-crash
+   snapshot. *)
+let version_run_store () =
   let clock, dev, store = fresh () in
   let m = 40 and k = 12 in
   (* Fixed-size metas, so the first epoch's M records pack into a run of
@@ -622,6 +628,10 @@ let test_recover_read_volume () =
   let before = snapshot store in
   Alcotest.(check int) "epochs retained" k (List.length before);
   Striped.crash dev ~now:(Clock.now clock);
+  (clock, dev, k, first_run, before)
+
+let test_recover_read_volume () =
+  let clock, dev, k, first_run, before = version_run_store () in
   let read0 = Striped.bytes_read dev in
   let store2 = Store.recover ~dev ~clock in
   let read = Striped.bytes_read dev - read0 in
@@ -812,6 +822,81 @@ let one_block_read =
   + Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth
       Store.block_size
 
+(* Only the record-chain walk is serial (each record names the previous
+   one): the version runs it names are read in one vectored batch, so
+   recovery costs the walk plus one read latency and the batch's
+   transfers, however many runs there are. *)
+let test_recover_time_one_batch () =
+  let clock, dev, k, first_run, _ = version_run_store () in
+  let t0 = Clock.now clock in
+  let _, reads = device_reads dev (fun () -> Store.recover ~dev ~clock) in
+  let elapsed = Clock.now clock - t0 in
+  let runs = List.length reads - (1 + k) in
+  Alcotest.(check bool) (Printf.sprintf "several version runs (%d)" runs) true (runs >= 2);
+  (* The superblock and K one-block records, one after another, then one
+     read latency and at most every run block's transfer. *)
+  let bound =
+    ((1 + k) * one_block_read)
+    + Aurora_sim.Cost.nvme_read_latency
+    + Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth
+        ((first_run + k - 1) * Store.block_size)
+  in
+  Alcotest.(check bool) (Printf.sprintf "recovery took %d ns <= %d" elapsed bound) true
+    (elapsed <= bound)
+
+(* Multiset difference of two read lists. *)
+let rec remove_each xs = function
+  | [] -> xs
+  | y :: ys ->
+      let rec drop = function [] -> [] | x :: rest -> if x = y then rest else x :: drop rest in
+      remove_each (drop xs) ys
+
+(* A recovery batch retries per range: a handler failing only the packed
+   run [n] times costs [n] extra device reads, all of that range, and
+   counts [n] absorbed faults; one failure past the retry budget
+   surfaces as Io_error. *)
+let test_recover_retries_per_range () =
+  let clock, dev, _, _, before = version_run_store () in
+  let _, clean = device_reads dev (fun () -> Store.recover ~dev ~clock) in
+  let recover_failing n =
+    let failures = ref n and failed = ref [] and reads = ref [] in
+    let f = Fault.create () in
+    f.Fault.on_read <-
+      (fun r ->
+        let key = (r.Fault.r_dev, r.Fault.r_off) in
+        reads := key :: !reads;
+        if r.Fault.r_len > Store.block_size && !failures > 0 then begin
+          decr failures;
+          failed := key :: !failed;
+          Fault.Fail
+        end
+        else Fault.Clean);
+    Striped.set_fault dev (Some f);
+    let result =
+      Fun.protect
+        ~finally:(fun () -> Striped.set_fault dev None)
+        (fun () -> try Ok (Store.recover ~dev ~clock) with Fault.Io_error msg -> Error msg)
+    in
+    (result, !reads, !failed)
+  in
+  for n = 1 to 4 do
+    match recover_failing n with
+    | Error msg, _, _ -> Alcotest.failf "%d failures within the budget surfaced: %s" n msg
+    | Ok st, reads, failed ->
+        Alcotest.(check int) (Printf.sprintf "%d faults counted" n) n (Store.read_faults st);
+        Alcotest.(check int)
+          (Printf.sprintf "device reads = clean reads + %d" n)
+          (List.length clean + n) (List.length reads);
+        Alcotest.(check int) "one range failed" 1 (List.length (List.sort_uniq compare failed));
+        Alcotest.(check (list (pair string int)))
+          "only the failed range was resubmitted" (List.sort compare failed)
+          (List.sort compare (remove_each reads clean));
+        Alcotest.(check bool) "epochs identical" true (snapshot st = before)
+  done;
+  match recover_failing 5 with
+  | Ok _, _, _ -> Alcotest.fail "a failure past the retry budget was absorbed"
+  | Error _, _, _ -> ()
+
 let test_leaf_resident_after_charged_read () =
   let clock, dev, store, oid, epoch = one_leaf_store 3 in
   let timed_read idx =
@@ -888,6 +973,40 @@ let test_failed_leaf_read_not_resident () =
   Striped.set_fault dev None;
   let _, reads = device_reads dev (fun () -> Store.read_page store ~epoch ~oid ~idx:1) in
   Alcotest.(check int) "resident after the successful read" 1 (List.length reads)
+
+(* Verification makes every leaf of the epoch resident in one vectored
+   read, so an N-leaf epoch pays one leaf round trip, not N, before each
+   object's pages stream once. *)
+let test_verify_one_leaf_round_trip () =
+  let clock, dev, store = fresh () in
+  let n = 16 in
+  let oid = Store.alloc_oid store in
+  ignore (Store.begin_checkpoint store);
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+  Store.put_pages store ~oid (List.init n (fun i -> (i * Store.leaf_span, noise_page i)));
+  ignore (Store.put_manifest store ~oid:(Store.manifest_oid store));
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  Striped.settle dev ~clock;
+  let st = Store.recover ~dev ~clock in
+  let epoch = Store.last_complete_epoch st in
+  let t0 = Clock.now clock in
+  let verdict, reads =
+    device_reads dev (fun () -> Store.verify_epoch st ~epoch ~check_meta:(fun ~kind:_ _ -> Ok ()))
+  in
+  let elapsed = Clock.now clock - t0 in
+  Alcotest.(check bool) "epoch verifies" true (Result.is_ok verdict);
+  Alcotest.(check int) "each leaf read once" n (List.length reads);
+  (* One leaf round trip (every leaf's transfer at worst on one member),
+     then one streamed read of the pages. *)
+  let transfer = Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth in
+  let bound =
+    (2 * Aurora_sim.Cost.nvme_read_latency) + (2 * n * transfer Store.block_size)
+  in
+  Alcotest.(check bool) (Printf.sprintf "verify took %d ns <= %d" elapsed bound) true
+    (elapsed <= bound);
+  let _, again = device_reads dev (fun () -> Store.read_pages st ~epoch ~oid) in
+  Alcotest.(check int) "the restore that follows reads no leaf" 0 (List.length again)
 
 let test_resident_hit_skips_on_read () =
   let _clock, dev, store, oid, epoch = one_leaf_store 2 in
@@ -1382,6 +1501,8 @@ let () =
           Alcotest.test_case "bad record is Corrupt_store" `Quick
             test_recover_bad_record_is_corrupt_store;
           Alcotest.test_case "read volume" `Quick test_recover_read_volume;
+          Alcotest.test_case "one batched read" `Quick test_recover_time_one_batch;
+          Alcotest.test_case "retries per range" `Quick test_recover_retries_per_range;
         ] );
       ( "journal",
         [
@@ -1409,6 +1530,8 @@ let () =
             test_freed_leaf_block_recharged;
           Alcotest.test_case "failed leaf read not resident" `Quick
             test_failed_leaf_read_not_resident;
+          Alcotest.test_case "verify: one leaf round trip" `Quick
+            test_verify_one_leaf_round_trip;
           Alcotest.test_case "resident hit skips on_read" `Quick
             test_resident_hit_skips_on_read;
         ] );
