@@ -5,6 +5,7 @@ module Clock = Aurora_sim.Clock
 module Machine = Aurora_kern.Machine
 module Process = Aurora_kern.Process
 module Vm_space = Aurora_vm.Vm_space
+module Vm_map = Aurora_vm.Vm_map
 module Page = Aurora_vm.Page
 module Striped = Aurora_block.Striped
 module Store = Aurora_objstore.Store
@@ -55,7 +56,7 @@ let measure profile =
   (* Incremental: the applications are mostly idle; dirty a few pages. *)
   List.iter
     (fun p ->
-      match Aurora_vm.Vm_map.entries (Vm_space.map p.Process.space) with
+      match Vm_map.entries (Vm_space.map p.Process.space) with
       | e :: _ ->
           Vm_space.touch_write p.Process.space
             ~addr:(Vm_space.addr_of_entry e)
@@ -84,23 +85,30 @@ let measure profile =
   let full_restore =
     (Restore.restore ~machine:m_full ~store:store2 ()).Restore.restore_ns
   in
-  (* Lazy restore: OS state now; the resume working set pages in on
-     demand right after. *)
+  (* Lazy restore: OS state now; the application then resumes and
+     faults its resume working set in through the store-backed pager, on
+     the restoring machine's clock.  The working set is the low
+     [resume_fraction] of every mapping (arenas fill from their low end);
+     the rest of the background page-in is off the critical path. *)
   let m_lazy = Machine.create () in
-  Clock.advance_to m_lazy.Machine.clock crash_now;
-  let store3 = Store.recover ~dev:sys.Sls.device ~clock:m_lazy.Machine.clock in
+  let clock = m_lazy.Machine.clock in
+  Clock.advance_to clock crash_now;
+  let store3 = Store.recover ~dev:sys.Sls.device ~clock in
   let result = Restore.restore ~machine:m_lazy ~store:store3 ~lazy_pages:true () in
-  (* The application resumes after [restore_ns] and then demand-pages its
-     resume working set; the rest of the background page-in is off the
-     critical path. *)
-  let touched =
-    int_of_float (resume_fraction profile *. float_of_int size_bytes)
-  in
-  let t1 = Clock.now m_lazy.Machine.clock in
-  Striped.charge_read sys.Sls.device ~clock:m_lazy.Machine.clock ~bytes:touched;
-  let lazy_restore =
-    result.Restore.restore_ns + (Clock.now m_lazy.Machine.clock - t1)
-  in
+  let t1 = Clock.now clock in
+  List.iter
+    (fun (p : Process.t) ->
+      List.iter
+        (fun (e : Vm_map.entry) ->
+          let pages =
+            int_of_float (Float.round (resume_fraction profile *. float_of_int e.Vm_map.npages))
+          in
+          if pages > 0 then
+            Vm_space.touch_read p.Process.space ~addr:(Vm_space.addr_of_entry e)
+              ~len:(pages * Page.logical_size))
+        (Vm_map.entries (Vm_space.map p.Process.space)))
+    result.Restore.procs;
+  let lazy_restore = result.Restore.restore_ns + (Clock.now clock - t1) in
   {
     name = profile.Profiles.app_name;
     size_bytes;

@@ -1300,7 +1300,7 @@ let checkpoint_region t (entry : Vm_map.entry) =
 let pager_for t oid =
   fun idx ->
     let epoch = Store.last_complete_epoch t.st in
-    if epoch = 0 then None else Store.read_page t.st ~epoch ~oid ~idx
+    if epoch = 0 then [] else Store.read_cluster t.st ~epoch ~oid ~idx
 
 let install_pagers t =
   Hashtbl.iter

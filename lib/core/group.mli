@@ -181,8 +181,10 @@ val run_for : t -> int -> unit
 
     Aurora subsumes swap: pages already covered by a durable checkpoint
     are clean and can be evicted without I/O; a fault brings the most
-    recent version back from the object store through the VM pager.  The
-    same path implements lazy restore. *)
+    recent version back from the object store through the VM pager,
+    together with the rest of its 16-page cluster
+    ({!Aurora_objstore.Store.read_cluster}).  The same path implements
+    lazy restore. *)
 
 val evict_clean_pages : t -> target:int -> int
 (** Evict up to [target] clean resident pages (zero-copy: they are

@@ -80,10 +80,11 @@ let rec memobj ctx oid =
       | None -> ());
       Hashtbl.replace ctx.memobjs oid obj;
       if ctx.lazy_pages then begin
-        (* Lazy restore: pages come back on demand through the store-backed
-           pager — the paper's unified swap path (section 6). *)
+        (* Lazy restore: pages come back on demand, a fault's cluster at a
+           time, through the store-backed pager — the paper's unified swap
+           path (section 6). *)
         let st = ctx.st and epoch = ctx.epoch in
-        Vm_object.set_pager obj (Some (fun idx -> Store.read_page st ~epoch ~oid ~idx))
+        Vm_object.set_pager obj (Some (fun idx -> Store.read_cluster st ~epoch ~oid ~idx))
       end
       else load_pages ctx oid obj;
       obj

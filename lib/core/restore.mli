@@ -43,7 +43,8 @@ val restore :
     With [lazy_pages] (default false) the restore charges only the OS
     state reconstruction — memory pages are brought in after the measured
     window, modeling Aurora's lazy restore where the application pages in
-    its working set on demand (section 6, "Memory Overcommitment").
+    its working set on demand (section 6, "Memory Overcommitment"), a
+    fault's 16-page cluster at a time ({!Aurora_objstore.Store.read_cluster}).
     Contents are identical either way. *)
 
 (** {1 Verified restore}

@@ -312,14 +312,14 @@ let write_superblock t ~now head =
 let read_block_nocharge t blk = Striped.read_nocharge t.dev ~off:(off_of_block blk) ~len:block_size
 
 (* Charged reads of byte ranges [(off, len)], submitted as one vectored
-   batch (a lone range is a plain read).  Transient errors are retried per
-   range: only the ranges that failed are resubmitted, up to
-   [read_retries] times, backing off exponentially from [read_backoff] ns
-   of virtual time.  A range in retry round r failed in every earlier
-   round, so r is its own attempt count.  A range that keeps failing
-   surfaces its error. *)
-let read_ranges t ranges =
-  let out = Array.make (Array.length ranges) Bytes.empty in
+   batch (a lone range is a plain read), with one result per range.
+   Transient errors are retried per range: only the ranges that failed
+   are resubmitted, up to [read_retries] times, backing off exponentially
+   from [read_backoff] ns of virtual time.  A range in retry round r
+   failed in every earlier round, so r is its own attempt count.  A range
+   that keeps failing is left as its last error. *)
+let read_ranges_result t ranges =
+  let out = Array.make (Array.length ranges) (Ok Bytes.empty) in
   let rec go pending attempt backoff =
     let batch = Array.map (fun i -> ranges.(i)) pending in
     let results =
@@ -330,22 +330,23 @@ let read_ranges t ranges =
           with Fault.Io_error msg -> [| Error msg |])
       | _ -> Striped.read_vec t.dev ~clock:t.clk batch
     in
-    let failed = ref [] in
-    Array.iteri
-      (fun k -> function
-        | Ok data -> out.(pending.(k)) <- data
-        | Error msg -> failed := (pending.(k), msg) :: !failed)
-      results;
-    match List.rev !failed with
-    | [] -> ()
-    | (_, msg) :: _ when attempt >= t.read_retries -> raise (Fault.Io_error msg)
-    | failed ->
-        t.stat_read_faults <- t.stat_read_faults + List.length failed;
-        Clock.advance t.clk backoff;
-        go (Array.of_list (List.map fst failed)) (attempt + 1) (2 * backoff)
+    Array.iteri (fun k r -> out.(pending.(k)) <- r) results;
+    let failed = List.filter (fun i -> Result.is_error out.(i)) (Array.to_list pending) in
+    if failed <> [] && attempt < t.read_retries then begin
+      t.stat_read_faults <- t.stat_read_faults + List.length failed;
+      Clock.advance t.clk backoff;
+      go (Array.of_list failed) (attempt + 1) (2 * backoff)
+    end
   in
   go (Array.init (Array.length ranges) Fun.id) 0 t.read_backoff;
   out
+
+(* [read_ranges_result] where any range that keeps failing surfaces its
+   error, the first in range order. *)
+let read_ranges t ranges =
+  Array.map
+    (function Ok data -> data | Error msg -> raise (Fault.Io_error msg))
+    (read_ranges_result t ranges)
 
 let read_range t ~off ~len = (read_ranges t [| (off, len) |]).(0)
 
@@ -1353,21 +1354,57 @@ let decode_payload p stored =
     with Invalid_argument _ ->
       raise (Corrupt_store (Printf.sprintf "page %d: corrupt coded payload" p.p_idx))
 
-let read_page t ~epoch ~oid ~idx =
+(* Pages one lazy page-in brings in: the faulting page's aligned window
+   of 16 pages, 64 KiB of 4 KiB pages.  That is the paper's stripe unit
+   and Linux's default [fault_around_bytes]: a window's reads cost one
+   device round trip, close to what the faulting page alone costs. *)
+let fault_cluster = 16
+
+(* The stored pages of [oid] at [epoch] in [idx]'s aligned window of
+   [span] pages, clipped to [idx]'s leaf: one charged leaf lookup, then
+   one batch of reads, and decompression charged once over the coded
+   pages read.  [] without a data read when [idx] is not stored.  Only
+   [idx]'s own read or payload can raise; a neighbour whose read keeps
+   failing or whose payload does not decode is left out, to fail the
+   fault that demands it. *)
+let read_window t ~epoch ~oid ~idx ~span =
   let v = version_exn t ~epoch ~oid in
   match IntMap.find_opt (idx / leaf_span) v.v_leaves with
-  | None -> None
-  | Some leaf_blk -> (
-      match
-        List.find_opt (fun p -> p.p_idx = idx) (leaf_entries t ~charged:true leaf_blk)
-      with
-      | None -> None
-      | Some p ->
-          let stored = read_range t ~off:(off_of_block p.p_blk + p.p_off) ~len:p.p_clen in
-          if p.p_comp then
-            Clock.advance t.clk
-              (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth p.p_olen);
-          Some (decode_payload p stored))
+  | None -> []
+  | Some leaf_blk ->
+      let entries = leaf_entries t ~charged:true leaf_blk in
+      if not (List.exists (fun p -> p.p_idx = idx) entries) then []
+      else begin
+        let lo = idx - (idx mod span) in
+        let window = List.filter (fun p -> p.p_idx >= lo && p.p_idx < lo + span) entries in
+        let data =
+          read_ranges_result t
+            (Array.of_list (List.map (fun p -> (off_of_block p.p_blk + p.p_off, p.p_clen)) window))
+        in
+        let read = List.combine window (Array.to_list data) in
+        let coded_olen =
+          List.fold_left
+            (fun a (p, r) -> if p.p_comp && Result.is_ok r then a + p.p_olen else a)
+            0 read
+        in
+        if coded_olen > 0 then
+          Clock.advance t.clk (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
+        List.filter_map
+          (fun (p, r) ->
+            match r with
+            | Error msg when p.p_idx = idx -> raise (Fault.Io_error msg)
+            | Error _ -> None
+            | Ok stored -> (
+                match decode_payload p stored with
+                | payload -> Some (p.p_idx, payload)
+                | exception Corrupt_store _ when p.p_idx <> idx -> None))
+          read
+      end
+
+let read_page t ~epoch ~oid ~idx =
+  List.assoc_opt idx (read_window t ~epoch ~oid ~idx ~span:1)
+
+let read_cluster t ~epoch ~oid ~idx = read_window t ~epoch ~oid ~idx ~span:fault_cluster
 
 (* Bulk page reads are issued at depth (restore, migration): [entries]
    cost one streamed read of their stored bytes instead of a full device

@@ -227,7 +227,25 @@ val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
     {!read_pages} or {!verify_epoch}) succeeds, and stays so until its block is freed, the
     leaf cache is recycled, or the store is recovered: a leaf costs
     device time once, not once per page.  A read that raises leaves the
-    leaf as it was. *)
+    leaf as it was.  The one-page case of {!read_cluster}. *)
+
+val fault_cluster : int
+(** Pages in a lazy page-in's window: 16, 64 KiB of 4 KiB pages — the
+    paper's stripe unit and Linux's default fault-around size. *)
+
+val read_cluster : t -> epoch:int -> oid:int -> idx:int -> (int * bytes) list
+(** Fault-around: the pages this version stores in [idx]'s aligned window
+    of {!fault_cluster} pages, clipped to [idx]'s radix leaf, sorted by
+    index.  It pays {!read_page}'s charged leaf lookup, then reads every
+    stored page of the window in one vectored batch (per-range retries,
+    see {!set_read_policy}) and charges decompression once over the coded
+    ones, so the window costs about one device round trip.  [[]], with no
+    data read, when [idx] itself is not stored.  Neighbours are
+    best-effort: one whose read still fails after the retries, or whose
+    payload raises {!Corrupt_store}, is left out, and its error surfaces
+    at the call that demands it.  Only [idx]'s own read raises
+    ({!Aurora_block.Fault.Io_error}) or its own payload
+    ({!Corrupt_store}). *)
 
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
 (** All stored pages: the object's leaves not yet resident are read in

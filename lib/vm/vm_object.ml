@@ -9,7 +9,7 @@ type t = {
   pages : (int, Page.t) Hashtbl.t;
   mutable shadow_parent : t option;
   mutable refs : int;
-  mutable obj_pager : (int -> bytes option) option;
+  mutable obj_pager : (int -> (int * bytes) list) option;
 }
 
 let next_id = ref 0
@@ -52,21 +52,30 @@ let find_local t idx = Hashtbl.find_opt t.pages idx
 
 (* A level without a resident page asks its own pager before the walk
    descends: a sibling's page-in may have made an older version resident
-   in a shared ancestor, and this level's pager holds the newer one.  A
-   page-in lands at the pager's level so sharers see it too; the pager
-   charges its own I/O. *)
+   in a shared ancestor, and this level's pager holds the newer one.
+   Every page the pager returns lands at the pager's level so sharers see
+   it too, unless that level already holds the index: a resident page,
+   perhaps written since, is never replaced.  The pager charges its own
+   I/O. *)
 let lookup ?(on_pagein = ignore) ~clock t idx =
   let rec walk obj =
     match Hashtbl.find_opt obj.pages idx with
     | Some page -> Some (page, obj)
     | None -> (
-        match Option.bind obj.obj_pager (fun pager -> pager idx) with
-        | Some payload ->
-            on_pagein ();
-            let page = Page.alloc_sized ~payload:(Bytes.length payload) in
-            Page.load_payload page payload;
-            Hashtbl.replace obj.pages idx page;
-            Some (page, obj)
+        Option.iter
+          (fun pager ->
+            List.iter
+              (fun (i, payload) ->
+                if not (Hashtbl.mem obj.pages i) then begin
+                  on_pagein ();
+                  let page = Page.alloc_sized ~payload:(Bytes.length payload) in
+                  Page.load_payload page payload;
+                  Hashtbl.replace obj.pages i page
+                end)
+              (pager idx))
+          obj.obj_pager;
+        match Hashtbl.find_opt obj.pages idx with
+        | Some page -> Some (page, obj)
         | None -> (
             match obj.shadow_parent with
             | None -> None

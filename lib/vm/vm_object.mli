@@ -49,13 +49,16 @@ val remove_page : t -> int -> unit
 (** Drop a resident page (swap-out: the content must already be durable
     elsewhere — the pager brings it back on demand). *)
 
-val set_pager : t -> (int -> bytes option) option -> unit
+val set_pager : t -> (int -> (int * bytes) list) option -> unit
 (** Attach a pager: a fault that finds no page resident at this level
-    consults its pager for the payload (backed by the object store)
-    before descending the shadow chain.  This is the unified swap /
-    lazy-restore data path of paper section 6. *)
+    consults its pager before descending the shadow chain.  Given the
+    faulting index, the pager returns [(index, payload)] pages this level
+    stores (backed by the object store): the faulting page and, by
+    fault-around, its neighbours, or [[]] when it does not store the
+    faulting page.  This is the unified swap / lazy-restore data path of
+    paper section 6. *)
 
-val pager : t -> (int -> bytes option) option
+val pager : t -> (int -> (int * bytes) list) option
 
 val find_local : t -> int -> Page.t option
 (** Page [idx] in this object only. *)
@@ -64,9 +67,12 @@ val lookup :
   ?on_pagein:(unit -> unit) -> clock:Aurora_sim.Clock.t -> t -> int -> (Page.t * t) option
 (** Walk the shadow chain for page [idx]; charges one
     {!Aurora_sim.Cost.shadow_chain_hop} per level descended.  A level with
-    no resident page consults its pager before descending; a paged-in
-    payload becomes that level's page and [on_pagein] is called.  Returns
-    the page and the object it resides in.  This is the fault path's walk. *)
+    no resident page [idx] consults its pager before descending: each
+    returned page becomes that level's page unless the level already
+    holds that index (a resident page is never replaced), and
+    [on_pagein] is called once per page installed.  The walk then
+    resolves [idx] at that level, or descends.  Returns the page and the
+    object it resides in.  This is the fault path's walk. *)
 
 val iter_local : t -> (int -> Page.t -> unit) -> unit
 (** Iterate this object's resident pages (not the chain). *)

@@ -369,12 +369,16 @@ let test_lazy_restore_cow_siblings () =
   let eager_bytes = read_all eager in
   Alcotest.(check bool) "eager restore sees the child's rewrite" true
     (List.mem "child rewrote 1" eager_bytes);
-  let _, lzy = Sls.reboot_and_restore ~lazy_pages:true sys in
-  let reads = ref 0 in
+  let sys_lazy, lzy = Sls.reboot_and_restore ~lazy_pages:true sys in
+  (* A round trip's fragments are all collected once the store's clock
+     has advanced to the last of them, so distinct clock readings in the
+     read hook count round trips. *)
+  let clock = Store.clock sys_lazy.Sls.store in
+  let trips = ref [] in
   let h = Fault.create () in
   h.Fault.on_read <-
     (fun _ ->
-      incr reads;
+      trips := Clock.now clock :: !trips;
       Fault.Clean);
   Striped.set_fault sys.Sls.device (Some h);
   Alcotest.(check (list string)) "lazy restore equals eager" eager_bytes (read_all lzy);
@@ -385,14 +389,78 @@ let test_lazy_restore_cow_siblings () =
       0 lzy.Restore.procs
   in
   (* Fault-path cost: each stored page (the parent's four plus the child's
-     rewrite) is paged in once, by one data read.  Each distinct radix
-     leaf (the shared ancestor's and the child's) is read once, by the
-     first fault that needs it; every later fault, including the child's
-     pager being asked before the shared ancestor, finds it resident. *)
+     rewrite) is paged in once.  The parent's first fault brings in the
+     shared ancestor's whole cluster; the child's fault on its rewrite
+     brings in its own level's cluster.  Each distinct radix leaf (the
+     shared ancestor's and the child's) is read once, by the first fault
+     that needs it; every later fault, including the child's pager being
+     asked before the shared ancestor, finds it resident.  So the fault
+     path pays one round trip per distinct (level, cluster) and one per
+     leaf, whatever the number of fragments each round trip carries. *)
   Alcotest.(check int) "each stored page paged in once" (npages + 1) pageins;
-  let distinct_leaves = 2 in
-  Alcotest.(check int) "fault-path device reads: one per page-in, one per leaf"
-    (pageins + distinct_leaves) !reads
+  let clusters = 2 and distinct_leaves = 2 in
+  Alcotest.(check int) "fault-path round trips: one per cluster, one per leaf"
+    (clusters + distinct_leaves)
+    (List.length (List.sort_uniq compare !trips))
+
+(* The property form of the case above: a random arena of up to three
+   fault clusters, random rewrites by the parent and the child after the
+   fork, and a random touch order across both.  A lazy verified restore
+   must read byte for byte what an eager one reads: fault-around never
+   installs a shared ancestor's page at the wrong level, nor hides a
+   level's newer version. *)
+let lazy_cow_qcheck =
+  let gen =
+    QCheck.(
+      let page = int_range 0 ((3 * Store.fault_cluster) - 1) in
+      triple (int_range 1 (3 * Store.fault_cluster))
+        (small_list (pair bool page))
+        (small_list (pair bool page)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"lazy COW siblings match eager" ~count:100 gen
+       (fun (npages, rewrites, touches) ->
+         let sys = Sls.boot () in
+         let m = sys.Sls.machine in
+         let parent, _e, addr = spawn_with_memory sys ~name:"parent" ~npages in
+         let page_addr i = addr + (i mod npages * Page.logical_size) in
+         for i = 0 to npages - 1 do
+           Vm_space.write_string parent.Process.space ~addr:(page_addr i)
+             (Printf.sprintf "parent %d" i)
+         done;
+         let child = Syscall.fork m parent in
+         List.iteri
+           (fun k (in_child, i) ->
+             let p = if in_child then child else parent in
+             Vm_space.write_string p.Process.space ~addr:(page_addr i)
+               (Printf.sprintf "rewrite %d" k))
+           rewrites;
+         let group = Sls.attach sys [ parent; child ] in
+         ignore (Group.checkpoint ~wait_durable:true group);
+         let pid (p : Process.t) = p.Process.pid_local in
+         (* The touches, then a sweep of both arenas. *)
+         let order =
+           touches
+           @ List.concat_map (fun c -> List.init npages (fun i -> (c, i))) [ false; true ]
+         in
+         let read_all (procs : Process.t list) =
+           List.map
+             (fun (in_child, i) ->
+               let want = pid (if in_child then child else parent) in
+               let p = List.find (fun (q : Process.t) -> pid q = want) procs in
+               Vm_space.read_string p.Process.space ~addr:(page_addr i) ~len:12)
+             order
+         in
+         let _, eager = Sls.reboot_and_restore sys in
+         let eager_bytes = read_all eager.Restore.procs in
+         let now = Clock.now sys.Sls.machine.Machine.clock in
+         Sls.crash sys;
+         let machine = Machine.create () in
+         Clock.advance_to machine.Machine.clock now;
+         let store = Store.recover ~dev:sys.Sls.device ~clock:machine.Machine.clock in
+         match Restore.restore_verified ~machine ~store ~lazy_pages:true () with
+         | Error _ -> false
+         | Ok v -> read_all v.Restore.vr_result.Restore.procs = eager_bytes))
 
 let test_lazy_restore_faster () =
   let measure ~lazy_pages =
@@ -1935,5 +2003,5 @@ let () =
             test_rset_divergent_standby_evicted;
           Alcotest.test_case "live migration" `Quick test_rset_migration_live;
         ] );
-      ("properties", qcheck_tests @ roundtrip_qcheck_tests);
+      ("properties", qcheck_tests @ roundtrip_qcheck_tests @ [ lazy_cow_qcheck ]);
     ]

@@ -111,13 +111,30 @@ let test_lazy_restore_demand_pages_through_pager () =
   let _sys', result = Sls.reboot_and_restore ~lazy_pages:true sys in
   match result.Restore.procs with
   | [ p' ] ->
+      let space = p'.Process.space in
+      (* The page indices resident anywhere along the mapping's chain. *)
+      let resident () =
+        match Vm_map.find (Vm_space.map space) (addr / Page.logical_size) with
+        | None -> Alcotest.fail "mapping not restored"
+        | Some e ->
+            let rec walk obj acc =
+              let acc = ref acc in
+              Vm_object.iter_local obj (fun i _ -> acc := i :: !acc);
+              match Vm_object.parent obj with None -> !acc | Some p -> walk p !acc
+            in
+            List.sort_uniq compare (walk e.Vm_map.obj [])
+      in
+      let cluster first = List.init Store.fault_cluster (fun i -> first + i) in
       (* Nothing resident until touched. *)
       Alcotest.(check int) "no pages resident after lazy restore" 0
-        (Vm_space.resident_pages p'.Process.space);
+        (Vm_space.resident_pages space);
       Alcotest.(check string) "fault brings the page in" "demand paged"
-        (Vm_space.read_string p'.Process.space ~addr ~len:12);
-      Alcotest.(check bool) "exactly the touched page came in" true
-        (Vm_space.resident_pages p'.Process.space <= 2)
+        (Vm_space.read_string space ~addr ~len:12);
+      Alcotest.(check (list int)) "the touched page's cluster came in, nothing else"
+        (cluster 0) (resident ());
+      Vm_space.touch_read space ~addr:(addr + (Store.fault_cluster * Page.logical_size)) ~len:1;
+      Alcotest.(check (list int)) "the next cluster comes in on its first touch"
+        (cluster 0 @ cluster Store.fault_cluster) (resident ())
   | _ -> Alcotest.fail "expected 1 process"
 
 let test_madvise_guides_eviction () =

@@ -5,6 +5,8 @@ module Wire = Aurora_objstore.Wire
 module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
 module Store_format = Aurora_objstore.Store_format
+module Vm_object = Aurora_vm.Vm_object
+module Page = Aurora_vm.Page
 
 let payload c = Bytes.make 64 c
 
@@ -1017,6 +1019,109 @@ let test_resident_hit_skips_on_read () =
   Alcotest.(check bool) "on_read never sees the resident leaf" false (List.mem leaf_read warm);
   Alcotest.(check int) "on_read sees the data read only" 1 (List.length warm)
 
+(* Fault-around: a cold cluster read pays the leaf and then one round trip
+   for its whole window, clipped to the faulting page's leaf; an unstored
+   index reads no data, only its leaf.  A round trip's fragments are all
+   collected once the reader's clock has advanced to the last of them, so
+   the distinct clock readings the read hook sees count round trips. *)
+let test_cluster_one_round_trip () =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  let epoch = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+  Store.put_pages store ~oid (List.init 120 (fun i -> (i, noise_page i)));
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  Striped.settle dev ~clock;
+  let round_trips f =
+    let h = Fault.create () in
+    let instants = ref [] in
+    h.Fault.on_read <-
+      (fun _ ->
+        instants := Clock.now clock :: !instants;
+        Fault.Clean);
+    Striped.set_fault dev (Some h);
+    let v = Fun.protect ~finally:(fun () -> Striped.set_fault dev None) f in
+    (v, List.length (List.sort_uniq compare !instants), List.length !instants)
+  in
+  let expect lo hi = List.init (hi - lo) (fun k -> (lo + k, noise_page (lo + k))) in
+  let t0 = Clock.now clock in
+  let pages, trips, reads =
+    round_trips (fun () -> Store.read_cluster store ~epoch ~oid ~idx:20)
+  in
+  let elapsed = Clock.now clock - t0 in
+  Alcotest.(check int) "a 16-page window" 16 Store.fault_cluster;
+  Alcotest.(check (list (pair int bytes))) "the aligned window, byte-exact" (expect 16 32) pages;
+  Alcotest.(check int) "leaf, then one round trip for the window" 2 trips;
+  Alcotest.(check int) "the leaf and each page read once" 17 reads;
+  let transfer = Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth in
+  let bound =
+    (2 * Aurora_sim.Cost.nvme_read_latency) + (17 * transfer Store.block_size)
+  in
+  Alcotest.(check bool) (Printf.sprintf "cluster took %d ns <= %d" elapsed bound) true
+    (elapsed <= bound);
+  let pages, trips, _ = round_trips (fun () -> Store.read_cluster store ~epoch ~oid ~idx:98) in
+  Alcotest.(check (list (pair int bytes))) "clipped to the faulting page's leaf" (expect 96 100)
+    pages;
+  Alcotest.(check int) "resident leaf: one round trip" 1 trips;
+  let pages, _, reads = round_trips (fun () -> Store.read_cluster store ~epoch ~oid ~idx:130) in
+  Alcotest.(check int) "unstored index: empty" 0 (List.length pages);
+  Alcotest.(check int) "unstored index: its cold leaf, no data" 1 reads
+
+(* A fault through a cluster pager whose neighbour [bad] meets a
+   persistent [outcome] on its range: the demanded page 0 still comes in
+   byte-exact, the neighbour stays out, and the fault that demands it
+   raises what its read met. *)
+let neighbour_deferred ~pages ~bad ~outcome ~raises =
+  let _clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  let epoch = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+  Store.put_pages store ~oid (List.mapi (fun i p -> (i, p)) pages);
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  (* The neighbour's location: its data read once its leaf is resident. *)
+  ignore (Store.read_page store ~epoch ~oid ~idx:0);
+  let where =
+    match device_reads dev (fun () -> Store.read_page store ~epoch ~oid ~idx:bad) with
+    | _, [ loc ] -> loc
+    | _, reads -> Alcotest.failf "expected one data read, saw %d" (List.length reads)
+  in
+  let h = Fault.create () in
+  h.Fault.on_read <-
+    (fun r -> if (r.Fault.r_dev, r.Fault.r_off) = where then outcome else Fault.Clean);
+  Striped.set_fault dev (Some h);
+  let clock = Store.clock store in
+  let obj = Vm_object.create Vm_object.Anonymous in
+  Vm_object.set_pager obj
+    (Some (fun idx -> Store.read_cluster store ~epoch ~oid ~idx));
+  (match Vm_object.lookup ~clock obj 0 with
+  | Some (page, _) ->
+      Alcotest.(check bytes) "demanded page byte-exact" (List.hd pages)
+        (Page.blit_payload page)
+  | None -> Alcotest.fail "demanded page missing");
+  Alcotest.(check bool) "neighbour not resident" true
+    (Vm_object.find_local obj bad = None);
+  Alcotest.(check int) "every other page resident" (List.length pages - 1)
+    (Vm_object.resident_pages obj);
+  Alcotest.(check bool) "the neighbour's own fault raises" true
+    (raises (fun () -> Vm_object.lookup ~clock obj bad))
+
+let test_cluster_failed_neighbour () =
+  neighbour_deferred
+    ~pages:(List.init 16 noise_page)
+    ~bad:5 ~outcome:Fault.Fail
+    ~raises:(fun f -> match f () with _ -> false | exception Fault.Io_error _ -> true)
+
+(* Coded neighbours: 64 bytes of one value code to one (count, byte) run,
+   and flipping 0x40 in the count byte 64 leaves a zero count, which does
+   not decode. *)
+let test_cluster_corrupt_neighbour () =
+  neighbour_deferred
+    ~pages:(List.init 16 (fun i -> payload (Char.chr (Char.code 'a' + i))))
+    ~bad:5 ~outcome:(Fault.Flip [ 0 ])
+    ~raises:(fun f -> match f () with _ -> false | exception Store.Corrupt_store _ -> true)
+
 (* Random store histories for the reference-count property.  Objects are
    slots into a fixed oid array; a page's content is a code (see
    [content]). *)
@@ -1534,6 +1639,11 @@ let () =
             test_verify_one_leaf_round_trip;
           Alcotest.test_case "resident hit skips on_read" `Quick
             test_resident_hit_skips_on_read;
+          Alcotest.test_case "cluster: one round trip" `Quick test_cluster_one_round_trip;
+          Alcotest.test_case "cluster: failed neighbour deferred" `Quick
+            test_cluster_failed_neighbour;
+          Alcotest.test_case "cluster: corrupt neighbour deferred" `Quick
+            test_cluster_corrupt_neighbour;
         ] );
       ( "boundaries",
         [

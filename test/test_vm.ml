@@ -73,7 +73,7 @@ let test_object_lookup_pager_before_ancestor () =
   let newer = Page.alloc () in
   Page.set newer 0 'n';
   Vm_object.set_pager s1
-    (Some (fun idx -> if idx = 3 then Some (Page.blit_payload newer) else None));
+    (Some (fun idx -> if idx = 3 then [ (3, Page.blit_payload newer) ] else []));
   let pageins = ref 0 in
   let on_pagein () = incr pageins in
   let before = Clock.now clock in
@@ -91,6 +91,56 @@ let test_object_lookup_pager_before_ancestor () =
   match Vm_object.lookup ~on_pagein ~clock s2 7 with
   | None -> Alcotest.(check int) "miss does not page in" 1 !pageins
   | Some _ -> Alcotest.fail "unexpected page"
+
+let marked c =
+  let p = Page.alloc () in
+  Page.set p 0 c;
+  p
+
+(* A pager's cluster: every page it returns lands at the pager's level,
+   not the top; a page resident there (written since the checkpoint) is
+   never replaced; [on_pagein] counts the pages installed; and a pager
+   that does not store the faulting index lets the walk descend. *)
+let test_object_lookup_pager_cluster () =
+  let clock = Clock.create () in
+  let base = Vm_object.create Vm_object.Anonymous in
+  Vm_object.insert_page base 5 (marked 'a');
+  let s1 = Vm_object.shadow ~clock base in
+  let top = Vm_object.shadow ~clock s1 in
+  Vm_object.insert_page s1 2 (marked 'd');
+  let calls = ref 0 in
+  Vm_object.set_pager s1
+    (Some
+       (fun idx ->
+         incr calls;
+         if idx < 4 then List.map (fun i -> (i, Page.blit_payload (marked 'p'))) [ 0; 1; 2; 3 ]
+         else []));
+  let pageins = ref 0 in
+  let on_pagein () = incr pageins in
+  (match Vm_object.lookup ~on_pagein ~clock top 1 with
+  | Some (p, src) ->
+      Alcotest.(check bool) "faulting page at the pager's level" true (src == s1);
+      Alcotest.(check char) "pager's bytes" 'p' (Page.get p 0)
+  | None -> Alcotest.fail "page not found");
+  Alcotest.(check int) "one page-in per page installed" 3 !pageins;
+  Alcotest.(check int) "nothing lands at the top" 0 (Vm_object.resident_pages top);
+  Alcotest.(check int) "the cluster lands at the pager's level" 4
+    (Vm_object.resident_pages s1);
+  (match Vm_object.find_local s1 2 with
+  | Some p -> Alcotest.(check char) "resident page not replaced" 'd' (Page.get p 0)
+  | None -> Alcotest.fail "resident page dropped");
+  (match Vm_object.lookup ~on_pagein ~clock top 3 with
+  | Some (p, src) ->
+      Alcotest.(check bool) "neighbour resident at the pager's level" true (src == s1);
+      Alcotest.(check char) "neighbour's bytes" 'p' (Page.get p 0)
+  | None -> Alcotest.fail "neighbour not found");
+  Alcotest.(check int) "a neighbour's fault does not ask the pager" 1 !calls;
+  (match Vm_object.lookup ~on_pagein ~clock top 5 with
+  | Some (p, src) ->
+      Alcotest.(check bool) "unstored index descends to the ancestor" true (src == base);
+      Alcotest.(check char) "ancestor's bytes" 'a' (Page.get p 0)
+  | None -> Alcotest.fail "ancestor page not found");
+  Alcotest.(check int) "an empty cluster pages nothing in" 3 !pageins
 
 let make_chain ~parent_pages ~shadow_pages =
   let clock = Clock.create () in
@@ -582,6 +632,8 @@ let () =
           Alcotest.test_case "lookup charges hops" `Quick test_object_lookup_charges_hops;
           Alcotest.test_case "lookup pages in before ancestor" `Quick
             test_object_lookup_pager_before_ancestor;
+          Alcotest.test_case "lookup installs a pager's cluster" `Quick
+            test_object_lookup_pager_cluster;
           Alcotest.test_case "collapse stock" `Quick test_collapse_stock_direction;
           Alcotest.test_case "collapse aurora" `Quick test_collapse_aurora_direction;
           Alcotest.test_case "directions agree" `Quick test_collapse_directions_agree;
