@@ -44,14 +44,17 @@ let commands =
   ]
 
 (* Tiny-parameter pass over the bench machinery (the bench-smoke dune
-   alias): flush-scale, the micro harness, then every command's smoke
-   run with its gates. *)
+   alias): flush-scale, the micro harness, Table 5's steady-state gate,
+   then every command's smoke run with its gates. *)
 let smoke () =
   Flush_scale.run ~sizes:[ 256; 1024 ] ();
   Micro.run ();
-  List.concat_map
-    (fun (name, _, run) -> if name = "torture" then [] else run Report.Smoke)
-    commands
+  (* Bound first: the operands of [@] are evaluated right to left. *)
+  let table5 = Table5.smoke () in
+  table5
+  @ List.concat_map
+      (fun (name, _, run) -> if name = "torture" then [] else run Report.Smoke)
+      commands
 
 let usage () =
   print_endline "usage: main.exe [artifact...] | main.exe COMMAND [smoke | fast | deep [seed]]";

@@ -23,6 +23,7 @@ module Ometrics = Aurora_obs.Metrics
 
 let h_ckpt_stop = Ometrics.histogram "ckpt.stop_ns"
 let h_ckpt_quiesce = Ometrics.histogram "ckpt.quiesce_ns"
+let h_ckpt_collapse = Ometrics.histogram "ckpt.collapse_ns"
 let h_ckpt_serialize = Ometrics.histogram "ckpt.serialize_ns"
 let h_ckpt_shadow = Ometrics.histogram "ckpt.shadow_ns"
 let h_ckpt_flush = Ometrics.histogram "ckpt.flush_ns"
@@ -46,7 +47,11 @@ let shm_posix_extra = 500
 (* One logical memory object: a stable store identity for a VM object whose
    top shadow rotates every checkpoint.  [logical] is the base that
    survives reverse collapses; [top] is where writes currently land;
-   [frozen] is the previous epoch's dirty set being flushed. *)
+   [frozen] is the previous epoch's dirty set being flushed.
+   [unflushed] holds the indexes a memory-only cycle froze without
+   flushing: once collapsed they sit in [logical], and the next persisted
+   epoch stages them from there unless a newer frozen page supersedes
+   them. *)
 type memrec = {
   mo_oid : int;
   mutable logical : Vm_object.t;
@@ -54,11 +59,13 @@ type memrec = {
   mutable frozen : Vm_object.t option;
   mutable parent_oid : int option;
   mutable ever_flushed : bool;
+  unflushed : (int, unit) Hashtbl.t;
 }
 
 type ckpt_stats = {
   stop_ns : int;
   quiesce_ns : int;
+  collapse_ns : int;
   os_serialize_ns : int;
   mem_mark_ns : int;
   flush_ns : int;
@@ -263,6 +270,7 @@ let rec ensure_memrec t obj =
               frozen = None;
               parent_oid;
               ever_flushed = false;
+              unflushed = Hashtbl.create 0;
             }
           in
           Hashtbl.replace t.memrecs (Vm_object.id obj) r;
@@ -287,6 +295,7 @@ let register_restored_memobj t ~oid obj =
         | Some p -> (
             match owning_memrec t p with Some pr -> Some pr.mo_oid | None -> None));
       ever_flushed = true;
+      unflushed = Hashtbl.create 0;
     }
   in
   Hashtbl.replace t.memrecs (Vm_object.id obj) r;
@@ -751,52 +760,87 @@ let interpose_shadow t spaces r =
 
 (* Flush ---------------------------------------------------------------------------- *)
 
+(* Stage the pages a memory-only cycle left unflushed ([r.unflushed]),
+   read from the logical object they were collapsed into, except those
+   [superseded] by a newer frozen page; the set is consumed. *)
+let flush_unflushed t r ~superseded =
+  let pages =
+    Hashtbl.fold
+      (fun idx () acc ->
+        if superseded idx then acc
+        else
+          match Vm_object.find_local r.logical idx with
+          | Some page -> (idx, Page.blit_payload page) :: acc
+          | None -> acc)
+      r.unflushed []
+  in
+  Hashtbl.reset r.unflushed;
+  if pages <> [] then put_pgs t ~oid:r.mo_oid pages;
+  List.length pages
+
 let flush_frozen t r =
   match r.frozen with
   | None -> 0
-  | Some _ when Hashtbl.mem t.spec_pages r.mo_oid ->
-      (* Speculatively harvested: the staged image already holds every
-         local page of the frozen shadow (harvest + conflict splices);
-         staging it again would only repeat identical put_pages. *)
-      Hashtbl.length (Hashtbl.find t.spec_pages r.mo_oid)
-  | Some f ->
-      let pages = ref [] in
-      Vm_object.iter_local f (fun idx page ->
-          pages := (idx, Page.blit_payload page) :: !pages);
-      if not r.ever_flushed then begin
-        (* First flush of this object: the logical base has never been
-           written out (e.g. a memory-only checkpoint rotated the shadow
-           before any persisted one ran), so include its pages too —
-           frozen-shadow versions win. *)
-        if f != r.logical then
-          Vm_object.iter_local r.logical (fun idx page ->
-              if Vm_object.find_local f idx = None then
-                pages := (idx, Page.blit_payload page) :: !pages);
-        put_obj t ~oid:r.mo_oid ~kind:Serial.kind_memobj
-          ~meta:
-            (Serial.memobj_to_string
-               { Serial.i_parent_oid = r.parent_oid; i_anon = true });
-        r.ever_flushed <- true;
-        put_pgs t ~oid:r.mo_oid !pages
-      end
-      else if !pages <> [] then put_pgs t ~oid:r.mo_oid !pages;
-      List.length !pages
+  | Some f -> (
+      let carried =
+        flush_unflushed t r ~superseded:(fun idx -> Vm_object.find_local f idx <> None)
+      in
+      match Hashtbl.find_opt t.spec_pages r.mo_oid with
+      | Some staged ->
+          (* Speculatively harvested: the staged image already holds every
+             local page of the frozen shadow (harvest + conflict splices);
+             staging it again would only repeat identical put_pages. *)
+          carried + Hashtbl.length staged
+      | None ->
+          let pages = ref [] in
+          Vm_object.iter_local f (fun idx page ->
+              pages := (idx, Page.blit_payload page) :: !pages);
+          if not r.ever_flushed then begin
+            (* First flush of this object: the logical base has never been
+               written out (e.g. a memory-only checkpoint rotated the shadow
+               before any persisted one ran), so include its pages too —
+               frozen-shadow versions win. *)
+            if f != r.logical then
+              Vm_object.iter_local r.logical (fun idx page ->
+                  if Vm_object.find_local f idx = None then
+                    pages := (idx, Page.blit_payload page) :: !pages);
+            put_obj t ~oid:r.mo_oid ~kind:Serial.kind_memobj
+              ~meta:
+                (Serial.memobj_to_string
+                   { Serial.i_parent_oid = r.parent_oid; i_anon = true });
+            r.ever_flushed <- true;
+            put_pgs t ~oid:r.mo_oid !pages
+          end
+          else if !pages <> [] then put_pgs t ~oid:r.mo_oid !pages;
+          carried + List.length !pages)
 
 (* Read-only ancestors (fork backings, memrecs not under any entry) flush
-   once: all their resident pages. *)
+   once: all their resident pages.  A chain that went inactive after a
+   memory-only cycle froze it in place rests collapsed in its logical
+   object: only its unflushed pages are new. *)
 let flush_static t r =
-  if (not r.ever_flushed) && r.frozen = None then begin
-    let pages = ref [] in
-    Vm_object.iter_local r.logical (fun idx page ->
-        pages := (idx, Page.blit_payload page) :: !pages);
-    put_pgs t ~oid:r.mo_oid !pages;
-    put_obj t ~oid:r.mo_oid ~kind:Serial.kind_memobj
-      ~meta:
-        (Serial.memobj_to_string { Serial.i_parent_oid = r.parent_oid; i_anon = true });
-    r.ever_flushed <- true;
-    List.length !pages
-  end
-  else 0
+  match r.frozen with
+  | Some _ -> 0
+  | None when r.ever_flushed -> flush_unflushed t r ~superseded:(fun _ -> false)
+  | None ->
+      let pages = ref [] in
+      Vm_object.iter_local r.logical (fun idx page ->
+          pages := (idx, Page.blit_payload page) :: !pages);
+      put_pgs t ~oid:r.mo_oid !pages;
+      put_obj t ~oid:r.mo_oid ~kind:Serial.kind_memobj
+        ~meta:
+          (Serial.memobj_to_string { Serial.i_parent_oid = r.parent_oid; i_anon = true });
+      r.ever_flushed <- true;
+      List.length !pages
+
+(* A memory-only cycle flushes nothing: note what its frozen shadows hold
+   so the next persisted epoch stages it.  A never-flushed memrec needs no
+   note, as its first flush stages the whole logical object. *)
+let note_unflushed r =
+  match r.frozen with
+  | Some f when r.ever_flushed ->
+      Vm_object.iter_local f (fun idx _ -> Hashtbl.replace r.unflushed idx ())
+  | Some _ | None -> ()
 
 (* The memrecs to shadow this cycle: every object currently mapped by a
    member space, deduplicated by store oid with an int-keyed table (shared
@@ -1080,14 +1124,23 @@ let checkpoint_common t ~flush ~full ~speculative =
   let spec = speculative && flush && not full in
   let epoch = if flush then Store.begin_checkpoint t.st else Store.last_complete_epoch t.st in
   (* The epoch span covers the synchronous work of the cycle: the
-     speculation window (phase 0, concurrent with execution), the stop
-     window (phases 1-5) and the flush submission (phase 6).  Every
-     clock advance below happens inside one of the phase sub-spans, so
-     the children's virtual durations sum exactly to the epoch's. *)
+     collapse and the speculation window (phases 1-2, concurrent with
+     execution), the stop window (phases 3-6) and the flush submission
+     (phase 7).  Every clock advance below happens inside one of the
+     phase sub-spans, so the children's virtual durations sum exactly to
+     the epoch's. *)
   Otrace.with_span ~cat:"ckpt" ~name:"epoch"
     ~args:[ ("epoch", Otrace.Int epoch); ("flush", Otrace.Int (Bool.to_int flush)) ]
   @@ fun () ->
-  (* 0. Speculate: soft serialize + harvest, concurrently with execution
+  (* 1. Collapse the previous epoch's frozen shadows into their parents.
+     Their epoch is durable by now (waited for above) or, after a
+     memory-only cycle, noted in [unflushed]; nothing here needs the
+     application stopped, so it stays out of the stop window. *)
+  let collapse_begin = Clock.now clk in
+  Otrace.with_span ~cat:"ckpt" ~name:"collapse" (fun () ->
+      Hashtbl.iter (fun _ r -> collapse_frozen t r) t.memrecs);
+  let collapse_ns = Clock.elapsed_since clk collapse_begin in
+  (* 2. Speculate: soft serialize + harvest, concurrently with execution
      (zero-length unless [spec]). *)
   let spec_t0 = Clock.now clk in
   if spec then begin
@@ -1102,16 +1155,13 @@ let checkpoint_common t ~flush ~full ~speculative =
   let procs = persistent_members t in
   let spaces = List.map (fun p -> p.Process.space) procs in
   let stop_begin = Clock.now clk in
-  (* 1. Quiesce. *)
+  (* 3. Quiesce. *)
   let quiesce_begin = Clock.now clk in
   Otrace.with_span ~cat:"ckpt" ~name:"quiesce" (fun () ->
       Machine.quiesce t.mach procs;
       charge t Cost.orchestrator_barrier);
   let quiesce_ns = Clock.elapsed_since clk quiesce_begin in
-  (* 2. Collapse the flushed shadows of the previous epoch. *)
-  Otrace.with_span ~cat:"ckpt" ~name:"collapse" (fun () ->
-      Hashtbl.iter (fun _ r -> collapse_frozen t r) t.memrecs);
-  (* 3. Validate the staged image against what moved during the window.
+  (* 4. Validate the staged image against what moved during the window.
      After a zero-length window this serializes the OS state (each POSIX
      object into its own store object), so the span keeps that name. *)
   let os_begin = Clock.now clk in
@@ -1119,7 +1169,7 @@ let checkpoint_common t ~flush ~full ~speculative =
       validate t procs spaces);
   let os_ns = Clock.elapsed_since clk os_begin in
   let validate_ns = if spec then os_ns else 0 in
-  (* 4. System shadowing: freeze the dirty sets, one shadow per writable
+  (* 5. System shadowing: freeze the dirty sets, one shadow per writable
      object across the whole group. *)
   let mark_begin = Clock.now clk in
   Otrace.with_span ~cat:"ckpt" ~name:"shadow" (fun () ->
@@ -1137,11 +1187,11 @@ let checkpoint_common t ~flush ~full ~speculative =
       charge t Cost.tlb_shootdown;
       charge t Cost.async_flush_setup);
   let mark_ns = Clock.elapsed_since clk mark_begin in
-  (* 5. Resume: end of the stop window. *)
+  (* 6. Resume: end of the stop window. *)
   Otrace.with_span ~cat:"ckpt" ~name:"resume" (fun () ->
       Machine.resume t.mach procs);
   let stop_ns = Clock.elapsed_since clk stop_begin in
-  (* 6. Flush concurrently with execution. *)
+  (* 7. Flush concurrently with execution. *)
   let flush_begin = Clock.now clk in
   let pages_flushed =
     if flush then begin
@@ -1164,7 +1214,10 @@ let checkpoint_common t ~flush ~full ~speculative =
       t.last_epoch_committed <- epoch;
       frozen_pages + static_pages
     end
-    else 0
+    else begin
+      Hashtbl.iter (fun _ r -> note_unflushed r) t.memrecs;
+      0
+    end
   in
   let flush_ns = Clock.elapsed_since clk flush_begin in
   (* In-flight asynchronous writes belong to this checkpoint: it is not
@@ -1199,6 +1252,7 @@ let checkpoint_common t ~flush ~full ~speculative =
     Ometrics.incr ~by:pages_flushed m_ckpt_pages;
     Ometrics.observe_ns h_ckpt_stop stop_ns;
     Ometrics.observe_ns h_ckpt_quiesce quiesce_ns;
+    Ometrics.observe_ns h_ckpt_collapse collapse_ns;
     Ometrics.observe_ns h_ckpt_serialize serialize_ns;
     Ometrics.observe_ns h_ckpt_shadow mark_ns;
     Ometrics.observe_ns h_ckpt_flush flush_ns;
@@ -1212,6 +1266,7 @@ let checkpoint_common t ~flush ~full ~speculative =
   {
     stop_ns;
     quiesce_ns;
+    collapse_ns;
     os_serialize_ns = serialize_ns;
     mem_mark_ns = mark_ns;
     flush_ns;
@@ -1255,12 +1310,16 @@ let checkpoint_region t (entry : Vm_map.entry) =
   Hashtbl.reset t.seen;
   t.persist <- true;
   let epoch = Store.begin_checkpoint t.st in
-  let stop_begin = Clock.now clk in
   Otrace.with_span ~cat:"ckpt" ~name:"region" ~args:[ ("epoch", Otrace.Int epoch) ]
   @@ fun () ->
-  charge t Cost.syscall_overhead;
   let r = ensure_memrec t entry.Vm_map.obj in
-  collapse_frozen t r;
+  (* As in [checkpoint_common]: the previous epoch is durable, so its
+     frozen shadow collapses before the timed window opens. *)
+  let collapse_begin = Clock.now clk in
+  Otrace.with_span ~cat:"ckpt" ~name:"collapse" (fun () -> collapse_frozen t r);
+  let collapse_ns = Clock.elapsed_since clk collapse_begin in
+  let stop_begin = Clock.now clk in
+  charge t Cost.syscall_overhead;
   let spaces = List.map (fun p -> p.Process.space) (persistent_members t) in
   interpose_shadow t spaces r;
   charge t Cost.async_flush_setup;
@@ -1274,6 +1333,7 @@ let checkpoint_region t (entry : Vm_map.entry) =
   {
     stop_ns;
     quiesce_ns = 0;
+    collapse_ns;
     os_serialize_ns = 0;
     mem_mark_ns = mark_ns;
     flush_ns = stop_ns - mark_ns;
@@ -1329,11 +1389,12 @@ let evict_clean_pages t ~target =
     if r.ever_flushed && !evicted < target then begin
       (* Pages resident in the logical object sit below the current top
          shadow: their content is exactly what the last complete
-         checkpoint holds. *)
+         checkpoint holds, except the ones a memory-only cycle left
+         unflushed. *)
       let victims = ref [] in
       Vm_object.iter_local r.logical (fun idx _ ->
-          if !evicted + List.length !victims < target then
-            victims := idx :: !victims);
+          if !evicted + List.length !victims < target && not (Hashtbl.mem r.unflushed idx)
+          then victims := idx :: !victims);
       List.iter (fun idx -> Vm_object.remove_page r.logical idx) !victims;
       evicted := !evicted + List.length !victims
     end

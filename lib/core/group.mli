@@ -5,10 +5,12 @@
     second.  {!checkpoint} implements the full continuous-checkpointing
     cycle:
 
+    + collapse the previous epoch's flushed system shadows into their
+      parents (Aurora's reverse collapse) — once that epoch is durable and
+      before the stop window, as nothing in it needs the application
+      stopped;
     + quiesce every thread at the kernel boundary (IPI; sleeping syscalls
       transparently restart);
-    + collapse the previous epoch's flushed system shadows into their
-      parents (Aurora's reverse collapse);
     + serialize every POSIX object reachable from the group into its own
       store object — processes, threads, descriptions, pipes, sockets
       (in-flight SCM_RIGHTS descriptors included), kqueues, ptys, shared
@@ -28,6 +30,11 @@ type t
 type ckpt_stats = {
   stop_ns : int;  (** application stop time *)
   quiesce_ns : int;  (** thread quiesce + orchestrator barrier *)
+  collapse_ns : int;
+      (** virtual time of the reverse collapse of the previous epoch's
+          frozen shadows (Cost.collapse_page_move per page moved).  It
+          runs at the top of the cycle, before the speculation window and
+          the stop, so it is not part of [stop_ns]. *)
   os_serialize_ns : int;
   mem_mark_ns : int;  (** shadowing + PTE downgrades + TLB *)
   flush_ns : int;
@@ -59,7 +66,7 @@ type ckpt_stats = {
       (** serialized OS metadata staged this cycle (skipped objects
           contribute nothing) *)
   speculate_ns : int;
-      (** virtual duration of the speculation window (phase 0): soft
+      (** virtual duration of the speculation window: soft
           serialize, page harvest and pre-stop refinement rounds, all
           concurrent with execution.  0 on stop-the-world cycles. *)
   validate_ns : int;
@@ -69,7 +76,7 @@ type ckpt_stats = {
 
           Semantics of the timing fields under speculation: [stop_ns]
           still measures the full application stop window, which now
-          contains quiesce + collapse + {e validation} + shadow + resume
+          contains quiesce + {e validation} + shadow + resume
           instead of a full serialize — so
           [stop_ns >= quiesce_ns + validate_ns] always holds, and the
           conflict re-copy is bounded by the mutations the soft window
@@ -122,6 +129,12 @@ val checkpoint :
     clock additionally advances until the checkpoint is on stable storage
     ([sls_barrier] semantics).
 
+    The cycle first waits for the previous epoch to be durable, then
+    reverse-collapses that epoch's frozen shadows into their parents
+    ([collapse_ns]), and only then opens the speculation window and
+    stops the application: the collapse is not part of [stop_ns], so a
+    steady-state cycle stops as long as one with nothing to collapse.
+
     The OS-state pass is incremental by default: each object carries a
     monotonic generation stamp bumped at every mutation, and an object
     whose stamp matches its last persisted image is dirty-checked
@@ -151,14 +164,18 @@ val checkpoint :
 
 val checkpoint_mem_only : t -> ckpt_stats
 (** Stop, serialize and shadow, but skip the store flush — the "Mem"
-    checkpoint rows of Table 6 (used to isolate stop time from I/O). *)
+    checkpoint rows of Table 6 (used to isolate stop time from I/O).
+    The pages its frozen shadows hold are carried into the next persisted
+    epoch, which stages them unless a newer version supersedes them. *)
 
 val checkpoint_region : t -> Aurora_vm.Vm_map.entry -> ckpt_stats
 (** [sls_memckpt]: atomically checkpoint a single memory region without
     quiescing the whole group or serializing OS state — shadow the
     region's object and flush it asynchronously (Table 5's "Atomic"
     column).  On restore the region composes on top of the last full
-    checkpoint. *)
+    checkpoint.  The region's previous frozen shadow collapses before the
+    timed window opens ([collapse_ns]); [stop_ns] covers the shadow and
+    the flush. *)
 
 val last_epoch : t -> int
 val name_checkpoint : t -> string -> unit

@@ -12,8 +12,10 @@
    freezes, exiting nonzero on violation:
 
    - the stop-phase children partition the stop window exactly:
-     stop_ns from ckpt_stats = quiesce + collapse + validate + shadow +
-     resume, and those plus speculate and flush sum to the epoch span;
+     stop_ns from ckpt_stats = quiesce + validate + shadow + resume, and
+     those plus collapse, speculate and flush sum to the epoch span;
+     collapse_ns from ckpt_stats equals the collapse span, which precedes
+     the speculation window;
    - the hook served a nonzero number of requests, and their parse and
      route spans are timestamped inside the ckpt:speculate span.
 
@@ -110,18 +112,23 @@ let () =
   let _, epoch_d = one "epoch" in
   let spec_t, spec_d = one "speculate" in
   let _, quiesce_d = one "quiesce" in
-  let _, collapse_d = one "collapse" in
+  let collapse_t, collapse_d = one "collapse" in
   let _, validate_d = one "validate" in
   let _, shadow_d = one "shadow" in
   let _, resume_d = one "resume" in
   let _, flush_d = one "flush" in
-  let stop_sum = quiesce_d + collapse_d + validate_d + shadow_d + resume_d in
+  let stop_sum = quiesce_d + validate_d + shadow_d + resume_d in
   if stats.Group.stop_ns <> stop_sum then
     fail "stop phases do not partition the stop window: stop_ns %d <> %d"
       stats.Group.stop_ns stop_sum;
-  if epoch_d <> spec_d + stop_sum + flush_d then
-    fail "epoch span %d <> speculate %d + stop %d + flush %d" epoch_d spec_d
-      stop_sum flush_d;
+  if stats.Group.collapse_ns <> collapse_d then
+    fail "collapse_ns %d <> collapse span %d" stats.Group.collapse_ns collapse_d;
+  if collapse_t + collapse_d > spec_t then
+    fail "collapse span [%d, %d] does not precede speculate at %d" collapse_t
+      (collapse_t + collapse_d) spec_t;
+  if epoch_d <> collapse_d + spec_d + stop_sum + flush_d then
+    fail "epoch span %d <> collapse %d + speculate %d + stop %d + flush %d"
+      epoch_d collapse_d spec_d stop_sum flush_d;
   (* Every hook request's parse and route span started inside
      ckpt:speculate: the server really was serving while the checkpoint
      serialized. *)
@@ -147,9 +154,9 @@ let () =
      ckpt:speculate\n"
     !hook_resps;
   Printf.printf
-    "stop partition: quiesce+collapse+validate+shadow+resume = stop_ns = %d ns\n"
+    "stop partition: quiesce+validate+shadow+resume = stop_ns = %d ns\n"
     stop_sum;
-  Printf.printf "epoch = speculate + stop + flush = %d ns\n\n" epoch_d;
+  Printf.printf "epoch = collapse + speculate + stop + flush = %d ns\n\n" epoch_d;
   (* The frozen artifact: the full timeline — foreground accepts and
      request spans, then the speculative epoch with hook-served requests
      interleaved into its phases. *)

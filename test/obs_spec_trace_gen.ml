@@ -10,9 +10,10 @@
      nonzero number of ops, and every one of its instants has a
      timestamp inside the speculate span;
    - the stop-phase children still partition the stop window exactly:
-     stop_ns from ckpt_stats equals quiesce + collapse + validate +
-     shadow + resume from the trace, and those plus speculate and flush
-     sum to the epoch span.
+     stop_ns from ckpt_stats equals quiesce + validate + shadow + resume
+     from the trace, and those plus collapse, speculate and flush sum to
+     the epoch span; collapse_ns from ckpt_stats equals the collapse
+     span, which precedes the speculation window.
 
    `dune build @obs` diffs the output against obs_spec_golden.expected;
    refresh after an intentional change with
@@ -91,18 +92,23 @@ let () =
   let _, epoch_d = one "epoch" in
   let spec_t, spec_d = one "speculate" in
   let _, quiesce_d = one "quiesce" in
-  let _, collapse_d = one "collapse" in
+  let collapse_t, collapse_d = one "collapse" in
   let _, validate_d = one "validate" in
   let _, shadow_d = one "shadow" in
   let _, resume_d = one "resume" in
   let _, flush_d = one "flush" in
-  let stop_sum = quiesce_d + collapse_d + validate_d + shadow_d + resume_d in
+  let stop_sum = quiesce_d + validate_d + shadow_d + resume_d in
   if stats.Group.stop_ns <> stop_sum then
     fail "stop phases do not partition the stop window: stop_ns %d <> %d"
       stats.Group.stop_ns stop_sum;
-  if epoch_d <> spec_d + stop_sum + flush_d then
-    fail "epoch span %d <> speculate %d + stop %d + flush %d" epoch_d spec_d
-      stop_sum flush_d;
+  if stats.Group.collapse_ns <> collapse_d then
+    fail "collapse_ns %d <> collapse span %d" stats.Group.collapse_ns collapse_d;
+  if collapse_t + collapse_d > spec_t then
+    fail "collapse span [%d, %d] does not precede speculate at %d" collapse_t
+      (collapse_t + collapse_d) spec_t;
+  if epoch_d <> collapse_d + spec_d + stop_sum + flush_d then
+    fail "epoch span %d <> collapse %d + speculate %d + stop %d + flush %d"
+      epoch_d collapse_d spec_d stop_sum flush_d;
   (* Every app-progress instant of the final epoch lies inside the
      speculate span: the workload ran while the checkpoint serialized. *)
   List.iter
@@ -115,9 +121,9 @@ let () =
   Printf.printf "speculate overlaps execution: %d app ops inside ckpt:speculate\n"
     !hook_ops;
   Printf.printf
-    "stop partition: quiesce+collapse+validate+shadow+resume = stop_ns = %d ns\n"
+    "stop partition: quiesce+validate+shadow+resume = stop_ns = %d ns\n"
     stop_sum;
-  Printf.printf "epoch = speculate + stop + flush = %d ns\n\n" epoch_d;
+  Printf.printf "epoch = collapse + speculate + stop + flush = %d ns\n\n" epoch_d;
   (* The frozen artifact: the final speculative epoch's text timeline. *)
   let text = Trace.export_text () in
   let lines = String.split_on_char '\n' text in

@@ -7,6 +7,7 @@ module Fdesc = Aurora_kern.Fdesc
 module Kqueue = Aurora_kern.Kqueue
 module Vm_space = Aurora_vm.Vm_space
 module Vm_map = Aurora_vm.Vm_map
+module Vm_object = Aurora_vm.Vm_object
 module Page = Aurora_vm.Page
 module Store = Aurora_objstore.Store
 module Store_format = Aurora_objstore.Store_format
@@ -336,6 +337,132 @@ let test_lazy_restore_contents_equal () =
       Alcotest.(check string) "lazy restore content" "lazy but correct"
         (Vm_space.read_string p'.Process.space ~addr ~len:16)
   | _ -> Alcotest.fail "expected 1 process"
+
+(* The objects along a shadow chain, top first. *)
+let rec chain obj =
+  obj :: (match Vm_object.parent obj with Some p -> chain p | None -> [])
+
+(* Steady state: from the third cycle on, every checkpoint reverse-collapses
+   the previous epoch's N-page frozen shadow.  The collapse runs before the
+   stop window, so the third cycle stops exactly as long as the second
+   (whose frozen object was the logical one and moved nothing). *)
+let test_steady_stop_excludes_collapse () =
+  let sys = Sls.boot () in
+  let npages = 24 in
+  let p, e, addr = spawn_with_memory sys ~name:"app" ~npages in
+  let page_addr i = addr + (i * Page.logical_size) in
+  let write_all round =
+    for i = 0 to npages - 1 do
+      Vm_space.write_string p.Process.space ~addr:(page_addr i)
+        (Printf.sprintf "round %d page %02d" round i)
+    done
+  in
+  write_all 1;
+  let group = Sls.attach sys [ p ] in
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let cycle round =
+    write_all round;
+    let s = Group.checkpoint ~wait_durable:true group in
+    Alcotest.(check bool)
+      (Printf.sprintf "cycle %d: chain bounded" round)
+      true
+      (Vm_object.chain_length e.Vm_map.obj <= 3);
+    s
+  in
+  let second = cycle 2 in
+  Alcotest.(check int) "second cycle collapses nothing" 0 second.Group.collapse_ns;
+  let third = cycle 3 in
+  Alcotest.(check int) "third cycle collapsed the N-page shadow" npages
+    (Vm_object.pages_moved_by_last_collapse ());
+  Alcotest.(check int) "collapse_ns charges every moved page"
+    (npages * Aurora_sim.Cost.collapse_page_move)
+    third.Group.collapse_ns;
+  Alcotest.(check int) "third-cycle stop equals second-cycle stop" second.Group.stop_ns
+    third.Group.stop_ns;
+  let fourth = cycle 4 in
+  Alcotest.(check int) "fourth-cycle stop equals second-cycle stop" second.Group.stop_ns
+    fourth.Group.stop_ns;
+  let _sys', result = Sls.reboot_and_restore sys in
+  match result.Restore.procs with
+  | [ p' ] ->
+      for i = 0 to npages - 1 do
+        Alcotest.(check string)
+          (Printf.sprintf "page %d restored" i)
+          (Printf.sprintf "round 4 page %02d" i)
+          (Vm_space.read_string p'.Process.space ~addr:(page_addr i) ~len:15)
+      done
+  | _ -> Alcotest.fail "expected 1 process"
+
+(* A speculative cycle collapses before its window opens, so a fork run
+   by the window's hook shadows an object whose parent is already the
+   collapse survivor: the child's chain must reach the survivor, never the
+   collapsed shadow, and read (and restore) the parent's pages. *)
+let test_fork_in_window_resolves_through_survivor () =
+  let sys = Sls.boot () in
+  let m = sys.Sls.machine in
+  let npages = 8 in
+  let parent, e, addr = spawn_with_memory sys ~name:"parent" ~npages in
+  let socks = Array.init 32 (fun _ -> Syscall.socketpair m parent) in
+  let page_addr i = addr + (i * Page.logical_size) in
+  let write_all round =
+    Array.iter (fun (a, _) -> ignore (Syscall.write m parent ~fd:a "d")) socks;
+    for i = 0 to npages - 1 do
+      Vm_space.write_string parent.Process.space ~addr:(page_addr i)
+        (Printf.sprintf "round %d page %d" round i)
+    done
+  in
+  write_all 1;
+  let group = Sls.attach sys [ parent ] in
+  Group.set_speculative group true;
+  ignore (Group.checkpoint ~wait_durable:true group);
+  write_all 2;
+  ignore (Group.checkpoint ~wait_durable:true group);
+  write_all 3;
+  (* top -> frozen (round 2's shadow) -> logical *)
+  let collapsed, survivor =
+    match chain e.Vm_map.obj with
+    | [ _top; frozen; logical ] -> (frozen, logical)
+    | l -> Alcotest.failf "expected a 3-object chain, got %d" (List.length l)
+  in
+  let child = ref None in
+  Machine.set_run_hook m
+    (Some
+       (fun _ns ->
+         if !child = None then begin
+           let c = Syscall.fork m parent in
+           Group.add_process group c;
+           child := Some c
+         end));
+  ignore (Group.checkpoint ~wait_durable:true group);
+  Machine.set_run_hook m None;
+  let child = match !child with Some c -> c | None -> Alcotest.fail "no window opened" in
+  let child_chain =
+    match Vm_map.find (Vm_space.map child.Process.space) e.Vm_map.start_vpn with
+    | Some ce -> chain ce.Vm_map.obj
+    | None -> Alcotest.fail "child lost the mapping"
+  in
+  Alcotest.(check bool) "child chain reaches the survivor" true
+    (List.memq survivor child_chain);
+  Alcotest.(check bool) "child chain skips the collapsed shadow" false
+    (List.memq collapsed child_chain);
+  let expect i = Printf.sprintf "round 3 page %d" i in
+  for i = 0 to npages - 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "child reads page %d" i)
+      (expect i)
+      (Vm_space.read_string child.Process.space ~addr:(page_addr i) ~len:14)
+  done;
+  let _sys', result = Sls.reboot_and_restore sys in
+  Alcotest.(check int) "parent and child restored" 2 (List.length result.Restore.procs);
+  List.iter
+    (fun (p' : Process.t) ->
+      for i = 0 to npages - 1 do
+        Alcotest.(check string)
+          (Printf.sprintf "%s restores page %d" p'.Process.name i)
+          (expect i)
+          (Vm_space.read_string p'.Process.space ~addr:(page_addr i) ~len:14)
+      done)
+    result.Restore.procs
 
 (* Lazy restore under copy-on-write sharing: after the fork the parent
    and child share the arena's backing object, and the child rewrites a
@@ -790,6 +917,60 @@ let test_mem_only_then_full_preserves_data () =
       Alcotest.(check string) "pre-mem-only data survives" "original state"
         (Vm_space.read_string p'.Process.space ~addr ~len:14)
   | _ -> Alcotest.fail "expected 1 process")
+
+let test_mem_only_between_persisted_preserves_data () =
+  (* Regression: a memory-only cycle freezes a shadow it never flushes;
+     the next persisted cycle collapses that shadow into the logical
+     object, so its pages must still reach the next persisted epoch. *)
+  let sys = Sls.boot () in
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages:4 in
+  let page i = addr + (i * Page.logical_size) in
+  Vm_space.write_string p.Process.space ~addr:(page 0) "AAAA";
+  let group = Sls.attach sys [ p ] in
+  ignore (Group.checkpoint ~wait_durable:true group);
+  Vm_space.write_string p.Process.space ~addr:(page 1) "BBBB";
+  ignore (Group.checkpoint_mem_only group);
+  Vm_space.write_string p.Process.space ~addr:(page 2) "CCCC";
+  ignore (Group.checkpoint ~wait_durable:true group);
+  (* A second memory-only cycle and an eviction pass in between must not
+     drop the pending page either. *)
+  Vm_space.write_string p.Process.space ~addr:(page 3) "DDDD";
+  ignore (Group.checkpoint_mem_only group);
+  ignore (Group.checkpoint_mem_only group);
+  ignore (Group.evict_clean_pages group ~target:16);
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let _sys', result = Sls.reboot_and_restore sys in
+  match result.Restore.procs with
+  | [ p' ] ->
+      List.iteri
+        (fun i want ->
+          Alcotest.(check string)
+            (Printf.sprintf "page %d survives" i)
+            want
+            (Vm_space.read_string p'.Process.space ~addr:(page i) ~len:4))
+        [ "AAAA"; "BBBB"; "CCCC"; "DDDD" ]
+  | _ -> Alcotest.fail "expected 1 process"
+
+(* The same loss on a chain no mapping writes anymore: after a fork the
+   memory-only cycle freezes the old top in place, and the next
+   persisted cycle collapses it into a logical object nothing flushes. *)
+let test_mem_only_after_fork_preserves_data () =
+  let sys = Sls.boot () in
+  let m = sys.Sls.machine in
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages:2 in
+  let group = Sls.attach sys [ p ] in
+  ignore (Group.checkpoint ~wait_durable:true group);
+  Vm_space.write_string p.Process.space ~addr "BBBB";
+  Group.add_process group (Syscall.fork m p);
+  ignore (Group.checkpoint_mem_only group);
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let _sys', result = Sls.reboot_and_restore sys in
+  Alcotest.(check int) "parent and child restored" 2 (List.length result.Restore.procs);
+  List.iter
+    (fun (p' : Process.t) ->
+      Alcotest.(check string) "pre-fork page survives" "BBBB"
+        (Vm_space.read_string p'.Process.space ~addr ~len:4))
+    result.Restore.procs
 
 let test_unreferenced_sysv_shm_survives () =
   (* A SysV segment with no open descriptor anywhere must still be
@@ -1931,6 +2112,10 @@ let () =
           Alcotest.test_case "lazy restore content" `Quick test_lazy_restore_contents_equal;
           Alcotest.test_case "lazy restore COW siblings" `Quick test_lazy_restore_cow_siblings;
           Alcotest.test_case "lazy restore faster" `Quick test_lazy_restore_faster;
+          Alcotest.test_case "steady stop excludes collapse" `Quick
+            test_steady_stop_excludes_collapse;
+          Alcotest.test_case "fork in window resolves through survivor" `Quick
+            test_fork_in_window_resolves_through_survivor;
         ] );
       ( "api",
         [
@@ -1965,6 +2150,10 @@ let () =
         [
           Alcotest.test_case "incremental after restore" `Quick test_checkpoint_after_restore_is_incremental;
           Alcotest.test_case "mem-only then full" `Quick test_mem_only_then_full_preserves_data;
+          Alcotest.test_case "mem-only between persisted" `Quick
+            test_mem_only_between_persisted_preserves_data;
+          Alcotest.test_case "mem-only after fork" `Quick
+            test_mem_only_after_fork_preserves_data;
           Alcotest.test_case "unreferenced sysv shm" `Quick test_unreferenced_sysv_shm_survives;
           Alcotest.test_case "periodic driver" `Quick test_run_for_takes_periodic_checkpoints;
           Alcotest.test_case "stop-window stats invariant" `Quick
