@@ -95,7 +95,6 @@ let create ~machine ?(workers = 4) ?(dynamic_pages = 64)
 
 let proc t = t.http_proc
 let served t = t.served
-let live_conns t = Hashtbl.fold (fun _ c n -> if c.c_closed then n else n + 1) t.conns 0
 
 let connect t =
   let cfd = Syscall.socket t.machine t.client_proc Socket.Inet Socket.Tcp in

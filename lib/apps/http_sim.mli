@@ -41,8 +41,6 @@ val proc : t -> Aurora_kern.Process.t
 val served : t -> int
 (** Total requests served since {!create}. *)
 
-val live_conns : t -> int
-
 val connect : t -> conn
 (** Client-side connect: SYN to the listener, acceptor wakes via
     {!Aurora_kern.Syscall.kevent_poll}, accepts, and registers the new

@@ -9,7 +9,6 @@ module Page = Aurora_vm.Page
 
 type t = {
   rd_proc : Process.t;
-  base : int;
   pages : int;
   machine : Machine.t;
 }
@@ -31,14 +30,10 @@ let create ~machine ?(client_connections = 240) ~resident_mib () =
   done;
   ignore (Syscall.kqueue machine proc);
   ignore (Syscall.pipe machine proc);
-  { rd_proc = proc; base; pages; machine }
+  { rd_proc = proc; pages; machine }
 
 let proc t = t.rd_proc
 let resident_pages t = t.pages
-
-let write_key t i =
-  let addr = t.base + (i mod t.pages * Page.logical_size) in
-  Vm_space.touch_write t.rd_proc.Process.space ~addr ~len:64
 
 type rdb_breakdown = { fork_stop_ns : int; serialize_write_ns : int }
 

@@ -19,9 +19,6 @@ val create :
 val proc : t -> Aurora_kern.Process.t
 val resident_pages : t -> int
 
-val write_key : t -> int -> unit
-(** Dirty the page holding key [i]. *)
-
 type rdb_breakdown = {
   fork_stop_ns : int;  (** application stopped while fork marks COW *)
   serialize_write_ns : int;  (** child walks the keyspace and writes *)

@@ -127,7 +127,6 @@ let stats _t tn =
     ts_rejected = tn.tn_rejected;
   }
 
-let all_stats t = List.map (fun tn -> stats t tn) t.tenants
 let lane_busy_ns t = t.busy_ns
 
 let accounting_ok t =

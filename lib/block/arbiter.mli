@@ -67,7 +67,6 @@ type tenant_stats = {
 }
 
 val stats : t -> tenant -> tenant_stats
-val all_stats : t -> tenant_stats list
 
 val lane_busy_ns : t -> int
 (** Total service time the lane has granted. *)

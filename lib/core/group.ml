@@ -1204,10 +1204,10 @@ let checkpoint_common t ~flush ~full ~speculative =
         Otrace.with_span ~cat:"ckpt" ~name:"flush.static" (fun () ->
             Hashtbl.fold (fun _ r acc -> acc + flush_static t r) t.memrecs 0)
       in
-      (* The manifest is the last object staged, so it describes the
-         whole epoch it is part of. *)
+      (* The commit composes the manifest of the whole epoch it is part
+         of; this only gives the epoch one. *)
       Otrace.with_span ~cat:"ckpt" ~name:"manifest" (fun () ->
-          ignore (Store.put_manifest t.st ~oid:(Store.manifest_oid t.st)));
+          Store.put_manifest t.st ~oid:(Store.manifest_oid t.st));
       charge t Cost.ckpt_record_write;
       Otrace.with_span ~cat:"ckpt" ~name:"commit" (fun () ->
           ignore (Store.commit_checkpoint t.st));
@@ -1325,7 +1325,7 @@ let checkpoint_region t (entry : Vm_map.entry) =
   charge t Cost.async_flush_setup;
   let mark_ns = Clock.elapsed_since clk stop_begin in
   let pages = flush_frozen t r in
-  ignore (Store.put_manifest t.st ~oid:(Store.manifest_oid t.st));
+  Store.put_manifest t.st ~oid:(Store.manifest_oid t.st);
   charge t Cost.ckpt_record_write;
   ignore (Store.commit_checkpoint t.st);
   t.last_epoch_committed <- epoch;

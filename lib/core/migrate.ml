@@ -142,8 +142,9 @@ let open_ack = open_sealed ~what:"ack" ack_codec
    manifest digest before committing anything.  The delta is staged first;
    the check composes it over the previous epoch from the epoch table and
    the leaves ([Store.staging_manifest_source]), independently of the row
-   cache the standby's own manifest is then built from.  On [Error] the
-   staging epoch is aborted and the standby store is untouched. *)
+   cache the standby's own manifest is then composed from at commit.  On
+   [Error] the staging epoch is aborted and the standby store is
+   untouched. *)
 let install_verified ~store (sh : shipment) =
   match Wire.of_string stream_codec sh.sh_body with
   | exception Wire.Corrupt msg -> Error msg
@@ -178,7 +179,7 @@ let install_verified ~store (sh : shipment) =
             (* The standby's manifest names its own epoch (epochs are local
                to a store); the primary-epoch correspondence is the
                shipping layer's to remember. *)
-            ignore (Store.put_manifest store ~oid:sh.sh_manifest_oid);
+            Store.put_manifest store ~oid:sh.sh_manifest_oid;
             ignore (Store.commit_checkpoint store);
             Store.wait_durable store);
         verdict

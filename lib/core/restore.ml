@@ -352,6 +352,22 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   let objects = Store.objects_at store ~epoch in
   let kinds = Hashtbl.create (List.length objects) in
   List.iter (fun (oid, kind) -> Hashtbl.replace kinds oid kind) objects;
+  (* The group object drives everything else.  Choosing it comes before
+     anything touches [machine]; naming no group among several, or one the
+     epoch lacks, is the caller's error, not the epoch's. *)
+  let group_oid, group_image =
+    match (group_images ~store ~epoch objects, group_oid) with
+    | [], _ -> failwith "restore: no consistency group in checkpoint"
+    | [ g ], None -> g
+    | gs, Some want -> (
+        match List.find_opt (fun (oid, _) -> oid = want) gs with
+        | Some g -> g
+        | None -> invalid_arg (Printf.sprintf "restore: no group with oid %d" want))
+    | _ :: _ :: _, None ->
+        invalid_arg
+          "restore: several consistency groups in this checkpoint; pass \
+           ~group_oid (see Restore.groups_at)"
+  in
   (* The file system comes back first: descriptions reference vnodes. *)
   let has_fs = List.exists (fun (_, kind) -> kind = "fs.namespace") objects in
   let restored_fs =
@@ -376,21 +392,6 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
     }
   in
   (match restored_fs with Some filesystem -> Machine.mount machine (Fs.vfs_ops filesystem) | None -> ());
-  (* The group object drives everything else. *)
-  let group_oid, group_image =
-    match (group_images ~store ~epoch objects, group_oid) with
-    | [], _ -> failwith "restore: no consistency group in checkpoint"
-    | [ g ], None -> g
-    | gs, Some want -> (
-        match List.find_opt (fun (oid, _) -> oid = want) gs with
-        | Some g -> g
-        | None -> failwith (Printf.sprintf "restore: no group with oid %d" want))
-    | _ :: _ :: _, None ->
-        failwith
-          "restore: several consistency groups in this checkpoint; pass \
-           ~group_oid (see Restore.groups_at)"
-  in
-
   let proc_oids = group_image.Serial.i_proc_oids in
   let restored =
     List.map

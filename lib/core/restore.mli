@@ -37,8 +37,9 @@ val restore :
   result
 (** Rebuild the group checkpointed in [epoch] (default: the last complete
     checkpoint) into [machine].  When the checkpoint holds several
-    consistency groups, [group_oid] selects one (see {!groups_at});
-    omitting it with multiple groups raises [Failure].
+    consistency groups, [group_oid] selects one (see {!groups_at}).
+    Omitting it with multiple groups, or naming a group the epoch does
+    not hold, raises [Invalid_argument] before [machine] is touched.
 
     With [lazy_pages] (default false) the restore charges only the OS
     state reconstruction — memory pages are brought in after the measured
@@ -94,4 +95,6 @@ val restore_verified :
     older epochs — every retained one, newest first — when verification
     (or the restore itself) fails, including on a read that still fails
     after the store's retries.  Never raises on corrupt state: a store
-    with no recoverable epoch yields [Error]. *)
+    with no recoverable epoch yields [Error].  A caller error in
+    [group_oid] (see {!restore}) raises [Invalid_argument] from the first
+    epoch that verifies instead of falling back to an older one. *)

@@ -70,7 +70,5 @@ val parse_check : kind:string -> string -> (unit, string) result
 
 (** {1 Capture helpers (kernel object -> image)} *)
 
-val image_of_regs : Aurora_kern.Thread.regs -> regs_image
-val regs_of_image : regs_image -> Aurora_kern.Thread.regs
 val image_of_thread : Aurora_kern.Thread.t -> thread_image
 val thread_of_image : thread_image -> tid_global:int -> Aurora_kern.Thread.t

@@ -72,17 +72,3 @@ let random ~seed profile =
         Fault.Flip [ Rng.int rrng (max 1 info.r_len) ]
       else Fault.Clean);
   f
-
-(* Fail the first [n] charged reads, then behave; exercises the store's
-   retry/backoff policy deterministically. *)
-let failing_reads ~n =
-  let remaining = ref n in
-  let f = Fault.create () in
-  f.Fault.on_read <-
-    (fun _ ->
-      if !remaining > 0 then begin
-        decr remaining;
-        Fault.Fail
-      end
-      else Fault.Clean);
-  f

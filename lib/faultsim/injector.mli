@@ -28,7 +28,3 @@ val write_loss_profile : float -> profile
 val random : seed:int -> profile -> Aurora_block.Fault.t
 (** PRNG-driven injector: every run with the same seed and profile makes
     identical decisions, so any failure reproduces from its seed. *)
-
-val failing_reads : n:int -> Aurora_block.Fault.t
-(** Fail the first [n] charged reads with [Fault.Io_error], then pass
-    through — deterministic retry/backoff exercise. *)

@@ -129,12 +129,6 @@ let aios_of_pid t pid =
   | None -> []
   | Some tbl -> Hashtbl.fold (fun _ aio acc -> aio :: acc) tbl []
 
-let live_procs t =
-  Hashtbl.fold
-    (fun _ p acc -> if p.Process.proc_state = Process.Alive then p :: acc else acc)
-    t.procs []
-  |> List.sort (fun a b -> compare a.Process.pid_global b.Process.pid_global)
-
 let quiesce t procs =
   t.stopped <- true;
   (* One broadcast IPI reaches all cores running the group, then each

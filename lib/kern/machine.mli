@@ -56,8 +56,6 @@ val remove_proc : t -> int -> unit
 (** Also stamps any process whose parent link pointed at the removed pid:
     its serialized image changes (the parent resolves to nothing). *)
 
-val live_procs : t -> Process.t list
-
 val add_aio : t -> aio:Aio.t -> pid:int -> unit
 (** Register an in-flight AIO under its owner, maintaining both the global
     table and the per-pid index. *)

@@ -56,17 +56,9 @@ let effective_generation t =
     (t.gen + Vm_space.layout_generation t.space)
     t.threads
 
-let set_ephemeral t v =
-  if t.ephemeral <> v then touch t;
-  t.ephemeral <- v
-
 let set_cwd t path =
   if t.cwd <> path then touch t;
   t.cwd <- path
-
-let set_name t name =
-  if t.name <> name then touch t;
-  t.name <- name
 
 let alloc_fd t desc =
   let rec free n = if Hashtbl.mem t.fdtable n then free (n + 1) else n in

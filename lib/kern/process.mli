@@ -47,9 +47,7 @@ val effective_generation : t -> int
     Incremental checkpoints compare this against the value recorded at the
     last persisted image. *)
 
-val set_ephemeral : t -> bool -> unit
 val set_cwd : t -> string -> unit
-val set_name : t -> string -> unit
 
 val alloc_fd : t -> Fdesc.t -> int
 (** Install a description in the lowest free slot. *)

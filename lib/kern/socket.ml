@@ -85,7 +85,6 @@ let accept_dequeue t =
       Some conn
 
 let accept_queue_length t = List.length t.accept_q
-let drop_accept_queue t = t.accept_q <- []
 
 let pair a b =
   a.sock_peer <- Some b;

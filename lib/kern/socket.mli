@@ -52,8 +52,6 @@ val listen : t -> unit
 val accept_enqueue : t -> t -> unit
 val accept_dequeue : t -> t option
 val accept_queue_length : t -> int
-val drop_accept_queue : t -> unit
-(** Checkpoint behaviour for listeners. *)
 
 val pair : t -> t -> unit
 (** Connect two UNIX domain sockets to each other. *)

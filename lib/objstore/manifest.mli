@@ -2,10 +2,10 @@
     kind {!kind} inside the epoch it describes.  It records the epoch id,
     the object count and, per object, a CRC-32 of the metadata, the page
     count and a {!fingerprint} of the per-page CRC-32s the store keeps in
-    its radix leaves.  {!Store.put_manifest} writes it and
-    {!Store.verify_epoch} checks an epoch against it, so corruption is
-    detected instead of deserialized.  A replication frame carries only
-    its {!summary}. *)
+    its radix leaves.  {!Store.commit_checkpoint} composes it for an epoch
+    given one by {!Store.put_manifest}, and {!Store.verify_epoch} checks an
+    epoch against it, so corruption is detected instead of deserialized.
+    A replication frame carries only its {!summary}. *)
 
 val kind : string
 (** ["sls.manifest"], the manifest object's kind in the store. *)

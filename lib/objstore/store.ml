@@ -101,7 +101,7 @@ let empty_flush_stats =
   }
 
 (* The manifest row of an object with no committed version.  Rows are
-   cached per object at commit (see [committed_row]), so staging a
+   cached per object at commit (see [committed_row]), so composing a
    manifest never re-walks the leaves of carried (unchanged) objects. *)
 let zero_row =
   { Manifest.me_oid = 0; me_kind = "memory"; me_meta_crc = 0; me_pages = 0; me_pages_crc = 0 }
@@ -948,6 +948,38 @@ let commit_checkpoint t =
         (oid, { v_kind = kind; v_meta = meta; v_blk = 0; v_off = 0; v_len = 0; v_leaves = leaves }))
       staged_list
   in
+  (* A staged manifest gets its body here, before any version record is
+     encoded: the staged rows the data pass just updated, the carried rows
+     from the cache, the manifest itself left out. *)
+  let manifest_meta =
+    lazy
+      (let entries =
+         Hashtbl.fold
+           (fun oid v acc ->
+             if Hashtbl.mem s oid || v.v_kind = Manifest.kind then acc
+             else committed_row t oid v :: acc)
+           prev_table
+           (List.filter_map
+              (fun (oid, v) ->
+                if v.v_kind = Manifest.kind then None else Some (Hashtbl.find t.rows oid))
+              pending)
+         |> List.sort (fun a b -> compare a.Manifest.me_oid b.Manifest.me_oid)
+       in
+       Wire.to_string Manifest.codec
+         { Manifest.m_epoch = epoch; m_count = List.length entries; m_entries = entries })
+  in
+  let pending =
+    List.map
+      (fun (oid, v) ->
+        if v.v_kind <> Manifest.kind then (oid, v)
+        else begin
+          let meta = Lazy.force manifest_meta in
+          Hashtbl.replace t.rows oid
+            { (Hashtbl.find t.rows oid) with me_meta_crc = Crc32.of_string meta };
+          (oid, { v with v_meta = meta })
+        end)
+      pending
+  in
   (* Version records pack back to back into fresh extents, like page
      payloads and in either page layout: one exact-length submission covers
      many objects' records. *)
@@ -1673,8 +1705,8 @@ let manifest_oids e =
    objects included, with per-page checksums merged the same way
    [commit_checkpoint] merges leaves (previous leaves overridden by staged
    payloads).  Reads the epoch table and the leaves, never the row cache,
-   so it is the reference [put_manifest] is checked against and the
-   independent composition a verified install checks a frame with. *)
+   so it is the reference the committed manifest is checked against and
+   the independent composition a verified install checks a frame with. *)
 let staging_manifest_source t =
   let s = staging_exn t in
   let prev_table = head_table t in
@@ -1716,79 +1748,6 @@ let staging_manifest_source t =
     oids []
   |> List.sort compare
 
-(* Delta-aware manifest entries: the same composed state as
-   [staging_manifest_source], summarized.  Carried objects cost O(1) via
-   the manifest-row cache; staged objects pay only for the leaves their
-   dirty pages touch.  This is what makes the manifest affordable when an
-   incremental checkpoint skips most of the group: the full source walk
-   is O(union of all objects' pages). *)
-let staging_manifest_entries t =
-  let s = staging_exn t in
-  let prev_table = head_table t in
-  let acc = ref [] in
-  let add (e : Manifest.entry) = if e.me_kind <> Manifest.kind then acc := e :: !acc in
-  Hashtbl.iter
-    (fun oid v -> if not (Hashtbl.mem s oid) then add (committed_row t oid v))
-    prev_table;
-  Hashtbl.iter
-    (fun oid st ->
-      let prev = Hashtbl.find_opt prev_table oid in
-      let base =
-        match prev with Some v -> committed_row t oid v | None -> zero_row
-      in
-      let fp = ref base.me_pages_crc and npages = ref base.me_pages in
-      if Hashtbl.length st.s_pages > 0 then begin
-        (* Group the staged page indexes per leaf so each touched leaf of
-           the previous version is walked once to fold out the entries the
-           staged pages replace. *)
-        let by_leaf = Hashtbl.create 8 in
-        Hashtbl.iter
-          (fun idx _ ->
-            let l = idx / leaf_span in
-            let idxs =
-              match Hashtbl.find_opt by_leaf l with
-              | Some idxs -> idxs
-              | None ->
-                  let idxs = Hashtbl.create 16 in
-                  Hashtbl.replace by_leaf l idxs;
-                  idxs
-            in
-            Hashtbl.replace idxs idx ())
-          st.s_pages;
-        Hashtbl.iter
-          (fun leaf_idx idxs ->
-            match prev with
-            | None -> ()
-            | Some v -> (
-                match IntMap.find_opt leaf_idx v.v_leaves with
-                | None -> ()
-                | Some blk ->
-                    List.iter
-                      (fun p ->
-                        if Hashtbl.mem idxs p.p_idx then begin
-                          fp := !fp lxor Manifest.page_fp p.p_idx p.p_crc;
-                          decr npages
-                        end)
-                      (leaf_entries t ~charged:false blk)))
-          by_leaf;
-        Hashtbl.iter
-          (fun idx payload ->
-            fp := !fp lxor Manifest.page_fp idx (Crc32.of_bytes payload);
-            incr npages)
-          st.s_pages
-      end;
-      add
-        {
-          me_oid = oid;
-          me_kind = (if st.s_kind <> "" then st.s_kind else base.me_kind);
-          me_meta_crc =
-            (if st.s_meta <> "" then Crc32.of_string st.s_meta else base.me_meta_crc);
-          me_pages = !npages;
-          me_pages_crc = !fp;
-        })
-    s;
-  List.sort (fun a b -> compare a.Manifest.me_oid b.Manifest.me_oid) !acc
-
 (* One stable manifest oid per store: the one the head epoch's manifest
    carries, so a restored or failed-over store keeps writing its manifest
    where it found it. *)
@@ -1797,20 +1756,12 @@ let manifest_oid t =
   | Some (oid :: _) -> oid
   | Some [] | None -> alloc_oid t
 
-(* Stage the epoch's manifest as the last object before commit, so the
-   manifest is part of the very epoch it describes. *)
+(* Stage the epoch's manifest at [oid].  Only the oid is chosen here:
+   [commit_checkpoint] composes the body, so the manifest describes the
+   whole epoch whatever is staged after this call. *)
 let put_manifest t ~oid =
-  let entries = staging_manifest_entries t in
-  let m =
-    {
-      Manifest.m_epoch = t.staging_epoch;
-      m_count = List.length entries;
-      m_entries = entries;
-    }
-  in
   reserve_oids t ~upto:oid;
-  put_object t ~oid ~kind:Manifest.kind ~meta:(Wire.to_string Manifest.codec m);
-  m
+  put_object t ~oid ~kind:Manifest.kind ~meta:""
 
 let manifest t ~epoch =
   match manifest_oids (epoch_info t epoch) with

@@ -116,7 +116,8 @@ val commit_checkpoint : t -> int
     rewritten radix leaves ride extents of their own, and version records
     are packed back to back into exact-length writes.
     A 10k-dirty-page epoch issues O(extents) device submissions instead of
-    O(pages). *)
+    O(pages).  A manifest staged by {!put_manifest} is composed here,
+    after the data pass and before any version record is encoded. *)
 
 type flush_stats = {
   fs_epoch : int;  (** epoch the stats describe *)
@@ -272,11 +273,11 @@ val page_indices : t -> epoch:int -> oid:int -> int list
 (** {1 Manifests and verification}
 
     Every flushed page carries a CRC-32 in its radix-leaf entry, computed
-    once at flush time.  Each epoch written through {!put_manifest}
-    carries a {!Manifest.t} built from these checksums, stored as an
-    object of kind {!Manifest.kind} that {!objects_at} does not list.
-    {!verify_epoch} compares an epoch against both its manifest and a
-    deep re-read of the data blocks. *)
+    once at flush time.  An epoch whose staging called {!put_manifest}
+    carries a {!Manifest.t} built from these checksums, composed once by
+    {!commit_checkpoint} and stored as an object of kind {!Manifest.kind}
+    that {!objects_at} does not list.  {!verify_epoch} compares an epoch
+    against both its manifest and a deep re-read of the data blocks. *)
 
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 (** [(page index, payload CRC-32)] of every stored page, from the leaf
@@ -289,22 +290,22 @@ val staging_manifest_source : t -> (int * string * string * (int * int) list) li
     will contain once committed — carried objects included, previous
     leaves merged with staged payloads exactly as commit merges them, the
     manifest left out.  Sorted by oid.  It reads the epoch table and the
-    leaves, not the cache {!put_manifest} uses, so it is an independent
-    reference for that cache.  Invalid outside [begin_checkpoint] ..
-    [commit_checkpoint]. *)
+    leaves, not the row cache {!commit_checkpoint} composes the manifest
+    from, so it is an independent reference for the committed manifest.
+    Invalid outside [begin_checkpoint] .. [commit_checkpoint]. *)
 
 val manifest_oid : t -> int
 (** The oid the head epoch's manifest lives at, or a fresh {!alloc_oid}
     when the head epoch has none (or no epoch is committed). *)
 
-val put_manifest : t -> oid:int -> Manifest.t
-(** Stage the open epoch's manifest at [oid] as the last object before
-    {!commit_checkpoint} and return it: its epoch is the staging epoch,
-    its entries describe the same composed state as
-    {!staging_manifest_source} (the manifest left out).  Carried objects
-    come from a row cache maintained at commit in O(1) each; staged
-    objects pay only for the leaves their dirty pages touch.  Uncharged.
-    Future allocations exceed [oid]. *)
+val put_manifest : t -> oid:int -> unit
+(** Give the open epoch a manifest at [oid].  {!commit_checkpoint}
+    composes it: its epoch is the staging epoch, its entries describe the
+    committed epoch (the manifest left out) exactly as
+    {!staging_manifest_source} taken just before the commit does, whatever
+    is staged after this call.  Carried objects come from a row cache
+    maintained at commit in O(1) each; staged objects from the deltas
+    their flush computes.  Uncharged.  Future allocations exceed [oid]. *)
 
 val manifest : t -> epoch:int -> (int * Manifest.t, string) result
 (** [(oid, manifest)] of a committed epoch, or why it has no readable

@@ -643,6 +643,11 @@ let test_memckpt_atomic_region () =
   (* Atomic checkpoints skip quiesce + OS serialization: cheaper than a
      full one (Table 5). *)
   Alcotest.(check int) "no os serialization" 0 stats.Group.os_serialize_ns;
+  (* Region checkpoints give their epoch a manifest too, composed at
+     commit like a full cycle's. *)
+  (match Restore.verify_epoch ~store:sys.Sls.store ~epoch:stats.Group.epoch with
+  | Ok m -> Alcotest.(check int) "manifest names the region epoch" stats.Group.epoch m.Manifest.m_epoch
+  | Error e -> Alcotest.failf "region epoch fails verification: %s" e);
   let _sys', result = Sls.reboot_and_restore sys in
   match result.Restore.procs with
   | [ p' ] ->

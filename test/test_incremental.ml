@@ -139,10 +139,11 @@ let test_unstamped_mutation_control () =
     (run ~cure:false);
   Alcotest.(check string) "full pass captures it" "v2" (run ~cure:true)
 
-(* Store-level: the manifest [put_manifest] stages from the
-   delta-maintained row cache must match the reference full walk, across
-   carried objects, replaced pages and meta-only updates, over warm rows
-   and over the cold rows a recovered store rebuilds from its leaves. *)
+(* Store-level: the manifest commit composes from the delta-maintained
+   row cache must match the reference full walk taken just before the
+   commit, across carried objects, replaced pages and meta-only updates,
+   over warm rows and over the cold rows a recovered store rebuilds from
+   its leaves. *)
 let test_manifest_entries_match_reference () =
   let clock = Clock.create () in
   let dev = Striped.create () in
@@ -155,14 +156,19 @@ let test_manifest_entries_match_reference () =
   let commit_checked what stage =
     let epoch = Store.begin_checkpoint !store in
     stage !store;
+    Store.put_manifest !store ~oid:(Store.manifest_oid !store);
     let reference = List.map Manifest.entry_of_source (Store.staging_manifest_source !store) in
-    let m = Store.put_manifest !store ~oid:(Store.manifest_oid !store) in
+    ignore (Store.commit_checkpoint !store);
+    Store.wait_durable !store;
+    let m =
+      match Store.manifest !store ~epoch with
+      | Ok (_, m) -> m
+      | Error e -> Alcotest.failf "%s: %s" what e
+    in
     Alcotest.(check (list (pair int (pair string (pair int (pair int int))))))
       what (List.map row reference) (List.map row m.Manifest.m_entries);
     Alcotest.(check (pair int int)) (what ^ ": epoch and count")
       (epoch, List.length reference) (m.Manifest.m_epoch, m.Manifest.m_count);
-    ignore (Store.commit_checkpoint !store);
-    Store.wait_durable !store;
     match Restore.verify_epoch ~store:!store ~epoch with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "%s: committed epoch fails verification: %s" what e
@@ -188,6 +194,116 @@ let test_manifest_entries_match_reference () =
   store := Store.recover ~dev ~clock;
   commit_checked "after recover: cold rows" (fun st ->
       Store.put_pages st ~oid:o2 [ (3, payload 'q'); (200, payload 'r') ])
+
+(* Random store histories: after every commit the committed manifest
+   equals the reference walk taken just before it, and the epoch verifies.
+   The manifest is given to the epoch at a random point of its staging, so
+   objects staged after [put_manifest] must still be described.  Prunes
+   and crashes interleave; a crash recovers with cold rows. *)
+
+type stage =
+  | Restage of int * (int * char) list  (* pages of an existing object *)
+  | Remeta of int * string  (* meta-only restage *)
+  | Create of string * (int * char) list  (* a new object *)
+
+type history_step = {
+  stages : stage list;
+  manifest_at : int;  (* [put_manifest] goes before this stage, or last *)
+  after : [ `Keep | `Prune of int | `Crash ];
+}
+
+let print_step { stages; manifest_at; after } =
+  let stage = function
+    | Restage (i, ps) -> Printf.sprintf "restage %d (%d pages)" i (List.length ps)
+    | Remeta (i, meta) -> Printf.sprintf "remeta %d %S" i meta
+    | Create (kind, ps) -> Printf.sprintf "create %s (%d pages)" kind (List.length ps)
+  in
+  Printf.sprintf "[%s; manifest at %d; %s]"
+    (String.concat ", " (List.map stage stages))
+    manifest_at
+    (match after with `Keep -> "keep" | `Prune k -> Printf.sprintf "prune keep:%d" k | `Crash -> "crash")
+
+let history_arb =
+  let open QCheck.Gen in
+  let pages = list_size (int_range 0 12) (pair (int_bound 260) (char_range 'a' 'e')) in
+  let stage =
+    frequency
+      [
+        (4, map2 (fun i ps -> Restage (i, ps)) (int_bound 7) pages);
+        (2, map2 (fun i s -> Remeta (i, s)) (int_bound 7)
+              (string_size ~gen:printable (int_range 1 8)));
+        (2, map2 (fun k ps -> Create (k, ps)) (oneofl [ "memory"; "proc"; "pipe" ]) pages);
+      ]
+  in
+  let step =
+    map3
+      (fun stages manifest_at after -> { stages; manifest_at; after })
+      (list_size (int_range 1 5) stage) (int_bound 5)
+      (frequency
+         [ (4, return `Keep); (1, map (fun k -> `Prune k) (int_range 1 3)); (1, return `Crash) ])
+  in
+  QCheck.make
+    ~print:(fun h -> String.concat "\n" (List.map print_step h))
+    (list_size (int_range 1 12) step)
+
+let run_history history =
+  let clock = Clock.create () in
+  let dev = Striped.create () in
+  let store = ref (Store.format ~dev ~clock) in
+  let objs = ref [||] in
+  let pick i = !objs.(i mod Array.length !objs) in
+  let payloads = List.map (fun (idx, c) -> (idx, Bytes.make 96 c)) in
+  let stage_one st = function
+    | Restage _ | Remeta _ when !objs = [||] -> ()
+    | Restage (i, ps) -> Store.put_pages st ~oid:(fst (pick i)) (payloads ps)
+    | Remeta (i, meta) ->
+        let oid, kind = pick i in
+        Store.put_object st ~oid ~kind ~meta
+    | Create (kind, ps) ->
+        let oid = Store.alloc_oid st in
+        objs := Array.append !objs [| (oid, kind) |];
+        Store.put_object st ~oid ~kind ~meta:(kind ^ "-meta");
+        Store.put_pages st ~oid (payloads ps)
+  in
+  List.iteri
+    (fun n { stages; manifest_at; after } ->
+      let st = !store in
+      let epoch = Store.begin_checkpoint st in
+      List.iteri
+        (fun k s ->
+          if k = manifest_at then Store.put_manifest st ~oid:(Store.manifest_oid st);
+          stage_one st s)
+        stages;
+      if manifest_at >= List.length stages then
+        Store.put_manifest st ~oid:(Store.manifest_oid st);
+      let reference = List.map Manifest.entry_of_source (Store.staging_manifest_source st) in
+      ignore (Store.commit_checkpoint st);
+      Store.wait_durable st;
+      (match Store.manifest st ~epoch with
+      | Error e -> QCheck.Test.fail_reportf "epoch %d (step %d): %s" epoch n e
+      | Ok (_, m) ->
+          if
+            m.Manifest.m_entries <> reference
+            || m.Manifest.m_count <> List.length reference
+            || m.Manifest.m_epoch <> epoch
+          then
+            QCheck.Test.fail_reportf "epoch %d (step %d): manifest differs from reference"
+              epoch n);
+      (match Store.verify_epoch st ~epoch ~check_meta:(fun ~kind:_ _ -> Ok ()) with
+      | Ok _ -> ()
+      | Error e -> QCheck.Test.fail_reportf "epoch %d (step %d) fails verification: %s" epoch n e);
+      match after with
+      | `Keep -> ()
+      | `Prune keep -> ignore (Store.prune_history st ~keep)
+      | `Crash ->
+          Striped.crash dev ~now:(Clock.now clock);
+          store := Store.recover ~dev ~clock)
+    history;
+  true
+
+let history_property =
+  QCheck.Test.make ~count:100 ~name:"committed manifest matches reference on random histories"
+    history_arb run_history
 
 (* Random syscall traces: every mutation must bump the owning stamp, and
    the trace's incremental epoch must be byte-identical (meta and page
@@ -349,5 +465,6 @@ let () =
           Alcotest.test_case "delta manifest matches reference" `Quick
             test_manifest_entries_match_reference;
           QCheck_alcotest.to_alcotest trace_property;
+          QCheck_alcotest.to_alcotest history_property;
         ] );
     ]

@@ -743,12 +743,19 @@ let test_two_consistency_groups_one_store () =
   let epoch = Store.last_complete_epoch store in
   let groups = Restore.groups_at ~store ~epoch in
   Alcotest.(check int) "two groups in the checkpoint" 2 (List.length groups);
-  (* Restoring without choosing is ambiguous. *)
+  (* Restoring without choosing is ambiguous: a caller error, which the
+     verified restore must not mistake for a corrupt epoch and answer with
+     an older, single-group one (epoch 1 holds only A's stale state). *)
   Alcotest.(check bool) "ambiguity rejected" true
     (try
        ignore (Restore.restore ~machine ~store ());
        false
-     with Failure _ -> true);
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "verified restore rejects ambiguity" true
+    (try
+       ignore (Restore.restore_verified ~machine:(Machine.create ()) ~store ());
+       false
+     with Invalid_argument _ -> true);
   let restore_group oid =
     let m2 = Machine.create () in
     (Restore.restore ~machine:m2 ~store ~group_oid:oid ()).Restore.procs

@@ -986,7 +986,7 @@ let test_verify_one_leaf_round_trip () =
   ignore (Store.begin_checkpoint store);
   Store.put_object store ~oid ~kind:"memory" ~meta:"m";
   Store.put_pages store ~oid (List.init n (fun i -> (i * Store.leaf_span, noise_page i)));
-  ignore (Store.put_manifest store ~oid:(Store.manifest_oid store));
+  Store.put_manifest store ~oid:(Store.manifest_oid store);
   ignore (Store.commit_checkpoint store);
   Store.wait_durable store;
   Striped.settle dev ~clock;
