@@ -45,13 +45,15 @@ let commands =
 
 (* Tiny-parameter pass over the bench machinery (the bench-smoke dune
    alias): flush-scale, the micro harness, Table 5's steady-state gate,
-   then every command's smoke run with its gates. *)
+   Table 6's restore-to-running gate, then every command's smoke run with
+   its gates. *)
 let smoke () =
   Flush_scale.run ~sizes:[ 256; 1024 ] ();
   Micro.run ();
   (* Bound first: the operands of [@] are evaluated right to left. *)
   let table5 = Table5.smoke () in
-  table5
+  let table6 = Table6.smoke () in
+  table5 @ table6
   @ List.concat_map
       (fun (name, _, run) -> if name = "torture" then [] else run Report.Smoke)
       commands

@@ -275,8 +275,8 @@ let charge_read_raw t ~now ~duration = Resource.submit t.queue ~now ~duration
 
 (* A read is submitted, then collected: the queue is occupied for the
    transfer at submission and the completion trails by the read latency;
-   the bytes (and the fault handler's verdict on them) are taken at that
-   completion.  {!Striped.read_vec} submits many before collecting any. *)
+   the fault handler's verdict is taken as of that completion.
+   {!Striped.submit_vec} submits many before collecting any. *)
 let submit_read t ~now ~off ~len =
   let transfer = Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth len in
   let start, qcomp = Resource.submit_timed t.queue ~now ~duration:transfer in

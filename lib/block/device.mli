@@ -71,14 +71,14 @@ val submit_read : t -> now:int -> off:int -> len:int -> int
 (** [submit_read t ~now ~off ~len] queues a read of [len] bytes at [off]
     and returns its completion: the queue is occupied for the transfer
     behind whatever it already holds, and the read latency trails it.
-    Nothing is returned yet; {!collect_read} takes the bytes at that
-    completion.  The device time is charged here, whatever the outcome. *)
+    Nothing is returned yet; {!collect_read} takes the bytes.  The
+    device time is charged here, whatever the outcome. *)
 
 val collect_read : t -> completion:int -> off:int -> len:int -> (bytes, string) result
-(** The bytes of a read {!submit_read} queued, as of its [completion],
-    under the installed fault handler's verdict ({!Fault.read_outcome},
-    consulted once per call): [Error] is the message of a transient
-    failure; a [Flip] verdict returns the corrupted bytes.  Unwritten
+(** The bytes of a read {!submit_read} queued, as the device holds them
+    when called, under the installed fault handler's verdict as of its
+    [completion] ({!Fault.read_outcome}, consulted once per call):
+    [Error] is the message of a transient failure; a [Flip] verdict returns the corrupted bytes.  Unwritten
     ranges read as zeroes, as on a trimmed flash namespace. *)
 
 val read : t -> clock:Aurora_sim.Clock.t -> off:int -> len:int -> bytes

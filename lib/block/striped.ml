@@ -152,11 +152,17 @@ let write_sync ?charge t ~clock ~off data =
 
 (* Every fragment of every range is queued at the same instant, so the
    member devices work in parallel while each serialises its own
-   transfers; the clock then waits once, for the last completion.  A
-   range is collected fragment by fragment, in order, and fails at its
-   first failed fragment. *)
-let submit_ranges t ~clock ranges =
-  let now = Clock.now clock in
+   transfers.  Nothing waits: each range is collected at once, fragment
+   by fragment in range order, fails at its first failed fragment, and
+   carries the completion of its last fragment. *)
+let submit_vec t ~now ranges =
+  if Otrace.is_on () && Array.length ranges > 1 then
+    Otrace.instant ~cat:"blk" "read_vec"
+      ~args:
+        [
+          ("ranges", Otrace.Int (Array.length ranges));
+          ("bytes", Otrace.Int (Array.fold_left (fun a (_, len) -> a + len) 0 ranges));
+        ];
   let frags =
     Array.map
       (fun (off, len) ->
@@ -167,8 +173,6 @@ let submit_ranges t ~clock ranges =
         List.rev !acc)
       ranges
   in
-  Clock.advance_to clock
-    (Array.fold_left (List.fold_left (fun m (_, _, _, _, c) -> max m c)) now frags);
   Array.map2
     (fun (_, len) fl ->
       let out = Bytes.make len '\000' in
@@ -181,21 +185,16 @@ let submit_ranges t ~clock ranges =
                 collect rest
             | Error _ as err -> err)
       in
-      collect fl)
+      (List.fold_left (fun m (_, _, _, _, c) -> max m c) now fl, collect fl))
     ranges frags
 
 let read_vec t ~clock ranges =
-  if Otrace.is_on () then
-    Otrace.instant ~cat:"blk" "read_vec"
-      ~args:
-        [
-          ("ranges", Otrace.Int (Array.length ranges));
-          ("bytes", Otrace.Int (Array.fold_left (fun a (_, len) -> a + len) 0 ranges));
-        ];
-  submit_ranges t ~clock ranges
+  let arrived = submit_vec t ~now:(Clock.now clock) ranges in
+  Clock.advance_to clock (Array.fold_left (fun m (c, _) -> max m c) (Clock.now clock) arrived);
+  Array.map snd arrived
 
 let read t ~clock ~off ~len =
-  match (submit_ranges t ~clock [| (off, len) |]).(0) with
+  match (read_vec t ~clock [| (off, len) |]).(0) with
   | Ok data -> data
   | Error msg -> raise (Fault.Io_error msg)
 

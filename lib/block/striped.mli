@@ -35,20 +35,27 @@ val write_priority : t -> now:int -> off:int -> bytes -> completion:int -> int
 (** Priority-lane write ({!Device.write_priority}): all fragments become
     durable at the caller-supplied [completion], which is also returned. *)
 
+val submit_vec :
+  t -> now:int -> (int * int) array -> (int * (bytes, string) result) array
+(** [submit_vec t ~now ranges] reads every [(off, len)] range in one
+    vectored batch without waiting: every stripe fragment of every range
+    is submitted to its member device's queue at [now]
+    ({!Device.submit_read}), each device still serialising its own
+    transfers, and each range comes back with its arrival (the completion
+    of its last fragment) and its bytes, taken at submission.  A batch of
+    one-block reads spread over the members therefore arrives after one
+    read latency plus the busiest member's queued transfers, not one
+    round trip per range.  The fault handler is consulted per fragment
+    ({!Device.collect_read}), in range order; a range is [Error] (the
+    transient failure's message) at its first failed fragment, and a
+    failure or corruption touches only its own range.  A batch of more
+    than one range emits one [blk:read_vec] trace instant (ranges,
+    bytes). *)
+
 val read_vec :
   t -> clock:Aurora_sim.Clock.t -> (int * int) array -> (bytes, string) result array
-(** [read_vec t ~clock ranges] reads every [(off, len)] range in one
-    vectored batch: every stripe fragment of every range is submitted to
-    its member device's queue at the same instant ({!Device.submit_read}),
-    each device still serialising its own transfers, and the clock
-    advances once, to the last completion.  A batch of one-block reads
-    spread over the members therefore costs one read latency plus the
-    busiest member's queued transfers, not one round trip per range.  The
-    fault handler is consulted per fragment ({!Device.collect_read}), in
-    range order; a range is [Error] (the transient failure's message) at
-    its first failed fragment, and a failure or corruption touches only
-    its own range.  Emits one [blk:read_vec] trace instant (ranges,
-    bytes). *)
+(** {!submit_vec} at the clock's time, then the clock advances once, to
+    the last arrival. *)
 
 val read : t -> clock:Aurora_sim.Clock.t -> off:int -> len:int -> bytes
 (** The one-range case of {!read_vec}: a range spanning several stripes

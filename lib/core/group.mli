@@ -200,8 +200,10 @@ val run_for : t -> int -> unit
     are clean and can be evicted without I/O; a fault brings the most
     recent version back from the object store through the VM pager,
     together with the rest of its 16-page cluster
-    ({!Aurora_objstore.Store.read_cluster}).  The same path implements
-    lazy restore. *)
+    ({!Aurora_objstore.Store.read_cluster}).  Lazy restore uses the same
+    pager interface, served from a background stream
+    ({!Aurora_objstore.Store.stream_pages}); evicting replaces it with
+    this one. *)
 
 val evict_clean_pages : t -> target:int -> int
 (** Evict up to [target] clean resident pages (zero-copy: they are

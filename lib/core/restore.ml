@@ -35,7 +35,8 @@ type ctx = {
   mach : Machine.t;
   st : Store.t;
   epoch : int;
-  lazy_pages : bool;
+  pagers : (int, int -> (int * bytes) list) Hashtbl.t option;
+      (* a lazy restore's stream pagers, by memory-object oid *)
   kinds : (int, string) Hashtbl.t; (* oid -> kind *)
   memobjs : (int, Vm_object.t) Hashtbl.t; (* oid -> restored object *)
   descs : (int, Fdesc.t) Hashtbl.t; (* oid -> restored description *)
@@ -79,14 +80,12 @@ let rec memobj ctx oid =
           Vm_object.set_parent obj (Some parent)
       | None -> ());
       Hashtbl.replace ctx.memobjs oid obj;
-      if ctx.lazy_pages then begin
-        (* Lazy restore: pages come back on demand, a fault's cluster at a
-           time, through the store-backed pager — the paper's unified swap
-           path (section 6). *)
-        let st = ctx.st and epoch = ctx.epoch in
-        Vm_object.set_pager obj (Some (fun idx -> Store.read_cluster st ~epoch ~oid ~idx))
-      end
-      else load_pages ctx oid obj;
+      (match ctx.pagers with
+      | Some pagers ->
+          (* Lazy restore: pages are installed on first touch, a fault's
+             cluster at a time, from the stream the restore started. *)
+          Vm_object.set_pager obj (Hashtbl.find_opt pagers oid)
+      | None -> load_pages ctx oid obj);
       obj
 
 (* Sub-objects -------------------------------------------------------------------- *)
@@ -331,6 +330,30 @@ let group_images ~store ~epoch objects =
       else None)
     objects
 
+(* The memory objects restoring a group recreates: every one its
+   processes map, the backing of every shared-memory segment (restore
+   brings back all of the epoch's), and their shadow parents. *)
+let group_memobjs ~store ~epoch kinds proc_images =
+  let seen = Hashtbl.create 64 in
+  let rec add oid =
+    if Hashtbl.find_opt kinds oid = Some Serial.kind_memobj && not (Hashtbl.mem seen oid)
+    then begin
+      Hashtbl.replace seen oid ();
+      Option.iter add
+        (Serial.memobj_of_string (Store.read_meta store ~epoch ~oid)).Serial.i_parent_oid
+    end
+  in
+  List.iter
+    (fun (image : Serial.proc_image) ->
+      List.iter (fun (e : Serial.entry_image) -> add e.Serial.i_obj_oid) image.Serial.i_entries)
+    proc_images;
+  Hashtbl.iter
+    (fun oid kind ->
+      if kind = Serial.kind_shm then
+        add (Serial.shm_of_string (Store.read_meta store ~epoch ~oid)).Serial.i_backing_oid)
+    kinds;
+  List.sort compare (Hashtbl.fold (fun oid () acc -> oid :: acc) seen [])
+
 let groups_at ~store ~epoch =
   List.map
     (fun (oid, image) -> (oid, image.Serial.i_proc_oids))
@@ -368,17 +391,34 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
           "restore: several consistency groups in this checkpoint; pass \
            ~group_oid (see Restore.groups_at)"
   in
+  let proc_oids = group_image.Serial.i_proc_oids in
+  let proc_images =
+    List.map (fun oid -> Serial.proc_of_string (Store.read_meta store ~epoch ~oid)) proc_oids
+  in
   (* The file system comes back first: descriptions reference vnodes. *)
   let has_fs = List.exists (fun (_, kind) -> kind = "fs.namespace") objects in
   let restored_fs =
     if has_fs then Some (Fs.restore_from_store ~store ~epoch) else None
+  in
+  (* A lazy restore starts reading the group's memory in the background
+     now, after the file system's pages and before the processes'
+     rebuild, which it overlaps; faults take their pages from it. *)
+  let pagers =
+    if not lazy_pages then None
+    else begin
+      let pagers = Hashtbl.create 64 in
+      List.iter
+        (fun (oid, pager) -> Hashtbl.replace pagers oid pager)
+        (Store.stream_pages store ~epoch (group_memobjs ~store ~epoch kinds proc_images));
+      Some pagers
+    end
   in
   let ctx =
     {
       mach = machine;
       st = store;
       epoch;
-      lazy_pages;
+      pagers;
       kinds;
       memobjs = Hashtbl.create 64;
       descs = Hashtbl.create 64;
@@ -392,14 +432,7 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
     }
   in
   (match restored_fs with Some filesystem -> Machine.mount machine (Fs.vfs_ops filesystem) | None -> ());
-  let proc_oids = group_image.Serial.i_proc_oids in
-  let restored =
-    List.map
-      (fun proc_oid ->
-        restore_proc ctx
-          (Serial.proc_of_string (Store.read_meta store ~epoch ~oid:proc_oid)))
-      proc_oids
-  in
+  let restored = List.map (restore_proc ctx) proc_images in
   (* Relink the process tree by local pids, now that all exist.  Local
      pids are meaningful only within this group: resolve among the
      processes restored here, never against unrelated processes that

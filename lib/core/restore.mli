@@ -42,11 +42,16 @@ val restore :
     not hold, raises [Invalid_argument] before [machine] is touched.
 
     With [lazy_pages] (default false) the restore charges only the OS
-    state reconstruction — memory pages are brought in after the measured
-    window, modeling Aurora's lazy restore where the application pages in
-    its working set on demand (section 6, "Memory Overcommitment"), a
-    fault's 16-page cluster at a time ({!Aurora_objstore.Store.read_cluster}).
-    Contents are identical either way. *)
+    state reconstruction, modeling Aurora's lazy restore (section 6,
+    "Memory Overcommitment").  Before the processes are rebuilt it starts
+    one background read of every stored page of the memory objects the
+    group reaches ({!Aurora_objstore.Store.stream_pages}; the clock does
+    not move), and the application then pages in its working set on
+    demand: a fault installs its 16-page cluster from that stream,
+    waiting only for the cluster to arrive, and issues no device read.
+    Pages are installed on first touch only.  The stream's waits land on
+    the store's clock.  Contents are identical either way, and a pruned
+    epoch does not affect pages restored from it. *)
 
 (** {1 Verified restore}
 

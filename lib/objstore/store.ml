@@ -311,35 +311,37 @@ let write_superblock t ~now head =
 
 let read_block_nocharge t blk = Striped.read_nocharge t.dev ~off:(off_of_block blk) ~len:block_size
 
-(* Charged reads of byte ranges [(off, len)], submitted as one vectored
-   batch (a lone range is a plain read), with one result per range.
+(* The latest of [now] and the arrivals of a batch's ranges. *)
+let last_arrival now arrived = Array.fold_left (fun m (c, _) -> max m c) now arrived
+
+(* Charged reads of byte ranges [(off, len)], submitted at [now] as one
+   vectored batch without waiting, with each range's arrival and result.
    Transient errors are retried per range: only the ranges that failed
-   are resubmitted, up to [read_retries] times, backing off exponentially
-   from [read_backoff] ns of virtual time.  A range in retry round r
-   failed in every earlier round, so r is its own attempt count.  A range
-   that keeps failing is left as its last error. *)
-let read_ranges_result t ranges =
-  let out = Array.make (Array.length ranges) (Ok Bytes.empty) in
-  let rec go pending attempt backoff =
-    let batch = Array.map (fun i -> ranges.(i)) pending in
-    let results =
-      match batch with
-      | [||] -> [||]
-      | [| (off, len) |] -> (
-          try [| Ok (Striped.read t.dev ~clock:t.clk ~off ~len) |]
-          with Fault.Io_error msg -> [| Error msg |])
-      | _ -> Striped.read_vec t.dev ~clock:t.clk batch
-    in
-    Array.iteri (fun k r -> out.(pending.(k)) <- r) results;
-    let failed = List.filter (fun i -> Result.is_error out.(i)) (Array.to_list pending) in
+   are resubmitted, once the batch's last read has arrived and a backoff
+   has passed, up to [read_retries] times, backing off exponentially from
+   [read_backoff] ns of virtual time.  A range in retry round r failed in
+   every earlier round, so r is its own attempt count.  A range that
+   keeps failing is left as its last error, arriving with its last
+   attempt. *)
+let submit_ranges t ~now ranges =
+  let out = Array.make (Array.length ranges) (now, Ok Bytes.empty) in
+  let rec go pending now attempt backoff =
+    let arrived = Striped.submit_vec t.dev ~now (Array.map (fun i -> ranges.(i)) pending) in
+    Array.iteri (fun k r -> out.(pending.(k)) <- r) arrived;
+    let failed = List.filter (fun i -> Result.is_error (snd out.(i))) (Array.to_list pending) in
     if failed <> [] && attempt < t.read_retries then begin
       t.stat_read_faults <- t.stat_read_faults + List.length failed;
-      Clock.advance t.clk backoff;
-      go (Array.of_list failed) (attempt + 1) (2 * backoff)
+      go (Array.of_list failed) (last_arrival now arrived + backoff) (attempt + 1) (2 * backoff)
     end
   in
-  go (Array.init (Array.length ranges) Fun.id) 0 t.read_backoff;
+  go (Array.init (Array.length ranges) Fun.id) now 0 t.read_backoff;
   out
+
+(* [submit_ranges] at the clock's time, waiting for the last arrival. *)
+let read_ranges_result t ranges =
+  let arrived = submit_ranges t ~now:(Clock.now t.clk) ranges in
+  Clock.advance_to t.clk (last_arrival (Clock.now t.clk) arrived);
+  Array.map snd arrived
 
 (* [read_ranges_result] where any range that keeps failing surfaces its
    error, the first in range order. *)
@@ -385,6 +387,23 @@ let leaf_entries t ~charged blk =
       cache_leaf t blk { entries; resident = charged };
       entries
 
+(* Leaf [blk] once a charged read of it returned [data]: resident from
+   now on, with the entries the cache already parsed, else [data]'s.
+   Raises [Corrupt_store], leaving the cache as it was, when [data] must
+   be parsed and does not. *)
+let install_leaf t blk data =
+  match Hashtbl.find_opt t.leaf_cache blk with
+  | Some c ->
+      c.resident <- true;
+      c.entries
+  | None ->
+      t.stat_leaf_misses <- t.stat_leaf_misses + 1;
+      let entries = decode "leaf" leaf_codec data in
+      cache_leaf t blk { entries; resident = true };
+      entries
+
+let leaf_range blk = (off_of_block blk, block_size)
+
 (* The leaf blocks of version [v], pushed onto [acc]. *)
 let leaf_blocks v acc = IntMap.fold (fun _ blk acc -> blk :: acc) v.v_leaves acc
 
@@ -407,16 +426,9 @@ let make_resident t blks =
     let batch = Array.sub cold !i (Int.min leaf_cache_capacity (n - !i)) in
     if Hashtbl.length t.leaf_cache + Array.length batch > leaf_cache_capacity then
       Hashtbl.reset t.leaf_cache;
-    let data = read_ranges t (Array.map (fun b -> (off_of_block b, block_size)) batch) in
+    let data = read_ranges t (Array.map leaf_range batch) in
     Array.iteri
-      (fun k b ->
-        match Hashtbl.find_opt t.leaf_cache b with
-        | Some c -> c.resident <- true
-        | None -> (
-            t.stat_leaf_misses <- t.stat_leaf_misses + 1;
-            match decode "leaf" leaf_codec data.(k) with
-            | entries -> Hashtbl.replace t.leaf_cache b { entries; resident = true }
-            | exception Corrupt_store _ -> ()))
+      (fun k b -> try ignore (install_leaf t b data.(k)) with Corrupt_store _ -> ())
       batch;
     i := !i + Array.length batch
   done
@@ -1392,13 +1404,40 @@ let decode_payload p stored =
    device round trip, close to what the faulting page alone costs. *)
 let fault_cluster = 16
 
-(* The stored pages of [oid] at [epoch] in [idx]'s aligned window of
-   [span] pages, clipped to [idx]'s leaf: one charged leaf lookup, then
-   one batch of reads, and decompression charged once over the coded
-   pages read.  [] without a data read when [idx] is not stored.  Only
-   [idx]'s own read or payload can raise; a neighbour whose read keeps
-   failing or whose payload does not decode is left out, to fail the
-   fault that demands it. *)
+(* The one fault-around rule, shared by [read_cluster] and the restore
+   stream: page [i] is in [idx]'s window of [span] pages when both lie in
+   the same aligned run of [span] pages and in the same radix leaf. *)
+let in_window ~span idx i = i / span = idx / span && i / leaf_span = idx / leaf_span
+
+let entry_range p = (off_of_block p.p_blk + p.p_off, p.p_clen)
+
+(* A window's reads, all arrived, each with its outcome: decompression
+   is charged once over the coded pages read, then every page is decoded.
+   Only [idx]'s own read ([Fault.Io_error]) or payload ([Corrupt_store])
+   raises; a neighbour whose read kept failing or whose payload does not
+   decode is left out, to fail the fault that demands it. *)
+let decode_window t ~idx read =
+  let coded_olen =
+    List.fold_left
+      (fun a (p, r) -> if p.p_comp && Result.is_ok r then a + p.p_olen else a)
+      0 read
+  in
+  if coded_olen > 0 then
+    Clock.advance t.clk (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
+  List.filter_map
+    (fun (p, r) ->
+      match r with
+      | Error msg when p.p_idx = idx -> raise (Fault.Io_error msg)
+      | Error _ -> None
+      | Ok stored -> (
+          match decode_payload p stored with
+          | payload -> Some (p.p_idx, payload)
+          | exception Corrupt_store _ when p.p_idx <> idx -> None))
+    read
+
+(* The stored pages of [oid] at [epoch] in [idx]'s window of [span]
+   pages: one charged leaf lookup, then one batch of reads.  [] without a
+   data read when [idx] is not stored. *)
 let read_window t ~epoch ~oid ~idx ~span =
   let v = version_exn t ~epoch ~oid in
   match IntMap.find_opt (idx / leaf_span) v.v_leaves with
@@ -1407,36 +1446,111 @@ let read_window t ~epoch ~oid ~idx ~span =
       let entries = leaf_entries t ~charged:true leaf_blk in
       if not (List.exists (fun p -> p.p_idx = idx) entries) then []
       else begin
-        let lo = idx - (idx mod span) in
-        let window = List.filter (fun p -> p.p_idx >= lo && p.p_idx < lo + span) entries in
-        let data =
-          read_ranges_result t
-            (Array.of_list (List.map (fun p -> (off_of_block p.p_blk + p.p_off, p.p_clen)) window))
-        in
-        let read = List.combine window (Array.to_list data) in
-        let coded_olen =
-          List.fold_left
-            (fun a (p, r) -> if p.p_comp && Result.is_ok r then a + p.p_olen else a)
-            0 read
-        in
-        if coded_olen > 0 then
-          Clock.advance t.clk (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
-        List.filter_map
-          (fun (p, r) ->
-            match r with
-            | Error msg when p.p_idx = idx -> raise (Fault.Io_error msg)
-            | Error _ -> None
-            | Ok stored -> (
-                match decode_payload p stored with
-                | payload -> Some (p.p_idx, payload)
-                | exception Corrupt_store _ when p.p_idx <> idx -> None))
-          read
+        let window = List.filter (fun p -> in_window ~span idx p.p_idx) entries in
+        let data = read_ranges_result t (Array.of_list (List.map entry_range window)) in
+        decode_window t ~idx (List.combine window (Array.to_list data))
       end
 
 let read_page t ~epoch ~oid ~idx =
   List.assoc_opt idx (read_window t ~epoch ~oid ~idx ~span:1)
 
 let read_cluster t ~epoch ~oid ~idx = read_window t ~epoch ~oid ~idx ~span:fault_cluster
+
+(* A page of the restore stream: its leaf entry, and its read's arrival
+   and outcome. *)
+type streamed = { s_entry : leaf_entry; s_arrival : int; s_read : (bytes, string) result }
+
+(* Every stored page of the distinct [oids] at [epoch], read in the
+   background: the leaves not yet resident in one batch submitted now,
+   then every page they list in one batch submitted when the last leaf
+   arrives; the clock does not move.  Each oid gets a pager over its own
+   table, which owns the bytes read: a fault waits for its window's
+   arrival, decodes it with [decode_window] and drops what it returns.
+   A leaf that could not be read or parsed keeps the error the demand
+   path raises, for every fault in its range. *)
+let stream_pages t ~epoch oids =
+  let now = Clock.now t.clk in
+  let versions = List.map (fun oid -> (oid, version_exn t ~epoch ~oid)) oids in
+  (* Leaf block -> when its entries are known, and them or why not. *)
+  let listed = Hashtbl.create 64 in
+  List.iter
+    (fun (_, v) ->
+      IntMap.iter
+        (fun _ blk ->
+          match Hashtbl.find_opt t.leaf_cache blk with
+          | Some c when c.resident ->
+              t.stat_leaf_hits <- t.stat_leaf_hits + 1;
+              Hashtbl.replace listed blk (now, Ok c.entries)
+          | _ -> ())
+        v.v_leaves)
+    versions;
+  let cold =
+    List.fold_left (fun acc (_, v) -> leaf_blocks v acc) [] versions
+    |> List.filter (fun b -> not (Hashtbl.mem listed b))
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  let leaf_reads = submit_ranges t ~now (Array.map leaf_range cold) in
+  Array.iteri
+    (fun k b ->
+      let arrival, r = leaf_reads.(k) in
+      Hashtbl.replace listed b
+        ( arrival,
+          match r with
+          | Error msg -> Error (Fault.Io_error msg)
+          | Ok data -> ( try Ok (install_leaf t b data) with Corrupt_store _ as e -> Error e) ))
+    cold;
+  (* Each object's listed pages in index order, and its unlisted leaves
+     by leaf index. *)
+  let objects =
+    List.map
+      (fun (oid, v) ->
+        let entries, unlisted =
+          IntMap.fold
+            (fun leaf blk (entries, unlisted) ->
+              match Hashtbl.find listed blk with
+              | _, Ok es -> (List.rev_append es entries, unlisted)
+              | arrival, Error e -> (entries, IntMap.add leaf (arrival, e) unlisted))
+            v.v_leaves ([], IntMap.empty)
+        in
+        (oid, Array.of_list (List.rev entries), unlisted))
+      versions
+  in
+  let reads =
+    submit_ranges t ~now:(last_arrival now leaf_reads)
+      (Array.concat (List.map (fun (_, entries, _) -> Array.map entry_range entries) objects))
+  in
+  let next = ref 0 in
+  List.map
+    (fun (oid, entries, unlisted) ->
+      let slots = Hashtbl.create (Array.length entries) in
+      Array.iter
+        (fun p ->
+          let s_arrival, s_read = reads.(!next) in
+          incr next;
+          Hashtbl.replace slots p.p_idx { s_entry = p; s_arrival; s_read })
+        entries;
+      let pager idx =
+        match IntMap.find_opt (idx / leaf_span) unlisted with
+        | Some (arrival, e) ->
+            Clock.advance_to t.clk arrival;
+            raise e
+        | None when not (Hashtbl.mem slots idx) -> []
+        | None ->
+            let lo = idx / fault_cluster * fault_cluster in
+            let window =
+              List.filter_map
+                (fun i ->
+                  if in_window ~span:fault_cluster idx i then Hashtbl.find_opt slots i else None)
+                (List.init fault_cluster (fun k -> lo + k))
+            in
+            Clock.advance_to t.clk
+              (List.fold_left (fun m s -> max m s.s_arrival) (Clock.now t.clk) window);
+            let pages = decode_window t ~idx (List.map (fun s -> (s.s_entry, s.s_read)) window) in
+            List.iter (fun (i, _) -> Hashtbl.remove slots i) pages;
+            pages
+      in
+      (oid, pager))
+    objects
 
 (* Bulk page reads are issued at depth (restore, migration): [entries]
    cost one streamed read of their stored bytes instead of a full device
@@ -1879,3 +1993,5 @@ let corrupt_page_for_tests t ~epoch ~oid =
           garbage
       in
       Clock.advance_to t.clk c
+
+let recycle_leaf_cache_for_tests t = Hashtbl.reset t.leaf_cache

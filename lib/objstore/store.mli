@@ -225,28 +225,56 @@ val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
 (** One page, charged as one device read of its stored bytes, plus one
     read of its radix leaf block unless that leaf is already resident.
     A leaf becomes resident once a charged read of it (by [read_page],
-    {!read_pages} or {!verify_epoch}) succeeds, and stays so until its block is freed, the
-    leaf cache is recycled, or the store is recovered: a leaf costs
-    device time once, not once per page.  A read that raises leaves the
-    leaf as it was.  The one-page case of {!read_cluster}. *)
+    {!read_pages}, {!verify_epoch} or {!stream_pages}) succeeds, and
+    stays so until its block is freed, the leaf cache is recycled, or the
+    store is recovered: a leaf costs device time once, not once per
+    page.  A read that raises leaves the leaf as it was.  The one-page
+    case of {!read_cluster}. *)
 
 val fault_cluster : int
 (** Pages in a lazy page-in's window: 16, 64 KiB of 4 KiB pages — the
     paper's stripe unit and Linux's default fault-around size. *)
 
 val read_cluster : t -> epoch:int -> oid:int -> idx:int -> (int * bytes) list
-(** Fault-around: the pages this version stores in [idx]'s aligned window
-    of {!fault_cluster} pages, clipped to [idx]'s radix leaf, sorted by
-    index.  It pays {!read_page}'s charged leaf lookup, then reads every
-    stored page of the window in one vectored batch (per-range retries,
-    see {!set_read_policy}) and charges decompression once over the coded
-    ones, so the window costs about one device round trip.  [[]], with no
-    data read, when [idx] itself is not stored.  Neighbours are
-    best-effort: one whose read still fails after the retries, or whose
-    payload raises {!Corrupt_store}, is left out, and its error surfaces
-    at the call that demands it.  Only [idx]'s own read raises
+(** Fault-around, the swap path's pager: the pages this version stores
+    in [idx]'s aligned window of {!fault_cluster} pages, clipped to
+    [idx]'s radix leaf, sorted by index.  It pays {!read_page}'s charged
+    leaf lookup, then reads every stored page of the window in one
+    vectored batch (per-range retries, see {!set_read_policy}) and
+    charges decompression once over the coded ones, so the window costs
+    about one device round trip.  [[]], with no data read, when [idx]
+    itself is not stored.  Neighbours are best-effort: one whose read
+    still fails after the retries, or whose payload raises
+    {!Corrupt_store}, is left out, and its error surfaces at the call
+    that demands it.  Only [idx]'s own read raises
     ({!Aurora_block.Fault.Io_error}) or its own payload
-    ({!Corrupt_store}). *)
+    ({!Corrupt_store}).  The window rule and the decoding are the ones
+    {!stream_pages}' pagers use. *)
+
+val stream_pages :
+  t -> epoch:int -> int list -> (int * (int -> (int * bytes) list)) list
+(** [stream_pages t ~epoch oids] starts reading every stored page of the
+    distinct objects [oids] at [epoch] in the background, and returns
+    each oid with a pager over its share ({!Aurora_vm.Vm_object.set_pager}).
+    Lazy restore's data path.  The clock does not move: the leaves not
+    yet resident are read in one vectored batch submitted now (they
+    become resident, as under {!read_page}), and every page they list in
+    one vectored batch submitted when the last leaf arrives; a failed
+    range is retried in the background under {!set_read_policy}.  The
+    bytes are taken at submission, so the pagers never consult the
+    epoch catalogue again and outlive a prune of [epoch].
+
+    A pager call is {!read_cluster} served from the stream: it advances
+    the clock to the arrival of [idx]'s window (usually already past),
+    charges decompression once over the window's coded pages, returns
+    the window's pages not yet returned, and drops them from its table.
+    No device read is issued.  [[]] when [idx] is not stored.  [idx]'s
+    own read that kept failing raises {!Aurora_block.Fault.Io_error}, its
+    own undecodable payload {!Corrupt_store}; a neighbour that fails
+    either way is left out and raises at its own fault.  A fault in the
+    range of a leaf that could not be read or parsed raises what
+    {!read_cluster} would: {!Aurora_block.Fault.Io_error} or
+    {!Corrupt_store}. *)
 
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
 (** All stored pages: the object's leaves not yet resident are read in
@@ -339,6 +367,11 @@ val corrupt_page_for_tests : t -> epoch:int -> oid:int -> unit
 (** TESTING ONLY: overwrite the device block of one of the object's pages
     with garbage.  Data blocks are shared across epochs by COW, so
     corrupt a page that the target epoch wrote freshly. *)
+
+val recycle_leaf_cache_for_tests : t -> unit
+(** TESTING ONLY: recycle the leaf cache, as a full cache is, so the next
+    charged read of a leaf parses the bytes it reads (the negative
+    control for a leaf that no longer parses). *)
 
 (** {1 Journals} *)
 

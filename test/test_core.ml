@@ -497,9 +497,8 @@ let test_lazy_restore_cow_siblings () =
   Alcotest.(check bool) "eager restore sees the child's rewrite" true
     (List.mem "child rewrote 1" eager_bytes);
   let sys_lazy, lzy = Sls.reboot_and_restore ~lazy_pages:true sys in
-  (* A round trip's fragments are all collected once the store's clock
-     has advanced to the last of them, so distinct clock readings in the
-     read hook count round trips. *)
+  (* A batch's fragments are all collected when it is submitted, so
+     distinct clock readings in the read hook count round trips. *)
   let clock = Store.clock sys_lazy.Sls.store in
   let trips = ref [] in
   let h = Fault.create () in
@@ -518,16 +517,12 @@ let test_lazy_restore_cow_siblings () =
   (* Fault-path cost: each stored page (the parent's four plus the child's
      rewrite) is paged in once.  The parent's first fault brings in the
      shared ancestor's whole cluster; the child's fault on its rewrite
-     brings in its own level's cluster.  Each distinct radix leaf (the
-     shared ancestor's and the child's) is read once, by the first fault
-     that needs it; every later fault, including the child's pager being
-     asked before the shared ancestor, finds it resident.  So the fault
-     path pays one round trip per distinct (level, cluster) and one per
-     leaf, whatever the number of fragments each round trip carries. *)
+     brings in its own level's cluster, even though the child's pager is
+     asked before the shared ancestor's.  Every device read happened in
+     the restore's leaf batch and its one stream submission, so the
+     faults pay no round trip at all. *)
   Alcotest.(check int) "each stored page paged in once" (npages + 1) pageins;
-  let clusters = 2 and distinct_leaves = 2 in
-  Alcotest.(check int) "fault-path round trips: one per cluster, one per leaf"
-    (clusters + distinct_leaves)
+  Alcotest.(check int) "fault-path round trips: none, the restore streamed every page" 0
     (List.length (List.sort_uniq compare !trips))
 
 (* The property form of the case above: a random arena of up to three
@@ -588,6 +583,89 @@ let lazy_cow_qcheck =
          match Restore.restore_verified ~machine ~store ~lazy_pages:true () with
          | Error _ -> false
          | Ok v -> read_all v.Restore.vr_result.Restore.procs = eager_bytes))
+
+(* A lazily restored page outlives the epoch it was restored from.  Page
+   100 of a 128-page arena is written, checkpointed and restored lazily;
+   the restored group then rewrites page 0 over four checkpoints and the
+   history is pruned to one epoch, dropping the restored one.  [hook],
+   given the device location of page 100's stored bytes, is the read
+   handler in force during the restore.  Returns a read of page 100. *)
+let lazy_page_after_prune ?hook () =
+  let sys = Sls.boot () in
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages:128 in
+  let far = addr + (100 * Page.logical_size) in
+  Vm_space.write_string p.Process.space ~addr:far "far page";
+  let group = Sls.attach sys [ p ] in
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let store = sys.Sls.store in
+  let epoch = Store.last_complete_epoch store in
+  let oid =
+    List.find
+      (fun oid -> List.mem 100 (Store.page_indices store ~epoch ~oid))
+      (List.map fst (Store.objects_at store ~epoch))
+  in
+  (* Over a resident leaf, a page read issues one device read: its own. *)
+  ignore (Store.read_page store ~epoch ~oid ~idx:100);
+  let seen = ref [] in
+  let h = Fault.create () in
+  h.Fault.on_read <-
+    (fun r ->
+      seen := (r.Fault.r_dev, r.Fault.r_off) :: !seen;
+      Fault.Clean);
+  Striped.set_fault sys.Sls.device (Some h);
+  ignore (Store.read_page store ~epoch ~oid ~idx:100);
+  Striped.set_fault sys.Sls.device None;
+  let where = match !seen with [ loc ] -> loc | _ -> Alcotest.fail "expected one data read" in
+  Striped.set_fault sys.Sls.device (Option.map (fun hook -> hook where) hook);
+  let sys', result = Sls.reboot_and_restore ~lazy_pages:true sys in
+  Striped.set_fault sys.Sls.device None;
+  let p' = match result.Restore.procs with [ p' ] -> p' | _ -> Alcotest.fail "one process" in
+  for k = 1 to 4 do
+    Vm_space.write_string p'.Process.space ~addr (Printf.sprintf "epoch %d" k);
+    ignore (Group.checkpoint ~wait_durable:true result.Restore.group)
+  done;
+  ignore (Store.prune_history sys'.Sls.store ~keep:1);
+  Alcotest.(check bool) "the restored epoch is pruned" false
+    (List.mem epoch (Store.checkpoint_epochs sys'.Sls.store));
+  (sys'.Sls.store, fun () -> Vm_space.read_string p'.Process.space ~addr:far ~len:8)
+
+let test_lazy_page_after_prune () =
+  let _, read = lazy_page_after_prune () in
+  Alcotest.(check string) "page 100 reads back" "far page" (read ())
+
+(* The stream's read of page 100 fails once: the stream retries it in the
+   background and the fault still finds the bytes. *)
+let test_lazy_page_after_prune_retried () =
+  let hook where =
+    let failed = ref false in
+    let h = Fault.create () in
+    h.Fault.on_read <-
+      (fun r ->
+        if (r.Fault.r_dev, r.Fault.r_off) = where && not !failed then begin
+          failed := true;
+          Fault.Fail
+        end
+        else Fault.Clean);
+    h
+  in
+  let store, read = lazy_page_after_prune ~hook () in
+  Alcotest.(check int) "the failure was retried" 1 (Store.read_faults store);
+  Alcotest.(check string) "page 100 reads back" "far page" (read ())
+
+(* The stream's read of page 100 keeps failing: its fault raises the read
+   error, not a missing epoch. *)
+let test_lazy_page_after_prune_unreadable () =
+  let hook where =
+    let h = Fault.create () in
+    h.Fault.on_read <-
+      (fun r -> if (r.Fault.r_dev, r.Fault.r_off) = where then Fault.Fail else Fault.Clean);
+    h
+  in
+  let _, read = lazy_page_after_prune ~hook () in
+  match read () with
+  | s -> Alcotest.failf "an unreadable page read back %S" s
+  | exception Fault.Io_error _ -> ()
+  | exception Store.Corrupt_store msg -> Alcotest.failf "Corrupt_store %S, not Io_error" msg
 
 let test_lazy_restore_faster () =
   let measure ~lazy_pages =
@@ -2117,6 +2195,11 @@ let () =
           Alcotest.test_case "lazy restore content" `Quick test_lazy_restore_contents_equal;
           Alcotest.test_case "lazy restore COW siblings" `Quick test_lazy_restore_cow_siblings;
           Alcotest.test_case "lazy restore faster" `Quick test_lazy_restore_faster;
+          Alcotest.test_case "lazy page after prune" `Quick test_lazy_page_after_prune;
+          Alcotest.test_case "lazy page after prune, retried" `Quick
+            test_lazy_page_after_prune_retried;
+          Alcotest.test_case "lazy page after prune, unreadable" `Quick
+            test_lazy_page_after_prune_unreadable;
           Alcotest.test_case "steady stop excludes collapse" `Quick
             test_steady_stop_excludes_collapse;
           Alcotest.test_case "fork in window resolves through survivor" `Quick

@@ -720,16 +720,15 @@ let test_two_consistency_groups_one_store () =
      own consistency group, checkpointing into the shared store at their
      own cadence; each restores independently after the crash. *)
   let sys = Sls.boot () in
-  let m = sys.Sls.machine in
-  let mk name text =
+  let mk m name text =
     let p = Syscall.spawn m ~name in
     let e = Syscall.mmap_anon p ~npages:8 in
     let addr = Vm_space.addr_of_entry e in
     Vm_space.write_string p.Process.space ~addr text;
     (p, addr)
   in
-  let pa, addr_a = mk "container-a" "alpha state" in
-  let pb, addr_b = mk "container-b" "beta state!" in
+  let pa, addr_a = mk sys.Sls.machine "container-a" "alpha state" in
+  let pb, addr_b = mk sys.Sls.machine "container-b" "beta state!" in
   let ga = Sls.attach sys [ pa ] in
   let gb = Sls.attach sys [ pb ] in
   ignore (Group.checkpoint ~wait_durable:true ga);
@@ -777,6 +776,29 @@ let test_two_consistency_groups_one_store () =
     "both groups restore their own state"
     [ ("container-a", "alpha v2 !!"); ("container-b", "beta state!") ]
     contents
+  ;
+  (* A lazy restore streams only the memory its own group reaches: from a
+     freshly recovered store, restoring A lazily reads exactly the bytes
+     it reads from a store that never held B. *)
+  let lazy_read_bytes sys group =
+    Sls.crash sys;
+    let machine = Machine.create () in
+    let store = Store.recover ~dev:sys.Sls.device ~clock:machine.Machine.clock in
+    let group_oid = Group.group_oid group in
+    Striped.reset_stats sys.Sls.device;
+    ignore (Restore.restore ~machine ~store ~group_oid ~lazy_pages:true ());
+    Striped.bytes_read sys.Sls.device
+  in
+  let alone = Sls.boot () in
+  let pa_alone, addr = mk alone.Sls.machine "container-a" "alpha state" in
+  let ga_alone = Sls.attach alone [ pa_alone ] in
+  ignore (Group.checkpoint ~wait_durable:true ga_alone);
+  Vm_space.write_string pa_alone.Process.space ~addr "alpha v2 !!";
+  ignore (Group.checkpoint ~wait_durable:true ga_alone);
+  let a_alone = lazy_read_bytes alone ga_alone in
+  Alcotest.(check bool) "A's stream reads its memory" true (a_alone > 0);
+  Alcotest.(check int) "A's lazy restore streams none of B's memory" a_alone
+    (lazy_read_bytes sys ga)
 
 let test_multi_round_precopy_migration () =
   (* Three pre-copy rounds: the stream shrinks every round as the dirty

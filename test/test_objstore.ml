@@ -1022,8 +1022,8 @@ let test_resident_hit_skips_on_read () =
 (* Fault-around: a cold cluster read pays the leaf and then one round trip
    for its whole window, clipped to the faulting page's leaf; an unstored
    index reads no data, only its leaf.  A round trip's fragments are all
-   collected once the reader's clock has advanced to the last of them, so
-   the distinct clock readings the read hook sees count round trips. *)
+   collected when it is submitted, so the distinct clock readings the
+   read hook sees count round trips. *)
 let test_cluster_one_round_trip () =
   let clock, dev, store = fresh () in
   let oid = Store.alloc_oid store in
@@ -1068,11 +1068,16 @@ let test_cluster_one_round_trip () =
   Alcotest.(check int) "unstored index: empty" 0 (List.length pages);
   Alcotest.(check int) "unstored index: its cold leaf, no data" 1 reads
 
-(* A fault through a cluster pager whose neighbour [bad] meets a
-   persistent [outcome] on its range: the demanded page 0 still comes in
+(* The two pagers over one version: the swap path's demand reads, and
+   the restore stream started when the pager is made. *)
+let cluster_pager store ~epoch ~oid idx = Store.read_cluster store ~epoch ~oid ~idx
+let stream_pager store ~epoch ~oid = List.assoc oid (Store.stream_pages store ~epoch [ oid ])
+
+(* A fault through [pager] whose neighbour [bad] meets a persistent
+   [outcome] on its range: the demanded page 0 still comes in
    byte-exact, the neighbour stays out, and the fault that demands it
    raises what its read met. *)
-let neighbour_deferred ~pages ~bad ~outcome ~raises =
+let neighbour_deferred ~pager ~pages ~bad ~outcome ~raises =
   let _clock, dev, store = fresh () in
   let oid = Store.alloc_oid store in
   let epoch = Store.begin_checkpoint store in
@@ -1093,8 +1098,7 @@ let neighbour_deferred ~pages ~bad ~outcome ~raises =
   Striped.set_fault dev (Some h);
   let clock = Store.clock store in
   let obj = Vm_object.create Vm_object.Anonymous in
-  Vm_object.set_pager obj
-    (Some (fun idx -> Store.read_cluster store ~epoch ~oid ~idx));
+  Vm_object.set_pager obj (Some (pager store ~epoch ~oid));
   (match Vm_object.lookup ~clock obj 0 with
   | Some (page, _) ->
       Alcotest.(check bytes) "demanded page byte-exact" (List.hd pages)
@@ -1107,20 +1111,97 @@ let neighbour_deferred ~pages ~bad ~outcome ~raises =
   Alcotest.(check bool) "the neighbour's own fault raises" true
     (raises (fun () -> Vm_object.lookup ~clock obj bad))
 
-let test_cluster_failed_neighbour () =
-  neighbour_deferred
+let failed_neighbour pager =
+  neighbour_deferred ~pager
     ~pages:(List.init 16 noise_page)
     ~bad:5 ~outcome:Fault.Fail
     ~raises:(fun f -> match f () with _ -> false | exception Fault.Io_error _ -> true)
 
+let test_cluster_failed_neighbour () = failed_neighbour cluster_pager
+
+(* The stream retries the neighbour's range in the background, under the
+   same policy, and keeps its error once the retries are spent. *)
+let test_stream_failed_neighbour () = failed_neighbour stream_pager
+
 (* Coded neighbours: 64 bytes of one value code to one (count, byte) run,
    and flipping 0x40 in the count byte 64 leaves a zero count, which does
    not decode. *)
-let test_cluster_corrupt_neighbour () =
-  neighbour_deferred
+let corrupt_neighbour pager =
+  neighbour_deferred ~pager
     ~pages:(List.init 16 (fun i -> payload (Char.chr (Char.code 'a' + i))))
     ~bad:5 ~outcome:(Fault.Flip [ 0 ])
     ~raises:(fun f -> match f () with _ -> false | exception Store.Corrupt_store _ -> true)
+
+let test_cluster_corrupt_neighbour () = corrupt_neighbour cluster_pager
+let test_stream_corrupt_neighbour () = corrupt_neighbour stream_pager
+
+(* The restore stream, one window: 16 coded pages under a resident leaf.
+   A fault before the window has arrived waits exactly for it: from idle
+   devices it costs what a blocking [read_cluster] of the same window
+   costs, the batch's arrival plus the window's decompression, and issues
+   no device read of its own.  A fault after the arrival pays the
+   decompression alone. *)
+let test_stream_fault_waits_for_window () =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  let epoch = Store.begin_checkpoint store in
+  let pages = List.init 16 (fun i -> (i, payload (Char.chr (Char.code 'a' + i)))) in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+  Store.put_pages store ~oid pages;
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  ignore (Store.read_page store ~epoch ~oid ~idx:0);
+  Striped.settle dev ~clock;
+  let t0 = Clock.now clock in
+  Alcotest.(check (list (pair int bytes))) "the demand read" pages
+    (Store.read_cluster store ~epoch ~oid ~idx:3);
+  let blocking = Clock.now clock - t0 in
+  Striped.settle dev ~clock;
+  let t1 = Clock.now clock in
+  let pager = stream_pager store ~epoch ~oid in
+  Alcotest.(check int) "the stream does not move the clock" t1 (Clock.now clock);
+  let got, reads = device_reads dev (fun () -> pager 3) in
+  Alcotest.(check (list (pair int bytes))) "the window, byte-exact" pages got;
+  Alcotest.(check int) "no device read at the fault" 0 (List.length reads);
+  Alcotest.(check int) "waited for the arrival, then decoded" blocking (Clock.now clock - t1);
+  let decode =
+    Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.decompress_bandwidth (16 * 64)
+  in
+  let pager = stream_pager store ~epoch ~oid in
+  Clock.advance clock blocking;
+  let t2 = Clock.now clock in
+  ignore (pager 3);
+  Alcotest.(check int) "arrived: the decompression alone" decode (Clock.now clock - t2)
+
+(* A leaf the stream could not list, because its read kept failing or its
+   bytes do not parse, makes every fault in its range raise what the
+   demand path raises: never [[]], which would let the walk descend and
+   zero-fill a stored page. *)
+let test_stream_unlisted_leaf_raises () =
+  let case what ~outcome ~prepare ~raises =
+    let _clock, dev, store, oid, epoch = one_leaf_store 3 in
+    prepare store;
+    let h = Fault.create () in
+    h.Fault.on_read <- (fun _ -> outcome);
+    Striped.set_fault dev (Some h);
+    let pager = stream_pager store ~epoch ~oid in
+    Striped.set_fault dev None;
+    let obj = Vm_object.create Vm_object.Anonymous in
+    Vm_object.set_pager obj (Some pager);
+    List.iter
+      (fun idx ->
+        Alcotest.(check bool) (Printf.sprintf "%s: page %d's fault raises" what idx) true
+          (raises (fun () -> Vm_object.lookup ~clock:(Store.clock store) obj idx)))
+      [ 0; 2 ];
+    Alcotest.(check int) (what ^ ": nothing installed") 0 (Vm_object.resident_pages obj);
+    Alcotest.(check (list (pair int bytes))) (what ^ ": past the leaf, nothing stored") []
+      (pager Store.leaf_span)
+  in
+  case "unreadable leaf" ~outcome:Fault.Fail ~prepare:ignore ~raises:(fun f ->
+      match f () with _ -> false | exception Fault.Io_error _ -> true);
+  case "corrupt leaf" ~outcome:(Fault.Flip [ 0; 1; 2; 3 ])
+    ~prepare:Store.recycle_leaf_cache_for_tests ~raises:(fun f ->
+      match f () with _ -> false | exception Store.Corrupt_store _ -> true)
 
 (* Random store histories for the reference-count property.  Objects are
    slots into a fixed oid array; a page's content is a code (see
@@ -1644,6 +1725,14 @@ let () =
             test_cluster_failed_neighbour;
           Alcotest.test_case "cluster: corrupt neighbour deferred" `Quick
             test_cluster_corrupt_neighbour;
+          Alcotest.test_case "stream: fault waits for its window" `Quick
+            test_stream_fault_waits_for_window;
+          Alcotest.test_case "stream: failed neighbour deferred" `Quick
+            test_stream_failed_neighbour;
+          Alcotest.test_case "stream: corrupt neighbour deferred" `Quick
+            test_stream_corrupt_neighbour;
+          Alcotest.test_case "stream: unlisted leaf raises" `Quick
+            test_stream_unlisted_leaf_raises;
         ] );
       ( "boundaries",
         [
