@@ -1,6 +1,9 @@
+module Clock = Aurora_sim.Clock
 module Crc32 = Aurora_util.Crc32
 module Manifest = Aurora_objstore.Manifest
+module Otrace = Aurora_obs.Trace
 module Store = Aurora_objstore.Store
+module Striped = Aurora_block.Striped
 module Wire = Aurora_objstore.Wire
 
 (* A stream: the epoch it materializes, then per object its oid, kind,
@@ -18,37 +21,27 @@ let stream_codec =
    changed, or some of its pages moved — and only the moved pages are
    shipped (the receiver composes them onto the base it already holds).
    The store finds them from its copy-on-write leaf metadata
-   ([Store.read_changed_pages]), so an object or leaf that [epoch] shares
-   with [base] costs no read at all.  Epoch 0 is the empty base: every
-   object is new, so the delta from it is the full checkpoint. *)
+   ([Store.read_delta]), so an object or leaf that [epoch] shares with
+   [base] costs no read at all, and the rest costs one leaf batch and one
+   page stream for the whole frame.  Epoch 0 is the empty base: every
+   object is new, so the delta from it is the full checkpoint.  The build
+   is traced as one [migrate/frame] span on the store's clock. *)
 let serialize_incremental ~store ~base ~epoch =
-  let in_base = Hashtbl.create 64 in
-  if base <> 0 then
-    List.iter
-      (fun (oid, _) -> Hashtbl.replace in_base oid ())
-      (Store.objects_at store ~epoch:base);
-  let deltas = Hashtbl.create 32 in
-  let objects =
-    List.filter
-      (fun (oid, _) ->
-        if not (Hashtbl.mem in_base oid) then begin
-          Hashtbl.replace deltas oid (Store.read_pages store ~epoch ~oid);
-          true
-        end
-        else begin
-          let pages = Store.read_changed_pages store ~base ~epoch ~oid in
-          Hashtbl.replace deltas oid pages;
-          pages <> []
-          || Store.read_meta store ~epoch ~oid <> Store.read_meta store ~epoch:base ~oid
-        end)
-      (Store.objects_at store ~epoch)
-  in
-  Wire.to_string stream_codec
-    ( epoch,
-      List.map
-        (fun (oid, kind) ->
-          (oid, kind, Store.read_meta store ~epoch ~oid, Hashtbl.find deltas oid))
-        objects )
+  let clk = Store.clock store in
+  let dev = Store.device store in
+  let t0 = Clock.now clk and read0 = Striped.bytes_read dev in
+  let delta = Store.read_delta store ~base ~epoch in
+  let body = Wire.to_string stream_codec (epoch, delta) in
+  if Otrace.is_on () then
+    Otrace.complete ~ts:t0 ~dur:(Clock.now clk - t0) ~cat:"migrate" "frame"
+      ~args:
+        [
+          ("objects", Otrace.Int (List.length delta));
+          ("leaves", Otrace.Int ((Striped.bytes_read dev - read0) / Store.block_size));
+          ("pages", Otrace.Int (List.fold_left (fun a (_, _, _, p) -> a + List.length p) 0 delta));
+          ("bytes", Otrace.Int (String.length body));
+        ];
+  body
 
 (* Frames ---------------------------------------------------------------------------- *)
 

@@ -23,13 +23,17 @@ val serialize_incremental :
 (** The frame body: the delta from [base] to [epoch], every object new
     since [base] with all its pages, and every object whose metadata or
     page locations changed with only the pages whose stored location
-    changed ({!Aurora_objstore.Store.read_changed_pages}).  Blocks are
+    changed ({!Aurora_objstore.Store.read_delta}: one vectored batch of
+    the leaves the two epochs do not share, then one streamed read of
+    every moved page).  Blocks are
     copy-on-write, so that page set is a superset of the pages whose
     bytes changed, never a subset: a page rewritten with identical bytes
     at a new location ships again, one deduplicated onto its old location
     does not.  Composed onto [base], the stream yields [epoch]'s pages
     and metadata exactly.  [~base:0] names the empty base: every object
-    is new and the stream is the full checkpoint. *)
+    is new and the stream is the full checkpoint.  With the tracer on, the
+    build is one [migrate/frame] complete event on the store's clock,
+    with the objects, leaves read, pages and bytes of the stream. *)
 
 (** {1 Frames} *)
 

@@ -88,6 +88,7 @@ type t = {
   standbys : standby array;
   mutable log : log_entry list; (* newest first *)
   mutable log_len : int;
+  mutable log_bytes : int; (* stream bytes of every logged frame *)
   mutable last_logged : int; (* newest primary epoch in the log *)
   mutable quorum_released : int; (* outbox released up to this epoch *)
   mutable st_attempts : int;
@@ -139,6 +140,7 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
     standbys = Array.of_list (List.mapi mk standbys);
     log = [];
     log_len = 0;
+    log_bytes = 0;
     last_logged = 0;
     quorum_released = 0;
     st_attempts = 0;
@@ -431,10 +433,7 @@ let pump_standby t sb ~now =
     end
   end;
   Ometrics.set_gauge sb.g_lag (max 0 (t.last_logged - sb.sb_acked));
-  let total_bytes =
-    List.fold_left (fun a le -> a + le.le_bytes) 0 t.log
-  in
-  Ometrics.set_gauge sb.g_lag_bytes (max 0 (total_bytes - sb.sb_acked_bytes))
+  Ometrics.set_gauge sb.g_lag_bytes (max 0 (t.log_bytes - sb.sb_acked_bytes))
 
 let release_at_quorum t ~now =
   match t.outbox with
@@ -478,6 +477,7 @@ let ship t =
         in
         t.log <- le :: t.log;
         t.log_len <- t.log_len + 1;
+        t.log_bytes <- t.log_bytes + bytes;
         t.last_logged <- newest
   end;
   pump t

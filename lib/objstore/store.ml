@@ -1555,8 +1555,9 @@ let stream_pages t ~epoch oids =
 (* Bulk page reads are issued at depth (restore, migration): [entries]
    cost one streamed read of their stored bytes instead of a full device
    round trip per page, and decompression is charged once over the coded
-   pages' original bytes.  The pages are pushed onto [acc] in reverse. *)
-let stream_entries t entries acc =
+   pages' original bytes.  [fetch_entry] then takes one entry's page,
+   pushed onto [acc]. *)
+let charge_stream t entries =
   Striped.charge_read t.dev ~clock:t.clk
     ~bytes:(List.fold_left (fun a p -> a + p.p_clen) 0 entries);
   let coded_olen =
@@ -1564,14 +1565,11 @@ let stream_entries t entries acc =
   in
   if coded_olen > 0 then
     Clock.advance t.clk
-      (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
-  List.fold_left
-    (fun acc p ->
-      let stored =
-        Striped.read_nocharge t.dev ~off:(off_of_block p.p_blk + p.p_off) ~len:p.p_clen
-      in
-      (p.p_idx, decode_payload p stored) :: acc)
-    acc entries
+      (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen)
+
+let fetch_entry t acc p =
+  let stored = Striped.read_nocharge t.dev ~off:(off_of_block p.p_blk + p.p_off) ~len:p.p_clen in
+  (p.p_idx, decode_payload p stored) :: acc
 
 (* The leaves not yet resident in one vectored read, then one streamed
    read of every page they name. *)
@@ -1583,48 +1581,67 @@ let read_pages t ~epoch ~oid =
       (fun _ leaf_blk acc -> List.rev_append (leaf_entries t ~charged:true leaf_blk) acc)
       v.v_leaves []
   in
-  stream_entries t entries [] |> List.sort compare
+  charge_stream t entries;
+  List.fold_left (fetch_entry t) [] entries |> List.sort compare
 
 (* Leaf and data blocks are copy-on-write and [base] keeps its blocks
    live, so an entry at the same location in both epochs holds the same
    bytes, and a version record or leaf block shared by both epochs
-   changed nothing beneath it.  Only the leaves that differ are read
-   (each under the residency rule of [read_page]); the pages whose
-   location moved are then fetched as one streamed read. *)
-let read_changed_pages t ~base ~epoch ~oid =
-  let v = version_exn t ~epoch ~oid in
-  let b = version_exn t ~epoch:base ~oid in
-  if v.v_blk = b.v_blk && v.v_off = b.v_off then []
-  else begin
-    let same p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen in
-    (* Both entry lists are sorted by page index; [acc] collects moved
-       entries in descending index order, across leaves too, so the
-       streamed pages come back ascending. *)
-    let rec moved acc news olds =
-      match (news, olds) with
-      | [], _ -> acc
-      | _, [] -> List.rev_append news acc
-      | n :: ns, o :: os ->
-          if o.p_idx < n.p_idx then moved acc news os
-          else if o.p_idx > n.p_idx then moved (n :: acc) ns olds
-          else moved (if same n o then acc else n :: acc) ns os
-    in
-    let changed =
-      IntMap.fold
-        (fun leaf_idx leaf_blk acc ->
-          match IntMap.find_opt leaf_idx b.v_leaves with
-          | Some base_blk when base_blk = leaf_blk -> acc
-          | base_blk ->
-              let olds =
-                match base_blk with
-                | Some blk -> leaf_entries t ~charged:true blk
-                | None -> []
-              in
-              moved acc (leaf_entries t ~charged:true leaf_blk) olds)
-        v.v_leaves []
-    in
-    stream_entries t changed []
-  end
+   changed nothing beneath it.  [plan] holds, per object whose version
+   record [base] does not share, the leaves [base] does not share,
+   ascending, each with [base]'s leaf at its index. *)
+let read_delta t ~base ~epoch =
+  let base_table = if base = 0 then Hashtbl.create 0 else (epoch_info t base).e_table in
+  let plan =
+    List.filter_map
+      (fun (oid, kind) ->
+        let v = version_exn t ~epoch ~oid in
+        match Hashtbl.find_opt base_table oid with
+        | Some b when v.v_blk = b.v_blk && v.v_off = b.v_off -> None
+        | b ->
+            let old i = Option.bind b (fun b -> IntMap.find_opt i b.v_leaves) in
+            let leaves =
+              IntMap.fold
+                (fun i blk acc -> if old i = Some blk then acc else (blk, old i) :: acc)
+                v.v_leaves []
+            in
+            Some (oid, kind, v.v_meta, Option.map (fun b -> b.v_meta) b, List.rev leaves))
+      (objects_at t ~epoch)
+  in
+  make_resident t
+    (List.concat_map
+       (fun (_, _, _, _, leaves) ->
+         List.concat_map (fun (blk, old) -> blk :: Option.to_list old) leaves)
+       plan);
+  let same p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen in
+  (* Both entry lists are sorted by page index; [acc] collects moved
+     entries in descending index order, across leaves too, so the fetched
+     pages come back ascending. *)
+  let rec moved acc news olds =
+    match (news, olds) with
+    | [], _ -> acc
+    | _, [] -> List.rev_append news acc
+    | n :: ns, o :: os ->
+        if o.p_idx < n.p_idx then moved acc news os
+        else if o.p_idx > n.p_idx then moved (n :: acc) ns olds
+        else moved (if same n o then acc else n :: acc) ns os
+  in
+  let entries = leaf_entries t ~charged:true in
+  let deltas =
+    List.filter_map
+      (fun (oid, kind, meta, base_meta, leaves) ->
+        let changed =
+          List.fold_left
+            (fun acc (blk, old) -> moved acc (entries blk) (Option.fold ~none:[] ~some:entries old))
+            [] leaves
+        in
+        if changed = [] && base_meta = Some meta then None else Some (oid, kind, meta, changed))
+      plan
+  in
+  charge_stream t (List.concat_map (fun (_, _, _, changed) -> changed) deltas);
+  List.map
+    (fun (oid, kind, meta, changed) -> (oid, kind, meta, List.fold_left (fetch_entry t) [] changed))
+    deltas
 
 let page_indices t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in

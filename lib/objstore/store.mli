@@ -282,19 +282,24 @@ val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
     then every page's stored bytes are charged as one streamed read for
     the whole object, not one per leaf. *)
 
-val read_changed_pages : t -> base:int -> epoch:int -> oid:int -> (int * bytes) list
-(** The pages of [oid] at [epoch] whose stored location differs from
-    [base] (both epochs retained, [oid] in both), sorted by index.  The
-    diff is read off copy-on-write metadata, never off page bytes: a
-    version record shared by both epochs returns [[]] without a read; a
-    leaf block shared by both is skipped without a read; every other leaf
-    is read at both epochs under the residency rule of {!read_page}, and
-    its entries are compared by stored location (block, offset, stored
-    length).  The moved pages' stored bytes are then charged as one
-    streamed read, plus decompression of the RLE-coded ones.  Same
-    location means same bytes, so the result is a superset of the pages
-    whose bytes changed: a page rewritten with identical bytes at a new
-    location is returned, a dedup hit on its old location is not. *)
+val read_delta :
+  t -> base:int -> epoch:int -> (int * string * string * (int * bytes) list) list
+(** The delta from [base] to [epoch] (both retained; [base = 0] is the
+    empty epoch): [(oid, kind, meta, pages)], in oid order, for every
+    object of [epoch] that is new since [base], has new metadata, or has
+    pages whose stored location moved; [pages] are those pages (all of a
+    new object's), sorted by index.  The diff is read off copy-on-write
+    metadata: a version record or leaf block both epochs share is
+    skipped without a read.  Every other leaf, at both epochs and over
+    every object, is made resident in one vectored batch under the rule
+    of {!read_page} (retried per range; a range that keeps failing raises
+    {!Aurora_block.Fault.Io_error}); entries are compared by stored
+    location (block, offset, stored length) without device time, and
+    every moved page is charged as one streamed read, plus decompression
+    of the RLE-coded ones.  Same location means same bytes, so the pages
+    are a superset of those whose bytes changed: a page rewritten with
+    identical bytes at a new location is returned, a dedup hit on its old
+    location is not. *)
 
 val page_indices : t -> epoch:int -> oid:int -> int list
 

@@ -2145,6 +2145,109 @@ let test_rset_divergent_standby_evicted () =
     (Replica_set.last_logged_epoch rs)
     (Replica_set.quorum_epoch rs)
 
+(* A leaf range of a frame's batch fails once: the store retries it, and
+   the frame equals one built without the fault. *)
+let test_frame_leaf_read_retried () =
+  let _sys, p, addr, group, rs, _stores = rset_fixture ~n:1 () in
+  rset_round group p ~addr rs 1;
+  Vm_space.write_string p.Process.space ~addr "round-2";
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let store = Group.store group and base = Replica_set.last_logged_epoch rs in
+  let epoch = Group.last_epoch group in
+  let dev = Store.device store and faults = Store.read_faults store in
+  let failed = ref false in
+  let h = Fault.create () in
+  h.Fault.on_read <-
+    (fun _ ->
+      if !failed then Fault.Clean
+      else begin
+        failed := true;
+        Fault.Fail
+      end);
+  Striped.set_fault dev (Some h);
+  let faulty =
+    Fun.protect
+      ~finally:(fun () -> Striped.set_fault dev None)
+      (fun () -> Migrate.frame ~store ~base ~epoch)
+  in
+  Alcotest.(check bool) "a leaf read failed" true !failed;
+  Alcotest.(check int) "retried once" (faults + 1) (Store.read_faults store);
+  Alcotest.(check bool) "byte-identical to a fault-free frame" true
+    (faulty = Migrate.frame ~store ~base ~epoch)
+
+(* A leaf range that keeps failing fails the frame and the ship, and the
+   log stays as it was; once the fault clears, the next ship covers the
+   whole gap in one frame. *)
+let test_frame_leaf_read_fails () =
+  let _sys, p, addr, group, rs, stores = rset_fixture () in
+  rset_round group p ~addr rs 1;
+  Alcotest.(check bool) "first epoch everywhere" true (Replica_set.drain rs `All);
+  Vm_space.write_string p.Process.space ~addr "round-2";
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let store = Group.store group and base = Replica_set.last_logged_epoch rs in
+  let dev = Store.device store and logged = (Replica_set.stats rs).Replica_set.rs_epochs_logged in
+  let h = Fault.create () in
+  h.Fault.on_read <- (fun _ -> Fault.Fail);
+  Striped.set_fault dev (Some h);
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no error" what
+    | exception Fault.Io_error _ -> ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Striped.set_fault dev None)
+    (fun () ->
+      raises "frame" (fun () -> Migrate.frame ~store ~base ~epoch:(Group.last_epoch group));
+      raises "ship" (fun () -> Replica_set.ship rs));
+  Alcotest.(check int) "nothing logged" logged (Replica_set.stats rs).Replica_set.rs_epochs_logged;
+  Alcotest.(check int) "last logged epoch unchanged" base (Replica_set.last_logged_epoch rs);
+  rset_round group p ~addr rs 3;
+  let newest = Group.last_epoch group in
+  Alcotest.(check int) "the gap is one frame" (logged + 1)
+    (Replica_set.stats rs).Replica_set.rs_epochs_logged;
+  Alcotest.(check int) "logged up to the newest epoch" newest (Replica_set.last_logged_epoch rs);
+  Alcotest.(check bool) "every standby current" true (Replica_set.drain rs `All);
+  List.iteri
+    (fun i sb ->
+      Alcotest.(check int) (Printf.sprintf "standby %d acked the gap" i) newest
+        (Replica_set.view rs i).Replica_set.sv_acked_epoch;
+      Alcotest.(check bool) (Printf.sprintf "standby %d identical" i) true
+        (Replica_set.stores_identical ~src:store ~src_epoch:newest ~dst:sb
+           ~dst_epoch:(Store.last_complete_epoch sb)))
+    stores
+
+(* Over lossy links, every pump leaves each standby's lag-bytes gauge at
+   the bytes of the logged frames it has not acked. *)
+let test_rset_lag_bytes_gauge () =
+  let module M = Aurora_obs.Metrics in
+  let was = M.is_enabled () in
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () -> M.set_enabled was) @@ fun () ->
+  let n = 3 in
+  let _sys, p, addr, group, rs, _stores =
+    rset_fixture ~n
+      ~fault:(fun i link -> Link.set_faults link ~seed:(31 + i) (Link.lossy_profile 0.25))
+      ()
+  in
+  let lagged = ref false in
+  let check_gauges what =
+    for i = 0 to n - 1 do
+      let fold = (Replica_set.view rs i).Replica_set.sv_lag_bytes in
+      if fold > 0 then lagged := true;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: standby %d" what i)
+        fold
+        (M.gauge_value (M.gauge (Printf.sprintf "rset.standby%d.lag_bytes" i)))
+    done
+  in
+  for r = 1 to 8 do
+    rset_round group p ~addr rs r;
+    check_gauges (Printf.sprintf "round %d" r)
+  done;
+  Alcotest.(check bool) "some standby lagged" true !lagged;
+  Alcotest.(check bool) "drained" true (Replica_set.drain rs `All);
+  check_gauges "drained"
+
 let test_rset_migration_live () =
   let sys = Sls.boot () in
   let p, _e, addr = spawn_with_memory sys ~name:"svc" ~npages:8 in
@@ -2279,6 +2382,9 @@ let () =
           Alcotest.test_case "divergent standby evicted" `Quick
             test_rset_divergent_standby_evicted;
           Alcotest.test_case "live migration" `Quick test_rset_migration_live;
+          Alcotest.test_case "frame leaf read retried" `Quick test_frame_leaf_read_retried;
+          Alcotest.test_case "frame leaf read fails" `Quick test_frame_leaf_read_fails;
+          Alcotest.test_case "lag bytes gauge" `Quick test_rset_lag_bytes_gauge;
         ] );
       ("properties", qcheck_tests @ roundtrip_qcheck_tests @ [ lazy_cow_qcheck ]);
     ]

@@ -251,21 +251,37 @@ let qcheck_tests =
 
 (* Pinned cost and edge cases -------------------------------------------------- *)
 
+(* The array range [(off, len)] a device-local read serves, inverting the
+   RAID-0 layout of [Striped.create]'s defaults (member [nvmeD]). *)
+let array_range (r : Fault.read_info) =
+  let n = Cost.nvme_stripe_devices and s = Cost.nvme_stripe_size in
+  let d = int_of_string (String.sub r.Fault.r_dev 4 (String.length r.Fault.r_dev - 4)) in
+  (((((r.Fault.r_off / s) * n) + d) * s) + (r.Fault.r_off mod s), r.Fault.r_len)
+
 (* Run [f] with a pass-through fault handler; returns its result, the
-   virtual time it took and the device reads that met the injector. *)
+   virtual time it took and the array ranges of the device reads that met
+   the injector. *)
 let measured store f =
   let dev = Store.device store and clock = Store.clock store in
   Striped.settle dev ~clock;
   let h = Fault.create () in
-  let reads = ref 0 in
+  let ranges = ref [] in
   h.Fault.on_read <-
-    (fun _ ->
-      incr reads;
+    (fun r ->
+      ranges := array_range r :: !ranges;
       Fault.Clean);
   Striped.set_fault dev (Some h);
   let t0 = Clock.now clock in
   let v = Fun.protect ~finally:(fun () -> Striped.set_fault dev None) f in
-  (v, Clock.now clock - t0, !reads)
+  (v, Clock.now clock - t0, List.rev !ranges)
+
+(* Virtual time of one vectored read of [ranges] on [store]'s idle device. *)
+let batch_read store ranges =
+  let dev = Store.device store and clock = Store.clock store in
+  Striped.settle dev ~clock;
+  let t0 = Clock.now clock in
+  ignore (Striped.read_vec dev ~clock (Array.of_list ranges));
+  Clock.now clock - t0
 
 let one_block_read =
   Cost.nvme_read_latency + Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth Store.block_size
@@ -284,10 +300,9 @@ let commit store f =
 
 (* Object [a] spans three radix leaves and object [b] one; the second
    epoch rewrites [k] pages inside [a]'s middle leaf. *)
-let test_cost_changed_leaf_only () =
+let changed_leaf_history k =
   let store = fresh_store () in
   let a = Store.alloc_oid store and b = Store.alloc_oid store in
-  let k = 3 in
   let e1 =
     commit store (fun () ->
         Store.put_object store ~oid:a ~kind:"memory" ~meta:"a";
@@ -302,30 +317,77 @@ let test_cost_changed_leaf_only () =
         Store.put_pages store ~oid:a
           (List.init k (fun i -> (Store.leaf_span + 1 + i, noise_page (30 + i)))))
   in
-  let stream, took, reads =
+  (store, a, b, e1, e2)
+
+let test_cost_changed_leaf_only () =
+  let k = 3 in
+  let store, a, b, e1, e2 = changed_leaf_history k in
+  let stream, took, ranges =
     measured store (fun () -> Migrate.serialize_incremental ~store ~base:e1 ~epoch:e2)
   in
   Alcotest.(check (list (pair int (list int))))
     "only the rewritten pages ship"
     [ (a, List.init k (fun i -> Store.leaf_span + 1 + i)) ]
     (stream_pages stream);
-  Alcotest.(check int) "the changed leaf at both epochs meets the injector" 2 reads;
-  Alcotest.(check int) "leaf pair plus the pages' stored bytes"
-    ((2 * one_block_read) + streamed_read (k * Store.block_size))
+  Alcotest.(check int) "the changed leaf at both epochs meets the injector" 2 (List.length ranges);
+  (* The leaf pair is one vectored batch, timed as the same two ranges
+     read together on an identical fresh store. *)
+  let twin, _, _, _, _ = changed_leaf_history k in
+  Alcotest.(check int) "leaf pair as one batch plus the pages' stored bytes"
+    (batch_read twin ranges + streamed_read (k * Store.block_size))
     took;
-  (* An untouched object costs nothing, at any residency. *)
-  let pages, took, reads =
-    measured store (fun () -> Store.read_changed_pages store ~base:e1 ~epoch:e2 ~oid:b)
-  in
-  Alcotest.(check int) "untouched object: no pages" 0 (List.length pages);
-  Alcotest.(check int) "untouched object: no device time" 0 took;
-  Alcotest.(check int) "untouched object: no reads" 0 reads;
   (* The leaf pair is resident now: only the data is paid again. *)
-  let _, took, reads =
-    measured store (fun () -> Store.read_changed_pages store ~base:e1 ~epoch:e2 ~oid:a)
+  let _, took, ranges = measured store (fun () -> Store.read_delta store ~base:e1 ~epoch:e2) in
+  Alcotest.(check int) "resident leaves: no reads" 0 (List.length ranges);
+  Alcotest.(check int) "resident leaves: data only" (streamed_read (k * Store.block_size)) took;
+  (* An untouched object costs nothing, at any residency: [b], restaged
+     with its own metadata and no pages, shares every leaf with [e2], and
+     none of them was ever read. *)
+  let e3 = commit store (fun () -> Store.put_object store ~oid:b ~kind:"memory" ~meta:"b") in
+  let delta, took, ranges = measured store (fun () -> Store.read_delta store ~base:e2 ~epoch:e3) in
+  Alcotest.(check int) "untouched object: no pages" 0 (List.length delta);
+  Alcotest.(check int) "untouched object: no device time" 0 took;
+  Alcotest.(check int) "untouched object: no reads" 0 (List.length ranges)
+
+(* The second epoch rewrites one page in each of [k] leaves of [a], and
+   one page of [b]. *)
+let spread_history k =
+  let store = fresh_store () in
+  let a = Store.alloc_oid store and b = Store.alloc_oid store in
+  let put seed =
+    Store.put_pages store ~oid:a
+      (List.init k (fun leaf -> (leaf * Store.leaf_span, noise_page (seed + leaf))));
+    Store.put_pages store ~oid:b [ (0, noise_page (seed + k)) ]
   in
-  Alcotest.(check int) "resident leaves: no reads" 0 reads;
-  Alcotest.(check int) "resident leaves: data only" (streamed_read (k * Store.block_size)) took
+  let e1 =
+    commit store (fun () ->
+        Store.put_object store ~oid:a ~kind:"memory" ~meta:"a";
+        Store.put_object store ~oid:b ~kind:"memory" ~meta:"b";
+        put 0)
+  in
+  let e2 = commit store (fun () -> put 100) in
+  (store, a, b, e1, e2)
+
+(* A frame costs one leaf batch and one page stream however many leaves
+   and objects changed, not a device round trip per leaf. *)
+let test_cost_one_batch_per_frame () =
+  let k = 4 in
+  let store, a, b, e1, e2 = spread_history k in
+  let stream, took, ranges =
+    measured store (fun () -> Migrate.serialize_incremental ~store ~base:e1 ~epoch:e2)
+  in
+  Alcotest.(check (list (pair int (list int))))
+    "every rewritten page ships"
+    [ (a, List.init k (fun leaf -> leaf * Store.leaf_span)); (b, [ 0 ]) ]
+    (stream_pages stream);
+  Alcotest.(check int) "every changed leaf at both epochs meets the injector" ((2 * k) + 2)
+    (List.length ranges);
+  let twin, _, _, _, _ = spread_history k in
+  let batch = batch_read twin ranges in
+  Alcotest.(check int) "one leaf batch plus one stream of every moved page"
+    (batch + streamed_read ((k + 1) * Store.block_size))
+    took;
+  Alcotest.(check bool) "the batch beats k serial leaf reads" true (batch < k * one_block_read)
 
 (* Rewrite page 1 of a two-page object with its own bytes, ship the delta
    to a standby holding the base, and return the shipped pages. *)
@@ -405,6 +467,7 @@ let () =
       ( "location diff",
         [
           Alcotest.test_case "cost: changed leaf only" `Quick test_cost_changed_leaf_only;
+          Alcotest.test_case "cost: one batch per frame" `Quick test_cost_one_batch_per_frame;
           Alcotest.test_case "identical rewrite, unpacked, ships" `Quick
             test_identical_rewrite_unpacked_ships;
           Alcotest.test_case "dedup hit not shipped" `Quick test_dedup_hit_not_shipped;
