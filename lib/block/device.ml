@@ -41,7 +41,6 @@ let create ~name =
 
 let name t = t.dev_name
 let set_fault t f = t.fault <- f
-let fault t = t.fault
 let set_arbiter t a = t.arb <- a
 
 (* With a fleet arbiter installed, every write additionally occupies the
@@ -223,13 +222,6 @@ let write_priority t ~now ~off data ~completion =
   trace_submit t ~now ~qwait:0 ~completion ~off ~len ~segments:1 ~kind:"priority";
   report_completion faulted ~completion;
   completion
-
-let write_sync ?charge t ~clock ~off data =
-  let completion =
-    submit_write ?charge t ~now:(Clock.now clock) ~off data
-      ~latency:Cost.nvme_sync_write_latency
-  in
-  Clock.advance_to clock completion
 
 (* Fold inflight writes whose completion is at or before [now] into the
    committed store.  Inflight is newest-first, so replay oldest-first to keep

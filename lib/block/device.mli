@@ -22,8 +22,6 @@ val set_fault : t -> Fault.t option -> unit
 (** Install (or clear) a fault handler consulted at every submission and
     every charged read; see {!Fault}. *)
 
-val fault : t -> Fault.t option
-
 (** {1 Fleet arbitration} *)
 
 val set_arbiter : t -> (Arbiter.t * Arbiter.tenant) option -> unit
@@ -44,10 +42,6 @@ val write : ?charge:int -> t -> now:int -> off:int -> bytes -> int
     from [Bytes.length data]; the object store uses it because pages carry a
     64-byte payload standing in for a logical 4 KiB of data (see
     DESIGN.md).  Defaults to the data length. *)
-
-val write_sync : ?charge:int -> t -> clock:Aurora_sim.Clock.t -> off:int -> bytes -> unit
-(** Submit with the flush-included synchronous latency and advance the clock
-    to completion. *)
 
 val submit_extent : t -> now:int -> off:int -> len:int -> (int * bytes) list -> int
 (** [submit_extent t ~now ~off ~len segments] submits one vectored write

@@ -144,12 +144,6 @@ let write_priority t ~now ~off data ~completion =
       ignore (Device.write_priority dev ~now ~off:dev_off frag ~completion));
   completion
 
-let write_sync ?charge t ~clock ~off data =
-  let len = max (Bytes.length data) (match charge with Some c -> c | None -> 0) in
-  iter_fragments t ~off ~len (fun dev dev_off frag_off frag_len ->
-      let frag = payload_slice data frag_off frag_len in
-      Device.write_sync ~charge:frag_len dev ~clock ~off:dev_off frag)
-
 (* Every fragment of every range is queued at the same instant, so the
    member devices work in parallel while each serialises its own
    transfers.  Nothing waits: each range is collected at once, fragment
@@ -224,16 +218,12 @@ let charge_read t ~clock ~bytes =
 
 let settle t ~clock = Array.iter (fun d -> Device.settle d ~clock) t.devs
 
-let durable_until t =
-  Array.fold_left (fun acc d -> max acc (Device.durable_until d)) 0 t.devs
-
 let apply_durable t ~now = Array.iter (fun d -> Device.apply_durable d ~now) t.devs
 let crash t ~now = Array.iter (fun d -> Device.crash d ~now) t.devs
 
 (* One handler shared by every member device: the submission counter is
    global, so an index names a boundary of the whole array. *)
 let set_fault t f = Array.iter (fun d -> Device.set_fault d f) t.devs
-let fault t = Device.fault t.devs.(0)
 
 (* One (arbiter, tenant) pair shared by every member device: each
    fragment's bytes occupy the shared lane, so an extent spanning the

@@ -29,8 +29,6 @@ val write_vec : t -> now:int -> off:int -> len:int -> (int * bytes) array -> int
     turn an epoch's dirty pages into a handful of stripe-spanning
     sequential writes. *)
 
-val write_sync : ?charge:int -> t -> clock:Aurora_sim.Clock.t -> off:int -> bytes -> unit
-
 val write_priority : t -> now:int -> off:int -> bytes -> completion:int -> int
 (** Priority-lane write ({!Device.write_priority}): all fragments become
     durable at the caller-supplied [completion], which is also returned. *)
@@ -69,8 +67,6 @@ val set_fault : t -> Fault.t option -> unit
     submission counter is shared, so a submission index identifies a global
     device-submission boundary of the array. *)
 
-val fault : t -> Fault.t option
-
 val set_arbiter : t -> (Arbiter.t * Arbiter.tenant) option -> unit
 (** Install one shared flush-bandwidth arbiter lane on every member
     device ({!Device.set_arbiter}); fragment writes each charge the lane
@@ -84,7 +80,6 @@ val charge_read : t -> clock:Aurora_sim.Clock.t -> bytes:int -> unit
     with high queue depth, where per-block latency amortizes away. *)
 
 val settle : t -> clock:Aurora_sim.Clock.t -> unit
-val durable_until : t -> int
 val apply_durable : t -> now:int -> unit
 val crash : t -> now:int -> unit
 

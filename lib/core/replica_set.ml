@@ -54,7 +54,9 @@ type standby = {
   mutable sb_inflight : inflight list;
       (* oldest epoch first; while Rejoining, just the catch-up frame *)
   mutable sb_acked : int; (* newest primary epoch verified-acked *)
-  mutable sb_acked_bytes : int;
+  mutable sb_acked_bytes : int; (* stream bytes shipped and acked *)
+  mutable sb_acked_log : int; (* log entries at or below [sb_acked] *)
+  mutable sb_acked_log_bytes : int; (* their [le_bytes] *)
   mutable sb_consec_timeouts : int;
   mutable sb_pending_acks : (int * Migrate.ack) list; (* arrival, ack *)
   (* receiver side (the standby proper) *)
@@ -122,6 +124,8 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
       sb_inflight = [];
       sb_acked = 0;
       sb_acked_bytes = 0;
+      sb_acked_log = 0;
+      sb_acked_log_bytes = 0;
       sb_consec_timeouts = 0;
       sb_pending_acks = [];
       sb_rcv_epoch = 0;
@@ -323,6 +327,17 @@ let apply_ack t sb ~arrival (a : Migrate.ack) =
       | Some inf ->
           Ometrics.observe_ns h_rs_ack_ns (max 0 (arrival - inf.if_sent_at))
       | None -> ());
+      (* The log entries in (acked, cum]: the log is newest first, so the
+         walk stops at the first entry already acked. *)
+      let rec covered = function
+        | le :: rest when le.le_epoch > sb.sb_acked ->
+            if le.le_epoch <= cum then le :: covered rest else covered rest
+        | _ -> []
+      in
+      let covered = covered t.log in
+      let covered_bytes = List.fold_left (fun a le -> a + le.le_bytes) 0 covered in
+      sb.sb_acked_log <- sb.sb_acked_log + List.length covered;
+      sb.sb_acked_log_bytes <- sb.sb_acked_log_bytes + covered_bytes;
       (match (sb.sb_health, sb.sb_inflight) with
       | Rejoining, [ inf ] when cum >= inf.if_epoch ->
           (* The catch-up frame covers the whole (acked, target] gap in
@@ -330,13 +345,8 @@ let apply_ack t sb ~arrival (a : Migrate.ack) =
           sb.sb_acked_bytes <- sb.sb_acked_bytes + inf.if_bytes;
           t.st_acked_total <- t.st_acked_total + 1
       | _ ->
-          List.iter
-            (fun le ->
-              if le.le_epoch > sb.sb_acked && le.le_epoch <= cum then begin
-                sb.sb_acked_bytes <- sb.sb_acked_bytes + le.le_bytes;
-                t.st_acked_total <- t.st_acked_total + 1
-              end)
-            t.log);
+          sb.sb_acked_bytes <- sb.sb_acked_bytes + covered_bytes;
+          t.st_acked_total <- t.st_acked_total + List.length covered);
       sb.sb_acked <- cum;
       sb.sb_consec_timeouts <- 0;
       sb.sb_inflight <-
@@ -433,7 +443,7 @@ let pump_standby t sb ~now =
     end
   end;
   Ometrics.set_gauge sb.g_lag (max 0 (t.last_logged - sb.sb_acked));
-  Ometrics.set_gauge sb.g_lag_bytes (max 0 (t.log_bytes - sb.sb_acked_bytes))
+  Ometrics.set_gauge sb.g_lag_bytes (t.log_bytes - sb.sb_acked_log_bytes)
 
 let release_at_quorum t ~now =
   match t.outbox with
@@ -611,22 +621,14 @@ type standby_view = {
 let view t i =
   check_idx t i;
   let sb = t.standbys.(i) in
-  let lag_epochs =
-    List.length (List.filter (fun le -> le.le_epoch > sb.sb_acked) t.log)
-  in
-  let lag_bytes =
-    List.fold_left
-      (fun a le -> if le.le_epoch > sb.sb_acked then a + le.le_bytes else a)
-      0 t.log
-  in
   {
     sv_idx = i;
     sv_health = sb.sb_health;
     sv_dead = sb.sb_dead;
     sv_acked_epoch = sb.sb_acked;
     sv_installed_epoch = sb.sb_rcv_epoch;
-    sv_lag_epochs = lag_epochs;
-    sv_lag_bytes = lag_bytes;
+    sv_lag_epochs = t.log_len - sb.sb_acked_log;
+    sv_lag_bytes = t.log_bytes - sb.sb_acked_log_bytes;
     sv_window_occupancy = List.length sb.sb_inflight;
     sv_consec_timeouts = sb.sb_consec_timeouts;
     sv_retransmits = sb.sb_retransmits;

@@ -117,10 +117,11 @@ let span_blocks blk off len f =
     f b
   done
 
-(* A cached leaf: its parsed entries, and whether a charged device read
-   of the block has brought it into memory.  Only a resident leaf serves
-   a charged lookup without device time. *)
-type cleaf = { entries : leaf_entry list; mutable resident : bool }
+(* A cached leaf: its parsed entries, and whether a paid device read of
+   the block ([paid_leaves], the only code that sets it) has brought it
+   into memory.  Only a resident leaf serves a paid lookup without device
+   time. *)
+type cleaf = { entries : leaf_entry list; resident : bool }
 
 (* One content-index entry: a stored page location keyed by content hash.
    It names allocated blocks only (a prune drops the entries over blocks
@@ -362,44 +363,18 @@ let cache_leaf t blk leaf =
     Hashtbl.reset t.leaf_cache;
   Hashtbl.replace t.leaf_cache blk leaf
 
-(* Parsed entries of leaf [blk].  A [~charged] lookup (the page-read
-   paths) pays one retried device read of the block unless it is already
-   resident, and leaves it resident once a read succeeds: a leaf costs
-   device time once, not once per page.  Uncharged lookups (recovery,
-   verification CRCs, commit, prune) parse without charging and never make
-   a leaf resident, so no read path is ever served by a read nobody paid
-   for. *)
-let leaf_entries t ~charged blk =
+(* Parsed entries of leaf [blk], without a charge: recovery, verification
+   CRCs, commit and prune parse for free, so the leaf does not become
+   resident (see [paid_leaves]). *)
+let leaf_entries t blk =
   match Hashtbl.find_opt t.leaf_cache blk with
   | Some c ->
       t.stat_leaf_hits <- t.stat_leaf_hits + 1;
-      if charged && not c.resident then begin
-        ignore (read_blocks t ~blk ~nblocks:1);
-        c.resident <- true
-      end;
       c.entries
   | None ->
       t.stat_leaf_misses <- t.stat_leaf_misses + 1;
-      let data =
-        if charged then read_blocks t ~blk ~nblocks:1 else read_block_nocharge t blk
-      in
-      let entries = decode "leaf" leaf_codec data in
-      cache_leaf t blk { entries; resident = charged };
-      entries
-
-(* Leaf [blk] once a charged read of it returned [data]: resident from
-   now on, with the entries the cache already parsed, else [data]'s.
-   Raises [Corrupt_store], leaving the cache as it was, when [data] must
-   be parsed and does not. *)
-let install_leaf t blk data =
-  match Hashtbl.find_opt t.leaf_cache blk with
-  | Some c ->
-      c.resident <- true;
-      c.entries
-  | None ->
-      t.stat_leaf_misses <- t.stat_leaf_misses + 1;
-      let entries = decode "leaf" leaf_codec data in
-      cache_leaf t blk { entries; resident = true };
+      let entries = decode "leaf" leaf_codec (read_block_nocharge t blk) in
+      cache_leaf t blk { entries; resident = false };
       entries
 
 let leaf_range blk = (off_of_block blk, block_size)
@@ -407,31 +382,68 @@ let leaf_range blk = (off_of_block blk, block_size)
 (* The leaf blocks of version [v], pushed onto [acc]. *)
 let leaf_blocks v acc = IntMap.fold (fun _ blk acc -> blk :: acc) v.v_leaves acc
 
-(* Make every leaf in [blks] resident: the ones not yet resident are read,
-   in block order, in vectored batches of at most the cache's capacity, recycling the cache before a batch that would overflow it,
-   so no batch evicts its own leaves.  A leaf the cache already parsed is
-   only marked; one whose bytes do not parse stays as it was, for the
-   charged lookup that reaches it to report. *)
-let make_resident t blks =
+(* The one paid leaf read, and the only code that makes a leaf resident,
+   so no read path is ever served by a leaf read nobody paid for.  The
+   distinct [blks] are looked up at [now] and the clock does not move: a
+   resident leaf is known at [now]; every other one is read in one
+   vectored batch submitted at [now] ([submit_ranges]: per-range
+   retries), the cache recycled first if the batch would overflow it.  A
+   leaf that reads and parses becomes resident, so it costs device time
+   once, not once per page.  Each block maps to its arrival and its
+   entries, or the exception a demand for it raises: [Fault.Io_error]
+   for a read that kept failing, [Corrupt_store] for bytes that do not
+   parse.  A cached leaf counts as a hit, any other as a miss. *)
+let paid_leaves t ~now blks =
+  let out = Hashtbl.create 16 in
   let cold =
-    Array.of_list
-      (List.filter
-         (fun b ->
-           match Hashtbl.find_opt t.leaf_cache b with Some c -> not c.resident | None -> true)
-         (List.sort_uniq compare blks))
+    List.filter
+      (fun b ->
+        match Hashtbl.find_opt t.leaf_cache b with
+        | Some c ->
+            t.stat_leaf_hits <- t.stat_leaf_hits + 1;
+            if c.resident then Hashtbl.replace out b (now, Ok c.entries);
+            not c.resident
+        | None ->
+            t.stat_leaf_misses <- t.stat_leaf_misses + 1;
+            true)
+      (List.sort_uniq compare blks)
+    |> Array.of_list
   in
-  let n = Array.length cold in
-  let i = ref 0 in
-  while !i < n do
-    let batch = Array.sub cold !i (Int.min leaf_cache_capacity (n - !i)) in
-    if Hashtbl.length t.leaf_cache + Array.length batch > leaf_cache_capacity then
-      Hashtbl.reset t.leaf_cache;
-    let data = read_ranges t (Array.map leaf_range batch) in
-    Array.iteri
-      (fun k b -> try ignore (install_leaf t b data.(k)) with Corrupt_store _ -> ())
-      batch;
-    i := !i + Array.length batch
-  done
+  let uncached =
+    Array.fold_left (fun n b -> if Hashtbl.mem t.leaf_cache b then n else n + 1) 0 cold
+  in
+  if Hashtbl.length t.leaf_cache + uncached > leaf_cache_capacity then
+    Hashtbl.reset t.leaf_cache;
+  Array.iteri
+    (fun k (arrival, read) ->
+      let b = cold.(k) in
+      let r =
+        match read with
+        | Error msg -> Error (Fault.Io_error msg)
+        | Ok data -> (
+            match Hashtbl.find_opt t.leaf_cache b with
+            | Some c -> Ok c.entries
+            | None -> (
+                try Ok (decode "leaf" leaf_codec data) with Corrupt_store _ as e -> Error e))
+      in
+      Result.iter (fun entries -> Hashtbl.replace t.leaf_cache b { entries; resident = true }) r;
+      Hashtbl.replace out b (arrival, r))
+    (submit_ranges t ~now (Array.map leaf_range cold));
+  out
+
+(* [paid_leaves] at the clock's time, waiting for the whole batch.  The
+   first read that kept failing, in block order, raises [Fault.Io_error];
+   the entries of [blks] are then looked up with the function returned,
+   which raises [Corrupt_store] for a leaf that does not parse. *)
+let resident_leaves t blks =
+  let now = Clock.now t.clk in
+  let leaves = paid_leaves t ~now blks in
+  Clock.advance_to t.clk (Hashtbl.fold (fun _ (arrival, _) m -> max m arrival) leaves now);
+  List.iter
+    (fun b ->
+      match Hashtbl.find leaves b with _, Error (Fault.Io_error _ as e) -> raise e | _ -> ())
+    (List.sort compare blks);
+  fun b -> Result.fold ~ok:Fun.id ~error:raise (snd (Hashtbl.find leaves b))
 
 (* [(page index, CRC-32)] of a version's stored pages, unsorted, off its
    leaves without a charge. *)
@@ -440,7 +452,7 @@ let version_crcs t v =
     (fun _ leaf_blk acc ->
       List.fold_left
         (fun acc p -> (p.p_idx, p.p_crc) :: acc)
-        acc (leaf_entries t ~charged:false leaf_blk))
+        acc (leaf_entries t leaf_blk))
     v.v_leaves []
 
 (* Lifecycle ------------------------------------------------------------------ *)
@@ -840,7 +852,7 @@ let build_version t ~now ~prev st =
       let old_entries =
         match IntMap.find_opt leaf_idx prev_leaves with
         | None -> []
-        | Some blk -> leaf_entries t ~charged:false blk
+        | Some blk -> leaf_entries t blk
       in
       let carried =
         List.filter
@@ -1143,7 +1155,7 @@ let iter_items t ~entry f =
         (fun p ->
           span_blocks p.p_blk p.p_off p.p_clen f;
           entry p)
-        (leaf_entries t ~charged:false leaf_blk)
+        (leaf_entries t leaf_blk)
     end
   in
   List.iter
@@ -1436,14 +1448,14 @@ let decode_window t ~idx read =
     read
 
 (* The stored pages of [oid] at [epoch] in [idx]'s window of [span]
-   pages: one charged leaf lookup, then one batch of reads.  [] without a
+   pages: one paid leaf lookup, then one batch of reads.  [] without a
    data read when [idx] is not stored. *)
 let read_window t ~epoch ~oid ~idx ~span =
   let v = version_exn t ~epoch ~oid in
   match IntMap.find_opt (idx / leaf_span) v.v_leaves with
   | None -> []
   | Some leaf_blk ->
-      let entries = leaf_entries t ~charged:true leaf_blk in
+      let entries = resident_leaves t [ leaf_blk ] leaf_blk in
       if not (List.exists (fun p -> p.p_idx = idx) entries) then []
       else begin
         let window = List.filter (fun p -> in_window ~span idx p.p_idx) entries in
@@ -1471,34 +1483,9 @@ type streamed = { s_entry : leaf_entry; s_arrival : int; s_read : (bytes, string
 let stream_pages t ~epoch oids =
   let now = Clock.now t.clk in
   let versions = List.map (fun oid -> (oid, version_exn t ~epoch ~oid)) oids in
-  (* Leaf block -> when its entries are known, and them or why not. *)
-  let listed = Hashtbl.create 64 in
-  List.iter
-    (fun (_, v) ->
-      IntMap.iter
-        (fun _ blk ->
-          match Hashtbl.find_opt t.leaf_cache blk with
-          | Some c when c.resident ->
-              t.stat_leaf_hits <- t.stat_leaf_hits + 1;
-              Hashtbl.replace listed blk (now, Ok c.entries)
-          | _ -> ())
-        v.v_leaves)
-    versions;
-  let cold =
-    List.fold_left (fun acc (_, v) -> leaf_blocks v acc) [] versions
-    |> List.filter (fun b -> not (Hashtbl.mem listed b))
-    |> List.sort_uniq compare |> Array.of_list
+  let listed =
+    paid_leaves t ~now (List.fold_left (fun acc (_, v) -> leaf_blocks v acc) [] versions)
   in
-  let leaf_reads = submit_ranges t ~now (Array.map leaf_range cold) in
-  Array.iteri
-    (fun k b ->
-      let arrival, r = leaf_reads.(k) in
-      Hashtbl.replace listed b
-        ( arrival,
-          match r with
-          | Error msg -> Error (Fault.Io_error msg)
-          | Ok data -> ( try Ok (install_leaf t b data) with Corrupt_store _ as e -> Error e) ))
-    cold;
   (* Each object's listed pages in index order, and its unlisted leaves
      by leaf index. *)
   let objects =
@@ -1516,7 +1503,7 @@ let stream_pages t ~epoch oids =
       versions
   in
   let reads =
-    submit_ranges t ~now:(last_arrival now leaf_reads)
+    submit_ranges t ~now:(Hashtbl.fold (fun _ (arrival, _) m -> max m arrival) listed now)
       (Array.concat (List.map (fun (_, entries, _) -> Array.map entry_range entries) objects))
   in
   let next = ref 0 in
@@ -1575,12 +1562,8 @@ let fetch_entry t acc p =
    read of every page they name. *)
 let read_pages t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
-  make_resident t (leaf_blocks v []);
-  let entries =
-    IntMap.fold
-      (fun _ leaf_blk acc -> List.rev_append (leaf_entries t ~charged:true leaf_blk) acc)
-      v.v_leaves []
-  in
+  let leaf = resident_leaves t (leaf_blocks v []) in
+  let entries = IntMap.fold (fun _ blk acc -> List.rev_append (leaf blk) acc) v.v_leaves [] in
   charge_stream t entries;
   List.fold_left (fetch_entry t) [] entries |> List.sort compare
 
@@ -1608,11 +1591,13 @@ let read_delta t ~base ~epoch =
             Some (oid, kind, v.v_meta, Option.map (fun b -> b.v_meta) b, List.rev leaves))
       (objects_at t ~epoch)
   in
-  make_resident t
-    (List.concat_map
-       (fun (_, _, _, _, leaves) ->
-         List.concat_map (fun (blk, old) -> blk :: Option.to_list old) leaves)
-       plan);
+  let entries =
+    resident_leaves t
+      (List.concat_map
+         (fun (_, _, _, _, leaves) ->
+           List.concat_map (fun (blk, old) -> blk :: Option.to_list old) leaves)
+         plan)
+  in
   let same p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen in
   (* Both entry lists are sorted by page index; [acc] collects moved
      entries in descending index order, across leaves too, so the fetched
@@ -1626,7 +1611,6 @@ let read_delta t ~base ~epoch =
         else if o.p_idx > n.p_idx then moved (n :: acc) ns olds
         else moved (if same n o then acc else n :: acc) ns os
   in
-  let entries = leaf_entries t ~charged:true in
   let deltas =
     List.filter_map
       (fun (oid, kind, meta, base_meta, leaves) ->
@@ -1643,15 +1627,8 @@ let read_delta t ~base ~epoch =
     (fun (oid, kind, meta, changed) -> (oid, kind, meta, List.fold_left (fetch_entry t) [] changed))
     deltas
 
-let page_indices t ~epoch ~oid =
-  let v = version_exn t ~epoch ~oid in
-  IntMap.fold
-    (fun _ leaf_blk acc ->
-      List.fold_left
-        (fun acc p -> p.p_idx :: acc)
-        acc (leaf_entries t ~charged:false leaf_blk))
-    v.v_leaves []
-  |> List.sort compare
+let page_crcs t ~epoch ~oid = List.sort compare (version_crcs t (version_exn t ~epoch ~oid))
+let page_indices t ~epoch ~oid = List.map fst (page_crcs t ~epoch ~oid)
 
 (* Journals --------------------------------------------------------------------------- *)
 
@@ -1783,7 +1760,7 @@ let prune_history t ~keep =
                     unref leaf_blk;
                     List.iter
                       (fun p -> span_blocks p.p_blk p.p_off p.p_clen unref)
-                      (leaf_entries t ~charged:false leaf_blk)
+                      (leaf_entries t leaf_blk)
                   end)
                 v.v_leaves
             end)
@@ -1815,10 +1792,6 @@ let prune_history t ~keep =
   end
 
 let blocks_allocated t = t.next_block - Hashtbl.length t.free_set
-
-(* Verification ------------------------------------------------------------------------ *)
-
-let page_crcs t ~epoch ~oid = List.sort compare (version_crcs t (version_exn t ~epoch ~oid))
 
 (* Manifests ---------------------------------------------------------------------------- *)
 
@@ -1923,7 +1896,9 @@ let verify_epoch t ~epoch ~check_meta =
         | Ok m ->
             (* Every leaf the page checks will reach, resident up front in
                one vectored read instead of one round trip each. *)
-            make_resident t (Hashtbl.fold (fun _ v acc -> leaf_blocks v acc) e.e_table []);
+            let (_ : int -> leaf_entry list) =
+              resident_leaves t (Hashtbl.fold (fun _ v acc -> leaf_blocks v acc) e.e_table [])
+            in
             let check (me : Manifest.entry) =
               let oid = me.Manifest.me_oid in
               match if oid = moid then None else Hashtbl.find_opt e.e_table oid with
@@ -1993,7 +1968,7 @@ let corrupt_page_for_tests t ~epoch ~oid =
         match acc with
         | Some _ -> acc
         | None -> (
-            match leaf_entries t ~charged:false leaf_blk with
+            match leaf_entries t leaf_blk with
             | e :: _ -> Some e
             | [] -> None))
       v.v_leaves None

@@ -224,11 +224,14 @@ val read_meta : t -> epoch:int -> oid:int -> string
 val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
 (** One page, charged as one device read of its stored bytes, plus one
     read of its radix leaf block unless that leaf is already resident.
-    A leaf becomes resident once a charged read of it (by [read_page],
-    {!read_pages}, {!verify_epoch} or {!stream_pages}) succeeds, and
-    stays so until its block is freed, the leaf cache is recycled, or the
-    store is recovered: a leaf costs device time once, not once per
-    page.  A read that raises leaves the leaf as it was.  The one-page
+    Every charged path ([read_page], {!read_cluster}, {!read_pages},
+    {!read_delta}, {!stream_pages}, {!verify_epoch}) reads its leaves
+    through one batch rule: a leaf becomes resident once a read of it
+    succeeds and its bytes parse, and stays so until its block is freed,
+    the leaf cache is recycled, or the store is recovered.  A leaf costs
+    device time once, whichever path pays, not once per page or per
+    path.  A leaf whose read keeps failing, or whose bytes do not parse,
+    stays as it was, and costs the next path a read again.  The one-page
     case of {!read_cluster}. *)
 
 val fault_cluster : int
@@ -315,8 +318,9 @@ val page_indices : t -> epoch:int -> oid:int -> int list
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 (** [(page index, payload CRC-32)] of every stored page, from the leaf
     entries alone (no data-block reads, no device charge).  Being
-    uncharged, it never makes a leaf resident, nor do recovery, commit or
-    pruning: only a paid read does (see {!read_page}). *)
+    uncharged, it never makes a leaf resident, nor do {!page_indices},
+    recovery, commit or pruning: only a charged read path does, by
+    the rule of {!read_page}. *)
 
 val staging_manifest_source : t -> (int * string * string * (int * int) list) list
 (** [(oid, kind, meta, page_crcs)] of every object the open staging epoch
@@ -356,9 +360,9 @@ val verify_epoch :
     {!read_pages} against its leaf CRC.  The first failure is the
     [Error] reason.  The re-reads are charged: once the epoch-level
     checks pass, every leaf of the epoch not yet resident is read in one
-    vectored batch (at most the leaf cache's capacity per batch) and
-    becomes resident, so an N-leaf epoch pays one leaf round trip, not
-    N, and then each object's pages stream once.  A restore that follows
+    vectored batch and becomes resident (the rule of {!read_page}), so
+    an N-leaf epoch pays one leaf round trip, not N, and then each
+    object's pages stream once.  A restore that follows
     reads no leaf again.  Nothing else is mutated.  Never raises on
     corrupt or unreadable state: a read that still fails after the read
     policy's retries is [Error "read failed: ..."]. *)

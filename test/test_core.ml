@@ -2217,16 +2217,21 @@ let test_frame_leaf_read_fails () =
     stores
 
 (* Over lossy links, every pump leaves each standby's lag-bytes gauge at
-   the bytes of the logged frames it has not acked. *)
+   the bytes of the logged frames it has not acked, also after an
+   evicted standby rejoins: its catch-up frame ships fewer bytes than the
+   log entries it covers. *)
 let test_rset_lag_bytes_gauge () =
   let module M = Aurora_obs.Metrics in
   let was = M.is_enabled () in
   M.set_enabled true;
   Fun.protect ~finally:(fun () -> M.set_enabled was) @@ fun () ->
   let n = 3 in
+  let links = Array.make n None in
   let _sys, p, addr, group, rs, _stores =
     rset_fixture ~n
-      ~fault:(fun i link -> Link.set_faults link ~seed:(31 + i) (Link.lossy_profile 0.25))
+      ~fault:(fun i link ->
+        links.(i) <- Some link;
+        Link.set_faults link ~seed:(31 + i) (Link.lossy_profile 0.25))
       ()
   in
   let lagged = ref false in
@@ -2246,7 +2251,24 @@ let test_rset_lag_bytes_gauge () =
   done;
   Alcotest.(check bool) "some standby lagged" true !lagged;
   Alcotest.(check bool) "drained" true (Replica_set.drain rs `All);
-  check_gauges "drained"
+  check_gauges "drained";
+  (* Standby 0 goes dark until it is evicted, then heals and rejoins. *)
+  let link0 = Option.get links.(0) in
+  Link.set_faults link0 ~seed:5 { Link.no_faults with p_drop = 1.0 };
+  for r = 9 to 11 do
+    rset_round group p ~addr rs r;
+    check_gauges (Printf.sprintf "round %d" r)
+  done;
+  Alcotest.(check bool) "drained around the dark standby" true (Replica_set.drain rs `All);
+  Alcotest.(check bool) "dark standby evicted" true
+    ((Replica_set.view rs 0).Replica_set.sv_health = Replica_set.Evicted);
+  check_gauges "evicted";
+  Link.set_faults link0 ~seed:5 Link.no_faults;
+  Replica_set.rejoin rs 0;
+  Alcotest.(check bool) "all current after rejoin" true (Replica_set.drain rs `All);
+  check_gauges "rejoined";
+  Alcotest.(check int) "rejoined standby lags nothing" 0
+    (Replica_set.view rs 0).Replica_set.sv_lag_bytes
 
 let test_rset_migration_live () =
   let sys = Sls.boot () in

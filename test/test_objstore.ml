@@ -1203,6 +1203,89 @@ let test_stream_unlisted_leaf_raises () =
     ~prepare:Store.recycle_leaf_cache_for_tests ~raises:(fun f ->
       match f () with _ -> false | exception Store.Corrupt_store _ -> true)
 
+(* Residency is paid once, whichever path pays it.  One leaf of coded
+   pages under a manifest: data reads are shorter than a block, so a
+   device read of exactly [Store.block_size] bytes is a leaf read.  Each
+   path runs on a freshly recovered store, whose leaf is parsed but not
+   resident. *)
+let test_residency_paid_once () =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  let epoch = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+  Store.put_pages store ~oid (List.init 3 (fun i -> (i, payload (Char.chr (Char.code 'a' + i)))));
+  Store.put_manifest store ~oid:(Store.manifest_oid store);
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  Striped.settle dev ~clock;
+  let leaf_reads ?(outcome = Fault.Clean) f =
+    let h = Fault.create () and n = ref 0 in
+    h.Fault.on_read <-
+      (fun r ->
+        if r.Fault.r_len <> Store.block_size then Fault.Clean
+        else begin
+          incr n;
+          outcome
+        end);
+    Striped.set_fault dev (Some h);
+    let v =
+      Fun.protect
+        ~finally:(fun () -> Striped.set_fault dev None)
+        (fun () -> try Ok (f ()) with e -> Error e)
+    in
+    (v, !n)
+  in
+  let paths =
+    [
+      ("read_page", fun st -> ignore (Store.read_page st ~epoch ~oid ~idx:0));
+      ("read_cluster", fun st -> ignore (Store.read_cluster st ~epoch ~oid ~idx:0));
+      ("read_pages", fun st -> ignore (Store.read_pages st ~epoch ~oid));
+      ("read_delta", fun st -> ignore (Store.read_delta st ~base:0 ~epoch));
+      ( "stream_pages",
+        fun st -> ignore (List.assoc oid (Store.stream_pages st ~epoch [ oid ]) 0) );
+      ( "verify_epoch",
+        fun st ->
+          match Store.verify_epoch st ~epoch ~check_meta:(fun ~kind:_ _ -> Ok ()) with
+          | Ok _ -> ()
+          | Error msg when String.starts_with ~prefix:"read failed" msg ->
+              raise (Fault.Io_error msg)
+          | Error msg -> failwith msg );
+    ]
+  in
+  let pays what ?outcome n st path =
+    match leaf_reads ?outcome (fun () -> path st) with
+    | Ok (), reads -> Alcotest.(check int) what n reads
+    | Error e, _ -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  List.iter
+    (fun (a, pa) ->
+      List.iter
+        (fun (b, pb) ->
+          let st = Store.recover ~dev ~clock in
+          pays (Printf.sprintf "%s, then %s: the first pays" a b) 1 st pa;
+          pays (Printf.sprintf "%s, then %s: the second does not" a b) 0 st pb;
+          (* A leaf whose read keeps failing stays cold for the next path. *)
+          let st = Store.recover ~dev ~clock in
+          (match leaf_reads ~outcome:Fault.Fail (fun () -> pa st) with
+          | Error (Fault.Io_error _), _ -> ()
+          | _ -> Alcotest.failf "%s: a failing leaf read did not raise" a);
+          pays (Printf.sprintf "%s failed, then %s pays again" a b) 1 st pb)
+        paths)
+    paths;
+  (* A leaf that does not parse costs one read and raises on every path
+     but [verify_epoch], whose page checks parse the leaf uncharged. *)
+  List.iter
+    (fun (a, pa) ->
+      if a <> "verify_epoch" then begin
+        let st = Store.recover ~dev ~clock in
+        Store.recycle_leaf_cache_for_tests st;
+        match leaf_reads ~outcome:(Fault.Flip [ 0; 1; 2; 3 ]) (fun () -> pa st) with
+        | Error (Store.Corrupt_store _), reads ->
+            Alcotest.(check int) (a ^ ": an unparseable leaf costs one read") 1 reads
+        | _ -> Alcotest.failf "%s: an unparseable leaf did not raise Corrupt_store" a
+      end)
+    paths
+
 (* Random store histories for the reference-count property.  Objects are
    slots into a fixed oid array; a page's content is a code (see
    [content]). *)
@@ -1733,6 +1816,7 @@ let () =
             test_stream_corrupt_neighbour;
           Alcotest.test_case "stream: unlisted leaf raises" `Quick
             test_stream_unlisted_leaf_raises;
+          Alcotest.test_case "paid once, whichever path pays" `Quick test_residency_paid_once;
         ] );
       ( "boundaries",
         [
