@@ -263,8 +263,6 @@ let read_nocharge t ~off ~len =
   List.iter overlay (List.rev t.inflight);
   out
 
-let charge_read_raw t ~now ~duration = Resource.submit t.queue ~now ~duration
-
 (* A read is submitted, then collected: the queue is occupied for the
    transfer at submission and the completion trails by the read latency;
    the fault handler's verdict is taken as of that completion.

@@ -84,11 +84,6 @@ val read : t -> clock:Aurora_sim.Clock.t -> off:int -> len:int -> bytes
 val read_nocharge : t -> off:int -> len:int -> bytes
 (** Read without charging time; used by integrity checks in tests. *)
 
-val charge_read_raw : t -> now:int -> duration:int -> int
-(** Occupy the device queue for a read of the given duration without
-    transferring data; returns the completion time ({!Striped.charge_read}
-    uses this for bulk streamed reads). *)
-
 (** {1 Durability} *)
 
 val settle : t -> clock:Aurora_sim.Clock.t -> unit

@@ -146,9 +146,11 @@ let write_priority t ~now ~off data ~completion =
 
 (* Every fragment of every range is queued at the same instant, so the
    member devices work in parallel while each serialises its own
-   transfers.  Nothing waits: each range is collected at once, fragment
-   by fragment in range order, fails at its first failed fragment, and
-   carries the completion of its last fragment. *)
+   transfers.  Nothing waits: each range is collected as soon as its
+   fragments are queued (collecting moves no queue and no clock, so the
+   batch reads as if every range were queued first), fragment by
+   fragment, fails at its first failed fragment, and carries the
+   completion of its last fragment. *)
 let submit_vec t ~now ranges =
   if Otrace.is_on () && Array.length ranges > 1 then
     Otrace.instant ~cat:"blk" "read_vec"
@@ -157,30 +159,21 @@ let submit_vec t ~now ranges =
           ("ranges", Otrace.Int (Array.length ranges));
           ("bytes", Otrace.Int (Array.fold_left (fun a (_, len) -> a + len) 0 ranges));
         ];
-  let frags =
-    Array.map
-      (fun (off, len) ->
-        let acc = ref [] in
-        iter_fragments t ~off ~len (fun dev dev_off frag_off frag_len ->
-            let completion = Device.submit_read dev ~now ~off:dev_off ~len:frag_len in
-            acc := (dev, dev_off, frag_off, frag_len, completion) :: !acc);
-        List.rev !acc)
-      ranges
-  in
-  Array.map2
-    (fun (_, len) fl ->
-      let out = Bytes.make len '\000' in
-      let rec collect = function
-        | [] -> Ok out
-        | (dev, dev_off, frag_off, frag_len, completion) :: rest -> (
+  Array.map
+    (fun (off, len) ->
+      let out = ref Bytes.empty and arrival = ref now and err = ref None in
+      iter_fragments t ~off ~len (fun dev dev_off frag_off frag_len ->
+          let completion = Device.submit_read dev ~now ~off:dev_off ~len:frag_len in
+          arrival := max !arrival completion;
+          if !err = None then
             match Device.collect_read dev ~completion ~off:dev_off ~len:frag_len with
+            | Ok frag when frag_len = len -> out := frag
             | Ok frag ->
-                Bytes.blit frag 0 out frag_off frag_len;
-                collect rest
-            | Error _ as err -> err)
-      in
-      (List.fold_left (fun m (_, _, _, _, c) -> max m c) now fl, collect fl))
-    ranges frags
+                if Bytes.length !out = 0 then out := Bytes.make len '\000';
+                Bytes.blit frag 0 !out frag_off frag_len
+            | Error msg -> err := Some msg);
+      (!arrival, match !err with None -> Ok !out | Some msg -> Error msg))
+    ranges
 
 let read_vec t ~clock ranges =
   let arrived = submit_vec t ~now:(Clock.now clock) ranges in
@@ -198,23 +191,6 @@ let read_nocharge t ~off ~len =
       let frag = Device.read_nocharge dev ~off:dev_off ~len:frag_len in
       Bytes.blit frag 0 out frag_off frag_len);
   out
-
-let charge_read t ~clock ~bytes =
-  if bytes > 0 then begin
-    let n = Array.length t.devs in
-    let per_dev = (bytes + n - 1) / n in
-    let duration =
-      Cost.nvme_read_latency
-      + Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth per_dev
-    in
-    let now = Clock.now clock in
-    let completion =
-      Array.fold_left
-        (fun acc d -> max acc (Device.charge_read_raw d ~now ~duration))
-        now t.devs
-    in
-    Clock.advance_to clock completion
-  end
 
 let settle t ~clock = Array.iter (fun d -> Device.settle d ~clock) t.devs
 

@@ -61,6 +61,9 @@ val read : t -> clock:Aurora_sim.Clock.t -> off:int -> len:int -> bytes
     {!Fault.Io_error} after the clock has advanced. *)
 
 val read_nocharge : t -> off:int -> len:int -> bytes
+(** The newest bytes of a range, without device time, the fault handler
+    or the read counters: uncharged parses and integrity checks, and
+    tests.  No charged read uses it. *)
 
 val set_fault : t -> Fault.t option -> unit
 (** Install one fault handler on every member device.  The handler's
@@ -72,12 +75,6 @@ val set_arbiter : t -> (Arbiter.t * Arbiter.tenant) option -> unit
     device ({!Device.set_arbiter}); fragment writes each charge the lane
     for their own bytes, so a striped extent consumes lane bandwidth
     exactly once. *)
-
-val charge_read : t -> clock:Aurora_sim.Clock.t -> bytes:int -> unit
-(** Charge a bulk streamed read of [bytes], spread across the member
-    devices (deep-queue sequential read); advances the clock to its
-    completion.  Used by bulk restore paths that fetch many small blocks
-    with high queue depth, where per-block latency amortizes away. *)
 
 val settle : t -> clock:Aurora_sim.Clock.t -> unit
 val apply_durable : t -> now:int -> unit

@@ -23,9 +23,10 @@ let stream_codec =
    The store finds them from its copy-on-write leaf metadata
    ([Store.read_delta]), so an object or leaf that [epoch] shares with
    [base] costs no read at all, and the rest costs one leaf batch and one
-   page stream for the whole frame.  Epoch 0 is the empty base: every
+   page batch for the whole frame.  Epoch 0 is the empty base: every
    object is new, so the delta from it is the full checkpoint.  The build
-   is traced as one [migrate/frame] span on the store's clock. *)
+   is traced as one [migrate/frame] span on the store's clock, with the
+   device bytes it read, leaves and pages. *)
 let serialize_incremental ~store ~base ~epoch =
   let clk = Store.clock store in
   let dev = Store.device store in
@@ -37,7 +38,7 @@ let serialize_incremental ~store ~base ~epoch =
       ~args:
         [
           ("objects", Otrace.Int (List.length delta));
-          ("leaves", Otrace.Int ((Striped.bytes_read dev - read0) / Store.block_size));
+          ("read_bytes", Otrace.Int (Striped.bytes_read dev - read0));
           ("pages", Otrace.Int (List.fold_left (fun a (_, _, _, p) -> a + List.length p) 0 delta));
           ("bytes", Otrace.Int (String.length body));
         ];

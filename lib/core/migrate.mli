@@ -24,7 +24,7 @@ val serialize_incremental :
     since [base] with all its pages, and every object whose metadata or
     page locations changed with only the pages whose stored location
     changed ({!Aurora_objstore.Store.read_delta}: one vectored batch of
-    the leaves the two epochs do not share, then one streamed read of
+    the leaves the two epochs do not share, then one vectored batch of
     every moved page).  Blocks are
     copy-on-write, so that page set is a superset of the pages whose
     bytes changed, never a subset: a page rewritten with identical bytes

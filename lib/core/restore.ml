@@ -31,12 +31,16 @@ type result = {
   restore_ns : int;
 }
 
+(* A memory object's share of the restore's stream: a lazy restore's
+   faults take its pages, an eager restore took them all before the
+   rebuild. *)
+type pages = Streamed of Store.stream | Taken of (int * bytes) list
+
 type ctx = {
   mach : Machine.t;
   st : Store.t;
   epoch : int;
-  pagers : (int, int -> (int * bytes) list) Hashtbl.t option;
-      (* a lazy restore's stream pagers, by memory-object oid *)
+  pages : (int, pages) Hashtbl.t; (* memory-object oid -> its pages *)
   kinds : (int, string) Hashtbl.t; (* oid -> kind *)
   memobjs : (int, Vm_object.t) Hashtbl.t; (* oid -> restored object *)
   descs : (int, Fdesc.t) Hashtbl.t; (* oid -> restored description *)
@@ -56,14 +60,6 @@ let meta ctx oid = Store.read_meta ctx.st ~epoch:ctx.epoch ~oid
 
 (* Memory objects --------------------------------------------------------------- *)
 
-let load_pages ctx oid obj =
-  List.iter
-    (fun (idx, payload) ->
-      let page = Page.alloc_sized ~payload:(Bytes.length payload) in
-      Page.load_payload page payload;
-      Vm_object.insert_page obj idx page)
-    (Store.read_pages ctx.st ~epoch:ctx.epoch ~oid)
-
 let rec memobj ctx oid =
   match Hashtbl.find_opt ctx.memobjs oid with
   | Some obj -> obj
@@ -80,12 +76,20 @@ let rec memobj ctx oid =
           Vm_object.set_parent obj (Some parent)
       | None -> ());
       Hashtbl.replace ctx.memobjs oid obj;
-      (match ctx.pagers with
-      | Some pagers ->
+      (match Hashtbl.find_opt ctx.pages oid with
+      | Some (Streamed s) ->
           (* Lazy restore: pages are installed on first touch, a fault's
-             cluster at a time, from the stream the restore started. *)
-          Vm_object.set_pager obj (Hashtbl.find_opt pagers oid)
-      | None -> load_pages ctx oid obj);
+             cluster at a time. *)
+          Vm_object.set_pager obj (Some (Store.pager s))
+      | Some (Taken pages) ->
+          Hashtbl.remove ctx.pages oid;
+          List.iter
+            (fun (idx, payload) ->
+              let page = Page.alloc_sized ~payload:(Bytes.length payload) in
+              Page.load_payload page payload;
+              Vm_object.insert_page obj idx page)
+            pages
+      | None -> ());
       obj
 
 (* Sub-objects -------------------------------------------------------------------- *)
@@ -400,25 +404,22 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   let restored_fs =
     if has_fs then Some (Fs.restore_from_store ~store ~epoch) else None
   in
-  (* A lazy restore starts reading the group's memory in the background
-     now, after the file system's pages and before the processes'
-     rebuild, which it overlaps; faults take their pages from it. *)
-  let pagers =
-    if not lazy_pages then None
-    else begin
-      let pagers = Hashtbl.create 64 in
-      List.iter
-        (fun (oid, pager) -> Hashtbl.replace pagers oid pager)
-        (Store.stream_pages store ~epoch (group_memobjs ~store ~epoch kinds proc_images));
-      Some pagers
-    end
-  in
+  (* Both restores stream the group's memory now, after the file
+     system's pages and before anything touches [machine].  Lazy
+     restore's faults take their pages from the stream during and after
+     the processes' rebuild, which it overlaps; eager restore takes every
+     page here, so a read that fails leaves the machine untouched. *)
+  let pages = Hashtbl.create 64 in
+  List.iter
+    (fun (oid, s) ->
+      Hashtbl.replace pages oid (if lazy_pages then Streamed s else Taken (Store.take_all s)))
+    (Store.stream_pages store ~epoch (group_memobjs ~store ~epoch kinds proc_images));
   let ctx =
     {
       mach = machine;
       st = store;
       epoch;
-      pagers;
+      pages;
       kinds;
       memobjs = Hashtbl.create 64;
       descs = Hashtbl.create 64;

@@ -328,28 +328,28 @@ let submit_ranges t ~now ranges =
   let out = Array.make (Array.length ranges) (now, Ok Bytes.empty) in
   let rec go pending now attempt backoff =
     let arrived = Striped.submit_vec t.dev ~now (Array.map (fun i -> ranges.(i)) pending) in
-    Array.iteri (fun k r -> out.(pending.(k)) <- r) arrived;
-    let failed = List.filter (fun i -> Result.is_error (snd out.(i))) (Array.to_list pending) in
-    if failed <> [] && attempt < t.read_retries then begin
-      t.stat_read_faults <- t.stat_read_faults + List.length failed;
-      go (Array.of_list failed) (last_arrival now arrived + backoff) (attempt + 1) (2 * backoff)
+    let failed = ref [] in
+    Array.iteri
+      (fun k r ->
+        out.(pending.(k)) <- r;
+        if Result.is_error (snd r) then failed := pending.(k) :: !failed)
+      arrived;
+    if !failed <> [] && attempt < t.read_retries then begin
+      t.stat_read_faults <- t.stat_read_faults + List.length !failed;
+      go (Array.of_list (List.rev !failed)) (last_arrival now arrived + backoff) (attempt + 1)
+        (2 * backoff)
     end
   in
   go (Array.init (Array.length ranges) Fun.id) now 0 t.read_backoff;
   out
 
-(* [submit_ranges] at the clock's time, waiting for the last arrival. *)
-let read_ranges_result t ranges =
+(* [submit_ranges] at the clock's time, waiting for the last arrival;
+   any range that keeps failing surfaces its error, the first in range
+   order. *)
+let read_ranges t ranges =
   let arrived = submit_ranges t ~now:(Clock.now t.clk) ranges in
   Clock.advance_to t.clk (last_arrival (Clock.now t.clk) arrived);
-  Array.map snd arrived
-
-(* [read_ranges_result] where any range that keeps failing surfaces its
-   error, the first in range order. *)
-let read_ranges t ranges =
-  Array.map
-    (function Ok data -> data | Error msg -> raise (Fault.Io_error msg))
-    (read_ranges_result t ranges)
+  Array.map (function _, Ok data -> data | _, Error msg -> raise (Fault.Io_error msg)) arrived
 
 let read_range t ~off ~len = (read_ranges t [| (off, len) |]).(0)
 
@@ -1421,31 +1421,41 @@ let fault_cluster = 16
    the same aligned run of [span] pages and in the same radix leaf. *)
 let in_window ~span idx i = i / span = idx / span && i / leaf_span = idx / leaf_span
 
-let entry_range p = (off_of_block p.p_blk + p.p_off, p.p_clen)
+(* A page read: its leaf entry, and its read's arrival and outcome. *)
+type streamed = { s_entry : leaf_entry; s_arrival : int; s_read : (bytes, string) result }
 
-(* A window's reads, all arrived, each with its outcome: decompression
-   is charged once over the coded pages read, then every page is decoded.
-   Only [idx]'s own read ([Fault.Io_error]) or payload ([Corrupt_store])
-   raises; a neighbour whose read kept failing or whose payload does not
-   decode is left out, to fail the fault that demands it. *)
-let decode_window t ~idx read =
+(* The stored bytes of [entries], submitted at [now] as one vectored
+   batch ([submit_ranges]: per-range retries) without waiting. *)
+let submit_pages t ~now entries =
+  Array.map2
+    (fun s_entry (s_arrival, s_read) -> { s_entry; s_arrival; s_read })
+    entries
+    (submit_ranges t ~now (Array.map (fun p -> (off_of_block p.p_blk + p.p_off, p.p_clen)) entries))
+
+(* Wait for the last arrival of [pages], charge decompression once over
+   the coded pages read, then decode every page, in order.  A [demanded]
+   page raises for its read ([Fault.Io_error]) or its payload
+   ([Corrupt_store]); any other page that fails either way is left out,
+   to fail the call that demands it. *)
+let decode_pages t ~demanded pages =
+  Clock.advance_to t.clk (List.fold_left (fun m x -> max m x.s_arrival) (Clock.now t.clk) pages);
   let coded_olen =
     List.fold_left
-      (fun a (p, r) -> if p.p_comp && Result.is_ok r then a + p.p_olen else a)
-      0 read
+      (fun a x -> if x.s_entry.p_comp && Result.is_ok x.s_read then a + x.s_entry.p_olen else a)
+      0 pages
   in
   if coded_olen > 0 then
     Clock.advance t.clk (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
   List.filter_map
-    (fun (p, r) ->
-      match r with
-      | Error msg when p.p_idx = idx -> raise (Fault.Io_error msg)
+    (fun { s_entry = p; s_read; _ } ->
+      match s_read with
+      | Error msg when demanded p -> raise (Fault.Io_error msg)
       | Error _ -> None
       | Ok stored -> (
           match decode_payload p stored with
           | payload -> Some (p.p_idx, payload)
-          | exception Corrupt_store _ when p.p_idx <> idx -> None))
-    read
+          | exception Corrupt_store _ when not (demanded p) -> None))
+    pages
 
 (* The stored pages of [oid] at [epoch] in [idx]'s window of [span]
    pages: one paid leaf lookup, then one batch of reads.  [] without a
@@ -1457,29 +1467,32 @@ let read_window t ~epoch ~oid ~idx ~span =
   | Some leaf_blk ->
       let entries = resident_leaves t [ leaf_blk ] leaf_blk in
       if not (List.exists (fun p -> p.p_idx = idx) entries) then []
-      else begin
+      else
         let window = List.filter (fun p -> in_window ~span idx p.p_idx) entries in
-        let data = read_ranges_result t (Array.of_list (List.map entry_range window)) in
-        decode_window t ~idx (List.combine window (Array.to_list data))
-      end
+        decode_pages t
+          ~demanded:(fun p -> p.p_idx = idx)
+          (Array.to_list (submit_pages t ~now:(Clock.now t.clk) (Array.of_list window)))
 
 let read_page t ~epoch ~oid ~idx =
   List.assoc_opt idx (read_window t ~epoch ~oid ~idx ~span:1)
 
 let read_cluster t ~epoch ~oid ~idx = read_window t ~epoch ~oid ~idx ~span:fault_cluster
 
-(* A page of the restore stream: its leaf entry, and its read's arrival
-   and outcome. *)
-type streamed = { s_entry : leaf_entry; s_arrival : int; s_read : (bytes, string) result }
+(* One object's share of a stream, which owns the bytes read until it is
+   dropped: its pages in index order, those not yet taken by index, and
+   its unlisted leaves, by leaf index, each with its arrival and the
+   error the demand path raises. *)
+type stream = {
+  owner : t;
+  pages : streamed array;
+  slots : (int, streamed) Hashtbl.t;
+  unlisted : (int * exn) IntMap.t;
+}
 
 (* Every stored page of the distinct [oids] at [epoch], read in the
    background: the leaves not yet resident in one batch submitted now,
    then every page they list in one batch submitted when the last leaf
-   arrives; the clock does not move.  Each oid gets a pager over its own
-   table, which owns the bytes read: a fault waits for its window's
-   arrival, decodes it with [decode_window] and drops what it returns.
-   A leaf that could not be read or parsed keeps the error the demand
-   path raises, for every fault in its range. *)
+   arrives; the clock does not move. *)
 let stream_pages t ~epoch oids =
   let now = Clock.now t.clk in
   let versions = List.map (fun oid -> (oid, version_exn t ~epoch ~oid)) oids in
@@ -1502,70 +1515,52 @@ let stream_pages t ~epoch oids =
         (oid, Array.of_list (List.rev entries), unlisted))
       versions
   in
-  let reads =
-    submit_ranges t ~now:(Hashtbl.fold (fun _ (arrival, _) m -> max m arrival) listed now)
-      (Array.concat (List.map (fun (_, entries, _) -> Array.map entry_range entries) objects))
+  let read =
+    submit_pages t
+      ~now:(Hashtbl.fold (fun _ (arrival, _) m -> max m arrival) listed now)
+      (Array.concat (List.map (fun (_, entries, _) -> entries) objects))
   in
   let next = ref 0 in
   List.map
     (fun (oid, entries, unlisted) ->
-      let slots = Hashtbl.create (Array.length entries) in
-      Array.iter
-        (fun p ->
-          let s_arrival, s_read = reads.(!next) in
-          incr next;
-          Hashtbl.replace slots p.p_idx { s_entry = p; s_arrival; s_read })
-        entries;
-      let pager idx =
-        match IntMap.find_opt (idx / leaf_span) unlisted with
-        | Some (arrival, e) ->
-            Clock.advance_to t.clk arrival;
-            raise e
-        | None when not (Hashtbl.mem slots idx) -> []
-        | None ->
-            let lo = idx / fault_cluster * fault_cluster in
-            let window =
-              List.filter_map
-                (fun i ->
-                  if in_window ~span:fault_cluster idx i then Hashtbl.find_opt slots i else None)
-                (List.init fault_cluster (fun k -> lo + k))
-            in
-            Clock.advance_to t.clk
-              (List.fold_left (fun m s -> max m s.s_arrival) (Clock.now t.clk) window);
-            let pages = decode_window t ~idx (List.map (fun s -> (s.s_entry, s.s_read)) window) in
-            List.iter (fun (i, _) -> Hashtbl.remove slots i) pages;
-            pages
-      in
-      (oid, pager))
+      let pages = Array.sub read !next (Array.length entries) in
+      next := !next + Array.length entries;
+      let slots = Hashtbl.create (Array.length pages) in
+      Array.iter (fun x -> Hashtbl.replace slots x.s_entry.p_idx x) pages;
+      (oid, { owner = t; pages; slots; unlisted }))
     objects
 
-(* Bulk page reads are issued at depth (restore, migration): [entries]
-   cost one streamed read of their stored bytes instead of a full device
-   round trip per page, and decompression is charged once over the coded
-   pages' original bytes.  [fetch_entry] then takes one entry's page,
-   pushed onto [acc]. *)
-let charge_stream t entries =
-  Striped.charge_read t.dev ~clock:t.clk
-    ~bytes:(List.fold_left (fun a p -> a + p.p_clen) 0 entries);
-  let coded_olen =
-    List.fold_left (fun a p -> if p.p_comp then a + p.p_olen else a) 0 entries
-  in
-  if coded_olen > 0 then
-    Clock.advance t.clk
-      (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen)
+(* Wait for an unlisted leaf's arrival, then raise its error. *)
+let fail_unlisted s (arrival, e) =
+  Clock.advance_to s.owner.clk arrival;
+  raise e
 
-let fetch_entry t acc p =
-  let stored = Striped.read_nocharge t.dev ~off:(off_of_block p.p_blk + p.p_off) ~len:p.p_clen in
-  (p.p_idx, decode_payload p stored) :: acc
+(* [decode_pages] of [pages], dropping what it returns from the stream. *)
+let take s ~demanded pages =
+  let taken = decode_pages s.owner ~demanded pages in
+  List.iter (fun (i, _) -> Hashtbl.remove s.slots i) taken;
+  taken
 
-(* The leaves not yet resident in one vectored read, then one streamed
-   read of every page they name. *)
-let read_pages t ~epoch ~oid =
-  let v = version_exn t ~epoch ~oid in
-  let leaf = resident_leaves t (leaf_blocks v []) in
-  let entries = IntMap.fold (fun _ blk acc -> List.rev_append (leaf blk) acc) v.v_leaves [] in
-  charge_stream t entries;
-  List.fold_left (fetch_entry t) [] entries |> List.sort compare
+let pager s idx =
+  match IntMap.find_opt (idx / leaf_span) s.unlisted with
+  | Some u -> fail_unlisted s u
+  | None when not (Hashtbl.mem s.slots idx) -> []
+  | None ->
+      let lo = idx / fault_cluster * fault_cluster in
+      take s
+        ~demanded:(fun p -> p.p_idx = idx)
+        (List.filter_map
+           (fun i ->
+             if in_window ~span:fault_cluster idx i then Hashtbl.find_opt s.slots i else None)
+           (List.init fault_cluster (fun k -> lo + k)))
+
+let take_all s =
+  Option.iter (fun (_, u) -> fail_unlisted s u) (IntMap.min_binding_opt s.unlisted);
+  take s
+    ~demanded:(fun _ -> true)
+    (List.filter (fun x -> Hashtbl.mem s.slots x.s_entry.p_idx) (Array.to_list s.pages))
+
+let read_pages t ~epoch ~oid = take_all (List.assoc oid (stream_pages t ~epoch [ oid ]))
 
 (* Leaf and data blocks are copy-on-write and [base] keeps its blocks
    live, so an entry at the same location in both epochs holds the same
@@ -1600,8 +1595,7 @@ let read_delta t ~base ~epoch =
   in
   let same p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen in
   (* Both entry lists are sorted by page index; [acc] collects moved
-     entries in descending index order, across leaves too, so the fetched
-     pages come back ascending. *)
+     entries in descending index order, across leaves too. *)
   let rec moved acc news olds =
     match (news, olds) with
     | [], _ -> acc
@@ -1622,9 +1616,20 @@ let read_delta t ~base ~epoch =
         if changed = [] && base_meta = Some meta then None else Some (oid, kind, meta, changed))
       plan
   in
-  charge_stream t (List.concat_map (fun (_, _, _, changed) -> changed) deltas);
+  (* Every moved page, in object then index order, in one batch. *)
+  let moved = List.concat_map (fun (_, _, _, changed) -> List.rev changed) deltas in
+  let pages =
+    Array.of_list
+      (decode_pages t
+         ~demanded:(fun _ -> true)
+         (Array.to_list (submit_pages t ~now:(Clock.now t.clk) (Array.of_list moved))))
+  in
+  let next = ref 0 in
   List.map
-    (fun (oid, kind, meta, changed) -> (oid, kind, meta, List.fold_left (fetch_entry t) [] changed))
+    (fun (oid, kind, meta, changed) ->
+      let n = List.length changed in
+      next := !next + n;
+      (oid, kind, meta, Array.to_list (Array.sub pages (!next - n) n)))
     deltas
 
 let page_crcs t ~epoch ~oid = List.sort compare (version_crcs t (version_exn t ~epoch ~oid))
@@ -1876,8 +1881,9 @@ let manifest t ~epoch =
       | Error msg -> Error ("manifest unreadable: " ^ msg))
 
 (* The check order and reason strings are part of the contract (see the
-   .mli); the last check re-reads the payloads on disk, not just the CRCs
-   the leaves recorded at write time. *)
+   .mli); the last check re-reads the payloads on disk, from one stream
+   of the whole epoch, not just the CRCs the leaves recorded at write
+   time. *)
 let verify_epoch t ~epoch ~check_meta =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   try
@@ -1894,10 +1900,14 @@ let verify_epoch t ~epoch ~check_meta =
         | Ok m when objects <> m.Manifest.m_count ->
             fail "epoch holds %d objects, manifest says %d" objects m.Manifest.m_count
         | Ok m ->
-            (* Every leaf the page checks will reach, resident up front in
-               one vectored read instead of one round trip each. *)
-            let (_ : int -> leaf_entry list) =
-              resident_leaves t (Hashtbl.fold (fun _ v acc -> leaf_blocks v acc) e.e_table [])
+            (* Every object's pages, streamed once: one batch of the
+               leaves not yet resident, then one of every page. *)
+            let streams =
+              stream_pages t ~epoch
+                (List.sort compare
+                   (Hashtbl.fold
+                      (fun oid _ acc -> if oid = moid then acc else oid :: acc)
+                      e.e_table []))
             in
             let check (me : Manifest.entry) =
               let oid = me.Manifest.me_oid in
@@ -1925,7 +1935,7 @@ let verify_epoch t ~epoch ~check_meta =
                           | Some crc -> Crc32.of_bytes payload <> crc
                           | None -> true
                         in
-                        match List.find_opt corrupt (read_pages t ~epoch ~oid) with
+                        match List.find_opt corrupt (take_all (List.assoc oid streams)) with
                         | Some (idx, _) -> fail "oid %d page %d payload corrupt" oid idx
                         | None -> Ok ()))
             in

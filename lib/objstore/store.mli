@@ -252,38 +252,48 @@ val read_cluster : t -> epoch:int -> oid:int -> idx:int -> (int * bytes) list
     that demands it.  Only [idx]'s own read raises
     ({!Aurora_block.Fault.Io_error}) or its own payload
     ({!Corrupt_store}).  The window rule and the decoding are the ones
-    {!stream_pages}' pagers use. *)
+    a {!stream_pages} {!pager} uses. *)
 
-val stream_pages :
-  t -> epoch:int -> int list -> (int * (int -> (int * bytes) list)) list
+type stream
+(** One object's share of a {!stream_pages} stream. *)
+
+val stream_pages : t -> epoch:int -> int list -> (int * stream) list
 (** [stream_pages t ~epoch oids] starts reading every stored page of the
     distinct objects [oids] at [epoch] in the background, and returns
-    each oid with a pager over its share ({!Aurora_vm.Vm_object.set_pager}).
-    Lazy restore's data path.  The clock does not move: the leaves not
-    yet resident are read in one vectored batch submitted now (they
-    become resident, as under {!read_page}), and every page they list in
-    one vectored batch submitted when the last leaf arrives; a failed
-    range is retried in the background under {!set_read_policy}.  The
-    bytes are taken at submission, so the pagers never consult the
-    epoch catalogue again and outlive a prune of [epoch].
+    each oid with its share.  The store's one bulk page reader: lazy and
+    eager restore, {!read_pages} and {!verify_epoch} all take their
+    pages from it.  The clock does not move: the leaves not yet resident
+    are read in one vectored batch submitted now (they become resident,
+    as under {!read_page}), and every page they list in one vectored
+    batch submitted when the last leaf arrives; a failed range is
+    retried in the background under {!set_read_policy}.  The bytes are
+    taken at submission, so a share never consults the epoch catalogue
+    again and outlives a prune of [epoch].  A share has two consumers,
+    {!pager} and {!take_all}; neither issues a device read, and each
+    page is returned once, by whichever takes it first. *)
 
-    A pager call is {!read_cluster} served from the stream: it advances
-    the clock to the arrival of [idx]'s window (usually already past),
-    charges decompression once over the window's coded pages, returns
-    the window's pages not yet returned, and drops them from its table.
-    No device read is issued.  [[]] when [idx] is not stored.  [idx]'s
-    own read that kept failing raises {!Aurora_block.Fault.Io_error}, its
-    own undecodable payload {!Corrupt_store}; a neighbour that fails
-    either way is left out and raises at its own fault.  A fault in the
-    range of a leaf that could not be read or parsed raises what
-    {!read_cluster} would: {!Aurora_block.Fault.Io_error} or
-    {!Corrupt_store}. *)
+val pager : stream -> int -> (int * bytes) list
+(** Lazy restore's fault pager ({!Aurora_vm.Vm_object.set_pager}): a
+    call is {!read_cluster} served from the stream.  It advances the
+    clock to the arrival of [idx]'s window (usually already past),
+    charges decompression once over the window's coded pages and returns
+    the window's pages not yet taken.  [[]] when [idx] is not stored.
+    [idx]'s own read that kept failing raises
+    {!Aurora_block.Fault.Io_error}, its own undecodable payload
+    {!Corrupt_store}; a neighbour that fails either way is left out and
+    raises at its own fault.  A fault in the range of a leaf that could
+    not be read or parsed raises what {!read_cluster} would:
+    {!Aurora_block.Fault.Io_error} or {!Corrupt_store}. *)
+
+val take_all : stream -> (int * bytes) list
+(** Every page of the share not yet taken, sorted by index: the clock
+    advances to their last arrival and decompression is charged once.
+    An unlisted leaf raises first, then the first page whose read kept
+    failing or whose payload does not decode, as under {!pager}. *)
 
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
-(** All stored pages: the object's leaves not yet resident are read in
-    one vectored batch and become resident (the rule of {!read_page}),
-    then every page's stored bytes are charged as one streamed read for
-    the whole object, not one per leaf. *)
+(** All stored pages: {!take_all} of a one-object {!stream_pages}, so
+    one batch of the leaves not yet resident, then one of the pages. *)
 
 val read_delta :
   t -> base:int -> epoch:int -> (int * string * string * (int * bytes) list) list
@@ -295,11 +305,12 @@ val read_delta :
     metadata: a version record or leaf block both epochs share is
     skipped without a read.  Every other leaf, at both epochs and over
     every object, is made resident in one vectored batch under the rule
-    of {!read_page} (retried per range; a range that keeps failing raises
-    {!Aurora_block.Fault.Io_error}); entries are compared by stored
-    location (block, offset, stored length) without device time, and
-    every moved page is charged as one streamed read, plus decompression
-    of the RLE-coded ones.  Same location means same bytes, so the pages
+    of {!read_page}; entries are compared by stored location (block,
+    offset, stored length) without device time, and every moved page,
+    over every object, is read in one more vectored batch, plus
+    decompression of the RLE-coded ones.  Both batches retry per range;
+    a range that keeps failing raises {!Aurora_block.Fault.Io_error}.
+    Same location means same bytes, so the pages
     are a superset of those whose bytes changed: a page rewritten with
     identical bytes at a new location is returned, a dedup hit on its old
     location is not. *)
@@ -356,14 +367,13 @@ val verify_epoch :
 (** Check [epoch] against its own manifest, in this order: exactly one
     manifest object, its epoch id, its object count; then per entry,
     sorted by oid: presence, kind, metadata CRC, page count, page-set
-    fingerprint, [check_meta ~kind meta], and every page re-read with
-    {!read_pages} against its leaf CRC.  The first failure is the
+    fingerprint, [check_meta ~kind meta], and every page re-read off
+    the device against its leaf CRC.  The first failure is the
     [Error] reason.  The re-reads are charged: once the epoch-level
-    checks pass, every leaf of the epoch not yet resident is read in one
-    vectored batch and becomes resident (the rule of {!read_page}), so
-    an N-leaf epoch pays one leaf round trip, not N, and then each
-    object's pages stream once.  A restore that follows
-    reads no leaf again.  Nothing else is mutated.  Never raises on
+    checks pass, the whole epoch is streamed once ({!stream_pages}), so
+    an N-leaf epoch pays one leaf round trip, not N, and one more for
+    every page, and each entry's page check takes its object's pages
+    ({!take_all}).  A restore that follows reads no leaf again.  Nothing else is mutated.  Never raises on
     corrupt or unreadable state: a read that still fails after the read
     policy's retries is [Error "read failed: ..."]. *)
 

@@ -1782,6 +1782,110 @@ let test_unreadable_epoch_falls_back () =
             (Vm_space.read_string p'.Process.space ~addr ~len:5)
       | _ -> Alcotest.fail "expected 1 process")
 
+(* A read that fails after verification passed: the second process's
+   newest pages read cleanly once, for verification, then fail for good.
+   Eager restore takes every page before it touches the machine, so its
+   failed attempt leaves nothing behind, and the fallback restores the
+   older epoch into a machine that holds exactly that epoch's processes
+   and its one file system. *)
+let test_fallback_after_post_verify_read_failure () =
+  let sys = Sls.boot () in
+  let a, _, addr_a = spawn_with_memory sys ~name:"a" ~npages:2 in
+  let b, _, addr_b = spawn_with_memory sys ~name:"b" ~npages:2 in
+  let vn = Aurora_fs.Fs.create_file sys.Sls.fs "/data" in
+  Aurora_fs.Fs.write sys.Sls.fs vn ~off:0 "file bytes";
+  let group = Sls.attach sys [ a; b ] in
+  let round gen =
+    Vm_space.write_string a.Process.space ~addr:addr_a (Printf.sprintf "a gen-%d" gen);
+    Vm_space.write_string b.Process.space ~addr:addr_b (Printf.sprintf "b gen-%d" gen);
+    ignore (Group.checkpoint ~wait_durable:true group)
+  in
+  round 1;
+  round 2;
+  let dev = sys.Sls.device in
+  Striped.settle dev ~clock:sys.Sls.machine.Machine.clock;
+  let newest, older =
+    match List.rev (Store.checkpoint_epochs sys.Sls.store) with
+    | n :: o :: _ -> (n, o)
+    | _ -> Alcotest.fail "expected two epochs"
+  in
+  (* The device reads of [b]'s newest pages, its leaves resident. *)
+  let st = Store.recover ~dev ~clock:(Clock.create ()) in
+  let b_oid =
+    match
+      List.filter
+        (fun (oid, kind) ->
+          kind = Serial.kind_memobj
+          && List.exists
+               (fun (_, page) -> String.starts_with ~prefix:"b gen-2" (Bytes.to_string page))
+               (Store.read_pages st ~epoch:newest ~oid))
+        (Store.objects_at st ~epoch:newest)
+    with
+    | [ (oid, _) ] -> oid
+    | l -> Alcotest.failf "expected one memory object holding b's page, saw %d" (List.length l)
+  in
+  let b_reads = ref [] in
+  let h = Fault.create () in
+  h.Fault.on_read <-
+    (fun r ->
+      b_reads := (r.Fault.r_dev, r.Fault.r_off) :: !b_reads;
+      Fault.Clean);
+  Striped.set_fault dev (Some h);
+  ignore (Store.read_pages st ~epoch:newest ~oid:b_oid);
+  Striped.set_fault dev None;
+  let b_reads = !b_reads in
+  Alcotest.(check bool) "b's newest pages are read" true (b_reads <> []);
+  (* Each of those ranges reads cleanly once, then fails. *)
+  let seen = Hashtbl.create 8 in
+  h.Fault.on_read <-
+    (fun r ->
+      let key = (r.Fault.r_dev, r.Fault.r_off) in
+      if not (List.mem key b_reads) then Fault.Clean
+      else begin
+        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen key) in
+        Hashtbl.replace seen key n;
+        if n >= 2 then Fault.Fail else Fault.Clean
+      end);
+  Striped.set_fault dev (Some h);
+  let machine = Machine.create () in
+  let store = Store.recover ~dev ~clock:machine.Machine.clock in
+  let verdict = Restore.restore_verified ~machine ~store () in
+  Striped.set_fault dev None;
+  Alcotest.(check bool) "verification read b's pages, then the restore failed on them" true
+    (Hashtbl.fold (fun _ n ok -> ok && n >= 2) seen (Hashtbl.length seen > 0));
+  match verdict with
+  | Error e -> Alcotest.fail ("fallback found nothing: " ^ Restore.pp_restore_error e)
+  | Ok v ->
+      Alcotest.(check int) "older epoch restored" older v.Restore.vr_epoch;
+      (match v.Restore.vr_skipped with
+      | [ at ] ->
+          Alcotest.(check int) "the newest epoch was skipped" newest at.Restore.at_epoch;
+          Alcotest.(check bool)
+            (Printf.sprintf "skipped for the restore's read: %s" at.Restore.at_reason)
+            true
+            (String.starts_with ~prefix:"restore failed: " at.Restore.at_reason)
+      | _ -> Alcotest.fail "expected exactly the newest epoch skipped");
+      let procs = v.Restore.vr_result.Restore.procs in
+      Alcotest.(check (list int)) "the machine holds exactly the restored processes, no orphan pid"
+        (List.sort compare (List.map (fun (p : Process.t) -> p.Process.pid_global) procs))
+        (List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) machine.Machine.procs []));
+      Alcotest.(check (list string)) "the older epoch's memory" [ "a gen-1"; "b gen-1" ]
+        (List.map2
+           (fun (p : Process.t) addr -> Vm_space.read_string p.Process.space ~addr ~len:7)
+           procs [ addr_a; addr_b ]);
+      let fs =
+        match v.Restore.vr_result.Restore.fs with
+        | Some fs -> fs
+        | None -> Alcotest.fail "no file system restored"
+      in
+      Alcotest.(check bool) "the mounted file system is the restored epoch's" true
+        (match
+           ( (Machine.vfs_exn machine).Aurora_kern.Vfs.lookup "/data",
+             Aurora_fs.Fs.lookup fs "/data" )
+         with
+        | Some mounted, Some restored -> mounted == restored
+        | _ -> false)
+
 (* High availability: one standby, stop-and-wait ------------------------------------- *)
 
 (* A single hot standby is a one-standby replica set; stop-and-wait is a
@@ -2381,6 +2485,8 @@ let () =
             test_restore_fallback_two_corrupt_epochs;
           Alcotest.test_case "unreadable epoch falls back" `Quick
             test_unreadable_epoch_falls_back;
+          Alcotest.test_case "fallback after a post-verify read failure" `Quick
+            test_fallback_after_post_verify_read_failure;
         ] );
       ( "high availability",
         [

@@ -286,10 +286,17 @@ let batch_read store ranges =
 let one_block_read =
   Cost.nvme_read_latency + Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth Store.block_size
 
-let streamed_read bytes =
-  let n = Cost.nvme_stripe_devices in
-  Cost.nvme_read_latency
-  + Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth ((bytes + n - 1) / n)
+(* The array ranges of the leaves over [(epoch, oid, idx)], on [store]:
+   each the first device read of a cold page read.  A frame's reads are
+   told apart by these locations: leaves and raw pages are both one block
+   long. *)
+let leaf_ranges store leaves =
+  List.map
+    (fun (epoch, oid, idx) ->
+      match measured store (fun () -> Store.read_page store ~epoch ~oid ~idx) with
+      | _, _, leaf :: _ -> leaf
+      | _, _, [] -> Alcotest.fail "a cold page read issued no read")
+    leaves
 
 let commit store f =
   let e = Store.begin_checkpoint store in
@@ -329,17 +336,22 @@ let test_cost_changed_leaf_only () =
     "only the rewritten pages ship"
     [ (a, List.init k (fun i -> Store.leaf_span + 1 + i)) ]
     (stream_pages stream);
-  Alcotest.(check int) "the changed leaf at both epochs meets the injector" 2 (List.length ranges);
-  (* The leaf pair is one vectored batch, timed as the same two ranges
-     read together on an identical fresh store. *)
   let twin, _, _, _, _ = changed_leaf_history k in
-  Alcotest.(check int) "leaf pair as one batch plus the pages' stored bytes"
-    (batch_read twin ranges + streamed_read (k * Store.block_size))
+  let leaves = leaf_ranges twin [ (e1, a, Store.leaf_span); (e2, a, Store.leaf_span) ] in
+  let leaf_reads, page_reads = List.partition (fun r -> List.mem r leaves) ranges in
+  Alcotest.(check (list (pair int int))) "the changed leaf at both epochs meets the injector"
+    (List.sort compare leaves) (List.sort compare leaf_reads);
+  Alcotest.(check int) "each rewritten page meets the injector once" k (List.length page_reads);
+  (* The leaf pair is one vectored batch and the pages another, each
+     timed as the same ranges read together on an identical fresh store. *)
+  Alcotest.(check int) "leaf pair as one batch, then the pages as one batch"
+    (batch_read twin leaf_reads + batch_read twin page_reads)
     took;
   (* The leaf pair is resident now: only the data is paid again. *)
   let _, took, ranges = measured store (fun () -> Store.read_delta store ~base:e1 ~epoch:e2) in
-  Alcotest.(check int) "resident leaves: no reads" 0 (List.length ranges);
-  Alcotest.(check int) "resident leaves: data only" (streamed_read (k * Store.block_size)) took;
+  Alcotest.(check (list (pair int int))) "resident leaves: the pages' reads alone" page_reads
+    ranges;
+  Alcotest.(check int) "resident leaves: data only" (batch_read twin page_reads) took;
   (* An untouched object costs nothing, at any residency: [b], restaged
      with its own metadata and no pages, shares every leaf with [e2], and
      none of them was ever read. *)
@@ -380,12 +392,21 @@ let test_cost_one_batch_per_frame () =
     "every rewritten page ships"
     [ (a, List.init k (fun leaf -> leaf * Store.leaf_span)); (b, [ 0 ]) ]
     (stream_pages stream);
-  Alcotest.(check int) "every changed leaf at both epochs meets the injector" ((2 * k) + 2)
-    (List.length ranges);
   let twin, _, _, _, _ = spread_history k in
-  let batch = batch_read twin ranges in
-  Alcotest.(check int) "one leaf batch plus one stream of every moved page"
-    (batch + streamed_read ((k + 1) * Store.block_size))
+  let leaves =
+    leaf_ranges twin
+      (List.concat_map
+         (fun e -> (e, b, 0) :: List.init k (fun leaf -> (e, a, leaf * Store.leaf_span)))
+         [ e1; e2 ])
+  in
+  let leaf_reads, page_reads = List.partition (fun r -> List.mem r leaves) ranges in
+  Alcotest.(check (list (pair int int))) "every changed leaf at both epochs meets the injector"
+    (List.sort compare leaves) (List.sort compare leaf_reads);
+  Alcotest.(check int) "every moved page meets the injector once" (k + 1)
+    (List.length page_reads);
+  let batch = batch_read twin leaf_reads in
+  Alcotest.(check int) "one leaf batch plus one batch of every moved page"
+    (batch + batch_read twin page_reads)
     took;
   Alcotest.(check bool) "the batch beats k serial leaf reads" true (batch < k * one_block_read)
 

@@ -907,15 +907,20 @@ let test_leaf_resident_after_charged_read () =
     Alcotest.(check (option bytes)) (Printf.sprintf "page %d" idx) (Some (noise_page idx)) page;
     Clock.now clock - t0
   in
-  (* Commit parsed the leaf but never paid for it: the first read does. *)
-  Alcotest.(check int) "first read: leaf + data" (2 * one_block_read) (timed_read 0);
+  (* Commit parsed the leaf but never paid for it: the first read does,
+     and its first device read is the leaf's. *)
+  let took, first = device_reads dev (fun () -> timed_read 0) in
+  Alcotest.(check int) "first read: leaf + data" (2 * one_block_read) took;
+  let leaf = List.hd first in
   Alcotest.(check int) "same leaf: one data read" one_block_read (timed_read 1);
   Alcotest.(check int) "same page again: one data read" one_block_read (timed_read 0);
-  (* A bulk read charges its data as one streamed read; over a resident
-     leaf it issues no block read at all. *)
+  (* A bulk read over a resident leaf reads its pages, each once, and
+     not the leaf. *)
   let pages, reads = device_reads dev (fun () -> Store.read_pages store ~epoch ~oid) in
   Alcotest.(check int) "read_pages: every page" 3 (List.length pages);
-  Alcotest.(check int) "read_pages: no leaf read" 0 (List.length reads)
+  Alcotest.(check int) "read_pages: no leaf read" 0
+    (List.length (List.filter (( = ) leaf) reads));
+  Alcotest.(check int) "read_pages: one read per page" 3 (List.length reads)
 
 let test_recovered_store_starts_cold () =
   let clock, dev, store, oid, epoch = one_leaf_store 2 in
@@ -976,39 +981,89 @@ let test_failed_leaf_read_not_resident () =
   let _, reads = device_reads dev (fun () -> Store.read_page store ~epoch ~oid ~idx:1) in
   Alcotest.(check int) "resident after the successful read" 1 (List.length reads)
 
-(* Verification makes every leaf of the epoch resident in one vectored
-   read, so an N-leaf epoch pays one leaf round trip, not N, before each
-   object's pages stream once. *)
-let test_verify_one_leaf_round_trip () =
-  let clock, dev, store = fresh () in
-  let n = 16 in
-  let oid = Store.alloc_oid store in
-  ignore (Store.begin_checkpoint store);
-  Store.put_object store ~oid ~kind:"memory" ~meta:"m";
-  Store.put_pages store ~oid (List.init n (fun i -> (i * Store.leaf_span, noise_page i)));
-  Store.put_manifest store ~oid:(Store.manifest_oid store);
-  ignore (Store.commit_checkpoint store);
-  Store.wait_durable store;
+(* The array range [(off, len)] a device-local read serves, inverting the
+   RAID-0 layout of [Striped.create]'s defaults (member [nvmeD]). *)
+let array_range (r : Fault.read_info) =
+  let n = Aurora_sim.Cost.nvme_stripe_devices and s = Aurora_sim.Cost.nvme_stripe_size in
+  let d = int_of_string (String.sub r.Fault.r_dev 4 (String.length r.Fault.r_dev - 4)) in
+  (((((r.Fault.r_off / s) * n) + d) * s) + (r.Fault.r_off mod s), r.Fault.r_len)
+
+(* [device_reads] by array range. *)
+let array_reads dev f =
+  let h = Fault.create () in
+  let reads = ref [] in
+  h.Fault.on_read <-
+    (fun r ->
+      reads := array_range r :: !reads;
+      Fault.Clean);
+  Striped.set_fault dev (Some h);
+  let v = Fun.protect ~finally:(fun () -> Striped.set_fault dev None) f in
+  (v, List.rev !reads)
+
+(* Virtual time of one vectored read of [ranges] on idle members. *)
+let batch_read dev clock ranges =
   Striped.settle dev ~clock;
-  let st = Store.recover ~dev ~clock in
-  let epoch = Store.last_complete_epoch st in
+  let t0 = Clock.now clock in
+  ignore (Striped.read_vec dev ~clock (Array.of_list ranges));
+  Clock.now clock - t0
+
+(* Verification streams the epoch: every leaf not yet resident in one
+   vectored read, so an N-leaf epoch pays one leaf round trip, not N,
+   then every page in one more.  Leaf reads are told apart by the leaf
+   blocks' locations, each the first read of a cold page read on an
+   identical store. *)
+let test_verify_one_leaf_round_trip () =
+  let n = 16 in
+  let recovered () =
+    let clock, dev, store = fresh () in
+    let oid = Store.alloc_oid store in
+    ignore (Store.begin_checkpoint store);
+    Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+    Store.put_pages store ~oid (List.init n (fun i -> (i * Store.leaf_span, noise_page i)));
+    Store.put_manifest store ~oid:(Store.manifest_oid store);
+    ignore (Store.commit_checkpoint store);
+    Store.wait_durable store;
+    Striped.settle dev ~clock;
+    let st = Store.recover ~dev ~clock in
+    (clock, dev, st, oid, Store.last_complete_epoch st)
+  in
+  let clock, dev, st, oid, epoch = recovered () in
+  let twin_clock, twin_dev, twin, _, _ = recovered () in
+  let leaves =
+    List.init n (fun i ->
+        let cold () = Store.read_page twin ~epoch ~oid ~idx:(i * Store.leaf_span) in
+        match array_reads twin_dev cold with
+        | _, leaf :: _ -> leaf
+        | _, [] -> Alcotest.fail "a cold page read issued no read")
+  in
   let t0 = Clock.now clock in
   let verdict, reads =
-    device_reads dev (fun () -> Store.verify_epoch st ~epoch ~check_meta:(fun ~kind:_ _ -> Ok ()))
+    array_reads dev (fun () -> Store.verify_epoch st ~epoch ~check_meta:(fun ~kind:_ _ -> Ok ()))
   in
   let elapsed = Clock.now clock - t0 in
   Alcotest.(check bool) "epoch verifies" true (Result.is_ok verdict);
-  Alcotest.(check int) "each leaf read once" n (List.length reads);
+  let leaf_reads, page_reads = List.partition (fun r -> List.mem r leaves) reads in
+  Alcotest.(check (list (pair int int))) "each leaf read once" (List.sort compare leaves)
+    (List.sort compare leaf_reads);
+  Alcotest.(check int) "each page read once" n (List.length (List.sort_uniq compare page_reads));
+  Alcotest.(check int) "nothing read twice" (2 * n) (List.length reads);
+  (* One leaf round trip, then one batch of the pages, each timed as a
+     vectored read of the same ranges on the identical store. *)
+  Alcotest.(check int) "one leaf batch, then one page batch"
+    (batch_read twin_dev twin_clock leaf_reads + batch_read twin_dev twin_clock page_reads)
+    elapsed;
   (* One leaf round trip (every leaf's transfer at worst on one member),
-     then one streamed read of the pages. *)
+     then one of the pages. *)
   let transfer = Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth in
   let bound =
     (2 * Aurora_sim.Cost.nvme_read_latency) + (2 * n * transfer Store.block_size)
   in
   Alcotest.(check bool) (Printf.sprintf "verify took %d ns <= %d" elapsed bound) true
     (elapsed <= bound);
-  let _, again = device_reads dev (fun () -> Store.read_pages st ~epoch ~oid) in
-  Alcotest.(check int) "the restore that follows reads no leaf" 0 (List.length again)
+  let _, again = array_reads dev (fun () -> Store.read_pages st ~epoch ~oid) in
+  Alcotest.(check int) "the restore that follows reads no leaf" 0
+    (List.length (List.filter (fun r -> List.mem r leaves) again));
+  Alcotest.(check int) "only its pages" n (List.length again)
 
 let test_resident_hit_skips_on_read () =
   let _clock, dev, store, oid, epoch = one_leaf_store 2 in
@@ -1071,7 +1126,8 @@ let test_cluster_one_round_trip () =
 (* The two pagers over one version: the swap path's demand reads, and
    the restore stream started when the pager is made. *)
 let cluster_pager store ~epoch ~oid idx = Store.read_cluster store ~epoch ~oid ~idx
-let stream_pager store ~epoch ~oid = List.assoc oid (Store.stream_pages store ~epoch [ oid ])
+let stream_pager store ~epoch ~oid =
+  Store.pager (List.assoc oid (Store.stream_pages store ~epoch [ oid ]))
 
 (* A fault through [pager] whose neighbour [bad] meets a persistent
    [outcome] on its range: the demanded page 0 still comes in
@@ -1242,7 +1298,7 @@ let test_residency_paid_once () =
       ("read_pages", fun st -> ignore (Store.read_pages st ~epoch ~oid));
       ("read_delta", fun st -> ignore (Store.read_delta st ~base:0 ~epoch));
       ( "stream_pages",
-        fun st -> ignore (List.assoc oid (Store.stream_pages st ~epoch [ oid ]) 0) );
+        fun st -> ignore (Store.pager (List.assoc oid (Store.stream_pages st ~epoch [ oid ])) 0) );
       ( "verify_epoch",
         fun st ->
           match Store.verify_epoch st ~epoch ~check_meta:(fun ~kind:_ _ -> Ok ()) with
@@ -1284,6 +1340,123 @@ let test_residency_paid_once () =
             Alcotest.(check int) (a ^ ": an unparseable leaf costs one read") 1 reads
         | _ -> Alcotest.failf "%s: an unparseable leaf did not raise Corrupt_store" a
       end)
+    paths
+
+(* Bulk reads meet the injector: [read_pages], [read_delta] (through a
+   replication frame), [verify_epoch] and an eager restore each read the
+   group's memory through charged vectored batches.  One page range of
+   the memory object fails: once, and the read is retried and counted,
+   with results identical to a fault-free run; for good, and the read
+   raises [Fault.Io_error] (verification reports "read failed: ..."),
+   with the restore's machine left untouched.  Each run starts from a
+   freshly recovered store. *)
+let test_bulk_reads_meet_injector () =
+  let module Sls = Aurora_core.Sls in
+  let module Serial = Aurora_core.Serial in
+  let module Restore = Aurora_core.Restore in
+  let module Machine = Aurora_kern.Machine in
+  let module Process = Aurora_kern.Process in
+  let module Vm_space = Aurora_vm.Vm_space in
+  let npages = 8 in
+  let sys = Sls.boot () in
+  let p = Aurora_kern.Syscall.spawn sys.Sls.machine ~name:"app" in
+  let addr = Vm_space.addr_of_entry (Aurora_kern.Syscall.mmap_anon p ~npages) in
+  let page_addr i = addr + (i * Page.logical_size) in
+  for i = 0 to npages - 1 do
+    Vm_space.write_string p.Process.space ~addr:(page_addr i) (Printf.sprintf "page %d" i)
+  done;
+  ignore (Aurora_core.Group.checkpoint ~wait_durable:true (Sls.attach sys [ p ]));
+  let dev = sys.Sls.device in
+  Striped.settle dev ~clock:sys.Sls.machine.Machine.clock;
+  let epoch = Store.last_complete_epoch sys.Sls.store in
+  (* The arena's memory object, and the device reads of its pages once
+     its leaf is resident. *)
+  let st = Store.recover ~dev ~clock:(Clock.create ()) in
+  let oid =
+    match
+      List.filter
+        (fun (oid, kind) ->
+          kind = Serial.kind_memobj && List.length (Store.page_indices st ~epoch ~oid) = npages)
+        (Store.objects_at st ~epoch)
+    with
+    | [ (oid, _) ] -> oid
+    | l -> Alcotest.failf "expected one %d-page memory object, saw %d" npages (List.length l)
+  in
+  ignore (Store.read_pages st ~epoch ~oid);
+  let target =
+    match device_reads dev (fun () -> Store.read_pages st ~epoch ~oid) with
+    | _, reads when List.length reads >= npages -> List.nth reads 3
+    | _, reads -> Alcotest.failf "expected a read per page, saw %d" (List.length reads)
+  in
+  let read_failed f =
+    try Ok (f ()) with Fault.Io_error msg -> Error ("read failed: " ^ msg)
+  in
+  let paths =
+    [
+      ( "read_pages",
+        fun _ st ->
+          read_failed (fun () ->
+              String.concat "|"
+                (List.map (fun (i, b) -> Printf.sprintf "%d:%s" i (Bytes.to_string b))
+                   (Store.read_pages st ~epoch ~oid))) );
+      ( "read_delta",
+        fun _ st ->
+          read_failed (fun () ->
+              match Aurora_core.Migrate.frame ~store:st ~base:0 ~epoch with
+              | Ok (frame, _) -> frame
+              | Error msg -> Alcotest.failf "no frame: %s" msg) );
+      ( "verify_epoch",
+        fun _ st ->
+          Result.map (Wire.to_string Manifest.codec) (Restore.verify_epoch ~store:st ~epoch) );
+      ( "eager restore",
+        fun machine st ->
+          read_failed (fun () ->
+              match (Restore.restore ~machine ~store:st ~epoch ()).Restore.procs with
+              | [ p' ] ->
+                  String.concat "|"
+                    (List.init npages (fun i ->
+                         Vm_space.read_string p'.Process.space ~addr:(page_addr i) ~len:6))
+              | l -> Alcotest.failf "expected one process, saw %d" (List.length l)) );
+    ]
+  in
+  (* [path] on a recovered store, with [target] failing its first
+     [failures] reads: its verdict, the store's retried faults and the
+     machine. *)
+  let run path failures =
+    let machine = Machine.create () in
+    let st = Store.recover ~dev ~clock:machine.Machine.clock in
+    let left = ref failures in
+    let h = Fault.create () in
+    h.Fault.on_read <-
+      (fun r ->
+        if (r.Fault.r_dev, r.Fault.r_off) = target && !left > 0 then begin
+          decr left;
+          Fault.Fail
+        end
+        else Fault.Clean);
+    Striped.set_fault dev (Some h);
+    let v =
+      Fun.protect ~finally:(fun () -> Striped.set_fault dev None) (fun () -> path machine st)
+    in
+    (v, Store.read_faults st, machine)
+  in
+  List.iter
+    (fun (what, path) ->
+      let clean, faults, _ = run path 0 in
+      Alcotest.(check bool) (what ^ ": fault-free run succeeds") true (Result.is_ok clean);
+      Alcotest.(check int) (what ^ ": fault-free run retries nothing") 0 faults;
+      let once, faults, _ = run path 1 in
+      Alcotest.(check int) (what ^ ": the failed page range is retried once") 1 faults;
+      Alcotest.(check (result string string)) (what ^ ": identical to the fault-free run") clean
+        once;
+      let always, faults, machine = run path max_int in
+      Alcotest.(check int) (what ^ ": the retries are spent") 4 faults;
+      (match always with
+      | Error msg when String.starts_with ~prefix:"read failed: " msg -> ()
+      | Error msg -> Alcotest.failf "%s: failed for another reason: %s" what msg
+      | Ok _ -> Alcotest.failf "%s: a page range that keeps failing was absorbed" what);
+      Alcotest.(check int) (what ^ ": no process created") 0 (Hashtbl.length machine.Machine.procs);
+      Alcotest.(check bool) (what ^ ": nothing mounted") true (machine.Machine.vfs = None))
     paths
 
 (* Random store histories for the reference-count property.  Objects are
@@ -1817,6 +1990,7 @@ let () =
           Alcotest.test_case "stream: unlisted leaf raises" `Quick
             test_stream_unlisted_leaf_raises;
           Alcotest.test_case "paid once, whichever path pays" `Quick test_residency_paid_once;
+          Alcotest.test_case "bulk reads meet the injector" `Quick test_bulk_reads_meet_injector;
         ] );
       ( "boundaries",
         [
