@@ -10,7 +10,7 @@ let dump ~store ~epoch =
   List.iter
     (fun (oid, kind) ->
       if kind = Serial.kind_memobj then begin
-        let pages = Store.page_indices store ~epoch ~oid in
+        let pages = Store.page_crcs store ~epoch ~oid in
         let image = Serial.memobj_of_string (Store.read_meta store ~epoch ~oid) in
         out "  LOAD oid=%-6d pages=%-8d parent=%s\n" oid (List.length pages)
           (match image.Serial.i_parent_oid with

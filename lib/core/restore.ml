@@ -31,16 +31,12 @@ type result = {
   restore_ns : int;
 }
 
-(* A memory object's share of the restore's stream: a lazy restore's
-   faults take its pages, an eager restore took them all before the
-   rebuild. *)
-type pages = Streamed of Store.stream | Taken of (int * bytes) list
-
 type ctx = {
   mach : Machine.t;
   st : Store.t;
   epoch : int;
-  pages : (int, pages) Hashtbl.t; (* memory-object oid -> its pages *)
+  pages : (int, Store.stream) Hashtbl.t; (* memory-object oid -> its share *)
+  lazy_pages : bool;
   kinds : (int, string) Hashtbl.t; (* oid -> kind *)
   memobjs : (int, Vm_object.t) Hashtbl.t; (* oid -> restored object *)
   descs : (int, Fdesc.t) Hashtbl.t; (* oid -> restored description *)
@@ -77,18 +73,17 @@ let rec memobj ctx oid =
       | None -> ());
       Hashtbl.replace ctx.memobjs oid obj;
       (match Hashtbl.find_opt ctx.pages oid with
-      | Some (Streamed s) ->
+      | Some s when ctx.lazy_pages ->
           (* Lazy restore: pages are installed on first touch, a fault's
              cluster at a time. *)
           Vm_object.set_pager obj (Some (Store.pager s))
-      | Some (Taken pages) ->
-          Hashtbl.remove ctx.pages oid;
+      | Some s ->
           List.iter
             (fun (idx, payload) ->
               let page = Page.alloc_sized ~payload:(Bytes.length payload) in
               Page.load_payload page payload;
               Vm_object.insert_page obj idx page)
-            pages
+            (Store.take_all s)
       | None -> ());
       obj
 
@@ -363,10 +358,9 @@ let groups_at ~store ~epoch =
     (fun (oid, image) -> (oid, image.Serial.i_proc_oids))
     (group_images ~store ~epoch (Store.objects_at store ~epoch))
 
-let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
-  let epoch =
-    match epoch with Some e -> e | None -> Store.last_complete_epoch store
-  in
+(* The one rebuild body: [streams oids] hands it each object's share of
+   a page stream, opened here or checked by a verification. *)
+let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid streams =
   let clk = machine.Machine.clock in
   let start_time = Clock.now clk in
   Otrace.with_span ~cat:"restore" ~name:"restore"
@@ -399,27 +393,30 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   let proc_images =
     List.map (fun oid -> Serial.proc_of_string (Store.read_meta store ~epoch ~oid)) proc_oids
   in
-  (* The file system comes back first: descriptions reference vnodes. *)
-  let has_fs = List.exists (fun (_, kind) -> kind = "fs.namespace") objects in
+  (* The file system comes back first: descriptions reference vnodes.
+     Its files' pages come from a stream of their own, before memory's. *)
   let restored_fs =
-    if has_fs then Some (Fs.restore_from_store ~store ~epoch) else None
+    if not (List.exists (fun (_, kind) -> kind = "fs.namespace") objects) then None
+    else
+      let vnodes = List.filter (fun (_, kind) -> kind = "fs.vnode") objects in
+      let files = Hashtbl.of_seq (List.to_seq (streams (List.map fst vnodes))) in
+      let pages oid = Store.take_all (Hashtbl.find files oid) in
+      Some (Fs.restore_from_store ~store ~epoch ~pages)
   in
   (* Both restores stream the group's memory now, after the file
      system's pages and before anything touches [machine].  Lazy
      restore's faults take their pages from the stream during and after
-     the processes' rebuild, which it overlaps; eager restore takes every
-     page here, so a read that fails leaves the machine untouched. *)
-  let pages = Hashtbl.create 64 in
-  List.iter
-    (fun (oid, s) ->
-      Hashtbl.replace pages oid (if lazy_pages then Streamed s else Taken (Store.take_all s)))
-    (Store.stream_pages store ~epoch (group_memobjs ~store ~epoch kinds proc_images));
+     the processes' rebuild, which it overlaps; eager restore decodes
+     every page here, so a read that fails leaves the machine untouched. *)
+  let shares = streams (group_memobjs ~store ~epoch kinds proc_images) in
+  if not lazy_pages then List.iter (fun (_, s) -> ignore (Store.take_all s)) shares;
   let ctx =
     {
       mach = machine;
       st = store;
       epoch;
-      pages;
+      pages = Hashtbl.of_seq (List.to_seq shares);
+      lazy_pages;
       kinds;
       memobjs = Hashtbl.create 64;
       descs = Hashtbl.create 64;
@@ -538,6 +535,10 @@ let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   Group.prepare_after_restore group;
   { group; procs; fs = restored_fs; restore_ns }
 
+let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
+  let epoch = match epoch with Some e -> e | None -> Store.last_complete_epoch store in
+  rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid (Store.stream_pages store ~epoch)
+
 (* Verified restore --------------------------------------------------------------- *)
 
 module Fault = Aurora_block.Fault
@@ -561,10 +562,11 @@ let pp_restore_error = function
 
 (* Check one epoch against its own manifest (see [Store.verify_epoch]);
    each object's metadata must also still parse as its kind. *)
-let verify_epoch ~store ~epoch =
-  Otrace.with_span ~cat:"restore" ~name:"verify"
-    ~args:[ ("epoch", Otrace.Int epoch) ]
-  @@ fun () -> Store.verify_epoch store ~epoch ~check_meta:Serial.parse_check
+let verify ~store ~epoch =
+  Otrace.with_span ~cat:"restore" ~name:"verify" ~args:[ ("epoch", Otrace.Int epoch) ] @@ fun () ->
+  Store.verify_epoch store ~epoch ~check_meta:Serial.parse_check
+
+let verify_epoch ~store ~epoch = Result.map fst (verify ~store ~epoch)
 
 type verified = {
   vr_result : result;
@@ -580,15 +582,16 @@ let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid () =
       let rec go tried = function
         | [] -> Error (No_valid_epoch (List.rev tried))
         | epoch :: rest -> (
-            match verify_epoch ~store ~epoch with
+            match verify ~store ~epoch with
             | Error reason ->
                 if Otrace.is_on () then
                   Otrace.instant ~cat:"restore" "fallback"
                     ~args:
                       [ ("epoch", Otrace.Int epoch); ("reason", Otrace.Str reason) ];
                 go ({ at_epoch = epoch; at_reason = reason } :: tried) rest
-            | Ok manifest -> (
-                match restore ~machine ~store ~epoch ~lazy_pages ?group_oid () with
+            | Ok (manifest, checked) -> (
+                let streams = List.map (fun oid -> (oid, List.assoc oid checked)) in
+                match rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid streams with
                 | r ->
                     Ok
                       {

@@ -41,17 +41,17 @@ val restore :
     Omitting it with multiple groups, or naming a group the epoch does
     not hold, raises [Invalid_argument] before [machine] is touched.
 
+    Every file's pages come from one stream
+    ({!Aurora_objstore.Store.stream_pages}: one leaf batch, one page
+    batch), then every page of the memory objects the group reaches from
+    another.  Eager restore takes them all before it touches [machine].
     With [lazy_pages] (default false) the restore charges only the OS
     state reconstruction, modeling Aurora's lazy restore (section 6,
-    "Memory Overcommitment").  Before the processes are rebuilt it starts
-    one background read of every stored page of the memory objects the
-    group reaches ({!Aurora_objstore.Store.stream_pages}; the clock does
-    not move), and the application then pages in its working set on
-    demand: a fault installs its 16-page cluster from that stream,
-    waiting only for the cluster to arrive, and issues no device read.
-    Pages are installed on first touch only.  The stream's waits land on
-    the store's clock.  Contents are identical either way, and a pruned
-    epoch does not affect pages restored from it. *)
+    "Memory Overcommitment"): a fault installs its 16-page cluster from
+    the stream on first touch, waiting only for it to arrive.  The
+    stream's waits land on the store's clock.  Contents are identical
+    either way, and a pruned epoch does not affect pages restored
+    from it. *)
 
 (** {1 Verified restore}
 
@@ -99,7 +99,9 @@ val restore_verified :
 (** Restore the newest epoch that passes {!verify_epoch}, falling back to
     older epochs — every retained one, newest first — when verification
     (or the restore itself) fails, including on a read that still fails
-    after the store's retries.  Never raises on corrupt state: a store
-    with no recoverable epoch yields [Error].  A caller error in
-    [group_oid] (see {!restore}) raises [Invalid_argument] from the first
-    epoch that verifies instead of falling back to an older one. *)
+    after the store's retries.  An epoch is read once: the restore takes
+    every page from the streams its verification read and decoded.
+    Never raises on corrupt state: a store with no recoverable epoch
+    yields [Error].  A caller error in [group_oid] (see {!restore})
+    raises [Invalid_argument] from the first epoch that verifies instead
+    of falling back to an older one. *)

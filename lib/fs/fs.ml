@@ -168,7 +168,7 @@ let flush_to_store t =
       end)
     t.vnodes
 
-let restore_from_store ~store ~epoch =
+let restore_from_store ~store ~epoch ~pages =
   let t = create ~store in
   let objects = Store.objects_at store ~epoch in
   (* Namespace first: paths and the inode allocator. *)
@@ -192,9 +192,7 @@ let restore_from_store ~store ~epoch =
         for _ = 1 to links do
           Vnode.link vn
         done;
-        List.iter
-          (fun (idx, payload) -> Vnode.load_page vn idx payload)
-          (Store.read_pages store ~epoch ~oid);
+        List.iter (fun (idx, payload) -> Vnode.load_page vn idx payload) (pages oid);
         Vnode.set_size vn size;
         ignore (Vnode.take_dirty vn);
         Hashtbl.replace t.vnodes ino vn;

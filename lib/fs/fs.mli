@@ -56,9 +56,10 @@ val flush_to_store : t -> unit
     store's open checkpoint.  Vnodes are staged by inode number; unlinked
     vnodes that are still open are staged too (the hidden reference). *)
 
-val restore_from_store : store:Aurora_objstore.Store.t -> epoch:int -> t
+val restore_from_store :
+  store:Aurora_objstore.Store.t -> epoch:int -> pages:(int -> (int * bytes) list) -> t
 (** Rebuild the file system from a checkpoint: namespace, vnodes, sizes
-    and page contents. *)
+    and page contents, [pages oid] being vnode object [oid]'s pages. *)
 
 val oid_of_inode : t -> int -> int option
 (** The store object backing an inode, once flushed; used by the SLS to

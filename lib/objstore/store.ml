@@ -1400,16 +1400,6 @@ let objects_at t ~epoch =
 
 let read_meta t ~epoch ~oid = (version_exn t ~epoch ~oid).v_meta
 
-(* Recover a page's original payload from its stored (possibly RLE-coded)
-   bytes; a stream that does not decode cleanly is store corruption, not
-   a programming error — restore verification catches it as such. *)
-let decode_payload p stored =
-  if not p.p_comp then stored
-  else
-    try Rle.decompress ~olen:p.p_olen stored
-    with Invalid_argument _ ->
-      raise (Corrupt_store (Printf.sprintf "page %d: corrupt coded payload" p.p_idx))
-
 (* Pages one lazy page-in brings in: the faulting page's aligned window
    of 16 pages, 64 KiB of 4 KiB pages.  That is the paper's stripe unit
    and Linux's default [fault_around_bytes]: a window's reads cost one
@@ -1421,40 +1411,51 @@ let fault_cluster = 16
    the same aligned run of [span] pages and in the same radix leaf. *)
 let in_window ~span idx i = i / span = idx / span && i / leaf_span = idx / leaf_span
 
-(* A page read: its leaf entry, and its read's arrival and outcome. *)
-type streamed = { s_entry : leaf_entry; s_arrival : int; s_read : (bytes, string) result }
+(* A page read: its index, its read's arrival, the decompression it
+   costs (its original length when it is coded and read, else 0), and
+   its payload or the exception a demand for it raises, decoded at most
+   once. *)
+type streamed = { s_idx : int; s_arrival : int; s_coded : int; s_page : (bytes, exn) result Lazy.t }
 
 (* The stored bytes of [entries], submitted at [now] as one vectored
-   batch ([submit_ranges]: per-range retries) without waiting. *)
+   batch ([submit_ranges]: per-range retries) without waiting.  A coded
+   payload that does not decode is store corruption, not a programming
+   error: verification catches it as such. *)
 let submit_pages t ~now entries =
   Array.map2
-    (fun s_entry (s_arrival, s_read) -> { s_entry; s_arrival; s_read })
+    (fun p (s_arrival, read) ->
+      let decode () =
+        match read with
+        | Error msg -> Error (Fault.Io_error msg)
+        | Ok stored when not p.p_comp -> Ok stored
+        | Ok stored -> (
+            try Ok (Rle.decompress ~olen:p.p_olen stored)
+            with Invalid_argument _ ->
+              Error (Corrupt_store (Printf.sprintf "page %d: corrupt coded payload" p.p_idx)))
+      in
+      let s_coded = if p.p_comp && Result.is_ok read then p.p_olen else 0 in
+      { s_idx = p.p_idx; s_arrival; s_coded; s_page = Lazy.from_fun decode })
     entries
     (submit_ranges t ~now (Array.map (fun p -> (off_of_block p.p_blk + p.p_off, p.p_clen)) entries))
 
-(* Wait for the last arrival of [pages], charge decompression once over
-   the coded pages read, then decode every page, in order.  A [demanded]
-   page raises for its read ([Fault.Io_error]) or its payload
-   ([Corrupt_store]); any other page that fails either way is left out,
-   to fail the call that demands it. *)
+(* Decode [pages], in order: wait for the last arrival of those not yet
+   decoded and charge their decompression once, so a page decoded before
+   costs nothing again.  A [demanded] page raises for its read
+   ([Fault.Io_error]) or its payload ([Corrupt_store]); any other page
+   that fails either way is left out, to fail the call that demands
+   it. *)
 let decode_pages t ~demanded pages =
-  Clock.advance_to t.clk (List.fold_left (fun m x -> max m x.s_arrival) (Clock.now t.clk) pages);
-  let coded_olen =
-    List.fold_left
-      (fun a x -> if x.s_entry.p_comp && Result.is_ok x.s_read then a + x.s_entry.p_olen else a)
-      0 pages
-  in
+  let fresh = List.filter (fun x -> not (Lazy.is_val x.s_page)) pages in
+  Clock.advance_to t.clk (List.fold_left (fun m x -> max m x.s_arrival) (Clock.now t.clk) fresh);
+  let coded_olen = List.fold_left (fun a x -> a + x.s_coded) 0 fresh in
   if coded_olen > 0 then
     Clock.advance t.clk (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
   List.filter_map
-    (fun { s_entry = p; s_read; _ } ->
-      match s_read with
-      | Error msg when demanded p -> raise (Fault.Io_error msg)
-      | Error _ -> None
-      | Ok stored -> (
-          match decode_payload p stored with
-          | payload -> Some (p.p_idx, payload)
-          | exception Corrupt_store _ when not (demanded p) -> None))
+    (fun x ->
+      match Lazy.force x.s_page with
+      | Ok payload -> Some (x.s_idx, payload)
+      | Error e when demanded x.s_idx -> raise e
+      | Error _ -> None)
     pages
 
 (* The stored pages of [oid] at [epoch] in [idx]'s window of [span]
@@ -1470,7 +1471,7 @@ let read_window t ~epoch ~oid ~idx ~span =
       else
         let window = List.filter (fun p -> in_window ~span idx p.p_idx) entries in
         decode_pages t
-          ~demanded:(fun p -> p.p_idx = idx)
+          ~demanded:(( = ) idx)
           (Array.to_list (submit_pages t ~now:(Clock.now t.clk) (Array.of_list window)))
 
 let read_page t ~epoch ~oid ~idx =
@@ -1478,13 +1479,12 @@ let read_page t ~epoch ~oid ~idx =
 
 let read_cluster t ~epoch ~oid ~idx = read_window t ~epoch ~oid ~idx ~span:fault_cluster
 
-(* One object's share of a stream, which owns the bytes read until it is
-   dropped: its pages in index order, those not yet taken by index, and
-   its unlisted leaves, by leaf index, each with its arrival and the
-   error the demand path raises. *)
+(* One object's share of a stream, which owns the pages read until the
+   pager takes them: those not yet taken by index, and its unlisted
+   leaves, by leaf index, each with its arrival and the error the demand
+   path raises. *)
 type stream = {
   owner : t;
-  pages : streamed array;
   slots : (int, streamed) Hashtbl.t;
   unlisted : (int * exn) IntMap.t;
 }
@@ -1499,8 +1499,7 @@ let stream_pages t ~epoch oids =
   let listed =
     paid_leaves t ~now (List.fold_left (fun acc (_, v) -> leaf_blocks v acc) [] versions)
   in
-  (* Each object's listed pages in index order, and its unlisted leaves
-     by leaf index. *)
+  (* Each object's listed pages, and its unlisted leaves by leaf index. *)
   let objects =
     List.map
       (fun (oid, v) ->
@@ -1526,8 +1525,8 @@ let stream_pages t ~epoch oids =
       let pages = Array.sub read !next (Array.length entries) in
       next := !next + Array.length entries;
       let slots = Hashtbl.create (Array.length pages) in
-      Array.iter (fun x -> Hashtbl.replace slots x.s_entry.p_idx x) pages;
-      (oid, { owner = t; pages; slots; unlisted }))
+      Array.iter (fun x -> Hashtbl.replace slots x.s_idx x) pages;
+      (oid, { owner = t; slots; unlisted }))
     objects
 
 (* Wait for an unlisted leaf's arrival, then raise its error. *)
@@ -1535,30 +1534,28 @@ let fail_unlisted s (arrival, e) =
   Clock.advance_to s.owner.clk arrival;
   raise e
 
-(* [decode_pages] of [pages], dropping what it returns from the stream. *)
-let take s ~demanded pages =
-  let taken = decode_pages s.owner ~demanded pages in
-  List.iter (fun (i, _) -> Hashtbl.remove s.slots i) taken;
-  taken
-
 let pager s idx =
   match IntMap.find_opt (idx / leaf_span) s.unlisted with
   | Some u -> fail_unlisted s u
   | None when not (Hashtbl.mem s.slots idx) -> []
   | None ->
       let lo = idx / fault_cluster * fault_cluster in
-      take s
-        ~demanded:(fun p -> p.p_idx = idx)
-        (List.filter_map
-           (fun i ->
-             if in_window ~span:fault_cluster idx i then Hashtbl.find_opt s.slots i else None)
-           (List.init fault_cluster (fun k -> lo + k)))
+      let taken =
+        decode_pages s.owner
+          ~demanded:(( = ) idx)
+          (List.filter_map
+             (fun i ->
+               if in_window ~span:fault_cluster idx i then Hashtbl.find_opt s.slots i else None)
+             (List.init fault_cluster (fun k -> lo + k)))
+      in
+      List.iter (fun (i, _) -> Hashtbl.remove s.slots i) taken;
+      taken
 
 let take_all s =
   Option.iter (fun (_, u) -> fail_unlisted s u) (IntMap.min_binding_opt s.unlisted);
-  take s
+  decode_pages s.owner
     ~demanded:(fun _ -> true)
-    (List.filter (fun x -> Hashtbl.mem s.slots x.s_entry.p_idx) (Array.to_list s.pages))
+    (List.sort (fun x y -> compare x.s_idx y.s_idx) (List.of_seq (Hashtbl.to_seq_values s.slots)))
 
 let read_pages t ~epoch ~oid = take_all (List.assoc oid (stream_pages t ~epoch [ oid ]))
 
@@ -1633,7 +1630,6 @@ let read_delta t ~base ~epoch =
     deltas
 
 let page_crcs t ~epoch ~oid = List.sort compare (version_crcs t (version_exn t ~epoch ~oid))
-let page_indices t ~epoch ~oid = List.map fst (page_crcs t ~epoch ~oid)
 
 (* Journals --------------------------------------------------------------------------- *)
 
@@ -1883,7 +1879,7 @@ let manifest t ~epoch =
 (* The check order and reason strings are part of the contract (see the
    .mli); the last check re-reads the payloads on disk, from one stream
    of the whole epoch, not just the CRCs the leaves recorded at write
-   time. *)
+   time, and hands the checked streams to the caller. *)
 let verify_epoch t ~epoch ~check_meta =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   try
@@ -1901,7 +1897,8 @@ let verify_epoch t ~epoch ~check_meta =
             fail "epoch holds %d objects, manifest says %d" objects m.Manifest.m_count
         | Ok m ->
             (* Every object's pages, streamed once: one batch of the
-               leaves not yet resident, then one of every page. *)
+               leaves not yet resident, then one of every page, each
+               decoded once and left in its share for a restore. *)
             let streams =
               stream_pages t ~epoch
                 (List.sort compare
@@ -1940,7 +1937,7 @@ let verify_epoch t ~epoch ~check_meta =
                         | None -> Ok ()))
             in
             let rec all = function
-              | [] -> Ok m
+              | [] -> Ok (m, streams)
               | me :: rest -> ( match check me with Ok () -> all rest | Error _ as err -> err)
             in
             all m.Manifest.m_entries)

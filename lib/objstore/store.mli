@@ -260,40 +260,38 @@ type stream
 val stream_pages : t -> epoch:int -> int list -> (int * stream) list
 (** [stream_pages t ~epoch oids] starts reading every stored page of the
     distinct objects [oids] at [epoch] in the background, and returns
-    each oid with its share.  The store's one bulk page reader: lazy and
-    eager restore, {!read_pages} and {!verify_epoch} all take their
-    pages from it.  The clock does not move: the leaves not yet resident
-    are read in one vectored batch submitted now (they become resident,
-    as under {!read_page}), and every page they list in one vectored
-    batch submitted when the last leaf arrives; a failed range is
-    retried in the background under {!set_read_policy}.  The bytes are
-    taken at submission, so a share never consults the epoch catalogue
-    again and outlives a prune of [epoch].  A share has two consumers,
-    {!pager} and {!take_all}; neither issues a device read, and each
-    page is returned once, by whichever takes it first. *)
+    each oid with its share.  The store's one bulk page reader: restore,
+    {!read_pages} and {!verify_epoch} take their pages from it.  The
+    clock does not move: the leaves not yet resident are read in one
+    vectored batch submitted now (they become resident, as under
+    {!read_page}), and every page they list in one vectored batch
+    submitted when the last leaf arrives; a failed range is retried in
+    the background under {!set_read_policy}.  The bytes are taken at
+    submission, so a share never consults the epoch catalogue again and
+    outlives a prune of [epoch].  A share has two consumers, {!pager}
+    and {!take_all}; neither issues a device read.  A share decodes each
+    page at most once: the first call to decode it waits for its arrival
+    and charges its decompression, and any later call gets it for
+    free. *)
 
 val pager : stream -> int -> (int * bytes) list
-(** Lazy restore's fault pager ({!Aurora_vm.Vm_object.set_pager}): a
-    call is {!read_cluster} served from the stream.  It advances the
-    clock to the arrival of [idx]'s window (usually already past),
-    charges decompression once over the window's coded pages and returns
-    the window's pages not yet taken.  [[]] when [idx] is not stored.
-    [idx]'s own read that kept failing raises
-    {!Aurora_block.Fault.Io_error}, its own undecodable payload
-    {!Corrupt_store}; a neighbour that fails either way is left out and
-    raises at its own fault.  A fault in the range of a leaf that could
-    not be read or parsed raises what {!read_cluster} would:
-    {!Aurora_block.Fault.Io_error} or {!Corrupt_store}. *)
+(** Lazy restore's fault pager ({!Aurora_vm.Vm_object.set_pager}):
+    {!read_cluster} served from the stream, errors included.  It waits
+    for [idx]'s window (usually already arrived), decodes it, and
+    returns the window's pages it has not returned before, dropping
+    them from the share.  A fault in the range of a leaf the stream
+    could not read or parse raises that leaf's error. *)
 
 val take_all : stream -> (int * bytes) list
-(** Every page of the share not yet taken, sorted by index: the clock
-    advances to their last arrival and decompression is charged once.
-    An unlisted leaf raises first, then the first page whose read kept
-    failing or whose payload does not decode, as under {!pager}. *)
+(** Every page of the share that {!pager} has not returned, sorted by
+    index, decoded as {!pager} decodes.  An unlisted leaf raises first,
+    then the first page whose read kept failing or whose payload does
+    not decode. *)
 
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
-(** All stored pages: {!take_all} of a one-object {!stream_pages}, so
-    one batch of the leaves not yet resident, then one of the pages. *)
+(** All stored pages of one object: {!take_all} of a one-object
+    {!stream_pages}.  Restore and verification stream every object they
+    read together instead. *)
 
 val read_delta :
   t -> base:int -> epoch:int -> (int * string * string * (int * bytes) list) list
@@ -315,8 +313,6 @@ val read_delta :
     identical bytes at a new location is returned, a dedup hit on its old
     location is not. *)
 
-val page_indices : t -> epoch:int -> oid:int -> int list
-
 (** {1 Manifests and verification}
 
     Every flushed page carries a CRC-32 in its radix-leaf entry, computed
@@ -329,9 +325,9 @@ val page_indices : t -> epoch:int -> oid:int -> int list
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 (** [(page index, payload CRC-32)] of every stored page, from the leaf
     entries alone (no data-block reads, no device charge).  Being
-    uncharged, it never makes a leaf resident, nor do {!page_indices},
-    recovery, commit or pruning: only a charged read path does, by
-    the rule of {!read_page}. *)
+    uncharged, it never makes a leaf resident, nor do recovery, commit
+    or pruning: only a charged read path does, by the rule of
+    {!read_page}. *)
 
 val staging_manifest_source : t -> (int * string * string * (int * int) list) list
 (** [(oid, kind, meta, page_crcs)] of every object the open staging epoch
@@ -363,19 +359,20 @@ val verify_epoch :
   t ->
   epoch:int ->
   check_meta:(kind:string -> string -> (unit, string) result) ->
-  (Manifest.t, string) result
+  (Manifest.t * (int * stream) list, string) result
 (** Check [epoch] against its own manifest, in this order: exactly one
     manifest object, its epoch id, its object count; then per entry,
     sorted by oid: presence, kind, metadata CRC, page count, page-set
     fingerprint, [check_meta ~kind meta], and every page re-read off
-    the device against its leaf CRC.  The first failure is the
-    [Error] reason.  The re-reads are charged: once the epoch-level
-    checks pass, the whole epoch is streamed once ({!stream_pages}), so
-    an N-leaf epoch pays one leaf round trip, not N, and one more for
-    every page, and each entry's page check takes its object's pages
-    ({!take_all}).  A restore that follows reads no leaf again.  Nothing else is mutated.  Never raises on
-    corrupt or unreadable state: a read that still fails after the read
-    policy's retries is [Error "read failed: ..."]. *)
+    the device against its leaf CRC.  The first failure is the [Error]
+    reason.  Once the epoch-level checks pass, the whole epoch is
+    streamed once ({!stream_pages}: one leaf round trip, one page
+    batch), and an entry's page check is its share's {!take_all}.  [Ok]
+    carries the manifest and every object's share by oid, each page
+    decoded, so a restore that takes its pages from them reads, waits
+    for and decompresses nothing again.  Nothing else is mutated.
+    Never raises: a read that still fails after the read policy's
+    retries is [Error "read failed: ..."]. *)
 
 val corrupt_meta_for_tests : t -> epoch:int -> oid:int -> unit
 (** TESTING ONLY: flip a byte of the object's committed metadata in the

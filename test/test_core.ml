@@ -601,7 +601,7 @@ let lazy_page_after_prune ?hook () =
   let epoch = Store.last_complete_epoch store in
   let oid =
     List.find
-      (fun oid -> List.mem 100 (Store.page_indices store ~epoch ~oid))
+      (fun oid -> List.mem_assoc 100 (Store.page_crcs store ~epoch ~oid))
       (List.map fst (Store.objects_at store ~epoch))
   in
   (* Over a resident leaf, a page read issues one device read: its own. *)
@@ -1782,13 +1782,12 @@ let test_unreadable_epoch_falls_back () =
             (Vm_space.read_string p'.Process.space ~addr ~len:5)
       | _ -> Alcotest.fail "expected 1 process")
 
-(* A read that fails after verification passed: the second process's
-   newest pages read cleanly once, for verification, then fail for good.
-   Eager restore takes every page before it touches the machine, so its
-   failed attempt leaves nothing behind, and the fallback restores the
-   older epoch into a machine that holds exactly that epoch's processes
-   and its one file system. *)
-let test_fallback_after_post_verify_read_failure () =
+(* Two processes and a file, checkpointed twice; then b's newest page
+   ranges read cleanly until their [fail_from]th read, and fail from it
+   on, under a verified restore into a fresh machine.  Returns the
+   newest and older epochs, the read count of each of b's ranges, the
+   machine and the verdict. *)
+let b_ranges_fail ~fail_from =
   let sys = Sls.boot () in
   let a, _, addr_a = spawn_with_memory sys ~name:"a" ~npages:2 in
   let b, _, addr_b = spawn_with_memory sys ~name:"b" ~npages:2 in
@@ -1835,7 +1834,6 @@ let test_fallback_after_post_verify_read_failure () =
   Striped.set_fault dev None;
   let b_reads = !b_reads in
   Alcotest.(check bool) "b's newest pages are read" true (b_reads <> []);
-  (* Each of those ranges reads cleanly once, then fails. *)
   let seen = Hashtbl.create 8 in
   h.Fault.on_read <-
     (fun r ->
@@ -1844,47 +1842,194 @@ let test_fallback_after_post_verify_read_failure () =
       else begin
         let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen key) in
         Hashtbl.replace seen key n;
-        if n >= 2 then Fault.Fail else Fault.Clean
+        if n >= fail_from then Fault.Fail else Fault.Clean
       end);
   Striped.set_fault dev (Some h);
   let machine = Machine.create () in
   let store = Store.recover ~dev ~clock:machine.Machine.clock in
   let verdict = Restore.restore_verified ~machine ~store () in
   Striped.set_fault dev None;
-  Alcotest.(check bool) "verification read b's pages, then the restore failed on them" true
-    (Hashtbl.fold (fun _ n ok -> ok && n >= 2) seen (Hashtbl.length seen > 0));
+  let reads = List.map (fun key -> Option.value ~default:0 (Hashtbl.find_opt seen key)) b_reads in
   match verdict with
   | Error e -> Alcotest.fail ("fallback found nothing: " ^ Restore.pp_restore_error e)
   | Ok v ->
-      Alcotest.(check int) "older epoch restored" older v.Restore.vr_epoch;
-      (match v.Restore.vr_skipped with
-      | [ at ] ->
-          Alcotest.(check int) "the newest epoch was skipped" newest at.Restore.at_epoch;
-          Alcotest.(check bool)
-            (Printf.sprintf "skipped for the restore's read: %s" at.Restore.at_reason)
-            true
-            (String.starts_with ~prefix:"restore failed: " at.Restore.at_reason)
-      | _ -> Alcotest.fail "expected exactly the newest epoch skipped");
-      let procs = v.Restore.vr_result.Restore.procs in
-      Alcotest.(check (list int)) "the machine holds exactly the restored processes, no orphan pid"
-        (List.sort compare (List.map (fun (p : Process.t) -> p.Process.pid_global) procs))
-        (List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) machine.Machine.procs []));
-      Alcotest.(check (list string)) "the older epoch's memory" [ "a gen-1"; "b gen-1" ]
-        (List.map2
-           (fun (p : Process.t) addr -> Vm_space.read_string p.Process.space ~addr ~len:7)
-           procs [ addr_a; addr_b ]);
-      let fs =
-        match v.Restore.vr_result.Restore.fs with
-        | Some fs -> fs
-        | None -> Alcotest.fail "no file system restored"
+      (* Whatever epoch came back, the machine holds exactly its
+         processes, with [gen]'s memory, and its one file system. *)
+      let restored gen =
+        let procs = v.Restore.vr_result.Restore.procs in
+        Alcotest.(check (list int))
+          "the machine holds exactly the restored processes, no orphan pid"
+          (List.sort compare (List.map (fun (p : Process.t) -> p.Process.pid_global) procs))
+          (List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) machine.Machine.procs []));
+        Alcotest.(check (list string))
+          (Printf.sprintf "generation %d's memory" gen)
+          [ Printf.sprintf "a gen-%d" gen; Printf.sprintf "b gen-%d" gen ]
+          (List.map2
+             (fun (p : Process.t) addr -> Vm_space.read_string p.Process.space ~addr ~len:7)
+             procs [ addr_a; addr_b ]);
+        let fs =
+          match v.Restore.vr_result.Restore.fs with
+          | Some fs -> fs
+          | None -> Alcotest.fail "no file system restored"
+        in
+        Alcotest.(check bool) "the mounted file system is the restored epoch's" true
+          (match
+             ( (Machine.vfs_exn machine).Aurora_kern.Vfs.lookup "/data",
+               Aurora_fs.Fs.lookup fs "/data" )
+           with
+          | Some mounted, Some restored -> mounted == restored
+          | _ -> false)
       in
-      Alcotest.(check bool) "the mounted file system is the restored epoch's" true
-        (match
-           ( (Machine.vfs_exn machine).Aurora_kern.Vfs.lookup "/data",
-             Aurora_fs.Fs.lookup fs "/data" )
-         with
-        | Some mounted, Some restored -> mounted == restored
-        | _ -> false)
+      (newest, older, reads, v, restored)
+
+(* Verification reads each of b's ranges once and the restore takes its
+   pages from those reads, so ranges that fail from their second read on
+   never fail: the newest epoch comes back. *)
+let test_post_verify_read_failure_unseen () =
+  let newest, _, reads, v, restored = b_ranges_fail ~fail_from:2 in
+  Alcotest.(check (list int)) "each of b's ranges is read exactly once"
+    (List.map (fun _ -> 1) reads) reads;
+  Alcotest.(check int) "the newest epoch restored" newest v.Restore.vr_epoch;
+  Alcotest.(check int) "nothing skipped" 0 (List.length v.Restore.vr_skipped);
+  restored 2
+
+(* b's newest ranges fail from their first read: verification reports
+   the failed read, and the fallback restores the older epoch into a
+   machine that holds exactly that epoch's processes and its one file
+   system. *)
+let test_fallback_when_ranges_fail_at_once () =
+  let newest, older, reads, v, restored = b_ranges_fail ~fail_from:1 in
+  Alcotest.(check bool) "b's ranges were read" true (List.for_all (fun n -> n >= 1) reads);
+  Alcotest.(check int) "older epoch restored" older v.Restore.vr_epoch;
+  (match v.Restore.vr_skipped with
+  | [ at ] ->
+      Alcotest.(check int) "the newest epoch was skipped" newest at.Restore.at_epoch;
+      Alcotest.(check bool)
+        (Printf.sprintf "skipped for a failed read: %s" at.Restore.at_reason)
+        true
+        (String.starts_with ~prefix:"read failed: " at.Restore.at_reason)
+  | _ -> Alcotest.fail "expected exactly the newest epoch skipped");
+  restored 1
+
+(* A verified restore takes its pages from the streams its verification
+   read: from a freshly recovered store, eager or lazy, it reads every
+   stored page of the epoch exactly once, and a lazily restored page's
+   fault then reads nothing and charges the store's clock nothing.  A
+   page read is told apart by its location: the ranges a second
+   [read_pages] of every object reads on an identical store, its leaves
+   resident. *)
+let test_verified_restore_reads_each_page_once () =
+  let sys = Sls.boot () in
+  let npages = 24 in
+  let p, _, addr = spawn_with_memory sys ~name:"app" ~npages in
+  let vn = Aurora_fs.Fs.create_file sys.Sls.fs "/data" in
+  Aurora_fs.Fs.write sys.Sls.fs vn ~off:0 "file page 0";
+  Aurora_fs.Fs.write sys.Sls.fs vn ~off:4096 "file page 1";
+  let group = Sls.attach sys [ p ] in
+  let write gen k =
+    Vm_space.write_string p.Process.space ~addr:(addr + (k * 4096))
+      (Printf.sprintf "page %d gen-%d" k gen)
+  in
+  List.iter (write 1) (List.init npages Fun.id);
+  ignore (Group.checkpoint ~wait_durable:true group);
+  (* The newest epoch holds fresh pages and pages carried from the
+     first. *)
+  List.iter (write 2) [ 1; 5; 17 ];
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let dev = sys.Sls.device in
+  Striped.settle dev ~clock:sys.Sls.machine.Machine.clock;
+  let epoch = Store.last_complete_epoch sys.Sls.store in
+  let record f =
+    let reads = ref [] in
+    let h = Fault.create () in
+    h.Fault.on_read <-
+      (fun r ->
+        reads := (r.Fault.r_dev, r.Fault.r_off) :: !reads;
+        Fault.Clean);
+    Striped.set_fault dev (Some h);
+    let v = Fun.protect ~finally:(fun () -> Striped.set_fault dev None) f in
+    (v, !reads)
+  in
+  let st = Store.recover ~dev ~clock:(Clock.create ()) in
+  let objects = Store.objects_at st ~epoch in
+  List.iter (fun (oid, _) -> ignore (Store.read_pages st ~epoch ~oid)) objects;
+  let _, page_reads =
+    record (fun () -> List.iter (fun (oid, _) -> ignore (Store.read_pages st ~epoch ~oid)) objects)
+  in
+  let counts reads =
+    List.sort compare
+      (List.map (fun k -> (k, List.length (List.filter (( = ) k) reads))) page_reads)
+  in
+  Alcotest.(check bool) "every stored page is read once by the reference" true
+    (List.length page_reads >= npages + 2
+    && List.for_all (fun (_, n) -> n = 1) (counts page_reads));
+  List.iter
+    (fun lazy_pages ->
+      let what = if lazy_pages then "lazy" else "eager" in
+      let machine = Machine.create () in
+      let store = Store.recover ~dev ~clock:(Clock.create ()) in
+      let v, reads = record (fun () -> Restore.restore_verified ~machine ~store ~lazy_pages ()) in
+      let v =
+        match v with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "%s: %s" what (Restore.pp_restore_error e)
+      in
+      Alcotest.(check int) (what ^ ": the newest epoch") epoch v.Restore.vr_epoch;
+      Alcotest.(check (list (pair (pair string int) int)))
+        (what ^ ": every stored page read exactly once")
+        (counts page_reads) (counts reads);
+      let p' =
+        match v.Restore.vr_result.Restore.procs with
+        | [ p' ] -> p'
+        | _ -> Alcotest.fail "expected 1 process"
+      in
+      let t0 = Clock.now (Store.clock store) in
+      let page, touch =
+        record (fun () -> Vm_space.read_string p'.Process.space ~addr:(addr + (5 * 4096)) ~len:12)
+      in
+      Alcotest.(check string) (what ^ ": the touched page") "page 5 gen-2" page;
+      Alcotest.(check int) (what ^ ": the touch reads nothing") 0 (List.length touch);
+      Alcotest.(check int) (what ^ ": no wait, no decompression on the store's clock") 0
+        (Clock.now (Store.clock store) - t0))
+    [ false; true ];
+  (* An unverified restore reads every file's pages from one stream:
+     the same device batches (the distinct submission instants of the
+     traced device reads) for 1, 10 or 40 two-page files. *)
+  let batches nfiles =
+    let sys = Sls.boot () in
+    let p, _, addr = spawn_with_memory sys ~name:"app" ~npages:2 in
+    Vm_space.write_string p.Process.space ~addr "memory";
+    for i = 1 to nfiles do
+      let vn = Aurora_fs.Fs.create_file sys.Sls.fs (Printf.sprintf "/f%d" i) in
+      Aurora_fs.Fs.write sys.Sls.fs vn ~off:0 (Printf.sprintf "file %d page 0" i);
+      Aurora_fs.Fs.write sys.Sls.fs vn ~off:4096 (Printf.sprintf "file %d page 1" i)
+    done;
+    ignore (Group.checkpoint ~wait_durable:true (Sls.attach sys [ p ]));
+    let dev = sys.Sls.device in
+    Striped.settle dev ~clock:sys.Sls.machine.Machine.clock;
+    let clock = Clock.create () in
+    let store = Store.recover ~dev ~clock in
+    Aurora_obs.Trace.enable ~clock ();
+    let r = Restore.restore ~machine:(Machine.create ()) ~store () in
+    let submitted =
+      List.filter_map
+        (fun (e : Aurora_obs.Trace.event) ->
+          if e.ev_cat = "dev" && e.ev_name = "read" then Some e.ev_ts else None)
+        (Aurora_obs.Trace.events ())
+    in
+    Aurora_obs.Trace.disable ();
+    let fs = Option.get r.Restore.fs in
+    Alcotest.(check string)
+      (Printf.sprintf "%d files: the last file's second page" nfiles)
+      (Printf.sprintf "file %d page 1" nfiles)
+      (Aurora_fs.Fs.read fs
+         (Option.get (Aurora_fs.Fs.lookup fs (Printf.sprintf "/f%d" nfiles)))
+         ~off:4096 ~len:(String.length (Printf.sprintf "file %d page 1" nfiles)));
+    List.length (List.sort_uniq compare submitted)
+  in
+  let one = batches 1 in
+  Alcotest.(check (list int)) "device batches for 1, 10 and 40 files" [ one; one; one ]
+    [ one; batches 10; batches 40 ]
 
 (* High availability: one standby, stop-and-wait ------------------------------------- *)
 
@@ -2486,7 +2631,11 @@ let () =
           Alcotest.test_case "unreadable epoch falls back" `Quick
             test_unreadable_epoch_falls_back;
           Alcotest.test_case "fallback after a post-verify read failure" `Quick
-            test_fallback_after_post_verify_read_failure;
+            test_post_verify_read_failure_unseen;
+          Alcotest.test_case "fallback when ranges fail at once" `Quick
+            test_fallback_when_ranges_fail_at_once;
+          Alcotest.test_case "reads each page once" `Quick
+            test_verified_restore_reads_each_page_once;
         ] );
       ( "high availability",
         [

@@ -14,6 +14,10 @@ let fresh () =
   let store = Store.format ~dev ~clock in
   (clock, dev, store, Fs.create ~store)
 
+(* Rebuild the file system of [epoch], each file's pages read alone. *)
+let restore_fs ~store ~epoch =
+  Fs.restore_from_store ~store ~epoch ~pages:(fun oid -> Store.read_pages store ~epoch ~oid)
+
 let test_create_write_read () =
   let clock, _dev, _store, fs = fresh () in
   let vn = Fs.create_file fs "/a/b/file" in
@@ -64,7 +68,7 @@ let test_flush_restore_roundtrip () =
   Store.wait_durable store;
   Striped.crash dev ~now:(Clock.now clock);
   let store2 = Store.recover ~dev ~clock in
-  let fs2 = Fs.restore_from_store ~store:store2 ~epoch:(Store.last_complete_epoch store2) in
+  let fs2 = restore_fs ~store:store2 ~epoch:(Store.last_complete_epoch store2) in
   match Fs.lookup fs2 "/persist/me" with
   | Some vn' ->
       Alcotest.(check string) "first page" "durable file data"
@@ -103,7 +107,7 @@ let test_anonymous_vnode_persisted () =
   ignore (Store.commit_checkpoint store);
   Store.wait_durable store;
   let epoch = Store.last_complete_epoch store in
-  let fs2 = Fs.restore_from_store ~store ~epoch in
+  let fs2 = restore_fs ~store ~epoch in
   (* No name, but the vnode object exists with its contents. *)
   match Fs.vnode_by_inode fs2 (Vnode.inode vn) with
   | Some vn' -> Alcotest.(check string) "content" "anon" (Fs.read fs2 vn' ~off:0 ~len:4)
@@ -185,9 +189,7 @@ let qcheck_tests =
            Fs.flush_to_store fs;
            ignore (Store.commit_checkpoint store);
            Store.wait_durable store;
-           let fs2 =
-             Fs.restore_from_store ~store ~epoch:(Store.last_complete_epoch store)
-           in
+           let fs2 = restore_fs ~store ~epoch:(Store.last_complete_epoch store) in
            Hashtbl.fold
              (fun path content ok ->
                ok

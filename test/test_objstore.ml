@@ -49,7 +49,8 @@ let test_checkpoint_roundtrip () =
   Store.wait_durable store;
   Alcotest.(check int) "epoch complete" epoch (Store.last_complete_epoch store);
   Alcotest.(check string) "meta" "serialized-proc-state" (Store.read_meta store ~epoch ~oid);
-  Alcotest.(check (list int)) "page indices" [ 0; 7 ] (Store.page_indices store ~epoch ~oid);
+  Alcotest.(check (list int)) "page indices" [ 0; 7 ]
+    (List.map fst (Store.page_crcs store ~epoch ~oid));
   (match Store.read_page store ~epoch ~oid ~idx:7 with
   | Some data -> Alcotest.(check bytes) "page content" (payload 'b') data
   | None -> Alcotest.fail "page 7 missing");
@@ -269,7 +270,7 @@ let test_leaf_span_boundaries () =
         (Store.read_page store ~epoch:e2 ~oid ~idx:i))
     idxs;
   Alcotest.(check (list int)) "indices" (List.sort compare idxs)
-    (Store.page_indices store ~epoch:e2 ~oid)
+    (List.map fst (Store.page_crcs store ~epoch:e2 ~oid))
 
 let test_full_leaf_fits_a_block () =
   (* A completely full leaf must serialize within one block (regression:
@@ -285,7 +286,7 @@ let test_full_leaf_fits_a_block () =
   Striped.crash dev ~now:(Clock.now clock);
   let store2 = Store.recover ~dev ~clock in
   Alcotest.(check int) "all pages recovered" Store.leaf_span
-    (List.length (Store.page_indices store2 ~epoch:1 ~oid))
+    (List.length (Store.page_crcs store2 ~epoch:1 ~oid))
 
 let test_many_objects_one_checkpoint () =
   let clock, dev, store = fresh () in
@@ -384,7 +385,7 @@ let test_put_pages_newest_wins () =
   Alcotest.(check string) "untouched index kept" (Bytes.to_string (payload 'z'))
     (page 11);
   Alcotest.(check (list int)) "one entry per staged index" [ 7; 9; 11 ]
-    (List.sort compare (Store.page_indices store ~epoch:e ~oid));
+    (List.map fst (Store.page_crcs store ~epoch:e ~oid));
   let fs = Store.flush_stats store in
   Alcotest.(check int) "dedup happened at staging time" 3 fs.Store.fs_pages
 
@@ -929,7 +930,8 @@ let test_recovered_store_starts_cold () =
   (* The content-index rebuild, the page CRCs and the index listing all
      parse leaf 0 without charging it: none of them makes it resident. *)
   Alcotest.(check int) "crcs listed" 2 (List.length (Store.page_crcs store2 ~epoch ~oid));
-  Alcotest.(check (list int)) "indices listed" [ 0; 1 ] (Store.page_indices store2 ~epoch ~oid);
+  Alcotest.(check (list int)) "indices listed" [ 0; 1 ]
+    (List.map fst (Store.page_crcs store2 ~epoch ~oid));
   let _, cold = device_reads dev (fun () -> Store.read_page store2 ~epoch ~oid ~idx:0) in
   Alcotest.(check int) "first read after recovery pays the leaf" 2 (List.length cold);
   let _, warm = device_reads dev (fun () -> Store.read_page store2 ~epoch ~oid ~idx:1) in
@@ -1376,7 +1378,7 @@ let test_bulk_reads_meet_injector () =
     match
       List.filter
         (fun (oid, kind) ->
-          kind = Serial.kind_memobj && List.length (Store.page_indices st ~epoch ~oid) = npages)
+          kind = Serial.kind_memobj && List.length (Store.page_crcs st ~epoch ~oid) = npages)
         (Store.objects_at st ~epoch)
     with
     | [ (oid, _) ] -> oid
