@@ -15,6 +15,8 @@
      - quorum convergence on 100% of runs (survivors elect an epoch no
        older than the quorum commit point, reference state matches, no
        externally-synchronized message escapes the discarded window);
+     - one vote round on 100% of runs: the takeover pays one vote round
+       trip plus the winner's restore, however many survivors vote;
      - pipelined replication-plane throughput >= 3x stop-and-wait at
        N = 3 over a lossy link;
      - live-migration downtime <= 2 checkpoint periods with a
@@ -153,6 +155,10 @@ let smoke () =
   Report.gates "ha-quorum"
     [
       ("quorum convergence", Str (Printf.sprintf "%d/%d" q_ok q_runs), "100%", q_ok = q_runs);
+      ( "election: one vote round",
+        Str (Printf.sprintf "%d/%d" q.Ha_torture.q_one_round q_runs),
+        "100%",
+        q.Ha_torture.q_one_round = q_runs );
       ( "pipelined plane speedup at n=3",
         Num (1, p.Ha_torture.pl_speedup),
         ">= 3",

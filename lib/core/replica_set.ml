@@ -668,55 +668,52 @@ type election_report = {
   el_winner : int;
   el_source_epoch : int;
   el_dropped_msgs : int;
+  el_downtime_ns : int;
   el_restore : Restore.verified;
 }
 
 (* A survivor's vote: the newest local epoch that passes manifest
    verification and whose primary-epoch correspondence the shipping
    layer remembers.  Verification happens before voting so a survivor
-   with a corrupt newest epoch advertises what it can actually serve. *)
+   with a corrupt newest epoch advertises what it can actually serve;
+   the vote keeps what it verified, so the winner restores from it. *)
 let vote_of sb =
-  let epochs =
-    Store.checkpoint_epochs sb.sb_store |> List.sort (fun a b -> compare b a)
-  in
-  let rec scan = function
-    | [] -> None
-    | e :: rest -> (
-        match List.assoc_opt e sb.sb_installed with
-        | None -> scan rest
-        | Some pe -> (
-            match Restore.verify_epoch ~store:sb.sb_store ~epoch:e with
-            | Ok _ -> Some { vt_idx = sb.sb_idx; vt_primary_epoch = pe;
-                             vt_standby_epoch = e }
-            | Error _ -> scan rest))
-  in
-  scan epochs
+  match
+    Restore.check_newest ~store:sb.sb_store
+      ~eligible:(fun e -> List.mem_assoc e sb.sb_installed)
+      ()
+  with
+  | Error _ -> None
+  | Ok checked ->
+      let e = Restore.checked_epoch checked in
+      Some
+        ( { vt_idx = sb.sb_idx; vt_primary_epoch = List.assoc e sb.sb_installed;
+            vt_standby_epoch = e },
+          checked )
 
 let elect_and_failover t ~survivors ~machine =
   List.iter (check_idx t) survivors;
   let clk = machine.Machine.clock in
-  let votes =
-    List.filter_map
-      (fun i ->
-        let sb = t.standbys.(i) in
-        if sb.sb_dead then None
-        else begin
-          (* One round-trip per survivor to exchange votes. *)
-          Clock.advance clk (Link.rtt ~bytes:64);
-          vote_of sb
-        end)
-      (List.sort_uniq compare survivors)
+  let live =
+    List.filter (fun i -> not t.standbys.(i).sb_dead) (List.sort_uniq compare survivors)
   in
+  let store_clocks = List.map (fun i -> Store.clock t.standbys.(i).sb_store) live in
+  let t0 = Clock.now clk and s0 = List.map Clock.now store_clocks in
+  (* One round: the request goes to every live survivor at once, and
+     each verifies its vote on its own store's clock, in parallel. *)
+  if live <> [] then Clock.advance clk (Link.rtt ~bytes:64);
+  let ballots = List.filter_map (fun i -> vote_of t.standbys.(i)) live in
   match
     List.sort
-      (fun a b ->
+      (fun (a, _) (b, _) ->
         match compare b.vt_primary_epoch a.vt_primary_epoch with
         | 0 -> compare a.vt_idx b.vt_idx
         | c -> c)
-      votes
+      ballots
   with
   | [] -> Error "election: no survivor holds a verified epoch"
-  | winner :: _ -> (
+  | (winner, checked) :: _ -> (
+      let votes = List.map fst ballots in
       if Otrace.is_on () then
         Otrace.instant ~cat:"rset" "elect"
           ~args:
@@ -726,7 +723,7 @@ let elect_and_failover t ~survivors ~machine =
               ("votes", Otrace.Int (List.length votes));
             ];
       let sb = t.standbys.(winner.vt_idx) in
-      match Restore.restore_verified ~machine ~store:sb.sb_store () with
+      match Restore.restore_verified ~machine ~store:sb.sb_store ~checked () with
       | Error e -> Error ("election restore: " ^ Restore.pp_restore_error e)
       | Ok v ->
           let source =
@@ -744,12 +741,17 @@ let elect_and_failover t ~survivors ~machine =
                 if source > 0 then Extsync.drop_after outbox ~epoch:source
                 else Extsync.drop_all outbox
           in
+          (* The takeover waits for the slowest vote, then restores. *)
+          let slowest =
+            List.fold_left2 (fun m c s -> max m (Clock.now c - s)) 0 store_clocks s0
+          in
           Ok
             {
               el_votes = votes;
               el_winner = winner.vt_idx;
               el_source_epoch = source;
               el_dropped_msgs = dropped;
+              el_downtime_ns = Clock.now clk - t0 + slowest;
               el_restore = v;
             })
 

@@ -35,10 +35,11 @@
 
     {b Failover.}  {!elect_and_failover} is the partition-tolerant
     election: the surviving standbys exchange their newest
-    manifest-verified epochs, the maximum wins (ties break to the lowest
-    index), the winner restores it via {!Restore.restore_verified} with
-    epoch fallback, and the primary's outbox drops every buffered
-    message from the discarded window ({!Extsync.drop_after}).  Because
+    manifest-verified epochs in one round, the maximum wins (ties break
+    to the lowest index), the winner restores it from the pages its vote
+    verified via {!Restore.restore_verified} with epoch fallback, and
+    the primary's outbox drops every buffered message from the
+    discarded window ({!Extsync.drop_after}).  Because
     the winner's epoch is the maximum over a majority, it is never older
     than [quorum_epoch] — no released message can come from a window
     failover discards.
@@ -161,6 +162,12 @@ type election_report = {
   el_winner : int;  (** standby index that restores *)
   el_source_epoch : int;  (** primary epoch actually restored *)
   el_dropped_msgs : int;  (** outbox messages from the discarded window *)
+  el_downtime_ns : int;
+      (** virtual time from the start of the election to the winner
+          serving: the takeover machine's clock advance across the call
+          (one vote round trip plus the restore) plus the largest clock
+          advance of any survivor's store during it (the slowest vote's
+          verification) *)
   el_restore : Restore.verified;
 }
 
@@ -171,8 +178,16 @@ val elect_and_failover :
   (election_report, string) result
 (** The primary is gone and [survivors] (standby indexes) can still talk
     to each other: exchange newest verified epochs, restore the maximum
-    on the winner, drop the discarded outbox window.  [Error] when no
-    survivor holds any verified epoch. *)
+    on the winner, drop the discarded outbox window.  The vote request
+    goes to every live survivor at once: the takeover machine's clock
+    pays one round trip ({!Aurora_net.Link.rtt} of 64 bytes), however
+    many survive, and nothing when none does (a dead index costs
+    nothing).  Each survivor verifies its vote ({!Restore.check_newest})
+    on its own store's clock, so the votes run in parallel.  The winner
+    restores exactly the epoch it voted for from the pages its vote
+    verified ({!Restore.restore_verified} [~checked]), reading nothing
+    again, and falls back to older epochs only if that rebuild fails.
+    [Error] when no survivor holds any verified epoch. *)
 
 (** {1 Live migration} *)
 

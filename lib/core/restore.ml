@@ -575,40 +575,76 @@ type verified = {
   vr_skipped : attempt list;
 }
 
-let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid () =
+(* One step of the verified walk: an epoch that passed verification,
+   the shares it read and decoded, the rejected attempts before it
+   (newest last) and the epochs the walk has left, newest first. *)
+type checked = {
+  ck_store : Store.t;
+  ck_epoch : int;
+  ck_manifest : Manifest.t;
+  ck_shares : (int * Store.stream) list;
+  ck_tried : attempt list;
+  ck_rest : int list;
+}
+
+let checked_epoch ck = ck.ck_epoch
+
+(* The walk: the first [eligible] epoch of [epochs] (newest first) that
+   verifies, each rejected one added to [tried]. *)
+let rec first_verified ~store ~eligible tried = function
+  | [] -> Error (No_valid_epoch (List.rev tried))
+  | epoch :: rest when not (eligible epoch) -> first_verified ~store ~eligible tried rest
+  | epoch :: rest -> (
+      match verify ~store ~epoch with
+      | Error reason ->
+          if Otrace.is_on () then
+            Otrace.instant ~cat:"restore" "fallback"
+              ~args:[ ("epoch", Otrace.Int epoch); ("reason", Otrace.Str reason) ];
+          first_verified ~store ~eligible ({ at_epoch = epoch; at_reason = reason } :: tried) rest
+      | Ok (manifest, shares) ->
+          Ok
+            {
+              ck_store = store;
+              ck_epoch = epoch;
+              ck_manifest = manifest;
+              ck_shares = shares;
+              ck_tried = tried;
+              ck_rest = rest;
+            })
+
+let check_newest ~store ?(eligible = fun _ -> true) () =
   match List.rev (Store.checkpoint_epochs store) with
   | [] -> Error No_checkpoints
-  | epochs ->
-      let rec go tried = function
-        | [] -> Error (No_valid_epoch (List.rev tried))
-        | epoch :: rest -> (
-            match verify ~store ~epoch with
-            | Error reason ->
-                if Otrace.is_on () then
-                  Otrace.instant ~cat:"restore" "fallback"
-                    ~args:
-                      [ ("epoch", Otrace.Int epoch); ("reason", Otrace.Str reason) ];
-                go ({ at_epoch = epoch; at_reason = reason } :: tried) rest
-            | Ok (manifest, checked) -> (
-                let streams = List.map (fun oid -> (oid, List.assoc oid checked)) in
-                match rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid streams with
-                | r ->
-                    Ok
-                      {
-                        vr_result = r;
-                        vr_epoch = epoch;
-                        vr_manifest = manifest;
-                        vr_skipped = List.rev tried;
-                      }
-                | exception
-                    (( Serial.Malformed msg
-                     | Wire.Corrupt msg
-                     | Store.Corrupt_store msg
-                     | Fault.Io_error msg
-                     | Failure msg ) as _e) ->
-                    go
-                      ({ at_epoch = epoch; at_reason = "restore failed: " ^ msg }
-                      :: tried)
-                      rest))
-      in
-      go [] epochs
+  | epochs -> first_verified ~store ~eligible [] epochs
+
+let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid ?checked () =
+  let rec go = function
+    | Error _ as err -> err
+    | Ok ck -> (
+        let streams = List.map (fun oid -> (oid, List.assoc oid ck.ck_shares)) in
+        match rebuild ~machine ~store ~epoch:ck.ck_epoch ~lazy_pages ?group_oid streams with
+        | r ->
+            Ok
+              {
+                vr_result = r;
+                vr_epoch = ck.ck_epoch;
+                vr_manifest = ck.ck_manifest;
+                vr_skipped = List.rev ck.ck_tried;
+              }
+        | exception
+            (( Serial.Malformed msg
+             | Wire.Corrupt msg
+             | Store.Corrupt_store msg
+             | Fault.Io_error msg
+             | Failure msg ) as _e) ->
+            go
+              (first_verified ~store
+                 ~eligible:(fun _ -> true)
+                 ({ at_epoch = ck.ck_epoch; at_reason = "restore failed: " ^ msg } :: ck.ck_tried)
+                 ck.ck_rest))
+  in
+  match checked with
+  | None -> go (check_newest ~store ())
+  | Some ck when ck.ck_store != store ->
+      invalid_arg "Restore.restore_verified: ~checked comes from another store"
+  | Some ck -> go (Ok ck)

@@ -89,11 +89,33 @@ type verified = {
   vr_skipped : attempt list;  (** newer epochs rejected on the way *)
 }
 
+type checked
+(** An epoch that passed {!verify_epoch}, with its manifest, the page
+    shares its verification read and decoded, and where the walk that
+    found it stands: the newer epochs it rejected and the older ones it
+    has not tried. *)
+
+val check_newest :
+  store:Aurora_objstore.Store.t ->
+  ?eligible:(int -> bool) ->
+  unit ->
+  (checked, restore_error) Stdlib.result
+(** The first step of {!restore_verified}'s walk: the newest retained
+    epoch for which [eligible] (default: every epoch) holds and that
+    passes {!verify_epoch}, trying them newest first.  An epoch that
+    fails is recorded with its reason.  Read-only; never raises.  A
+    replica's vote is this step: it restores exactly the epoch it voted
+    for by handing the result to {!restore_verified}. *)
+
+val checked_epoch : checked -> int
+(** The epoch that passed. *)
+
 val restore_verified :
   machine:Aurora_kern.Machine.t ->
   store:Aurora_objstore.Store.t ->
   ?lazy_pages:bool ->
   ?group_oid:int ->
+  ?checked:checked ->
   unit ->
   (verified, restore_error) Stdlib.result
 (** Restore the newest epoch that passes {!verify_epoch}, falling back to
@@ -104,4 +126,12 @@ val restore_verified :
     Never raises on corrupt state: a store with no recoverable epoch
     yields [Error].  A caller error in [group_oid] (see {!restore})
     raises [Invalid_argument] from the first epoch that verifies instead
-    of falling back to an older one. *)
+    of falling back to an older one.
+
+    With [checked] (from {!check_newest} on this [store]; otherwise
+    [Invalid_argument]) the walk starts at its epoch, having already
+    rejected what that step rejected: the restore rebuilds from its
+    shares and reads, waits for and decodes nothing again.  If that
+    rebuild fails, the walk goes on through every older retained epoch,
+    as without [checked].  A [checked] serves one restore: a lazy
+    restore takes its pages out of the shares. *)

@@ -117,7 +117,8 @@ let negative_control ~mode =
    buffered per epoch and released only at quorum.  At the end the
    primary dies, the survivors elect, and the run passes only if the
    election converges on an epoch at least as new as the quorum commit
-   point, the restored state matches the reference model, and no
+   point, the winner restores the epoch it voted for after one vote
+   round, the restored state matches the reference model, and no
    released message came from the discarded window.  At N = 1 this is
    the single-standby torture: no kills, and the election is plain
    failover to the one standby. *)
@@ -137,6 +138,8 @@ type quorum_report = {
   qr_retransmits : int;
   qr_released : int;  (** outbox messages released at quorum *)
   qr_dropped : int;  (** outbox messages dropped with the lost window *)
+  qr_one_round : bool;
+      (** the takeover paid one vote round trip plus the restore *)
   qr_outcome : string;
   qr_ok : bool;
 }
@@ -285,6 +288,7 @@ let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
       qr_retransmits = st.Replica_set.rs_retransmits;
       qr_released = st.Replica_set.rs_released_msgs;
       qr_dropped = 0;
+      qr_one_round = false;
       qr_outcome = "match";
       qr_ok = true;
     }
@@ -294,6 +298,7 @@ let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
   else
     (* The primary machine dies here; the survivors hold an election. *)
     let takeover = Machine.create () in
+    let t0 = Clock.now takeover.Machine.clock in
     match Replica_set.elect_and_failover rs ~survivors ~machine:takeover with
     | exception exn ->
         {
@@ -304,6 +309,23 @@ let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
     | Error msg -> { base with qr_outcome = "election: " ^ msg; qr_ok = false }
     | Ok rep -> (
         let source = rep.Replica_set.el_source_epoch in
+        let v = rep.Replica_set.el_restore in
+        let vote =
+          List.find
+            (fun (b : Replica_set.vote) -> b.Replica_set.vt_idx = rep.Replica_set.el_winner)
+            rep.Replica_set.el_votes
+        in
+        (* The takeover waits for one vote round trip and the restore:
+           what restoring the same epoch alone moves a fresh machine by. *)
+        let restore_alone =
+          let m = Machine.create () in
+          let r0 = Clock.now m.Machine.clock in
+          ignore
+            (Restore.restore ~machine:m
+               ~store:(fst (List.nth standbys rep.Replica_set.el_winner))
+               ~epoch:v.Restore.vr_epoch ());
+          Clock.now m.Machine.clock - r0
+        in
         let base =
           {
             base with
@@ -311,6 +333,8 @@ let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
             qr_winner = rep.Replica_set.el_winner;
             qr_votes = List.length rep.Replica_set.el_votes;
             qr_dropped = rep.Replica_set.el_dropped_msgs;
+            qr_one_round =
+              Clock.now takeover.Machine.clock - t0 = Link.rtt ~bytes:64 + restore_alone;
           }
         in
         let fail fmt = Printf.ksprintf (fun s -> { base with qr_outcome = s; qr_ok = false }) fmt in
@@ -323,6 +347,15 @@ let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
               v.Replica_set.vt_primary_epoch > source)
             rep.Replica_set.el_votes
         then fail "a survivor advertised an epoch newer than the winner's"
+        else if
+          v.Restore.vr_epoch <> vote.Replica_set.vt_standby_epoch
+          || source <> vote.Replica_set.vt_primary_epoch
+        then
+          fail "restored epoch %d (primary %d), the winner voted %d (primary %d)"
+            v.Restore.vr_epoch source vote.Replica_set.vt_standby_epoch
+            vote.Replica_set.vt_primary_epoch
+        else if not base.qr_one_round then
+          fail "the takeover did not pay one vote round trip plus the restore"
         else if List.exists (fun e -> e > source) !released then
           fail "a message from the discarded window (> epoch %d) escaped"
             source
@@ -367,6 +400,7 @@ type quorum_sweep_report = {
   q_retransmits : int;
   q_released : int;
   q_dropped : int;
+  q_one_round : int;
   q_failures : quorum_report list;
 }
 
@@ -393,6 +427,7 @@ let quorum_sweep ?speculative ~seed ~runs_per_cell ~rates ~ns ~rounds () =
     q_retransmits = List.fold_left (fun a r -> a + r.qr_retransmits) 0 reports;
     q_released = List.fold_left (fun a r -> a + r.qr_released) 0 reports;
     q_dropped = List.fold_left (fun a r -> a + r.qr_dropped) 0 reports;
+    q_one_round = List.length (List.filter (fun r -> r.qr_one_round) reports);
     q_failures = List.filter (fun r -> not r.qr_ok) reports;
   }
 

@@ -37,8 +37,10 @@ val negative_control : mode:control -> (unit, string) result
     primary dies the survivors elect; the run passes only if the
     election converges on an epoch no older than the quorum commit
     point, every survivor's vote is no newer than the winner's, the
-    restored state matches the reference model, and no released message
-    came from the discarded window. *)
+    winner restored exactly the epoch it voted for, the takeover paid
+    one vote round trip plus the restore (however many survivors
+    voted), the restored state matches the reference model, and no
+    released message came from the discarded window. *)
 
 type quorum_report = {
   qr_seed : int;
@@ -55,6 +57,10 @@ type quorum_report = {
   qr_retransmits : int;
   qr_released : int;  (** outbox messages released at quorum *)
   qr_dropped : int;  (** outbox messages dropped with the lost window *)
+  qr_one_round : bool;
+      (** the takeover machine's clock moved by one vote round trip plus
+          what restoring the winner's epoch alone moves a fresh machine
+          by *)
   qr_outcome : string;
   qr_ok : bool;
 }
@@ -85,6 +91,7 @@ type quorum_sweep_report = {
   q_retransmits : int;
   q_released : int;
   q_dropped : int;
+  q_one_round : int;  (** runs whose takeover paid one vote round *)
   q_failures : quorum_report list;
 }
 

@@ -2519,6 +2519,191 @@ let test_rset_lag_bytes_gauge () =
   Alcotest.(check int) "rejoined standby lags nothing" 0
     (Replica_set.view rs 0).Replica_set.sv_lag_bytes
 
+(* Elections ---------------------------------------------------------------------- *)
+
+(* [n] standbys, every one current after three rounds, over pages of
+   distinct contents (so no two share a stored range). *)
+let elect_fixture ~n =
+  let _sys, p, addr, group, rs, stores = rset_fixture ~n () in
+  for k = 1 to 7 do
+    Vm_space.write_string p.Process.space ~addr:(addr + (k * 4096)) (Printf.sprintf "page %d" k)
+  done;
+  for r = 1 to 3 do
+    rset_round group p ~addr rs r
+  done;
+  Alcotest.(check bool) "every standby current" true (Replica_set.drain rs `All);
+  (rs, stores)
+
+(* An election onto a fresh machine, and how far it moved that machine's
+   clock. *)
+let elect rs ~survivors =
+  let machine = Machine.create () in
+  let t0 = Clock.now machine.Machine.clock in
+  match Replica_set.elect_and_failover rs ~survivors ~machine with
+  | Error e -> Alcotest.fail e
+  | Ok rep -> (rep, Clock.now machine.Machine.clock - t0)
+
+let failover_restore_ns rep = rep.Replica_set.el_restore.Restore.vr_result.Restore.restore_ns
+
+(* How far restoring [epoch] of [store] alone moves a fresh machine's
+   clock: its [restore_ns] plus the shadows the restored group
+   interposes afterwards. *)
+let restore_alone store ~epoch =
+  let machine = Machine.create () in
+  let t0 = Clock.now machine.Machine.clock in
+  let r = Restore.restore ~machine ~store ~epoch () in
+  (r.Restore.restore_ns, Clock.now machine.Machine.clock - t0)
+
+(* The vote request reaches every live survivor at once: the takeover
+   pays one round trip however many survivors vote, then the winner's
+   restore, and a dead index in [~survivors] costs nothing. *)
+let test_election_one_vote_round () =
+  let run survivors =
+    let rs, stores = elect_fixture ~n:5 in
+    Replica_set.kill rs 2;
+    (elect rs ~survivors, stores)
+  in
+  let (rep, advance), stores = run [ 0; 1; 3; 4 ] in
+  Alcotest.(check int) "four survivors voted" 4 (List.length rep.Replica_set.el_votes);
+  let restore_ns, restore_advance =
+    restore_alone
+      (List.nth stores rep.Replica_set.el_winner)
+      ~epoch:rep.Replica_set.el_restore.Restore.vr_epoch
+  in
+  Alcotest.(check int) "the winner's restore charges what a restore alone does" restore_ns
+    (failover_restore_ns rep);
+  Alcotest.(check int) "one vote round trip plus the restore"
+    (Link.rtt ~bytes:64 + restore_advance)
+    advance;
+  let (rep', advance'), _ = run [ 0; 1; 2; 3; 4 ] in
+  Alcotest.(check int) "a dead survivor: same takeover advance" advance advance';
+  Alcotest.(check int) "a dead survivor: same votes" 4 (List.length rep'.Replica_set.el_votes);
+  Alcotest.(check int) "a dead survivor: same winner" rep.Replica_set.el_winner
+    rep'.Replica_set.el_winner;
+  Alcotest.(check int) "a dead survivor: same downtime" rep.Replica_set.el_downtime_ns
+    rep'.Replica_set.el_downtime_ns
+
+(* The library's downtime is the takeover clock's advance plus the
+   slowest survivor's verification, read off the survivors' stores. *)
+let test_election_downtime () =
+  List.iter
+    (fun n ->
+      let rs, stores = elect_fixture ~n in
+      Replica_set.kill rs 0;
+      let survivors = List.init (n - 1) (fun i -> i + 1) in
+      let clocks = List.map (fun i -> Store.clock (List.nth stores i)) survivors in
+      let before = List.map Clock.now clocks in
+      let rep, advance = elect rs ~survivors in
+      let slowest = List.fold_left2 (fun m c b -> max m (Clock.now c - b)) 0 clocks before in
+      Alcotest.(check bool) (Printf.sprintf "n=%d: the votes verified" n) true (slowest > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d: takeover advance plus the slowest vote" n)
+        (advance + slowest) rep.Replica_set.el_downtime_ns)
+    [ 3; 5 ]
+
+(* Every range read off each store's device while [f] runs, as
+   (offset, length), in order. *)
+let device_reads stores f =
+  let logs =
+    List.map
+      (fun store ->
+        let reads = ref [] in
+        let h = Fault.create () in
+        h.Fault.on_read <-
+          (fun r ->
+            reads := (r.Fault.r_off, r.Fault.r_len) :: !reads;
+            Fault.Clean);
+        Striped.set_fault (Store.device store) (Some h);
+        reads)
+      stores
+  in
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun store -> Striped.set_fault (Store.device store) None) stores)
+      f
+  in
+  (v, List.map (fun reads -> List.rev !reads) logs)
+
+let distinct reads = List.length (List.sort_uniq compare reads) = List.length reads
+
+(* The winner restores the epoch it voted for from the pages its vote
+   verified: across the election its device sees exactly the reads of
+   its vote alone, each range once.  With its newest epoch corrupt it
+   votes the older one, wins alone, and restores that without reading
+   it again. *)
+let test_election_reads_epoch_once () =
+  let fixture ~corrupt =
+    let rs, stores = elect_fixture ~n:2 in
+    let winner = List.hd stores in
+    if corrupt then begin
+      let newest = Store.last_complete_epoch winner in
+      let victim =
+        match
+          List.find_opt
+            (fun (_, kind) -> kind = Serial.kind_memobj)
+            (Store.objects_at winner ~epoch:newest)
+        with
+        | Some (oid, _) -> oid
+        | None -> Alcotest.fail "no memobj in checkpoint"
+      in
+      Store.corrupt_page_for_tests winner ~epoch:newest ~oid:victim;
+      Replica_set.kill rs 1
+    end;
+    (rs, stores)
+  in
+  List.iter
+    (fun corrupt ->
+      let what = if corrupt then "corrupt newest" else "clean" in
+      let _, ref_stores = fixture ~corrupt in
+      let vote, ref_reads =
+        device_reads [ List.hd ref_stores ] (fun () ->
+            Restore.check_newest ~store:(List.hd ref_stores) ())
+      in
+      let vote_epoch =
+        match vote with
+        | Ok ck -> Restore.checked_epoch ck
+        | Error e -> Alcotest.fail (Restore.pp_restore_error e)
+      in
+      let rs, stores = fixture ~corrupt in
+      let (rep, _), reads = device_reads stores (fun () -> elect rs ~survivors:[ 0; 1 ]) in
+      let winner_reads, loser_reads =
+        match reads with [ w; l ] -> (w, l) | _ -> Alcotest.fail "two stores"
+      in
+      let v = rep.Replica_set.el_restore in
+      let ballot =
+        match rep.Replica_set.el_votes with
+        | b :: _ -> b
+        | [] -> Alcotest.fail "no vote"
+      in
+      Alcotest.(check int) (what ^ ": standby 0 wins") 0 rep.Replica_set.el_winner;
+      Alcotest.(check int) (what ^ ": it votes what its vote reads") vote_epoch
+        ballot.Replica_set.vt_standby_epoch;
+      Alcotest.(check int) (what ^ ": restores the epoch it voted for")
+        ballot.Replica_set.vt_standby_epoch v.Restore.vr_epoch;
+      Alcotest.(check int) (what ^ ": the source is its vote")
+        ballot.Replica_set.vt_primary_epoch rep.Replica_set.el_source_epoch;
+      Alcotest.(check bool) (what ^ ": the winner read pages") true (winner_reads <> []);
+      Alcotest.(check (list (pair int int)))
+        (what ^ ": the winner reads what its vote reads, nothing more")
+        (List.sort compare (List.concat ref_reads))
+        (List.sort compare winner_reads);
+      if corrupt then begin
+        Alcotest.(check int) (what ^ ": one vote") 1 (List.length rep.Replica_set.el_votes);
+        Alcotest.(check (list int))
+          (what ^ ": the newest epoch skipped")
+          [ Store.last_complete_epoch (List.hd stores) ]
+          (List.map (fun (a : Restore.attempt) -> a.Restore.at_epoch) v.Restore.vr_skipped)
+      end
+      else begin
+        Alcotest.(check bool) (what ^ ": the winner reads each range once") true
+          (distinct winner_reads);
+        Alcotest.(check bool) (what ^ ": the loser read pages") true (loser_reads <> []);
+        Alcotest.(check bool) (what ^ ": the loser reads each range once") true
+          (distinct loser_reads)
+      end)
+    [ false; true ]
+
 let test_rset_migration_live () =
   let sys = Sls.boot () in
   let p, _e, addr = spawn_with_memory sys ~name:"svc" ~npages:8 in
@@ -2662,6 +2847,10 @@ let () =
           Alcotest.test_case "frame leaf read retried" `Quick test_frame_leaf_read_retried;
           Alcotest.test_case "frame leaf read fails" `Quick test_frame_leaf_read_fails;
           Alcotest.test_case "lag bytes gauge" `Quick test_rset_lag_bytes_gauge;
+          Alcotest.test_case "election: one vote round" `Quick test_election_one_vote_round;
+          Alcotest.test_case "election: downtime" `Quick test_election_downtime;
+          Alcotest.test_case "election: the winner reads its epoch once" `Quick
+            test_election_reads_epoch_once;
         ] );
       ("properties", qcheck_tests @ roundtrip_qcheck_tests @ [ lazy_cow_qcheck ]);
     ]
