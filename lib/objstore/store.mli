@@ -146,9 +146,13 @@ val flush_stats : t -> flush_stats
 (** {1 Page-granular dedup and compression}
 
     The flush path keys every staged payload by its {!Aurora_util.Hash64}
-    content hash: a page whose (hash, length, CRC) triple already names a
-    stored location is recorded in the radix leaf as a reference to that
-    location and never re-flushed.  The index is {e derived} state, kept
+    content hash.  The index maps a hash to the radix-leaf entry of a
+    stored page, and it is filled as the commit's CPU pass plans each
+    page: a page whose (hash, length, CRC) triple is indexed gets that
+    entry at its own page index, a reference to the stored location, and
+    is never re-flushed; any other page is placed and indexed at once, so
+    a later identical page of the same commit, in the same object or
+    another, references it.  The index is {e derived} state, kept
     beside per-block reference counts: commit adds what it writes to
     both, {!prune_history} drops every entry over a block it frees, and
     {!recover} rebuilds both from the durable leaves, so nothing about

@@ -51,15 +51,3 @@ val load_payload : t -> bytes -> unit
 (** Replace the payload (restore path); adopts the input's length. *)
 
 val equal_content : t -> t -> bool
-
-val content_hash : t -> int
-(** The {!Aurora_util.Hash64} digest of the payload, memoized and
-    invalidated on every mutation.  This is the same hash the object
-    store's content-addressed page index keys on. *)
-
-val comp_class : t -> Aurora_util.Rle.cls
-(** Compressibility class of the payload (memoized with the hash); the
-    cost model charges flush-path compression time by this class. *)
-
-val fingerprint : t -> int
-(** Alias of {!content_hash}; kept for property tests. *)

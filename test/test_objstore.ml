@@ -793,6 +793,50 @@ let noise_page seed =
   let r = Aurora_util.Rng.create seed in
   Bytes.init Store.block_size (fun _ -> Char.chr (Aurora_util.Rng.int r 256))
 
+(* Identical pages of one commit, in one object and across two, are
+   stored once: the first is placed and indexed as the commit plans it,
+   and every later one references it. *)
+let test_dedup_within_one_commit () =
+  let clock, dev, store = fresh () in
+  let x = noise_page 1 and y = noise_page 2 and z = noise_page 3 in
+  let a = Store.alloc_oid store and b = Store.alloc_oid store in
+  let epoch = Store.begin_checkpoint store in
+  Store.put_object store ~oid:a ~kind:"memory" ~meta:"a";
+  Store.put_pages store ~oid:a [ (0, x); (1, x); (2, y) ];
+  Store.put_object store ~oid:b ~kind:"memory" ~meta:"b";
+  Store.put_pages store ~oid:b [ (0, x); (5, z) ];
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  let fs = Store.flush_stats store in
+  Alcotest.(check int) "pages staged" 5 fs.Store.fs_pages;
+  Alcotest.(check int) "pages deduped" 2 fs.Store.fs_pages_deduped;
+  Alcotest.(check int) "X enters the compressor once" (3 * Store.block_size) fs.Store.fs_comp_in;
+  let reads_back store =
+    List.iter
+      (fun (oid, pages) ->
+        Alcotest.(check (list (pair int bytes)))
+          (Printf.sprintf "oid %d reads back" oid)
+          pages
+          (Store.read_pages store ~epoch ~oid))
+      [ (a, [ (0, x); (1, x); (2, y) ]); (b, [ (0, x); (5, z) ]) ]
+  in
+  reads_back store;
+  Alcotest.(check bool) "index consistent" true (Store.content_index_consistent store);
+  let indexed = Store.content_index_size store in
+  Alcotest.(check int) "one index entry per distinct payload" 3 indexed;
+  Striped.settle dev ~clock;
+  let store = Store.recover ~dev ~clock in
+  reads_back store;
+  Alcotest.(check bool) "index consistent after recover" true
+    (Store.content_index_consistent store);
+  Alcotest.(check int) "index size after recover" indexed (Store.content_index_size store);
+  ignore (Store.begin_checkpoint store);
+  Store.put_pages store ~oid:b [ (7, x) ];
+  ignore (Store.commit_checkpoint store);
+  let fs = Store.flush_stats store in
+  Alcotest.(check int) "restaged X deduped" 1 fs.Store.fs_pages_deduped;
+  Alcotest.(check int) "no payload bytes written" 0 fs.Store.fs_comp_out
+
 (* One object whose pages [0, n) all sit in radix leaf 0, durable and
    settled, so the device queues are idle. *)
 let one_leaf_store n =
@@ -1929,6 +1973,7 @@ let () =
           Alcotest.test_case "carry forward" `Quick test_unchanged_object_carries_forward;
           Alcotest.test_case "double begin" `Quick test_double_begin_rejected;
           Alcotest.test_case "put_pages newest wins" `Quick test_put_pages_newest_wins;
+          Alcotest.test_case "dedup within one commit" `Quick test_dedup_within_one_commit;
           Alcotest.test_case "history time travel" `Quick test_history_is_time_travel;
         ] );
       ( "recovery",
