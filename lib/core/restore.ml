@@ -490,7 +490,6 @@ let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid streams =
       | None -> ())
     group_image.Serial.i_ephemeral_parents;
   let procs = List.map fst restored in
-  let restore_ns = Clock.elapsed_since clk start_time in
   (* Re-attach a group over the restored processes, seeding identities so
      the next checkpoints stay incremental. *)
   let group =
@@ -533,7 +532,9 @@ let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid streams =
   in
   Hashtbl.iter register ctx.memobjs;
   Group.prepare_after_restore group;
-  { group; procs; fs = restored_fs; restore_ns }
+  (* Measured once the group is attached: the shadows it interposes over
+     the restored memory charge the restoring clock too. *)
+  { group; procs; fs = restored_fs; restore_ns = Clock.elapsed_since clk start_time }
 
 let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
   let epoch = match epoch with Some e -> e | None -> Store.last_complete_epoch store in
