@@ -18,7 +18,9 @@ type result = {
   group : Group.t;
   procs : Aurora_kern.Process.t list;
   fs : Aurora_fs.Fs.t option;
-  restore_ns : int;  (** charged virtual time of the restore itself *)
+  restore_ns : int;
+      (** charged virtual time of the restore itself, the shadows the
+          restored group interposes over its memory included *)
 }
 
 val groups_at :
