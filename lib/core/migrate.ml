@@ -23,8 +23,10 @@ let stream_codec =
    The store finds them from its copy-on-write leaf metadata
    ([Store.read_delta]), so an object or leaf that [epoch] shares with
    [base] costs no read at all, and the rest costs one leaf batch and one
-   page batch for the whole frame.  Epoch 0 is the empty base: every
-   object is new, so the delta from it is the full checkpoint.  The build
+   page batch for the whole frame; the newest epoch against its parent
+   costs no read, its commit having kept the delta.  Epoch 0 is the
+   empty base: every object is new, so the delta from it is the full
+   checkpoint.  The build
    is traced as one [migrate/frame] span on the store's clock, with the
    device bytes it read, leaves and pages. *)
 let serialize_incremental ~store ~base ~epoch =

@@ -25,7 +25,8 @@ val serialize_incremental :
     page locations changed with only the pages whose stored location
     changed ({!Aurora_objstore.Store.read_delta}: one vectored batch of
     the leaves the two epochs do not share, then one vectored batch of
-    every moved page).  Blocks are
+    every moved page; no read at all for the newest epoch against its
+    parent, whose delta its commit kept in memory).  Blocks are
     copy-on-write, so that page set is a superset of the pages whose
     bytes changed, never a subset: a page rewritten with identical bytes
     at a new location ships again, one deduplicated onto its old location
@@ -33,7 +34,8 @@ val serialize_incremental :
     and metadata exactly.  [~base:0] names the empty base: every object
     is new and the stream is the full checkpoint.  With the tracer on, the
     build is one [migrate/frame] complete event on the store's clock,
-    with the objects, leaves read, pages and bytes of the stream. *)
+    with the objects, device bytes read ([read_bytes], 0 for a kept
+    delta), pages and bytes of the stream. *)
 
 (** {1 Frames} *)
 

@@ -123,6 +123,15 @@ let span_blocks blk off len f =
    time. *)
 type cleaf = { entries : leaf_entry list; resident : bool }
 
+(* [(oid, kind, meta, (page index, payload) list)] per object, as
+   [read_delta] returns it. *)
+type delta = (int * string * string * (int * bytes) list) list
+
+(* The one location rule: leaf and data blocks are copy-on-write, so two
+   entries at the same (block, offset, stored length) hold the same bytes
+   while either epoch keeps them live. *)
+let same_location p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen
+
 type t = {
   dev : Striped.t;
   clk : Clock.t;
@@ -160,6 +169,11 @@ type t = {
          through, including migration installs), recomputed lazily from
          the version's leaves when cold (post-recovery). *)
   mutable epochs : epoch_info list; (* oldest first *)
+  mutable kept : (int * int * delta) option;
+      (* (parent, epoch, delta) of the last commit: its delta against the
+         head it committed over, from the staged bytes, until the next
+         commit ([read_delta]).  None before a commit with a parent, and
+         on a recovered store until it commits. *)
   mutable current_epoch : int;
   mutable staging : (int, staged) Hashtbl.t option;
   mutable staging_epoch : int;
@@ -460,6 +474,7 @@ let fresh dev clk =
     packed = true;
     rows = Hashtbl.create 1024;
     epochs = [];
+    kept = None;
     current_epoch = 0;
     staging = None;
     staging_epoch = 0;
@@ -670,11 +685,14 @@ let class_bandwidth = function
    returns the object's manifest deltas: the XOR-fold fingerprint
    adjustment (replaced carried entries folded out, fresh entries folded
    in) and the net page-count change, so commit can update the
-   manifest-row cache without re-walking untouched leaves. *)
+   manifest-row cache without re-walking untouched leaves.  Last come the
+   moved pages with their staged payloads, by index: every fresh entry
+   but one that replaces a carried entry at its own location, which is
+   [read_delta]'s rule. *)
 let build_version t ~now ~prev st =
   let prev_leaves = match prev with Some v -> v.v_leaves | None -> IntMap.empty in
   let npages = Hashtbl.length st.s_pages in
-  if npages = 0 then (prev_leaves, now, now, 0, 0)
+  if npages = 0 then (prev_leaves, now, now, 0, 0, [])
   else begin
     (* 1. Sort the fresh pages in place (no list churn on the hot path). *)
     let fresh = Array.make npages (0, Bytes.empty) in
@@ -732,8 +750,10 @@ let build_version t ~now ~prev st =
        with the leaf's carried entries in one pass by index.  A replaced
        carried entry is folded out of the manifest deltas and dropped (the
        old leaf still counts its blocks until a prune finds it dead); each
-       fresh entry is folded in. *)
+       fresh entry is folded in, and has moved unless the entry it
+       replaces lies at its location. *)
     let fp_delta = ref 0 and n_delta = ref 0 in
+    let moved = Array.make npages true in
     let fold p n =
       fp_delta := !fp_delta lxor Manifest.page_fp p.p_idx p.p_crc;
       n_delta := !n_delta + n
@@ -752,6 +772,7 @@ let build_version t ~now ~prev st =
           | p :: ps when p.p_idx < q.p_idx -> p :: merge ps k
           | p :: ps when p.p_idx = q.p_idx ->
               fold p (-1);
+              if same_location p q then moved.(k) <- false;
               merge ps k
           | _ ->
               fold q 1;
@@ -779,7 +800,12 @@ let build_version t ~now ~prev st =
           IntMap.add leaf_idx blk leaves)
         prev_leaves (List.rev !rebuilt)
     in
-    (leaves, max data_done (submit leaf_pk ~now:!cpu), !cpu, !fp_delta, !n_delta)
+    ( leaves,
+      max data_done (submit leaf_pk ~now:!cpu),
+      !cpu,
+      !fp_delta,
+      !n_delta,
+      List.filteri (fun k _ -> moved.(k)) (Array.to_list fresh) )
   end
 
 (* Manifest row of a committed version, from the cache when warm.  The cold
@@ -797,8 +823,12 @@ let commit_checkpoint t =
   let s = staging_exn t in
   let now = Clock.now t.clk in
   let epoch = t.staging_epoch in
+  let parent = last_epoch_info t in
   let prev_table = head_table t in
   let new_table : (int, version) Hashtbl.t = Hashtbl.copy prev_table in
+  (* The epoch's delta against [parent], newest oid first: what
+     [read_delta] would find, with the staged bytes as payloads. *)
+  let delta = ref [] in
   let data_done = ref now in
   (* One flush thread does the hashing and compression: each object's
      submissions go out when the CPU pass reaches it. *)
@@ -827,9 +857,13 @@ let commit_checkpoint t =
         let base =
           match prev with Some v -> committed_row t oid v | None -> zero_row
         in
-        let leaves, c, cpu_end, fp_delta, n_delta =
+        let leaves, c, cpu_end, fp_delta, n_delta, moved =
           build_version t ~now:!cpu_now ~prev st
         in
+        if
+          kind <> Manifest.kind
+          && not (moved = [] && Option.map (fun v -> v.v_meta) prev = Some meta)
+        then delta := (oid, kind, meta, moved) :: !delta;
         cpu_now := cpu_end;
         if c > !data_done then data_done := c;
         Hashtbl.replace t.rows oid
@@ -932,6 +966,7 @@ let commit_checkpoint t =
         write_superblock t ~now:sb_submit (Some head))
   in
   t.epochs <- t.epochs @ [ head ];
+  t.kept <- Option.map (fun p -> (p.e_epoch, epoch, List.rev !delta)) parent;
   t.staging <- None;
   t.durable <- sc;
   t.last_flush <-
@@ -1285,12 +1320,31 @@ let in_window ~span idx i = i / span = idx / span && i / leaf_span = idx / leaf_
 type streamed = { s_idx : int; s_arrival : int; s_coded : int; s_page : (bytes, exn) result Lazy.t }
 
 (* The stored bytes of [entries], submitted at [now] as one vectored
-   batch ([submit_ranges]: per-range retries) without waiting.  A coded
-   payload that does not decode is store corruption, not a programming
-   error: verification catches it as such. *)
+   batch ([submit_ranges]: per-range retries) without waiting.  Each
+   distinct stored range is read once, and its arrival and bytes go to
+   every entry that names it (dedup stores many entries at one range);
+   each entry still decodes on its own.  A coded payload that does not
+   decode is store corruption, not a programming error: verification
+   catches it as such. *)
 let submit_pages t ~now entries =
+  let slots = Hashtbl.create (Array.length entries) and ranges = ref [] in
+  let slot =
+    Array.map
+      (fun p ->
+        let r = (off_of_block p.p_blk + p.p_off, p.p_clen) in
+        match Hashtbl.find_opt slots r with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length slots in
+            Hashtbl.replace slots r i;
+            ranges := r :: !ranges;
+            i)
+      entries
+  in
+  let arrived = submit_ranges t ~now (Array.of_list (List.rev !ranges)) in
   Array.map2
-    (fun p (s_arrival, read) ->
+    (fun p i ->
+      let s_arrival, read = arrived.(i) in
       let decode () =
         match read with
         | Error msg -> Error (Fault.Io_error msg)
@@ -1302,8 +1356,7 @@ let submit_pages t ~now entries =
       in
       let s_coded = if p.p_comp && Result.is_ok read then p.p_olen else 0 in
       { s_idx = p.p_idx; s_arrival; s_coded; s_page = Lazy.from_fun decode })
-    entries
-    (submit_ranges t ~now (Array.map (fun p -> (off_of_block p.p_blk + p.p_off, p.p_clen)) entries))
+    entries slot
 
 (* Decode [pages], in order: wait for the last arrival of those not yet
    decoded and charge their decompression once, so a page decoded before
@@ -1432,7 +1485,7 @@ let read_pages t ~epoch ~oid = take_all (List.assoc oid (stream_pages t ~epoch [
    changed nothing beneath it.  [plan] holds, per object whose version
    record [base] does not share, the leaves [base] does not share,
    ascending, each with [base]'s leaf at its index. *)
-let read_delta t ~base ~epoch =
+let device_delta t ~base ~epoch =
   let base_table = if base = 0 then Hashtbl.create 0 else (epoch_info t base).e_table in
   let plan =
     List.filter_map
@@ -1457,7 +1510,6 @@ let read_delta t ~base ~epoch =
            List.concat_map (fun (blk, old) -> blk :: Option.to_list old) leaves)
          plan)
   in
-  let same p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen in
   (* Both entry lists are sorted by page index; [acc] collects moved
      entries in descending index order, across leaves too. *)
   let rec moved acc news olds =
@@ -1467,7 +1519,7 @@ let read_delta t ~base ~epoch =
     | n :: ns, o :: os ->
         if o.p_idx < n.p_idx then moved acc news os
         else if o.p_idx > n.p_idx then moved (n :: acc) ns olds
-        else moved (if same n o then acc else n :: acc) ns os
+        else moved (if same_location n o then acc else n :: acc) ns os
   in
   let deltas =
     List.filter_map
@@ -1495,6 +1547,17 @@ let read_delta t ~base ~epoch =
       next := !next + n;
       (oid, kind, meta, Array.to_list (Array.sub pages (!next - n) n)))
     deltas
+
+(* The newest epoch's delta against its parent is the one its commit
+   kept, while the parent is retained (a prune drops oldest first, so the
+   newest epoch is then retained too); any other pair is read off the
+   device. *)
+let read_delta t ~base ~epoch =
+  match t.kept with
+  | Some (parent, newest, delta)
+    when parent = base && newest = epoch && List.exists (fun e -> e.e_epoch = base) t.epochs ->
+      delta
+  | _ -> device_delta t ~base ~epoch
 
 let page_crcs t ~epoch ~oid = List.sort compare (version_crcs t (version_exn t ~epoch ~oid))
 
@@ -1831,8 +1894,10 @@ let corrupt_meta_for_tests t ~epoch ~oid =
         end
       in
       (* Version records are shared across epoch tables by commit's
-         table copy; replacing the binding corrupts this epoch only. *)
-      Hashtbl.replace e.e_table oid { v with v_meta = meta }
+         table copy; replacing the binding corrupts this epoch only.  The
+         kept delta is dropped, so a frame ships what the store holds. *)
+      Hashtbl.replace e.e_table oid { v with v_meta = meta };
+      t.kept <- None
 
 let corrupt_page_for_tests t ~epoch ~oid =
   let v = version_exn t ~epoch ~oid in
@@ -1858,6 +1923,7 @@ let corrupt_page_for_tests t ~epoch ~oid =
           ~off:(off_of_block p.p_blk + p.p_off)
           garbage
       in
-      Clock.advance_to t.clk c
+      Clock.advance_to t.clk c;
+      t.kept <- None
 
 let recycle_leaf_cache_for_tests t = Hashtbl.reset t.leaf_cache

@@ -97,7 +97,10 @@ val put_pages : t -> oid:int -> (int * bytes) list -> unit
     object.  Pages not mentioned carry over from the previous version
     (copy-on-write).  Staging the same index again — in the same call or a
     later one — replaces the payload in O(1): the newest staged version of
-    a page wins, decided here rather than at commit time. *)
+    a page wins, decided here rather than at commit time.  The store
+    keeps the payload bytes it is given, not a copy, until the next
+    commit ({!read_delta} ships the newest epoch from them): a caller
+    must not mutate a buffer once it has staged it. *)
 
 val abort_checkpoint : t -> unit
 (** Drop the open staging epoch: nothing staged is written, and the
@@ -315,7 +318,21 @@ val read_delta :
     Same location means same bytes, so the pages
     are a superset of those whose bytes changed: a page rewritten with
     identical bytes at a new location is returned, a dedup hit on its old
-    location is not. *)
+    location is not.
+
+    The newest epoch against its parent costs none of that.
+    {!commit_checkpoint} keeps each epoch's delta against the head it
+    committed over until the next commit, worked out in its leaf merge
+    by the same location rule, with the staged payloads as pages.  When
+    [epoch] is the newest committed epoch and [base] its parent, both
+    retained, that delta is returned: no leaf is looked up, no device
+    read is made and the clock does not move.  Every other pair takes the
+    device path above: [base = 0], a base older than the parent, and any
+    call on a recovered store before its first commit.  The two paths
+    return equal deltas, page bytes included, unless a staged page dedups
+    onto a stored one that collides with it on both the content hash and
+    the CRC-32: the kept delta then holds the staged bytes.  Its pages are
+    the store's own buffers, not copies: a caller must not mutate them. *)
 
 (** {1 Manifests and verification}
 
@@ -381,12 +398,14 @@ val verify_epoch :
 val corrupt_meta_for_tests : t -> epoch:int -> oid:int -> unit
 (** TESTING ONLY: flip a byte of the object's committed metadata in the
     given epoch's table (other epochs sharing the version are unharmed) —
-    the negative control proving manifest verification detects it. *)
+    the negative control proving manifest verification detects it.  Drops
+    the kept delta, so {!read_delta} reads what the store holds. *)
 
 val corrupt_page_for_tests : t -> epoch:int -> oid:int -> unit
 (** TESTING ONLY: overwrite the device block of one of the object's pages
     with garbage.  Data blocks are shared across epochs by COW, so
-    corrupt a page that the target epoch wrote freshly. *)
+    corrupt a page that the target epoch wrote freshly.  Drops the kept
+    delta, as {!corrupt_meta_for_tests} does. *)
 
 val recycle_leaf_cache_for_tests : t -> unit
 (** TESTING ONLY: recycle the leaf cache, as a full cache is, so the next

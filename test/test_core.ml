@@ -2376,7 +2376,16 @@ let test_rset_evict_and_rejoin () =
     v0.Replica_set.sv_acked_epoch;
   let s = Replica_set.stats rs in
   Alcotest.(check bool) "eviction counted" true (s.Replica_set.rs_evictions > 0);
-  Alcotest.(check int) "one rejoin" 1 s.Replica_set.rs_rejoins
+  Alcotest.(check int) "one rejoin" 1 s.Replica_set.rs_rejoins;
+  (* The rejoin's catch-up frame (base 0: the standby never acked) is
+     the one a store holding no kept delta builds, the primary's epochs
+     recovered into a fresh store. *)
+  let store = Group.store group and last = Replica_set.last_logged_epoch rs in
+  Alcotest.(check bool) "catch-up frame byte-identical to the device path's" true
+    (Migrate.frame ~store ~base:0 ~epoch:last
+    = Migrate.frame
+        ~store:(Store.recover ~dev:(Store.device store) ~clock:(Store.clock store))
+        ~base:0 ~epoch:last)
 
 let test_rset_divergent_standby_evicted () =
   let _sys, p, addr, group, rs, stores = rset_fixture () in
@@ -2413,12 +2422,17 @@ let test_rset_divergent_standby_evicted () =
     (Replica_set.quorum_epoch rs)
 
 (* A leaf range of a frame's batch fails once: the store retries it, and
-   the frame equals one built without the fault. *)
+   the frame equals one built without the fault.  The frame skips a
+   round, so it takes the device path: only the newest epoch's frame
+   against its parent comes from the delta its commit kept. *)
 let test_frame_leaf_read_retried () =
   let _sys, p, addr, group, rs, _stores = rset_fixture ~n:1 () in
   rset_round group p ~addr rs 1;
-  Vm_space.write_string p.Process.space ~addr "round-2";
-  ignore (Group.checkpoint ~wait_durable:true group);
+  List.iter
+    (fun r ->
+      Vm_space.write_string p.Process.space ~addr r;
+      ignore (Group.checkpoint ~wait_durable:true group))
+    [ "round-2"; "round-3" ];
   let store = Group.store group and base = Replica_set.last_logged_epoch rs in
   let epoch = Group.last_epoch group in
   let dev = Store.device store and faults = Store.read_faults store in
@@ -2444,13 +2458,17 @@ let test_frame_leaf_read_retried () =
 
 (* A leaf range that keeps failing fails the frame and the ship, and the
    log stays as it was; once the fault clears, the next ship covers the
-   whole gap in one frame. *)
+   whole gap in one frame.  The failing ship skips a round, so its frame
+   takes the device path. *)
 let test_frame_leaf_read_fails () =
   let _sys, p, addr, group, rs, stores = rset_fixture () in
   rset_round group p ~addr rs 1;
   Alcotest.(check bool) "first epoch everywhere" true (Replica_set.drain rs `All);
-  Vm_space.write_string p.Process.space ~addr "round-2";
-  ignore (Group.checkpoint ~wait_durable:true group);
+  List.iter
+    (fun r ->
+      Vm_space.write_string p.Process.space ~addr r;
+      ignore (Group.checkpoint ~wait_durable:true group))
+    [ "round-2"; "round-2b" ];
   let store = Group.store group and base = Replica_set.last_logged_epoch rs in
   let dev = Store.device store and logged = (Replica_set.stats rs).Replica_set.rs_epochs_logged in
   let h = Fault.create () in
@@ -2482,6 +2500,44 @@ let test_frame_leaf_read_fails () =
         (Replica_set.stores_identical ~src:store ~src_epoch:newest ~dst:sb
            ~dst_epoch:(Store.last_complete_epoch sb)))
     stores
+
+(* A steady-state ship, the newest epoch against the last logged one,
+   builds its frame from the delta the epoch's commit kept: the primary's
+   device reads nothing, its clock does not move, and the traced
+   [migrate/frame] event reads 0 bytes.  The frame equals the device
+   path's, built on the primary's epochs recovered into a fresh store. *)
+let test_steady_ship_reads_nothing () =
+  let module Trace = Aurora_obs.Trace in
+  let _sys, p, addr, group, rs, _stores = rset_fixture () in
+  rset_round group p ~addr rs 1;
+  Alcotest.(check bool) "first epoch everywhere" true (Replica_set.drain rs `All);
+  Vm_space.write_string p.Process.space ~addr "round-2";
+  ignore (Group.checkpoint ~wait_durable:true group);
+  let store = Group.store group and base = Replica_set.last_logged_epoch rs in
+  let epoch = Group.last_epoch group in
+  let dev = Store.device store and clock = Store.clock store in
+  let read0 = Striped.bytes_read dev and t0 = Clock.now clock in
+  Trace.enable ~clock ();
+  let frames =
+    Fun.protect ~finally:Trace.disable (fun () ->
+        Replica_set.ship rs;
+        List.filter
+          (fun (e : Trace.event) -> e.ev_cat = "migrate" && e.ev_name = "frame")
+          (Trace.events ()))
+  in
+  Alcotest.(check int) "the primary's device read nothing" 0 (Striped.bytes_read dev - read0);
+  Alcotest.(check int) "the primary's clock did not move" 0 (Clock.now clock - t0);
+  Alcotest.(check int) "logged the newest epoch" epoch (Replica_set.last_logged_epoch rs);
+  (match frames with
+  | [ e ] ->
+      Alcotest.(check bool) "the frame ships pages" true
+        (match List.assoc_opt "pages" e.ev_args with Some (Trace.Int n) -> n > 0 | _ -> false);
+      Alcotest.(check bool) "read_bytes = 0" true
+        (List.assoc_opt "read_bytes" e.ev_args = Some (Trace.Int 0))
+  | l -> Alcotest.failf "expected one migrate/frame event, saw %d" (List.length l));
+  Alcotest.(check bool) "byte-identical to the device path's frame" true
+    (Migrate.frame ~store ~base ~epoch
+    = Migrate.frame ~store:(Store.recover ~dev ~clock) ~base ~epoch)
 
 (* Over lossy links, every pump leaves each standby's lag-bytes gauge at
    the bytes of the logged frames it has not acked, also after an
@@ -2865,6 +2921,8 @@ let () =
           Alcotest.test_case "live migration" `Quick test_rset_migration_live;
           Alcotest.test_case "frame leaf read retried" `Quick test_frame_leaf_read_retried;
           Alcotest.test_case "frame leaf read fails" `Quick test_frame_leaf_read_fails;
+          Alcotest.test_case "steady-state ship reads nothing" `Quick
+            test_steady_ship_reads_nothing;
           Alcotest.test_case "lag bytes gauge" `Quick test_rset_lag_bytes_gauge;
           Alcotest.test_case "election: one vote round" `Quick test_election_one_vote_round;
           Alcotest.test_case "election: downtime" `Quick test_election_downtime;

@@ -110,6 +110,17 @@ let standby_at ~store ~base =
   | Error e -> failwith ("full stream rejected: " ^ e));
   sb
 
+let commit store f =
+  let e = Store.begin_checkpoint store in
+  f ();
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  e
+
+(* [store]'s epochs recovered from its device into a fresh store, which
+   holds no kept delta: its frames take the device path. *)
+let recovered store = Store.recover ~dev:(Store.device store) ~clock:(Store.clock store)
+
 (* Random histories ----------------------------------------------------------- *)
 
 type op =
@@ -154,49 +165,66 @@ let arb_history =
     QCheck.Gen.(
       pair bool (list_size (int_range 2 5) (list_size (int_range 1 6) gen_op)))
 
-(* Commit one epoch per op list; objects appear the first time an op
-   names their slot.  Returns the store and its epochs. *)
-let build_history (packed, epochs) =
-  let store = fresh_store ~packed () in
-  let oids = Hashtbl.create 4 and metas = Hashtbl.create 4 in
-  let pages = Hashtbl.create 16 in
+(* What happens to a history's store before an epoch begins. *)
+type between = Nothing | Prune of int | Crash
+
+(* Commit one epoch per [(between, manifest, ops)]: the store is pruned
+   or crashed and recovered first, as [between] says, and the epoch
+   stages a manifest when [manifest] is set.  Objects appear the first
+   time an op names their slot.  [after] sees each commit's store, the
+   epoch it committed over (its parent) and the epoch.  Returns the last
+   store and the epochs. *)
+let run_history ~packed epochs ~after =
+  let store = ref (fresh_store ~packed ()) in
+  let oids = Hashtbl.create 4 and metas = Hashtbl.create 4 and pages = Hashtbl.create 16 in
   let oid_of slot =
     match Hashtbl.find_opt oids slot with
     | Some oid -> oid
     | None ->
-        let oid = Store.alloc_oid store in
+        let oid = Store.alloc_oid !store in
         Hashtbl.replace oids slot oid;
         Hashtbl.replace metas slot (Printf.sprintf "obj%d" slot);
-        Store.put_object store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas slot);
+        Store.put_object !store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas slot);
         oid
   in
   let write slot idx k =
     Hashtbl.replace pages (slot, idx) k;
-    Store.put_pages store ~oid:(oid_of slot) [ (idx, content k) ]
+    Store.put_pages !store ~oid:(oid_of slot) [ (idx, content k) ]
   in
   let apply = function
     | Write (s, i, k) -> write s i k
-    | Rewrite (s, i) ->
-        write s i (Option.value ~default:0 (Hashtbl.find_opt pages (s, i)))
+    | Rewrite (s, i) -> write s i (Option.value ~default:0 (Hashtbl.find_opt pages (s, i)))
     | Meta (s, m) ->
         let oid = oid_of s in
         Hashtbl.replace metas s (Printf.sprintf "obj%d-v%d" s m);
-        Store.put_object store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas s)
+        Store.put_object !store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas s)
     | Touch s ->
         let oid = oid_of s in
-        Store.put_object store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas s)
+        Store.put_object !store ~oid ~kind:"memory" ~meta:(Hashtbl.find metas s)
   in
   let committed =
     List.map
-      (fun ops ->
-        let e = Store.begin_checkpoint store in
-        List.iter apply ops;
-        ignore (Store.commit_checkpoint store);
-        Store.wait_durable store;
-        e)
+      (fun (between, manifest, ops) ->
+        (match between with
+        | Nothing -> ()
+        | Prune keep -> ignore (Store.prune_history !store ~keep)
+        | Crash -> store := recovered !store);
+        let parent = Store.last_complete_epoch !store in
+        let epoch =
+          commit !store (fun () ->
+              List.iter apply ops;
+              if manifest then Store.put_manifest !store ~oid:manifest_oid)
+        in
+        after !store ~parent ~epoch;
+        epoch)
       epochs
   in
-  (store, committed)
+  (!store, committed)
+
+let build_history (packed, epochs) =
+  run_history ~packed
+    (List.map (fun ops -> (Nothing, false, ops)) epochs)
+    ~after:(fun _ ~parent:_ ~epoch:_ -> ())
 
 let rec pairs = function
   | [] -> []
@@ -240,6 +268,52 @@ let check_pair store (base, epoch) =
       "base %d epoch %d: verified install %s; oracle install %s; pages the oracle ships but the stream does not: [%s]"
       base epoch verified oracle_state (String.concat " " missing)
 
+let gen_between =
+  QCheck.Gen.(
+    frequency
+      [ (4, return Nothing); (1, map (fun k -> Prune (1 + k)) (int_bound 2)); (1, return Crash) ])
+
+let show_between = function
+  | Nothing -> ""
+  | Prune keep -> Printf.sprintf "prune(%d) " keep
+  | Crash -> "crash "
+
+(* Per epoch: what happens before it, whether it stages a manifest, and
+   its ops. *)
+let arb_kept_history =
+  QCheck.make
+    ~print:(fun (packed, epochs) ->
+      Printf.sprintf "packed=%b %s" packed
+        (String.concat " | "
+           (List.map
+              (fun (between, manifest, ops) ->
+                show_between between
+                ^ (if manifest then "manifest " else "")
+                ^ String.concat " " (List.map show_op ops))
+              epochs)))
+    QCheck.Gen.(
+      pair bool
+        (list_size (int_range 2 6) (triple gen_between bool (list_size (int_range 0 6) gen_op))))
+
+(* After every commit with a parent, the delta the commit kept equals,
+   page bytes included, the delta the device path reads off the same
+   device recovered into a fresh store, which holds no kept delta; and
+   the kept one costs no read and no time. *)
+let kept_matches_device store ~parent ~epoch =
+  if parent > 0 then begin
+    let dev = Store.device store and clock = Store.clock store in
+    let read0 = Striped.bytes_read dev and t0 = Clock.now clock in
+    let kept = Store.read_delta store ~base:parent ~epoch in
+    let read = Striped.bytes_read dev - read0 and took = Clock.now clock - t0 in
+    let device = Store.read_delta (recovered store) ~base:parent ~epoch in
+    if kept <> device || read <> 0 || took <> 0 then
+      QCheck.Test.fail_reportf
+        "epoch %d over %d: kept delta %s the device path's; it read %d bytes in %d ns" epoch
+        parent
+        (if kept = device then "equals" else "differs from")
+        read took
+  end
+
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -247,6 +321,11 @@ let qcheck_tests =
          ~count:60 arb_history (fun h ->
            let store, epochs = build_history h in
            List.for_all (check_pair store) (pairs epochs)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"kept delta equals the device path's, bytes included" ~count:200
+         arb_kept_history (fun (packed, epochs) ->
+           ignore (run_history ~packed epochs ~after:kept_matches_device);
+           true));
   ]
 
 (* Pinned cost and edge cases -------------------------------------------------- *)
@@ -298,12 +377,21 @@ let leaf_ranges store leaves =
       | _, _, [] -> Alcotest.fail "a cold page read issued no read")
     leaves
 
-let commit store f =
-  let e = Store.begin_checkpoint store in
-  f ();
-  ignore (Store.commit_checkpoint store);
-  Store.wait_durable store;
-  e
+
+(* The frame of [store]'s newest epoch against its parent comes from the
+   delta its commit kept: no device read, no virtual time, and the bytes
+   of the device path's frame on a recovered store.  Returns another
+   recovered store, its leaves not yet resident, for the device path's
+   pins. *)
+let kept_frame store ~base ~epoch =
+  let kept, took, ranges =
+    measured store (fun () -> Migrate.serialize_incremental ~store ~base ~epoch)
+  in
+  Alcotest.(check int) "kept frame: no device time" 0 took;
+  Alcotest.(check int) "kept frame: no reads" 0 (List.length ranges);
+  Alcotest.(check string) "kept frame equals the device path's" kept
+    (Migrate.serialize_incremental ~store:(recovered store) ~base ~epoch);
+  recovered store
 
 (* Object [a] spans three radix leaves and object [b] one; the second
    epoch rewrites [k] pages inside [a]'s middle leaf. *)
@@ -329,6 +417,7 @@ let changed_leaf_history k =
 let test_cost_changed_leaf_only () =
   let k = 3 in
   let store, a, b, e1, e2 = changed_leaf_history k in
+  let store = kept_frame store ~base:e1 ~epoch:e2 in
   let stream, took, ranges =
     measured store (fun () -> Migrate.serialize_incremental ~store ~base:e1 ~epoch:e2)
   in
@@ -385,6 +474,7 @@ let spread_history k =
 let test_cost_one_batch_per_frame () =
   let k = 4 in
   let store, a, b, e1, e2 = spread_history k in
+  let store = kept_frame store ~base:e1 ~epoch:e2 in
   let stream, took, ranges =
     measured store (fun () -> Migrate.serialize_incremental ~store ~base:e1 ~epoch:e2)
   in

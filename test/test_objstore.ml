@@ -863,6 +863,30 @@ let device_reads dev f =
   let v = Fun.protect ~finally:(fun () -> Striped.set_fault dev None) f in
   (v, List.rev !reads)
 
+(* Dedup stores seven pages of one object at one range: a bulk read
+   submits that range once, every entry that names it gets its bytes,
+   and each decodes on its own. *)
+let test_read_each_range_once () =
+  let clock, dev, store = fresh () in
+  let x = Bytes.sub (noise_page 1) 0 64 and y = Bytes.sub (noise_page 2) 0 64 in
+  let pages = List.init 7 (fun i -> (i, x)) @ [ (7, y) ] in
+  let oid = Store.alloc_oid store in
+  let epoch = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+  Store.put_pages store ~oid pages;
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  Alcotest.(check int) "six pages deduped" 6 (Store.flush_stats store).Store.fs_pages_deduped;
+  Striped.settle dev ~clock;
+  let store = Store.recover ~dev ~clock in
+  (* The leaf is resident after a first pass, so the hook sees page
+     ranges only. *)
+  ignore (Store.read_pages store ~epoch ~oid);
+  let read, reads = device_reads dev (fun () -> Store.read_pages store ~epoch ~oid) in
+  Alcotest.(check (list (pair int bytes))) "every page reads back" pages read;
+  Alcotest.(check int) "two ranges, two reads" 2 (List.length reads);
+  Alcotest.(check int) "each range read once" 2 (List.length (List.sort_uniq compare reads))
+
 (* Virtual time of one 4 KiB read on an idle device. *)
 let one_block_read =
   Aurora_sim.Cost.nvme_read_latency
@@ -1974,6 +1998,7 @@ let () =
           Alcotest.test_case "double begin" `Quick test_double_begin_rejected;
           Alcotest.test_case "put_pages newest wins" `Quick test_put_pages_newest_wins;
           Alcotest.test_case "dedup within one commit" `Quick test_dedup_within_one_commit;
+          Alcotest.test_case "read each stored range once" `Quick test_read_each_range_once;
           Alcotest.test_case "history time travel" `Quick test_history_is_time_travel;
         ] );
       ( "recovery",
