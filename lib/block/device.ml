@@ -39,7 +39,6 @@ let create ~name =
     arb = None;
   }
 
-let name t = t.dev_name
 let set_fault t f = t.fault <- f
 let set_arbiter t a = t.arb <- a
 

@@ -14,8 +14,6 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 (** {1 Fault injection} *)
 
 val set_fault : t -> Fault.t option -> unit

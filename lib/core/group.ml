@@ -176,12 +176,8 @@ let attach ~machine ~store ?fs ?(period_ns = 10_000_000) ?group_oid procs =
 
 let machine t = t.mach
 let store t = t.st
-let fs t = t.filesystem
 let clock t = t.mach.Machine.clock
 let period_ns t = t.period
-
-let members t =
-  List.filter_map (fun pid -> Machine.proc t.mach pid) t.member_pids
 
 let add_process t p =
   if not (List.mem p.Process.pid_global t.member_pids) then
@@ -870,7 +866,9 @@ let mark_targets t spaces =
 (* The checkpoint cycle --------------------------------------------------------------- *)
 
 let live_members t =
-  List.filter (fun p -> p.Process.proc_state = Process.Alive) (members t)
+  List.filter
+    (fun p -> p.Process.proc_state = Process.Alive)
+    (List.filter_map (Machine.proc t.mach) t.member_pids)
 
 let persistent_members t =
   List.filter (fun p -> not p.Process.ephemeral) (live_members t)

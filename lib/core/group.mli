@@ -107,11 +107,8 @@ val attach :
 
 val machine : t -> Aurora_kern.Machine.t
 val store : t -> Aurora_objstore.Store.t
-val fs : t -> Aurora_fs.Fs.t option
 val clock : t -> Aurora_sim.Clock.t
 val period_ns : t -> int
-
-val members : t -> Aurora_kern.Process.t list
 
 val add_process : t -> Aurora_kern.Process.t -> unit
 val detach_process : t -> Aurora_kern.Process.t -> unit

@@ -154,6 +154,7 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
     st_released = 0;
   }
 
+(* Acks needed before an epoch is quorum-committed: ⌈(N+1)/2⌉. *)
 let quorum t = (Array.length t.standbys / 2) + 1
 let last_logged_epoch t = t.last_logged
 let pclock t = Store.clock (Group.store t.primary)

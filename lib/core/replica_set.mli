@@ -71,9 +71,6 @@ val create :
     released as [quorum_epoch] advances and dropped past the failover
     point. *)
 
-val quorum : t -> int
-(** ⌈(N+1)/2⌉ — acks needed before an epoch is quorum-committed. *)
-
 val ship : t -> unit
 (** Pick up every primary epoch checkpointed since the last call (each
     becomes one sequenced delta frame in the shared epoch log), then pump

@@ -358,11 +358,10 @@ let groups_at ~store ~epoch =
     (fun (oid, image) -> (oid, image.Serial.i_proc_oids))
     (group_images ~store ~epoch (Store.objects_at store ~epoch))
 
-(* The one rebuild body: [streams oids] hands it each object's share of
-   a page stream, opened here or checked by a verification. *)
-let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid streams =
-  let clk = machine.Machine.clock in
-  let start_time = Clock.now clk in
+(* The one rebuild body: [shares oids] hands it each object's share of
+   the page stream of the check that passed [epoch]; [restore_ns] counts
+   from [start], before that check. *)
+let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid ~start shares =
   Otrace.with_span ~cat:"restore" ~name:"restore"
     ~args:
       [
@@ -399,23 +398,20 @@ let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid streams =
     if not (List.exists (fun (_, kind) -> kind = "fs.namespace") objects) then None
     else
       let vnodes = List.filter (fun (_, kind) -> kind = "fs.vnode") objects in
-      let files = Hashtbl.of_seq (List.to_seq (streams (List.map fst vnodes))) in
+      let files = Hashtbl.of_seq (List.to_seq (shares (List.map fst vnodes))) in
       let pages oid = Store.take_all (Hashtbl.find files oid) in
       Some (Fs.restore_from_store ~store ~epoch ~pages)
   in
-  (* Both restores stream the group's memory now, after the file
-     system's pages and before anything touches [machine].  Lazy
-     restore's faults take their pages from the stream during and after
-     the processes' rebuild, which it overlaps; eager restore decodes
-     every page here, so a read that fails leaves the machine untouched. *)
-  let shares = streams (group_memobjs ~store ~epoch kinds proc_images) in
-  if not lazy_pages then List.iter (fun (_, s) -> ignore (Store.take_all s)) shares;
+  (* The group's memory, after the file system's pages: decoded and
+     checked already when eager; a lazy restore's faults take theirs
+     during and after the processes' rebuild. *)
+  let memory = shares (group_memobjs ~store ~epoch kinds proc_images) in
   let ctx =
     {
       mach = machine;
       st = store;
       epoch;
-      pages = Hashtbl.of_seq (List.to_seq shares);
+      pages = Hashtbl.of_seq (List.to_seq memory);
       lazy_pages;
       kinds;
       memobjs = Hashtbl.create 64;
@@ -534,11 +530,7 @@ let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid streams =
   Group.prepare_after_restore group;
   (* Measured once the group is attached: the shadows it interposes over
      the restored memory charge the restoring clock too. *)
-  { group; procs; fs = restored_fs; restore_ns = Clock.elapsed_since clk start_time }
-
-let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
-  let epoch = match epoch with Some e -> e | None -> Store.last_complete_epoch store in
-  rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid (Store.stream_pages store ~epoch)
+  { group; procs; fs = restored_fs; restore_ns = Clock.elapsed_since machine.Machine.clock start }
 
 (* Verified restore --------------------------------------------------------------- *)
 
@@ -552,6 +544,8 @@ type restore_error =
   | No_checkpoints
   | No_valid_epoch of attempt list
 
+exception Unrestorable of restore_error
+
 let pp_restore_error = function
   | No_checkpoints -> "no complete checkpoint in the store"
   | No_valid_epoch attempts ->
@@ -561,13 +555,19 @@ let pp_restore_error = function
              (fun a -> Printf.sprintf "epoch %d (%s)" a.at_epoch a.at_reason)
              attempts)
 
-(* Check one epoch against its own manifest (see [Store.verify_epoch]);
-   each object's metadata must also still parse as its kind. *)
-let verify ~store ~epoch =
+(* Check one epoch against its own manifest, each object's metadata
+   parsing as its kind: every page too when [full] ([Store.verify_epoch]),
+   else up front ([Store.check_epoch]).  [Ok] carries the manifest and
+   the shares of the objects a rebuild asks for. *)
+let verify ~store ~epoch ~full =
   Otrace.with_span ~cat:"restore" ~name:"verify" ~args:[ ("epoch", Otrace.Int epoch) ] @@ fun () ->
-  Store.verify_epoch store ~epoch ~check_meta:Serial.parse_check
+  let check_meta = Serial.parse_check in
+  if not full then Store.check_epoch store ~epoch ~check_meta
+  else
+    Store.verify_epoch store ~epoch ~check_meta
+    |> Result.map (fun (m, shares) -> (m, List.map (fun oid -> (oid, List.assoc oid shares))))
 
-let verify_epoch ~store ~epoch = Result.map fst (verify ~store ~epoch)
+let verify_epoch ~store ~epoch = Result.map fst (verify ~store ~epoch ~full:true)
 
 type verified = {
   vr_result : result;
@@ -576,14 +576,14 @@ type verified = {
   vr_skipped : attempt list;
 }
 
-(* One step of the verified walk: an epoch that passed verification,
-   the shares it read and decoded, the rejected attempts before it
-   (newest last) and the epochs the walk has left, newest first. *)
+(* One step of the verified walk: an epoch that passed its check, the
+   shares of its objects, the rejected attempts before it (newest last)
+   and the epochs the walk has left, newest first. *)
 type checked = {
   ck_store : Store.t;
   ck_epoch : int;
   ck_manifest : Manifest.t;
-  ck_shares : (int * Store.stream) list;
+  ck_shares : int list -> (int * Store.stream) list;
   ck_tried : attempt list;
   ck_rest : int list;
 }
@@ -591,17 +591,19 @@ type checked = {
 let checked_epoch ck = ck.ck_epoch
 
 (* The walk: the first [eligible] epoch of [epochs] (newest first) that
-   verifies, each rejected one added to [tried]. *)
-let rec first_verified ~store ~eligible tried = function
+   passes its check, each rejected one added to [tried]. *)
+let rec first_verified ~store ~full ~eligible tried = function
   | [] -> Error (No_valid_epoch (List.rev tried))
-  | epoch :: rest when not (eligible epoch) -> first_verified ~store ~eligible tried rest
+  | epoch :: rest when not (eligible epoch) -> first_verified ~store ~full ~eligible tried rest
   | epoch :: rest -> (
-      match verify ~store ~epoch with
+      match verify ~store ~epoch ~full with
       | Error reason ->
           if Otrace.is_on () then
             Otrace.instant ~cat:"restore" "fallback"
               ~args:[ ("epoch", Otrace.Int epoch); ("reason", Otrace.Str reason) ];
-          first_verified ~store ~eligible ({ at_epoch = epoch; at_reason = reason } :: tried) rest
+          first_verified ~store ~full ~eligible
+            ({ at_epoch = epoch; at_reason = reason } :: tried)
+            rest
       | Ok (manifest, shares) ->
           Ok
             {
@@ -613,22 +615,29 @@ let rec first_verified ~store ~eligible tried = function
               ck_rest = rest;
             })
 
-let check_newest ~store ?(eligible = fun _ -> true) () =
-  match List.rev (Store.checkpoint_epochs store) with
-  | [] -> Error No_checkpoints
-  | epochs -> first_verified ~store ~eligible [] epochs
+let newest_first store = List.rev (Store.checkpoint_epochs store)
 
-let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid ?checked () =
+let check_newest ~store ?(eligible = fun _ -> true) () =
+  match newest_first store with
+  | [] -> Error No_checkpoints
+  | epochs -> first_verified ~store ~full:true ~eligible [] epochs
+
+(* Rebuild from [checked], or else from the first of [epochs] that
+   passes its check, going on through the older ones when a rebuild
+   fails.  [restore_ns] counts from before any check. *)
+let restore_from ~machine ~store ~lazy_pages ?group_oid ?checked epochs =
+  let start = Clock.now machine.Machine.clock in
+  let full = not lazy_pages in
   let rec go = function
     | Error _ as err -> err
     | Ok ck -> (
-        let streams = List.map (fun oid -> (oid, List.assoc oid ck.ck_shares)) in
-        match rebuild ~machine ~store ~epoch:ck.ck_epoch ~lazy_pages ?group_oid streams with
+        let epoch = ck.ck_epoch in
+        match rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid ~start ck.ck_shares with
         | r ->
             Ok
               {
                 vr_result = r;
-                vr_epoch = ck.ck_epoch;
+                vr_epoch = epoch;
                 vr_manifest = ck.ck_manifest;
                 vr_skipped = List.rev ck.ck_tried;
               }
@@ -639,13 +648,24 @@ let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid ?checked (
              | Fault.Io_error msg
              | Failure msg ) as _e) ->
             go
-              (first_verified ~store
+              (first_verified ~store ~full
                  ~eligible:(fun _ -> true)
-                 ({ at_epoch = ck.ck_epoch; at_reason = "restore failed: " ^ msg } :: ck.ck_tried)
+                 ({ at_epoch = epoch; at_reason = "restore failed: " ^ msg } :: ck.ck_tried)
                  ck.ck_rest))
   in
-  match checked with
-  | None -> go (check_newest ~store ())
-  | Some ck when ck.ck_store != store ->
-      invalid_arg "Restore.restore_verified: ~checked comes from another store"
-  | Some ck -> go (Ok ck)
+  go
+    (match checked with
+    | None when epochs = [] -> Error No_checkpoints
+    | None -> first_verified ~store ~full ~eligible:(fun _ -> true) [] epochs
+    | Some ck when ck.ck_store != store ->
+        invalid_arg "Restore.restore_verified: ~checked comes from another store"
+    | Some ck -> Ok ck)
+
+let restore_verified ~machine ~store ?(lazy_pages = false) ?group_oid ?checked () =
+  restore_from ~machine ~store ~lazy_pages ?group_oid ?checked (newest_first store)
+
+let restore ~machine ~store ?epoch ?(lazy_pages = false) ?group_oid () =
+  let epochs = match epoch with Some e -> [ e ] | None -> newest_first store in
+  match restore_from ~machine ~store ~lazy_pages ?group_oid epochs with
+  | Ok v -> v.vr_result
+  | Error e -> raise (Unrestorable e)

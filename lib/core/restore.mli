@@ -29,40 +29,20 @@ val groups_at :
     oids)].  A store hosts one group per application or container
     (paper section 3); list them to pick which to restore. *)
 
-val restore :
-  machine:Aurora_kern.Machine.t ->
-  store:Aurora_objstore.Store.t ->
-  ?epoch:int ->
-  ?lazy_pages:bool ->
-  ?group_oid:int ->
-  unit ->
-  result
-(** Rebuild the group checkpointed in [epoch] (default: the last complete
-    checkpoint) into [machine].  When the checkpoint holds several
-    consistency groups, [group_oid] selects one (see {!groups_at}).
-    Omitting it with multiple groups, or naming a group the epoch does
-    not hold, raises [Invalid_argument] before [machine] is touched.
-
-    Every file's pages come from one stream
-    ({!Aurora_objstore.Store.stream_pages}: one leaf batch, one page
-    batch), then every page of the memory objects the group reaches from
-    another.  Eager restore takes them all before it touches [machine].
-    With [lazy_pages] (default false) the restore charges only the OS
-    state reconstruction, modeling Aurora's lazy restore (section 6,
-    "Memory Overcommitment"): a fault installs its 16-page cluster from
-    the stream on first touch, waiting only for it to arrive.  The
-    stream's waits land on the store's clock.  Contents are identical
-    either way, and a pruned epoch does not affect pages restored
-    from it. *)
-
-(** {1 Verified restore}
+(** {1 Restore}
 
     Every committed epoch carries a manifest ({!Aurora_objstore.Manifest}:
-    per-object metadata and page CRCs) that the store writes and checks.
-    Verified restore checks an epoch against its manifest before touching
-    it, and falls back epoch-by-epoch when the newest checkpoint fails
-    verification — degraded recovery instead of a crash on a torn,
-    corrupted or unreadable epoch. *)
+    per-object metadata and page CRCs).  Every restore checks its epoch
+    against it before touching [machine], and falls back epoch by epoch
+    past one that fails: degraded recovery instead of a crash on a torn,
+    corrupted or unreadable epoch.  Eager restore runs {!verify_epoch},
+    reading and checking every page first.  Lazy restore runs only its
+    up-front half ({!Aurora_objstore.Store.check_epoch}, no page read);
+    a fault checks the pages it decodes, and one that fails its read or
+    its CRC raises from the fault ({!Aurora_block.Fault.Io_error},
+    {!Aurora_objstore.Store.Corrupt_store} naming the page): the process
+    has run, so there is no fallback.  [restore_ns] is the restoring
+    clock's advance over the whole call, checks included. *)
 
 type attempt = { at_epoch : int; at_reason : string }
 (** An epoch that failed verification (or restore) and was skipped. *)
@@ -74,15 +54,42 @@ type restore_error =
 
 val pp_restore_error : restore_error -> string
 
+exception Unrestorable of restore_error
+(** What {!restore} raises when no candidate epoch restores. *)
+
+val restore :
+  machine:Aurora_kern.Machine.t ->
+  store:Aurora_objstore.Store.t ->
+  ?epoch:int ->
+  ?lazy_pages:bool ->
+  ?group_oid:int ->
+  unit ->
+  result
+(** Rebuild the group checkpointed in [epoch] into [machine], after
+    checking that epoch alone; without [epoch], the newest epoch that
+    passes, falling back as {!restore_verified} does.  Raises
+    {!Unrestorable} when nothing restores, [machine] untouched if no
+    epoch passed its check.  When the checkpoint holds
+    several consistency groups, [group_oid] selects one (see
+    {!groups_at}).  Omitting it with multiple groups, or naming a group
+    the epoch does not hold, raises [Invalid_argument] before [machine]
+    is touched.
+
+    With [lazy_pages] (default false) the restore charges only the OS
+    state reconstruction, modeling Aurora's lazy restore (section 6,
+    "Memory Overcommitment"): the memory the group reaches streams in
+    the background, and a fault installs its 16-page cluster from the
+    stream on first touch, waiting only for it to arrive.  The stream's
+    waits, like a check's reads, land on the store's clock.  Contents
+    are identical either way, and a pruned epoch does not affect pages
+    restored from it. *)
+
 val verify_epoch :
   store:Aurora_objstore.Store.t ->
   epoch:int ->
   (Aurora_objstore.Manifest.t, string) Stdlib.result
 (** {!Aurora_objstore.Store.verify_epoch} with {!Serial.parse_check} as
-    its metadata check: exactly one manifest object, its entry set
-    matching the epoch's objects, each object's metadata CRC, page count,
-    page-set fingerprint and on-disk page payload CRCs agreeing, and the
-    metadata still parsing.  Read-only; never raises. *)
+    its metadata check.  Read-only; never raises. *)
 
 type verified = {
   vr_result : result;
@@ -92,22 +99,19 @@ type verified = {
 }
 
 type checked
-(** An epoch that passed {!verify_epoch}, with its manifest, the page
-    shares its verification read and decoded, and where the walk that
-    found it stands: the newer epochs it rejected and the older ones it
-    has not tried. *)
+(** An epoch that passed {!verify_epoch}, with its manifest and decoded
+    page shares, and where the walk that found it stands. *)
 
 val check_newest :
   store:Aurora_objstore.Store.t ->
   ?eligible:(int -> bool) ->
   unit ->
   (checked, restore_error) Stdlib.result
-(** The first step of {!restore_verified}'s walk: the newest retained
-    epoch for which [eligible] (default: every epoch) holds and that
-    passes {!verify_epoch}, trying them newest first.  An epoch that
-    fails is recorded with its reason.  Read-only; never raises.  A
-    replica's vote is this step: it restores exactly the epoch it voted
-    for by handing the result to {!restore_verified}. *)
+(** The first step of an eager {!restore_verified}'s walk: the newest
+    retained epoch for which [eligible] (default: every epoch) holds and
+    that passes {!verify_epoch}; each one that fails is recorded with its
+    reason.  Read-only; never raises.  A replica's vote is this step: it
+    restores the epoch it voted for by handing the result on. *)
 
 val checked_epoch : checked -> int
 (** The epoch that passed. *)
@@ -120,20 +124,17 @@ val restore_verified :
   ?checked:checked ->
   unit ->
   (verified, restore_error) Stdlib.result
-(** Restore the newest epoch that passes {!verify_epoch}, falling back to
-    older epochs — every retained one, newest first — when verification
-    (or the restore itself) fails, including on a read that still fails
-    after the store's retries.  An epoch is read once: the restore takes
-    every page from the streams its verification read and decoded.
-    Never raises on corrupt state: a store with no recoverable epoch
-    yields [Error].  A caller error in [group_oid] (see {!restore})
-    raises [Invalid_argument] from the first epoch that verifies instead
-    of falling back to an older one.
+(** {!restore} of the newest epoch that passes its check, falling back
+    through every older retained epoch, newest first, when the check or
+    the rebuild fails, a read that still fails after the store's retries
+    included; a store with no recoverable epoch yields [Error].  An
+    epoch is read once: an eager restore takes every page from the
+    shares its verification decoded.  A caller error in [group_oid]
+    raises [Invalid_argument] instead of falling back.
 
     With [checked] (from {!check_newest} on this [store]; otherwise
     [Invalid_argument]) the walk starts at its epoch, having already
     rejected what that step rejected: the restore rebuilds from its
-    shares and reads, waits for and decodes nothing again.  If that
-    rebuild fails, the walk goes on through every older retained epoch,
-    as without [checked].  A [checked] serves one restore: a lazy
-    restore takes its pages out of the shares. *)
+    shares, reads nothing again, and its [restore_ns] is the rebuild's
+    alone.  A [checked] serves one restore: the rebuild takes its pages
+    out of the shares. *)

@@ -291,6 +291,17 @@ let off_of_block b = b * block_size
 let decode what codec data =
   try Wire.decode codec data with Wire.Corrupt msg -> raise (Corrupt_store (what ^ ": " ^ msg))
 
+(* What decoding stored bytes gave: a payload with its CRC-32, coded
+   bytes that do not decode, or the read's error ([Pending] until a batch
+   decodes them). *)
+type decoded = Pending | Payload of bytes * int | Undecodable | Unread of string
+
+(* Entry [p]'s payload decoded from its stored bytes. *)
+let payload_of p stored =
+  match if p.p_comp then Rle.decompress ~olen:p.p_olen stored else stored with
+  | payload -> Payload (payload, Crc32.of_bytes payload)
+  | exception Invalid_argument _ -> Undecodable
+
 (* With no epoch retained, [oldest_retained] is the newest epoch ever
    committed (0, or the last one a prune dropped), so a recovered store
    numbers its epochs above every record the chain bound stops at. *)
@@ -1114,14 +1125,11 @@ let content_index_consistent t =
         if ref_count t.refs b = 0 then counted := false);
     !counted
     &&
-    let stored =
-      Striped.read_nocharge t.dev ~off:(off_of_block p.p_blk + p.p_off) ~len:p.p_clen
-    in
-    match if p.p_comp then Rle.decompress ~olen:p.p_olen stored else stored with
-    | payload ->
-        Bytes.length payload = p.p_olen && Crc32.of_bytes payload = p.p_crc
-        && Hash64.of_bytes payload = hash
-    | exception Invalid_argument _ -> false
+    let off = off_of_block p.p_blk + p.p_off in
+    match payload_of p (Striped.read_nocharge t.dev ~off ~len:p.p_clen) with
+    | Payload (payload, crc) ->
+        Bytes.length payload = p.p_olen && crc = p.p_crc && Hash64.of_bytes payload = hash
+    | _ -> false
   in
   !ok && !free = Hashtbl.length t.free_set
   && Hashtbl.fold (fun hash p ok -> ok && holds hash p) t.content true
@@ -1313,68 +1321,98 @@ let fault_cluster = 16
    the same aligned run of [span] pages and in the same radix leaf. *)
 let in_window ~span idx i = i / span = idx / span && i / leaf_span = idx / leaf_span
 
-(* A page read: its index, its read's arrival, the decompression it
-   costs (its original length when it is coded and read, else 0), and
-   its payload or the exception a demand for it raises, decoded at most
-   once. *)
-type streamed = { s_idx : int; s_arrival : int; s_coded : int; s_page : (bytes, exn) result Lazy.t }
+(* A range a page batch read: the first entry naming it, its arrival and
+   read, its decode, and whether a page took the decoded buffer. *)
+type range = {
+  r_entry : leaf_entry;
+  r_read : int * (bytes, string) result;
+  mutable r_decoded : decoded;
+  mutable r_claimed : bool;
+}
 
-(* The stored bytes of [entries], submitted at [now] as one vectored
-   batch ([submit_ranges]: per-range retries) without waiting.  Each
-   distinct stored range is read once, and its arrival and bytes go to
-   every entry that names it (dedup stores many entries at one range);
-   each entry still decodes on its own.  A coded payload that does not
-   decode is store corruption, not a programming error: verification
-   catches it as such. *)
-let submit_pages t ~now entries =
-  let slots = Hashtbl.create (Array.length entries) and ranges = ref [] in
-  let slot =
-    Array.map
-      (fun p ->
-        let r = (off_of_block p.p_blk + p.p_off, p.p_clen) in
-        match Hashtbl.find_opt slots r with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length slots in
-            Hashtbl.replace slots r i;
-            ranges := r :: !ranges;
-            i)
-      entries
+(* A page read: its object, its leaf entry and its range. *)
+type streamed = { s_oid : int; s_entry : leaf_entry; s_range : range }
+
+(* The stored bytes of every [(oid, entries)] object, submitted at [now]
+   as one vectored batch ([submit_ranges]: per-range retries) without
+   waiting; each object's pages, in order.  Each distinct stored range
+   is read once and decoded once. *)
+let submit_pages t ~now objects =
+  let n = List.fold_left (fun n (_, entries) -> n + List.length entries) 0 objects in
+  let slots = Hashtbl.create n and ranges = ref [] in
+  let slot p =
+    let r = (off_of_block p.p_blk + p.p_off, p.p_clen) in
+    match Hashtbl.find_opt slots r with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length slots in
+        Hashtbl.replace slots r i;
+        ranges := (r, p) :: !ranges;
+        i
   in
-  let arrived = submit_ranges t ~now (Array.of_list (List.rev !ranges)) in
-  Array.map2
-    (fun p i ->
-      let s_arrival, read = arrived.(i) in
-      let decode () =
-        match read with
-        | Error msg -> Error (Fault.Io_error msg)
-        | Ok stored when not p.p_comp -> Ok stored
-        | Ok stored -> (
-            try Ok (Rle.decompress ~olen:p.p_olen stored)
-            with Invalid_argument _ ->
-              Error (Corrupt_store (Printf.sprintf "page %d: corrupt coded payload" p.p_idx)))
-      in
-      let s_coded = if p.p_comp && Result.is_ok read then p.p_olen else 0 in
-      { s_idx = p.p_idx; s_arrival; s_coded; s_page = Lazy.from_fun decode })
-    entries slot
+  let slotted = List.map (fun (_, entries) -> Array.of_list (List.map slot entries)) objects in
+  let reads = Array.of_list (List.rev !ranges) in
+  let decoded =
+    Array.map2
+      (fun (_, r_entry) r_read -> { r_entry; r_read; r_decoded = Pending; r_claimed = false })
+      reads (submit_ranges t ~now (Array.map fst reads))
+  in
+  List.map2
+    (fun (s_oid, entries) slots ->
+      List.mapi (fun k s_entry -> { s_oid; s_entry; s_range = decoded.(slots.(k)) }) entries)
+    objects slotted
 
-(* Decode [pages], in order: wait for the last arrival of those not yet
-   decoded and charge their decompression once, so a page decoded before
-   costs nothing again.  A [demanded] page raises for its read
-   ([Fault.Io_error]) or its payload ([Corrupt_store]); any other page
-   that fails either way is left out, to fail the call that demands
-   it. *)
+(* Wait for the last arrival of the ranges of [pages] not yet decoded,
+   decode them and charge their decompression once, so a range decoded
+   before, for any page, costs nothing again. *)
+let decode_ranges t pages =
+  let arrival = ref (Clock.now t.clk) and coded = ref 0 in
+  List.iter
+    (fun { s_range = r; _ } ->
+      if r.r_decoded = Pending then begin
+        let p = r.r_entry and at, read = r.r_read in
+        r.r_decoded <- (match read with Ok stored -> payload_of p stored | Error msg -> Unread msg);
+        arrival := max !arrival at;
+        if p.p_comp && Result.is_ok read then coded := !coded + p.p_olen
+      end)
+    pages;
+  Clock.advance_to t.clk !arrival;
+  if !coded > 0 then
+    Clock.advance t.clk (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth !coded)
+
+(* Page [x]'s payload from its decoded range, checked against its leaf
+   CRC, or the exception a demand for it raises. *)
+let checked x =
+  let p = x.s_entry in
+  match x.s_range.r_decoded with
+  | Payload (_, crc) when crc <> p.p_crc ->
+      Error (Corrupt_store (Printf.sprintf "oid %d page %d payload corrupt" x.s_oid p.p_idx))
+  | Payload (payload, _) -> Ok payload
+  | Undecodable -> Error (Corrupt_store (Printf.sprintf "page %d: corrupt coded payload" p.p_idx))
+  | Unread msg -> Error (Fault.Io_error msg)
+  | Pending -> assert false
+
+(* [decode_ranges], then raise the first page's error, taking nothing. *)
+let check_pages t pages =
+  decode_ranges t pages;
+  List.iter (fun x -> Result.iter_error raise (checked x)) pages
+
+(* [decode_ranges], then every page of [pages] that checks, in order: the
+   first to take a range gets its decoded buffer, every other a copy, so
+   no two pages share one.  A [demanded] page raises for its read
+   ([Fault.Io_error]) or its payload ([Corrupt_store]); any other that
+   fails is left out, to fail the call that demands it. *)
 let decode_pages t ~demanded pages =
-  let fresh = List.filter (fun x -> not (Lazy.is_val x.s_page)) pages in
-  Clock.advance_to t.clk (List.fold_left (fun m x -> max m x.s_arrival) (Clock.now t.clk) fresh);
-  let coded_olen = List.fold_left (fun a x -> a + x.s_coded) 0 fresh in
-  if coded_olen > 0 then
-    Clock.advance t.clk (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth coded_olen);
+  decode_ranges t pages;
   List.filter_map
     (fun x ->
-      match Lazy.force x.s_page with
-      | Ok payload -> Some (x.s_idx, payload)
-      | Error e when demanded x.s_idx -> raise e
+      let r = x.s_range in
+      match checked x with
+      | Ok payload when r.r_claimed -> Some (x.s_entry.p_idx, Bytes.copy payload)
+      | Ok payload ->
+          r.r_claimed <- true;
+          Some (x.s_entry.p_idx, payload)
+      | Error e when demanded x.s_entry.p_idx -> raise e
       | Error _ -> None)
     pages
 
@@ -1390,9 +1428,8 @@ let read_window t ~epoch ~oid ~idx ~span =
       if not (List.exists (fun p -> p.p_idx = idx) entries) then []
       else
         let window = List.filter (fun p -> in_window ~span idx p.p_idx) entries in
-        decode_pages t
-          ~demanded:(( = ) idx)
-          (Array.to_list (submit_pages t ~now:(Clock.now t.clk) (Array.of_list window)))
+        decode_pages t ~demanded:(( = ) idx)
+          (List.concat (submit_pages t ~now:(Clock.now t.clk) [ (oid, window) ]))
 
 let read_page t ~epoch ~oid ~idx =
   List.assoc_opt idx (read_window t ~epoch ~oid ~idx ~span:1)
@@ -1431,23 +1468,17 @@ let stream_pages t ~epoch oids =
               | arrival, Error e -> (entries, IntMap.add leaf (arrival, e) unlisted))
             v.v_leaves ([], IntMap.empty)
         in
-        (oid, Array.of_list (List.rev entries), unlisted))
+        ((oid, List.rev entries), unlisted))
       versions
   in
-  let read =
-    submit_pages t
-      ~now:(Hashtbl.fold (fun _ (arrival, _) m -> max m arrival) listed now)
-      (Array.concat (List.map (fun (_, entries, _) -> entries) objects))
-  in
-  let next = ref 0 in
-  List.map
-    (fun (oid, entries, unlisted) ->
-      let pages = Array.sub read !next (Array.length entries) in
-      next := !next + Array.length entries;
-      let slots = Hashtbl.create (Array.length pages) in
-      Array.iter (fun x -> Hashtbl.replace slots x.s_idx x) pages;
+  let now = Hashtbl.fold (fun _ (arrival, _) m -> max m arrival) listed now in
+  List.map2
+    (fun ((oid, _), unlisted) pages ->
+      let slots = Hashtbl.create (List.length pages) in
+      List.iter (fun x -> Hashtbl.replace slots x.s_entry.p_idx x) pages;
       (oid, { owner = t; slots; unlisted }))
     objects
+    (submit_pages t ~now (List.map fst objects))
 
 (* Wait for an unlisted leaf's arrival, then raise its error. *)
 let fail_unlisted s (arrival, e) =
@@ -1471,11 +1502,17 @@ let pager s idx =
       List.iter (fun (i, _) -> Hashtbl.remove s.slots i) taken;
       taken
 
-let take_all s =
+(* Every page left in [s], by index, once an unlisted leaf has raised. *)
+let pages_left s =
   Option.iter (fun (_, u) -> fail_unlisted s u) (IntMap.min_binding_opt s.unlisted);
-  decode_pages s.owner
-    ~demanded:(fun _ -> true)
-    (List.sort (fun x y -> compare x.s_idx y.s_idx) (List.of_seq (Hashtbl.to_seq_values s.slots)))
+  List.sort
+    (fun x y -> compare x.s_entry.p_idx y.s_entry.p_idx)
+    (List.of_seq (Hashtbl.to_seq_values s.slots))
+
+let take_all s =
+  let pages = decode_pages s.owner ~demanded:(fun _ -> true) (pages_left s) in
+  Hashtbl.reset s.slots;
+  pages
 
 let read_pages t ~epoch ~oid = take_all (List.assoc oid (stream_pages t ~epoch [ oid ]))
 
@@ -1533,20 +1570,17 @@ let device_delta t ~base ~epoch =
       plan
   in
   (* Every moved page, in object then index order, in one batch. *)
-  let moved = List.concat_map (fun (_, _, _, changed) -> List.rev changed) deltas in
+  let all _ = true in
   let pages =
-    Array.of_list
-      (decode_pages t
-         ~demanded:(fun _ -> true)
-         (Array.to_list (submit_pages t ~now:(Clock.now t.clk) (Array.of_list moved))))
+    submit_pages t ~now:(Clock.now t.clk)
+      (List.map (fun (oid, _, _, changed) -> (oid, List.rev changed)) deltas)
   in
-  let next = ref 0 in
-  List.map
-    (fun (oid, kind, meta, changed) ->
-      let n = List.length changed in
-      next := !next + n;
-      (oid, kind, meta, Array.to_list (Array.sub pages (!next - n) n)))
-    deltas
+  (* One wait and one decompression charge for the batch, then each
+     object's pages, decoded already. *)
+  check_pages t (List.concat pages);
+  List.map2
+    (fun (oid, kind, meta, _) ps -> (oid, kind, meta, decode_pages t ~demanded:all ps))
+    deltas pages
 
 (* The newest epoch's delta against its parent is the one its commit
    kept, while the parent is retained (a prune drops oldest first, so the
@@ -1807,10 +1841,10 @@ let manifest t ~epoch =
       | Error msg -> Error ("manifest unreadable: " ^ msg))
 
 (* The check order and reason strings are part of the contract (see the
-   .mli); the last check re-reads the payloads on disk, from one stream
-   of the whole epoch, not just the CRCs the leaves recorded at write
-   time, and hands the checked streams to the caller. *)
-let verify_epoch t ~epoch ~check_meta =
+   .mli).  With [pages], the whole epoch is streamed once the epoch-level
+   checks pass, and each entry's last check decodes its share, each page
+   against its leaf CRC; without, the walk reads nothing. *)
+let check_walk t ~epoch ~check_meta ~pages =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   try
     let e = epoch_info t epoch in
@@ -1818,7 +1852,9 @@ let verify_epoch t ~epoch ~check_meta =
     | [] -> Error "no manifest object"
     | _ :: _ :: _ -> Error "several manifest objects"
     | [ moid ] -> (
-        let objects = Hashtbl.length e.e_table - 1 in
+        let others oid _ acc = if oid = moid then acc else oid :: acc in
+        let oids = Hashtbl.fold others e.e_table [] in
+        let objects = List.length oids in
         match Manifest.of_string (Hashtbl.find e.e_table moid).v_meta with
         | Error msg -> Error ("malformed manifest: " ^ msg)
         | Ok m when m.Manifest.m_epoch <> epoch ->
@@ -1826,16 +1862,7 @@ let verify_epoch t ~epoch ~check_meta =
         | Ok m when objects <> m.Manifest.m_count ->
             fail "epoch holds %d objects, manifest says %d" objects m.Manifest.m_count
         | Ok m ->
-            (* Every object's pages, streamed once: one batch of the
-               leaves not yet resident, then one of every page, each
-               decoded once and left in its share for a restore. *)
-            let streams =
-              stream_pages t ~epoch
-                (List.sort compare
-                   (Hashtbl.fold
-                      (fun oid _ acc -> if oid = moid then acc else oid :: acc)
-                      e.e_table []))
-            in
+            let streams = if pages then stream_pages t ~epoch (List.sort compare oids) else [] in
             let check (me : Manifest.entry) =
               let oid = me.Manifest.me_oid in
               match if oid = moid then None else Hashtbl.find_opt e.e_table oid with
@@ -1854,17 +1881,13 @@ let verify_epoch t ~epoch ~check_meta =
                   else
                     match check_meta ~kind:v.v_kind v.v_meta with
                     | Error msg -> fail "oid %d metadata unparseable: %s" oid msg
+                    | Ok () when not pages -> Ok ()
                     | Ok () -> (
-                        let want = Hashtbl.create npages in
-                        List.iter (fun (idx, crc) -> Hashtbl.replace want idx crc) crcs;
-                        let corrupt (idx, payload) =
-                          match Hashtbl.find_opt want idx with
-                          | Some crc -> Crc32.of_bytes payload <> crc
-                          | None -> true
-                        in
-                        match List.find_opt corrupt (take_all (List.assoc oid streams)) with
-                        | Some (idx, _) -> fail "oid %d page %d payload corrupt" oid idx
-                        | None -> Ok ()))
+                        (* A CRC failure's reason is the decoder's wording. *)
+                        try Ok (check_pages t (pages_left (List.assoc oid streams)))
+                        with
+                        | Corrupt_store msg when String.ends_with ~suffix:"payload corrupt" msg ->
+                            Error msg))
             in
             let rec all = function
               | [] -> Ok (m, streams)
@@ -1875,6 +1898,12 @@ let verify_epoch t ~epoch ~check_meta =
   | Corrupt_store msg -> Error ("corrupt store: " ^ msg)
   | Fault.Io_error msg -> Error ("read failed: " ^ msg)
   | Failure msg -> Error msg
+
+let check_epoch t ~epoch ~check_meta =
+  check_walk t ~epoch ~check_meta ~pages:false
+  |> Result.map (fun (m, _) -> (m, stream_pages t ~epoch))
+
+let verify_epoch t ~epoch ~check_meta = check_walk t ~epoch ~check_meta ~pages:true
 
 (* Deliberate-corruption knobs, torture-harness counterparts of
    [set_torture_misorder]: they exist so the negative-control tests can

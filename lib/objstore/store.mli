@@ -251,7 +251,7 @@ val read_cluster : t -> epoch:int -> oid:int -> idx:int -> (int * bytes) list
     [idx]'s radix leaf, sorted by index.  It pays {!read_page}'s charged
     leaf lookup, then reads every stored page of the window in one
     vectored batch (per-range retries, see {!set_read_policy}) and
-    charges decompression once over the coded ones, so the window costs
+    charges decompression once per distinct coded range, so the window costs
     about one device round trip.  [[]], with no data read, when [idx]
     itself is not stored.  Neighbours are best-effort: one whose read
     still fails after the retries, or whose payload raises
@@ -267,38 +267,35 @@ type stream
 val stream_pages : t -> epoch:int -> int list -> (int * stream) list
 (** [stream_pages t ~epoch oids] starts reading every stored page of the
     distinct objects [oids] at [epoch] in the background, and returns
-    each oid with its share.  The store's one bulk page reader: restore,
-    {!read_pages} and {!verify_epoch} take their pages from it.  The
+    each oid with its share: the store's one bulk page reader.  The
     clock does not move: the leaves not yet resident are read in one
     vectored batch submitted now (they become resident, as under
     {!read_page}), and every page they list in one vectored batch
-    submitted when the last leaf arrives; a failed range is retried in
-    the background under {!set_read_policy}.  The bytes are taken at
-    submission, so a share never consults the epoch catalogue again and
-    outlives a prune of [epoch].  A share has two consumers, {!pager}
-    and {!take_all}; neither issues a device read.  A share decodes each
-    page at most once: the first call to decode it waits for its arrival
-    and charges its decompression, and any later call gets it for
-    free. *)
+    submitted when the last leaf arrives, retried per range under
+    {!set_read_policy}.  A share outlives a prune of [epoch]; its
+    consumers, {!pager} and {!take_all}, issue no device read.  The
+    first consumer to wait for a stored range waits for its arrival and
+    charges its decompression, once however many pages name it; each
+    page gets a buffer of its own, checked against its leaf CRC, and
+    one that fails it ("oid N page I payload corrupt") or does not
+    decode raises {!Corrupt_store} from the call that demands it. *)
 
 val pager : stream -> int -> (int * bytes) list
-(** Lazy restore's fault pager ({!Aurora_vm.Vm_object.set_pager}):
+(** Lazy restore's fault pager ({!Aurora_vm.Vm_object.set_pager}), over
+    a share of the stream its {!check_epoch} (or {!verify_epoch}) passed:
     {!read_cluster} served from the stream, errors included.  It waits
-    for [idx]'s window (usually already arrived), decodes it, and
-    returns the window's pages it has not returned before, dropping
-    them from the share.  A fault in the range of a leaf the stream
-    could not read or parse raises that leaf's error. *)
+    for [idx]'s window, decodes it, and returns the window's pages it has
+    not returned before, dropping them from the share.  A fault in the
+    range of a leaf the stream could not read or parse raises its error. *)
 
 val take_all : stream -> (int * bytes) list
-(** Every page of the share that {!pager} has not returned, sorted by
-    index, decoded as {!pager} decodes.  An unlisted leaf raises first,
-    then the first page whose read kept failing or whose payload does
-    not decode. *)
+(** Every page left in the share, sorted by index, decoded as {!pager}
+    decodes, and dropped from the share.  An unlisted leaf raises first,
+    then the first page whose read kept failing or whose payload fails. *)
 
 val read_pages : t -> epoch:int -> oid:int -> (int * bytes) list
 (** All stored pages of one object: {!take_all} of a one-object
-    {!stream_pages}.  Restore and verification stream every object they
-    read together instead. *)
+    {!stream_pages}. *)
 
 val read_delta :
   t -> base:int -> epoch:int -> (int * string * string * (int * bytes) list) list
@@ -341,7 +338,8 @@ val read_delta :
     carries a {!Manifest.t} built from these checksums, composed once by
     {!commit_checkpoint} and stored as an object of kind {!Manifest.kind}
     that {!objects_at} does not list.  {!verify_epoch} compares an epoch
-    against both its manifest and a deep re-read of the data blocks. *)
+    against both its manifest and a deep re-read of the data blocks, and
+    {!check_epoch} against its manifest alone. *)
 
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 (** [(page index, payload CRC-32)] of every stored page, from the leaf
@@ -376,6 +374,16 @@ val manifest : t -> epoch:int -> (int * Manifest.t, string) result
 (** [(oid, manifest)] of a committed epoch, or why it has no readable
     manifest. *)
 
+val check_epoch :
+  t ->
+  epoch:int ->
+  check_meta:(kind:string -> string -> (unit, string) result) ->
+  (Manifest.t * (int list -> (int * stream) list), string) result
+(** {!verify_epoch} without its page check: no page read, no clock
+    movement (leaves are parsed uncharged, as by {!page_crcs}).  [Ok]
+    carries the manifest and the epoch's {!stream_pages}, whose decoder
+    checks each page's CRC.  Never raises. *)
+
 val verify_epoch :
   t ->
   epoch:int ->
@@ -387,13 +395,12 @@ val verify_epoch :
     fingerprint, [check_meta ~kind meta], and every page re-read off
     the device against its leaf CRC.  The first failure is the [Error]
     reason.  Once the epoch-level checks pass, the whole epoch is
-    streamed once ({!stream_pages}: one leaf round trip, one page
-    batch), and an entry's page check is its share's {!take_all}.  [Ok]
-    carries the manifest and every object's share by oid, each page
-    decoded, so a restore that takes its pages from them reads, waits
-    for and decompresses nothing again.  Nothing else is mutated.
-    Never raises: a read that still fails after the read policy's
-    retries is [Error "read failed: ..."]. *)
+    streamed once ({!stream_pages}), and each entry's page check decodes
+    its share.  [Ok] carries the manifest and every object's share by
+    oid, each page decoded, so a restore from them reads, waits for and
+    decompresses nothing again.  Nothing else is mutated.  Never
+    raises: a read that still fails after the read policy's retries is
+    [Error "read failed: ..."]. *)
 
 val corrupt_meta_for_tests : t -> epoch:int -> oid:int -> unit
 (** TESTING ONLY: flip a byte of the object's committed metadata in the

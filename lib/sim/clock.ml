@@ -19,5 +19,4 @@ let advance_to t when_ =
   end
 
 let on_advance t f = t.watchers <- f :: t.watchers
-let clear_watchers t = t.watchers <- []
 let elapsed_since t start = t.time - start

@@ -30,8 +30,5 @@ val on_advance : t -> (int -> unit) -> unit
     against a persistently failing device) trips the watcher's budget
     instead of hanging the sweep.  Watchers must not advance the clock. *)
 
-val clear_watchers : t -> unit
-(** Drop all registered watchers. *)
-
 val elapsed_since : t -> int -> int
 (** [elapsed_since t start] is [now t - start]. *)

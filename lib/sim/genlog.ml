@@ -56,5 +56,3 @@ let drain () =
         true
       end)
     pending
-
-let pending_count () = List.length !entries

@@ -27,5 +27,3 @@ val note : kind:int -> id:int -> unit
 val drain : unit -> (int * int) list
 (** Pending notes since the last drain, deduplicated, oldest first.
     Leaves the log armed. *)
-
-val pending_count : unit -> int

@@ -41,5 +41,3 @@ let pair a b =
   let h = (seed lxor (a land mask)) * prime land mask in
   let h = (h lxor (b land mask)) * prime land mask in
   finalize h
-
-let combine h v = finalize ((h lxor (v land mask)) * prime land mask)

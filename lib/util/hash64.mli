@@ -15,6 +15,3 @@ val pair : int -> int -> int
 (** [pair a b] hashes the ordered pair [(a, b)]; distinct pairs map to
     well-distributed values, so an XOR fold of [pair idx digest] over a
     page set is order-independent yet sensitive to duplicates. *)
-
-val combine : int -> int -> int
-(** [combine h v] folds [v] into running hash [h] (order-sensitive). *)

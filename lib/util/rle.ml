@@ -13,12 +13,6 @@
 
 type cls = Zero | Text | Binary | Random
 
-let cls_name = function
-  | Zero -> "zero"
-  | Text -> "text"
-  | Binary -> "binary"
-  | Random -> "random"
-
 (* Number of maximal byte runs, counting a >255 run once per 255-byte
    chunk (what the encoder will actually emit). *)
 let runs b =

@@ -9,8 +9,6 @@ type cls = Zero | Text | Binary | Random
         [Text] codes to at most half size, [Binary] wins at least 10%,
         [Random] is not worth coding. *)
 
-val cls_name : cls -> string
-
 val classify : bytes -> cls
 
 val compress : bytes -> bytes option

@@ -19,7 +19,6 @@ let alloc_full () = alloc_sized ~payload:logical_size
 let alloc_init f = { pid = fresh_id (); data = Bytes.init payload_size f }
 
 let id t = t.pid
-let payload_length t = Bytes.length t.data
 let copy t = { pid = fresh_id (); data = Bytes.copy t.data }
 
 let fold t off =

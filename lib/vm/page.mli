@@ -34,8 +34,6 @@ val alloc_init : (int -> char) -> t
 val id : t -> int
 (** Unique identity; survives moves between VM objects but not copies. *)
 
-val payload_length : t -> int
-
 val copy : t -> t
 (** A fresh page with the same payload (used by COW faults). *)
 

@@ -81,5 +81,3 @@ let find_free_range t ~npages =
     List.fold_left (fun acc e -> max acc (e.start_vpn + e.npages)) 0x1000 t.ents
   in
   top
-
-let total_pages t = List.fold_left (fun acc e -> acc + e.npages) 0 t.ents

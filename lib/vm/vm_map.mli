@@ -70,6 +70,3 @@ val find : t -> int -> entry option
 val find_free_range : t -> npages:int -> int
 (** A free virtual page range of the requested size (simple first-fit above
     the highest mapping). *)
-
-val total_pages : t -> int
-(** Sum of entry sizes (the mapped virtual footprint). *)

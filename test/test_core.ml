@@ -1929,10 +1929,12 @@ let test_fallback_when_ranges_fail_at_once () =
   | _ -> Alcotest.fail "expected exactly the newest epoch skipped");
   restored 1
 
-(* A verified restore takes its pages from the streams its verification
-   read: from a freshly recovered store, eager or lazy, it reads every
-   stored page of the epoch exactly once, and a lazily restored page's
-   fault then reads nothing and charges the store's clock nothing.  A
+(* A verified restore takes its pages from the streams its check
+   started: from a freshly recovered store, eager or lazy, it reads every
+   stored page of the epoch exactly once, and a restored page's touch
+   then reads nothing.  An eager restore decoded the page already, so the
+   touch charges the store's clock nothing; a lazy one decodes and checks
+   the page's window at the fault.  A
    page read is told apart by its location: the ranges a second
    [read_pages] of every object reads on an identical store, its leaves
    resident. *)
@@ -2007,8 +2009,13 @@ let test_verified_restore_reads_each_page_once () =
       in
       Alcotest.(check string) (what ^ ": the touched page") "page 5 gen-2" page;
       Alcotest.(check int) (what ^ ": the touch reads nothing") 0 (List.length touch);
-      Alcotest.(check int) (what ^ ": no wait, no decompression on the store's clock") 0
-        (Clock.now (Store.clock store) - t0))
+      let decoded = Clock.now (Store.clock store) - t0 in
+      if lazy_pages then
+        Alcotest.(check bool) (what ^ ": the fault decodes and checks its window") true
+          (decoded > 0)
+      else
+        Alcotest.(check int) (what ^ ": no wait, no decompression on the store's clock") 0
+          decoded)
     [ false; true ];
   (* An unverified restore reads every file's pages from one stream:
      the same device batches (the distinct submission instants of the
@@ -2246,6 +2253,124 @@ let test_restore_fallback_two_corrupt_epochs () =
       | [ p' ] ->
           Alcotest.(check string) "oldest generation survives" "gen-1"
             (Vm_space.read_string p'.Process.space ~addr ~len:5)
+      | _ -> Alcotest.fail "expected 1 process")
+
+(* Every restore is verified ------------------------------------------------------- *)
+
+(* An 8-page arena checkpointed twice, every page rewritten in the second
+   epoch with bytes that do not compress, then page 0 of the newest
+   epoch overwritten on the device: its stored bytes still decode, so
+   only its leaf CRC catches it.  Returns the store, the newest and the
+   older epoch, the arena's memory object and its address; page [k] of
+   generation [gen] holds [raw_page gen k]. *)
+let raw_page gen k = String.init 64 (fun i -> Char.chr (((i * 37) + (k * 11) + gen) land 0xFF))
+
+let corrupt_page_fixture () =
+  let sys = Sls.boot () in
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages:8 in
+  let group = Sls.attach sys [ p ] in
+  let generation gen =
+    for k = 0 to 7 do
+      Vm_space.write_string p.Process.space ~addr:(addr + (k * 4096)) (raw_page gen k)
+    done;
+    ignore (Group.checkpoint ~wait_durable:true group)
+  in
+  generation 1;
+  generation 2;
+  let store = sys.Sls.store in
+  let newest, older =
+    match List.rev (Store.checkpoint_epochs store) with
+    | n :: o :: _ -> (n, o)
+    | _ -> Alcotest.fail "expected two epochs"
+  in
+  let victim =
+    match
+      List.filter
+        (fun (oid, kind) ->
+          kind = Serial.kind_memobj && List.length (Store.page_crcs store ~epoch:newest ~oid) = 8)
+        (Store.objects_at store ~epoch:newest)
+    with
+    | [ (oid, _) ] -> oid
+    | l -> Alcotest.failf "expected one 8-page memory object, saw %d" (List.length l)
+  in
+  Store.corrupt_page_for_tests store ~epoch:newest ~oid:victim;
+  (store, newest, older, victim, addr)
+
+let read_page (p : Process.t) addr k =
+  Vm_space.read_string p.Process.space ~addr:(addr + (k * 4096)) ~len:64
+
+(* [restore ~epoch] checks that epoch: a corrupt page is a typed error
+   naming the epoch and the page, and the machine is left untouched. *)
+let test_restore_epoch_rejects_corrupt_page () =
+  let store, newest, _, victim, _ = corrupt_page_fixture () in
+  let machine = Machine.create () in
+  (match Restore.restore ~machine ~store ~epoch:newest () with
+  | _ -> Alcotest.fail "a corrupt epoch restored"
+  | exception Restore.Unrestorable (Restore.No_valid_epoch [ a ]) ->
+      Alcotest.(check int) "the epoch asked for" newest a.Restore.at_epoch;
+      Alcotest.(check string) "the page's CRC failure"
+        (Printf.sprintf "oid %d page 0 payload corrupt" victim)
+        a.Restore.at_reason);
+  Alcotest.(check int) "no process created" 0 (Hashtbl.length machine.Machine.procs);
+  Alcotest.(check bool) "nothing mounted" true (machine.Machine.vfs = None)
+
+(* [restore ()] restores the newest epoch that verifies. *)
+let test_restore_falls_back_past_corrupt_meta () =
+  let sys = Sls.boot () in
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages:8 in
+  let group = Sls.attach sys [ p ] in
+  List.iter
+    (fun gen ->
+      Vm_space.write_string p.Process.space ~addr gen;
+      ignore (Group.checkpoint ~wait_durable:true group))
+    [ "gen-1"; "gen-2" ];
+  let store = sys.Sls.store in
+  let newest = Store.last_complete_epoch store in
+  List.iter
+    (fun (oid, kind) ->
+      if kind = Serial.kind_memobj then Store.corrupt_meta_for_tests store ~epoch:newest ~oid)
+    (Store.objects_at store ~epoch:newest);
+  match (Restore.restore ~machine:(Machine.create ()) ~store ()).Restore.procs with
+  | [ p' ] ->
+      Alcotest.(check string) "the previous epoch" "gen-1"
+        (Vm_space.read_string p'.Process.space ~addr ~len:5)
+  | _ -> Alcotest.fail "expected 1 process"
+
+(* A lazy restore checks metadata and leaves up front and each page at
+   its fault: the epoch with a corrupt page restores, every other page
+   reads back byte-exact, and the first touch of the corrupt page raises
+   [Corrupt_store] naming it.  An eager restore of the same store checks
+   every page first and falls back to the older epoch. *)
+let test_lazy_restore_checks_page_at_fault () =
+  let store, newest, older, victim, addr = corrupt_page_fixture () in
+  (match Restore.restore_verified ~machine:(Machine.create ()) ~store ~lazy_pages:true () with
+  | Error e -> Alcotest.fail (Restore.pp_restore_error e)
+  | Ok v -> (
+      Alcotest.(check int) "lazy: the newest epoch" newest v.Restore.vr_epoch;
+      Alcotest.(check int) "lazy: nothing skipped" 0 (List.length v.Restore.vr_skipped);
+      match v.Restore.vr_result.Restore.procs with
+      | [ p' ] -> (
+          for k = 1 to 7 do
+            Alcotest.(check string) (Printf.sprintf "lazy: page %d" k) (raw_page 2 k)
+              (read_page p' addr k)
+          done;
+          match read_page p' addr 0 with
+          | s -> Alcotest.failf "the corrupt page read back %S" s
+          | exception Store.Corrupt_store msg ->
+              Alcotest.(check string) "lazy: the fault names the page"
+                (Printf.sprintf "oid %d page 0 payload corrupt" victim)
+                msg)
+      | _ -> Alcotest.fail "expected 1 process"));
+  match Restore.restore_verified ~machine:(Machine.create ()) ~store () with
+  | Error e -> Alcotest.fail (Restore.pp_restore_error e)
+  | Ok v -> (
+      Alcotest.(check int) "eager: the older epoch" older v.Restore.vr_epoch;
+      Alcotest.(check (list int)) "eager: the newest skipped" [ newest ]
+        (List.map (fun (a : Restore.attempt) -> a.Restore.at_epoch) v.Restore.vr_skipped);
+      match v.Restore.vr_result.Restore.procs with
+      | [ p' ] ->
+          Alcotest.(check string) "eager: page 0 of the older epoch" (raw_page 1 0)
+            (read_page p' addr 0)
       | _ -> Alcotest.fail "expected 1 process")
 
 (* Quorum replica set -------------------------------------------------------------- *)
@@ -2896,6 +3021,12 @@ let () =
             test_fallback_when_ranges_fail_at_once;
           Alcotest.test_case "reads each page once" `Quick
             test_verified_restore_reads_each_page_once;
+          Alcotest.test_case "restore ~epoch rejects a corrupt page" `Quick
+            test_restore_epoch_rejects_corrupt_page;
+          Alcotest.test_case "restore falls back past corrupt metadata" `Quick
+            test_restore_falls_back_past_corrupt_meta;
+          Alcotest.test_case "lazy restore checks a page at its fault" `Quick
+            test_lazy_restore_checks_page_at_fault;
         ] );
       ( "high availability",
         [

@@ -864,8 +864,8 @@ let device_reads dev f =
   (v, List.rev !reads)
 
 (* Dedup stores seven pages of one object at one range: a bulk read
-   submits that range once, every entry that names it gets its bytes,
-   and each decodes on its own. *)
+   submits that range once, and every entry that names it gets its
+   bytes. *)
 let test_read_each_range_once () =
   let clock, dev, store = fresh () in
   let x = Bytes.sub (noise_page 1) 0 64 and y = Bytes.sub (noise_page 2) 0 64 in
@@ -886,6 +886,39 @@ let test_read_each_range_once () =
   Alcotest.(check (list (pair int bytes))) "every page reads back" pages read;
   Alcotest.(check int) "two ranges, two reads" 2 (List.length reads);
   Alcotest.(check int) "each range read once" 2 (List.length (List.sort_uniq compare reads))
+
+(* A batch also decodes a stored range once and charges its
+   decompression once, however many entries name it, and gives each
+   page a buffer of its own: [read_pages] of N pages deduped onto one
+   coded range costs the same for N = 1 and N = 50. *)
+let test_decode_each_range_once () =
+  let x = Bytes.make 64 'z' in
+  let cost n =
+    let clock, dev, store = fresh () in
+    let oid = Store.alloc_oid store in
+    let epoch = Store.begin_checkpoint store in
+    Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+    Store.put_pages store ~oid (List.init n (fun i -> (i, x)));
+    ignore (Store.commit_checkpoint store);
+    Store.wait_durable store;
+    Alcotest.(check int) "every page deduped but the first" (n - 1)
+      (Store.flush_stats store).Store.fs_pages_deduped;
+    Striped.settle dev ~clock;
+    let store = Store.recover ~dev ~clock in
+    let t0 = Clock.now clock in
+    let pages = Store.read_pages store ~epoch ~oid in
+    let elapsed = Clock.now clock - t0 in
+    Alcotest.(check (list (pair int bytes))) (Printf.sprintf "N = %d reads back" n)
+      (List.init n (fun i -> (i, x)))
+      pages;
+    let buffers = List.map snd pages in
+    Alcotest.(check bool) (Printf.sprintf "N = %d: no two pages share a buffer" n) true
+      (List.for_all (fun b -> List.length (List.filter (( == ) b) buffers) = 1) buffers);
+    elapsed
+  in
+  let one = cost 1 in
+  Alcotest.(check bool) "the read costs time" true (one > 0);
+  Alcotest.(check int) "N = 50 costs what N = 1 does" one (cost 50)
 
 (* Virtual time of one 4 KiB read on an idle device. *)
 let one_block_read =
@@ -1417,8 +1450,9 @@ let test_residency_paid_once () =
    group's memory through charged vectored batches.  One page range of
    the memory object fails: once, and the read is retried and counted,
    with results identical to a fault-free run; for good, and the read
-   raises [Fault.Io_error] (verification reports "read failed: ..."),
-   with the restore's machine left untouched.  Each run starts from a
+   raises [Fault.Io_error] (verification, and the restore whose one epoch
+   it rejects, report "read failed: ..."), with the restore's machine
+   left untouched.  Each run starts from a
    freshly recovered store. *)
 let test_bulk_reads_meet_injector () =
   let module Sls = Aurora_core.Sls in
@@ -1480,13 +1514,17 @@ let test_bulk_reads_meet_injector () =
           Result.map (Wire.to_string Manifest.codec) (Restore.verify_epoch ~store:st ~epoch) );
       ( "eager restore",
         fun machine st ->
-          read_failed (fun () ->
-              match (Restore.restore ~machine ~store:st ~epoch ()).Restore.procs with
-              | [ p' ] ->
-                  String.concat "|"
-                    (List.init npages (fun i ->
-                         Vm_space.read_string p'.Process.space ~addr:(page_addr i) ~len:6))
-              | l -> Alcotest.failf "expected one process, saw %d" (List.length l)) );
+          (* The failed read reaches the caller inside the typed error of
+             a restore whose one epoch failed its check. *)
+          match (Restore.restore ~machine ~store:st ~epoch ()).Restore.procs with
+          | [ p' ] ->
+              Ok
+                (String.concat "|"
+                   (List.init npages (fun i ->
+                        Vm_space.read_string p'.Process.space ~addr:(page_addr i) ~len:6)))
+          | l -> Alcotest.failf "expected one process, saw %d" (List.length l)
+          | exception Restore.Unrestorable (Restore.No_valid_epoch [ a ]) ->
+              Error a.Restore.at_reason );
     ]
   in
   (* [path] on a recovered store, with [target] failing its first
@@ -1999,6 +2037,7 @@ let () =
           Alcotest.test_case "put_pages newest wins" `Quick test_put_pages_newest_wins;
           Alcotest.test_case "dedup within one commit" `Quick test_dedup_within_one_commit;
           Alcotest.test_case "read each stored range once" `Quick test_read_each_range_once;
+          Alcotest.test_case "decode each stored range once" `Quick test_decode_each_range_once;
           Alcotest.test_case "history time travel" `Quick test_history_is_time_travel;
         ] );
       ( "recovery",
