@@ -1096,6 +1096,20 @@ let validate t procs spaces =
   List.iter Vm_space.spec_end spaces;
   Genlog.disarm ()
 
+(* A checkpoint's stats with only the store half filled in, read off the
+   one [Store.flush_stats] of its commit; zero when it did not flush. *)
+let store_half t ~flush =
+  let f = if flush then Some (Store.flush_stats t.st) else None in
+  let n g = Option.fold ~none:0 ~some:g f in
+  { stop_ns = 0; quiesce_ns = 0; collapse_ns = 0; os_serialize_ns = 0; mem_mark_ns = 0;
+    flush_ns = 0; pages_flushed = 0;
+    pages_serialized = n (fun f -> f.fs_pages - f.fs_pages_deduped);
+    pages_deduped = n (fun f -> f.fs_pages_deduped);
+    bytes_written = n (fun f -> f.fs_bytes_written);
+    epoch = 0; durable_at = 0; flush = f; objects_serialized = 0; objects_skipped = 0;
+    meta_bytes_written = 0; speculate_ns = 0; validate_ns = 0; conflict_objects = 0;
+    conflict_pages = 0 }
+
 let checkpoint_common t ~flush ~full ~speculative =
   let clk = clock t in
   (* The previous checkpoint must be durable before we start another
@@ -1262,6 +1276,7 @@ let checkpoint_common t ~flush ~full ~speculative =
       (Stdlib.max 0 (durable_at - Clock.now clk))
   end;
   {
+    (store_half t ~flush) with
     stop_ns;
     quiesce_ns;
     collapse_ns;
@@ -1269,16 +1284,8 @@ let checkpoint_common t ~flush ~full ~speculative =
     mem_mark_ns = mark_ns;
     flush_ns;
     pages_flushed;
-    pages_serialized =
-      (if flush then
-         let f = Store.flush_stats t.st in
-         f.fs_pages - f.fs_pages_deduped
-       else 0);
-    pages_deduped = (if flush then (Store.flush_stats t.st).fs_pages_deduped else 0);
-    bytes_written = (if flush then (Store.flush_stats t.st).fs_bytes_written else 0);
     epoch;
     durable_at;
-    flush = (if flush then Some (Store.flush_stats t.st) else None);
     objects_serialized = t.c_serialized;
     objects_skipped = t.c_skipped;
     meta_bytes_written = t.c_meta_bytes;
@@ -1329,28 +1336,14 @@ let checkpoint_region t (entry : Vm_map.entry) =
   t.last_epoch_committed <- epoch;
   let stop_ns = Clock.elapsed_since clk stop_begin in
   {
+    (store_half t ~flush:true) with
     stop_ns;
-    quiesce_ns = 0;
     collapse_ns;
-    os_serialize_ns = 0;
     mem_mark_ns = mark_ns;
     flush_ns = stop_ns - mark_ns;
     pages_flushed = pages;
-    pages_serialized =
-      (let f = Store.flush_stats t.st in
-       f.fs_pages - f.fs_pages_deduped);
-    pages_deduped = (Store.flush_stats t.st).fs_pages_deduped;
-    bytes_written = (Store.flush_stats t.st).fs_bytes_written;
     epoch;
     durable_at = Store.durable_at t.st;
-    flush = Some (Store.flush_stats t.st);
-    objects_serialized = 0;
-    objects_skipped = 0;
-    meta_bytes_written = 0;
-    speculate_ns = 0;
-    validate_ns = 0;
-    conflict_objects = 0;
-    conflict_pages = 0;
   }
 
 (* Memory overcommitment: the unified zero-copy swap path. ------------------ *)

@@ -3,7 +3,6 @@ module Cost = Aurora_sim.Cost
 module Crc32 = Aurora_util.Crc32
 module Hash64 = Aurora_util.Hash64
 module Rle = Aurora_util.Rle
-module Resource = Aurora_sim.Resource
 module Striped = Aurora_block.Striped
 module Fault = Aurora_block.Fault
 module IntMap = Map.Make (Int)
@@ -17,18 +16,14 @@ let m_store_deduped = Ometrics.counter "store.pages_deduped"
 let m_store_extents = Ometrics.counter "store.extents"
 let h_store_flush_window = Ometrics.histogram "store.flush_window_ns"
 
-exception Corrupt_store of string
+exception Corrupt_store = Store_format.Corrupt_store
 
-let block_size = 4096
-(* 100 entries x 37 bytes + header fits one 4 KiB block. *)
-let leaf_span = 100
-let superblock_block = 0
+let block_size = block_size
+let leaf_span = leaf_span
+let decode = decode
 
 (* Largest coalesced extent, in blocks (Cost.nvme_max_extent_bytes). *)
 let max_extent_blocks = max 1 (Cost.nvme_max_extent_bytes / block_size)
-
-(* Parsed-leaf cache entries kept before the cache is recycled wholesale. *)
-let leaf_cache_capacity = 65_536
 
 (* In-memory view of one committed object version.  [leaves] maps leaf
    index -> leaf block; pruning finds a dead version's blocks through
@@ -55,15 +50,7 @@ type staged = {
   s_pages : (int, bytes) Hashtbl.t; (* page index -> newest payload *)
 }
 
-type journal = {
-  j_id : int;
-  j_start : int; (* first block *)
-  j_blocks : int;
-  mutable j_head : int; (* append offset in bytes within the journal *)
-  mutable j_gen : int;
-      (* truncation generation: records from earlier generations that
-         survive beyond the new head are stale and must not be replayed *)
-}
+type journal = Journal.t
 
 type flush_stats = {
   fs_epoch : int;
@@ -106,23 +93,6 @@ let empty_flush_stats =
 let zero_row =
   { Manifest.me_oid = 0; me_kind = "memory"; me_meta_crc = 0; me_pages = 0; me_pages_crc = 0 }
 
-(* Last block covered by [len] bytes stored at byte [off] of block [blk]:
-   a packed page or version record may straddle block boundaries inside
-   its extent.  The one block-liveness rule: every block of
-   [blk .. span_end] is live while the bytes are. *)
-let span_end blk off len = blk + ((off + Int.max 1 len - 1) / block_size)
-
-let span_blocks blk off len f =
-  for b = blk to span_end blk off len do
-    f b
-  done
-
-(* A cached leaf: its parsed entries, and whether a paid device read of
-   the block ([paid_leaves], the only code that sets it) has brought it
-   into memory.  Only a resident leaf serves a paid lookup without device
-   time. *)
-type cleaf = { entries : leaf_entry list; resident : bool }
-
 (* [(oid, kind, meta, (page index, payload) list)] per object, as
    [read_delta] returns it. *)
 type delta = (int * string * string * (int * bytes) list) list
@@ -132,34 +102,41 @@ type delta = (int * string * string * (int * bytes) list) list
    while either epoch keeps them live. *)
 let same_location p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p_clen
 
+(* A live item: what a block's reference count counts. *)
+type item =
+  | Record of epoch_info (* a retained checkpoint record *)
+  | Version of version (* a distinct version record *)
+  | Leaf of int * leaf_entry list (* a distinct leaf block, with its entries *)
+  | Journal of journal
+
+(* The one block-coverage rule, [f b] for every block an item covers:
+   commit, journal creation and recovery count with it, the oracle
+   recounts with it and prune uncounts with it.  A leaf covers its own
+   block and, through each entry, every block the entry's stored bytes
+   touch. *)
+let covers item f =
+  match item with
+  | Record e -> span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) f
+  | Version v -> span_blocks v.v_blk v.v_off v.v_len f
+  | Leaf (blk, entries) ->
+      f blk;
+      List.iter (fun p -> span_blocks p.p_blk p.p_off p.p_clen f) entries
+  | Journal j ->
+      let start, blocks = Journal.extent j in
+      span_blocks start 0 (blocks * block_size) f
+
 type t = {
   dev : Striped.t;
   clk : Clock.t;
-  jqueue : Resource.t; (* serializes synchronous journal appends *)
+  alloc : Allocator.t;
+      (* frontier, free set and per-block counts of the live items
+         covering each block (see [covers]): commit and journal creation
+         count what they write, prune uncounts what died and frees a
+         block at zero, recovery counts from scratch *)
+  leaves : Leaf_cache.t;
+  index : Content_index.t;
+  mutable journals : Journal.registry;
   mutable next_oid : int;
-  mutable next_block : int;
-  free_set : (int, unit) Hashtbl.t; (* reusable single blocks, O(1) dedup *)
-  mutable free_stack : int list; (* LIFO over [free_set]; may hold stale ids *)
-  mutable refs : int array;
-      (* block -> live items covering it: each retained checkpoint record,
-         distinct version record, distinct leaf block, entry of a distinct
-         live leaf (over its span) and journal extent.  Commit and
-         journal creation count what they write, prune uncounts what died
-         and frees a block at zero, recovery counts from scratch. *)
-  leaf_cache : (int, cleaf) Hashtbl.t;
-      (* leaf block -> parsed entries and residency.  Leaf blocks are COW
-         (written once), so the cache is exact as long as freed blocks are
-         invalidated before reuse (free_block) and a recovered instance
-         starts cold. *)
-  content : (int, leaf_entry) Hashtbl.t;
-      (* content hash -> the leaf entry of a stored page: the
-         content-addressed page index.  A flush-path page whose (hash,
-         olen, crc) triple already appears here gets that entry, at its
-         own index, and is never re-written.  An entry names allocated
-         blocks only (a prune drops the entries over blocks it frees),
-         though no live leaf need still reference it: blocks are
-         immutable while allocated, and a leaf that dedups against the
-         entry counts its blocks again. *)
   mutable packed : bool;
       (* content-addressed packed layout (dedup index + RLE coding +
          packed extents); false is the pre-dedup block-per-page layout *)
@@ -178,118 +155,25 @@ type t = {
   mutable staging : (int, staged) Hashtbl.t option;
   mutable staging_epoch : int;
   mutable staging_next_oid : int; (* [next_oid] at begin_checkpoint *)
-  mutable data_done : int; (* completion time of staged data writes *)
   mutable durable : int; (* completion time of the last superblock write *)
-  mutable journals : journal list;
   mutable oldest_retained : int; (* chain-walk bound after pruning; 0 = all *)
-  (* Flush-pipeline statistics, reset at begin_checkpoint and snapshotted
-     into [last_flush] by commit_checkpoint. *)
-  mutable stat_extents : int;
-  mutable stat_extent_blocks : int;
-  mutable stat_coalesced_bytes : int;
-  mutable stat_leaf_hits : int;
-  mutable stat_leaf_misses : int;
-  mutable stat_alloc_calls : int;
-  mutable stat_pages : int;
-  mutable stat_pages_deduped : int;
-  mutable stat_compress_ns : int;
-  mutable stat_comp_in : int;
-  mutable stat_comp_out : int;
-  mutable stat_dev_base : int;
-  mutable stat_bytes_base : int;
+  mutable window : flush_stats;
+      (* the open flush window, from begin_checkpoint: the packer and the
+         CPU pass add to it as they go, and the lifetime counters of the
+         device, the allocator and the leaf cache enter it as differences
+         ([with_lifetime]); commit_checkpoint closes it into [last_flush] *)
   mutable last_flush : flush_stats;
   (* Transient-read-error policy: a charged read that raises
      Fault.Io_error is retried up to [read_retries] times, backing off
      exponentially from [read_backoff] ns of virtual time. *)
   mutable read_retries : int;
   mutable read_backoff : int;
-  mutable stat_read_faults : int;
+  mutable read_faults : int;
   (* DELIBERATE BUG KNOB, for torture-harness validation only: submit the
      superblock at commit start instead of after the checkpoint record
      completes, breaking the data -> record -> superblock write ordering. *)
   mutable torture_misorder : bool;
 }
-
-(* Block allocation -------------------------------------------------------- *)
-
-let alloc_block t =
-  t.stat_alloc_calls <- t.stat_alloc_calls + 1;
-  let rec pop () =
-    match t.free_stack with
-    | [] ->
-        let b = t.next_block in
-        t.next_block <- t.next_block + 1;
-        b
-    | b :: rest ->
-        t.free_stack <- rest;
-        (* Stale stack entries (absorbed into the frontier) are skipped:
-           membership lives in [free_set]. *)
-        if b < t.next_block && Hashtbl.mem t.free_set b then begin
-          Hashtbl.remove t.free_set b;
-          b
-        end
-        else pop ()
-  in
-  pop ()
-
-(* Extents carve from the frontier only: every free-set block lies below
-   the frontier, so an extent can never overlap the single-block reuse
-   path. *)
-let alloc_extent t n =
-  t.stat_alloc_calls <- t.stat_alloc_calls + 1;
-  let b = t.next_block in
-  t.next_block <- t.next_block + n;
-  b
-
-let free_block t b =
-  (* Double frees and out-of-range blocks are dropped: the free set is a
-     set, and handing the same block to two allocations would corrupt the
-     store. *)
-  if b > 0 && b < t.next_block && not (Hashtbl.mem t.free_set b) then begin
-    Hashtbl.remove t.leaf_cache b;
-    if b = t.next_block - 1 then begin
-      (* Reclaim the frontier (and any free run below it): keeps future
-         extents long and contiguous. *)
-      t.next_block <- b;
-      let rec absorb () =
-        let a = t.next_block - 1 in
-        if a > 0 && Hashtbl.mem t.free_set a then begin
-          Hashtbl.remove t.free_set a;
-          t.next_block <- a;
-          absorb ()
-        end
-      in
-      absorb ()
-    end
-    else begin
-      Hashtbl.replace t.free_set b ();
-      t.free_stack <- b :: t.free_stack
-    end
-  end
-
-(* [counts] with block [b] counted once more, grown as needed. *)
-let bump counts b =
-  let n = Array.length counts in
-  let counts =
-    if b < n then counts
-    else begin
-      let grown = Array.make (Int.max (b + 1) (2 * n)) 0 in
-      Array.blit counts 0 grown 0 n;
-      grown
-    end
-  in
-  counts.(b) <- counts.(b) + 1;
-  counts
-
-let ref_block t b = t.refs <- bump t.refs b
-let ref_count counts b = if b < Array.length counts then counts.(b) else 0
-
-let off_of_block b = b * block_size
-
-(* Records that do not parse are store corruption, reported as such: a
-   truncated or garbled record must never escape as a [Wire.Corrupt]. *)
-let decode what codec data =
-  try Wire.decode codec data with Wire.Corrupt msg -> raise (Corrupt_store (what ^ ": " ^ msg))
 
 (* What decoding stored bytes gave: a payload with its CRC-32, coded
    bytes that do not decode, or the read's error ([Pending] until a batch
@@ -301,6 +185,12 @@ let payload_of p stored =
   match if p.p_comp then Rle.decompress ~olen:p.p_olen stored else stored with
   | payload -> Payload (payload, Crc32.of_bytes payload)
   | exception Invalid_argument _ -> Undecodable
+
+let last_epoch_info t =
+  match List.rev t.epochs with [] -> None | e :: _ -> Some e
+
+let head_table t =
+  match last_epoch_info t with Some e -> e.e_table | None -> Hashtbl.create 0
 
 (* With no epoch retained, [oldest_retained] is the newest epoch ever
    committed (0, or the last one a prune dropped), so a recovered store
@@ -317,13 +207,15 @@ let write_superblock t ~now head =
          sb_epoch;
          sb_record_block;
          sb_record_nblocks;
-         sb_next_block = t.next_block;
+         sb_next_block = Allocator.frontier t.alloc;
          sb_next_oid = t.next_oid;
          sb_oldest_retained = t.oldest_retained;
-         sb_journals = List.map (fun j -> (j.j_id, j.j_start, j.j_blocks, j.j_gen)) t.journals;
+         sb_journals = Journal.entries t.journals;
        })
 
-let read_block_nocharge t blk = Striped.read_nocharge t.dev ~off:(off_of_block blk) ~len:block_size
+(* The superblock over the head epoch, written synchronously. *)
+let sync_superblock t =
+  Clock.advance_to t.clk (write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t))
 
 (* The latest of [now] and the arrivals of a batch's ranges. *)
 let last_arrival now arrived = Array.fold_left (fun m (c, _) -> max m c) now arrived
@@ -348,7 +240,7 @@ let submit_ranges t ~now ranges =
         if Result.is_error (snd r) then failed := pending.(k) :: !failed)
       arrived;
     if !failed <> [] && attempt < t.read_retries then begin
-      t.stat_read_faults <- t.stat_read_faults + List.length !failed;
+      t.read_faults <- t.read_faults + List.length !failed;
       go (Array.of_list (List.rev !failed)) (last_arrival now arrived + backoff) (attempt + 1)
         (2 * backoff)
     end
@@ -369,94 +261,11 @@ let read_range t ~off ~len = (read_ranges t [| (off, len) |]).(0)
 let read_blocks t ~blk ~nblocks =
   read_range t ~off:(off_of_block blk) ~len:(nblocks * block_size)
 
-(* Leaf cache ----------------------------------------------------------------- *)
-
-let cache_leaf t blk leaf =
-  if Hashtbl.length t.leaf_cache >= leaf_cache_capacity then
-    Hashtbl.reset t.leaf_cache;
-  Hashtbl.replace t.leaf_cache blk leaf
-
-(* Parsed entries of leaf [blk], without a charge: recovery, verification
-   CRCs, commit and prune parse for free, so the leaf does not become
-   resident (see [paid_leaves]). *)
-let leaf_entries t blk =
-  match Hashtbl.find_opt t.leaf_cache blk with
-  | Some c ->
-      t.stat_leaf_hits <- t.stat_leaf_hits + 1;
-      c.entries
-  | None ->
-      t.stat_leaf_misses <- t.stat_leaf_misses + 1;
-      let entries = decode "leaf" leaf_codec (read_block_nocharge t blk) in
-      cache_leaf t blk { entries; resident = false };
-      entries
-
-let leaf_range blk = (off_of_block blk, block_size)
-
 (* The leaf blocks of version [v], pushed onto [acc]. *)
 let leaf_blocks v acc = IntMap.fold (fun _ blk acc -> blk :: acc) v.v_leaves acc
 
-(* The one paid leaf read, and the only code that makes a leaf resident,
-   so no read path is ever served by a leaf read nobody paid for.  The
-   distinct [blks] are looked up at [now] and the clock does not move: a
-   resident leaf is known at [now]; every other one is read in one
-   vectored batch submitted at [now] ([submit_ranges]: per-range
-   retries), the cache recycled first if the batch would overflow it.  A
-   leaf that reads and parses becomes resident, so it costs device time
-   once, not once per page.  Each block maps to its arrival and its
-   entries, or the exception a demand for it raises: [Fault.Io_error]
-   for a read that kept failing, [Corrupt_store] for bytes that do not
-   parse.  A cached leaf counts as a hit, any other as a miss. *)
-let paid_leaves t ~now blks =
-  let out = Hashtbl.create 16 in
-  let cold =
-    List.filter
-      (fun b ->
-        match Hashtbl.find_opt t.leaf_cache b with
-        | Some c ->
-            t.stat_leaf_hits <- t.stat_leaf_hits + 1;
-            if c.resident then Hashtbl.replace out b (now, Ok c.entries);
-            not c.resident
-        | None ->
-            t.stat_leaf_misses <- t.stat_leaf_misses + 1;
-            true)
-      (List.sort_uniq compare blks)
-    |> Array.of_list
-  in
-  let uncached =
-    Array.fold_left (fun n b -> if Hashtbl.mem t.leaf_cache b then n else n + 1) 0 cold
-  in
-  if Hashtbl.length t.leaf_cache + uncached > leaf_cache_capacity then
-    Hashtbl.reset t.leaf_cache;
-  Array.iteri
-    (fun k (arrival, read) ->
-      let b = cold.(k) in
-      let r =
-        match read with
-        | Error msg -> Error (Fault.Io_error msg)
-        | Ok data -> (
-            match Hashtbl.find_opt t.leaf_cache b with
-            | Some c -> Ok c.entries
-            | None -> (
-                try Ok (decode "leaf" leaf_codec data) with Corrupt_store _ as e -> Error e))
-      in
-      Result.iter (fun entries -> Hashtbl.replace t.leaf_cache b { entries; resident = true }) r;
-      Hashtbl.replace out b (arrival, r))
-    (submit_ranges t ~now (Array.map leaf_range cold));
-  out
-
-(* [paid_leaves] at the clock's time, waiting for the whole batch.  The
-   first read that kept failing, in block order, raises [Fault.Io_error];
-   the entries of [blks] are then looked up with the function returned,
-   which raises [Corrupt_store] for a leaf that does not parse. *)
-let resident_leaves t blks =
-  let now = Clock.now t.clk in
-  let leaves = paid_leaves t ~now blks in
-  Clock.advance_to t.clk (Hashtbl.fold (fun _ (arrival, _) m -> max m arrival) leaves now);
-  List.iter
-    (fun b ->
-      match Hashtbl.find leaves b with _, Error (Fault.Io_error _ as e) -> raise e | _ -> ())
-    (List.sort compare blks);
-  fun b -> Result.fold ~ok:Fun.id ~error:raise (snd (Hashtbl.find leaves b))
+(* [Leaf_cache.resident] on the store's clock and read policy. *)
+let resident_leaves t blks = Leaf_cache.resident t.leaves t.clk ~submit:(submit_ranges t) blks
 
 (* [(page index, CRC-32)] of a version's stored pages, unsorted, off its
    leaves without a charge. *)
@@ -465,7 +274,7 @@ let version_crcs t v =
     (fun _ leaf_blk acc ->
       List.fold_left
         (fun acc p -> (p.p_idx, p.p_crc) :: acc)
-        acc (leaf_entries t leaf_blk))
+        acc (Leaf_cache.entries t.leaves leaf_blk))
     v.v_leaves []
 
 (* Lifecycle ------------------------------------------------------------------ *)
@@ -474,14 +283,11 @@ let fresh dev clk =
   {
     dev;
     clk;
-    jqueue = Resource.create ~name:"journal";
+    alloc = Allocator.create ();
+    leaves = Leaf_cache.create dev;
+    index = Content_index.create ();
+    journals = Journal.registry [];
     next_oid = 0;
-    next_block = 1;
-    free_set = Hashtbl.create 1024;
-    free_stack = [];
-    refs = Array.make 1024 0;
-    leaf_cache = Hashtbl.create 1024;
-    content = Hashtbl.create 4096;
     packed = true;
     rows = Hashtbl.create 1024;
     epochs = [];
@@ -490,27 +296,13 @@ let fresh dev clk =
     staging = None;
     staging_epoch = 0;
     staging_next_oid = 0;
-    data_done = 0;
     durable = 0;
-    journals = [];
     oldest_retained = 0;
-    stat_extents = 0;
-    stat_extent_blocks = 0;
-    stat_coalesced_bytes = 0;
-    stat_leaf_hits = 0;
-    stat_leaf_misses = 0;
-    stat_alloc_calls = 0;
-    stat_pages = 0;
-    stat_pages_deduped = 0;
-    stat_compress_ns = 0;
-    stat_comp_in = 0;
-    stat_comp_out = 0;
-    stat_dev_base = 0;
-    stat_bytes_base = 0;
+    window = empty_flush_stats;
     last_flush = empty_flush_stats;
     read_retries = 4;
     read_backoff = 20_000;
-    stat_read_faults = 0;
+    read_faults = 0;
     torture_misorder = false;
   }
 
@@ -561,11 +353,16 @@ let seal k =
   if k.pk_items <> [] then begin
     let t = k.pk_store in
     let nblocks = blocks_of_len k.pk_fill in
-    let base = alloc_extent t nblocks in
+    let base = Allocator.alloc_extent t.alloc nblocks in
     assert (base = k.pk_base);
-    t.stat_extents <- t.stat_extents + 1;
-    t.stat_extent_blocks <- t.stat_extent_blocks + nblocks;
-    t.stat_coalesced_bytes <- t.stat_coalesced_bytes + k.pk_fill;
+    let w = t.window in
+    t.window <-
+      {
+        w with
+        fs_extents = w.fs_extents + 1;
+        fs_extent_blocks = w.fs_extent_blocks + nblocks;
+        fs_coalesced_bytes = w.fs_coalesced_bytes + k.pk_fill;
+      };
     k.pk_sealed <- (base, k.pk_fill, List.rev k.pk_items) :: k.pk_sealed;
     k.pk_fill <- 0;
     k.pk_items <- []
@@ -575,7 +372,7 @@ let place k item =
   let len = Bytes.length item in
   let len = if k.pk_aligned then blocks_of_len len * block_size else len in
   if k.pk_items <> [] && k.pk_fill + len > Cost.nvme_max_extent_bytes then seal k;
-  if k.pk_items = [] then k.pk_base <- k.pk_store.next_block;
+  if k.pk_items = [] then k.pk_base <- Allocator.frontier k.pk_store.alloc;
   let off = k.pk_fill in
   k.pk_items <- (off, item) :: k.pk_items;
   k.pk_fill <- off + len;
@@ -604,15 +401,22 @@ let submit k ~now =
    returns (first block, completion time, blocks used). *)
 let write_record t ~now data =
   let n = blocks_of_len (Bytes.length data) in
-  let blk = if n = 1 then alloc_block t else alloc_extent t n in
+  let blk = if n = 1 then Allocator.alloc_block t.alloc else Allocator.alloc_extent t.alloc n in
   let c = Striped.write t.dev ~now ~off:(off_of_block blk) data in
   (blk, c, n)
 
-let last_epoch_info t =
-  match List.rev t.epochs with [] -> None | e :: _ -> Some e
-
-let head_table t =
-  match last_epoch_info t with Some e -> e.e_table | None -> Hashtbl.create 0
+(* [w] with [k] times the lifetime counts of the device's writes, the
+   allocator's calls and the leaf cache's lookups added: a window opens
+   at minus them ([k = -1]) and closes by adding them back. *)
+let with_lifetime t k w =
+  {
+    w with
+    fs_dev_writes = w.fs_dev_writes + (k * Striped.write_ops t.dev);
+    fs_bytes_written = w.fs_bytes_written + (k * Striped.bytes_written t.dev);
+    fs_leaf_hits = w.fs_leaf_hits + (k * Leaf_cache.hits t.leaves);
+    fs_leaf_misses = w.fs_leaf_misses + (k * Leaf_cache.misses t.leaves);
+    fs_alloc_calls = w.fs_alloc_calls + (k * Allocator.calls t.alloc);
+  }
 
 let begin_checkpoint t =
   if t.staging <> None then invalid_arg "Store.begin_checkpoint: already staging";
@@ -623,20 +427,7 @@ let begin_checkpoint t =
   t.staging <- Some (Hashtbl.create 64);
   t.staging_epoch <- t.current_epoch;
   t.staging_next_oid <- t.next_oid;
-  t.data_done <- Clock.now t.clk;
-  t.stat_extents <- 0;
-  t.stat_extent_blocks <- 0;
-  t.stat_coalesced_bytes <- 0;
-  t.stat_leaf_hits <- 0;
-  t.stat_leaf_misses <- 0;
-  t.stat_alloc_calls <- 0;
-  t.stat_pages <- 0;
-  t.stat_pages_deduped <- 0;
-  t.stat_compress_ns <- 0;
-  t.stat_comp_in <- 0;
-  t.stat_comp_out <- 0;
-  t.stat_dev_base <- Striped.write_ops t.dev;
-  t.stat_bytes_base <- Striped.bytes_written t.dev;
+  t.window <- with_lifetime t (-1) { empty_flush_stats with fs_epoch = t.current_epoch };
   Otrace.instant ~cat:"store" "begin_checkpoint"
     ~args:[ ("epoch", Otrace.Int t.current_epoch) ];
   t.current_epoch
@@ -714,11 +505,10 @@ let build_version t ~now ~prev st =
         incr fill)
       st.s_pages;
     Array.sort (fun (a, _) (b, _) -> compare (a : int) b) fresh;
-    t.stat_pages <- t.stat_pages + npages;
     (* 2. CPU pass: hash, dedup-probe, compress and place.  With the
        packed layout off the legacy block-per-page layout (and its
        full-block device charge) is kept, as the pre-dedup baseline. *)
-    let cpu = ref now in
+    let cpu = ref now and deduped = ref 0 and comp_in = ref 0 and comp_out = ref 0 in
     let data = packer t ~aligned:(not t.packed) in
     let entries =
       Array.map
@@ -727,8 +517,8 @@ let build_version t ~now ~prev st =
           let crc = Crc32.of_bytes payload in
           let hash = Hash64.of_bytes payload in
           let stored_as stored comp =
-            t.stat_comp_in <- t.stat_comp_in + olen;
-            t.stat_comp_out <- t.stat_comp_out + Bytes.length stored;
+            comp_in := !comp_in + olen;
+            comp_out := !comp_out + Bytes.length stored;
             let blk, off = place data stored in
             { p_idx = idx; p_blk = blk; p_off = off; p_clen = Bytes.length stored; p_olen = olen;
               p_comp = comp; p_crc = crc; p_hash = hash }
@@ -736,11 +526,11 @@ let build_version t ~now ~prev st =
           if not t.packed then stored_as payload false
           else begin
             cpu := !cpu + Cost.transfer_time ~bandwidth:Cost.page_hash_bandwidth olen;
-            match Hashtbl.find_opt t.content hash with
-            | Some e when e.p_olen = olen && e.p_crc = crc ->
-                t.stat_pages_deduped <- t.stat_pages_deduped + 1;
+            match Content_index.probe t.index ~hash ~olen ~crc with
+            | Some e ->
+                incr deduped;
                 { e with p_idx = idx }
-            | Some _ | None ->
+            | None ->
                 cpu :=
                   !cpu
                   + Cost.transfer_time ~bandwidth:(class_bandwidth (Rle.classify payload)) olen;
@@ -749,12 +539,21 @@ let build_version t ~now ~prev st =
                   | Some c -> stored_as c true
                   | None -> stored_as payload false
                 in
-                Hashtbl.replace t.content hash e;
+                Content_index.insert t.index e;
                 e
           end)
         fresh
     in
-    t.stat_compress_ns <- t.stat_compress_ns + (!cpu - now);
+    let w = t.window in
+    t.window <-
+      {
+        w with
+        fs_pages = w.fs_pages + npages;
+        fs_pages_deduped = w.fs_pages_deduped + !deduped;
+        fs_compress_ns = w.fs_compress_ns + (!cpu - now);
+        fs_comp_in = w.fs_comp_in + !comp_in;
+        fs_comp_out = w.fs_comp_out + !comp_out;
+      };
     let data_done = submit data ~now:!cpu in
     (* 3. Rebuild the touched leaves.  [entries] is sorted by page index,
        so each leaf's dirty pages are one contiguous run of it, merged
@@ -792,7 +591,7 @@ let build_version t ~now ~prev st =
       let carried =
         match IntMap.find_opt leaf_idx prev_leaves with
         | None -> []
-        | Some blk -> leaf_entries t blk
+        | Some blk -> Leaf_cache.entries t.leaves blk
       in
       rebuilt := (leaf_idx, merge carried !i) :: !rebuilt;
       i := !j
@@ -805,9 +604,8 @@ let build_version t ~now ~prev st =
       List.fold_left
         (fun leaves (leaf_idx, entries) ->
           let blk, _ = place leaf_pk (Wire.encode leaf_codec entries) in
-          cache_leaf t blk { entries; resident = false };
-          ref_block t blk;
-          List.iter (fun p -> span_blocks p.p_blk p.p_off p.p_clen (ref_block t)) entries;
+          Leaf_cache.add t.leaves blk entries;
+          covers (Leaf (blk, entries)) (Allocator.retain t.alloc);
           IntMap.add leaf_idx blk leaves)
         prev_leaves (List.rev !rebuilt)
     in
@@ -935,8 +733,9 @@ let commit_checkpoint t =
                 vr_leaves = IntMap.bindings v.v_leaves }
           in
           let blk, off = place records record and v_len = Bytes.length record in
-          span_blocks blk off v_len (ref_block t);
-          Hashtbl.replace new_table oid { v with v_blk = blk; v_off = off; v_len })
+          let v = { v with v_blk = blk; v_off = off; v_len } in
+          covers (Version v) (Allocator.retain t.alloc);
+          Hashtbl.replace new_table oid v)
         pending;
       let c = submit records ~now in
       if c > !data_done then data_done := c);
@@ -963,11 +762,11 @@ let commit_checkpoint t =
     Otrace.with_span ~cat:"store" ~name:"commit.record" (fun () ->
         write_record t ~now:!data_done record)
   in
-  span_blocks rblock 0 (rnblocks * block_size) (ref_block t);
   let head =
     { e_epoch = epoch; e_record_block = rblock; e_record_nblocks = rnblocks;
       e_table = new_table }
   in
+  covers (Record head) (Allocator.retain t.alloc);
   (* Superblock strictly after the record.  The torture knob submits it at
      commit start instead — metadata racing ahead of data — so the
      crash-point enumerator can demonstrate it catches ordering bugs. *)
@@ -980,43 +779,28 @@ let commit_checkpoint t =
   t.kept <- Option.map (fun p -> (p.e_epoch, epoch, List.rev !delta)) parent;
   t.staging <- None;
   t.durable <- sc;
-  t.last_flush <-
-    {
-      fs_epoch = epoch;
-      fs_extents = t.stat_extents;
-      fs_extent_blocks = t.stat_extent_blocks;
-      fs_coalesced_bytes = t.stat_coalesced_bytes;
-      fs_dev_writes = Striped.write_ops t.dev - t.stat_dev_base;
-      fs_leaf_hits = t.stat_leaf_hits;
-      fs_leaf_misses = t.stat_leaf_misses;
-      fs_alloc_calls = t.stat_alloc_calls;
-      fs_pages = t.stat_pages;
-      fs_pages_deduped = t.stat_pages_deduped;
-      fs_bytes_written = Striped.bytes_written t.dev - t.stat_bytes_base;
-      fs_compress_ns = t.stat_compress_ns;
-      fs_comp_in = t.stat_comp_in;
-      fs_comp_out = t.stat_comp_out;
-    };
+  t.last_flush <- with_lifetime t 1 t.window;
+  let f = t.last_flush in
   if Otrace.is_on () || Ometrics.is_enabled () then begin
     Ometrics.incr m_store_commits;
-    Ometrics.incr ~by:t.stat_pages m_store_pages;
-    Ometrics.incr ~by:t.stat_pages_deduped m_store_deduped;
-    Ometrics.incr ~by:t.stat_extents m_store_extents;
+    Ometrics.incr ~by:f.fs_pages m_store_pages;
+    Ometrics.incr ~by:f.fs_pages_deduped m_store_deduped;
+    Ometrics.incr ~by:f.fs_extents m_store_extents;
     Ometrics.observe_ns h_store_flush_window (sc - now);
     Otrace.instant ~cat:"store" "dedup"
       ~args:
         [
           ("epoch", Otrace.Int epoch);
-          ("staged", Otrace.Int t.stat_pages);
-          ("deduped", Otrace.Int t.stat_pages_deduped);
+          ("staged", Otrace.Int f.fs_pages);
+          ("deduped", Otrace.Int f.fs_pages_deduped);
         ];
     Otrace.instant ~cat:"store" "compress"
       ~args:
         [
           ("epoch", Otrace.Int epoch);
-          ("bytes_in", Otrace.Int t.stat_comp_in);
-          ("bytes_out", Otrace.Int t.stat_comp_out);
-          ("cpu_ns", Otrace.Int t.stat_compress_ns);
+          ("bytes_in", Otrace.Int f.fs_comp_in);
+          ("bytes_out", Otrace.Int f.fs_comp_out);
+          ("cpu_ns", Otrace.Int f.fs_compress_ns);
         ];
     (* The asynchronous durability tail: submissions went out at [now],
        the epoch is on stable storage at [sc]. *)
@@ -1024,11 +808,11 @@ let commit_checkpoint t =
       ~args:
         [
           ("epoch", Otrace.Int epoch);
-          ("pages", Otrace.Int t.stat_pages);
-          ("deduped", Otrace.Int t.stat_pages_deduped);
-          ("extents", Otrace.Int t.stat_extents);
-          ("dev_writes", Otrace.Int t.last_flush.fs_dev_writes);
-          ("bytes", Otrace.Int t.last_flush.fs_bytes_written);
+          ("pages", Otrace.Int f.fs_pages);
+          ("deduped", Otrace.Int f.fs_pages_deduped);
+          ("extents", Otrace.Int f.fs_extents);
+          ("dev_writes", Otrace.Int f.fs_dev_writes);
+          ("bytes", Otrace.Int f.fs_bytes_written);
         ]
   end;
   sc
@@ -1042,7 +826,7 @@ let set_read_policy t ~retries ~backoff_ns =
   t.read_retries <- retries;
   t.read_backoff <- backoff_ns
 
-let read_faults t = t.stat_read_faults
+let read_faults t = t.read_faults
 let set_torture_misorder t flag = t.torture_misorder <- flag
 
 let last_complete_epoch t =
@@ -1052,87 +836,68 @@ let checkpoint_epochs t = List.map (fun e -> e.e_epoch) t.epochs
 
 (* Live items and the content index ----------------------------------------- *)
 
-(* Walk every item the retained epochs and journals hold, as [f b] once
-   per block of each item: journal extents, checkpoint records, then
-   each distinct version record and each distinct leaf block with its
-   entries ([entry p] too).  Commit copies the version table, so the same
-   version, and the same leaf block, appears under several epochs; each is
-   visited once.  Recovery counts blocks with this walk, and
-   [content_index_consistent] recounts with it. *)
-let iter_items t ~entry f =
-  List.iter (fun j -> span_blocks j.j_start 0 (j.j_blocks * block_size) f) t.journals;
-  List.iter (fun e -> span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) f) t.epochs;
+let version_key v = (v.v_blk * block_size) + v.v_off
+
+(* Each distinct item of [epochs] that [except] does not hold, as [f item]:
+   each epoch's checkpoint record, then each of its versions, and each of
+   their leaves, not visited before.  Commit copies the version table, so
+   the same version, and the same leaf block, appears under several
+   epochs; each is visited once.  A version [except] holds under the same
+   oid, and a leaf it holds at the same index, is skipped. *)
+let walk_items t ~except epochs f =
   let versions = Hashtbl.create 1024 and leaves = Hashtbl.create 1024 in
-  let leaf leaf_blk =
-    if not (Hashtbl.mem leaves leaf_blk) then begin
-      Hashtbl.replace leaves leaf_blk ();
-      f leaf_blk;
-      List.iter
-        (fun p ->
-          span_blocks p.p_blk p.p_off p.p_clen f;
-          entry p)
-        (leaf_entries t leaf_blk)
-    end
-  in
   List.iter
     (fun e ->
+      f (Record e);
       Hashtbl.iter
-        (fun _ v ->
-          let key = (v.v_blk * block_size) + v.v_off in
-          if not (Hashtbl.mem versions key) then begin
+        (fun oid v ->
+          let keeper = Hashtbl.find_opt except oid in
+          let key = version_key v in
+          let held = match keeper with Some k -> version_key k = key | None -> false in
+          if not (held || Hashtbl.mem versions key) then begin
             Hashtbl.replace versions key ();
-            span_blocks v.v_blk v.v_off v.v_len f;
-            IntMap.iter (fun _ leaf_blk -> leaf leaf_blk) v.v_leaves
+            f (Version v);
+            IntMap.iter
+              (fun idx blk ->
+                let held =
+                  match Option.bind keeper (fun k -> IntMap.find_opt idx k.v_leaves) with
+                  | Some b -> b = blk
+                  | None -> false
+                in
+                if not (held || Hashtbl.mem leaves blk) then begin
+                  Hashtbl.replace leaves blk ();
+                  f (Leaf (blk, Leaf_cache.entries t.leaves blk))
+                end)
+              v.v_leaves
           end)
         e.e_table)
-    t.epochs
+    epochs
 
-(* The first live entry seen for a hash names its location. *)
-let index_entry t p =
-  if not (Hashtbl.mem t.content p.p_hash) then Hashtbl.replace t.content p.p_hash p
+(* Every item the journals and the retained epochs hold, once each:
+   recovery counts blocks and indexes entries with this walk, and
+   [content_index_consistent] recounts with it. *)
+let iter_items t f =
+  List.iter (fun j -> f (Journal j)) (Journal.all t.journals);
+  walk_items t ~except:(Hashtbl.create 0) t.epochs f
 
-(* Rebuild the content index purely from the durable leaves: entries
-   carry the hash, so no data blocks are read. *)
-let rebuild_content_index t =
-  Hashtbl.reset t.content;
-  if t.packed then iter_items t ~entry:(index_entry t) ignore
+let leaf_entries_of item note = match item with Leaf (_, es) -> List.iter note es | _ -> ()
 
 let set_packed_layout t flag =
   if flag <> t.packed then begin
     t.packed <- flag;
-    rebuild_content_index t
+    Content_index.rebuild t.index (fun note ->
+        if flag then iter_items t (fun item -> leaf_entries_of item note))
   end
-let content_index_size t = Hashtbl.length t.content
 
-(* Check the incrementally kept counts, free set and index against a
-   fresh walk: the counts must be equal block for block, the free set
-   must be exactly the uncounted blocks between the superblock and the
-   frontier, and every index entry must lie in counted blocks whose bytes
-   (read uncharged) decode to a payload of its hash, length and CRC. *)
+let content_index_size t = Content_index.size t.index
+
 let content_index_consistent t =
-  let fresh = ref [||] in
-  iter_items t ~entry:ignore (fun b -> fresh := bump !fresh b);
-  let ok = ref true and free = ref 0 in
-  for b = 0 to Int.max (Array.length t.refs) (Array.length !fresh) - 1 do
-    let n = ref_count t.refs b in
-    if n <> ref_count !fresh b then ok := false;
-    if b > superblock_block && b < t.next_block && n = 0 then
-      if Hashtbl.mem t.free_set b then incr free else ok := false
-  done;
-  let holds hash p =
-    let counted = ref true in
-    span_blocks p.p_blk p.p_off p.p_clen (fun b ->
-        if ref_count t.refs b = 0 then counted := false);
-    !counted
-    &&
-    let off = off_of_block p.p_blk + p.p_off in
-    match payload_of p (Striped.read_nocharge t.dev ~off ~len:p.p_clen) with
-    | Payload (payload, crc) ->
-        Bytes.length payload = p.p_olen && crc = p.p_crc && Hash64.of_bytes payload = hash
-    | _ -> false
-  in
-  !ok && !free = Hashtbl.length t.free_set
-  && Hashtbl.fold (fun hash p ok -> ok && holds hash p) t.content true
+  Allocator.consistent t.alloc (fun count -> iter_items t (fun item -> covers item count))
+  && Content_index.consistent t.index t.alloc ~payload:(fun p ->
+         let off = off_of_block p.p_blk + p.p_off in
+         match payload_of p (Striped.read_nocharge t.dev ~off ~len:p.p_clen) with
+         | Payload (payload, _) -> Some payload
+         | _ -> None)
 
 (* Recovery ---------------------------------------------------------------------- *)
 
@@ -1145,19 +910,20 @@ let content_index_consistent t =
    is O(records + distinct versions) in parse work, not O(epochs x
    objects), and one round trip in device time after the chain walk. *)
 
-(* A location read off the device must name allocated blocks. *)
-let check_extent t what blk nblocks =
-  if blk <= superblock_block || nblocks < 1 || blk + nblocks > t.next_block then
+(* A location read off the device must name blocks below the [frontier]
+   the superblock names. *)
+let check_extent ~frontier what blk nblocks =
+  if blk <= superblock_block || nblocks < 1 || blk + nblocks > frontier then
     raise
       (Corrupt_store
          (Printf.sprintf "%s at block %d (+%d) outside the store (%d blocks)" what blk
-            nblocks t.next_block))
+            nblocks frontier))
 
 (* Load every distinct version [entries] name, as a (blk, off) -> (oid,
    version) table.  The blocks covering the records are read in runs
    (records sharing a block or in adjacent blocks join one run), every
    run once in one batch, and every record is sliced out at its offset. *)
-let load_versions t entries =
+let load_versions t ~frontier entries =
   let loaded = Hashtbl.create 1024 and want = Hashtbl.create 1024 in
   List.iter
     (fun (_, blk, off, len) ->
@@ -1165,7 +931,7 @@ let load_versions t entries =
         raise
           (Corrupt_store
              (Printf.sprintf "version record at block %d: offset %d, length %d" blk off len));
-      check_extent t "version record" blk (span_end blk off len - blk + 1);
+      check_extent ~frontier "version record" blk (span_end blk off len - blk + 1);
       Hashtbl.replace want (blk, off) len)
     entries;
   let todo =
@@ -1213,44 +979,22 @@ let load_versions t entries =
     runs;
   loaded
 
-(* Neither the counts nor the free set is persisted, so recovery counts
-   every live item afresh.  A block between the superblock and the
-   frontier that no item covers was freed before the crash, or taken by a
-   commit that never completed.  The dead top of the store folds back
-   into the frontier; the rest is freed highest first, so the lowest free
-   block is reused first.  The counts grow with the highest block
-   counted, never with a frontier read off the device. *)
-let rebuild_free_set t =
-  let top = ref superblock_block in
-  iter_items t ~entry:(index_entry t) (fun b ->
-      if b > superblock_block && b < t.next_block then begin
-        ref_block t b;
-        if b > !top then top := b
-      end);
-  t.next_block <- !top + 1;
-  for b = !top - 1 downto superblock_block + 1 do
-    if ref_count t.refs b = 0 then free_block t b
-  done
-
 let recover ~dev ~clock =
   let t = fresh dev clock in
   let sb =
     decode "superblock" superblock_codec (read_blocks t ~blk:superblock_block ~nblocks:1)
   in
-  t.next_block <- sb.sb_next_block;
+  let frontier = sb.sb_next_block in
   t.next_oid <- sb.sb_next_oid;
   t.oldest_retained <- sb.sb_oldest_retained;
-  t.journals <-
-    List.map
-      (fun (j_id, j_start, j_blocks, j_gen) -> { j_id; j_start; j_blocks; j_head = 0; j_gen })
-      sb.sb_journals;
+  t.journals <- Journal.registry sb.sb_journals;
   t.current_epoch <- sb.sb_epoch;
   (* Walk the record chain, oldest last.  Epochs strictly decrease along
      the chain, so a garbled prev pointer cannot loop. *)
   let rec walk (block, nblocks) ~below acc =
     if block = 0 then acc
     else begin
-      check_extent t "checkpoint record" block nblocks;
+      check_extent ~frontier "checkpoint record" block nblocks;
       let r = decode "checkpoint record" checkpoint_codec (read_blocks t ~blk:block ~nblocks) in
       let epoch = r.cr_epoch and prev = (r.cr_prev_block, r.cr_prev_nblocks) in
       if epoch >= below then
@@ -1264,7 +1008,7 @@ let recover ~dev ~clock =
   let chain = walk (sb.sb_record_block, sb.sb_record_nblocks) ~below:(sb.sb_epoch + 1) [] in
   (* Then every retained epoch's versions in one pass, so a block shared
      by several epochs' records is read once. *)
-  let loaded = load_versions t (List.concat_map (fun (_, _, _, tl) -> tl) chain) in
+  let loaded = load_versions t ~frontier (List.concat_map (fun (_, _, _, tl) -> tl) chain) in
   t.epochs <-
     List.map
       (fun (epoch, block, nblocks, table_list) ->
@@ -1279,15 +1023,19 @@ let recover ~dev ~clock =
         { e_epoch = epoch; e_record_block = block; e_record_nblocks = nblocks;
           e_table = table })
       chain;
-  (* The counts, the free set and the content index come from one
-     uncharged walk over what the retained epochs reach: every distinct
-     leaf is parsed once, which also warms the leaf cache for the first
-     post-recovery incremental commit, and none becomes resident, so the
-     first page read after recovery still pays its leaf read.  The index
-     is rebuilt from the durable leaves, so dedup after a crash only ever
-     references durable pages. *)
-  rebuild_free_set t;
-  (* Journal heads are recovered lazily by scanning; see journal_records. *)
+  (* Neither the counts, the free set nor the content index is persisted:
+     they come from one uncharged walk over what the journals and the
+     retained epochs reach.  Every distinct leaf is parsed once, which
+     also warms the leaf cache for the first post-recovery incremental
+     commit, and none becomes resident, so the first page read after
+     recovery still pays its leaf read.  The index is rebuilt from the
+     durable leaves, so dedup after a crash only ever references durable
+     pages. *)
+  Content_index.rebuild t.index (fun note ->
+      Allocator.recount t.alloc ~frontier (fun count ->
+          iter_items t (fun item ->
+              covers item count;
+              leaf_entries_of item note)));
   t
 
 (* Reading ------------------------------------------------------------------------- *)
@@ -1454,7 +1202,8 @@ let stream_pages t ~epoch oids =
   let now = Clock.now t.clk in
   let versions = List.map (fun oid -> (oid, version_exn t ~epoch ~oid)) oids in
   let listed =
-    paid_leaves t ~now (List.fold_left (fun acc (_, v) -> leaf_blocks v acc) [] versions)
+    Leaf_cache.paid t.leaves ~submit:(submit_ranges t) ~now
+      (List.fold_left (fun acc (_, v) -> leaf_blocks v acc) [] versions)
   in
   (* Each object's listed pages, and its unlisted leaves by leaf index. *)
   let objects =
@@ -1597,75 +1346,26 @@ let page_crcs t ~epoch ~oid = List.sort compare (version_crcs t (version_exn t ~
 
 (* Journals --------------------------------------------------------------------------- *)
 
-let journal_id j = j.j_id
-let journal_find t id = List.find_opt (fun j -> j.j_id = id) t.journals
+let journal_id = Journal.id
+let journal_find t id = Journal.find t.journals id
 
+(* The registry lives in the superblock: it is persisted synchronously,
+   so the journal survives a crash that happens before the next
+   checkpoint. *)
 let journal_create t ~size =
-  let nblocks = blocks_of_len size in
-  let start = alloc_extent t nblocks in
-  span_blocks start 0 (nblocks * block_size) (ref_block t);
-  let id = List.length t.journals + 1 in
-  let j = { j_id = id; j_start = start; j_blocks = nblocks; j_head = 0; j_gen = 0 } in
-  t.journals <- t.journals @ [ j ];
-  (* The registry lives in the superblock; persist it synchronously so the
-     journal survives a crash that happens before the next checkpoint. *)
-  let c = write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t) in
-  Clock.advance_to t.clk c;
+  let blocks = blocks_of_len size in
+  let j = Journal.create t.journals ~start:(Allocator.alloc_extent t.alloc blocks) ~blocks in
+  covers (Journal j) (Allocator.retain t.alloc);
+  sync_superblock t;
   j
 
-let journal_capacity j = j.j_blocks * block_size
-
 let journal_append t j data =
-  let payload = Wire.encode journal_record_codec (j.j_gen, data) in
-  let len = Bytes.length payload in
-  if j.j_head + len > journal_capacity j then invalid_arg "journal full";
-  let now = Clock.now t.clk in
-  (* The device write carries the real bytes; the visible latency is the
-     synchronous single-stream append path (26 us + bytes at ~2.6 GiB/s,
-     the Table 5 journal column).  Synchronous appends ride the device's
-     priority lane: they do not wait behind queued background checkpoint
-     flushes, and the payload becomes durable exactly at the acknowledged
-     sync completion (write_priority), so a crash can never catch a
-     sync-acknowledged record still volatile — the crash-point enumerator
-     checks precisely this. *)
-  let sync_done =
-    Resource.submit t.jqueue ~now
-      ~duration:
-        (Cost.nvme_sync_write_latency
-        + Cost.transfer_time ~bandwidth:Cost.journal_stream_bandwidth len)
-  in
-  ignore
-    (Striped.write_priority t.dev ~now ~off:(off_of_block j.j_start + j.j_head)
-       payload ~completion:sync_done);
-  j.j_head <- j.j_head + len;
-  Clock.advance_to t.clk sync_done
+  Journal.append t.journals j ~dev:t.dev ~clock:t.clk ~read:(read_range t) data
 
 let journal_truncate t j =
-  j.j_head <- 0;
-  (* Bump the generation so stale records beyond the new head are never
-     replayed, and persist it (superblock) before invalidating the first
-     header — the standard WAL-reset ordering. *)
-  j.j_gen <- j.j_gen + 1;
-  let sb_done = write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t) in
-  Clock.advance_to t.clk sb_done;
-  let c =
-    Striped.write t.dev ~now:(Clock.now t.clk) ~off:(off_of_block j.j_start)
-      (Bytes.make 8 '\000')
-  in
-  Clock.advance_to t.clk c
+  Journal.truncate j ~dev:t.dev ~clock:t.clk ~persist:(fun () -> sync_superblock t)
 
-let journal_records t j =
-  let data = read_range t ~off:(off_of_block j.j_start) ~len:(journal_capacity j) in
-  let r = Wire.reader data in
-  let rec scan acc =
-    if Wire.remaining r < 9 then List.rev acc
-    else
-      match Wire.read journal_record_codec r with
-      | gen, s when gen = j.j_gen -> scan (s :: acc)
-      | _ -> List.rev acc
-      | exception Wire.Corrupt _ -> List.rev acc
-  in
-  scan []
+let journal_records t j = Journal.records j ~read:(read_range t)
 
 (* History ------------------------------------------------------------------------------- *)
 
@@ -1695,68 +1395,27 @@ let prune_history t ~keep =
     in
     let oldest = match kept with e :: _ -> e.e_table | [] -> Hashtbl.create 0 in
     let dead = ref [] in
-    let unref b =
-      t.refs.(b) <- t.refs.(b) - 1;
-      if t.refs.(b) = 0 then dead := b :: !dead
-    in
-    let versions = Hashtbl.create 64 and leaves = Hashtbl.create 256 in
+    walk_items t ~except:oldest dropped (fun item ->
+        covers item (fun b -> if Allocator.release t.alloc b then dead := b :: !dead));
+    (* A freed block also leaves the leaf cache, so a reused block can
+       never serve stale parsed entries or a stale residency. *)
     List.iter
-      (fun e ->
-        span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) unref;
-        Hashtbl.iter
-          (fun oid v ->
-            let keeper = Hashtbl.find_opt oldest oid in
-            let key = (v.v_blk * block_size) + v.v_off in
-            let live =
-              match keeper with Some k -> (k.v_blk * block_size) + k.v_off = key | None -> false
-            in
-            if not (live || Hashtbl.mem versions key) then begin
-              Hashtbl.replace versions key ();
-              span_blocks v.v_blk v.v_off v.v_len unref;
-              IntMap.iter
-                (fun idx leaf_blk ->
-                  let held =
-                    match Option.bind keeper (fun k -> IntMap.find_opt idx k.v_leaves) with
-                    | Some b -> b = leaf_blk
-                    | None -> false
-                  in
-                  if not (held || Hashtbl.mem leaves leaf_blk) then begin
-                    Hashtbl.replace leaves leaf_blk ();
-                    unref leaf_blk;
-                    List.iter
-                      (fun p -> span_blocks p.p_blk p.p_off p.p_clen unref)
-                      (leaf_entries t leaf_blk)
-                  end)
-                v.v_leaves
-            end)
-          e.e_table)
-      dropped;
-    (* free_block also invalidates the leaf cache for each block, so a
-       reused block can never serve stale parsed entries or a stale
-       residency. *)
-    List.iter (free_block t) (List.sort Int.compare !dead);
-    if !dead <> [] then begin
-      let gone = ref [] in
-      Hashtbl.iter
-        (fun hash p ->
-          let b = ref p.p_blk and last = span_end p.p_blk p.p_off p.p_clen in
-          while !b <= last && t.refs.(!b) > 0 do incr b done;
-          if !b <= last then gone := hash :: !gone)
-        t.content;
-      List.iter (Hashtbl.remove t.content) !gone
-    end;
+      (fun b ->
+        Allocator.free t.alloc b;
+        Leaf_cache.forget t.leaves b)
+      (List.sort Int.compare !dead);
+    if !dead <> [] then Content_index.forget_freed t.index t.alloc;
     t.epochs <- kept;
     (* Persist the new chain bound so recovery never follows a prev
        pointer into reused blocks.  With nothing kept it is the newest
        dropped epoch, which also numbers the next one (see
        [write_superblock]). *)
     t.oldest_retained <- (match kept with e :: _ -> e | [] -> List.nth dropped (drop - 1)).e_epoch;
-    let c = write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t) in
-    Clock.advance_to t.clk c;
+    sync_superblock t;
     List.length !dead
   end
 
-let blocks_allocated t = t.next_block - Hashtbl.length t.free_set
+let blocks_allocated t = Allocator.allocated t.alloc
 
 (* Manifests ---------------------------------------------------------------------------- *)
 
@@ -1936,7 +1595,7 @@ let corrupt_page_for_tests t ~epoch ~oid =
         match acc with
         | Some _ -> acc
         | None -> (
-            match leaf_entries t leaf_blk with
+            match Leaf_cache.entries t.leaves leaf_blk with
             | e :: _ -> Some e
             | [] -> None))
       v.v_leaves None
@@ -1955,4 +1614,4 @@ let corrupt_page_for_tests t ~epoch ~oid =
       Clock.advance_to t.clk c;
       t.kept <- None
 
-let recycle_leaf_cache_for_tests t = Hashtbl.reset t.leaf_cache
+let recycle_leaf_cache_for_tests t = Leaf_cache.recycle t.leaves

@@ -32,7 +32,18 @@
 
     [sls_journal] regions are preallocated block ranges updated in place
     with synchronous appends (a 4 KiB append costs ~28 µs, Table 5) and
-    recovered by scanning self-describing records. *)
+    recovered by scanning self-describing records.
+
+    {2 Modules}
+
+    The store is split along its invariants: {!Allocator} (frontier,
+    free set, per-block reference counts), {!Leaf_cache} (parsed leaves
+    and their residency), {!Content_index} (the dedup index) and
+    {!Journal} (journals) each own their state, and this module, their
+    only caller, keeps the catalogue, staging and commit, recovery,
+    prune, the page stream, deltas, manifests and verification.
+    DESIGN.md, "Store module map", says which module owns which
+    invariant and which may mutate what. *)
 
 type t
 
@@ -427,12 +438,15 @@ val journal_create : t -> size:int -> journal
 val journal_id : journal -> int
 val journal_find : t -> int -> journal option
 val journal_append : t -> journal -> string -> unit
-(** Synchronous in-place append; the caller's clock advances to the
-    flush's completion. *)
+(** Synchronous in-place append after the journal's last record; the
+    caller's clock advances to the flush's completion.  A recovered
+    journal's first append (or {!journal_records}) finds that record
+    with one charged read of the journal. *)
 
 val journal_truncate : t -> journal -> unit
 val journal_records : t -> journal -> string list
-(** Parse the journal's records off the device (recovery path). *)
+(** Parse the journal's records of the current generation off the
+    device, with one charged read (recovery path). *)
 
 (** {1 History and space} *)
 

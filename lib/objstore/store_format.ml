@@ -1,7 +1,28 @@
 (* The object store's on-store format: every record [Store] writes,
    stated once, as a type and the one [Wire.codec] that both writes and
-   reads it.  The types and codecs are this module's whole interface, so
+   reads it, with the block geometry every store module shares.  The
+   types, codecs and layout rules are this module's whole interface, so
    it has no .mli that would restate each record. *)
+
+exception Corrupt_store of string
+
+let block_size = 4096
+
+(* 100 entries x 37 bytes + header fits one 4 KiB block. *)
+let leaf_span = 100
+let superblock_block = 0
+let off_of_block b = b * block_size
+
+(* Last block covered by [len] bytes stored at byte [off] of block [blk]:
+   a packed page or version record may straddle block boundaries inside
+   its extent.  Every block of [blk .. span_end] is live while the bytes
+   are. *)
+let span_end blk off len = blk + ((off + Int.max 1 len - 1) / block_size)
+
+let span_blocks blk off len f =
+  for b = blk to span_end blk off len do
+    f b
+  done
 
 (* One stored page: where its bytes live ([p_blk] + byte offset [p_off],
    [p_clen] stored bytes, possibly RLE-coded), and the identity of the
@@ -122,3 +143,8 @@ let superblock_codec =
 (* A journal record: (truncation generation, payload). *)
 let journal_record_codec =
   Wire.Codec.(record Fun.id |> magic u8 0xA4 "journal magic" |> field (pair u32 str) Fun.id |> seal)
+
+(* Records that do not parse are store corruption, reported as such: a
+   truncated or garbled record must never escape as a [Wire.Corrupt]. *)
+let decode what codec data =
+  try Wire.decode codec data with Wire.Corrupt msg -> raise (Corrupt_store (what ^ ": " ^ msg))

@@ -885,6 +885,28 @@ let test_journal_api () =
   | None -> Alcotest.fail "journal lost");
   ignore group
 
+(* Appends after a reboot land after the durable records, and a second
+   crash keeps all of them. *)
+let test_journal_api_two_crashes () =
+  let sys = Sls.boot () in
+  let p, _e, _addr = spawn_with_memory sys ~name:"db" ~npages:4 in
+  let group = Sls.attach sys [ p ] in
+  let j = Api.sls_journal_open group ~size:(1024 * 1024) in
+  ignore (Group.checkpoint ~wait_durable:true group);
+  Api.sls_journal group j "put k1 v1";
+  Api.sls_journal group j "put k2 v2";
+  let reboot sys =
+    let sys', result = Sls.reboot_and_restore sys in
+    let g = result.Restore.group in
+    (sys', g, Option.get (Api.journal_of_id g (Api.journal_id j)))
+  in
+  let sys2, g2, j2 = reboot sys in
+  Api.sls_journal g2 j2 "put k3 v3";
+  let _, g3, j3 = reboot sys2 in
+  Alcotest.(check (list string)) "every record survives two crashes"
+    [ "put k1 v1"; "put k2 v2"; "put k3 v3" ]
+    (Api.sls_journal_recover g3 j3)
+
 let test_fdctl () =
   let sys = Sls.boot () in
   let m = sys.Sls.machine in
@@ -2969,6 +2991,7 @@ let () =
           Alcotest.test_case "mctl exclusion" `Quick test_mctl_exclusion;
           Alcotest.test_case "memckpt atomic region" `Quick test_memckpt_atomic_region;
           Alcotest.test_case "journal" `Quick test_journal_api;
+          Alcotest.test_case "journal survives two crashes" `Quick test_journal_api_two_crashes;
           Alcotest.test_case "memckpt shared region" `Quick test_memckpt_shared_region;
           Alcotest.test_case "replayer interleaving" `Quick test_replayer_interleaved_fds;
           Alcotest.test_case "migrate frame" `Quick test_migrate_frame;

@@ -5,6 +5,7 @@ module Wire = Aurora_objstore.Wire
 module Manifest = Aurora_objstore.Manifest
 module Store = Aurora_objstore.Store
 module Store_format = Aurora_objstore.Store_format
+module Allocator = Aurora_objstore.Allocator
 module Vm_object = Aurora_vm.Vm_object
 module Page = Aurora_vm.Page
 
@@ -190,6 +191,20 @@ let test_journal_survives_crash () =
       Alcotest.(check (list string)) "records recovered" [ "committed-write" ]
         (Store.journal_records store2 j2)
   | None -> Alcotest.fail "journal registry lost"
+
+(* A recovered journal appends after its durable records, not over them:
+   its head is found by a scan, not reset to the first byte. *)
+let test_journal_append_after_recovery () =
+  let clock, dev, store = fresh () in
+  let j = Store.journal_create store ~size:(64 * 1024) in
+  Store.journal_append store j "aaaaaaaa";
+  Store.journal_append store j "bbbbbbbb";
+  Striped.crash dev ~now:(Clock.now clock);
+  let store2 = Store.recover ~dev ~clock in
+  let j2 = Option.get (Store.journal_find store2 (Store.journal_id j)) in
+  Store.journal_append store2 j2 "cc";
+  Alcotest.(check (list string)) "durable records kept" [ "aaaaaaaa"; "bbbbbbbb"; "cc" ]
+    (Store.journal_records store2 j2)
 
 let test_journal_timing_anchor () =
   (* Table 5: a synchronous 4 KiB journal write costs ~28 us. *)
@@ -1696,8 +1711,90 @@ let counts_match_a_fresh_walk steps =
       holds ())
     steps
 
+type alloc_op = Block | Extent of int | Ref of int | Unref of int
+
+let alloc_op_to_string = function
+  | Block -> "Block"
+  | Extent n -> Printf.sprintf "Extent %d" n
+  | Ref k -> Printf.sprintf "Ref %d" k
+  | Unref k -> Printf.sprintf "Unref %d" k
+
+let gen_alloc_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (frequency
+         [
+           (4, return Block);
+           (2, map (fun n -> Extent n) (int_range 1 8));
+           (2, map (fun k -> Ref k) nat);
+           (5, map (fun k -> Unref k) nat);
+         ]))
+
+(* Replay [ops] against an allocator and a naive model, block -> live
+   items: every allocated block is counted once, [Ref]/[Unref] count the
+   [k]th live block once more or once fewer, and a block at zero is
+   freed.  No block may be handed out while live; the counts and the free
+   set must match the model (the free set is exactly the uncounted blocks
+   between the superblock and the frontier); and the frontier must sit
+   just above the highest live block, so a freed top run folds back. *)
+let allocator_matches_a_set_model ops =
+  let a = Allocator.create () and live = Hashtbl.create 64 in
+  let take b =
+    let fresh = b > 0 && not (Hashtbl.mem live b) in
+    if fresh then begin
+      Hashtbl.replace live b 1;
+      Allocator.retain a b
+    end;
+    fresh
+  in
+  let nth k =
+    match List.sort compare (List.of_seq (Hashtbl.to_seq_keys live)) with
+    | [] -> None
+    | bs -> Some (List.nth bs (k mod List.length bs))
+  in
+  List.for_all
+    (fun op ->
+      let ok =
+        match op with
+        | Block -> take (Allocator.alloc_block a)
+        | Extent n ->
+            let b = Allocator.alloc_extent a n in
+            List.for_all take (List.init n (fun i -> b + i))
+        | Ref k ->
+            Option.iter
+              (fun b ->
+                Hashtbl.replace live b (Hashtbl.find live b + 1);
+                Allocator.retain a b)
+              (nth k);
+            true
+        | Unref k -> (
+            match nth k with
+            | None -> true
+            | Some b ->
+                let left = Hashtbl.find live b - 1 in
+                let zero = Allocator.release a b in
+                if left = 0 then begin
+                  Hashtbl.remove live b;
+                  Allocator.free a b
+                end
+                else Hashtbl.replace live b left;
+                zero = (left = 0))
+      in
+      ok
+      && Allocator.consistent a (fun f ->
+             Hashtbl.iter (fun b n -> for _ = 1 to n do f b done) live)
+      && Allocator.allocated a = 1 + Hashtbl.length live
+      && Allocator.frontier a = 1 + Hashtbl.fold (fun b _ m -> max b m) live 0)
+    ops
+
 let qcheck_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"allocator matches a naive set model" ~count:300
+         (QCheck.make ~shrink:QCheck.Shrink.list
+            ~print:(fun l -> String.concat "; " (List.map alloc_op_to_string l))
+            gen_alloc_ops)
+         allocator_matches_a_set_model);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"coalesced flush: crash/recover preserves every retained epoch"
@@ -2062,6 +2159,7 @@ let () =
           Alcotest.test_case "append and scan" `Quick test_journal_append_and_scan;
           Alcotest.test_case "truncate" `Quick test_journal_truncate;
           Alcotest.test_case "crash survival" `Quick test_journal_survives_crash;
+          Alcotest.test_case "append after recovery" `Quick test_journal_append_after_recovery;
           Alcotest.test_case "timing anchor" `Quick test_journal_timing_anchor;
         ] );
       ( "history",
