@@ -58,12 +58,12 @@ let run mode =
     per_call_ns iters (fun () -> Trace.with_span ~cat:"x" ~name:"y" (fun () -> ()))
   in
   let c_guard = per_call_ns iters (fun () -> ignore (Trace.is_on ())) in
-  let m = Metrics.counter "obs_overhead.probe" in
-  let c_incr = per_call_ns iters (fun () -> Metrics.incr m) in
-  let c_call = List.fold_left Float.max 0.0 [ c_span; c_guard; c_incr ] in
+  let h = Metrics.histogram "obs_overhead.probe" in
+  let c_observe = per_call_ns iters (fun () -> Metrics.observe_ns h 1) in
+  let c_call = List.fold_left Float.max 0.0 [ c_span; c_guard; c_observe ] in
   Printf.printf
-    "disabled per-call: with_span %.2f ns, is_on %.2f ns, Metrics.incr %.2f ns\n"
-    c_span c_guard c_incr;
+    "disabled per-call: with_span %.2f ns, is_on %.2f ns, Metrics.observe_ns %.2f ns\n"
+    c_span c_guard c_observe;
   (* 2. The sweep, off and on. *)
   let w_off = best_of 3 (fun () -> sweep sizes) in
   let count_clock = Clock.create () in

@@ -1,9 +1,10 @@
 (* Checkpoint-pipeline observability report: run the standard 100 Hz
-   workload with tracing and metrics on, print per-phase latency
-   percentiles (virtual time), check the span accounting identity (an
-   epoch's children sum to the epoch), and print the final epoch's text
-   timeline; a full run also dumps the run's Chrome trace to
-   OBS_trace.json.
+   workload with tracing and the device histograms on, print per-phase
+   latency percentiles (virtual time) from the [ckpt_stats] each epoch
+   returns, the store's flush-window events and the device histograms,
+   check the span accounting identity (an epoch's children sum to the
+   epoch), and print the final epoch's text timeline; a full run also
+   dumps the run's Chrome trace to OBS_trace.json.
 
      dune exec bench/main.exe -- obs-report          # 40 epochs
      dune exec bench/main.exe -- obs-report smoke    # 6 epochs (gated) *)
@@ -16,6 +17,7 @@ module Group = Aurora_core.Group
 module Sls = Aurora_core.Sls
 module Trace = Aurora_obs.Trace
 module Metrics = Aurora_obs.Metrics
+module Histogram = Aurora_util.Histogram
 module Text_table = Aurora_util.Text_table
 module Units = Aurora_util.Units
 
@@ -36,11 +38,14 @@ let run_workload ~epochs =
   Metrics.reset ();
   Metrics.set_enabled true;
   let t0 = Clock.now clk in
-  let last = ref None in
+  let spec = ref false and runs = ref [] in
   for i = 1 to epochs do
     (* Second half of the run: speculative soft-quiesce epochs, so the
        report covers both cycle shapes. *)
-    if i = (epochs / 2) + 1 then Group.set_speculative group true;
+    if i = (epochs / 2) + 1 then begin
+      spec := true;
+      Group.set_speculative group true
+    end;
     (* Application activity for this interval: pipe traffic plus a
        sliding window of dirtied pages. *)
     ignore (Syscall.write machine p1 ~fd:wr (String.make 200 'x'));
@@ -51,36 +56,60 @@ let run_workload ~epochs =
       ~addr:(addr2 + (i mod 8 * 4096))
       ~len:(4 * 4096);
     Clock.advance_to clk (t0 + (i * period));
-    last := Some (Group.checkpoint group)
+    let stats = Group.checkpoint group in
+    (* Durable lag: how far durability trails the checkpoint's return. *)
+    let lag = max 0 (stats.Group.durable_at - Clock.now clk) in
+    runs := (!spec, stats, lag) :: !runs
   done;
   Metrics.set_enabled false;
-  (group, Option.get !last)
+  List.rev !runs
 
-let phase_table () =
+let samples xs =
+  let h = Histogram.create () in
+  List.iter (fun x -> Histogram.add h (float_of_int x)) xs;
+  h
+
+(* One row per phase: the checkpoint phases from each epoch's
+   [ckpt_stats] (speculate and validate from the speculative epochs
+   only), the store's flush window from its [store:flush_window] events,
+   and the device split from the registry's two histograms. *)
+let phase_table runs events =
   let table = Text_table.create ~header:[ "phase"; "n"; "p50"; "p99"; "max" ] in
-  let row name hist =
-    let n, p50, p99, mx = Metrics.summary hist in
+  let row name h =
+    let ns p = Units.ns_to_string (int_of_float p) in
     Text_table.add_row table
       [
         name;
-        string_of_int n;
-        Units.ns_to_string (int_of_float p50);
-        Units.ns_to_string (int_of_float p99);
-        Units.ns_to_string (int_of_float mx);
+        string_of_int (Histogram.count h);
+        ns (Histogram.percentile_interp h 50.0);
+        ns (Histogram.percentile_interp h 99.0);
+        ns (Histogram.max h);
       ]
   in
-  row "collapse (pre-stop)" (Metrics.histogram "ckpt.collapse_ns");
-  row "stop window" (Metrics.histogram "ckpt.stop_ns");
-  row "  quiesce" (Metrics.histogram "ckpt.quiesce_ns");
-  row "  serialize" (Metrics.histogram "ckpt.serialize_ns");
-  row "  shadow" (Metrics.histogram "ckpt.shadow_ns");
-  row "speculate window" (Metrics.histogram "ckpt.speculate_ns");
-  row "  validate (stop)" (Metrics.histogram "ckpt.validate_ns");
-  row "flush submit" (Metrics.histogram "ckpt.flush_ns");
-  row "durable lag" (Metrics.histogram "ckpt.durable_lag_ns");
-  row "dev queue wait" (Metrics.histogram "dev.queue_wait_ns");
-  row "dev service" (Metrics.histogram "dev.service_ns");
-  row "store flush window" (Metrics.histogram "store.flush_window_ns");
+  let per f = samples (List.map (fun (_, s, _) -> f s) runs) in
+  let per_spec f =
+    samples (List.filter_map (fun (spec, s, _) -> if spec then Some (f s) else None) runs)
+  in
+  let device name = Metrics.samples (Metrics.histogram name) in
+  row "collapse (pre-stop)" (per (fun s -> s.Group.collapse_ns));
+  row "stop window" (per (fun s -> s.Group.stop_ns));
+  row "  quiesce" (per (fun s -> s.Group.quiesce_ns));
+  row "  serialize" (per (fun s -> s.Group.os_serialize_ns));
+  row "  shadow" (per (fun s -> s.Group.mem_mark_ns));
+  row "speculate window" (per_spec (fun s -> s.Group.speculate_ns));
+  row "  validate (stop)" (per_spec (fun s -> s.Group.validate_ns));
+  row "flush submit" (per (fun s -> s.Group.flush_ns));
+  row "durable lag" (samples (List.map (fun (_, _, lag) -> lag) runs));
+  row "dev queue wait" (device "dev.queue_wait_ns");
+  row "dev service" (device "dev.service_ns");
+  row "store flush window"
+    (samples
+       (List.filter_map
+          (fun (e : Trace.event) ->
+            if e.ev_ph = Trace.Complete && e.ev_cat = "store" && e.ev_name = "flush_window"
+            then Some e.ev_dur
+            else None)
+          events));
   Text_table.print table
 
 let contains line sub =
@@ -100,15 +129,16 @@ let run mode =
   let epochs =
     match mode with Report.Smoke -> 6 | Full -> 40 | _ -> raise Report.Usage
   in
-  let _group, stats = run_workload ~epochs in
+  let runs = run_workload ~epochs in
+  let _, stats, _ = List.nth runs (epochs - 1) in
+  let all_events = Trace.events () in
   Printf.printf "obs-report: %d checkpoint epochs at 100 Hz (virtual time)\n\n"
     epochs;
-  phase_table ();
+  phase_table runs all_events;
   print_newline ();
   (* Accounting identity on the final epoch: the epoch span's virtual
      duration equals the sum of its phase children, and stop_ns from
      ckpt_stats matches the trace's stop-window phases. *)
-  let all_events = Trace.events () in
   (* Restrict the identity to the final epoch's events: a span name that
      only occurs in one cycle shape (serialize vs speculate/validate)
      must not leak in from an earlier epoch of the other shape. *)

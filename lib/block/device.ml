@@ -6,8 +6,6 @@ module Ometrics = Aurora_obs.Metrics
 
 let sector_size = 4096
 
-let m_dev_submissions = Ometrics.counter "dev.submissions"
-let m_dev_bytes = Ometrics.counter "dev.bytes_written"
 let h_dev_qwait = Ometrics.histogram "dev.queue_wait_ns"
 let h_dev_service = Ometrics.histogram "dev.service_ns"
 
@@ -60,8 +58,6 @@ let arbitrate t ~now ~bytes ~completion =
 let trace_submit t ~now ~qwait ~completion ~off ~len ~segments ~kind =
   if Otrace.is_on () || Ometrics.is_enabled () then begin
     let service = completion - now - qwait in
-    Ometrics.incr m_dev_submissions;
-    Ometrics.incr ~by:len m_dev_bytes;
     Ometrics.observe_ns h_dev_qwait qwait;
     Ometrics.observe_ns h_dev_service service;
     let args =
@@ -300,13 +296,6 @@ let collect_read t ~completion ~off ~len =
                 Bytes.set out o (Char.chr (Char.code (Bytes.get out o) lxor 0x40)))
             offs;
           Ok out)
-
-let read t ~clock ~off ~len =
-  let completion = submit_read t ~now:(Clock.now clock) ~off ~len in
-  Clock.advance_to clock completion;
-  match collect_read t ~completion ~off ~len with
-  | Ok data -> data
-  | Error msg -> raise (Fault.Io_error msg)
 
 let durable_until t =
   List.fold_left (fun acc p -> max acc p.completion) 0 t.inflight

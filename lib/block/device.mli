@@ -73,12 +73,6 @@ val collect_read : t -> completion:int -> off:int -> len:int -> (bytes, string) 
     [Error] is the message of a transient failure; a [Flip] verdict returns the corrupted bytes.  Unwritten
     ranges read as zeroes, as on a trimmed flash namespace. *)
 
-val read : t -> clock:Aurora_sim.Clock.t -> off:int -> len:int -> bytes
-(** Submit, wait, collect: {!submit_read}, advance the clock to its
-    completion (read latency + transfer behind the queue), then
-    {!collect_read}.  A failed read raises {!Fault.Io_error}, after the
-    clock has advanced. *)
-
 val read_nocharge : t -> off:int -> len:int -> bytes
 (** Read without charging time; used by integrity checks in tests. *)
 

@@ -2,8 +2,8 @@
 
     A fault handler installed on a device ({!Device.set_fault}) or a whole
     striped array ({!Striped.set_fault}) is consulted at every device
-    submission and every charged device read ({!Device.read}; per
-    fragment for a vectored {!Striped.read_vec}).  A lookup served from
+    submission and every charged device read ({!Device.collect_read};
+    per fragment for a vectored {!Striped.submit_vec}).  A lookup served from
     memory, such as a radix leaf already resident in the object store's
     leaf cache ([Store.read_page]), issues no device read and never
     reaches the handler.  The handler decides what actually

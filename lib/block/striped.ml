@@ -175,16 +175,6 @@ let submit_vec t ~now ranges =
       (!arrival, match !err with None -> Ok !out | Some msg -> Error msg))
     ranges
 
-let read_vec t ~clock ranges =
-  let arrived = submit_vec t ~now:(Clock.now clock) ranges in
-  Clock.advance_to clock (Array.fold_left (fun m (c, _) -> max m c) (Clock.now clock) arrived);
-  Array.map snd arrived
-
-let read t ~clock ~off ~len =
-  match (read_vec t ~clock [| (off, len) |]).(0) with
-  | Ok data -> data
-  | Error msg -> raise (Fault.Io_error msg)
-
 let read_nocharge t ~off ~len =
   let out = Bytes.make len '\000' in
   iter_fragments t ~off ~len (fun dev dev_off frag_off frag_len ->

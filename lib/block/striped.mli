@@ -50,16 +50,6 @@ val submit_vec :
     than one range emits one [blk:read_vec] trace instant (ranges,
     bytes). *)
 
-val read_vec :
-  t -> clock:Aurora_sim.Clock.t -> (int * int) array -> (bytes, string) result array
-(** {!submit_vec} at the clock's time, then the clock advances once, to
-    the last arrival. *)
-
-val read : t -> clock:Aurora_sim.Clock.t -> off:int -> len:int -> bytes
-(** The one-range case of {!read_vec}: a range spanning several stripes
-    reads its fragments in parallel.  A failed fragment raises
-    {!Fault.Io_error} after the clock has advanced. *)
-
 val read_nocharge : t -> off:int -> len:int -> bytes
 (** The newest bytes of a range, without device time, the fault handler
     or the read counters: uncharged parses and integrity checks, and

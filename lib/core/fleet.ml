@@ -11,11 +11,6 @@ module Store = Aurora_objstore.Store
 module Fs = Aurora_fs.Fs
 module Histogram = Aurora_util.Histogram
 module Otrace = Aurora_obs.Trace
-module Ometrics = Aurora_obs.Metrics
-
-let m_fleet_epochs = Ometrics.counter "fleet.epochs"
-let m_fleet_delayed = Ometrics.counter "fleet.delayed"
-let m_fleet_rejected = Ometrics.counter "fleet.rejected"
 
 type spec = {
   sp_name : string;
@@ -168,7 +163,6 @@ let checkpoint_tenant t tn ~wait_durable =
   tn.t_epochs <- tn.t_epochs + 1;
   tn.t_bytes <- tn.t_bytes + stats.Group.bytes_written;
   tn.t_last_flush_bytes <- stats.Group.bytes_written;
-  Ometrics.incr m_fleet_epochs;
   let flush_end = Clock.now t.f_clock in
   let flush_begin = flush_end - stats.Group.flush_ns in
   let durable_end = max flush_end stats.Group.durable_at in
@@ -233,7 +227,6 @@ let run_slot t tn =
       admit ()
   | Arbiter.Delay d ->
       Arbiter.note_delayed t.f_arbiter tn.t_arb;
-      Ometrics.incr m_fleet_delayed;
       Otrace.instant ~cat:"fleet" "admission.delay"
         ~args:[ ("tenant", Otrace.Str tn.t_spec.sp_name); ("ns", Otrace.Int d) ];
       tn.t_retrying <- true;
@@ -241,7 +234,6 @@ let run_slot t tn =
       tn.t_next_at <- now + d
   | Arbiter.Reject ->
       Arbiter.note_rejected t.f_arbiter tn.t_arb;
-      Ometrics.incr m_fleet_rejected;
       Otrace.instant ~cat:"fleet" "admission.reject"
         ~args:[ ("tenant", Otrace.Str tn.t_spec.sp_name) ];
       tn.t_next_at <- tn.t_next_at + t.f_period

@@ -19,22 +19,6 @@ module Page = Aurora_vm.Page
 module Store = Aurora_objstore.Store
 module Fs = Aurora_fs.Fs
 module Otrace = Aurora_obs.Trace
-module Ometrics = Aurora_obs.Metrics
-
-let h_ckpt_stop = Ometrics.histogram "ckpt.stop_ns"
-let h_ckpt_quiesce = Ometrics.histogram "ckpt.quiesce_ns"
-let h_ckpt_collapse = Ometrics.histogram "ckpt.collapse_ns"
-let h_ckpt_serialize = Ometrics.histogram "ckpt.serialize_ns"
-let h_ckpt_shadow = Ometrics.histogram "ckpt.shadow_ns"
-let h_ckpt_flush = Ometrics.histogram "ckpt.flush_ns"
-let h_ckpt_speculate = Ometrics.histogram "ckpt.speculate_ns"
-let h_ckpt_validate = Ometrics.histogram "ckpt.validate_ns"
-let h_ckpt_durable_lag = Ometrics.histogram "ckpt.durable_lag_ns"
-let m_ckpt_epochs = Ometrics.counter "ckpt.epochs"
-let m_ckpt_objects = Ometrics.counter "ckpt.objects_serialized"
-let m_ckpt_skipped = Ometrics.counter "ckpt.objects_skipped"
-let m_ckpt_meta_bytes = Ometrics.counter "ckpt.meta_bytes"
-let m_ckpt_pages = Ometrics.counter "ckpt.pages_flushed"
 
 (* Extra per-kind serialization costs beyond [Cost.obj_serialize_base],
    calibrated to Table 4. *)
@@ -1256,25 +1240,6 @@ let checkpoint_common t ~flush ~full ~speculative =
   (* Under speculation the serialize CPU ran on the spare core: report
      its busy time, not the (tiny) validate elapsed. *)
   let serialize_ns = if spec then t.spec_busy_ns else os_ns in
-  if Ometrics.is_enabled () then begin
-    Ometrics.incr m_ckpt_epochs;
-    Ometrics.incr ~by:t.c_serialized m_ckpt_objects;
-    Ometrics.incr ~by:t.c_skipped m_ckpt_skipped;
-    Ometrics.incr ~by:t.c_meta_bytes m_ckpt_meta_bytes;
-    Ometrics.incr ~by:pages_flushed m_ckpt_pages;
-    Ometrics.observe_ns h_ckpt_stop stop_ns;
-    Ometrics.observe_ns h_ckpt_quiesce quiesce_ns;
-    Ometrics.observe_ns h_ckpt_collapse collapse_ns;
-    Ometrics.observe_ns h_ckpt_serialize serialize_ns;
-    Ometrics.observe_ns h_ckpt_shadow mark_ns;
-    Ometrics.observe_ns h_ckpt_flush flush_ns;
-    if spec then begin
-      Ometrics.observe_ns h_ckpt_speculate speculate_ns;
-      Ometrics.observe_ns h_ckpt_validate validate_ns
-    end;
-    Ometrics.observe_ns h_ckpt_durable_lag
-      (Stdlib.max 0 (durable_at - Clock.now clk))
-  end;
   {
     (store_half t ~flush) with
     stop_ns;

@@ -4,13 +4,6 @@ module Store = Aurora_objstore.Store
 module Link = Aurora_net.Link
 module Rng = Aurora_util.Rng
 module Otrace = Aurora_obs.Trace
-module Ometrics = Aurora_obs.Metrics
-
-let m_rs_ships = Ometrics.counter "rset.ships"
-let m_rs_retransmits = Ometrics.counter "rset.retransmits"
-let m_rs_timeouts = Ometrics.counter "rset.timeouts"
-let m_rs_evictions = Ometrics.counter "rset.evictions"
-let h_rs_ack_ns = Ometrics.histogram "rset.ack_ns"
 
 type health = Healthy | Degraded | Evicted | Rejoining
 
@@ -35,7 +28,6 @@ type inflight = {
   if_epoch : int;
   if_frame : string;
   if_bytes : int;
-  if_sent_at : int;
   mutable if_attempts : int;
   mutable if_deadline : int;
 }
@@ -45,8 +37,6 @@ type standby = {
   sb_store : Store.t;
   sb_link : Link.t;
   sb_rng : Rng.t; (* retransmit jitter, seeded per standby *)
-  g_lag : Ometrics.gauge;
-  g_lag_bytes : Ometrics.gauge;
   mutable sb_health : health;
   mutable sb_dead : bool;
   (* sender side *)
@@ -115,9 +105,6 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
       sb_store = store;
       sb_link = link;
       sb_rng = Rng.create ((seed * 1_000_003) + (i * 7919) + 17);
-      g_lag = Ometrics.gauge (Printf.sprintf "rset.standby%d.lag_epochs" i);
-      g_lag_bytes =
-        Ometrics.gauge (Printf.sprintf "rset.standby%d.lag_bytes" i);
       sb_health = Healthy;
       sb_dead = false;
       sb_next = 0;
@@ -272,7 +259,6 @@ let evict t sb ~reason =
     sb.sb_health <- Evicted;
     sb.sb_inflight <- [];
     t.st_evictions <- t.st_evictions + 1;
-    Ometrics.incr m_rs_evictions;
     if Otrace.is_on () then
       Otrace.instant ~cat:"rset" "evict"
         ~args:
@@ -296,11 +282,7 @@ let next_deadline sb ~now ~frame ~attempts =
 
 let transmit_frame t sb ~now ~retransmit inf =
   t.st_attempts <- t.st_attempts + 1;
-  if retransmit then begin
-    sb.sb_retransmits <- sb.sb_retransmits + 1;
-    Ometrics.incr m_rs_retransmits
-  end
-  else Ometrics.incr m_rs_ships;
+  if retransmit then sb.sb_retransmits <- sb.sb_retransmits + 1;
   let deliveries =
     Link.transmit sb.sb_link ~retransmit ~now ~payload:inf.if_frame ()
   in
@@ -311,7 +293,7 @@ let transmit_frame t sb ~now ~retransmit inf =
 (* Apply one ack.  [ack_seq] carries the receiver's cumulative installed
    epoch, so a single surviving ack can advance past several lost ones
    (in-order install makes cumulative acks sound). *)
-let apply_ack t sb ~arrival (a : Migrate.ack) =
+let apply_ack t sb (a : Migrate.ack) =
   if not a.Migrate.ack_ok then begin
     (* The frame arrived intact but the composed epoch contradicts the
        manifest digest: the standby has diverged, retransmitting the
@@ -322,12 +304,6 @@ let apply_ack t sb ~arrival (a : Migrate.ack) =
     let cum = max a.Migrate.ack_seq a.Migrate.ack_epoch in
     if cum <= sb.sb_acked then sb.sb_dup_acks <- sb.sb_dup_acks + 1
     else begin
-      (match
-         List.find_opt (fun inf -> inf.if_epoch <= cum) sb.sb_inflight
-       with
-      | Some inf ->
-          Ometrics.observe_ns h_rs_ack_ns (max 0 (arrival - inf.if_sent_at))
-      | None -> ());
       (* The log entries in (acked, cum]: the log is newest first, so the
          walk stops at the first entry already acked. *)
       let rec covered = function
@@ -372,7 +348,6 @@ let apply_ack t sb ~arrival (a : Migrate.ack) =
 let on_timeout t sb =
   sb.sb_timeouts <- sb.sb_timeouts + 1;
   sb.sb_consec_timeouts <- sb.sb_consec_timeouts + 1;
-  Ometrics.incr m_rs_timeouts;
   if sb.sb_consec_timeouts >= evict_after then
     evict t sb
       ~reason:(Printf.sprintf "%d consecutive timeouts" sb.sb_consec_timeouts)
@@ -392,7 +367,7 @@ let pump_standby t sb ~now =
     in
     sb.sb_pending_acks <- later;
     List.iter
-      (fun (arrival, a) -> apply_ack t sb ~arrival a)
+      (fun (_, a) -> apply_ack t sb a)
       (List.sort (fun (a, _) (b, _) -> compare a b) usable);
     if alive_active sb then begin
       (* 2. Expired frames: back off and retransmit, unless the frame is
@@ -431,7 +406,6 @@ let pump_standby t sb ~now =
                   if_epoch = le.le_epoch;
                   if_frame = le.le_frame;
                   if_bytes = le.le_bytes;
-                  if_sent_at = now;
                   if_attempts = 1;
                   if_deadline = now + base_timeout le.le_frame;
                 }
@@ -442,9 +416,7 @@ let pump_standby t sb ~now =
         done
       end
     end
-  end;
-  Ometrics.set_gauge sb.g_lag (max 0 (t.last_logged - sb.sb_acked));
-  Ometrics.set_gauge sb.g_lag_bytes (t.log_bytes - sb.sb_acked_log_bytes)
+  end
 
 let release_at_quorum t ~now =
   match t.outbox with
@@ -579,7 +551,6 @@ let rejoin t i =
             if_epoch = t.last_logged;
             if_frame = frame;
             if_bytes = bytes;
-            if_sent_at = now;
             if_attempts = 1;
             if_deadline = now + base_timeout frame;
           }

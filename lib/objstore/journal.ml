@@ -37,22 +37,32 @@ let create r ~start ~blocks =
   j
 
 (* The records of the current generation from the first byte, and the
-   offset just past the last of them. *)
-let scan j data =
-  let r = Wire.reader data in
-  let rec go acc =
-    let head = Bytes.length data - Wire.remaining r in
-    if Wire.remaining r < 9 then (List.rev acc, head)
-    else
+   offset just past the last of them.  The journal is read a window at a
+   time, one block first and then as much again as has been read, and
+   the scan stops once it ends inside what has been read: a near-empty
+   journal costs one block's read however large it is. *)
+let scan j ~read =
+  let cap = capacity j and base = off_of_block j.start in
+  (* [data] holds the journal's bytes from [pos] to what has been read. *)
+  let rec go acc pos data =
+    let r = Wire.reader data in
+    let rec next acc =
+      let at = pos + Bytes.length data - Wire.remaining r in
       match Wire.read journal_record_codec r with
-      | gen, s when gen = j.gen -> go (s :: acc)
-      | _ -> (List.rev acc, head)
-      | exception Wire.Corrupt _ -> (List.rev acc, head)
+      | gen, s when gen = j.gen -> next (s :: acc)
+      | _ -> (List.rev acc, at)
+      | exception Wire.Corrupt _ when Wire.short r && pos + Bytes.length data < cap ->
+          let have = pos + Bytes.length data in
+          let more = read ~off:(base + have) ~len:(min have (cap - have)) in
+          go acc at (Bytes.cat (Bytes.sub data (at - pos) (have - at)) more)
+      | exception Wire.Corrupt _ -> (List.rev acc, at)
+    in
+    next acc
   in
-  go []
+  go [] 0 (read ~off:base ~len:(min block_size cap))
 
 let records j ~read =
-  let recs, head = scan j (read ~off:(off_of_block j.start) ~len:(capacity j)) in
+  let recs, head = scan j ~read in
   if j.head = None then j.head <- Some head;
   recs
 

@@ -40,9 +40,10 @@ type read = off:int -> len:int -> bytes
 (** The store's charged read of a byte range. *)
 
 val records : t -> read:read -> string list
-(** Read the whole journal with [read] and parse its records of the
-    current generation, in order; a recovered journal's append offset
-    is set from the scan. *)
+(** Read the journal with [read] and parse its records of the current
+    generation, in order; a recovered journal's append offset is set from
+    the scan.  The scan reads one block, then doubles what it has read,
+    until it ends inside what it has read (or at the capacity). *)
 
 val append :
   registry ->

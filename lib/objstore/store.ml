@@ -7,14 +7,7 @@ module Striped = Aurora_block.Striped
 module Fault = Aurora_block.Fault
 module IntMap = Map.Make (Int)
 module Otrace = Aurora_obs.Trace
-module Ometrics = Aurora_obs.Metrics
 open Store_format
-
-let m_store_commits = Ometrics.counter "store.commits"
-let m_store_pages = Ometrics.counter "store.pages_staged"
-let m_store_deduped = Ometrics.counter "store.pages_deduped"
-let m_store_extents = Ometrics.counter "store.extents"
-let h_store_flush_window = Ometrics.histogram "store.flush_window_ns"
 
 exception Corrupt_store = Store_format.Corrupt_store
 
@@ -781,12 +774,7 @@ let commit_checkpoint t =
   t.durable <- sc;
   t.last_flush <- with_lifetime t 1 t.window;
   let f = t.last_flush in
-  if Otrace.is_on () || Ometrics.is_enabled () then begin
-    Ometrics.incr m_store_commits;
-    Ometrics.incr ~by:f.fs_pages m_store_pages;
-    Ometrics.incr ~by:f.fs_pages_deduped m_store_deduped;
-    Ometrics.incr ~by:f.fs_extents m_store_extents;
-    Ometrics.observe_ns h_store_flush_window (sc - now);
+  if Otrace.is_on () then begin
     Otrace.instant ~cat:"store" "dedup"
       ~args:
         [

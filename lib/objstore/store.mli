@@ -71,7 +71,7 @@ val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
     record they name, over all retained epochs, is loaded once, keyed by
     [(block, offset)]: the blocks covering the records are coalesced into
     runs, every run is read once in a single vectored batch
-    ({!Aurora_block.Striped.read_vec}), and each record is sliced out at
+    ({!Aurora_block.Striped.submit_vec}), and each record is sliced out at
     its offset.  The device cost is the chain walk's round trips plus one
     read latency and the runs' transfers; the work is O(records +
     distinct versions), not O(epochs x objects).  Neither the per-block reference

@@ -19,15 +19,17 @@ let list w f l =
 
 let contents w = Buffer.to_bytes w
 
-type reader = { data : bytes; mutable pos : int }
+type reader = { data : bytes; mutable pos : int; mutable short : bool }
 
 exception Corrupt of string
 
-let reader data = { data; pos = 0 }
+let reader data = { data; pos = 0; short = false }
 
 let need r n =
-  if r.pos + n > Bytes.length r.data then
+  if r.pos + n > Bytes.length r.data then begin
+    r.short <- true;
     raise (Corrupt (Printf.sprintf "short read at %d (+%d of %d)" r.pos n (Bytes.length r.data)))
+  end
 
 let ru8 r =
   need r 1;
@@ -59,6 +61,7 @@ let rlist r f =
   List.init n (fun _ -> f r)
 
 let remaining r = Bytes.length r.data - r.pos
+let short r = r.short
 
 (* Two-way codecs ---------------------------------------------------------- *)
 

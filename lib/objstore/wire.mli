@@ -3,7 +3,8 @@
     Every persisted or transmitted format — the store's superblock,
     checkpoint, version, leaf and journal records, the epoch manifest,
     the POSIX object images, file-system metadata, replay and
-    application journal entries, migration streams and frames — is
+    application journal entries, migration streams and frames, the CRIU
+    baseline's image — is
     little-endian and length-prefixed, and each is stated exactly once,
     as a two-way {!codec} that both encodes and decodes.  Recovery parses
     the exact bytes back off the simulated device — there is no in-memory
@@ -38,6 +39,10 @@ val ru64 : reader -> int
 val rstr : reader -> string
 val rlist : reader -> (reader -> 'a) -> 'a list
 val remaining : reader -> int
+
+val short : reader -> bool
+(** A read from this reader raised [Corrupt] because its input ended
+    inside a value: more bytes could still make it parse. *)
 
 (** {1 Two-way codecs} *)
 

@@ -33,7 +33,7 @@ val percentile_interp : t -> float -> float
     interpolation between the closest order statistics (inclusive
     method), so [p = 0] is the minimum and [p = 100] the maximum even
     for single-sample histograms.  Returns 0 when empty.  Used by the
-    observability metrics registry; {!percentile} keeps the historical
+    observability phase report; {!percentile} keeps the historical
     nearest-rank semantics. *)
 
 val merge : t -> t -> unit

@@ -10,8 +10,11 @@ let test_device_write_read () =
   let d = Device.create ~name:"nvme0" in
   let clock = Clock.create () in
   ignore (Device.write d ~now:0 ~off:100 (bytes_of "hello"));
-  let got = Device.read d ~clock ~off:100 ~len:5 in
-  Alcotest.(check string) "readback" "hello" (Bytes.to_string got)
+  let completion = Device.submit_read d ~now:(Clock.now clock) ~off:100 ~len:5 in
+  Alcotest.(check bool) "the read takes device time" true (completion > Clock.now clock);
+  match Device.collect_read d ~completion ~off:100 ~len:5 with
+  | Ok got -> Alcotest.(check string) "readback" "hello" (Bytes.to_string got)
+  | Error msg -> Alcotest.fail msg
 
 let test_device_unwritten_zero () =
   let d = Device.create ~name:"nvme0" in
@@ -252,10 +255,18 @@ let test_import_sectors_resets_used_device () =
   Alcotest.(check int) "stats reset" 0 (Device.write_ops dst);
   Alcotest.(check int) "nothing in flight" 0 (Device.durable_until dst)
 
+(* [Striped.submit_vec] at the clock's time; the clock advances to the
+   last arrival. *)
+let read_vec s ~clock ranges =
+  let arrived = Striped.submit_vec s ~now:(Clock.now clock) ranges in
+  Clock.advance_to clock (Array.fold_left (fun m (c, _) -> max m c) (Clock.now clock) arrived);
+  Array.map snd arrived
+
 (* One vectored read: one-block ranges spread over all four members
    complete in one read latency plus the busiest member's queued
-   transfers, each range returns what a plain read of it does, and a
-   fault on one fragment touches only that fragment's range. *)
+   transfers, faster than reading them one after another, each range
+   returns what a read of it alone does, and a fault on one fragment
+   touches only that fragment's range. *)
 let test_read_vec () =
   let stripe = Cost.nvme_stripe_size and block = 4096 in
   let s = Striped.create () in
@@ -267,21 +278,29 @@ let test_read_vec () =
      and 1 serve three ranges, members 2 and 3 two. *)
   let ranges = Array.init 10 (fun i -> (((i mod 4) * stripe) + (i / 4 * block), block)) in
   let t0 = Clock.now clock in
-  let got = Striped.read_vec s ~clock ranges in
+  let got = read_vec s ~clock ranges in
+  let batch = Clock.now clock - t0 in
   Alcotest.(check int) "one latency plus the busiest member's transfers"
     (Cost.nvme_read_latency
     + (3 * Cost.transfer_time ~bandwidth:Cost.nvme_device_bandwidth block))
-    (Clock.now clock - t0);
+    batch;
+  (* The same ranges one after another, each waited for. *)
+  let t0 = Clock.now clock in
+  let alone = Array.map (fun r -> (read_vec s ~clock [| r |]).(0)) ranges in
+  let sequential = Clock.now clock - t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "batch beats sequential (%d < %d ns)" batch sequential)
+    true (batch < sequential);
   Array.iteri
-    (fun i (off, len) ->
-      match got.(i) with
-      | Ok b ->
+    (fun i _ ->
+      match (got.(i), alone.(i)) with
+      | Ok b, Ok a ->
           Alcotest.(check string) (Printf.sprintf "range %d = plain read" i)
-            (Bytes.to_string (Striped.read s ~clock ~off ~len)) (Bytes.to_string b)
-      | Error msg -> Alcotest.failf "range %d failed: %s" i msg)
+            (Bytes.to_string a) (Bytes.to_string b)
+      | _ -> Alcotest.failf "range %d failed" i)
     ranges;
   (* A range across a stripe boundary reads both fragments. *)
-  (match Striped.read_vec s ~clock [| (stripe - 100, 200); (0, 8) |] with
+  (match read_vec s ~clock [| (stripe - 100, 200); (0, 8) |] with
   | [| Ok b; Ok _ |] ->
       Alcotest.(check string) "stripe-spanning range" (Bytes.sub_string data (stripe - 100) 200)
         (Bytes.to_string b)
@@ -297,7 +316,7 @@ let test_read_vec () =
       | _ -> Fault.Clean);
   Striped.set_fault s (Some f);
   let t0 = Clock.now clock in
-  let faulty = Striped.read_vec s ~clock ranges in
+  let faulty = read_vec s ~clock ranges in
   Striped.set_fault s None;
   Alcotest.(check bool) "the failed batch still took device time" true (Clock.now clock > t0);
   Array.iteri

@@ -359,7 +359,8 @@ let batch_read store ranges =
   let dev = Store.device store and clock = Store.clock store in
   Striped.settle dev ~clock;
   let t0 = Clock.now clock in
-  ignore (Striped.read_vec dev ~clock (Array.of_list ranges));
+  let arrived = Striped.submit_vec dev ~now:t0 (Array.of_list ranges) in
+  Clock.advance_to clock (Array.fold_left (fun m (c, _) -> max m c) t0 arrived);
   Clock.now clock - t0
 
 let one_block_read =

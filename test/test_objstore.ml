@@ -38,7 +38,12 @@ let test_wire_short_read_raises () =
     (try
        ignore (Wire.ru64 r);
        false
-     with Wire.Corrupt _ -> true)
+     with Wire.Corrupt _ -> true);
+  Alcotest.(check bool) "short read is told apart" true (Wire.short r);
+  (* A bad magic is corruption however many bytes follow. *)
+  let r = Wire.reader (Bytes.make 64 '\000') in
+  (try ignore (Wire.read Store_format.journal_record_codec r) with Wire.Corrupt _ -> ());
+  Alcotest.(check bool) "bad magic is not short" false (Wire.short r)
 
 let test_checkpoint_roundtrip () =
   let _clock, _dev, store = fresh () in
@@ -205,6 +210,49 @@ let test_journal_append_after_recovery () =
   Store.journal_append store2 j2 "cc";
   Alcotest.(check (list string)) "durable records kept" [ "aaaaaaaa"; "bbbbbbbb"; "cc" ]
     (Store.journal_records store2 j2)
+
+(* Reading a recovered journal back costs what its records take, not
+   its capacity: one 100-byte record reads the same from 64 MiB as from
+   64 KiB, and the first append after recovery scans no further. *)
+let test_journal_read_cost_is_records () =
+  let recovered ~size =
+    let clock, dev, store = fresh () in
+    let j = Store.journal_create store ~size in
+    Store.journal_append store j (String.make 100 'r');
+    Striped.crash dev ~now:(Clock.now clock);
+    let store = Store.recover ~dev ~clock in
+    (clock, store, Option.get (Store.journal_find store (Store.journal_id j)))
+  in
+  let read_back ~size =
+    let clock, store, j = recovered ~size in
+    let before = Clock.now clock in
+    let recs = Store.journal_records store j in
+    (recs, Clock.now clock - before)
+  in
+  let small, small_cost = read_back ~size:(64 * 1024) in
+  let large, large_cost = read_back ~size:(64 * 1024 * 1024) in
+  Alcotest.(check (list string)) "same records" small large;
+  Alcotest.(check (list string)) "the record" [ String.make 100 'r' ] large;
+  let block = Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth Store.block_size in
+  Alcotest.(check bool)
+    (Printf.sprintf "read cost %d ns vs %d ns, within one block (%d ns)" large_cost small_cost block)
+    true
+    (abs (large_cost - small_cost) <= block);
+  (* The first append's scan pays the same as the read-back did. *)
+  let clock, store, j = recovered ~size:(64 * 1024 * 1024) in
+  let before = Clock.now clock in
+  Store.journal_append store j "s";
+  let append_cost = Clock.now clock - before in
+  let clock', store', j' = recovered ~size:(64 * 1024) in
+  let before' = Clock.now clock' in
+  Store.journal_append store' j' "s";
+  let append_cost' = Clock.now clock' - before' in
+  Alcotest.(check bool)
+    (Printf.sprintf "append after recovery %d ns vs %d ns" append_cost append_cost')
+    true
+    (abs (append_cost - append_cost') <= block);
+  Alcotest.(check (list string)) "appended after the record" [ String.make 100 'r'; "s" ]
+    (Store.journal_records store j)
 
 let test_journal_timing_anchor () =
   (* Table 5: a synchronous 4 KiB journal write costs ~28 us. *)
@@ -1122,7 +1170,8 @@ let array_reads dev f =
 let batch_read dev clock ranges =
   Striped.settle dev ~clock;
   let t0 = Clock.now clock in
-  ignore (Striped.read_vec dev ~clock (Array.of_list ranges));
+  let arrived = Striped.submit_vec dev ~now:t0 (Array.of_list ranges) in
+  Clock.advance_to clock (Array.fold_left (fun m (c, _) -> max m c) t0 arrived);
   Clock.now clock - t0
 
 (* Verification streams the epoch: every leaf not yet resident in one
@@ -2160,6 +2209,7 @@ let () =
           Alcotest.test_case "truncate" `Quick test_journal_truncate;
           Alcotest.test_case "crash survival" `Quick test_journal_survives_crash;
           Alcotest.test_case "append after recovery" `Quick test_journal_append_after_recovery;
+          Alcotest.test_case "read cost follows records" `Quick test_journal_read_cost_is_records;
           Alcotest.test_case "timing anchor" `Quick test_journal_timing_anchor;
         ] );
       ( "history",
