@@ -25,7 +25,9 @@ val memory_copy_bandwidth : int
 
 val cow_mark_page : int
 (** Marking one PTE copy-on-write during checkpoint stop.  Anchor: Table 5,
-    1 GiB dirty incremental checkpoint = 6.1 ms => ~23 ns/page. *)
+    1 GiB dirty incremental checkpoint = 6.1 ms => ~23 ns/page.  This is
+    the model's one-PTE write, so it is also what fault-around charges
+    per neighbour it maps. *)
 
 val soft_fault : int
 (** Page-fault trap + shadow lookup + PTE install, no copy. *)

@@ -57,7 +57,7 @@ let find_local t idx = Hashtbl.find_opt t.pages idx
    it too, unless that level already holds the index: a resident page,
    perhaps written since, is never replaced.  The pager charges its own
    I/O. *)
-let lookup ?(on_pagein = ignore) ~clock t idx =
+let lookup ?(on_pagein = fun _ _ -> ()) ~clock t idx =
   let rec walk obj =
     match Hashtbl.find_opt obj.pages idx with
     | Some page -> Some (page, obj)
@@ -67,10 +67,10 @@ let lookup ?(on_pagein = ignore) ~clock t idx =
             List.iter
               (fun (i, payload) ->
                 if not (Hashtbl.mem obj.pages i) then begin
-                  on_pagein ();
                   let page = Page.alloc_sized ~payload:(Bytes.length payload) in
                   Page.load_payload page payload;
-                  Hashtbl.replace obj.pages i page
+                  Hashtbl.replace obj.pages i page;
+                  on_pagein i page
                 end)
               (pager idx))
           obj.obj_pager;

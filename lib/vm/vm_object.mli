@@ -55,8 +55,9 @@ val set_pager : t -> (int -> (int * bytes) list) option -> unit
     faulting index, the pager returns [(index, payload)] pages this level
     stores (backed by the object store): the faulting page and, by
     fault-around, its neighbours, or [[]] when it does not store the
-    faulting page.  This is the unified swap / lazy-restore data path of
-    paper section 6. *)
+    faulting page.  The fault handler maps the neighbours it may
+    ({!Vm_space}), so their first read takes no fault.  This is the
+    unified swap / lazy-restore data path of paper section 6. *)
 
 val pager : t -> (int -> (int * bytes) list) option
 
@@ -64,15 +65,20 @@ val find_local : t -> int -> Page.t option
 (** Page [idx] in this object only. *)
 
 val lookup :
-  ?on_pagein:(unit -> unit) -> clock:Aurora_sim.Clock.t -> t -> int -> (Page.t * t) option
+  ?on_pagein:(int -> Page.t -> unit) ->
+  clock:Aurora_sim.Clock.t ->
+  t ->
+  int ->
+  (Page.t * t) option
 (** Walk the shadow chain for page [idx]; charges one
     {!Aurora_sim.Cost.shadow_chain_hop} per level descended.  A level with
     no resident page [idx] consults its pager before descending: each
     returned page becomes that level's page unless the level already
     holds that index (a resident page is never replaced), and
-    [on_pagein] is called once per page installed.  The walk then
-    resolves [idx] at that level, or descends.  Returns the page and the
-    object it resides in.  This is the fault path's walk. *)
+    [on_pagein i page] is called once per page installed, after it is
+    installed; the fault handler both counts and maps them.  The walk
+    then resolves [idx] at that level, or descends.  Returns the page and
+    the object it resides in.  This is the fault path's walk. *)
 
 val iter_local : t -> (int -> Page.t -> unit) -> unit
 (** Iterate this object's resident pages (not the chain). *)

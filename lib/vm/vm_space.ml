@@ -9,6 +9,7 @@ type stats = {
   mutable zero_fills : int;
   mutable stale_refaults : int;
   mutable pageins : int;
+  mutable mapped_around : int;
 }
 
 type t = {
@@ -23,24 +24,39 @@ type t = {
      the harvested objects. *)
   mutable spec_epoch : bool;
   mutable spec_structural : bool;
+  (* The pages the current fault's pager installed, as (index, page),
+     collected by [on_pagein]; empty between faults.  The hook is built
+     once per space, so a fault that pages nothing in allocates nothing
+     for fault-around. *)
+  mutable paged_in : (int * Page.t) list;
+  on_pagein : int -> Page.t -> unit;
 }
 
 let create ~clock =
-  {
-    clk = clock;
-    vmap = Vm_map.create ();
-    phys = Pmap.create ();
-    st =
-      {
-        soft_faults = 0;
-        cow_faults = 0;
-        zero_fills = 0;
-        stale_refaults = 0;
-        pageins = 0;
-      };
-    spec_epoch = false;
-    spec_structural = false;
-  }
+  let rec t =
+    {
+      clk = clock;
+      vmap = Vm_map.create ();
+      phys = Pmap.create ();
+      st =
+        {
+          soft_faults = 0;
+          cow_faults = 0;
+          zero_fills = 0;
+          stale_refaults = 0;
+          pageins = 0;
+          mapped_around = 0;
+        };
+      spec_epoch = false;
+      spec_structural = false;
+      paged_in = [];
+      on_pagein =
+        (fun i page ->
+          t.st.pageins <- t.st.pageins + 1;
+          t.paged_in <- (i, page) :: t.paged_in);
+    }
+  in
+  t
 
 let clock t = t.clk
 let map t = t.vmap
@@ -81,15 +97,55 @@ let entry_of_vpn t vpn =
 
 let obj_index (e : Vm_map.entry) vpn = vpn - e.start_vpn + e.obj_pgoff
 
-(* Resolve a fault: find or create the page, install a PTE, charge the
-   appropriate cost.  Returns the page the access should hit. *)
+(* Would the charged walk for [idx] from [obj] end at [page] without
+   asking a pager?  A nearer level that holds the index, or has a pager
+   of its own, resolves it elsewhere: a COW sibling's newer version. *)
+let rec resolves_to obj idx page =
+  match Vm_object.find_local obj idx with
+  | Some p -> p == page
+  | None -> (
+      Option.is_none (Vm_object.pager obj)
+      &&
+      match Vm_object.parent obj with
+      | Some p -> resolves_to p idx page
+      | None -> false)
+
+(* Fault-around's mapping half (Linux's [filemap_map_pages], FreeBSD's
+   [vm_fault_prefault]): map the other pages this fault's pager
+   installed, read-only and clean, one PTE write each, so their first
+   read takes no fault and a write still refaults through the
+   downgraded-PTE path.  A page is mapped only inside the faulting entry,
+   where it has no PTE yet, and where the walk would resolve to it. *)
+let map_around t (e : Vm_map.entry) ~fault_idx =
+  List.iter
+    (fun (idx, page) ->
+      let off = idx - e.obj_pgoff in
+      let vpn = e.start_vpn + off in
+      if
+        idx <> fault_idx && off >= 0 && off < e.npages
+        && Option.is_none (Pmap.find t.phys vpn)
+        && resolves_to e.obj idx page
+      then begin
+        Pmap.install t.phys vpn page ~writable:false;
+        t.st.mapped_around <- t.st.mapped_around + 1;
+        Clock.advance t.clk Cost.cow_mark_page
+      end)
+    t.paged_in;
+  t.paged_in <- []
+
+(* Resolve a fault: find or create the page, map whatever else the pager
+   brought in, install a PTE, charge the appropriate cost.  Returns the
+   page the access should hit. *)
 let handle_fault t (e : Vm_map.entry) vpn ~write =
   let idx = obj_index e vpn in
   (match Vm_object.kind e.obj with
   | Vm_object.Device_backed _ when write -> raise (Fault "write to device mapping")
   | Vm_object.Anonymous | Vm_object.Vnode_backed _ | Vm_object.Device_backed _ -> ());
-  let on_pagein () = t.st.pageins <- t.st.pageins + 1 in
-  match Vm_object.lookup ~on_pagein ~clock:t.clk e.obj idx with
+  (* A pager that raised left its walk's earlier installs behind. *)
+  t.paged_in <- [];
+  let found = Vm_object.lookup ~on_pagein:t.on_pagein ~clock:t.clk e.obj idx in
+  (match t.paged_in with [] -> () | _ :: _ -> map_around t e ~fault_idx:idx);
+  match found with
   | Some (page, src) when src == e.obj ->
       (* Resident in the top object: plain soft fault. *)
       t.st.soft_faults <- t.st.soft_faults + 1;

@@ -22,7 +22,9 @@ type stats = {
   mutable cow_faults : int;
   mutable zero_fills : int;
   mutable stale_refaults : int;
-  mutable pageins : int;  (** faults satisfied by a pager (swap / lazy restore) *)
+  mutable pageins : int;  (** pages a pager installed (swap / lazy restore) *)
+  mutable mapped_around : int;
+      (** fault-around: PTEs a fault mapped besides its own page *)
 }
 
 type t

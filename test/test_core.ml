@@ -8,6 +8,7 @@ module Kqueue = Aurora_kern.Kqueue
 module Vm_space = Aurora_vm.Vm_space
 module Vm_map = Aurora_vm.Vm_map
 module Vm_object = Aurora_vm.Vm_object
+module Pmap = Aurora_vm.Pmap
 module Page = Aurora_vm.Page
 module Store = Aurora_objstore.Store
 module Store_format = Aurora_objstore.Store_format
@@ -583,6 +584,79 @@ let lazy_cow_qcheck =
          match Restore.restore_verified ~machine ~store ~lazy_pages:true () with
          | Error _ -> false
          | Ok v -> read_all v.Restore.vr_result.Restore.procs = eager_bytes))
+
+(* The lazy contract: a lazy restore followed by a random read/write
+   touch sequence and a checkpoint leaves the same durable state as the
+   same steps after an eager restore.  Fault-around maps the pages a lazy
+   fault brings in read-only and clean, so a read of one marks nothing
+   dirty and a write still copies on write into the restored group's
+   shadow.  Both arms are restored eagerly from their post-touch
+   checkpoint and compared page for page; the checkpoint's dirty set
+   (each process's dirty PTEs and the pages the epoch flushed) must be
+   equal too. *)
+let lazy_contract_qcheck =
+  let gen =
+    QCheck.(
+      let page = int_range 0 ((3 * Store.fault_cluster) - 1) in
+      triple (int_range 1 (3 * Store.fault_cluster))
+        (small_list (pair bool page))
+        (small_list (triple bool bool page)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"lazy restore, touch, checkpoint equals eager" ~count:100 gen
+       (fun (npages, rewrites, touches) ->
+         let page_addr addr i = addr + (i mod npages * Page.logical_size) in
+         let arm ~lazy_pages =
+           let sys = Sls.boot () in
+           let parent, _e, addr = spawn_with_memory sys ~name:"parent" ~npages in
+           for i = 0 to npages - 1 do
+             Vm_space.write_string parent.Process.space ~addr:(page_addr addr i)
+               (Printf.sprintf "parent %d" i)
+           done;
+           let child = Syscall.fork sys.Sls.machine parent in
+           List.iteri
+             (fun k (in_child, i) ->
+               let p = if in_child then child else parent in
+               Vm_space.write_string p.Process.space ~addr:(page_addr addr i)
+                 (Printf.sprintf "rewrite %d" k))
+             rewrites;
+           let group = Sls.attach sys [ parent; child ] in
+           ignore (Group.checkpoint ~wait_durable:true group);
+           let by_pid (procs : Process.t list) =
+             List.sort
+               (fun (a : Process.t) (b : Process.t) ->
+                 compare a.Process.pid_local b.Process.pid_local)
+               procs
+           in
+           let sys, restored = Sls.reboot_and_restore ~lazy_pages sys in
+           let procs = Array.of_list (by_pid restored.Restore.procs) in
+           List.iteri
+             (fun k (in_child, write, i) ->
+               let sp = procs.(if in_child then 1 else 0).Process.space in
+               if write then
+                 Vm_space.write_string sp ~addr:(page_addr addr i)
+                   (Printf.sprintf "touch %d" k)
+               else ignore (Vm_space.read_string sp ~addr:(page_addr addr i) ~len:8))
+             touches;
+           let dirty =
+             Array.to_list
+               (Array.map
+                  (fun (p : Process.t) -> Pmap.dirty_vpns (Vm_space.pmap p.Process.space))
+                  procs)
+           in
+           let st = Group.checkpoint ~wait_durable:true restored.Restore.group in
+           let _, final = Sls.reboot_and_restore sys in
+           let pages =
+             List.concat_map
+               (fun (p : Process.t) ->
+                 List.init npages (fun i ->
+                     Vm_space.read_string p.Process.space ~addr:(page_addr addr i)
+                       ~len:Page.payload_size))
+               (by_pid final.Restore.procs)
+           in
+           (pages, dirty, st.Group.pages_flushed)
+         in
+         arm ~lazy_pages:true = arm ~lazy_pages:false))
 
 (* A lazily restored page outlives the epoch it was restored from.  Page
    100 of a 128-page arena is written, checkpointed and restored lazily;
@@ -3084,5 +3158,5 @@ let () =
           Alcotest.test_case "election: the winner reads its epoch once" `Quick
             test_election_reads_epoch_once;
         ] );
-      ("properties", qcheck_tests @ roundtrip_qcheck_tests @ [ lazy_cow_qcheck ]);
+      ("properties", qcheck_tests @ roundtrip_qcheck_tests @ [ lazy_cow_qcheck; lazy_contract_qcheck ]);
     ]
