@@ -76,7 +76,7 @@ let rec memobj ctx oid =
       | Some s when ctx.lazy_pages ->
           (* Lazy restore: pages are installed on first touch, a fault's
              cluster at a time. *)
-          Vm_object.set_pager obj (Some (Store.pager s))
+          Vm_object.set_pager obj ~stores:(Store.pager_stores s) (Some (Store.pager s))
       | Some s ->
           List.iter
             (fun (idx, payload) ->

@@ -185,30 +185,37 @@ let last_epoch_info t =
 let head_table t =
   match last_epoch_info t with Some e -> e.e_table | None -> Hashtbl.create 0
 
-(* With no epoch retained, [oldest_retained] is the newest epoch ever
-   committed (0, or the last one a prune dropped), so a recovered store
-   numbers its epochs above every record the chain bound stops at. *)
-let write_superblock t ~now head =
-  let sb_epoch, sb_record_block, sb_record_nblocks =
-    match head with
-    | Some e -> (e.e_epoch, e.e_record_block, e.e_record_nblocks)
-    | None -> (t.oldest_retained, 0, 0)
-  in
+(* Directory entries that fit in the superblock's block beside
+   [journals] journals: the magic, the four counters and the two list
+   counts take 52 bytes, a journal 32 and an entry 12.  The head is
+   always listed. *)
+let directory_capacity ~journals = max 1 ((block_size - 52 - (32 * journals)) / 12)
+
+(* The superblock over the retained epochs: their records, newest first,
+   as many as fit.  With no epoch retained, [oldest_retained] is the
+   newest epoch ever committed (0, or the last one a prune dropped), so a
+   recovered store numbers its epochs above every record the chain bound
+   stops at. *)
+let write_superblock t ~now =
+  let sb_journals = Journal.entries t.journals in
+  let listed = directory_capacity ~journals:(List.length sb_journals) in
+  let newest_first = List.rev t.epochs in
+  let sb_epoch = match newest_first with e :: _ -> e.e_epoch | [] -> t.oldest_retained in
   Striped.write t.dev ~now ~off:(off_of_block superblock_block)
     (Wire.encode superblock_codec
        {
          sb_epoch;
-         sb_record_block;
-         sb_record_nblocks;
          sb_next_block = Allocator.frontier t.alloc;
          sb_next_oid = t.next_oid;
          sb_oldest_retained = t.oldest_retained;
-         sb_journals = Journal.entries t.journals;
+         sb_records =
+           List.filteri (fun i _ -> i < listed)
+             (List.map (fun e -> (e.e_record_block, e.e_record_nblocks)) newest_first);
+         sb_journals;
        })
 
-(* The superblock over the head epoch, written synchronously. *)
-let sync_superblock t =
-  Clock.advance_to t.clk (write_superblock t ~now:(Clock.now t.clk) (last_epoch_info t))
+(* The superblock, written synchronously. *)
+let sync_superblock t = Clock.advance_to t.clk (write_superblock t ~now:(Clock.now t.clk))
 
 (* The latest of [now] and the arrivals of a batch's ranges. *)
 let last_arrival now arrived = Array.fold_left (fun m (c, _) -> max m c) now arrived
@@ -301,8 +308,7 @@ let fresh dev clk =
 
 let format ~dev ~clock =
   let t = fresh dev clock in
-  let c = write_superblock t ~now:(Clock.now clock) None in
-  Clock.advance_to clock c;
+  Clock.advance_to clock (write_superblock t ~now:(Clock.now clock));
   Striped.settle dev ~clock;
   t
 
@@ -760,15 +766,15 @@ let commit_checkpoint t =
       e_table = new_table }
   in
   covers (Record head) (Allocator.retain t.alloc);
+  t.epochs <- t.epochs @ [ head ];
   (* Superblock strictly after the record.  The torture knob submits it at
      commit start instead — metadata racing ahead of data — so the
      crash-point enumerator can demonstrate it catches ordering bugs. *)
   let sb_submit = if t.torture_misorder then now else rc in
   let sc =
     Otrace.with_span ~cat:"store" ~name:"commit.superblock" (fun () ->
-        write_superblock t ~now:sb_submit (Some head))
+        write_superblock t ~now:sb_submit)
   in
-  t.epochs <- t.epochs @ [ head ];
   t.kept <- Option.map (fun p -> (p.e_epoch, epoch, List.rev !delta)) parent;
   t.staging <- None;
   t.durable <- sc;
@@ -889,14 +895,15 @@ let content_index_consistent t =
 
 (* Recovery ---------------------------------------------------------------------- *)
 
-(* Recovery reads what the record chain names, once each.  Commit copies
-   the version table, so consecutive epochs share most version records:
-   each distinct version is loaded once (the rebuilt tables share version
-   values exactly as they did before the crash), and the blocks its packed
-   bytes cover are coalesced, in block order, into runs of at most
-   [max_extent_blocks], all read in one charged vectored batch.  The cost
-   is O(records + distinct versions) in parse work, not O(epochs x
-   objects), and one round trip in device time after the chain walk. *)
+(* Recovery reads what the retained checkpoint records name, once each.
+   Commit copies the version table, so consecutive epochs share most
+   version records: each distinct version is loaded once (the rebuilt
+   tables share version values exactly as they did before the crash),
+   and the blocks its packed bytes cover are coalesced, in block order,
+   into runs of at most [max_extent_blocks], all read in one charged
+   vectored batch.  The cost is O(records + distinct versions) in parse
+   work, not O(epochs x objects), and three round trips in device time:
+   the superblock, the records it lists, the version runs. *)
 
 (* A location read off the device must name blocks below the [frontier]
    the superblock names. *)
@@ -969,34 +976,67 @@ let load_versions t ~frontier entries =
 
 let recover ~dev ~clock =
   let t = fresh dev clock in
+  Otrace.with_span ~cat:"store" ~name:"recover" @@ fun () ->
   let sb =
-    decode "superblock" superblock_codec (read_blocks t ~blk:superblock_block ~nblocks:1)
+    Otrace.with_span ~cat:"store" ~name:"recover.superblock" (fun () ->
+        decode "superblock" superblock_codec (read_blocks t ~blk:superblock_block ~nblocks:1))
   in
   let frontier = sb.sb_next_block in
   t.next_oid <- sb.sb_next_oid;
   t.oldest_retained <- sb.sb_oldest_retained;
   t.journals <- Journal.registry sb.sb_journals;
   t.current_epoch <- sb.sb_epoch;
-  (* Walk the record chain, oldest last.  Epochs strictly decrease along
-     the chain, so a garbled prev pointer cannot loop. *)
-  let rec walk (block, nblocks) ~below acc =
-    if block = 0 then acc
+  (* The retained records, newest first: every record the directory lists
+     in one batch, then, past a full directory, one prev pointer at a
+     time.  Each record's prev pointer must name the next listed one, and
+     epochs strictly decrease, so a garbled directory or chain cannot go
+     unnoticed or loop. *)
+  let rec walk locs ~below acc =
+    if locs = [] then acc
     else begin
-      check_extent ~frontier "checkpoint record" block nblocks;
-      let r = decode "checkpoint record" checkpoint_codec (read_blocks t ~blk:block ~nblocks) in
-      let epoch = r.cr_epoch and prev = (r.cr_prev_block, r.cr_prev_nblocks) in
-      if epoch >= below then
-        raise (Corrupt_store (Printf.sprintf "checkpoint record of epoch %d out of order" epoch));
-      (* Pruned epochs' blocks may have been reused: stop at the oldest
-         retained record instead of following its prev pointer. *)
-      let prev = if epoch <= t.oldest_retained then (0, 0) else prev in
-      walk prev ~below:epoch ((epoch, block, nblocks, r.cr_table) :: acc)
+      List.iter
+        (fun (block, nblocks) -> check_extent ~frontier "checkpoint record" block nblocks)
+        locs;
+      let data =
+        read_ranges t
+          (Array.of_list
+             (List.map (fun (block, nblocks) -> (off_of_block block, nblocks * block_size)) locs))
+      in
+      check (List.combine locs (Array.to_list data)) ~below acc
     end
+  and check records ~below acc =
+    match records with
+    | [] -> acc
+    | ((block, nblocks), data) :: rest -> (
+        let r = decode "checkpoint record" checkpoint_codec data in
+        let epoch = r.cr_epoch in
+        if epoch >= below then
+          raise (Corrupt_store (Printf.sprintf "checkpoint record of epoch %d out of order" epoch));
+        let acc = (epoch, block, nblocks, r.cr_table) :: acc in
+        (* Pruned epochs' blocks may have been reused: stop at the oldest
+           retained record instead of following its prev pointer. *)
+        let prev =
+          if epoch <= t.oldest_retained then (0, 0) else (r.cr_prev_block, r.cr_prev_nblocks)
+        in
+        match rest with
+        | ((next_block, _) as next, _) :: _ when next <> prev ->
+            raise
+              (Corrupt_store
+                 (Printf.sprintf "superblock lists block %d after epoch %d, whose prev is %d"
+                    next_block epoch (fst prev)))
+        | _ :: _ -> check rest ~below:epoch acc
+        | [] -> walk (if fst prev = 0 then [] else [ prev ]) ~below:epoch acc)
   in
-  let chain = walk (sb.sb_record_block, sb.sb_record_nblocks) ~below:(sb.sb_epoch + 1) [] in
+  let chain =
+    Otrace.with_span ~cat:"store" ~name:"recover.records" (fun () ->
+        walk sb.sb_records ~below:(sb.sb_epoch + 1) [])
+  in
   (* Then every retained epoch's versions in one pass, so a block shared
      by several epochs' records is read once. *)
-  let loaded = load_versions t ~frontier (List.concat_map (fun (_, _, _, tl) -> tl) chain) in
+  let loaded =
+    Otrace.with_span ~cat:"store" ~name:"recover.versions" (fun () ->
+        load_versions t ~frontier (List.concat_map (fun (_, _, _, tl) -> tl) chain))
+  in
   t.epochs <-
     List.map
       (fun (epoch, block, nblocks, table_list) ->
@@ -1238,6 +1278,11 @@ let pager s idx =
       in
       List.iter (fun (i, _) -> Hashtbl.remove s.slots i) taken;
       taken
+
+(* The stream already knows every entry [check_epoch] listed, so this
+   costs nothing.  An unlisted leaf's indices count as stored: a fault
+   there raises. *)
+let pager_stores s idx = Hashtbl.mem s.slots idx || IntMap.mem (idx / leaf_span) s.unlisted
 
 (* Every page left in [s], by index, once an unlisted leaf has raised. *)
 let pages_left s =

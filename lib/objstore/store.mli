@@ -13,8 +13,9 @@
     Every record the store writes is stated once, in {!Store_format}, as
     a type and one {!Wire.codec}: the same value writes the record and
     parses it back, so no writer and reader pair can disagree.  Block 0 holds
-    the superblock (magic, last complete checkpoint and the location and
-    size of its record, journal registry).  Each checkpoint
+    the superblock (magic, last complete checkpoint, the location and
+    size of every retained checkpoint record that fits, newest first,
+    journal registry).  Each checkpoint
     record names its predecessor the same way, by first block and block
     count, and every live object's version record by its byte-granular
     location [(block, offset, length)]: version records are packed back to
@@ -65,26 +66,32 @@ val format : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
 
 val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
 (** Mount after a crash or reboot: parses the superblock and the retained
-    checkpoints' records off the device.  The checkpoint records are read
-    first, one after another, each once at the size its parent names
-    (each record names the previous one); then every distinct version
-    record they name, over all retained epochs, is loaded once, keyed by
-    [(block, offset)]: the blocks covering the records are coalesced into
-    runs, every run is read once in a single vectored batch
-    ({!Aurora_block.Striped.submit_vec}), and each record is sliced out at
-    its offset.  The device cost is the chain walk's round trips plus one
-    read latency and the runs' transfers; the work is O(records +
-    distinct versions), not O(epochs x objects).  Neither the per-block reference
-    counts (see {!prune_history}) nor the free set is persisted: one
-    uncharged walk counts every item the retained epochs and the
-    journals hold, and every block below the frontier that no item
-    covers (a block a prune freed, or an incomplete commit wrote) is
-    freed, so {!blocks_allocated} survives a crash.  An empty store
-    keeps numbering its epochs above the newest one a prune dropped.
-    Raises {!Corrupt_store} if no
-    valid superblock is found, a record is truncated, garbled or out of
-    range, or a version entry has an offset past its block, a zero
-    length, or a byte range past the allocated blocks. *)
+    checkpoints' records off the device, in three round trips.  The
+    superblock lists the retained checkpoint records, newest first, as
+    many as fit in its one block; all of them are read in one vectored
+    batch ({!Aurora_block.Striped.submit_vec}), each at its exact size,
+    and past a full list the older ones are read one at a time along
+    their prev pointers.  Each record's prev pointer must name the next
+    listed record and epochs must strictly decrease.  Then every
+    distinct version record they name, over all retained epochs, is
+    loaded once, keyed by [(block, offset)]: the blocks covering the
+    records are coalesced into runs, every run is read once in a single
+    vectored batch, and each record is sliced out at its offset.  The
+    device cost is three read latencies and the batches' transfers; the
+    work is O(records + distinct versions), not O(epochs x objects).
+    Traced as a [store/recover] span with [recover.superblock],
+    [recover.records] and [recover.versions] children.  Neither the
+    per-block reference counts (see {!prune_history}) nor the free set
+    is persisted: one uncharged walk counts every item the retained
+    epochs and the journals hold, and every block below the frontier
+    that no item covers (a block a prune freed, or an incomplete commit
+    wrote) is freed, so {!blocks_allocated} survives a crash.  An empty
+    store keeps numbering its epochs above the newest one a prune
+    dropped.  Raises {!Corrupt_store} if no valid superblock is found,
+    a record is truncated, garbled, out of range or out of epoch order,
+    the superblock's list disagrees with the prev pointers, or a version
+    entry has an offset past its block, a zero length, or a byte range
+    past the allocated blocks. *)
 
 val clock : t -> Aurora_sim.Clock.t
 val device : t -> Aurora_block.Striped.t
@@ -298,6 +305,13 @@ val pager : stream -> int -> (int * bytes) list
     for [idx]'s window, decodes it, and returns the window's pages it has
     not returned before, dropping them from the share.  A fault in the
     range of a leaf the stream could not read or parse raises its error. *)
+
+val pager_stores : stream -> int -> bool
+(** The {!pager}'s [stores] query ({!Aurora_vm.Vm_object.set_pager}),
+    uncharged: whether the share still holds page [idx], or [idx] lies
+    under a leaf the stream could not read (its fault raises).  A page
+    the pager has returned is no longer held: it is resident at the
+    pager's level. *)
 
 val take_all : stream -> (int * bytes) list
 (** Every page left in the share, sorted by index, decoded as {!pager}

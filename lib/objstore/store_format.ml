@@ -58,11 +58,10 @@ type checkpoint_record = {
 
 type superblock = {
   sb_epoch : int;
-  sb_record_block : int;
-  sb_record_nblocks : int;
   sb_next_block : int;
   sb_next_oid : int;
   sb_oldest_retained : int;
+  sb_records : (int * int) list;
   sb_journals : (int * int * int * int) list;
 }
 
@@ -107,7 +106,10 @@ let leaf_codec =
 
 (* A checkpoint record names its predecessor by (first block, blocks) and
    every live object's version record by (oid, block, offset, length), so
-   recovery reads each record once and no more than the store wrote. *)
+   recovery reads each record once and no more than the store wrote.  The
+   prev pointers form a chain, newest to oldest, that the superblock's
+   directory restates: recovery checks one against the other, and
+   follows the chain alone past a full directory. *)
 let checkpoint_codec =
   Wire.Codec.(
     record (fun cr_epoch cr_prev_block cr_prev_nblocks cr_table ->
@@ -119,24 +121,28 @@ let checkpoint_codec =
     |> field (list (quad u64 u64 u32 u32)) (fun c -> c.cr_table)
     |> seal)
 
-(* The superblock names the newest complete checkpoint (zeros when there
-   is none) by its record's location and exact size, so recovery reads
-   the record without guessing a length, and lists the journals as (id,
-   first block, blocks, generation). *)
+(* The superblock lists the retained checkpoint records, newest first,
+   as (first block, blocks): a directory whose first entry is the head
+   record (none when no epoch is retained), so recovery reads every
+   listed record in one batch at its exact size.  Each listed record's
+   prev pointer names the next entry, which recovery checks.  It also
+   lists the journals as (id, first block, blocks, generation).  The
+   superblock is one block, the device's atomic write: a one-epoch
+   superblock without journals takes 64 bytes, and the directory holds
+   the newest records that fit in the block after the journals
+   ([Store.write_superblock]); older ones are reached through prev
+   pointers. *)
 let superblock_codec =
   Wire.Codec.(
     record
-      (fun sb_epoch sb_record_block sb_record_nblocks sb_next_block sb_next_oid
-           sb_oldest_retained sb_journals ->
-        { sb_epoch; sb_record_block; sb_record_nblocks; sb_next_block; sb_next_oid;
-          sb_oldest_retained; sb_journals })
+      (fun sb_epoch sb_next_block sb_next_oid sb_oldest_retained sb_records sb_journals ->
+        { sb_epoch; sb_next_block; sb_next_oid; sb_oldest_retained; sb_records; sb_journals })
     |> magic str "AURSTORE" "superblock magic"
     |> field u64 (fun b -> b.sb_epoch)
-    |> field u64 (fun b -> b.sb_record_block)
-    |> field u64 (fun b -> b.sb_record_nblocks)
     |> field u64 (fun b -> b.sb_next_block)
     |> field u64 (fun b -> b.sb_next_oid)
     |> field u64 (fun b -> b.sb_oldest_retained)
+    |> field (list (pair u64 u32)) (fun b -> b.sb_records)
     |> field (list (quad u64 u64 u64 u64)) (fun b -> b.sb_journals)
     |> seal)
 

@@ -9,7 +9,8 @@ type t = {
   pages : (int, Page.t) Hashtbl.t;
   mutable shadow_parent : t option;
   mutable refs : int;
-  mutable obj_pager : (int -> (int * bytes) list) option;
+  mutable obj_pager : ((int -> (int * bytes) list) * (int -> bool)) option;
+      (* the page-in function, and whether the pager stores an index *)
 }
 
 let next_id = ref 0
@@ -46,8 +47,8 @@ let rec chain_pages t =
 
 let insert_page t idx page = Hashtbl.replace t.pages idx page
 let remove_page t idx = Hashtbl.remove t.pages idx
-let set_pager t p = t.obj_pager <- p
-let pager t = t.obj_pager
+let set_pager t ?(stores = fun _ -> true) p = t.obj_pager <- Option.map (fun p -> (p, stores)) p
+let pager_stores t idx = match t.obj_pager with Some (_, stores) -> stores idx | None -> false
 let find_local t idx = Hashtbl.find_opt t.pages idx
 
 (* A level without a resident page asks its own pager before the walk
@@ -63,7 +64,7 @@ let lookup ?(on_pagein = fun _ _ -> ()) ~clock t idx =
     | Some page -> Some (page, obj)
     | None -> (
         Option.iter
-          (fun pager ->
+          (fun (pager, _) ->
             List.iter
               (fun (i, payload) ->
                 if not (Hashtbl.mem obj.pages i) then begin

@@ -49,7 +49,7 @@ val remove_page : t -> int -> unit
 (** Drop a resident page (swap-out: the content must already be durable
     elsewhere — the pager brings it back on demand). *)
 
-val set_pager : t -> (int -> (int * bytes) list) option -> unit
+val set_pager : t -> ?stores:(int -> bool) -> (int -> (int * bytes) list) option -> unit
 (** Attach a pager: a fault that finds no page resident at this level
     consults its pager before descending the shadow chain.  Given the
     faulting index, the pager returns [(index, payload)] pages this level
@@ -57,9 +57,14 @@ val set_pager : t -> (int -> (int * bytes) list) option -> unit
     fault-around, its neighbours, or [[]] when it does not store the
     faulting page.  The fault handler maps the neighbours it may
     ({!Vm_space}), so their first read takes no fault.  This is the
-    unified swap / lazy-restore data path of paper section 6. *)
+    unified swap / lazy-restore data path of paper section 6.
+    [stores idx] answers, without a charge, whether the pager stores
+    [idx] and has not yet returned it; the default, every index, is
+    the answer that never lets fault-around look past this level. *)
 
-val pager : t -> (int -> (int * bytes) list) option
+val pager_stores : t -> int -> bool
+(** Whether this level has a pager that stores [idx] ([false] without a
+    pager). *)
 
 val find_local : t -> int -> Page.t option
 (** Page [idx] in this object only. *)

@@ -97,14 +97,16 @@ let entry_of_vpn t vpn =
 
 let obj_index (e : Vm_map.entry) vpn = vpn - e.start_vpn + e.obj_pgoff
 
-(* Would the charged walk for [idx] from [obj] end at [page] without
-   asking a pager?  A nearer level that holds the index, or has a pager
-   of its own, resolves it elsewhere: a COW sibling's newer version. *)
+(* Would the charged walk for [idx] from [obj] end at [page] without a
+   pager returning it?  A nearer level that holds the index, or whose
+   pager stores it, resolves it elsewhere: a COW sibling's newer version.
+   A nearer pager that does not store it returns nothing, and the walk
+   descends past it. *)
 let rec resolves_to obj idx page =
   match Vm_object.find_local obj idx with
   | Some p -> p == page
   | None -> (
-      Option.is_none (Vm_object.pager obj)
+      (not (Vm_object.pager_stores obj idx))
       &&
       match Vm_object.parent obj with
       | Some p -> resolves_to p idx page

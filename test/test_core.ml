@@ -524,7 +524,23 @@ let test_lazy_restore_cow_siblings () =
      faults pay no round trip at all. *)
   Alcotest.(check int) "each stored page paged in once" (npages + 1) pageins;
   Alcotest.(check int) "fault-path round trips: none, the restore streamed every page" 0
-    (List.length (List.sort_uniq compare !trips))
+    (List.length (List.sort_uniq compare !trips));
+  (* Fault-around looks past a nearer pager that does not store the
+     index: the parent's own level has a pager holding nothing, so its
+     first fault maps the shared ancestor's other three pages.  The
+     child's level stores page 1, so nothing under it is mapped there,
+     and the child's other pages resolve in the ancestor its parent
+     filled: one soft fault each.  One soft fault per touched page would
+     be 2 x 4. *)
+  let sum f =
+    List.fold_left
+      (fun acc (p : Process.t) -> acc + f (Vm_space.stats p.Process.space))
+      0 lzy.Restore.procs
+  in
+  Alcotest.(check int) "soft faults: the parent's one and the child's four" 5
+    (sum (fun st -> st.Vm_space.soft_faults));
+  Alcotest.(check int) "the parent's other three pages mapped around" 3
+    (sum (fun st -> st.Vm_space.mapped_around))
 
 (* The property form of the case above: a random arena of up to three
    fault clusters, random rewrites by the parent and the child after the
@@ -1647,11 +1663,11 @@ let formats =
       "73 bytes, CRC-32 45bccf0a";
     stored "superblock" Store_format.superblock_codec
       (List.map
-         (fun (sb_epoch, sb_record_block, sb_record_nblocks) ->
-           { Store_format.sb_epoch; sb_record_block; sb_record_nblocks; sb_next_block = 64;
-             sb_next_oid = 9; sb_oldest_retained = 2; sb_journals = [ (1, 30, 4, 2) ] })
-         [ (4, 20, 1); (0, 0, 0) ])
-      "192 bytes, CRC-32 4b02c525";
+         (fun (sb_epoch, sb_records) ->
+           { Store_format.sb_epoch; sb_next_block = 64; sb_next_oid = 9; sb_oldest_retained = 2;
+             sb_records; sb_journals = [ (1, 30, 4, 2) ] })
+         [ (4, [ (20, 1) ]); (0, []); (5, [ (22, 3); (20, 1) ]) ])
+      "288 bytes, CRC-32 5a5d9419";
     stored "journal record" Store_format.journal_record_codec [ (3, "payload") ]
       "a403000000070000007061796c6f6164";
     wire "fs namespace" Aurora_fs.Fs.namespace_codec [ ([ ("/a", 1); ("/b/c", 2) ], 3) ]

@@ -490,17 +490,21 @@ let test_read_retry_absorbs_transients () =
      with Fault.Io_error _ -> true);
   Striped.set_fault dev None
 
+let superblock dev =
+  Store.decode "superblock" Store_format.superblock_codec
+    (Striped.read_nocharge dev ~off:0 ~len:Store.block_size)
+
 (* Location (first block, blocks) of the newest checkpoint record, as the
-   superblock names it: magic string, last epoch, record block, record
-   blocks.  [record_blocks_offset] is where the last field sits. *)
-let record_blocks_offset = 4 + String.length "AURSTORE" + 8 + 8
+   superblock's directory lists it first.  Superblock layout: magic
+   string, epoch, next block, next oid, oldest retained (u64 each), then
+   the directory's count (u32) and entries (block u64, blocks u32).
+   [record_blocks_offset] is where the head entry's blocks field sits. *)
+let record_blocks_offset = 4 + String.length "AURSTORE" + (4 * 8) + 4 + 8
 
 let head_record dev =
-  let sb =
-    Store.decode "superblock" Store_format.superblock_codec
-      (Striped.read_nocharge dev ~off:0 ~len:Store.block_size)
-  in
-  (sb.Store_format.sb_record_block, sb.sb_record_nblocks)
+  match (superblock dev).Store_format.sb_records with
+  | head :: _ -> head
+  | [] -> Alcotest.fail "no head record listed"
 
 let overwrite dev clock ~off data =
   ignore (Striped.write dev ~now:(Clock.now clock) ~off data);
@@ -603,14 +607,14 @@ let test_recover_bad_record_is_corrupt_store () =
   let clock, dev = build () in
   let _, nblocks = head_record dev in
   Alcotest.(check bool) "record spans several blocks" true (nblocks > 1);
-  let one = Bytes.create 8 in
-  Bytes.set_int64_le one 0 1L;
+  let one = Bytes.create 4 in
+  Bytes.set_int32_le one 0 1l;
   overwrite dev clock ~off:record_blocks_offset one;
   Alcotest.(check bool) "truncated record" true
     (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
   (* A record size beyond the store's allocated blocks. *)
-  let big = Bytes.create 8 in
-  Bytes.set_int64_le big 0 1_000_000L;
+  let big = Bytes.create 4 in
+  Bytes.set_int32_le big 0 1_000_000l;
   overwrite dev clock ~off:record_blocks_offset big;
   Alcotest.(check bool) "oversized record" true
     (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
@@ -989,10 +993,10 @@ let one_block_read =
   + Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth
       Store.block_size
 
-(* Only the record-chain walk is serial (each record names the previous
-   one): the version runs it names are read in one vectored batch, so
-   recovery costs the walk plus one read latency and the batch's
-   transfers, however many runs there are. *)
+(* The superblock lists every retained checkpoint record, so they are
+   read in one vectored batch, and the version runs they name in one
+   more: recovery costs three read latencies and the batches' transfers,
+   however many records and runs there are. *)
 let test_recover_time_one_batch () =
   let clock, dev, k, first_run, _ = version_run_store () in
   let t0 = Clock.now clock in
@@ -1000,16 +1004,138 @@ let test_recover_time_one_batch () =
   let elapsed = Clock.now clock - t0 in
   let runs = List.length reads - (1 + k) in
   Alcotest.(check bool) (Printf.sprintf "several version runs (%d)" runs) true (runs >= 2);
-  (* The superblock and K one-block records, one after another, then one
-     read latency and at most every run block's transfer. *)
+  (* The superblock, then K one-block records in one batch, then the
+     runs in one: three read latencies and at most every block's
+     transfer. *)
   let bound =
-    ((1 + k) * one_block_read)
-    + Aurora_sim.Cost.nvme_read_latency
+    one_block_read
+    + (2 * Aurora_sim.Cost.nvme_read_latency)
     + Aurora_sim.Cost.transfer_time ~bandwidth:Aurora_sim.Cost.nvme_device_bandwidth
-        ((first_run + k - 1) * Store.block_size)
+        ((k + first_run + k - 1) * Store.block_size)
   in
   Alcotest.(check bool) (Printf.sprintf "recovery took %d ns <= %d" elapsed bound) true
     (elapsed <= bound)
+
+(* A store retaining [k] epochs of one shape: four paged objects
+   committed once, then [k - 1] epochs that change nothing, so every
+   epoch holds the same versions and each later one adds only its
+   checkpoint record.  Its array stripes every block to the next of
+   eight members.  Durable; returns the clock, the device and the
+   store. *)
+let epochs_store k =
+  let clock = Clock.create () in
+  let dev = Striped.create ~devices:8 ~stripe:Store.block_size () in
+  let store = Store.format ~dev ~clock in
+  ignore (Store.begin_checkpoint store);
+  for i = 0 to 3 do
+    let oid = Store.alloc_oid store in
+    Store.put_object store ~oid ~kind:"obj" ~meta:"m";
+    Store.put_pages store ~oid [ (i, payload 'a') ]
+  done;
+  ignore (Store.commit_checkpoint store);
+  for _ = 2 to k do
+    commit_metas store []
+  done;
+  Store.wait_durable store;
+  (clock, dev, store)
+
+(* Distinct clock readings a read hook sees during [f]: a batch's
+   fragments are all submitted at one instant, so these count round
+   trips. *)
+let submission_instants clock dev f =
+  let h = Fault.create () in
+  let instants = ref [] in
+  h.Fault.on_read <-
+    (fun _ ->
+      instants := Clock.now clock :: !instants;
+      Fault.Clean);
+  Striped.set_fault dev (Some h);
+  let v = Fun.protect ~finally:(fun () -> Striped.set_fault dev None) f in
+  (v, List.length (List.sort_uniq compare !instants))
+
+(* Recovery is flat in the number of retained epochs: the superblock,
+   every listed record in one batch, every version run in one more.  A
+   store retaining 24 epochs recovers within one read latency of the
+   same store retaining 2.  What is left of the difference is the 22
+   more record blocks' transfer, which the block-granular array spreads
+   over its members; on a 64 KiB stripe they would queue on one or two
+   members and take about twice a read latency on their own. *)
+let test_recover_flat_in_epochs () =
+  let recover k =
+    let clock, dev, store = epochs_store k in
+    let before = snapshot store in
+    Striped.crash dev ~now:(Clock.now clock);
+    let t0 = Clock.now clock in
+    let store2, trips = submission_instants clock dev (fun () -> Store.recover ~dev ~clock) in
+    let elapsed = Clock.now clock - t0 in
+    Alcotest.(check bool) (Printf.sprintf "%d epochs identical after recovery" k) true
+      (snapshot store2 = before);
+    Alcotest.(check int) (Printf.sprintf "%d epochs: three round trips" k) 3 trips;
+    elapsed
+  in
+  let two = recover 2 and many = recover 24 in
+  Alcotest.(check bool)
+    (Printf.sprintf "2 epochs %d ns, 24 epochs %d ns: less than one read latency apart" two many)
+    true
+    (abs (many - two) < Aurora_sim.Cost.nvme_read_latency)
+
+(* More retained epochs than the superblock's directory lists: recovery
+   reads the listed records in one batch, follows prev pointers one at a
+   time past the oldest listed one, and recovers every epoch with
+   identical tables.  The superblock, journal registry included, stays
+   within its one block with no room for another entry, and a one-epoch
+   superblock without journals takes 64 bytes. *)
+let test_recover_past_full_directory () =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  let superblock_bytes () =
+    Bytes.length (Wire.encode Store_format.superblock_codec (superblock dev))
+  in
+  commit_metas store [ (oid, "v0") ];
+  Alcotest.(check int) "a one-epoch superblock takes 64 bytes" 64 (superblock_bytes ());
+  ignore (Store.journal_create store ~size:Store.block_size);
+  let k = 400 in
+  for e = 1 to k - 1 do
+    commit_metas store [ (oid, Printf.sprintf "v%d" e) ]
+  done;
+  let listed = List.length (superblock dev).Store_format.sb_records in
+  Alcotest.(check bool) (Printf.sprintf "%d of %d records listed" listed k) true (listed < k);
+  Alcotest.(check bool) "the superblock fits one block" true
+    (superblock_bytes () <= Store.block_size);
+  Alcotest.(check bool) "with no room for another entry" true
+    (superblock_bytes () + 12 > Store.block_size);
+  let before = snapshot store in
+  Striped.crash dev ~now:(Clock.now clock);
+  let store2, trips = submission_instants clock dev (fun () -> Store.recover ~dev ~clock) in
+  Alcotest.(check int) "every epoch retained" k (List.length (Store.checkpoint_epochs store2));
+  Alcotest.(check bool) "epochs identical after recovery" true (snapshot store2 = before);
+  Alcotest.(check bool) "content index consistent" true (Store.content_index_consistent store2);
+  Alcotest.(check int) "round trips: three, and one per unlisted record" (3 + k - listed) trips
+
+(* A directory that disagrees with the prev-pointer chain is
+   Corrupt_store, even where every entry names a record and epochs still
+   decrease: one that leaves out a retained epoch, and one naming a
+   record at the wrong size. *)
+let test_directory_disagrees_with_chain () =
+  let edited f =
+    let clock, dev, store = fresh () in
+    let oid = Store.alloc_oid store in
+    for e = 1 to 3 do
+      commit_metas store [ (oid, Printf.sprintf "v%d" e) ]
+    done;
+    let sb = superblock dev in
+    overwrite dev clock ~off:0
+      (Wire.encode Store_format.superblock_codec
+         { sb with Store_format.sb_records = f sb.Store_format.sb_records });
+    raises_corrupt_store (fun () -> Store.recover ~dev ~clock)
+  in
+  Alcotest.(check bool) "unedited directory recovers" false (edited Fun.id);
+  Alcotest.(check bool) "a retained epoch left out" true
+    (edited (function [ e3; _; e1 ] -> [ e3; e1 ] | _ -> Alcotest.fail "three records listed"));
+  Alcotest.(check bool) "a record at the wrong size" true
+    (edited (function
+      | [ e3; (blk, n); e1 ] -> [ e3; (blk, n + 1); e1 ]
+      | _ -> Alcotest.fail "three records listed"))
 
 (* Multiset difference of two read lists. *)
 let rec remove_each xs = function
@@ -2201,6 +2327,10 @@ let () =
             test_recover_bad_record_is_corrupt_store;
           Alcotest.test_case "read volume" `Quick test_recover_read_volume;
           Alcotest.test_case "one batched read" `Quick test_recover_time_one_batch;
+          Alcotest.test_case "flat in retained epochs" `Quick test_recover_flat_in_epochs;
+          Alcotest.test_case "past a full directory" `Quick test_recover_past_full_directory;
+          Alcotest.test_case "directory disagrees with chain" `Quick
+            test_directory_disagrees_with_chain;
           Alcotest.test_case "retries per range" `Quick test_recover_retries_per_range;
         ] );
       ( "journal",

@@ -467,9 +467,10 @@ let test_fault_around_clipped_to_entry () =
 (* A neighbour whose walk would stop above the paged level is left for
    its own fault: a nearer resident page resolves that index instead, and
    a nearer level with a pager of its own (a COW sibling's level) might
-   hold a newer version, so nothing under it is mapped. *)
+   hold a newer version, so nothing under it is mapped unless its pager
+   says it does not store the index. *)
 let test_fault_around_respects_nearer_levels () =
-  let setup ~mid_pager =
+  let setup ?stores ~mid_pager () =
     let clock = Clock.create () in
     let s = Vm_space.create ~clock in
     let base = Vm_object.create Vm_object.Anonymous in
@@ -477,7 +478,7 @@ let test_fault_around_respects_nearer_levels () =
     let mid = Vm_object.shadow ~clock base in
     Vm_object.insert_page mid 3 (marked 'd');
     if mid_pager then
-      Vm_object.set_pager mid
+      Vm_object.set_pager mid ?stores
         (Some (fun idx -> if idx = 5 then [ (5, Page.blit_payload (marked 'n')) ] else []));
     let top = Vm_object.shadow ~clock mid in
     let e = Vm_space.map_object s ~obj:top ~obj_pgoff:0 ~npages:window ~prot:Vm_map.prot_rw in
@@ -486,7 +487,7 @@ let test_fault_around_respects_nearer_levels () =
     let mapped i = Option.is_some (Pmap.find (Vm_space.pmap s) (e.Vm_map.start_vpn + i)) in
     (s, page_addr, mapped)
   in
-  let s, page_addr, mapped = setup ~mid_pager:false in
+  let s, page_addr, mapped = setup ~mid_pager:false () in
   let st = Vm_space.stats s in
   Alcotest.(check int) "the paged level's window" window st.Vm_space.pageins;
   Alcotest.(check int) "all but the nearer resident index mapped" (window - 2)
@@ -494,7 +495,7 @@ let test_fault_around_respects_nearer_levels () =
   Alcotest.(check bool) "nearer resident page not mapped" false (mapped 3);
   Alcotest.(check char) "the nearer page wins" 'd' (Vm_space.read_byte s ~addr:(page_addr 3));
   Alcotest.(check int) "no stale refault" 0 st.Vm_space.stale_refaults;
-  let s, page_addr, mapped = setup ~mid_pager:true in
+  let s, page_addr, mapped = setup ~mid_pager:true () in
   let st = Vm_space.stats s in
   Alcotest.(check int) "the paged level's window, under a nearer pager" window
     st.Vm_space.pageins;
@@ -502,7 +503,17 @@ let test_fault_around_respects_nearer_levels () =
   Alcotest.(check bool) "the nearer pager's index not mapped" false (mapped 5);
   Alcotest.(check char) "the nearer pager's version wins" 'n'
     (Vm_space.read_byte s ~addr:(page_addr 5));
-  Alcotest.(check int) "no stale refault under a nearer pager" 0 st.Vm_space.stale_refaults
+  Alcotest.(check int) "no stale refault under a nearer pager" 0 st.Vm_space.stale_refaults;
+  let s, page_addr, mapped = setup ~stores:(( = ) 5) ~mid_pager:true () in
+  let st = Vm_space.stats s in
+  Alcotest.(check int) "mapped past a nearer pager, but for its stored index" (window - 3)
+    st.Vm_space.mapped_around;
+  Alcotest.(check bool) "the stored index not mapped" false (mapped 5);
+  Alcotest.(check bool) "an index it does not store mapped" true (mapped 6);
+  Alcotest.(check char) "its version still wins" 'n' (Vm_space.read_byte s ~addr:(page_addr 5));
+  Alcotest.(check char) "the paged level's page under it" 'p'
+    (Vm_space.read_byte s ~addr:(page_addr 6));
+  Alcotest.(check int) "no stale refault past a nearer pager" 0 st.Vm_space.stale_refaults
 
 let qcheck_tests =
   [
