@@ -9,6 +9,24 @@ module Rng = Aurora_util.Rng
    recovery that spins. *)
 let recovery_budget_ns = 10_000_000_000
 
+(* One object's line of an observation. *)
+let render_object oid kind meta pages =
+  Printf.sprintf "O%d|%s|%s|%s;\n" oid kind (String.escaped meta)
+    (String.concat ","
+       (List.map
+          (fun (idx, payload) ->
+            Printf.sprintf "%d:%s" idx (String.escaped (Bytes.to_string payload)))
+          pages))
+
+(* The object lines of one retained epoch. *)
+let observe_objects store ~epoch =
+  String.concat ""
+    (List.map
+       (fun (oid, kind) ->
+         render_object oid kind (Store.read_meta store ~epoch ~oid)
+           (Store.read_pages store ~epoch ~oid))
+       (Store.objects_at store ~epoch))
+
 (* Canonical observation of a (typically just-recovered) store, in exactly
    the format Model.render_parts produces: (epochs, journals). *)
 let observe_parts store =
@@ -16,18 +34,7 @@ let observe_parts store =
   List.iter
     (fun epoch ->
       Buffer.add_string eb (Printf.sprintf "E%d\n" epoch);
-      List.iter
-        (fun (oid, kind) ->
-          let meta = Store.read_meta store ~epoch ~oid in
-          let pages =
-            Store.read_pages store ~epoch ~oid
-            |> List.map (fun (idx, payload) ->
-                   Printf.sprintf "%d:%s" idx (String.escaped (Bytes.to_string payload)))
-            |> String.concat ","
-          in
-          Buffer.add_string eb
-            (Printf.sprintf "O%d|%s|%s|%s;\n" oid kind (String.escaped meta) pages))
-        (Store.objects_at store ~epoch))
+      Buffer.add_string eb (observe_objects store ~epoch))
     (Store.checkpoint_epochs store);
   let jb = Buffer.create 256 in
   let rec probe id =
@@ -177,13 +184,44 @@ let pp_failure f =
   Printf.sprintf "boundary %d (%s, T=%d): %s" f.f_boundary f.f_mode f.f_crash_time
     f.f_detail
 
+(* Life after recovery, on the observed store: the deferred pass must
+   leave the counts and the content index equal to a fresh walk, and one
+   more epoch committed on top, every object carried plus one fresh
+   paged object, must recover, without a crash, as the observation plus
+   that epoch. *)
+let continue_after_recovery dev clock store (eobs, jobs) =
+  if not (Store.content_index_consistent store) then
+    failwith "after recovery: counts or content index differ from a fresh walk";
+  let carried =
+    match List.rev (Store.checkpoint_epochs store) with
+    | head :: _ -> observe_objects store ~epoch:head
+    | [] -> ""
+  in
+  let oid = Store.alloc_oid store in
+  let page = Bytes.of_string "after recovery" in
+  let epoch = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"next";
+  Store.put_pages store ~oid [ (0, page) ];
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  Striped.settle dev ~clock;
+  let want =
+    ( Printf.sprintf "%sE%d\n%s%s" eobs epoch carried
+        (render_object oid "memory" "next" [ (0, page) ]),
+      jobs )
+  in
+  if observe_parts (Store.recover ~dev ~clock) <> want then
+    failwith (Printf.sprintf "after recovery: epoch %d committed on top did not recover" epoch)
+
 let recover_observed dev ~crash_time =
   let rclock = Clock.create () in
   Clock.on_advance rclock (fun t ->
       if t > crash_time + recovery_budget_ns then
         failwith "recovery watchdog: virtual-time budget exhausted");
   let store = Store.recover ~dev ~clock:rclock in
-  observe_parts store
+  let observed = observe_parts store in
+  continue_after_recovery dev rclock store observed;
+  observed
 
 (* One crash scenario: replay to [stop], cut every device at the same
    durability horizon [crash_time], recover each tenant, and demand its

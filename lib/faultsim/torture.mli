@@ -20,7 +20,13 @@
     snapshots inside the window its durability guarantees allow.  Epoch
     and journal state may match different snapshots in that window:
     checkpoint durability is asynchronous while journal appends are
-    synchronous, so journals legitimately run ahead of epochs.
+    synchronous, so journals legitimately run ahead of epochs.  Each
+    recovered store then goes on living, without a second crash: its
+    deferred recovery pass must leave the counts and the content index
+    equal to a fresh walk ([Store.content_index_consistent]), and one
+    more epoch committed on top (every object carried, one fresh paged
+    object) must recover again as the observation plus that epoch; a
+    failure there is reported as the recovery raising.
 
     A single store is the enumerator at one tenant.  With two or more, a
     crash planted mid-flush of tenant A must never leave tenant B

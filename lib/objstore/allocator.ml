@@ -8,8 +8,8 @@ type t = {
   mutable calls : int;
 }
 
-let create () =
-  { frontier = 1; free_set = Hashtbl.create 1024; free_stack = []; refs = Array.make 1024 0;
+let create ?(frontier = 1) () =
+  { frontier; free_set = Hashtbl.create 1024; free_stack = []; refs = Array.make 1024 0;
     calls = 0 }
 
 let frontier t = t.frontier
@@ -84,8 +84,8 @@ let release t b =
   t.refs.(b) <- t.refs.(b) - 1;
   t.refs.(b) = 0
 
-let recount t ~frontier walk =
-  let top = ref superblock_block in
+let recount t walk =
+  let top = ref superblock_block and frontier = t.frontier in
   walk (fun b ->
       if b > superblock_block && b < frontier then begin
         retain t b;

@@ -21,8 +21,10 @@
 
 type t
 
-val create : unit -> t
-(** An empty store's allocator: the frontier at block 1, nothing counted. *)
+val create : ?frontier:int -> unit -> t
+(** An allocator with nothing counted and nothing free below [frontier]
+    (default 1, an empty store's).  A recovered store starts at the
+    frontier its superblock names, until {!recount}. *)
 
 val frontier : t -> int
 (** The lowest block no allocation has reached. *)
@@ -57,11 +59,11 @@ val allocated : t -> int
 val calls : t -> int
 (** Allocations over the allocator's lifetime; an extent counts once. *)
 
-val recount : t -> frontier:int -> ((int -> unit) -> unit) -> unit
+val recount : t -> ((int -> unit) -> unit) -> unit
 (** Rebuild a recovered store's counts and free set.  [walk f] must call
     [f b] once per live item covering block [b], over every live item;
-    only blocks in [1 .. frontier - 1] ([frontier] is the one read off
-    the device) are counted.  The frontier then moves to just above the
+    only blocks below the current frontier (the one read off the device)
+    are counted.  The frontier then moves to just above the
     highest counted block, and every uncounted block below it (freed
     before a crash, or taken by a commit that never completed) is freed,
     highest first, so the lowest free block is reused first. *)

@@ -4,11 +4,12 @@
     A cached leaf holds its parsed entries and whether a paid device read
     of its block ({!paid}) has brought it into memory.  Only a resident
     leaf serves a paid lookup without device time; {!entries}, the
-    uncharged parse that recovery, verification CRCs, commit and prune
-    use, never makes a leaf resident.  Leaf blocks are copy-on-write
-    (written once), so the cache is exact as long as a freed block is
-    {!forget}ten before reuse and a recovered store starts cold.  At
-    65,536 entries the cache is recycled wholesale. *)
+    uncharged parse that verification CRCs, commit, prune, the layout
+    switch and the consistency oracle use, never makes a leaf resident.
+    Leaf blocks are copy-on-write (written once), so the cache is exact
+    as long as a freed block is {!forget}ten before reuse and a
+    recovered store starts cold.  At 65,536 entries the cache is
+    recycled wholesale. *)
 
 type t
 

@@ -34,8 +34,13 @@ type epoch_info = {
   e_epoch : int;
   e_record_block : int;
   e_record_nblocks : int;
-  e_table : (int, version) Hashtbl.t; (* oid -> version *)
+  mutable e_versions : versions;
 }
+
+(* An epoch's version table, oid -> version.  A recovered store keeps an
+   older epoch's checkpoint-record entries [(oid, blk, off, len)] until
+   the epoch's first use loads them ([table]). *)
+and versions = Loaded of (int, version) Hashtbl.t | Listed of (int * int * int * int) list
 
 type staged = {
   mutable s_kind : string;
@@ -125,7 +130,7 @@ type t = {
       (* frontier, free set and per-block counts of the live items
          covering each block (see [covers]): commit and journal creation
          count what they write, prune uncounts what died and frees a
-         block at zero, recovery counts from scratch *)
+         block at zero, [settle] counts from scratch *)
   leaves : Leaf_cache.t;
   index : Content_index.t;
   mutable journals : Journal.registry;
@@ -139,6 +144,11 @@ type t = {
          through, including migration installs), recomputed lazily from
          the version's leaves when cold (post-recovery). *)
   mutable epochs : epoch_info list; (* oldest first *)
+  mutable unsettled : (int * int, int * version) Hashtbl.t option;
+      (* a recovered store until [settle]: every version loaded so far, as
+         (blk, off) -> (oid, version), so an older epoch's first use reads
+         only the versions no loaded epoch shares.  None once settled, and
+         on a formatted store. *)
   mutable kept : (int * int * delta) option;
       (* (parent, epoch, delta) of the last commit: its delta against the
          head it committed over, from the staged bytes, until the next
@@ -181,9 +191,6 @@ let payload_of p stored =
 
 let last_epoch_info t =
   match List.rev t.epochs with [] -> None | e :: _ -> Some e
-
-let head_table t =
-  match last_epoch_info t with Some e -> e.e_table | None -> Hashtbl.create 0
 
 (* Directory entries that fit in the superblock's block beside
    [journals] journals: the magic, the four counters and the two list
@@ -261,6 +268,130 @@ let read_range t ~off ~len = (read_ranges t [| (off, len) |]).(0)
 let read_blocks t ~blk ~nblocks =
   read_range t ~off:(off_of_block blk) ~len:(nblocks * block_size)
 
+(* Version tables ------------------------------------------------------------ *)
+
+(* A location read off the device must name blocks below the [frontier]
+   the superblock names. *)
+let check_extent ~frontier what blk nblocks =
+  if blk <= superblock_block || nblocks < 1 || blk + nblocks > frontier then
+    raise
+      (Corrupt_store
+         (Printf.sprintf "%s at block %d (+%d) outside the store (%d blocks)" what blk
+            nblocks frontier))
+
+(* The distinct versions [entries] name that [loaded] lacks, sorted by
+   (blk, off), and the runs that read them, as (first record, last record
+   + 1, first block, blocks): the blocks covering the records coalesce
+   into runs of at most [max_extent_blocks] (records sharing a block or
+   in adjacent blocks join one run).  Every entry is checked first. *)
+let version_runs ~frontier loaded entries =
+  let want = Hashtbl.create 1024 in
+  List.iter
+    (fun (_, blk, off, len) ->
+      if off >= block_size || len < 1 then
+        raise
+          (Corrupt_store
+             (Printf.sprintf "version record at block %d: offset %d, length %d" blk off len));
+      check_extent ~frontier "version record" blk (span_end blk off len - blk + 1);
+      if not (Hashtbl.mem loaded (blk, off)) then Hashtbl.replace want (blk, off) len)
+    entries;
+  let todo =
+    Hashtbl.fold (fun (blk, off) len acc -> (blk, off, len) :: acc) want [] |> Array.of_list
+  in
+  Array.sort compare todo;
+  let last k =
+    let blk, off, len = todo.(k) in
+    span_end blk off len
+  in
+  let n = Array.length todo in
+  let runs = ref [] and i = ref 0 in
+  while !i < n do
+    let base, _, _ = todo.(!i) in
+    let j = ref (!i + 1) and run_end = ref (last !i) in
+    while
+      !j < n
+      && (let blk, _, _ = todo.(!j) in blk <= !run_end + 1)
+      && last !j - base < max_extent_blocks
+    do
+      run_end := max !run_end (last !j);
+      incr j
+    done;
+    runs := (!i, !j, base, !run_end - base + 1) :: !runs;
+    i := !j
+  done;
+  (todo, Array.of_list (List.rev !runs))
+
+(* Read the runs in one charged vectored batch, and add every record,
+   sliced out at its offset, to [loaded]. *)
+let read_versions t loaded (todo, runs) =
+  let data =
+    read_ranges t
+      (Array.map (fun (_, _, base, nblocks) -> (off_of_block base, nblocks * block_size)) runs)
+  in
+  Array.iteri
+    (fun r (first, stop, base, _) ->
+      for k = first to stop - 1 do
+        let blk, off, len = todo.(k) in
+        let vr =
+          decode "version record" version_codec
+            (Bytes.sub data.(r) (((blk - base) * block_size) + off) len)
+        in
+        Hashtbl.replace loaded (blk, off)
+          (vr.vr_oid, { v_kind = vr.vr_kind; v_meta = vr.vr_meta; v_blk = blk; v_off = off;
+                        v_len = len; v_leaves = IntMap.of_seq (List.to_seq vr.vr_leaves) })
+      done)
+    runs
+
+(* Give the [Listed] epochs of [es] their tables: the versions [loaded]
+   lacks are read in one batch (in a [span] with its ranges and bytes,
+   when named), and the tables share version values with every epoch
+   loaded before, as they did before the crash.  Every entry must name
+   a version of its oid and length, else [Corrupt_store], and then no
+   epoch of [es] changes.  Returns the versions read. *)
+let load_tables ?span t loaded es =
+  let listed =
+    List.filter_map
+      (fun e -> match e.e_versions with Listed l -> Some (e, l) | Loaded _ -> None)
+      es
+  in
+  let ((todo, runs) as plan) =
+    version_runs ~frontier:(Allocator.frontier t.alloc) loaded (List.concat_map snd listed)
+  in
+  let read () = read_versions t loaded plan in
+  (match span with
+  | None -> read ()
+  | Some name ->
+      let bytes = Array.fold_left (fun n (_, _, _, nblocks) -> n + (nblocks * block_size)) 0 runs in
+      Otrace.with_span ~cat:"store" ~name
+        ~args:[ ("ranges", Otrace.Int (Array.length runs)); ("bytes", Otrace.Int bytes) ]
+        read);
+  let tables =
+    List.map
+      (fun (e, entries) ->
+        let table = Hashtbl.create (List.length entries) in
+        List.iter
+          (fun (oid, blk, off, len) ->
+            let v_oid, v = Hashtbl.find loaded (blk, off) in
+            if v_oid <> oid || v.v_len <> len then raise (Corrupt_store "version/oid mismatch");
+            Hashtbl.replace table oid v)
+          entries;
+        (e, table))
+      listed
+  in
+  List.iter (fun (e, table) -> e.e_versions <- Loaded table) tables;
+  Array.length todo
+
+(* An epoch's version table, loaded on first use (charged). *)
+let rec table t e =
+  match e.e_versions with
+  | Loaded table -> table
+  | Listed _ ->
+      ignore (load_tables t (Option.get t.unsettled) [ e ]);
+      table t e
+
+let head_table t =
+  match last_epoch_info t with Some e -> table t e | None -> Hashtbl.create 0
+
 (* The leaf blocks of version [v], pushed onto [acc]. *)
 let leaf_blocks v acc = IntMap.fold (fun _ blk acc -> blk :: acc) v.v_leaves acc
 
@@ -277,6 +408,97 @@ let version_crcs t v =
         acc (Leaf_cache.entries t.leaves leaf_blk))
     v.v_leaves []
 
+(* Live items ------------------------------------------------------------------ *)
+
+let version_key v = (v.v_blk * block_size) + v.v_off
+
+(* Each distinct item of [epochs] that [except] does not hold, as [f item]:
+   each epoch's checkpoint record, then each of its versions, and each of
+   their leaves, not visited before, with the entries [leaf] gives.
+   Commit copies the version table, so the same version, and the same
+   leaf block, appears under several epochs; each is visited once.  A
+   version [except] holds under the same oid, and a leaf it holds at the
+   same index, is skipped. *)
+let walk_items t ~leaf ~except epochs f =
+  let versions = Hashtbl.create 1024 and leaves = Hashtbl.create 1024 in
+  List.iter
+    (fun e ->
+      f (Record e);
+      Hashtbl.iter
+        (fun oid v ->
+          let keeper = Hashtbl.find_opt except oid in
+          let key = version_key v in
+          let held = match keeper with Some k -> version_key k = key | None -> false in
+          if not (held || Hashtbl.mem versions key) then begin
+            Hashtbl.replace versions key ();
+            f (Version v);
+            IntMap.iter
+              (fun idx blk ->
+                let held =
+                  match Option.bind keeper (fun k -> IntMap.find_opt idx k.v_leaves) with
+                  | Some b -> b = blk
+                  | None -> false
+                in
+                if not (held || Hashtbl.mem leaves blk) then begin
+                  Hashtbl.replace leaves blk ();
+                  f (Leaf (blk, leaf blk))
+                end)
+              v.v_leaves
+          end)
+        (table t e))
+    epochs
+
+(* Every item the journals and the retained epochs hold, once each, with
+   [leaf]'s entries: [settle] counts blocks and indexes entries with this
+   walk, and [content_index_consistent] recounts with it. *)
+let iter_items t ~leaf f =
+  List.iter (fun j -> f (Journal j)) (Journal.all t.journals);
+  walk_items t ~leaf ~except:(Hashtbl.create 0) t.epochs f
+
+let leaf_entries_of item note = match item with Leaf (_, es) -> List.iter note es | _ -> ()
+
+(* The deferred half of recovery, run once, at the first call that
+   writes or reads the derived state ([begin_checkpoint],
+   [prune_history], [journal_create], [set_packed_layout],
+   [blocks_allocated], [content_index_size], [content_index_consistent]),
+   on the store's clock.  It loads the older epochs' versions in one
+   charged batch, reads every distinct leaf the retained epochs hold that
+   is not resident in one more, and only once every leaf has parsed
+   counts the blocks every item covers and rebuilds the content index
+   from the durable leaves, so dedup after a crash only ever references
+   durable pages.  It writes nothing: a crash during it leaves the device
+   as recovery found it, and a read or parse that fails raises and
+   leaves the pass to the next call.  Traced as a [store/settle]
+   complete event with the versions it loaded, the leaves it counted and
+   the bytes it read. *)
+let settle t =
+  match t.unsettled with
+  | None -> ()
+  | Some loaded ->
+      let ts = Clock.now t.clk and read0 = Striped.bytes_read t.dev in
+      let versions = load_tables t loaded t.epochs in
+      let blks = ref [] in
+      walk_items t ~leaf:(fun _ -> []) ~except:(Hashtbl.create 0) t.epochs (function
+        | Leaf (blk, _) -> blks := blk :: !blks
+        | _ -> ());
+      let leaf = resident_leaves t !blks in
+      (* A leaf that does not parse raises here, before anything is counted. *)
+      List.iter (fun blk -> ignore (leaf blk)) !blks;
+      Content_index.rebuild t.index (fun note ->
+          Allocator.recount t.alloc (fun count ->
+              iter_items t ~leaf (fun item ->
+                  covers item count;
+                  leaf_entries_of item note)));
+      t.unsettled <- None;
+      if Otrace.is_on () then
+        Otrace.complete ~ts ~dur:(Clock.now t.clk - ts) ~cat:"store" "settle"
+          ~args:
+            [
+              ("versions", Otrace.Int versions);
+              ("leaves", Otrace.Int (List.length !blks));
+              ("bytes", Otrace.Int (Striped.bytes_read t.dev - read0));
+            ]
+
 (* Lifecycle ------------------------------------------------------------------ *)
 
 let fresh dev clk =
@@ -291,6 +513,7 @@ let fresh dev clk =
     packed = true;
     rows = Hashtbl.create 1024;
     epochs = [];
+    unsettled = None;
     kept = None;
     current_epoch = 0;
     staging = None;
@@ -419,6 +642,7 @@ let with_lifetime t k w =
 
 let begin_checkpoint t =
   if t.staging <> None then invalid_arg "Store.begin_checkpoint: already staging";
+  settle t;
   (* Housekeeping: fold already-durable writes into the committed device
      state so the in-flight lists stay short on long runs. *)
   Striped.apply_durable t.dev ~now:(Clock.now t.clk);
@@ -763,7 +987,7 @@ let commit_checkpoint t =
   in
   let head =
     { e_epoch = epoch; e_record_block = rblock; e_record_nblocks = rnblocks;
-      e_table = new_table }
+      e_versions = Loaded new_table }
   in
   covers (Record head) (Allocator.retain t.alloc);
   t.epochs <- t.epochs @ [ head ];
@@ -828,65 +1052,26 @@ let last_complete_epoch t =
 
 let checkpoint_epochs t = List.map (fun e -> e.e_epoch) t.epochs
 
-(* Live items and the content index ----------------------------------------- *)
-
-let version_key v = (v.v_blk * block_size) + v.v_off
-
-(* Each distinct item of [epochs] that [except] does not hold, as [f item]:
-   each epoch's checkpoint record, then each of its versions, and each of
-   their leaves, not visited before.  Commit copies the version table, so
-   the same version, and the same leaf block, appears under several
-   epochs; each is visited once.  A version [except] holds under the same
-   oid, and a leaf it holds at the same index, is skipped. *)
-let walk_items t ~except epochs f =
-  let versions = Hashtbl.create 1024 and leaves = Hashtbl.create 1024 in
-  List.iter
-    (fun e ->
-      f (Record e);
-      Hashtbl.iter
-        (fun oid v ->
-          let keeper = Hashtbl.find_opt except oid in
-          let key = version_key v in
-          let held = match keeper with Some k -> version_key k = key | None -> false in
-          if not (held || Hashtbl.mem versions key) then begin
-            Hashtbl.replace versions key ();
-            f (Version v);
-            IntMap.iter
-              (fun idx blk ->
-                let held =
-                  match Option.bind keeper (fun k -> IntMap.find_opt idx k.v_leaves) with
-                  | Some b -> b = blk
-                  | None -> false
-                in
-                if not (held || Hashtbl.mem leaves blk) then begin
-                  Hashtbl.replace leaves blk ();
-                  f (Leaf (blk, Leaf_cache.entries t.leaves blk))
-                end)
-              v.v_leaves
-          end)
-        e.e_table)
-    epochs
-
-(* Every item the journals and the retained epochs hold, once each:
-   recovery counts blocks and indexes entries with this walk, and
-   [content_index_consistent] recounts with it. *)
-let iter_items t f =
-  List.iter (fun j -> f (Journal j)) (Journal.all t.journals);
-  walk_items t ~except:(Hashtbl.create 0) t.epochs f
-
-let leaf_entries_of item note = match item with Leaf (_, es) -> List.iter note es | _ -> ()
+(* The content index ----------------------------------------------------------- *)
 
 let set_packed_layout t flag =
+  settle t;
   if flag <> t.packed then begin
     t.packed <- flag;
     Content_index.rebuild t.index (fun note ->
-        if flag then iter_items t (fun item -> leaf_entries_of item note))
+        if flag then
+          iter_items t ~leaf:(Leaf_cache.entries t.leaves) (fun item ->
+              leaf_entries_of item note))
   end
 
-let content_index_size t = Content_index.size t.index
+let content_index_size t =
+  settle t;
+  Content_index.size t.index
 
 let content_index_consistent t =
-  Allocator.consistent t.alloc (fun count -> iter_items t (fun item -> covers item count))
+  settle t;
+  Allocator.consistent t.alloc (fun count ->
+      iter_items t ~leaf:(Leaf_cache.entries t.leaves) (fun item -> covers item count))
   && Content_index.consistent t.index t.alloc ~payload:(fun p ->
          let off = off_of_block p.p_blk + p.p_off in
          match payload_of p (Striped.read_nocharge t.dev ~off ~len:p.p_clen) with
@@ -895,84 +1080,12 @@ let content_index_consistent t =
 
 (* Recovery ---------------------------------------------------------------------- *)
 
-(* Recovery reads what the retained checkpoint records name, once each.
-   Commit copies the version table, so consecutive epochs share most
-   version records: each distinct version is loaded once (the rebuilt
-   tables share version values exactly as they did before the crash),
-   and the blocks its packed bytes cover are coalesced, in block order,
-   into runs of at most [max_extent_blocks], all read in one charged
-   vectored batch.  The cost is O(records + distinct versions) in parse
-   work, not O(epochs x objects), and three round trips in device time:
-   the superblock, the records it lists, the version runs. *)
-
-(* A location read off the device must name blocks below the [frontier]
-   the superblock names. *)
-let check_extent ~frontier what blk nblocks =
-  if blk <= superblock_block || nblocks < 1 || blk + nblocks > frontier then
-    raise
-      (Corrupt_store
-         (Printf.sprintf "%s at block %d (+%d) outside the store (%d blocks)" what blk
-            nblocks frontier))
-
-(* Load every distinct version [entries] name, as a (blk, off) -> (oid,
-   version) table.  The blocks covering the records are read in runs
-   (records sharing a block or in adjacent blocks join one run), every
-   run once in one batch, and every record is sliced out at its offset. *)
-let load_versions t ~frontier entries =
-  let loaded = Hashtbl.create 1024 and want = Hashtbl.create 1024 in
-  List.iter
-    (fun (_, blk, off, len) ->
-      if off >= block_size || len < 1 then
-        raise
-          (Corrupt_store
-             (Printf.sprintf "version record at block %d: offset %d, length %d" blk off len));
-      check_extent ~frontier "version record" blk (span_end blk off len - blk + 1);
-      Hashtbl.replace want (blk, off) len)
-    entries;
-  let todo =
-    Hashtbl.fold (fun (blk, off) len acc -> (blk, off, len) :: acc) want [] |> Array.of_list
-  in
-  Array.sort compare todo;
-  let last k =
-    let blk, off, len = todo.(k) in
-    span_end blk off len
-  in
-  let n = Array.length todo in
-  (* Runs as (first record, last record + 1, first block, blocks). *)
-  let runs = ref [] and i = ref 0 in
-  while !i < n do
-    let base, _, _ = todo.(!i) in
-    let j = ref (!i + 1) and run_end = ref (last !i) in
-    while
-      !j < n
-      && (let blk, _, _ = todo.(!j) in blk <= !run_end + 1)
-      && last !j - base < max_extent_blocks
-    do
-      run_end := max !run_end (last !j);
-      incr j
-    done;
-    runs := (!i, !j, base, !run_end - base + 1) :: !runs;
-    i := !j
-  done;
-  let runs = Array.of_list (List.rev !runs) in
-  let data =
-    read_ranges t
-      (Array.map (fun (_, _, base, nblocks) -> (off_of_block base, nblocks * block_size)) runs)
-  in
-  Array.iteri
-    (fun r (first, stop, base, _) ->
-      for k = first to stop - 1 do
-        let blk, off, len = todo.(k) in
-        let vr =
-          decode "version record" version_codec
-            (Bytes.sub data.(r) (((blk - base) * block_size) + off) len)
-        in
-        Hashtbl.replace loaded (blk, off)
-          (vr.vr_oid, { v_kind = vr.vr_kind; v_meta = vr.vr_meta; v_blk = blk; v_off = off;
-                        v_len = len; v_leaves = IntMap.of_seq (List.to_seq vr.vr_leaves) })
-      done)
-    runs;
-  loaded
+(* Recovery reads what serving the newest epoch needs, in three round
+   trips: the superblock, the checkpoint records it lists, and the
+   newest epoch's distinct versions, their blocks coalesced into runs
+   read in one charged vectored batch.  An older epoch's versions wait
+   for its first use ([table]), and the counts, the free set and the
+   content index for [settle]. *)
 
 let recover ~dev ~clock =
   let t = fresh dev clock in
@@ -982,6 +1095,9 @@ let recover ~dev ~clock =
         decode "superblock" superblock_codec (read_blocks t ~blk:superblock_block ~nblocks:1))
   in
   let frontier = sb.sb_next_block in
+  (* Until [settle] counts, the frontier is the superblock's, so a
+     superblock written before then names it too. *)
+  let t = { t with alloc = Allocator.create ~frontier () } in
   t.next_oid <- sb.sb_next_oid;
   t.oldest_retained <- sb.sb_oldest_retained;
   t.journals <- Journal.registry sb.sb_journals;
@@ -1031,57 +1147,36 @@ let recover ~dev ~clock =
     Otrace.with_span ~cat:"store" ~name:"recover.records" (fun () ->
         walk sb.sb_records ~below:(sb.sb_epoch + 1) [])
   in
-  (* Then every retained epoch's versions in one pass, so a block shared
-     by several epochs' records is read once. *)
-  let loaded =
-    Otrace.with_span ~cat:"store" ~name:"recover.versions" (fun () ->
-        load_versions t ~frontier (List.concat_map (fun (_, _, _, tl) -> tl) chain))
-  in
   t.epochs <-
     List.map
-      (fun (epoch, block, nblocks, table_list) ->
-        let table = Hashtbl.create (List.length table_list) in
-        List.iter
-          (fun (oid, blk, off, len) ->
-            let v_oid, v = Hashtbl.find loaded (blk, off) in
-            if v_oid <> oid || v.v_len <> len then
-              raise (Corrupt_store "version/oid mismatch");
-            Hashtbl.replace table oid v)
-          table_list;
+      (fun (epoch, block, nblocks, entries) ->
         { e_epoch = epoch; e_record_block = block; e_record_nblocks = nblocks;
-          e_table = table })
+          e_versions = Listed entries })
       chain;
-  (* Neither the counts, the free set nor the content index is persisted:
-     they come from one uncharged walk over what the journals and the
-     retained epochs reach.  Every distinct leaf is parsed once, which
-     also warms the leaf cache for the first post-recovery incremental
-     commit, and none becomes resident, so the first page read after
-     recovery still pays its leaf read.  The index is rebuilt from the
-     durable leaves, so dedup after a crash only ever references durable
-     pages. *)
-  Content_index.rebuild t.index (fun note ->
-      Allocator.recount t.alloc ~frontier (fun count ->
-          iter_items t (fun item ->
-              covers item count;
-              leaf_entries_of item note)));
+  let loaded = Hashtbl.create 1024 in
+  t.unsettled <- Some loaded;
+  ignore
+    (load_tables ~span:"recover.versions" t loaded (Option.to_list (last_epoch_info t)));
   t
 
 (* Reading ------------------------------------------------------------------------- *)
 
-let epoch_info t epoch =
+(* A retained epoch's version table: an older epoch's first use on a
+   recovered store loads its versions, charged. *)
+let epoch_table t epoch =
   match List.find_opt (fun e -> e.e_epoch = epoch) t.epochs with
-  | Some e -> e
+  | Some e -> table t e
   | None -> raise (Corrupt_store (Printf.sprintf "unknown epoch %d" epoch))
 
 let version_exn t ~epoch ~oid =
-  match Hashtbl.find_opt (epoch_info t epoch).e_table oid with
+  match Hashtbl.find_opt (epoch_table t epoch) oid with
   | Some v -> v
   | None -> raise (Corrupt_store (Printf.sprintf "oid %d not in epoch %d" oid epoch))
 
 let objects_at t ~epoch =
   Hashtbl.fold
     (fun oid v acc -> if v.v_kind = Manifest.kind then acc else (oid, v.v_kind) :: acc)
-    (epoch_info t epoch).e_table []
+    (epoch_table t epoch) []
   |> List.sort compare
 
 let read_meta t ~epoch ~oid = (version_exn t ~epoch ~oid).v_meta
@@ -1305,7 +1400,7 @@ let read_pages t ~epoch ~oid = take_all (List.assoc oid (stream_pages t ~epoch [
    record [base] does not share, the leaves [base] does not share,
    ascending, each with [base]'s leaf at its index. *)
 let device_delta t ~base ~epoch =
-  let base_table = if base = 0 then Hashtbl.create 0 else (epoch_info t base).e_table in
+  let base_table = if base = 0 then Hashtbl.create 0 else epoch_table t base in
   let plan =
     List.filter_map
       (fun (oid, kind) ->
@@ -1386,6 +1481,7 @@ let journal_find t id = Journal.find t.journals id
    so the journal survives a crash that happens before the next
    checkpoint. *)
 let journal_create t ~size =
+  settle t;
   let blocks = blocks_of_len size in
   let j = Journal.create t.journals ~start:(Allocator.alloc_extent t.alloc blocks) ~blocks in
   covers (Journal j) (Allocator.retain t.alloc);
@@ -1411,6 +1507,7 @@ let journal_records t j = Journal.records j ~read:(read_range t)
    in ascending order, and the index forgets every location over a freed
    block before anything can dedup against it. *)
 let prune_history t ~keep =
+  settle t;
   let n = List.length t.epochs in
   if n <= keep then 0
   else begin
@@ -1426,9 +1523,9 @@ let prune_history t ~keep =
       in
       split 0 [] t.epochs
     in
-    let oldest = match kept with e :: _ -> e.e_table | [] -> Hashtbl.create 0 in
+    let oldest = match kept with e :: _ -> table t e | [] -> Hashtbl.create 0 in
     let dead = ref [] in
-    walk_items t ~except:oldest dropped (fun item ->
+    walk_items t ~leaf:(Leaf_cache.entries t.leaves) ~except:oldest dropped (fun item ->
         covers item (fun b -> if Allocator.release t.alloc b then dead := b :: !dead));
     (* A freed block also leaves the leaf cache, so a reused block can
        never serve stale parsed entries or a stale residency. *)
@@ -1448,7 +1545,9 @@ let prune_history t ~keep =
     List.length !dead
   end
 
-let blocks_allocated t = Allocator.allocated t.alloc
+let blocks_allocated t =
+  settle t;
+  Allocator.allocated t.alloc
 
 (* Manifests ---------------------------------------------------------------------------- *)
 
@@ -1456,10 +1555,10 @@ let blocks_allocated t = Allocator.allocated t.alloc
    [objects_at], [staging_manifest_source] and the manifest's own entries
    leave it out.  These are an epoch's manifest objects, lowest oid first;
    a sound epoch has exactly one. *)
-let manifest_oids e =
+let manifest_oids table =
   Hashtbl.fold
     (fun oid v acc -> if v.v_kind = Manifest.kind then oid :: acc else acc)
-    e.e_table []
+    table []
   |> List.sort compare
 
 (* What the open staging epoch will contain once committed: carried
@@ -1513,7 +1612,7 @@ let staging_manifest_source t =
    carries, so a restored or failed-over store keeps writing its manifest
    where it found it. *)
 let manifest_oid t =
-  match Option.map manifest_oids (last_epoch_info t) with
+  match Option.map (fun e -> manifest_oids (table t e)) (last_epoch_info t) with
   | Some (oid :: _) -> oid
   | Some [] | None -> alloc_oid t
 
@@ -1525,7 +1624,7 @@ let put_manifest t ~oid =
   put_object t ~oid ~kind:Manifest.kind ~meta:""
 
 let manifest t ~epoch =
-  match manifest_oids (epoch_info t epoch) with
+  match manifest_oids (epoch_table t epoch) with
   | [] -> Error (Printf.sprintf "epoch %d carries no manifest" epoch)
   | moid :: _ -> (
       match Manifest.of_string (read_meta t ~epoch ~oid:moid) with
@@ -1539,15 +1638,15 @@ let manifest t ~epoch =
 let check_walk t ~epoch ~check_meta ~pages =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   try
-    let e = epoch_info t epoch in
-    match manifest_oids e with
+    let table = epoch_table t epoch in
+    match manifest_oids table with
     | [] -> Error "no manifest object"
     | _ :: _ :: _ -> Error "several manifest objects"
     | [ moid ] -> (
         let others oid _ acc = if oid = moid then acc else oid :: acc in
-        let oids = Hashtbl.fold others e.e_table [] in
+        let oids = Hashtbl.fold others table [] in
         let objects = List.length oids in
-        match Manifest.of_string (Hashtbl.find e.e_table moid).v_meta with
+        match Manifest.of_string (Hashtbl.find table moid).v_meta with
         | Error msg -> Error ("malformed manifest: " ^ msg)
         | Ok m when m.Manifest.m_epoch <> epoch ->
             fail "manifest written for epoch %d, found in epoch %d" m.Manifest.m_epoch epoch
@@ -1557,7 +1656,7 @@ let check_walk t ~epoch ~check_meta ~pages =
             let streams = if pages then stream_pages t ~epoch (List.sort compare oids) else [] in
             let check (me : Manifest.entry) =
               let oid = me.Manifest.me_oid in
-              match if oid = moid then None else Hashtbl.find_opt e.e_table oid with
+              match if oid = moid then None else Hashtbl.find_opt table oid with
               | None -> fail "oid %d named but absent" oid
               | Some v when v.v_kind <> me.Manifest.me_kind ->
                   fail "oid %d is %S, manifest says %S" oid v.v_kind me.Manifest.me_kind
@@ -1602,8 +1701,8 @@ let verify_epoch t ~epoch ~check_meta = check_walk t ~epoch ~check_meta ~pages:t
    prove that manifest verification and epoch fallback actually fire. *)
 
 let corrupt_meta_for_tests t ~epoch ~oid =
-  let e = epoch_info t epoch in
-  match Hashtbl.find_opt e.e_table oid with
+  let table = epoch_table t epoch in
+  match Hashtbl.find_opt table oid with
   | None -> raise (Corrupt_store (Printf.sprintf "oid %d not in epoch %d" oid epoch))
   | Some v ->
       let meta =
@@ -1617,7 +1716,7 @@ let corrupt_meta_for_tests t ~epoch ~oid =
       (* Version records are shared across epoch tables by commit's
          table copy; replacing the binding corrupts this epoch only.  The
          kept delta is dropped, so a frame ships what the store holds. *)
-      Hashtbl.replace e.e_table oid { v with v_meta = meta };
+      Hashtbl.replace table oid { v with v_meta = meta };
       t.kept <- None
 
 let corrupt_page_for_tests t ~epoch ~oid =

@@ -65,33 +65,49 @@ val format : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
 (** Initialize an empty store on the device (writes the superblock). *)
 
 val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
-(** Mount after a crash or reboot: parses the superblock and the retained
-    checkpoints' records off the device, in three round trips.  The
-    superblock lists the retained checkpoint records, newest first, as
-    many as fit in its one block; all of them are read in one vectored
-    batch ({!Aurora_block.Striped.submit_vec}), each at its exact size,
-    and past a full list the older ones are read one at a time along
-    their prev pointers.  Each record's prev pointer must name the next
-    listed record and epochs must strictly decrease.  Then every
-    distinct version record they name, over all retained epochs, is
-    loaded once, keyed by [(block, offset)]: the blocks covering the
-    records are coalesced into runs, every run is read once in a single
-    vectored batch, and each record is sliced out at its offset.  The
-    device cost is three read latencies and the batches' transfers; the
-    work is O(records + distinct versions), not O(epochs x objects).
-    Traced as a [store/recover] span with [recover.superblock],
-    [recover.records] and [recover.versions] children.  Neither the
-    per-block reference counts (see {!prune_history}) nor the free set
-    is persisted: one uncharged walk counts every item the retained
-    epochs and the journals hold, and every block below the frontier
-    that no item covers (a block a prune freed, or an incomplete commit
-    wrote) is freed, so {!blocks_allocated} survives a crash.  An empty
-    store keeps numbering its epochs above the newest one a prune
-    dropped.  Raises {!Corrupt_store} if no valid superblock is found,
-    a record is truncated, garbled, out of range or out of epoch order,
-    the superblock's list disagrees with the prev pointers, or a version
-    entry has an offset past its block, a zero length, or a byte range
-    past the allocated blocks. *)
+(** Mount after a crash or reboot, reading only what serving the newest
+    epoch needs, in three round trips.  The superblock lists the
+    retained checkpoint records, newest first, as many as fit in its one
+    block; all of them are read in one vectored batch
+    ({!Aurora_block.Striped.submit_vec}), each at its exact size, and
+    past a full list the older ones are read one at a time along their
+    prev pointers.  Each record's prev pointer must name the next listed
+    record and epochs must strictly decrease.  Then the newest epoch's
+    distinct version records are loaded, keyed by [(block, offset)]: the
+    blocks covering them are coalesced into runs, every run is read once
+    in a single charged vectored batch, and each record is sliced out at
+    its offset.  Traced as a [store/recover] span with
+    [recover.superblock], [recover.records] and [recover.versions]
+    children, the last with the batch's [ranges] and [bytes].
+
+    The rest waits, charged, for whoever needs it.  An older epoch's
+    versions are loaded at its first use (any call naming the epoch, in
+    one batch of the versions no loaded epoch shares), so a garbled one
+    raises {!Corrupt_store} there ({!verify_epoch} returns it as
+    [Error "corrupt store: ..."]), not here.  Neither the per-block
+    reference counts (see {!prune_history}), the free set nor the
+    content index is persisted: a deferred pass rebuilds them once, on
+    the store's clock, at the first {!begin_checkpoint},
+    {!prune_history}, {!journal_create}, {!set_packed_layout},
+    {!blocks_allocated}, {!content_index_size} or
+    {!content_index_consistent}.  It loads every older epoch's versions
+    in one batch, reads every distinct leaf of the retained epochs that
+    is not resident in one more (each becomes resident), and only once
+    every leaf has parsed counts every item the retained epochs and the
+    journals hold; every block below the frontier that no item covers (a
+    block a prune freed, or an incomplete commit wrote) is freed, so
+    {!blocks_allocated} survives a crash.  The pass writes nothing, so a
+    crash during it leaves the device as recovery found it; a read or
+    parse that fails raises from the call that ran it and leaves the
+    pass to the next one.  Traced as a [store/settle] complete event with
+    the [versions] it loaded, the [leaves] it counted and the [bytes] it
+    read.  A restore of the newest epoch, eager or lazy, waits for none
+    of it.  An empty store keeps numbering its epochs above the newest
+    one a prune dropped.  Raises {!Corrupt_store} if no valid superblock
+    is found, a record is truncated, garbled, out of range or out of
+    epoch order, the superblock's list disagrees with the prev pointers,
+    or a newest-epoch version entry has an offset past its block, a zero
+    length, or a byte range past the allocated blocks. *)
 
 val clock : t -> Aurora_sim.Clock.t
 val device : t -> Aurora_block.Striped.t
@@ -176,11 +192,11 @@ val flush_stats : t -> flush_stats
     another, references it.  The index is {e derived} state, kept
     beside per-block reference counts: commit adds what it writes to
     both, {!prune_history} drops every entry over a block it frees, and
-    {!recover} rebuilds both from the durable leaves, so nothing about
-    them needs to be crash-atomic.  An entry always lies in allocated
-    blocks, but no live leaf need still reference it: blocks are
-    immutable while allocated, and a leaf that dedups against the entry
-    counts its blocks again.  Payloads that do flush are RLE-coded when
+    {!recover}'s deferred pass rebuilds both from the durable leaves, so
+    nothing about them needs to be crash-atomic.  An entry always lies
+    in allocated blocks, but no live leaf need still reference it:
+    blocks are immutable while allocated, and a leaf that dedups against
+    the entry counts its blocks again.  Payloads that do flush are RLE-coded when
     that shrinks them, packed back-to-back into extents, and charged
     compression CPU time by compressibility class
     ({!Aurora_util.Rle.cls}). *)
@@ -198,13 +214,14 @@ val content_index_size : t -> int
 
 val content_index_consistent : t -> bool
 (** Check the state commit and prune keep incrementally against the walk
-    {!recover} counts with: the per-block reference counts equal a fresh
-    count block for block, the free set is exactly the uncounted blocks
-    between the superblock and the frontier, and every index entry lies
-    in counted blocks whose stored bytes (read uncharged) decode to a
-    payload of the entry's hash, length and CRC.  Costs a walk of every
-    live leaf plus one read per index entry.  Property tests, the fault
-    simulator's prunes and the benchmark call it. *)
+    {!recover}'s deferred pass counts with: the per-block reference
+    counts equal a fresh count block for block, the free set is exactly
+    the uncounted blocks between the superblock and the frontier, and
+    every index entry lies in counted blocks whose stored bytes (read
+    uncharged) decode to a payload of the entry's hash, length and CRC.
+    Costs a walk of every live leaf plus one read per index entry.
+    Property tests, the fault simulator's prunes and recoveries, and the
+    benchmark call it. *)
 
 (** {1 Fault tolerance} *)
 
@@ -213,7 +230,7 @@ val set_read_policy : t -> retries:int -> backoff_ns:int -> unit
     {!Aurora_block.Fault.Io_error} is retried up to [retries] times, with
     exponential backoff starting at [backoff_ns] of virtual time.  The
     default is 4 retries from 20 µs.  Retries are per range: when a
-    vectored batch (recovery's version runs, a leaf batch) meets errors,
+    vectored batch (version runs, a leaf batch) meets errors,
     only the failed ranges are resubmitted, each within its own budget.
     A range that keeps failing re-raises the error to the caller. *)
 
@@ -369,9 +386,9 @@ val read_delta :
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 (** [(page index, payload CRC-32)] of every stored page, from the leaf
     entries alone (no data-block reads, no device charge).  Being
-    uncharged, it never makes a leaf resident, nor do recovery, commit
-    or pruning: only a charged read path does, by the rule of
-    {!read_page}. *)
+    uncharged, it never makes a leaf resident, nor do commit or pruning:
+    only a charged read path, or {!recover}'s deferred pass, does, by
+    the rule of {!read_page}. *)
 
 val staging_manifest_source : t -> (int * string * string * (int * int) list) list
 (** [(oid, kind, meta, page_crcs)] of every object the open staging epoch
@@ -404,8 +421,10 @@ val check_epoch :
   epoch:int ->
   check_meta:(kind:string -> string -> (unit, string) result) ->
   (Manifest.t * (int list -> (int * stream) list), string) result
-(** {!verify_epoch} without its page check: no page read, no clock
-    movement (leaves are parsed uncharged, as by {!page_crcs}).  [Ok]
+(** {!verify_epoch} without its page check: no page read, and no clock
+    movement (leaves are parsed uncharged, as by {!page_crcs}) but an
+    older epoch's versions at its first use on a recovered store (see
+    {!recover}).  [Ok]
     carries the manifest and the epoch's {!stream_pages}, whose decoder
     checks each page's CRC.  Never raises. *)
 
@@ -479,3 +498,5 @@ val prune_history : t -> keep:int -> int
     one pass over the content index; the kept epochs are never walked. *)
 
 val blocks_allocated : t -> int
+(** Blocks below the frontier outside the free set, the superblock
+    included. *)

@@ -383,7 +383,9 @@ let leaf_ranges store leaves =
    delta its commit kept: no device read, no virtual time, and the bytes
    of the device path's frame on a recovered store.  Returns another
    recovered store, its leaves not yet resident, for the device path's
-   pins. *)
+   pins.  Recovery loads only the newest epoch's versions, so [base]'s
+   are loaded first, on their own: its one version [epoch] rewrote is
+   one read, which the pins leave out. *)
 let kept_frame store ~base ~epoch =
   let kept, took, ranges =
     measured store (fun () -> Migrate.serialize_incremental ~store ~base ~epoch)
@@ -392,7 +394,10 @@ let kept_frame store ~base ~epoch =
   Alcotest.(check int) "kept frame: no reads" 0 (List.length ranges);
   Alcotest.(check string) "kept frame equals the device path's" kept
     (Migrate.serialize_incremental ~store:(recovered store) ~base ~epoch);
-  recovered store
+  let store = recovered store in
+  let _, _, ranges = measured store (fun () -> Store.objects_at store ~epoch:base) in
+  Alcotest.(check int) "base's versions: one read at first use" 1 (List.length ranges);
+  store
 
 (* Object [a] spans three radix leaves and object [b] one; the second
    epoch rewrites [k] pages inside [a]'s middle leaf. *)

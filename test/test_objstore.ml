@@ -1300,6 +1300,168 @@ let batch_read dev clock ranges =
   Clock.advance_to clock (Array.fold_left (fun m (c, _) -> max m c) t0 arrived);
   Clock.now clock - t0
 
+(* Recovery reads what serving needs ------------------------------------------ *)
+
+(* The table [(oid, blk, off, len)] of the checkpoint record at [(blk,
+   nblocks)], read uncharged. *)
+let record_entries dev (blk, nblocks) =
+  (Store.decode "checkpoint record" Store_format.checkpoint_codec
+     (Striped.read_nocharge dev ~off:(blk * Store.block_size) ~len:(nblocks * Store.block_size)))
+    .Store_format.cr_table
+
+(* [(oid, leaf blocks)] of every version the record at [loc] names,
+   read uncharged. *)
+let record_leaves dev loc =
+  List.map
+    (fun (oid, blk, off, len) ->
+      let vr =
+        Store.decode "version record" Store_format.version_codec
+          (Striped.read_nocharge dev ~off:((blk * Store.block_size) + off) ~len)
+      in
+      (oid, List.map snd vr.Store_format.vr_leaves))
+    (record_entries dev loc)
+
+let accept_meta ~kind:_ _ = Ok ()
+
+(* A version record only the older of two epochs holds is parsed at that
+   epoch's first use, not by recovery: garbled, it leaves recovery and
+   the newest epoch whole, fails the older epoch's verification, and
+   raises Corrupt_store from the deferred pass that prune and the first
+   commit wait for. *)
+let test_corrupt_older_version_at_first_use () =
+  let clock, dev, store = fresh () in
+  let x = Store.alloc_oid store and y = Store.alloc_oid store in
+  let moid = Store.alloc_oid store in
+  let commit stage =
+    let e = Store.begin_checkpoint store in
+    Store.put_manifest store ~oid:moid;
+    stage ();
+    ignore (Store.commit_checkpoint store);
+    e
+  in
+  let _e1 =
+    commit (fun () ->
+        Store.put_object store ~oid:x ~kind:"memory" ~meta:"x old";
+        Store.put_pages store ~oid:x [ (0, payload 'x') ];
+        Store.put_object store ~oid:y ~kind:"memory" ~meta:"y";
+        Store.put_pages store ~oid:y [ (0, payload 'y') ])
+  in
+  let e2 = commit (fun () -> Store.put_object store ~oid:x ~kind:"memory" ~meta:"x new") in
+  Store.wait_durable store;
+  let older =
+    match (superblock dev).Store_format.sb_records with
+    | [ _; older ] -> older
+    | _ -> Alcotest.fail "two records listed"
+  in
+  let e1 = List.hd (Store.checkpoint_epochs store) in
+  let _, vblk, voff, vlen = List.find (fun (oid, _, _, _) -> oid = x) (record_entries dev older) in
+  let junk = Bytes.make vlen '\xff' in
+  Bytes.set junk 0 '\xa2';
+  overwrite dev clock ~off:((vblk * Store.block_size) + voff) junk;
+  Striped.crash dev ~now:(Clock.now clock);
+  let store2 = Store.recover ~dev ~clock in
+  Alcotest.(check bool) "the newest epoch verifies" true
+    (Result.is_ok (Store.verify_epoch store2 ~epoch:e2 ~check_meta:accept_meta));
+  Alcotest.(check (list (pair int bytes))) "the newest epoch reads back"
+    [ (0, payload 'x') ] (Store.read_pages store2 ~epoch:e2 ~oid:x);
+  (match Store.verify_epoch store2 ~epoch:e1 ~check_meta:accept_meta with
+  | Ok _ -> Alcotest.fail "the older epoch verified"
+  | Error msg ->
+      Alcotest.(check bool) (Printf.sprintf "older epoch: %S" msg) true
+        (String.starts_with ~prefix:"corrupt store: " msg));
+  Alcotest.(check bool) "prune raises Corrupt_store" true
+    (raises_corrupt_store (fun () -> Store.prune_history store2 ~keep:1));
+  Alcotest.(check bool) "the first commit raises Corrupt_store" true
+    (raises_corrupt_store (fun () -> Store.begin_checkpoint store2))
+
+(* Two stores that differ only in how large their oldest epoch's
+   versions are, every one of them rewritten by the newest epoch: their
+   recoveries read the same bytes, and the oldest epoch's first use reads
+   its versions. *)
+let test_recover_skips_older_versions () =
+  let volume meta =
+    let clock, dev, store = fresh () in
+    let oids = List.init 20 (fun _ -> Store.alloc_oid store) in
+    commit_metas store (List.map (fun oid -> (oid, meta)) oids);
+    commit_metas store (List.map (fun oid -> (oid, "new")) oids);
+    let oldest = List.hd (Store.checkpoint_epochs store) in
+    Striped.crash dev ~now:(Clock.now clock);
+    let read0 = Striped.bytes_read dev in
+    let store2 = Store.recover ~dev ~clock in
+    let recovery = Striped.bytes_read dev - read0 in
+    let read0 = Striped.bytes_read dev in
+    Alcotest.(check int) "the oldest epoch's objects" 20
+      (List.length (Store.objects_at store2 ~epoch:oldest));
+    (recovery, Striped.bytes_read dev - read0)
+  in
+  let small, _ = volume "old" and large, first_use = volume (String.make 2000 'o') in
+  Alcotest.(check int) "versions only the oldest epoch holds add nothing to recovery" small large;
+  Alcotest.(check bool)
+    (Printf.sprintf "its first use reads them (%d bytes)" first_use)
+    true
+    (first_use >= 20 * 2000)
+
+(* The deferred pass pays for what it parses: the first begin_checkpoint
+   after recovery reads every distinct leaf the retained epochs hold,
+   each once and charged, except one a read already made resident, and
+   waits at least one read latency; the counts and the index it rebuilds
+   equal a fresh walk, and the next begin_checkpoint reads nothing. *)
+let test_settle_reads_charged () =
+  let clock, dev, store = fresh () in
+  let a = Store.alloc_oid store and b = Store.alloc_oid store in
+  let commit stage =
+    let e = Store.begin_checkpoint store in
+    stage ();
+    ignore (Store.commit_checkpoint store);
+    e
+  in
+  ignore
+    (commit (fun () ->
+         Store.put_object store ~oid:a ~kind:"memory" ~meta:"a";
+         Store.put_pages store ~oid:a
+           (List.init 3 (fun leaf -> (leaf * Store.leaf_span, noise_page leaf)));
+         Store.put_object store ~oid:b ~kind:"memory" ~meta:"b";
+         Store.put_pages store ~oid:b [ (0, noise_page 10) ]));
+  ignore (commit (fun () -> Store.put_pages store ~oid:a [ (Store.leaf_span, noise_page 20) ]));
+  let e3 = commit (fun () -> Store.put_pages store ~oid:b [ (0, noise_page 30) ]) in
+  Store.wait_durable store;
+  let records = (superblock dev).Store_format.sb_records in
+  let leaves =
+    List.sort_uniq compare
+      (List.concat_map (fun loc -> List.concat_map snd (record_leaves dev loc)) records)
+  in
+  let b_newest = List.assoc b (record_leaves dev (List.hd records)) in
+  Alcotest.(check int) "three epochs hold six distinct leaves" 6 (List.length leaves);
+  Striped.crash dev ~now:(Clock.now clock);
+  let store2 = Store.recover ~dev ~clock in
+  ignore (Store.read_pages store2 ~epoch:e3 ~oid:b);
+  Striped.settle dev ~clock;
+  let t0 = Clock.now clock in
+  let _, reads = array_reads dev (fun () -> Store.begin_checkpoint store2) in
+  let took = Clock.now clock - t0 in
+  let leaf_reads =
+    List.filter (fun (off, _) -> List.mem (off / Store.block_size) leaves) reads |> List.sort compare
+  in
+  Alcotest.(check (list (pair int int))) "every leaf not resident meets the injector once"
+    (List.filter_map
+       (fun blk ->
+         if List.mem blk b_newest then None else Some (blk * Store.block_size, Store.block_size))
+       leaves)
+    leaf_reads;
+  Alcotest.(check bool)
+    (Printf.sprintf "the first begin_checkpoint waits %d ns >= one read latency" took)
+    true
+    (took >= Aurora_sim.Cost.nvme_read_latency);
+  Alcotest.(check bool) "counts and index equal a fresh walk" true
+    (Store.content_index_consistent store2);
+  ignore (Store.commit_checkpoint store2);
+  Store.wait_durable store2;
+  Striped.settle dev ~clock;
+  let t0 = Clock.now clock in
+  let _, reads = array_reads dev (fun () -> Store.begin_checkpoint store2) in
+  Alcotest.(check (pair int int)) "the next begin_checkpoint reads nothing" (0, 0)
+    (List.length reads, Clock.now clock - t0)
+
 (* Verification streams the epoch: every leaf not yet resident in one
    vectored read, so an N-leaf epoch pays one leaf round trip, not N,
    then every page in one more.  Leaf reads are told apart by the leaf
@@ -2332,6 +2494,11 @@ let () =
           Alcotest.test_case "directory disagrees with chain" `Quick
             test_directory_disagrees_with_chain;
           Alcotest.test_case "retries per range" `Quick test_recover_retries_per_range;
+          Alcotest.test_case "older versions wait for first use" `Quick
+            test_recover_skips_older_versions;
+          Alcotest.test_case "corrupt older version at first use" `Quick
+            test_corrupt_older_version_at_first_use;
+          Alcotest.test_case "deferred pass reads charged" `Quick test_settle_reads_charged;
         ] );
       ( "journal",
         [
