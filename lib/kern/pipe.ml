@@ -6,6 +6,7 @@ type t = {
   mutable rd_open : bool;
   mutable wr_open : bool;
   mutable gen : int;
+  knotes : Kqueue.knlist;
 }
 
 let next_id = ref 0
@@ -18,13 +19,19 @@ let create () =
     rd_open = true;
     wr_open = true;
     gen = 0;
+    knotes = Kqueue.knlist ();
   }
 
 let id t = t.pipe_id
 let generation t = t.gen
+let knotes t = t.knotes
+
+(* Every change to the image may change either end's readiness, so a
+   stamp also activates the pipe's knotes. *)
 let touch t =
   t.gen <- t.gen + 1;
-  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_pipe ~id:t.pipe_id
+  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_pipe ~id:t.pipe_id;
+  Kqueue.activate t.knotes
 
 let write t data =
   let room = capacity - Buffer.length t.buf in
@@ -64,7 +71,9 @@ let write_open t = t.wr_open
 (* Test hook: mutate buffered contents WITHOUT bumping the generation, to
    model a kernel subsystem that forgot the stamp discipline.  Incremental
    checkpoints will persist stale state for this pipe; the restore-vs-model
-   diff must catch it (negative control in the test suite). *)
+   diff must catch it (negative control in the test suite).  Readiness is
+   not the stamp: a kqueue still sees the new bytes. *)
 let unstamped_poke_for_tests t data =
   Buffer.clear t.buf;
-  Buffer.add_string t.buf data
+  Buffer.add_string t.buf data;
+  Kqueue.activate t.knotes

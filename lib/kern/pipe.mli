@@ -15,7 +15,11 @@ val generation : t -> int
     persisted one. *)
 
 val touch : t -> unit
-(** Bump the generation stamp explicitly. *)
+(** Bump the generation stamp explicitly, and {!Kqueue.activate} the
+    pipe's knotes. *)
+
+val knotes : t -> Kqueue.knlist
+(** The knotes of the kqueue registrations that name either end. *)
 
 val write : t -> string -> int
 (** Append up to the free space; returns the number of bytes accepted. *)
@@ -37,4 +41,5 @@ val write_open : t -> bool
 
 val unstamped_poke_for_tests : t -> string -> unit
 (** Replace the buffered bytes WITHOUT bumping the generation — a deliberate
-    violation of the stamp discipline, for negative-control tests only. *)
+    violation of the stamp discipline, for negative-control tests only.
+    The pipe's knotes still activate. *)

@@ -19,6 +19,7 @@ type t = {
   mutable ephemeral : bool;
   mutable cwd : string;
   mutable gen : int;
+  mutable kq_views : Kqueue.view list;
 }
 
 let sigchld = 20 (* FreeBSD SIGCHLD *)
@@ -41,6 +42,7 @@ let create ~clock ~pid ~tid ~ppid ~name =
     ephemeral = false;
     cwd = "/";
     gen = 0;
+    kq_views = [];
   }
 
 let touch t = t.gen <- t.gen + 1
@@ -60,11 +62,17 @@ let set_cwd t path =
   if t.cwd <> path then touch t;
   t.cwd <- path
 
+(* A slot now names something else: the kqueue registrations on it
+   re-resolve. *)
+let slot_changed t slot =
+  List.iter (fun v -> Kqueue.slot_changed v ~slot) t.kq_views
+
 let alloc_fd t desc =
   let rec free n = if Hashtbl.mem t.fdtable n then free (n + 1) else n in
   let slot = free 0 in
   Hashtbl.replace t.fdtable slot desc;
   touch t;
+  slot_changed t slot;
   slot
 
 let install_fd_at t slot desc =
@@ -72,7 +80,8 @@ let install_fd_at t slot desc =
   | Some old -> Fdesc.release old
   | None -> ());
   Hashtbl.replace t.fdtable slot desc;
-  touch t
+  touch t;
+  slot_changed t slot
 
 let fd t slot = Hashtbl.find_opt t.fdtable slot
 
@@ -83,6 +92,7 @@ let close_fd t slot =
       Fdesc.release desc;
       Hashtbl.remove t.fdtable slot;
       touch t;
+      slot_changed t slot;
       true
 
 let fd_count t = Hashtbl.length t.fdtable

@@ -33,6 +33,10 @@ type t = {
   mutable gen : int;
       (** monotonic mutation stamp; bump via [touch] (or the setters) at
           every mutation that changes the serialized image *)
+  mutable kq_views : Kqueue.view list;
+      (** this process's views of the kqueues it has polled; not
+          serialized.  [alloc_fd], [install_fd_at] and [close_fd]
+          re-resolve a changed slot's registrations in each *)
 }
 
 val create :

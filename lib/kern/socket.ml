@@ -21,6 +21,7 @@ type t = {
   recvq : msg Queue.t;
   sendq : msg Queue.t;
   mutable gen : int;
+  knotes : Kqueue.knlist;
 }
 
 let next_id = ref 0
@@ -40,15 +41,21 @@ let create dom prot =
     recvq = Queue.create ();
     sendq = Queue.create ();
     gen = 0;
+    knotes = Kqueue.knlist ();
   }
 
 let id t = t.sock_id
 let domain t = t.dom
 let proto t = t.prot
 let generation t = t.gen
+let knotes t = t.knotes
+
+(* Every change to the image may change readiness, so a stamp also
+   activates the socket's knotes. *)
 let touch t =
   t.gen <- t.gen + 1;
-  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_socket ~id:t.sock_id
+  Aurora_sim.Genlog.note ~kind:Aurora_sim.Genlog.kind_socket ~id:t.sock_id;
+  Kqueue.activate t.knotes
 
 let bind t a =
   t.laddr <- Some a;
@@ -75,7 +82,12 @@ let set_tcp_state t s =
 let listen t =
   t.state <- Tcp_listening;
   touch t
-let accept_enqueue t conn = t.accept_q <- t.accept_q @ [ conn ]
+
+(* The accept queue is not in the image (checkpoint drops it), so no
+   stamp; but a pending connection makes the listener readable. *)
+let accept_enqueue t conn =
+  t.accept_q <- t.accept_q @ [ conn ];
+  Kqueue.activate t.knotes
 
 let accept_dequeue t =
   match t.accept_q with
@@ -107,6 +119,11 @@ let recv t =
   let m = Queue.take_opt t.recvq in
   (match m with Some _ -> touch t | None -> ());
   m
+
+let readable t =
+  match t.state with
+  | Tcp_listening -> t.accept_q <> []
+  | Tcp_established _ | Tcp_closed -> not (Queue.is_empty t.recvq)
 
 let recv_buffered t = List.of_seq (Queue.to_seq t.recvq)
 let send_buffered t = List.of_seq (Queue.to_seq t.sendq)

@@ -36,6 +36,10 @@ val generation : t -> int
     stamps the {e peer} (whose receive queue changed), not the sender. *)
 
 val touch : t -> unit
+(** Bump the stamp and {!Kqueue.activate} the socket's knotes. *)
+
+val knotes : t -> Kqueue.knlist
+(** The knotes of the kqueue registrations that name this socket. *)
 
 val bind : t -> addr -> unit
 val connect : t -> addr -> unit
@@ -50,6 +54,9 @@ val set_tcp_state : t -> tcp_state -> unit
 
 val listen : t -> unit
 val accept_enqueue : t -> t -> unit
+(** Queue a pending connection.  Leaves the stamp alone (the accept
+    queue is not in the image) but activates the listener's knotes. *)
+
 val accept_dequeue : t -> t option
 val accept_queue_length : t -> int
 
@@ -63,6 +70,11 @@ val send : t -> msg -> unit
     locally in the send buffer. *)
 
 val recv : t -> msg option
+
+val readable : t -> bool
+(** [Ev_read] readiness, O(1): a listener with a pending connection, or
+    any other socket with a buffered message. *)
+
 val recv_buffered : t -> msg list
 val send_buffered : t -> msg list
 val refill : t -> recvq:msg list -> sendq:msg list -> unit

@@ -55,6 +55,7 @@ let fork m p =
       ephemeral = false;
       cwd = p.Process.cwd;
       gen = 0;
+      kq_views = [];
     }
   in
   (* fork shares descriptions: both fd tables point at the same objects,
@@ -83,6 +84,8 @@ let fork m p =
 
 let exit m p ~code =
   syscall m;
+  List.iter Kqueue.forget p.Process.kq_views;
+  p.Process.kq_views <- [];
   List.iter (fun (slot, _) -> ignore (Process.close_fd p slot)) (Process.fds p);
   p.Process.proc_state <- Process.Zombie code;
   match Machine.proc m p.Process.ppid with
@@ -354,45 +357,51 @@ let kqueue m p =
   let desc = register m (Fdesc.create (Fdesc.Kqueue_fd kq)) in
   Process.alloc_fd p desc
 
-(* kevent without a timeout: scan the kqueue's registered slots and
-   return the ones whose ident (an fd slot in the calling process) is
-   ready right now.  Read-readiness means a read would consume data (or
-   accept a pending connection) without blocking; write-readiness means
-   a write would accept bytes.  Event-loop servers (lib/apps/http_sim)
-   dispatch on the returned list. *)
-let kevent_poll m p ~fd =
-  syscall m;
+(* What [ev]'s ident names in [p]'s fd table, with the filter's level
+   test.  Read-readiness means a read would consume data (or accept a
+   pending connection) without blocking; write-readiness means a write
+   would accept bytes. *)
+let resolve p (ev : Kqueue.kevent) : Kqueue.target =
+  match Process.fd p ev.Kqueue.ident with
+  | None -> Kqueue.Never
+  | Some desc -> (
+      match (ev.Kqueue.filter, desc.Fdesc.kind) with
+      | Kqueue.Ev_read, Fdesc.Socket_fd s ->
+          Kqueue.On (Socket.knotes s, fun () -> Socket.readable s)
+      | Kqueue.Ev_read, Fdesc.Pipe_read pipe ->
+          Kqueue.On (Pipe.knotes pipe, fun () -> Pipe.buffered pipe > 0)
+      | Kqueue.Ev_write, Fdesc.Socket_fd _ -> Kqueue.Always
+      | Kqueue.Ev_write, Fdesc.Pipe_write pipe ->
+          Kqueue.On
+            ( Pipe.knotes pipe,
+              fun () -> Pipe.read_open pipe && Pipe.buffered pipe < Pipe.capacity )
+      | _ -> Kqueue.Never)
+
+let kqueue_of p fd =
   match (fd_exn p fd).Fdesc.kind with
-  | Fdesc.Kqueue_fd kq ->
-      List.filter
-        (fun (ev : Kqueue.kevent) ->
-          match Process.fd p ev.Kqueue.ident with
-          | None -> false
-          | Some desc -> (
-              match (ev.Kqueue.filter, desc.Fdesc.kind) with
-              | Kqueue.Ev_read, Fdesc.Socket_fd s -> (
-                  match Socket.tcp_state s with
-                  | Socket.Tcp_listening -> Socket.accept_queue_length s > 0
-                  | Socket.Tcp_established _ | Socket.Tcp_closed ->
-                      Socket.recv_buffered s <> [])
-              | Kqueue.Ev_read, Fdesc.Pipe_read pipe -> Pipe.buffered pipe > 0
-              | Kqueue.Ev_write, Fdesc.Socket_fd _ -> true
-              | Kqueue.Ev_write, Fdesc.Pipe_write pipe ->
-                  Pipe.read_open pipe && Pipe.buffered pipe < Pipe.capacity
-              | _ -> false))
-        (Kqueue.events kq)
+  | Fdesc.Kqueue_fd kq -> kq
   | Fdesc.Vnode_file _ | Fdesc.Pipe_read _ | Fdesc.Pipe_write _ | Fdesc.Socket_fd _
   | Fdesc.Pty_master_fd _ | Fdesc.Pty_slave_fd _ | Fdesc.Shm_fd _
   | Fdesc.Device_fd _ ->
       err "EBADF"
 
-let kevent_register p ~fd ev =
-  match (fd_exn p fd).Fdesc.kind with
-  | Fdesc.Kqueue_fd kq -> Kqueue.register kq ev
-  | Fdesc.Vnode_file _ | Fdesc.Pipe_read _ | Fdesc.Pipe_write _ | Fdesc.Socket_fd _
-  | Fdesc.Pty_master_fd _ | Fdesc.Pty_slave_fd _ | Fdesc.Shm_fd _
-  | Fdesc.Device_fd _ ->
-      err "EBADF"
+(* kevent without a timeout: the ready registrations, through [p]'s own
+   view of the kqueue (made at its first poll).  Event-loop servers
+   (lib/apps/http_sim) dispatch on the returned list. *)
+let kevent_poll m p ~fd =
+  syscall m;
+  let kq = kqueue_of p fd in
+  let view =
+    match List.find_opt (fun v -> Kqueue.view_kqueue v == kq) p.Process.kq_views with
+    | Some v -> v
+    | None ->
+        let v = Kqueue.view kq ~resolve:(resolve p) in
+        p.Process.kq_views <- v :: p.Process.kq_views;
+        v
+  in
+  Kqueue.poll view
+
+let kevent_register p ~fd ev = Kqueue.register (kqueue_of p fd) ev
 
 (* Pseudoterminals --------------------------------------------------------- *)
 

@@ -82,13 +82,22 @@ val recv_msg : Machine.t -> Process.t -> fd:int -> (string * int list) option
 
 val kqueue : Machine.t -> Process.t -> int
 val kevent_register : Process.t -> fd:int -> Kqueue.kevent -> unit
+(** {!Kqueue.register}: each process that has polled the kqueue resolves
+    the ident through its fd table and attaches a knote, in O(1). *)
 
 val kevent_poll : Machine.t -> Process.t -> fd:int -> Kqueue.kevent list
 (** kevent with a zero timeout: the registered events whose ident (an fd
     slot in the calling process) is ready — a listening socket with a
     pending connection, an established socket or pipe read end with
     buffered data, a socket or unblocked pipe write end for
-    [Ev_write].  The event-loop HTTP tier dispatches on this. *)
+    [Ev_write] — newest registration first, as in {!Kqueue.events}.
+    The event-loop HTTP tier dispatches on this.
+
+    Polls through the caller's {!Kqueue.view}, made at its first poll
+    (one resolve per registration).  After that a poll tests only the
+    knotes activated since the last poll plus those still ready, so its
+    host cost follows the ready events, not the registered ones.  Charges
+    one syscall of virtual time, whatever it examines. *)
 
 (** {1 Pseudoterminals} *)
 

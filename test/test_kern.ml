@@ -347,6 +347,200 @@ let test_pid_virtualization_lookup () =
   Alcotest.(check bool) "signal via local pid" true
     (Syscall.kill m ~pid:p.Process.pid_local ~signo:15)
 
+(* kevent_poll's reference: re-test every registration through [p]'s fd
+   table, newest registration first.  The kernel must return exactly
+   this while testing only its active knotes. *)
+let reference_poll p kq =
+  List.filter
+    (fun (ev : Kqueue.kevent) ->
+      match Process.fd p ev.Kqueue.ident with
+      | None -> false
+      | Some desc -> (
+          match (ev.Kqueue.filter, desc.Fdesc.kind) with
+          | Kqueue.Ev_read, Fdesc.Socket_fd s -> (
+              match Socket.tcp_state s with
+              | Socket.Tcp_listening -> Socket.accept_queue_length s > 0
+              | Socket.Tcp_established _ | Socket.Tcp_closed -> Socket.recv_buffered s <> [])
+          | Kqueue.Ev_read, Fdesc.Pipe_read pipe -> Pipe.buffered pipe > 0
+          | Kqueue.Ev_write, Fdesc.Socket_fd _ -> true
+          | Kqueue.Ev_write, Fdesc.Pipe_write pipe ->
+              Pipe.read_open pipe && Pipe.buffered pipe < Pipe.capacity
+          | _ -> false))
+    (Kqueue.events kq)
+
+let kqueue_obj p fd =
+  match (Syscall.fd_exn p fd).Fdesc.kind with
+  | Fdesc.Kqueue_fd k -> k
+  | _ -> Alcotest.fail "not a kqueue"
+
+let ev_read ident = { Kqueue.ident; filter = Kqueue.Ev_read; flags = 0; udata = 0 }
+
+(* One step of the kqueue model.  Integers pick a process (mod the live
+   ones: the first holder of the kqueue, then forked children) and a
+   slot (mod [slots]); steps that name something unusable do nothing. *)
+type kq_step =
+  | Socketpair of int
+  | Pipe_open of int
+  | Write of int * int * bool  (** proc, slot, fill a pipe to capacity *)
+  | Read of int * int * int  (** proc, slot, length *)
+  | Connect  (** a client SYN: enqueues on the listener *)
+  | Accept of int
+  | Register of int * int * int * int  (** proc, slot, filter, udata *)
+  | Deregister of int * int  (** slot, filter *)
+  | Close of int * int * bool  (** proc, slot, deregister first *)
+  | Dup2 of int * int * int  (** proc, src, dst: [install_fd_at] *)
+  | Fork of int
+  | Exit of int  (** a forked child *)
+  | Replace  (** restore's rebuild, in reversed order *)
+
+let slots = 10
+
+let kq_step_to_string = function
+  | Socketpair p -> Printf.sprintf "socketpair p%d" p
+  | Pipe_open p -> Printf.sprintf "pipe p%d" p
+  | Write (p, s, full) -> Printf.sprintf "write p%d fd%d%s" p s (if full then " full" else "")
+  | Read (p, s, n) -> Printf.sprintf "read p%d fd%d len %d" p s n
+  | Connect -> "connect"
+  | Accept p -> Printf.sprintf "accept p%d" p
+  | Register (p, s, f, u) -> Printf.sprintf "register p%d fd%d filter%d udata %d" p s f u
+  | Deregister (s, f) -> Printf.sprintf "deregister fd%d filter%d" s f
+  | Close (p, s, d) -> Printf.sprintf "close p%d fd%d%s" p s (if d then " deregistered" else "")
+  | Dup2 (p, a, b) -> Printf.sprintf "dup2 p%d fd%d -> fd%d" p a b
+  | Fork p -> Printf.sprintf "fork p%d" p
+  | Exit p -> Printf.sprintf "exit p%d" p
+  | Replace -> "replace_events"
+
+let kq_step_gen =
+  let open QCheck.Gen in
+  let pr = int_bound 2 and sl = int_bound (slots - 1) in
+  frequency
+    [
+      (2, map (fun p -> Socketpair p) pr);
+      (1, map (fun p -> Pipe_open p) pr);
+      (4, map3 (fun p s f -> Write (p, s, f = 0)) pr sl (int_bound 5));
+      (4, map3 (fun p s n -> Read (p, s, n)) pr sl (int_range 1 3));
+      (2, return Connect);
+      (2, map (fun p -> Accept p) pr);
+      (5, map3 (fun p s (f, u) -> Register (p, s, f, u)) pr sl (pair (int_bound 2) (int_bound 3)));
+      (1, map2 (fun s f -> Deregister (s, f)) sl (int_bound 2));
+      (2, map3 (fun p s d -> Close (p, s, d)) pr sl bool);
+      (1, map3 (fun p a b -> Dup2 (p, a, b)) pr sl sl);
+      (1, map (fun p -> Fork p) pr);
+      (1, map (fun p -> Exit p) pr);
+      (1, return Replace);
+    ]
+
+let filter_of = function 0 -> Kqueue.Ev_read | 1 -> Kqueue.Ev_write | _ -> Kqueue.Ev_timer
+
+(* Run [steps]; after each, every holder's poll must equal the reference
+   scan through its own fd table. *)
+let kevent_poll_matches_scan steps =
+  let m = machine () in
+  let srv = Syscall.spawn m ~name:"srv" in
+  let cli = Syscall.spawn m ~name:"cli" in
+  let lfd = Syscall.socket m srv Socket.Inet Socket.Tcp in
+  Syscall.bind srv ~fd:lfd { Socket.host = "0.0.0.0"; port = 80 };
+  Syscall.listen srv ~fd:lfd;
+  let kq = Syscall.kqueue m srv in
+  let k = kqueue_obj srv kq in
+  Syscall.kevent_register srv ~fd:kq (ev_read lfd);
+  let procs = ref [ srv ] in
+  let proc i = List.nth !procs (i mod List.length !procs) in
+  let usable slot = slot <> kq in
+  let quietly f = try f () with Syscall.Err _ -> () in
+  let step = function
+    | Socketpair i -> ignore (Syscall.socketpair m (proc i))
+    | Pipe_open i -> ignore (Syscall.pipe m (proc i))
+    | Write (i, fd, full) ->
+        quietly (fun () ->
+            ignore
+              (Syscall.write m (proc i) ~fd (if full then String.make Pipe.capacity 'x' else "ab")))
+    | Read (i, fd, len) -> quietly (fun () -> ignore (Syscall.read m (proc i) ~fd ~len))
+    | Connect ->
+        let cfd = Syscall.socket m cli Socket.Inet Socket.Tcp in
+        ignore (Syscall.tcp_connect m cli ~fd:cfd { Socket.host = "0.0.0.0"; port = 80 })
+    | Accept i -> quietly (fun () -> ignore (Syscall.accept m (proc i) ~fd:lfd))
+    | Register (i, ident, f, udata) ->
+        Syscall.kevent_register (proc i) ~fd:kq
+          { Kqueue.ident; filter = filter_of f; flags = 0; udata }
+    | Deregister (ident, f) -> Kqueue.deregister k ~ident ~filter:(filter_of f)
+    | Close (i, fd, dereg) ->
+        if usable fd then begin
+          if dereg then
+            List.iter (fun filter -> Kqueue.deregister k ~ident:fd ~filter)
+              [ Kqueue.Ev_read; Kqueue.Ev_write ];
+          quietly (fun () -> Syscall.close (proc i) fd)
+        end
+    | Dup2 (i, src, dst) ->
+        if usable dst then quietly (fun () -> Syscall.dup2 (proc i) ~src ~dst)
+    | Fork i -> if List.length !procs < 3 then procs := !procs @ [ Syscall.fork m (proc i) ]
+    | Exit i ->
+        let child = proc i in
+        if child != srv then begin
+          Syscall.exit m child ~code:0;
+          procs := List.filter (fun p -> p != child) !procs
+        end
+    | Replace -> Kqueue.replace_events k (List.rev (Kqueue.events k))
+  in
+  let agree () =
+    List.for_all (fun p -> Syscall.kevent_poll m p ~fd:kq = reference_poll p k) !procs
+  in
+  agree ()
+  && List.for_all
+       (fun s ->
+         step s;
+         agree ())
+       steps
+
+(* A poll's work follows what is ready, not what is registered. *)
+let test_kevent_poll_cost () =
+  let examined idle =
+    let m = machine () in
+    let p = Syscall.spawn m ~name:"p" in
+    let kq = Syscall.kqueue m p in
+    let k = kqueue_obj p kq in
+    ignore (Syscall.kevent_poll m p ~fd:kq);
+    for _ = 1 to idle do
+      let a, _ = Syscall.socketpair m p in
+      Syscall.kevent_register p ~fd:kq (ev_read a)
+    done;
+    let a, b = Syscall.socketpair m p in
+    Syscall.kevent_register p ~fd:kq (ev_read a);
+    (* The first poll after registering tests each new knote once. *)
+    Alcotest.(check int) "nothing ready yet" 0 (List.length (Syscall.kevent_poll m p ~fd:kq));
+    ignore (Syscall.write m p ~fd:b "ping");
+    let before = Kqueue.examined k in
+    let ready = Syscall.kevent_poll m p ~fd:kq in
+    Alcotest.(check (list int)) "the readable socket" [ a ]
+      (List.map (fun ev -> ev.Kqueue.ident) ready);
+    Kqueue.examined k - before
+  in
+  let small = examined 10 in
+  Alcotest.(check int) "one event examined" 1 small;
+  Alcotest.(check int) "10 and 1,000 idle registrations cost the same" small (examined 1_000);
+  (* A SYN makes the listener readable without touching its image. *)
+  let m = machine () in
+  let srv = Syscall.spawn m ~name:"srv" in
+  let lfd = Syscall.socket m srv Socket.Inet Socket.Tcp in
+  Syscall.bind srv ~fd:lfd { Socket.host = "0.0.0.0"; port = 80 };
+  Syscall.listen srv ~fd:lfd;
+  let kq = Syscall.kqueue m srv in
+  Syscall.kevent_register srv ~fd:kq (ev_read lfd);
+  Alcotest.(check int) "idle listener" 0 (List.length (Syscall.kevent_poll m srv ~fd:kq));
+  let listener =
+    match (Syscall.fd_exn srv lfd).Fdesc.kind with
+    | Fdesc.Socket_fd s -> s
+    | _ -> Alcotest.fail "not a socket"
+  in
+  let gen = Socket.generation listener in
+  let cli = Syscall.spawn m ~name:"cli" in
+  let cfd = Syscall.socket m cli Socket.Inet Socket.Tcp in
+  Alcotest.(check bool) "syn lands" true
+    (Syscall.tcp_connect m cli ~fd:cfd { Socket.host = "0.0.0.0"; port = 80 });
+  Alcotest.(check (list int)) "accept_enqueue wakes the listener" [ lfd ]
+    (List.map (fun ev -> ev.Kqueue.ident) (Syscall.kevent_poll m srv ~fd:kq));
+  Alcotest.(check int) "listener stamp unchanged" gen (Socket.generation listener)
+
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -373,6 +567,12 @@ let qcheck_tests =
            let data = Syscall.read m p ~fd:rd ~len:(written + 10) in
            String.length data = written
            && String.sub (String.concat "" chunks) 0 written = data));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"kevent_poll equals a full scan" ~count:300
+         (QCheck.make
+            ~print:(fun steps -> String.concat "; " (List.map kq_step_to_string steps))
+            QCheck.Gen.(list_size (int_range 1 60) kq_step_gen))
+         kevent_poll_matches_scan);
   ]
 
 let () =
@@ -401,6 +601,7 @@ let () =
           Alcotest.test_case "socketpair" `Quick test_socketpair_messages;
           Alcotest.test_case "SCM_RIGHTS" `Quick test_scm_rights_transfers_descriptor;
           Alcotest.test_case "kqueue" `Quick test_kqueue_register;
+          Alcotest.test_case "kevent_poll cost" `Quick test_kevent_poll_cost;
           Alcotest.test_case "pty" `Quick test_pty_echo_path;
           Alcotest.test_case "posix shm" `Quick test_posix_shm_shared_between_processes;
           Alcotest.test_case "sysv shm" `Quick test_sysv_shm;
