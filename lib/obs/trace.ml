@@ -53,7 +53,7 @@ let push st ev =
     st.len <- st.len + 1
   end
 
-let with_span ?(args = []) ~cat ~name f =
+let with_span ?(args = []) ?end_args ~cat ~name f =
   match !state with
   | None -> f ()
   | Some st ->
@@ -66,7 +66,7 @@ let with_span ?(args = []) ~cat ~name f =
           ev_name = name;
           ev_args = args;
         };
-      let finish () =
+      let finish args =
         push st
           {
             ev_ts = Clock.now st.clock;
@@ -74,15 +74,15 @@ let with_span ?(args = []) ~cat ~name f =
             ev_ph = End;
             ev_cat = cat;
             ev_name = name;
-            ev_args = [];
+            ev_args = args;
           }
       in
       (match f () with
       | v ->
-          finish ();
+          finish (match end_args with Some g -> g v | None -> []);
           v
       | exception e ->
-          finish ();
+          finish [];
           raise e)
 
 let instant ?ts ?(args = []) ~cat name =
@@ -249,7 +249,9 @@ let export_text () =
           depth := Stdlib.max 0 (!depth - 1);
           Printf.bprintf b "@%-12d " ev.ev_ts;
           indent !depth;
-          Printf.bprintf b "< %s:%s dur=%d\n" ev.ev_cat ev.ev_name (ev.ev_ts - t0)
+          Printf.bprintf b "< %s:%s dur=%d" ev.ev_cat ev.ev_name (ev.ev_ts - t0);
+          text_args b ev.ev_args;
+          Buffer.add_char b '\n'
       | Instant ->
           Printf.bprintf b "@%-12d " ev.ev_ts;
           indent !depth;

@@ -46,11 +46,19 @@ val disable : unit -> unit
 val is_on : unit -> bool
 
 val with_span :
-  ?args:(string * arg) list -> cat:string -> name:string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a span: a [Begin] event at the current virtual
-    time, the thunk, an [End] event at the (possibly advanced) virtual
-    time.  Exception-safe: the span is closed even if the thunk raises.
-    When the tracer is off this is one branch and a call. *)
+  ?args:(string * arg) list ->
+  ?end_args:('a -> (string * arg) list) ->
+  cat:string ->
+  name:string ->
+  (unit -> 'a) ->
+  'a
+(** Run the thunk inside a span: a [Begin] event carrying [args] at the
+    current virtual time, the thunk, an [End] event at the (possibly
+    advanced) virtual time carrying [end_args] of the thunk's result
+    (arguments known only once the span's work is done; Chrome merges
+    them into the span's).  Exception-safe: the span is closed, with no
+    arguments, even if the thunk raises.  When the tracer is off this is
+    one branch and a call. *)
 
 val instant : ?ts:int -> ?args:(string * arg) list -> cat:string -> string -> unit
 (** A point event, at virtual-now unless [ts] is given (events recorded

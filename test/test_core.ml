@@ -1114,6 +1114,34 @@ let test_checkpoint_after_restore_is_incremental () =
         (Vm_space.read_string p''.Process.space ~addr ~len:12)
   | _ -> Alcotest.fail "expected 1 process"
 
+(* A restored server's first checkpoint reads its shells' images and
+   rebuilds none: it stops as long, serializes as long and stages the
+   same socket metadata as after an eager restore. *)
+let test_first_checkpoint_after_restore_materializes_nothing () =
+  Server_image.with_image ~conns:16 ~extras:true @@ fun path _ ->
+  let first_checkpoint ~eager =
+    let machine, store = Server_image.boot path in
+    let r = Server_image.restore ~eager machine store in
+    let server = List.hd r.Restore.procs in
+    let before = Server_image.shells server in
+    let st = Group.checkpoint ~wait_durable:true r.Restore.group in
+    let objects, _ = Server_image.epoch_contents store ~epoch:st.Group.epoch in
+    ( r.Restore.sockets_deferred,
+      before,
+      Server_image.shells server,
+      (st.Group.stop_ns, st.Group.os_serialize_ns),
+      List.filter (fun (_, kind, _) -> kind = Aurora_core.Serial.kind_socket) objects )
+  in
+  let deferred, before, after, times, metas = first_checkpoint ~eager:false in
+  let _, _, _, eager_times, eager_metas = first_checkpoint ~eager:true in
+  (* The listener and 16 connections; the socketpair ends are eager. *)
+  Alcotest.(check int) "sockets deferred" 17 deferred;
+  Alcotest.(check int) "every deferred socket is in the fd table" deferred before;
+  Alcotest.(check int) "no shell forced" before after;
+  Alcotest.(check (pair int int)) "stop and serialization times" eager_times times;
+  Alcotest.(check int) "every socket staged" 19 (List.length metas);
+  Alcotest.(check bool) "socket metadata byte-identical" true (metas = eager_metas)
+
 let test_mem_only_then_full_preserves_data () =
   (* Regression: a memory-only checkpoint rotates the shadow before any
      persisted checkpoint has flushed the logical object; the following
@@ -3110,6 +3138,8 @@ let () =
       ( "continuity",
         [
           Alcotest.test_case "incremental after restore" `Quick test_checkpoint_after_restore_is_incremental;
+          Alcotest.test_case "first checkpoint after restore materializes nothing" `Quick
+            test_first_checkpoint_after_restore_materializes_nothing;
           Alcotest.test_case "mem-only then full" `Quick test_mem_only_then_full_preserves_data;
           Alcotest.test_case "mem-only between persisted" `Quick
             test_mem_only_between_persisted_preserves_data;
