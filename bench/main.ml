@@ -40,6 +40,7 @@ let commands =
     ("fleet", "multi-tenant interleaved checkpointing", Fleet.run);
     ("ha-quorum", "replication torture, bench and gates", Ha_quorum.run);
     ("http-sim", "HTTP tier SLO vs checkpoint period", Http_sim.run);
+    ("restore-traffic", "HTTP traffic after an on-demand socket restore", Restore_traffic.run);
     ("torture", "crash-consistency torture sweep", Torture_sweep.run);
   ]
 

@@ -7,6 +7,7 @@ module Machine = Aurora_kern.Machine
 module Process = Aurora_kern.Process
 module Socket = Aurora_kern.Socket
 module Kqueue = Aurora_kern.Kqueue
+module Fdesc = Aurora_kern.Fdesc
 module Syscall = Aurora_kern.Syscall
 module Vm_space = Aurora_vm.Vm_space
 module Page = Aurora_vm.Page
@@ -130,6 +131,33 @@ let connect t =
   in
   Hashtbl.replace t.conns id c;
   c
+
+(* Restore keeps fd numbers and mappings, so the listener, the kqueue and
+   both arenas are where they were; the parse buffers and request counts
+   live outside the process and carry over with the records. *)
+let resume t ~machine ~proc =
+  {
+    t with
+    machine;
+    http_proc = proc;
+    client_proc = Syscall.spawn machine ~name:"wrk";
+    workers = Array.map (fun w -> Resource.create ~name:(Resource.name w)) t.workers;
+    conns = Hashtbl.copy t.conns;
+  }
+
+let reattach t c =
+  let cfd = Syscall.socket t.machine t.client_proc Socket.Inet Socket.Tcp in
+  let sock p fd =
+    match (Syscall.fd_exn p fd).Fdesc.kind with
+    | Fdesc.Socket_fd s -> s
+    | _ -> invalid_arg "http_sim: reattach to a non-socket"
+  in
+  Socket.pair (sock t.client_proc cfd) (sock t.http_proc c.c_server_fd);
+  let c_buf = Buffer.create 256 in
+  Buffer.add_buffer c_buf c.c_buf;
+  let c' = { c with c_client_fd = cfd; c_buf } in
+  Hashtbl.replace t.conns c.c_id c';
+  c'
 
 let request route =
   Printf.sprintf "GET %s HTTP/1.1\r\nHost: aurora\r\nConnection: keep-alive\r\n\r\n"

@@ -46,6 +46,19 @@ val connect : t -> conn
     {!Aurora_kern.Syscall.kevent_poll}, accepts, and registers the new
     connection for reads.  Emits an ["accept"] span under [cat:"http"]. *)
 
+val resume : t -> machine:Aurora_kern.Machine.t -> proc:Aurora_kern.Process.t -> t
+(** The server as restored onto [machine] as [proc]: the same listener,
+    kqueue and arenas, a fresh client process and worker pool.  Its
+    connections' clients come back one at a time with {!reattach}. *)
+
+val reattach : t -> conn -> conn
+(** A connection of the server before the restore, as its client reaches
+    it again: a new client socket paired with the restored server socket
+    [c_server_fd], which rebuilds a shell (the first segment to reach a
+    restored connection needs its socket), and the parse buffer and
+    request count carried over.  Call it for a connection that was open
+    at the checkpoint. *)
+
 val request : Aurora_workloads.Http_load.route -> string
 (** The GET request bytes for a route, keep-alive headers included. *)
 
