@@ -10,8 +10,9 @@
      window, so every connection's fd costs stop time;
    - speculative: the serialize pass and page harvest run concurrently
      with execution on a spare core (a run hook keeps serving requests
-     whenever a soft-quiesce yield window opens), and the stop window
-     shrinks to quiesce + conflict validation.
+     whenever a soft-quiesce yield window opens, at the same mutation
+     rate as the foreground), and the stop window shrinks to quiesce +
+     conflict validation.
 
    The speculative arm also reports the requests the hook served *during*
    checkpointing — application progress the STW arm forfeits — and the
@@ -68,16 +69,19 @@ let run_arm ~speculative ~conns ~nkeys ~rate ~intervals =
   let hook_ops = ref 0 in
   if speculative then begin
     (* The service keeps answering requests whenever the soft serialize
-       pass yields: every window serves as many ops as its duration
-       allows, each marking a connection socket — exactly the mutation
-       stream the validator must splice. *)
+       pass yields, at [rate] of the requests the window's duration could
+       serve (the fraction carried over to the next window), each marking
+       a connection socket — exactly the mutation stream the validator
+       must splice, so the conflict set follows the rate. *)
     let hmut = Mutilate.create ~nkeys ~get_ratio:0.5 ~seed:13 () in
     let hsock = ref 0 in
+    let credit = ref 0.0 in
     Aurora_kern.Machine.set_run_hook m
       (Some
          (fun ns ->
-           let budget = min 64 (ns / (4 * Memcached.base_service_ns)) in
-           for _ = 1 to max 1 budget do
+           credit := !credit +. (rate *. float_of_int ns /. float_of_int Memcached.base_service_ns);
+           while !credit >= 1.0 do
+             credit := !credit -. 1.0;
              incr hook_ops;
              serve mc hmut;
              incr hsock;

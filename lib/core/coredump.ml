@@ -1,4 +1,5 @@
 module Store = Aurora_objstore.Store
+module Thread = Aurora_kern.Thread
 
 let dump ~store ~epoch =
   let buf = Buffer.create 4096 in
@@ -35,10 +36,8 @@ let dump ~store ~epoch =
           p.Serial.i_pgid p.Serial.i_sid (List.length p.Serial.i_fds)
           (List.length p.Serial.i_entries);
         List.iter
-          (fun (t : Serial.thread_image) ->
-            out "    Thread %d rip=%#x rsp=%#x rflags=%#x\n" t.Serial.i_tid_local
-              t.Serial.i_regs.Serial.i_rip t.Serial.i_regs.Serial.i_rsp
-              t.Serial.i_regs.Serial.i_rflags)
+          (fun { Thread.tid_local; regs = { Thread.rip; rsp; rflags; _ }; _ } ->
+            out "    Thread %d rip=%#x rsp=%#x rflags=%#x\n" tid_local rip rsp rflags)
           p.Serial.i_threads
       end)
     objects;

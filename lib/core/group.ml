@@ -78,8 +78,7 @@ type t = {
   mutable ext_sync : bool;
   grp_oid : int;
   proc_oids : (int, int) Hashtbl.t; (* pid_local -> oid *)
-  desc_oids : (int, int) Hashtbl.t; (* desc_id -> oid *)
-  sub_oids : (string * int, int) Hashtbl.t; (* (kind, kernel id) -> oid *)
+  oids : (int * int, int) Hashtbl.t; (* (Genlog kind, kernel id) -> oid *)
   memrecs : (int, memrec) Hashtbl.t; (* logical object id -> memrec *)
   top_index : (int, memrec) Hashtbl.t; (* current top object id -> memrec *)
   mutable named : (string * int) list;
@@ -130,8 +129,7 @@ let attach ~machine ~store ?fs ?(period_ns = 10_000_000) ?group_oid procs =
       grp_oid =
         (match group_oid with Some oid -> oid | None -> Store.alloc_oid store);
       proc_oids = Hashtbl.create 16;
-      desc_oids = Hashtbl.create 64;
-      sub_oids = Hashtbl.create 64;
+      oids = Hashtbl.create 128;
       memrecs = Hashtbl.create 64;
       top_index = Hashtbl.create 64;
       named = [];
@@ -182,21 +180,15 @@ let named_checkpoints t = t.named
 
 (* Oid allocation, deduplicated by kernel object identity ------------------- *)
 
-let sub_oid t kind id =
-  match Hashtbl.find_opt t.sub_oids (kind, id) with
+let find_oid t tbl key =
+  match Hashtbl.find_opt tbl key with
   | Some oid -> oid
   | None ->
       let oid = Store.alloc_oid t.st in
-      Hashtbl.replace t.sub_oids (kind, id) oid;
+      Hashtbl.replace tbl key oid;
       oid
 
-let desc_oid t (d : Fdesc.t) =
-  match Hashtbl.find_opt t.desc_oids d.Fdesc.desc_id with
-  | Some oid -> oid
-  | None ->
-      let oid = Store.alloc_oid t.st in
-      Hashtbl.replace t.desc_oids d.Fdesc.desc_id oid;
-      oid
+let obj_oid t kind id = find_oid t t.oids (kind, id)
 
 (* Memory records ------------------------------------------------------------ *)
 
@@ -258,22 +250,17 @@ let rec ensure_memrec t obj =
           r)
 
 let seed_proc_oid t ~pid_local ~oid = Hashtbl.replace t.proc_oids pid_local oid
-let seed_desc_oid t ~desc_id ~oid = Hashtbl.replace t.desc_oids desc_id oid
-let seed_sub_oid t ~kind ~id ~oid = Hashtbl.replace t.sub_oids (kind, id) oid
+let seed_oids t oids = Hashtbl.iter (Hashtbl.replace t.oids) oids
 let set_named t named = t.named <- named
 
-let register_restored_memobj t ~oid obj =
+let register_restored_memobj t ~oid ~parent_oid obj =
   let r =
     {
       mo_oid = oid;
       logical = obj;
       top = obj;
       frozen = None;
-      parent_oid =
-        (match Vm_object.parent obj with
-        | None -> None
-        | Some p -> (
-            match owning_memrec t p with Some pr -> Some pr.mo_oid | None -> None));
+      parent_oid;
       ever_flushed = true;
       unflushed = Hashtbl.create 0;
     }
@@ -368,11 +355,18 @@ let ckpt_obj t ~oid ~gen ~children ~serialize =
         spec_maybe_yield t
       end)
 
+(* A kernel object named by its Genlog [kind] and kernel [id]: remember
+   how to [revisit] it for the validator, find its oid, and checkpoint
+   it. *)
+let kernel_obj t ~kind ~id ~revisit ~gen ~children ~serialize =
+  spec_register t ~kind ~id revisit;
+  let oid = obj_oid t kind id in
+  ckpt_obj t ~oid ~gen ~children ~serialize;
+  oid
+
 let rec checkpoint_pipe t pipe =
-  spec_register t ~kind:Genlog.kind_pipe ~id:(Pipe.id pipe) (fun () ->
-      ignore (checkpoint_pipe t pipe));
-  let oid = sub_oid t "pipe" (Pipe.id pipe) in
-  ckpt_obj t ~oid ~gen:(Pipe.generation pipe)
+  kernel_obj t ~kind:Genlog.kind_pipe ~id:(Pipe.id pipe) ~gen:(Pipe.generation pipe)
+    ~revisit:(fun () -> ignore (checkpoint_pipe t pipe))
     ~children:(fun () -> ())
     ~serialize:(fun () ->
       charge t (Cost.obj_serialize_base + pipe_extra);
@@ -382,42 +376,19 @@ let rec checkpoint_pipe t pipe =
             Serial.i_data = Pipe.peek_all pipe;
             i_rd_open = Pipe.read_open pipe;
             i_wr_open = Pipe.write_open pipe;
-          } ));
-  oid
+          } ))
 
 let rec checkpoint_kqueue t kq =
-  spec_register t ~kind:Genlog.kind_kqueue ~id:(Kqueue.id kq) (fun () ->
-      ignore (checkpoint_kqueue t kq));
-  let oid = sub_oid t "kqueue" (Kqueue.id kq) in
-  ckpt_obj t ~oid ~gen:(Kqueue.generation kq)
+  kernel_obj t ~kind:Genlog.kind_kqueue ~id:(Kqueue.id kq) ~gen:(Kqueue.generation kq)
+    ~revisit:(fun () -> ignore (checkpoint_kqueue t kq))
     ~children:(fun () -> ())
     ~serialize:(fun () ->
-  charge t (Cost.obj_serialize_base + (Kqueue.event_count kq * Cost.kqueue_per_event));
-  let evs =
-    List.map
-      (fun (e : Kqueue.kevent) ->
-        {
-          Serial.i_ident = e.Kqueue.ident;
-          i_filter =
-            (match e.Kqueue.filter with
-            | Kqueue.Ev_read -> 0
-            | Kqueue.Ev_write -> 1
-            | Kqueue.Ev_timer -> 2
-            | Kqueue.Ev_signal -> 3
-            | Kqueue.Ev_proc -> 4);
-          i_flags = e.Kqueue.flags;
-          i_udata = e.Kqueue.udata;
-        })
-      (Kqueue.events kq)
-  in
-  (Serial.kind_kqueue, Serial.kqueue_to_string evs));
-  oid
+      charge t (Cost.obj_serialize_base + (Kqueue.event_count kq * Cost.kqueue_per_event));
+      (Serial.kind_kqueue, Serial.kqueue_to_string (Kqueue.events kq)))
 
 let rec checkpoint_pty t pty =
-  spec_register t ~kind:Genlog.kind_pty ~id:(Pty.id pty) (fun () ->
-      ignore (checkpoint_pty t pty));
-  let oid = sub_oid t "pty" (Pty.id pty) in
-  ckpt_obj t ~oid ~gen:(Pty.generation pty)
+  kernel_obj t ~kind:Genlog.kind_pty ~id:(Pty.id pty) ~gen:(Pty.generation pty)
+    ~revisit:(fun () -> ignore (checkpoint_pty t pty))
     ~children:(fun () -> ())
     ~serialize:(fun () ->
       charge t (Cost.obj_serialize_base + pty_ckpt_extra);
@@ -431,20 +402,13 @@ let rec checkpoint_pty t pty =
             i_baud = tio.Pty.baud;
             i_input = Pty.in_buffered pty;
             i_output = Pty.out_buffered pty;
-          } ));
-  oid
-
-let addr_image = function
-  | None -> None
-  | Some { Socket.host; port } -> Some (host, port)
+          } ))
 
 (* Sockets reference in-flight SCM_RIGHTS descriptions, so serializing one
    may recursively serialize descriptions not present in any fd table. *)
 let rec checkpoint_socket t sock =
-  spec_register t ~kind:Genlog.kind_socket ~id:(Socket.id sock) (fun () ->
-      ignore (checkpoint_socket t sock));
-  let oid = sub_oid t "socket" (Socket.id sock) in
-  ckpt_obj t ~oid ~gen:(Socket.generation sock)
+  kernel_obj t ~kind:Genlog.kind_socket ~id:(Socket.id sock) ~gen:(Socket.generation sock)
+    ~revisit:(fun () -> ignore (checkpoint_socket t sock))
     ~children:(fun () ->
       (* Even when the socket is clean its buffered SCM_RIGHTS descriptions
          may have mutated independently: visit them. *)
@@ -458,82 +422,73 @@ let rec checkpoint_socket t sock =
             m.Socket.ctl_fds)
         (Socket.recv_buffered sock @ Socket.send_buffered sock))
     ~serialize:(fun () ->
-  let buffered_kib = (Socket.buffered_bytes sock + 1023) / 1024 in
-  charge t
-    (Cost.obj_serialize_base + socket_extra
-    + (buffered_kib * Cost.socket_buffer_scan_per_kib));
-  let msg_image (m : Socket.msg) =
-    {
-      Serial.i_msg_data = m.Socket.data;
-      i_ctl_oids =
-        List.filter_map
-          (fun desc_id ->
-            match Machine.find_description t.mach desc_id with
-            | Some d -> Some (checkpoint_desc t d)
-            | None -> None)
-          m.Socket.ctl_fds;
-    }
-  in
-  let tcp, snd, rcv =
-    match Socket.tcp_state sock with
-    | Socket.Tcp_closed -> (0, 0, 0)
-    | Socket.Tcp_listening -> (1, 0, 0)
-    | Socket.Tcp_established e -> (2, e.snd_seq, e.rcv_seq)
-  in
-  let peer_oid =
-    match Socket.peer sock with
-    | None -> 0
-    | Some p -> sub_oid t "socket" (Socket.id p)
-  in
-  ( Serial.kind_socket,
-    Serial.socket_to_string
-      {
-        Serial.i_domain =
-          (match Socket.domain sock with Socket.Inet -> 0 | Socket.Unix_dom -> 1);
-        i_proto = (match Socket.proto sock with Socket.Udp -> 0 | Socket.Tcp -> 1);
-        i_laddr = addr_image (Socket.local_addr sock);
-        i_raddr = addr_image (Socket.remote_addr sock);
-        i_opts = Socket.options sock;
-        i_tcp = tcp;
-        i_snd_seq = snd;
-        i_rcv_seq = rcv;
-        i_peer_oid = peer_oid;
-        (* Listening sockets omit the accept queue (clients retry the
-           SYN): nothing of the queue is serialized. *)
-        i_recvq = List.map msg_image (Socket.recv_buffered sock);
-        i_sendq = List.map msg_image (Socket.send_buffered sock);
-      } ));
-  oid
+      let buffered_kib = (Socket.buffered_bytes sock + 1023) / 1024 in
+      charge t
+        (Cost.obj_serialize_base + socket_extra
+        + (buffered_kib * Cost.socket_buffer_scan_per_kib));
+      (* In the image a message names its descriptions by oid. *)
+      let msg_image (m : Socket.msg) =
+        {
+          m with
+          Socket.ctl_fds =
+            List.filter_map
+              (fun desc_id ->
+                Option.map (checkpoint_desc t) (Machine.find_description t.mach desc_id))
+              m.Socket.ctl_fds;
+        }
+      in
+      let peer_oid =
+        match Socket.peer sock with
+        | None -> 0
+        | Some p -> obj_oid t Genlog.kind_socket (Socket.id p)
+      in
+      (* The send queue's descriptions are reached before the receive
+         queue's, which fixes the order their oids are allocated in. *)
+      let im_sendq = List.map msg_image (Socket.send_buffered sock) in
+      let im_recvq = List.map msg_image (Socket.recv_buffered sock) in
+      ( Serial.kind_socket,
+        Serial.socket_to_string
+          {
+            Serial.i_domain = Socket.domain sock;
+            i_proto = Socket.proto sock;
+            i_peer_oid = peer_oid;
+            (* Listening sockets omit the accept queue (clients retry the
+               SYN): nothing of the queue is serialized. *)
+            i_state =
+              {
+                Socket.im_laddr = Socket.local_addr sock;
+                im_raddr = Socket.remote_addr sock;
+                im_opts = Socket.options sock;
+                im_state = Socket.tcp_state sock;
+                im_recvq;
+                im_sendq;
+              };
+          } ))
 
 and checkpoint_shm t shm =
-  spec_register t ~kind:Genlog.kind_shm ~id:(Shm.id shm) (fun () ->
-      ignore (checkpoint_shm t shm));
-  let oid = sub_oid t "shm" (Shm.id shm) in
-  ckpt_obj t ~oid ~gen:(Shm.generation shm)
+  kernel_obj t ~kind:Genlog.kind_shm ~id:(Shm.id shm) ~gen:(Shm.generation shm)
+    ~revisit:(fun () -> ignore (checkpoint_shm t shm))
     ~children:(fun () ->
       (* The backing rotates shadows every checkpoint (stable store oid):
          its memrec must exist for the mark phase even when the segment's
          own image is clean. *)
       ignore (ensure_memrec t (Shm.backing shm)))
     ~serialize:(fun () ->
-  (match Shm.kind shm with
-  | Shm.Posix_shm _ -> charge t (Cost.obj_serialize_base + Cost.shm_shadow_setup + shm_posix_extra)
-  | Shm.Sysv_shm _ ->
-      charge t
-        (Cost.obj_serialize_base + Cost.shm_shadow_setup + shm_posix_extra
-        + Cost.sysv_namespace_scan));
-  let backing = ensure_memrec t (Shm.backing shm) in
-  ( Serial.kind_shm,
-    Serial.shm_to_string
-      {
-        Serial.i_shm_kind =
-          (match Shm.kind shm with
-          | Shm.Posix_shm name -> Either.Left name
-          | Shm.Sysv_shm key -> Either.Right key);
-        i_npages = Shm.npages shm;
-        i_backing_oid = backing.mo_oid;
-      } ));
-  oid
+      (match Shm.kind shm with
+      | Shm.Posix_shm _ ->
+          charge t (Cost.obj_serialize_base + Cost.shm_shadow_setup + shm_posix_extra)
+      | Shm.Sysv_shm _ ->
+          charge t
+            (Cost.obj_serialize_base + Cost.shm_shadow_setup + shm_posix_extra
+            + Cost.sysv_namespace_scan));
+      let backing = ensure_memrec t (Shm.backing shm) in
+      ( Serial.kind_shm,
+        Serial.shm_to_string
+          {
+            Serial.i_shm_kind = Shm.kind shm;
+            i_npages = Shm.npages shm;
+            i_backing_oid = backing.mo_oid;
+          } ))
 
 and checkpoint_vnode_ref t vn =
   (* Vnodes are referenced by inode number: no path lookups in the stop
@@ -547,10 +502,8 @@ and checkpoint_vnode_ref t vn =
   | None -> 0
 
 and checkpoint_desc t (d : Fdesc.t) =
-  spec_register t ~kind:Genlog.kind_fdesc ~id:d.Fdesc.desc_id (fun () ->
-      ignore (checkpoint_desc t d));
-  let oid = desc_oid t d in
-  ckpt_obj t ~oid ~gen:(Fdesc.generation d)
+  kernel_obj t ~kind:Genlog.kind_fdesc ~id:d.Fdesc.desc_id ~gen:(Fdesc.generation d)
+    ~revisit:(fun () -> ignore (checkpoint_desc t d))
     ~children:(fun () ->
       (* A clean description can still point at a dirty object: descend. *)
       match d.Fdesc.kind with
@@ -578,8 +531,7 @@ and checkpoint_desc t (d : Fdesc.t) =
       in
       ( Serial.kind_fdesc,
         Serial.fdesc_to_string
-          { Serial.i_kind = kind_image; i_ext_sync = d.Fdesc.ext_sync } ));
-  oid
+          { Serial.i_kind = kind_image; i_ext_sync = d.Fdesc.ext_sync } ))
 
 let entry_image t (e : Vm_map.entry) =
   charge t Cost.vm_entry_serialize;
@@ -596,22 +548,14 @@ let entry_image t (e : Vm_map.entry) =
   {
     Serial.i_start_vpn = e.Vm_map.start_vpn;
     i_npages = e.Vm_map.npages;
-    i_read = e.Vm_map.prot.Vm_map.read;
-    i_write = e.Vm_map.prot.Vm_map.write;
-    i_exec = e.Vm_map.prot.Vm_map.exec;
+    i_prot = e.Vm_map.prot;
     i_shared = e.Vm_map.shared;
     i_excluded = e.Vm_map.excluded;
     i_obj_oid = obj_oid;
     i_obj_pgoff = e.Vm_map.obj_pgoff;
   }
 
-let proc_oid t (p : Process.t) =
-  match Hashtbl.find_opt t.proc_oids p.Process.pid_local with
-  | Some oid -> oid
-  | None ->
-      let oid = Store.alloc_oid t.st in
-      Hashtbl.replace t.proc_oids p.Process.pid_local oid;
-      oid
+let proc_oid t (p : Process.t) = find_oid t t.proc_oids p.Process.pid_local
 
 let checkpoint_proc t (p : Process.t) =
   let oid = proc_oid t p in
@@ -667,7 +611,7 @@ let checkpoint_proc t (p : Process.t) =
           i_name = p.Process.name;
           i_ephemeral = p.Process.ephemeral;
           i_cwd = p.Process.cwd;
-          i_threads = List.map Serial.image_of_thread p.Process.threads;
+          i_threads = p.Process.threads;
           i_fds = fds;
           i_entries = entries;
           i_proc_pending = p.Process.pending_signals;

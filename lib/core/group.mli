@@ -213,9 +213,10 @@ val resident_group_pages : t -> int
 
 val group_oid : t -> int
 val register_restored_memobj :
-  t -> oid:int -> Aurora_vm.Vm_object.t -> unit
-(** Seed the group's memory-object table after a restore so subsequent
-    checkpoints stay incremental. *)
+  t -> oid:int -> parent_oid:int option -> Aurora_vm.Vm_object.t -> unit
+(** Seed the group's memory-object table after a restore, with the
+    parent oid the object's image names, so subsequent checkpoints stay
+    incremental. *)
 
 val prepare_after_restore : t -> unit
 (** Interpose clean system shadows above every restored writable object so
@@ -223,8 +224,12 @@ val prepare_after_restore : t -> unit
     path once the group is assembled. *)
 
 val seed_proc_oid : t -> pid_local:int -> oid:int -> unit
-val seed_desc_oid : t -> desc_id:int -> oid:int -> unit
-val seed_sub_oid : t -> kind:string -> id:int -> oid:int -> unit
+
+val seed_oids : t -> (int * int, int) Hashtbl.t -> unit
+(** Add [(Genlog kind, kernel id) -> oid] to the group's one identity
+    table, the one that names every description and every object a
+    description reaches. *)
+
 val set_named : t -> (string * int) list -> unit
 (** Restore-path hooks: keep store identities stable across a restore so
     the next checkpoints stay incremental. *)

@@ -1,30 +1,20 @@
-(* The image of each POSIX object kind: the record restore needs, and the
-   one [Wire.codec] that both writes and reads it.  [Serial] includes this
-   module and exports it whole, so it has no .mli that would restate each
-   record. *)
+(* The image of each POSIX object kind, stated once over the kernel's own
+   types: the record restore needs, and the one [Wire.codec] that both
+   writes and reads it.  A thread, a kevent, a socket's state and a shm
+   segment's kind are written and read as the kernel values themselves,
+   so no other module maps them to or from integers; a byte that names no
+   value of its kernel type (an unknown filter, domain, protocol, TCP
+   state or shm kind) is [Wire.Corrupt], which [Serial] reports as
+   [Malformed].  [Serial] includes this module and exports it whole, so
+   it has no .mli that would restate each record. *)
 
-type regs_image = {
-  i_rip : int;
-  i_rsp : int;
-  i_rflags : int;
-  i_gp : int array;
-  i_fpu : string;
-}
-
-type thread_image = {
-  i_tid_local : int;
-  i_regs : regs_image;
-  i_sigmask : int;
-  i_pending : int list;
-  i_priority : int;
-}
+open Aurora_kern
+open Aurora_vm
 
 type entry_image = {
   i_start_vpn : int;
   i_npages : int;
-  i_read : bool;
-  i_write : bool;
-  i_exec : bool;
+  i_prot : Vm_map.prot;
   i_shared : bool;
   i_excluded : bool;
   i_obj_oid : int;
@@ -39,7 +29,7 @@ type proc_image = {
   i_name : string;
   i_ephemeral : bool;
   i_cwd : string;
-  i_threads : thread_image list;
+  i_threads : Thread.t list;  (** restore gives each its global tid *)
   i_fds : (int * int) list;  (** (slot, description oid) *)
   i_entries : entry_image list;
   i_proc_pending : int list;
@@ -65,23 +55,13 @@ type fdesc_image = { i_kind : fdesc_kind_image; i_ext_sync : bool }
 
 type pipe_image = { i_data : string; i_rd_open : bool; i_wr_open : bool }
 
-type msg_image = { i_msg_data : string; i_ctl_oids : int list }
-
 type socket_image = {
-  i_domain : int;
-  i_proto : int;
-  i_laddr : (string * int) option;
-  i_raddr : (string * int) option;
-  i_opts : (string * int) list;
-  i_tcp : int;  (** 0 closed, 1 listening, 2 established *)
-  i_snd_seq : int;
-  i_rcv_seq : int;
+  i_domain : Socket.domain;
+  i_proto : Socket.proto;
   i_peer_oid : int;  (** 0 when unconnected *)
-  i_recvq : msg_image list;
-  i_sendq : msg_image list;
+  i_state : Socket.image;
+      (** each message's [ctl_fds] names SCM_RIGHTS description oids *)
 }
-
-type kevent_image = { i_ident : int; i_filter : int; i_flags : int; i_udata : int }
 
 type pty_image = {
   i_unit : int;
@@ -92,7 +72,7 @@ type pty_image = {
   i_output : string;
 }
 
-type shm_image = { i_shm_kind : (string, int) Either.t; i_npages : int; i_backing_oid : int }
+type shm_image = { i_shm_kind : Shm.kind; i_npages : int; i_backing_oid : int }
 
 type memobj_image = { i_parent_oid : int option; i_anon : bool }
 
@@ -111,34 +91,36 @@ type group_image = {
 open Aurora_objstore.Wire.Codec
 
 let regs =
-  record (fun i_rip i_rsp i_rflags i_gp i_fpu -> { i_rip; i_rsp; i_rflags; i_gp; i_fpu })
-  |> field u64 (fun r -> r.i_rip)
-  |> field u64 (fun r -> r.i_rsp)
-  |> field u64 (fun r -> r.i_rflags)
-  |> field (conv Array.to_list Array.of_list (list u64)) (fun r -> r.i_gp)
-  |> field str (fun r -> r.i_fpu)
+  record (fun rip rsp rflags gp fpu -> { Thread.rip; rsp; rflags; gp; fpu })
+  |> field u64 (fun r -> r.Thread.rip)
+  |> field u64 (fun r -> r.Thread.rsp)
+  |> field u64 (fun r -> r.Thread.rflags)
+  |> field (conv Array.to_list Array.of_list (list u64)) (fun r -> r.Thread.gp)
+  |> field (conv Bytes.to_string Bytes.of_string str) (fun r -> r.Thread.fpu)
   |> seal
 
 let thread =
-  record (fun i_tid_local i_regs i_sigmask i_pending i_priority ->
-      { i_tid_local; i_regs; i_sigmask; i_pending; i_priority })
-  |> field u64 (fun t -> t.i_tid_local)
-  |> field regs (fun t -> t.i_regs)
-  |> field u64 (fun t -> t.i_sigmask)
-  |> field (list u32) (fun t -> t.i_pending)
-  |> field u32 (fun t -> t.i_priority)
+  record (fun tid regs sigmask pending_signals priority ->
+      { (Thread.create ~tid) with Thread.regs; sigmask; pending_signals; priority })
+  |> field u64 (fun t -> t.Thread.tid_local)
+  |> field regs (fun t -> t.Thread.regs)
+  |> field u64 (fun t -> t.Thread.sigmask)
+  |> field (list u32) (fun t -> t.Thread.pending_signals)
+  |> field u32 (fun t -> t.Thread.priority)
   |> seal
 
+let prot =
+  conv
+    (fun { Vm_map.read; write; exec } -> (read, write, exec))
+    (fun (read, write, exec) -> { Vm_map.read; write; exec })
+    (triple bool bool bool)
+
 let entry =
-  record
-    (fun i_start_vpn i_npages i_read i_write i_exec i_shared i_excluded i_obj_oid i_obj_pgoff ->
-      { i_start_vpn; i_npages; i_read; i_write; i_exec; i_shared; i_excluded; i_obj_oid;
-        i_obj_pgoff })
+  record (fun i_start_vpn i_npages i_prot i_shared i_excluded i_obj_oid i_obj_pgoff ->
+      { i_start_vpn; i_npages; i_prot; i_shared; i_excluded; i_obj_oid; i_obj_pgoff })
   |> field u64 (fun e -> e.i_start_vpn)
   |> field u64 (fun (e : entry_image) -> e.i_npages)
-  |> field bool (fun e -> e.i_read)
-  |> field bool (fun e -> e.i_write)
-  |> field bool (fun e -> e.i_exec)
+  |> field prot (fun e -> e.i_prot)
   |> field bool (fun e -> e.i_shared)
   |> field bool (fun e -> e.i_excluded)
   |> field u64 (fun e -> e.i_obj_oid)
@@ -195,36 +177,52 @@ let pipe =
   |> seal
 
 let msg =
-  record (fun i_msg_data i_ctl_oids -> { i_msg_data; i_ctl_oids })
-  |> field str (fun m -> m.i_msg_data)
-  |> field (list u64) (fun m -> m.i_ctl_oids)
+  record (fun data ctl_fds -> { Socket.data; ctl_fds })
+  |> field str (fun m -> m.Socket.data)
+  |> field (list u64) (fun m -> m.Socket.ctl_fds)
   |> seal
 
+let addr =
+  option
+    (conv (fun { Socket.host; port } -> (host, port)) (fun (host, port) -> { Socket.host; port })
+       (pair str u32))
+
+(* The tag, then both sequence numbers (zero unless established). *)
+let tcp_state =
+  tagged "tcp state"
+    [
+      case 0 (pair u64 u64) (fun _ -> Socket.Tcp_closed)
+        (function Socket.Tcp_closed -> Some (0, 0) | _ -> None);
+      case 1 (pair u64 u64) (fun _ -> Socket.Tcp_listening)
+        (function Socket.Tcp_listening -> Some (0, 0) | _ -> None);
+      case 2 (pair u64 u64)
+        (fun (snd_seq, rcv_seq) -> Socket.Tcp_established { snd_seq; rcv_seq })
+        (function Socket.Tcp_established e -> Some (e.snd_seq, e.rcv_seq) | _ -> None);
+    ]
+
 let socket =
-  record
-    (fun i_domain i_proto i_laddr i_raddr i_opts i_tcp i_snd_seq i_rcv_seq i_peer_oid i_recvq
-         i_sendq ->
-      { i_domain; i_proto; i_laddr; i_raddr; i_opts; i_tcp; i_snd_seq; i_rcv_seq; i_peer_oid;
-        i_recvq; i_sendq })
-  |> field u8 (fun s -> s.i_domain)
-  |> field u8 (fun s -> s.i_proto)
-  |> field (option (pair str u32)) (fun s -> s.i_laddr)
-  |> field (option (pair str u32)) (fun s -> s.i_raddr)
-  |> field (list (pair str u64)) (fun s -> s.i_opts)
-  |> field u8 (fun s -> s.i_tcp)
-  |> field u64 (fun s -> s.i_snd_seq)
-  |> field u64 (fun s -> s.i_rcv_seq)
+  record (fun i_domain i_proto im_laddr im_raddr im_opts im_state i_peer_oid im_recvq im_sendq ->
+      { i_domain; i_proto; i_peer_oid;
+        i_state = { Socket.im_laddr; im_raddr; im_opts; im_state; im_recvq; im_sendq } })
+  |> field (enum "socket domain" Socket.[ Inet; Unix_dom ]) (fun s -> s.i_domain)
+  |> field (enum "socket protocol" Socket.[ Udp; Tcp ]) (fun s -> s.i_proto)
+  |> field addr (fun s -> s.i_state.Socket.im_laddr)
+  |> field addr (fun s -> s.i_state.Socket.im_raddr)
+  |> field (list (pair str u64)) (fun s -> s.i_state.Socket.im_opts)
+  |> field tcp_state (fun s -> s.i_state.Socket.im_state)
   |> field u64 (fun s -> s.i_peer_oid)
-  |> field (list msg) (fun s -> s.i_recvq)
-  |> field (list msg) (fun s -> s.i_sendq)
+  |> field (list msg) (fun s -> s.i_state.Socket.im_recvq)
+  |> field (list msg) (fun s -> s.i_state.Socket.im_sendq)
   |> seal
 
 let kevent =
-  record (fun i_ident i_filter i_flags i_udata -> { i_ident; i_filter; i_flags; i_udata })
-  |> field u64 (fun e -> e.i_ident)
-  |> field u8 (fun e -> e.i_filter)
-  |> field u32 (fun e -> e.i_flags)
-  |> field u64 (fun e -> e.i_udata)
+  record (fun ident filter flags udata -> { Kqueue.ident; filter; flags; udata })
+  |> field u64 (fun e -> e.Kqueue.ident)
+  |> field
+       (enum "kqueue filter" Kqueue.[ Ev_read; Ev_write; Ev_timer; Ev_signal; Ev_proc ])
+       (fun e -> e.Kqueue.filter)
+  |> field u32 (fun e -> e.Kqueue.flags)
+  |> field u64 (fun e -> e.Kqueue.udata)
   |> seal
 
 let kqueue = list kevent
@@ -243,8 +241,10 @@ let pty =
 let shm_kind =
   tagged "shm kind"
     [
-      case 0 str Either.left Either.find_left;
-      case 1 u64 Either.right Either.find_right;
+      case 0 str (fun name -> Shm.Posix_shm name)
+        (function Shm.Posix_shm name -> Some name | Shm.Sysv_shm _ -> None);
+      case 1 u64 (fun key -> Shm.Sysv_shm key)
+        (function Shm.Sysv_shm key -> Some key | Shm.Posix_shm _ -> None);
     ]
 
 let shm =

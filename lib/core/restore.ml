@@ -1,7 +1,9 @@
 module Clock = Aurora_sim.Clock
 module Cost = Aurora_sim.Cost
+module Genlog = Aurora_sim.Genlog
 module Machine = Aurora_kern.Machine
 module Process = Aurora_kern.Process
+module Thread = Aurora_kern.Thread
 module Fdesc = Aurora_kern.Fdesc
 module Pipe = Aurora_kern.Pipe
 module Socket = Aurora_kern.Socket
@@ -41,6 +43,9 @@ type ctx = {
   lazy_pages : bool;
   kinds : (int, string) Hashtbl.t; (* oid -> kind *)
   memobjs : (int, Vm_object.t) Hashtbl.t; (* oid -> restored object *)
+  mutable created : (int * int option * Vm_object.t) list;
+      (* restored memory objects with their images' parent oids, newest
+         first; a parent is created before its children *)
   descs : (int, Fdesc.t) Hashtbl.t; (* oid -> restored description *)
   sockets : (int, Socket.t) Hashtbl.t;
   peers : (int, int) Hashtbl.t; (* socket oid -> its peer's, from its image *)
@@ -48,6 +53,9 @@ type ctx = {
   kqueues : (int, Kqueue.t) Hashtbl.t;
   ptys : (int, Pty.t) Hashtbl.t;
   shms : (int, Shm.t) Hashtbl.t;
+  ids : (int * int, int) Hashtbl.t;
+      (* (Genlog kind, kernel id) -> oid of every description and every
+         object one reaches: the restored group's identity table *)
   first_install : (int, unit) Hashtbl.t;
       (* description oids already installed in some fd slot: later slots
          must take an extra reference (fork/dup sharing) *)
@@ -75,6 +83,7 @@ let rec memobj ctx oid =
           Vm_object.set_parent obj (Some parent)
       | None -> ());
       Hashtbl.replace ctx.memobjs oid obj;
+      ctx.created <- (oid, image.Serial.i_parent_oid, obj) :: ctx.created;
       (match Hashtbl.find_opt ctx.pages oid with
       | Some s when ctx.lazy_pages ->
           (* Lazy restore: pages are installed on first touch, a fault's
@@ -92,78 +101,60 @@ let rec memobj ctx oid =
 
 (* Sub-objects -------------------------------------------------------------------- *)
 
+(* [x] is what [oid] names: the group that takes it over keeps [oid] as
+   its identity. *)
+let made ctx tbl ~kind id oid x =
+  Hashtbl.replace tbl oid x;
+  Hashtbl.replace ctx.ids (kind, id x) oid;
+  x
+
+(* What [oid] names, rebuilt by [build] the first time it is asked for. *)
+let memo ctx tbl ~kind id oid build =
+  match Hashtbl.find_opt tbl oid with Some x -> x | None -> made ctx tbl ~kind id oid (build ())
+
 let pipe ctx oid =
-  match Hashtbl.find_opt ctx.pipes oid with
-  | Some p -> p
-  | None ->
-      charge ctx (Cost.obj_restore_base + pipe_restore_extra);
-      let image = Serial.pipe_of_string (meta ctx oid) in
-      let p = Pipe.create () in
-      Pipe.refill p image.Serial.i_data;
-      if not image.Serial.i_rd_open then Pipe.close_read p;
-      if not image.Serial.i_wr_open then Pipe.close_write p;
-      Hashtbl.replace ctx.pipes oid p;
-      p
+  memo ctx ctx.pipes ~kind:Genlog.kind_pipe Pipe.id oid @@ fun () ->
+  charge ctx (Cost.obj_restore_base + pipe_restore_extra);
+  let image = Serial.pipe_of_string (meta ctx oid) in
+  let p = Pipe.create () in
+  Pipe.refill p image.Serial.i_data;
+  if not image.Serial.i_rd_open then Pipe.close_read p;
+  if not image.Serial.i_wr_open then Pipe.close_write p;
+  p
 
 let kqueue ctx oid =
-  match Hashtbl.find_opt ctx.kqueues oid with
-  | Some k -> k
-  | None ->
-      charge ctx (Cost.obj_restore_base + kqueue_restore_extra);
-      let images = Serial.kqueue_of_string (meta ctx oid) in
-      let k = Kqueue.create () in
-      Kqueue.replace_events k
-        (List.map
-           (fun (e : Serial.kevent_image) ->
-             {
-               Kqueue.ident = e.Serial.i_ident;
-               filter =
-                 (match e.Serial.i_filter with
-                 | 0 -> Kqueue.Ev_read
-                 | 1 -> Kqueue.Ev_write
-                 | 2 -> Kqueue.Ev_timer
-                 | 3 -> Kqueue.Ev_signal
-                 | _ -> Kqueue.Ev_proc);
-               flags = e.Serial.i_flags;
-               udata = e.Serial.i_udata;
-             })
-           images);
-      Hashtbl.replace ctx.kqueues oid k;
-      k
+  memo ctx ctx.kqueues ~kind:Genlog.kind_kqueue Kqueue.id oid @@ fun () ->
+  charge ctx (Cost.obj_restore_base + kqueue_restore_extra);
+  let events = Serial.kqueue_of_string (meta ctx oid) in
+  let k = Kqueue.create () in
+  Kqueue.replace_events k events;
+  k
 
 let pty ctx oid =
-  match Hashtbl.find_opt ctx.ptys oid with
-  | Some p -> p
-  | None ->
-      (* Recreating the virtual device takes devfs locks — the dominant
-         pty restore cost in Table 4. *)
-      charge ctx (Cost.obj_restore_base + Cost.devfs_lock);
-      let image = Serial.pty_of_string (meta ctx oid) in
-      let p = Pty.create () in
-      Pty.set_termios p ~echo:image.Serial.i_echo
-        ~canonical:image.Serial.i_canonical ~baud:image.Serial.i_baud;
-      Pty.refill p ~input:image.Serial.i_input ~output:image.Serial.i_output;
-      Hashtbl.replace ctx.ptys oid p;
-      p
+  memo ctx ctx.ptys ~kind:Genlog.kind_pty Pty.id oid @@ fun () ->
+  (* Recreating the virtual device takes devfs locks — the dominant pty
+     restore cost in Table 4. *)
+  charge ctx (Cost.obj_restore_base + Cost.devfs_lock);
+  let image = Serial.pty_of_string (meta ctx oid) in
+  let p = Pty.create () in
+  Pty.set_termios p ~echo:image.Serial.i_echo ~canonical:image.Serial.i_canonical
+    ~baud:image.Serial.i_baud;
+  Pty.refill p ~input:image.Serial.i_input ~output:image.Serial.i_output;
+  p
 
 let shm ctx oid =
-  match Hashtbl.find_opt ctx.shms oid with
-  | Some s -> s
-  | None ->
-      let image = Serial.shm_of_string (meta ctx oid) in
-      let kind, extra =
-        match image.Serial.i_shm_kind with
-        | Either.Left name -> (Shm.Posix_shm name, shm_posix_restore_extra)
-        | Either.Right key -> (Shm.Sysv_shm key, shm_sysv_restore_extra)
-      in
-      charge ctx (Cost.obj_restore_base + extra);
-      let s = Shm.create kind ~npages:image.Serial.i_npages in
-      Shm.set_backing s (memobj ctx image.Serial.i_backing_oid);
-      (match kind with
-      | Shm.Posix_shm name -> Hashtbl.replace ctx.mach.Machine.posix_shm name s
-      | Shm.Sysv_shm key -> Hashtbl.replace ctx.mach.Machine.sysv_shm key s);
-      Hashtbl.replace ctx.shms oid s;
-      s
+  memo ctx ctx.shms ~kind:Genlog.kind_shm Shm.id oid @@ fun () ->
+  let image = Serial.shm_of_string (meta ctx oid) in
+  let kind = image.Serial.i_shm_kind in
+  (match kind with
+  | Shm.Posix_shm _ -> charge ctx (Cost.obj_restore_base + shm_posix_restore_extra)
+  | Shm.Sysv_shm _ -> charge ctx (Cost.obj_restore_base + shm_sysv_restore_extra));
+  let s = Shm.create kind ~npages:image.Serial.i_npages in
+  Shm.set_backing s (memobj ctx image.Serial.i_backing_oid);
+  (match kind with
+  | Shm.Posix_shm name -> Hashtbl.replace ctx.mach.Machine.posix_shm name s
+  | Shm.Sysv_shm key -> Hashtbl.replace ctx.mach.Machine.sysv_shm key s);
+  s
 
 (* A shell's rebuild, charged on the restoring clock at its first use:
    what rebuilding the socket at restore would charge. *)
@@ -183,77 +174,57 @@ let rec socket ctx oid =
   | Some s -> s
   | None ->
       let image = Serial.socket_of_string (meta ctx oid) in
-      let dom = if image.Serial.i_domain = 0 then Socket.Inet else Socket.Unix_dom in
-      let prot = if image.Serial.i_proto = 0 then Socket.Udp else Socket.Tcp in
-      let s = Socket.create dom prot in
-      Hashtbl.replace ctx.sockets oid s;
-      if image.Serial.i_peer_oid <> 0 then Hashtbl.replace ctx.peers oid image.Serial.i_peer_oid;
-      let addr = Option.map (fun (host, port) -> { Socket.host; port }) in
-      let restore_msg (m : Serial.msg_image) =
-        {
-          Socket.data = m.Serial.i_msg_data;
-          ctl_fds = List.map (fun ctl_oid -> (desc ctx ctl_oid).Fdesc.desc_id) m.Serial.i_ctl_oids;
-        }
+      let s =
+        made ctx ctx.sockets ~kind:Genlog.kind_socket Socket.id oid
+          (Socket.create image.Serial.i_domain image.Serial.i_proto)
       in
-      let im_sendq = List.map restore_msg image.Serial.i_sendq in
-      let im_recvq = List.map restore_msg image.Serial.i_recvq in
+      if image.Serial.i_peer_oid <> 0 then Hashtbl.replace ctx.peers oid image.Serial.i_peer_oid;
+      let restore_msg (m : Socket.msg) =
+        { m with Socket.ctl_fds = List.map (fun ctl_oid -> (desc ctx ctl_oid).Fdesc.desc_id) m.Socket.ctl_fds }
+      in
+      (* A listener's image holds no accept queue: it was dropped at
+         checkpoint, and clients retry their SYNs. *)
+      let st = image.Serial.i_state in
+      let im_sendq = List.map restore_msg st.Socket.im_sendq in
+      let im_recvq = List.map restore_msg st.Socket.im_recvq in
       Socket.restore s
         ~on_materialize:(materialized ctx.mach.Machine.clock oid)
-        {
-          Socket.im_laddr = addr image.Serial.i_laddr;
-          im_raddr = addr image.Serial.i_raddr;
-          im_opts = image.Serial.i_opts;
-          im_state =
-            (match image.Serial.i_tcp with
-            | 1 ->
-                (* Listening: the accept queue was dropped at checkpoint;
-                   clients retry their SYNs. *)
-                Socket.Tcp_listening
-            | 2 ->
-                Socket.Tcp_established
-                  { snd_seq = image.Serial.i_snd_seq; rcv_seq = image.Serial.i_rcv_seq }
-            | _ -> Socket.Tcp_closed);
-          im_recvq;
-          im_sendq;
-        };
+        { st with Socket.im_recvq; im_sendq };
       s
 
 (* Descriptions ------------------------------------------------------------------------ *)
 
 and desc ctx oid =
-  match Hashtbl.find_opt ctx.descs oid with
-  | Some d -> d
-  | None ->
-      let image = Serial.fdesc_of_string (meta ctx oid) in
-      let kind =
-        match image.Serial.i_kind with
-        | Serial.I_vnode { inode; offset; append } -> (
-            charge ctx Cost.obj_restore_base;
-            match ctx.restored_fs with
-            | Some filesystem -> (
-                match Fs.vnode_by_inode filesystem inode with
-                | Some vn -> Fdesc.Vnode_file { vn; offset; append }
-                | None ->
-                    (* An anonymous file whose vnode object exists in the
-                       store but not the namespace would land here if the
-                       FS failed to restore it; treat as corruption. *)
-                    failwith
-                      (Printf.sprintf "restore: missing vnode inode %d" inode))
-            | None -> failwith "restore: file descriptor but no file system")
-        | Serial.I_pipe_r p -> Fdesc.Pipe_read (pipe ctx p)
-        | Serial.I_pipe_w p -> Fdesc.Pipe_write (pipe ctx p)
-        | Serial.I_socket s -> Fdesc.Socket_fd (socket ctx s)
-        | Serial.I_kqueue k -> Fdesc.Kqueue_fd (kqueue ctx k)
-        | Serial.I_pty_m p -> Fdesc.Pty_master_fd (pty ctx p)
-        | Serial.I_pty_s p -> Fdesc.Pty_slave_fd (pty ctx p)
-        | Serial.I_shm s -> Fdesc.Shm_fd (shm ctx s)
-        | Serial.I_device name -> Fdesc.Device_fd name
-      in
-      let d = Fdesc.create kind in
-      Fdesc.set_ext_sync d image.Serial.i_ext_sync;
-      Machine.register_description ctx.mach d;
-      Hashtbl.replace ctx.descs oid d;
-      d
+  memo ctx ctx.descs ~kind:Genlog.kind_fdesc (fun d -> d.Fdesc.desc_id) oid @@ fun () ->
+  let image = Serial.fdesc_of_string (meta ctx oid) in
+  let kind =
+    match image.Serial.i_kind with
+    | Serial.I_vnode { inode; offset; append } -> (
+        charge ctx Cost.obj_restore_base;
+        match ctx.restored_fs with
+        | Some filesystem -> (
+            match Fs.vnode_by_inode filesystem inode with
+            | Some vn -> Fdesc.Vnode_file { vn; offset; append }
+            | None ->
+                (* An anonymous file whose vnode object exists in the
+                   store but not the namespace would land here if the
+                   FS failed to restore it; treat as corruption. *)
+                failwith
+                  (Printf.sprintf "restore: missing vnode inode %d" inode))
+        | None -> failwith "restore: file descriptor but no file system")
+    | Serial.I_pipe_r p -> Fdesc.Pipe_read (pipe ctx p)
+    | Serial.I_pipe_w p -> Fdesc.Pipe_write (pipe ctx p)
+    | Serial.I_socket s -> Fdesc.Socket_fd (socket ctx s)
+    | Serial.I_kqueue k -> Fdesc.Kqueue_fd (kqueue ctx k)
+    | Serial.I_pty_m p -> Fdesc.Pty_master_fd (pty ctx p)
+    | Serial.I_pty_s p -> Fdesc.Pty_slave_fd (pty ctx p)
+    | Serial.I_shm s -> Fdesc.Shm_fd (shm ctx s)
+    | Serial.I_device name -> Fdesc.Device_fd name
+  in
+  let d = Fdesc.create kind in
+  Fdesc.set_ext_sync d image.Serial.i_ext_sync;
+  Machine.register_description ctx.mach d;
+  d
 
 (* Processes ---------------------------------------------------------------------------- *)
 
@@ -270,10 +241,10 @@ let restore_proc ctx (image : Serial.proc_image) =
   p.Process.ephemeral <- image.Serial.i_ephemeral;
   p.Process.cwd <- image.Serial.i_cwd;
   p.Process.pending_signals <- image.Serial.i_proc_pending;
-  p.Process.threads <-
-    List.map
-      (fun ti -> Serial.thread_of_image ti ~tid_global:(Machine.alloc_tid ctx.mach))
-      image.Serial.i_threads;
+  List.iter
+    (fun (th : Thread.t) -> th.Thread.tid_global <- Machine.alloc_tid ctx.mach)
+    image.Serial.i_threads;
+  p.Process.threads <- image.Serial.i_threads;
   (* File descriptors: slots naming the same description oid share the
      same restored description. *)
   List.iter
@@ -311,13 +282,7 @@ let restore_proc ctx (image : Serial.proc_image) =
         (Vm_map.map ~shared:e.Serial.i_shared
            (Vm_space.map p.Process.space)
            ~vpn:e.Serial.i_start_vpn ~npages:e.Serial.i_npages
-           ~prot:
-             {
-               Vm_map.read = e.Serial.i_read;
-               write = e.Serial.i_write;
-               exec = e.Serial.i_exec;
-             }
-           ~obj ~obj_pgoff:e.Serial.i_obj_pgoff))
+           ~prot:e.Serial.i_prot ~obj ~obj_pgoff:e.Serial.i_obj_pgoff))
     image.Serial.i_entries;
   Machine.add_proc ctx.mach p;
   (* Reissue the asynchronous reads that were in flight at checkpoint
@@ -427,6 +392,7 @@ let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid ~start shares =
       lazy_pages;
       kinds;
       memobjs = Hashtbl.create 64;
+      created = [];
       descs = Hashtbl.create 64;
       sockets = Hashtbl.create 16;
       peers = Hashtbl.create 16;
@@ -434,6 +400,7 @@ let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid ~start shares =
       kqueues = Hashtbl.create 16;
       ptys = Hashtbl.create 16;
       shms = Hashtbl.create 16;
+      ids = Hashtbl.create 64;
       first_install = Hashtbl.create 64;
       restored_fs;
     }
@@ -512,33 +479,10 @@ let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid ~start shares =
   List.iter2
     (fun (p : Process.t) oid -> Group.seed_proc_oid group ~pid_local:p.Process.pid_local ~oid)
     procs proc_oids;
-  Hashtbl.iter
-    (fun oid (d : Fdesc.t) -> Group.seed_desc_oid group ~desc_id:d.Fdesc.desc_id ~oid)
-    ctx.descs;
-  Hashtbl.iter (fun oid p -> Group.seed_sub_oid group ~kind:"pipe" ~id:(Pipe.id p) ~oid) ctx.pipes;
-  Hashtbl.iter
-    (fun oid s -> Group.seed_sub_oid group ~kind:"socket" ~id:(Socket.id s) ~oid)
-    ctx.sockets;
-  Hashtbl.iter
-    (fun oid k -> Group.seed_sub_oid group ~kind:"kqueue" ~id:(Kqueue.id k) ~oid)
-    ctx.kqueues;
-  Hashtbl.iter (fun oid p -> Group.seed_sub_oid group ~kind:"pty" ~id:(Pty.id p) ~oid) ctx.ptys;
-  Hashtbl.iter (fun oid s -> Group.seed_sub_oid group ~kind:"shm" ~id:(Shm.id s) ~oid) ctx.shms;
-  (* Memory objects: parents before children so parent links resolve. *)
-  let registered = Hashtbl.create 16 in
-  let rec register oid obj =
-    if not (Hashtbl.mem registered oid) then begin
-      Hashtbl.replace registered oid ();
-      (match Vm_object.parent obj with
-      | Some parent ->
-          Hashtbl.iter
-            (fun p_oid p_obj -> if p_obj == parent then register p_oid p_obj)
-            ctx.memobjs
-      | None -> ());
-      Group.register_restored_memobj group ~oid obj
-    end
-  in
-  Hashtbl.iter register ctx.memobjs;
+  Group.seed_oids group ctx.ids;
+  List.iter
+    (fun (oid, parent_oid, obj) -> Group.register_restored_memobj group ~oid ~parent_oid obj)
+    (List.rev ctx.created);
   Group.prepare_after_restore group;
   (* Measured once the group is attached: the shadows it interposes over
      the restored memory charge the restoring clock too. *)

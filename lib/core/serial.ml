@@ -1,5 +1,4 @@
 module Wire = Aurora_objstore.Wire
-module Thread = Aurora_kern.Thread
 
 include Image
 
@@ -50,46 +49,3 @@ let parse_check ~kind meta =
   match Hashtbl.find_opt checks kind with
   | None -> Ok () (* fs.* and raw memory objects have their own parsers *)
   | Some check -> ( try Ok (check meta) with Malformed msg -> Error msg)
-
-(* Capture helpers --------------------------------------------------------------------- *)
-
-let image_of_regs (r : Thread.regs) =
-  {
-    i_rip = r.Thread.rip;
-    i_rsp = r.Thread.rsp;
-    i_rflags = r.Thread.rflags;
-    i_gp = Array.copy r.Thread.gp;
-    i_fpu = Bytes.to_string r.Thread.fpu;
-  }
-
-let regs_of_image (i : regs_image) =
-  {
-    Thread.rip = i.i_rip;
-    rsp = i.i_rsp;
-    rflags = i.i_rflags;
-    gp = Array.copy i.i_gp;
-    fpu = Bytes.of_string i.i_fpu;
-  }
-
-let image_of_thread (t : Thread.t) =
-  {
-    i_tid_local = t.Thread.tid_local;
-    i_regs = image_of_regs t.Thread.regs;
-    i_sigmask = t.Thread.sigmask;
-    i_pending = t.Thread.pending_signals;
-    i_priority = t.Thread.priority;
-  }
-
-let thread_of_image (i : thread_image) ~tid_global =
-  let t = Thread.create ~tid:i.i_tid_local in
-  t.Thread.tid_global <- tid_global;
-  let r = regs_of_image i.i_regs in
-  t.Thread.regs.Thread.rip <- r.Thread.rip;
-  t.Thread.regs.Thread.rsp <- r.Thread.rsp;
-  t.Thread.regs.Thread.rflags <- r.Thread.rflags;
-  Array.blit r.Thread.gp 0 t.Thread.regs.Thread.gp 0 (Array.length r.Thread.gp);
-  Bytes.blit r.Thread.fpu 0 t.Thread.regs.Thread.fpu 0 (Bytes.length r.Thread.fpu);
-  t.Thread.sigmask <- i.i_sigmask;
-  t.Thread.pending_signals <- i.i_pending;
-  t.Thread.priority <- i.i_priority;
-  t

@@ -1,20 +1,21 @@
 (** Serialization of POSIX objects to and from store images.
 
-    Each kernel object kind has an image record (what restore needs), a
-    serializer to the store's wire format, and a parser back.  References
-    between objects — a file-descriptor slot pointing at a description, a
-    description pointing at a pipe, a VM entry pointing at a memory object —
-    are encoded as 64-bit object identifiers, which is the heart of the
-    POSIX object model: sharing is represented structurally, never
-    re-inferred.
+    Each kernel object kind has an image (what restore needs), a
+    serializer to the store's wire format, and a parser back.  The image
+    is stated once, in {!Image}, over the kernel's own types: a thread, a
+    kevent, a socket's domain, protocol, addresses and TCP state, a shm
+    segment's kind and a mapping's protection are written and read as
+    the kernel values themselves.  References between objects — a
+    file-descriptor slot pointing at a description, a description
+    pointing at a pipe, a VM entry pointing at a memory object — are
+    encoded as 64-bit object identifiers, which is the heart of the POSIX
+    object model: sharing is represented structurally, never re-inferred.
 
-    Serializers are pure; the checkpoint path charges the modeled
+    A byte that names no value of its kernel type (an out-of-range
+    filter, domain, protocol, TCP state or shm kind) is {!Malformed}, so
+    {!parse_check} rejects the image before restore builds anything from
+    it.  Serializers are pure; the checkpoint path charges the modeled
     serialization costs separately. *)
-
-(** {1 Images}
-
-    Each kind's image record and its codec are declared once, in {!Image},
-    and re-exported here. *)
 
 include module type of struct
   include Image
@@ -53,8 +54,8 @@ val pipe_to_string : pipe_image -> string
 val pipe_of_string : string -> pipe_image
 val socket_to_string : socket_image -> string
 val socket_of_string : string -> socket_image
-val kqueue_to_string : kevent_image list -> string
-val kqueue_of_string : string -> kevent_image list
+val kqueue_to_string : Aurora_kern.Kqueue.kevent list -> string
+val kqueue_of_string : string -> Aurora_kern.Kqueue.kevent list
 val pty_to_string : pty_image -> string
 val pty_of_string : string -> pty_image
 val shm_to_string : shm_image -> string
@@ -67,8 +68,3 @@ val group_of_string : string -> group_image
 val parse_check : kind:string -> string -> (unit, string) result
 (** Try parsing [meta] as a [kind] image; [Ok ()] for kinds serialized
     elsewhere (file-system objects, raw memory). *)
-
-(** {1 Capture helpers (kernel object -> image)} *)
-
-val image_of_thread : Aurora_kern.Thread.t -> thread_image
-val thread_of_image : thread_image -> tid_global:int -> Aurora_kern.Thread.t

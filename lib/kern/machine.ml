@@ -6,6 +6,7 @@ type t = {
   procs : (int, Process.t) Hashtbl.t;
   mutable next_pid : int;
   mutable next_tid : int;
+  mutable next_conn : int;
   posix_shm : (string, Shm.t) Hashtbl.t;
   sysv_shm : (int, Shm.t) Hashtbl.t;
   descriptions : (int, Fdesc.t) Hashtbl.t;
@@ -33,6 +34,7 @@ let create ?clock () =
     procs = Hashtbl.create 64;
     next_pid = 0;
     next_tid = 0;
+    next_conn = 0;
     posix_shm = Hashtbl.create 16;
     sysv_shm = Hashtbl.create 16;
     descriptions = Hashtbl.create 256;
@@ -57,6 +59,10 @@ let alloc_pid t =
 let alloc_tid t =
   t.next_tid <- t.next_tid + 1;
   100_000 + t.next_tid
+
+let alloc_seq t =
+  t.next_conn <- t.next_conn + 1;
+  1000 + t.next_conn
 
 let register_description t d = Hashtbl.replace t.descriptions d.Fdesc.desc_id d
 let find_description t id = Hashtbl.find_opt t.descriptions id

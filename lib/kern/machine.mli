@@ -9,6 +9,7 @@ type t = {
   procs : (int, Process.t) Hashtbl.t;  (** keyed by global pid *)
   mutable next_pid : int;
   mutable next_tid : int;
+  mutable next_conn : int;
   posix_shm : (string, Shm.t) Hashtbl.t;
   sysv_shm : (int, Shm.t) Hashtbl.t;
   descriptions : (int, Fdesc.t) Hashtbl.t;  (** by [Fdesc.desc_id] *)
@@ -37,6 +38,10 @@ val vfs_exn : t -> Vfs.ops
 
 val alloc_pid : t -> int
 val alloc_tid : t -> int
+
+val alloc_seq : t -> int
+(** The initial sequence number of the next TCP connection this machine
+    accepts: it depends on this machine's connections only. *)
 
 val register_description : t -> Fdesc.t -> unit
 val find_description : t -> int -> Fdesc.t option

@@ -127,10 +127,6 @@ let setsid p =
   p.Process.pgid <- p.Process.pid_local;
   Process.touch p
 
-let setpgid p ~pgid =
-  p.Process.pgid <- pgid;
-  Process.touch p
-
 let kill ?by m ~pid ~signo =
   match Machine.proc_by_local_pid ?scope:by m pid with
   | Some p ->
@@ -308,7 +304,7 @@ let accept m p ~fd =
       | Some a -> Socket.bind conn a
       | None -> ());
       Socket.pair conn client;
-      let seq = 1000 + Socket.id conn in
+      let seq = Machine.alloc_seq m in
       Socket.set_tcp_state conn
         (Socket.Tcp_established { snd_seq = seq; rcv_seq = seq + 1 });
       Socket.set_tcp_state client

@@ -32,7 +32,6 @@ val spawn_thread : Machine.t -> Process.t -> Thread.t
 (** pthread_create: a new kernel thread in the process. *)
 
 val setsid : Process.t -> unit
-val setpgid : Process.t -> pgid:int -> unit
 val kill : ?by:Process.t -> Machine.t -> pid:int -> signo:int -> bool
 (** Signal by local pid; [?by] scopes the lookup to the caller's session
     (local pids are per-group after restores). *)

@@ -55,16 +55,8 @@ let set_rip t v =
   t.regs.rip <- v;
   touch t
 
-let set_rsp t v =
-  t.regs.rsp <- v;
-  touch t
-
 let set_sigmask t v =
   t.sigmask <- v;
-  touch t
-
-let post_signal t signo =
-  t.pending_signals <- signo :: t.pending_signals;
   touch t
 
 let quiesce t ~clock =
@@ -81,4 +73,3 @@ let quiesce t ~clock =
   t.state <- At_boundary
 
 let resume t = if t.state = At_boundary then t.state <- Running_user
-let at_boundary t = t.state = At_boundary

@@ -46,11 +46,7 @@ val generation : t -> int
 val touch : t -> unit
 
 val set_rip : t -> int -> unit
-val set_rsp : t -> int -> unit
 val set_sigmask : t -> int -> unit
-
-val post_signal : t -> int -> unit
-(** Push a pending signal onto this thread, bumping the stamp. *)
 
 val fresh_regs : unit -> regs
 
@@ -62,11 +58,5 @@ val quiesce : t -> clock:Aurora_sim.Clock.t -> unit
     length of the syscall instruction so it reissues on resume. *)
 
 val resume : t -> unit
-
-val at_boundary : t -> bool
-(** True while the thread is parked at the kernel boundary (between
-    quiesce and resume).  A thread at the boundary must not execute:
-    the soft-quiesce scheduler asserts this before opening a
-    concurrency window. *)
 
 val syscall_insn_len : int

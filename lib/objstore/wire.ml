@@ -168,14 +168,18 @@ module Codec = struct
 
   type 'a case = { tag : int; cw : writer -> 'a -> bool; cr : reader -> 'a }
 
+  (* Writing a tagged value allocates nothing beyond what [proj] does:
+     object images write one per enum field. *)
   let case tag c inj proj =
-    let cw w v = Option.fold ~none:false ~some:(fun x -> u8.w w tag; c.w w x; true) (proj v) in
+    let cw w v = match proj v with Some x -> u8.w w tag; c.w w x; true | None -> false in
     { tag; cw; cr = (fun r -> inj (c.r r)) }
 
+  let rec write_case what w v = function
+    | [] -> invalid_arg ("Wire.tagged: " ^ what)
+    | k :: ks -> if not (k.cw w v) then write_case what w v ks
+
   let tagged what cases =
-    let w w v =
-      if not (List.exists (fun k -> k.cw w v) cases) then invalid_arg ("Wire.tagged: " ^ what)
-    in
+    let w w v = write_case what w v cases in
     let r r =
       let at = r.pos in
       let tag = ru8 r in
@@ -184,4 +188,9 @@ module Codec = struct
       | None -> corrupt "bad %s %d at byte %d" what tag at
     in
     { w; r }
+
+  let enum what values =
+    let none = { w = (fun _ () -> ()); r = (fun _ -> ()) } in
+    let case_of i v = case i none (fun () -> v) (fun x -> if x = v then Some () else None) in
+    tagged what (List.mapi case_of values)
 end

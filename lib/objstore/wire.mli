@@ -111,4 +111,9 @@ module Codec : sig
   val tagged : string -> 'a case list -> 'a codec
   (** The first case that accepts a value encodes it.  An unknown tag
       raises [Corrupt "bad <what> <tag> at byte <n>"]. *)
+
+  val enum : string -> 'a list -> 'a codec
+  (** [enum what values]: one byte, the value's index in [values]; a
+      {!tagged} of constant cases, so an out-of-range byte raises
+      [Corrupt]. *)
 end

@@ -20,9 +20,6 @@ val schedule : 'a t -> time:int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest event, or [None] when empty. *)
 
-val peek_time : 'a t -> int option
-(** Time of the earliest event without removing it. *)
-
 val run : 'a t -> clock:Clock.t -> handler:(int -> 'a -> unit) -> until:int -> unit
 (** [run q ~clock ~handler ~until] pops events in order, advancing [clock]
     to each event's time and calling [handler time event], until the queue is

@@ -7,7 +7,7 @@ let us = 1_000
 let ms = 1_000_000
 let sec = 1_000_000_000
 
-let pp_scaled fmt value steps unit_names =
+let scaled_to_string value steps unit_names =
   (* Find the largest unit not exceeding the value and print with a precision
      that keeps three significant-ish digits. *)
   let rec pick i =
@@ -17,16 +17,10 @@ let pp_scaled fmt value steps unit_names =
   let i = pick 0 in
   let scaled = float_of_int value /. float_of_int steps.(i) in
   if Float.is_integer scaled && scaled < 1000.0 then
-    Format.fprintf fmt "%.0f %s" scaled unit_names.(i)
-  else if scaled >= 100.0 then Format.fprintf fmt "%.0f %s" scaled unit_names.(i)
-  else if scaled >= 10.0 then Format.fprintf fmt "%.1f %s" scaled unit_names.(i)
-  else Format.fprintf fmt "%.2f %s" scaled unit_names.(i)
+    Printf.sprintf "%.0f %s" scaled unit_names.(i)
+  else if scaled >= 100.0 then Printf.sprintf "%.0f %s" scaled unit_names.(i)
+  else if scaled >= 10.0 then Printf.sprintf "%.1f %s" scaled unit_names.(i)
+  else Printf.sprintf "%.2f %s" scaled unit_names.(i)
 
-let pp_bytes fmt b =
-  pp_scaled fmt b [| 1; kib; mib; gib |] [| "B"; "KiB"; "MiB"; "GiB" |]
-
-let pp_ns fmt ns =
-  pp_scaled fmt ns [| 1; us; ms; sec |] [| "ns"; "\xc2\xb5s"; "ms"; "s" |]
-
-let bytes_to_string b = Format.asprintf "%a" pp_bytes b
-let ns_to_string ns = Format.asprintf "%a" pp_ns ns
+let bytes_to_string b = scaled_to_string b [| 1; kib; mib; gib |] [| "B"; "KiB"; "MiB"; "GiB" |]
+let ns_to_string ns = scaled_to_string ns [| 1; us; ms; sec |] [| "ns"; "\xc2\xb5s"; "ms"; "s" |]

@@ -24,11 +24,5 @@ val ms : int
 val sec : int
 (** Nanoseconds in a second. *)
 
-val pp_bytes : Format.formatter -> int -> unit
-(** "4 KiB", "1.5 MiB", "3 GiB", ... *)
-
-val pp_ns : Format.formatter -> int -> unit
-(** "1.7 µs", "4.0 ms", "1.2 s", ... chooses the natural unit. *)
-
 val bytes_to_string : int -> string
 val ns_to_string : int -> string

@@ -2,7 +2,6 @@ type prot = { read : bool; write : bool; exec : bool }
 
 let prot_rw = { read = true; write = true; exec = false }
 let prot_ro = { read = true; write = false; exec = false }
-let prot_rx = { read = true; write = false; exec = true }
 
 type entry = {
   mutable start_vpn : int;
@@ -31,10 +30,6 @@ let touch_entry e = e.e_gen <- e.e_gen + 1
 let set_excluded e v =
   if e.excluded <> v then touch_entry e;
   e.excluded <- v
-
-let set_prot e p =
-  if e.prot <> p then touch_entry e;
-  e.prot <- p
 
 let overlaps a_start a_n b_start b_n =
   a_start < b_start + b_n && b_start < a_start + a_n

@@ -8,7 +8,6 @@ type prot = { read : bool; write : bool; exec : bool }
 
 val prot_rw : prot
 val prot_ro : prot
-val prot_rx : prot
 
 type entry = {
   mutable start_vpn : int;
@@ -40,9 +39,6 @@ val touch_entry : entry -> unit
 
 val set_excluded : entry -> bool -> unit
 (** Flip the checkpoint-exclusion flag ([sls_mctl]), stamping on change. *)
-
-val set_prot : entry -> prot -> unit
-(** mprotect: change protection bits, stamping on change. *)
 
 val entries : t -> entry list
 (** In ascending address order. *)

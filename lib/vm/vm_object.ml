@@ -29,7 +29,6 @@ let create obj_kind =
 let id t = t.oid
 let kind t = t.obj_kind
 let parent t = t.shadow_parent
-let ref_count t = t.refs
 let ref_ t = t.refs <- t.refs + 1
 
 let unref t =
@@ -40,10 +39,6 @@ let resident_pages t = Hashtbl.length t.pages
 
 let rec chain_length t =
   match t.shadow_parent with None -> 1 | Some p -> 1 + chain_length p
-
-let rec chain_pages t =
-  resident_pages t
-  + (match t.shadow_parent with None -> 0 | Some p -> chain_pages p)
 
 let insert_page t idx page = Hashtbl.replace t.pages idx page
 let remove_page t idx = Hashtbl.remove t.pages idx

@@ -28,7 +28,6 @@ val id : t -> int
 val kind : t -> kind
 
 val parent : t -> t option
-val ref_count : t -> int
 val ref_ : t -> unit
 val unref : t -> unit
 
@@ -37,9 +36,6 @@ val resident_pages : t -> int
 
 val chain_length : t -> int
 (** 1 for an object with no parent. *)
-
-val chain_pages : t -> int
-(** Total resident pages along the whole chain. *)
 
 val insert_page : t -> int -> Page.t -> unit
 (** [insert_page obj idx page] makes [page] the object's page [idx],

@@ -40,9 +40,8 @@ let watch server ~kq fd =
    holds an unread request, and the server sets an option on every
    fourth.  With [extras] the server also holds a socketpair with bytes
    in flight, one message carrying an SCM_RIGHTS description: both ends
-   are rebuilt eagerly.  [f] gets the path of the saved device image,
-   removed when it returns. *)
-let with_image ~conns ?(extras = false) f =
+   are rebuilt eagerly.  Returns the booted system, checkpointed once. *)
+let build ~conns ~extras =
   let sys = Sls.boot () in
   let m = sys.Sls.machine in
   let server = Syscall.spawn m ~name:"server" in
@@ -79,12 +78,18 @@ let with_image ~conns ?(extras = false) f =
   in
   let group = Sls.attach sys [ server ] in
   ignore (Group.checkpoint ~wait_durable:true group);
+  (sys, { listener; kq; conns; extras })
+
+(* [build]'s server, saved as a device image: [f] gets the image's path,
+   removed when it returns. *)
+let with_image ~conns ?(extras = false) f =
+  let sys, layout = build ~conns ~extras in
   let path = Filename.temp_file "aurora_server" ".img" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Striped.save_file sys.Sls.device ~clock:m.Machine.clock path;
-      f path { listener; kq; conns; extras })
+      Striped.save_file sys.Sls.device ~clock:sys.Sls.machine.Machine.clock path;
+      f path layout)
 
 (* A fresh machine over the image at [path], its store recovered; the
    restore is the caller's. *)

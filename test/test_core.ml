@@ -1114,6 +1114,50 @@ let test_checkpoint_after_restore_is_incremental () =
         (Vm_space.read_string p''.Process.space ~addr ~len:12)
   | _ -> Alcotest.fail "expected 1 process"
 
+(* A restore hands the group every object's oid back: the first
+   checkpoint of a restored group holding every kind of kernel object
+   names exactly the restored epoch's objects, none under a fresh oid. *)
+let test_restored_identities_reused () =
+  let sys = Sls.boot () in
+  let m = sys.Sls.machine in
+  let server = Syscall.spawn m ~name:"server" in
+  let r, w = Syscall.pipe m server in
+  ignore (Syscall.write m server ~fd:w "queued");
+  let a, b = Syscall.socketpair m server in
+  let addr = { Aurora_kern.Socket.host = "10.0.0.2"; port = 8080 } in
+  let listener = Syscall.socket m server Aurora_kern.Socket.Inet Aurora_kern.Socket.Tcp in
+  Syscall.bind server ~fd:listener addr;
+  Syscall.listen server ~fd:listener;
+  (* The client shares every description above with the server. *)
+  let client = Syscall.fork m server in
+  let c = Syscall.socket m client Aurora_kern.Socket.Inet Aurora_kern.Socket.Tcp in
+  Alcotest.(check bool) "connected" true (Syscall.tcp_connect m client ~fd:c addr);
+  let conn = Option.get (Syscall.accept m server ~fd:listener) in
+  let kq = Syscall.kqueue m server in
+  List.iter
+    (fun fd ->
+      Syscall.kevent_register server ~fd:kq
+        { Kqueue.ident = fd; filter = Kqueue.Ev_read; flags = 0; udata = fd })
+    [ r; b; listener; conn ];
+  let master = Syscall.posix_openpt m server in
+  ignore (Syscall.open_pty_slave m server ~master_fd:master);
+  ignore (Syscall.mmap_shm server ~fd:(Syscall.shm_open m server ~name:"/seg" ~npages:2));
+  ignore (Syscall.shmat server (Syscall.shmget m ~key:77 ~npages:1));
+  Syscall.send_msg m server ~fd:a ~fds:[ r ] "rights in flight";
+  ignore (Group.checkpoint ~wait_durable:true (Sls.attach sys [ server; client ]));
+  let sys', result = Sls.reboot_and_restore sys in
+  let store = sys'.Sls.store in
+  let restored = Store.last_complete_epoch store in
+  let st = Group.checkpoint ~wait_durable:true result.Restore.group in
+  let oids epoch = List.sort compare (Store.objects_at store ~epoch) in
+  let kinds = List.sort_uniq compare (List.map snd (oids restored)) in
+  List.iter
+    (fun kind ->
+      if not (List.mem kind kinds) then Alcotest.failf "the group holds no %s" kind)
+    Aurora_core.Serial.[ kind_proc; kind_fdesc; kind_pipe; kind_socket; kind_kqueue; kind_pty; kind_shm ];
+  Alcotest.(check (list (pair int string))) "the restored epoch's oids, no fresh one"
+    (oids restored) (oids st.Group.epoch)
+
 (* A restored server's first checkpoint reads its shells' images and
    rebuilds none: it stops as long, serializes as long and stages the
    same socket metadata as after an eager restore. *)
@@ -1249,6 +1293,19 @@ let test_run_for_takes_periodic_checkpoints () =
   Alcotest.(check bool) (Printf.sprintf "~10 checkpoints (%d)" n) true (n >= 9 && n <= 11)
 
 module Serial = Aurora_core.Serial
+module Socket = Aurora_kern.Socket
+module Shm = Aurora_kern.Shm
+
+(* A thread as its image decodes: everything but the serialized state is
+   [Thread.create]'s. *)
+let image_thread ~tid ~rip ~rsp ~gp ~sigmask ~pending =
+  {
+    (Thread.create ~tid) with
+    Thread.regs = { Thread.rip; rsp; rflags = 0x202; gp; fpu = Bytes.make 64 'f' };
+    sigmask;
+    pending_signals = pending;
+    priority = 120;
+  }
 
 let qcheck_tests =
   [
@@ -1270,20 +1327,9 @@ let qcheck_tests =
                i_cwd = "/";
                i_threads =
                  [
-                   {
-                     Serial.i_tid_local = 100;
-                     i_regs =
-                       {
-                         Serial.i_rip = 0xdead;
-                         i_rsp = 0xbeef;
-                         i_rflags = 0x202;
-                         i_gp = Array.init 14 (fun i -> i * pid);
-                         i_fpu = String.make 64 'f';
-                       };
-                     i_sigmask = 7;
-                     i_pending = pending;
-                     i_priority = 120;
-                   };
+                   image_thread ~tid:100 ~rip:0xdead ~rsp:0xbeef
+                     ~gp:(Array.init 14 (fun i -> i * pid))
+                     ~sigmask:7 ~pending;
                  ];
                i_fds = fds;
                i_entries = [];
@@ -1299,23 +1345,22 @@ let qcheck_tests =
              (small_list (pair small_string (small_list small_nat))))
          (fun (opts, msgs) ->
            let msg_images =
-             List.map
-               (fun (data, oids) -> { Serial.i_msg_data = data; i_ctl_oids = oids })
-               msgs
+             List.map (fun (data, oids) -> { Socket.data; ctl_fds = oids }) msgs
            in
            let image =
              {
-               Serial.i_domain = 0;
-               i_proto = 1;
-               i_laddr = Some ("10.0.0.1", 80);
-               i_raddr = None;
-               i_opts = opts;
-               i_tcp = 2;
-               i_snd_seq = 12345;
-               i_rcv_seq = 54321;
+               Serial.i_domain = Socket.Inet;
+               i_proto = Socket.Tcp;
                i_peer_oid = 7;
-               i_recvq = msg_images;
-               i_sendq = [];
+               i_state =
+                 {
+                   Socket.im_laddr = Some { Socket.host = "10.0.0.1"; port = 80 };
+                   im_raddr = None;
+                   im_opts = opts;
+                   im_state = Socket.Tcp_established { snd_seq = 12345; rcv_seq = 54321 };
+                   im_recvq = msg_images;
+                   im_sendq = [];
+                 };
              }
            in
            Serial.socket_of_string (Serial.socket_to_string image) = image));
@@ -1380,20 +1425,8 @@ let sample_proc =
     i_cwd = "/tmp";
     i_threads =
       [
-        {
-          Serial.i_tid_local = 100;
-          i_regs =
-            {
-              Serial.i_rip = 0x1000;
-              i_rsp = 0x2000;
-              i_rflags = 0x202;
-              i_gp = Array.init 14 (fun i -> i);
-              i_fpu = String.make 64 'f';
-            };
-          i_sigmask = 0;
-          i_pending = [ 17 ];
-          i_priority = 120;
-        };
+        image_thread ~tid:100 ~rip:0x1000 ~rsp:0x2000 ~gp:(Array.init 14 (fun i -> i))
+          ~sigmask:0 ~pending:[ 17 ];
       ];
     i_fds = [ (0, 7); (1, 8) ];
     i_entries =
@@ -1401,9 +1434,7 @@ let sample_proc =
         {
           Serial.i_start_vpn = 16;
           i_npages = 4;
-          i_read = true;
-          i_write = true;
-          i_exec = false;
+          i_prot = Vm_map.prot_rw;
           i_shared = false;
           i_excluded = false;
           i_obj_oid = 9;
@@ -1442,9 +1473,12 @@ let roundtrip_qcheck_tests =
       (fun (data, rd, wr) -> { Serial.i_data = data; i_rd_open = rd; i_wr_open = wr })
       (fun i -> Serial.pipe_of_string (Serial.pipe_to_string i) = i);
     t "kqueue image round-trips"
-      QCheck.(small_list (quad small_nat small_nat small_nat small_nat))
-      (List.map (fun (a, b, c, d) ->
-           { Serial.i_ident = a; i_filter = b; i_flags = c; i_udata = d }))
+      QCheck.(
+        small_list
+          (quad small_nat
+             (oneofl Kqueue.[ Ev_read; Ev_write; Ev_timer; Ev_signal; Ev_proc ])
+             small_nat small_nat))
+      (List.map (fun (ident, filter, flags, udata) -> { Kqueue.ident; filter; flags; udata }))
       (fun evs -> Serial.kqueue_of_string (Serial.kqueue_to_string evs) = evs);
     t "pty image round-trips"
       QCheck.(quad small_nat bool small_string small_string)
@@ -1462,7 +1496,7 @@ let roundtrip_qcheck_tests =
       QCheck.(triple bool small_string small_nat)
       (fun (posix, name, n) ->
         {
-          Serial.i_shm_kind = (if posix then Either.Left name else Either.Right n);
+          Serial.i_shm_kind = (if posix then Shm.Posix_shm name else Shm.Sysv_shm n);
           i_npages = n + 1;
           i_backing_oid = n * 2;
         })
@@ -1554,22 +1588,23 @@ let formats =
     serial "socket" Serial.socket_to_string Serial.socket_of_string
       [
         {
-          Serial.i_domain = 1;
-          i_proto = 1;
-          i_laddr = Some ("10.0.0.1", 80);
-          i_raddr = None;
-          i_opts = [ ("nodelay", 1) ];
-          i_tcp = 2;
-          i_snd_seq = 5;
-          i_rcv_seq = 6;
+          Serial.i_domain = Socket.Unix_dom;
+          i_proto = Socket.Tcp;
           i_peer_oid = 0;
-          i_recvq = [ { Serial.i_msg_data = "m"; i_ctl_oids = [ 4 ] } ];
-          i_sendq = [];
+          i_state =
+            {
+              Socket.im_laddr = Some { Socket.host = "10.0.0.1"; port = 80 };
+              im_raddr = None;
+              im_opts = [ ("nodelay", 1) ];
+              im_state = Socket.Tcp_established { snd_seq = 5; rcv_seq = 6 };
+              im_recvq = [ { Socket.data = "m"; ctl_fds = [ 4 ] } ];
+              im_sendq = [];
+            };
         };
       ]
       "93 bytes, CRC-32 354c0981";
     serial "kqueue" Serial.kqueue_to_string Serial.kqueue_of_string
-      [ [ { Serial.i_ident = 1; i_filter = 2; i_flags = 3; i_udata = 4 } ] ]
+      [ [ { Kqueue.ident = 1; filter = Kqueue.Ev_timer; flags = 3; udata = 4 } ] ]
       "01000000010000000000000002030000000400000000000000";
     serial "pty" Serial.pty_to_string Serial.pty_of_string
       [
@@ -1585,8 +1620,8 @@ let formats =
       "0100000001008025000002000000696e030000006f7574";
     serial "shm" Serial.shm_to_string Serial.shm_of_string
       [
-        { Serial.i_shm_kind = Either.Left "seg"; i_npages = 2; i_backing_oid = 5 };
-        { Serial.i_shm_kind = Either.Right 77; i_npages = 1; i_backing_oid = 6 };
+        { Serial.i_shm_kind = Shm.Posix_shm "seg"; i_npages = 2; i_backing_oid = 5 };
+        { Serial.i_shm_kind = Shm.Sysv_shm 77; i_npages = 1; i_backing_oid = 6 };
       ]
       "000300000073656702000000000000000500000000000000\
        014d0000000000000001000000000000000600000000000000";
@@ -1742,6 +1777,78 @@ let test_parsers_raise_typed_malformed () =
             valid)
         f.samples)
     formats
+
+(* A byte that names no value of its kernel type is malformed: its parser
+   raises [Malformed], [parse_check] rejects it, and verified restore
+   skips an epoch whose manifest names such an image. *)
+let test_out_of_range_enums_malformed () =
+  let socket domain proto state =
+    Serial.socket_to_string
+      {
+        Serial.i_domain = domain;
+        i_proto = proto;
+        i_peer_oid = 0;
+        i_state =
+          { Socket.im_laddr = None; im_raddr = None; im_opts = []; im_state = state;
+            im_recvq = []; im_sendq = [] };
+      }
+  in
+  let kevent filter = Serial.kqueue_to_string [ { Kqueue.ident = 1; filter; flags = 0; udata = 0 } ] in
+  let shm kind = Serial.shm_to_string { Serial.i_shm_kind = kind; i_npages = 1; i_backing_oid = 2 } in
+  let closed = Socket.Tcp_closed in
+  (* Two images that differ first at the field's byte, and the first value
+     past the field's last. *)
+  let cases =
+    [
+      ("kqueue filter", Serial.kind_kqueue, kevent Kqueue.Ev_read, kevent Kqueue.Ev_write, 5);
+      ( "socket domain", Serial.kind_socket, socket Socket.Inet Socket.Tcp closed,
+        socket Socket.Unix_dom Socket.Tcp closed, 2 );
+      ( "socket protocol", Serial.kind_socket, socket Socket.Inet Socket.Udp closed,
+        socket Socket.Inet Socket.Tcp closed, 2 );
+      ( "tcp state", Serial.kind_socket, socket Socket.Inet Socket.Tcp closed,
+        socket Socket.Inet Socket.Tcp Socket.Tcp_listening, 3 );
+      ("shm kind", Serial.kind_shm, shm (Shm.Posix_shm "s"), shm (Shm.Sysv_shm 1), 2);
+    ]
+  in
+  let parse kind s =
+    if kind = Serial.kind_kqueue then ignore (Serial.kqueue_of_string s)
+    else if kind = Serial.kind_socket then ignore (Serial.socket_of_string s)
+    else ignore (Serial.shm_of_string s)
+  in
+  List.iter
+    (fun (what, kind, a, b, past) ->
+      let at = ref 0 in
+      while a.[!at] = b.[!at] do incr at done;
+      let image = Bytes.of_string a in
+      Bytes.set image !at (Char.chr past);
+      let image = Bytes.to_string image in
+      (match parse kind image with
+      | () -> Alcotest.failf "%s %d parsed" what past
+      | exception Serial.Malformed _ -> ());
+      (match Serial.parse_check ~kind image with
+      | Ok () -> Alcotest.failf "%s %d passed parse_check" what past
+      | Error _ -> ());
+      (* An epoch whose manifest names the image, over a good one. *)
+      let sys = Sls.boot () in
+      let p, _e, _addr = spawn_with_memory sys ~name:"app" ~npages:1 in
+      ignore (Group.checkpoint ~wait_durable:true (Sls.attach sys [ p ]));
+      let store = sys.Sls.store in
+      let good = Store.last_complete_epoch store in
+      let epoch = Store.begin_checkpoint store in
+      Store.put_object store ~oid:(Store.alloc_oid store) ~kind ~meta:image;
+      Store.put_manifest store ~oid:(Store.manifest_oid store);
+      Clock.advance_to sys.Sls.machine.Machine.clock (Store.commit_checkpoint store);
+      match Restore.restore_verified ~machine:(Machine.create ()) ~store () with
+      | Error e -> Alcotest.failf "%s: %s" what (Restore.pp_restore_error e)
+      | Ok v -> (
+          Alcotest.(check int) (what ^ ": the good epoch restored") good v.Restore.vr_epoch;
+          match v.Restore.vr_skipped with
+          | [ { Restore.at_epoch; at_reason } ] when at_epoch = epoch ->
+              let unparseable = Str.regexp_string "metadata unparseable" in
+              if not (try ignore (Str.search_forward unparseable at_reason 0); true with Not_found -> false)
+              then Alcotest.failf "%s: skipped for %S" what at_reason
+          | _ -> Alcotest.failf "%s: the epoch holding the image was not skipped" what))
+    cases
 
 let test_parse_check_dispatch () =
   (match Serial.parse_check ~kind:Serial.kind_proc (Serial.proc_to_string sample_proc) with
@@ -3122,6 +3229,8 @@ let () =
             test_extsync_drop_after_edges;
           Alcotest.test_case "typed malformed parsers" `Quick
             test_parsers_raise_typed_malformed;
+          Alcotest.test_case "out-of-range enums malformed" `Quick
+            test_out_of_range_enums_malformed;
           Alcotest.test_case "parse_check dispatch" `Quick test_parse_check_dispatch;
           Alcotest.test_case "shipment frames" `Quick test_shipment_frames;
         ] );
@@ -3138,6 +3247,7 @@ let () =
       ( "continuity",
         [
           Alcotest.test_case "incremental after restore" `Quick test_checkpoint_after_restore_is_incremental;
+          Alcotest.test_case "restored identities reused" `Quick test_restored_identities_reused;
           Alcotest.test_case "first checkpoint after restore materializes nothing" `Quick
             test_first_checkpoint_after_restore_materializes_nothing;
           Alcotest.test_case "mem-only then full" `Quick test_mem_only_then_full_preserves_data;

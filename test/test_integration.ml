@@ -694,6 +694,25 @@ let test_restore_pairs_within_group () =
   Alcotest.(check string) "the inner pair still carries its message" "inside"
     (Syscall.read ma pa' ~fd:inner_b ~len:64)
 
+(* A connection's sequence numbers come from its machine: the same
+   server, built twice in one process, checkpoints the same socket
+   metadata byte for byte. *)
+let test_sequence_numbers_per_machine () =
+  let socket_meta () =
+    let sys, _ = Server_image.build ~conns:4 ~extras:false in
+    let store = sys.Sls.store in
+    let epoch = List.hd (List.rev (Store.checkpoint_epochs store)) in
+    List.filter_map
+      (fun (oid, kind) ->
+        if kind = Aurora_core.Serial.kind_socket then Some (oid, Store.read_meta store ~epoch ~oid)
+        else None)
+      (Store.objects_at store ~epoch)
+  in
+  let first = socket_meta () in
+  Alcotest.(check int) "the listener and four connections" 5 (List.length first);
+  Alcotest.(check (list (pair int string))) "the second build's socket images" first
+    (socket_meta ())
+
 let test_first_response_after_restore () =
   let conns = 64 in
   Server_image.with_image ~conns @@ fun path l ->
@@ -1373,6 +1392,8 @@ let () =
             test_tcp_accept_queue_dropped_established_kept;
           Alcotest.test_case "multithreaded roundtrip" `Quick
             test_multithreaded_process_roundtrip;
+          Alcotest.test_case "sequence numbers per machine" `Quick
+            test_sequence_numbers_per_machine;
           Alcotest.test_case "first response after restore" `Quick
             test_first_response_after_restore;
           Alcotest.test_case "on-demand restore equals eager" `Quick
