@@ -41,18 +41,18 @@ type t = {
   workers : Resource.t array;
   static_base : int;
   dynamic_base : int;
-  dynamic_pages : int;
   keep_alive_max : int;
   conns : (int, conn) Hashtbl.t;
   mutable next_conn_id : int;
   mutable served : int;
 }
 
-(* Pages in the read-only static-content arena. *)
+(* Pages in the read-only static-content arena and in the dynamic
+   handlers' arena. *)
 let static_pages = 64
+let dynamic_pages = 64
 
-let create ~machine ?(workers = 4) ?(dynamic_pages = 64)
-    ?(keep_alive_max = 200) () =
+let create ~machine ?(workers = 4) ?(keep_alive_max = 200) () =
   let proc = Syscall.spawn machine ~name:"httpd" in
   let client = Syscall.spawn machine ~name:"wrk" in
   let listen_fd = Syscall.socket machine proc Socket.Inet Socket.Tcp in
@@ -87,7 +87,6 @@ let create ~machine ?(workers = 4) ?(dynamic_pages = 64)
         Resource.create ~name:(Printf.sprintf "httpd-worker-%d" i));
     static_base;
     dynamic_base;
-    dynamic_pages;
     keep_alive_max;
     conns = Hashtbl.create 64;
     next_conn_id = 0;
@@ -225,7 +224,7 @@ let serve_one t c ~now ~head_bytes ?on route =
           ~len:static_body_bytes;
         (static_body_bytes, static_service_ns)
     | Http_load.Dynamic i ->
-        let page = i mod t.dynamic_pages in
+        let page = i mod dynamic_pages in
         Vm_space.touch_write t.http_proc.Process.space
           ~addr:(t.dynamic_base + (page * Page.logical_size))
           ~len:dynamic_body_bytes;
@@ -336,11 +335,6 @@ type config = {
   duration_ns : int;
   period_ns : int option;
   speculative : bool;
-  static_routes : int;
-  dynamic_routes : int;
-  workers : int;
-  dynamic_pages : int;
-  probe_interval_ns : int;
 }
 
 let default_config =
@@ -351,12 +345,13 @@ let default_config =
     duration_ns = 300_000_000;
     period_ns = None;
     speculative = false;
-    static_routes = 96;
-    dynamic_routes = 32;
-    workers = 4;
-    dynamic_pages = 64;
-    probe_interval_ns = 2_500_000;
   }
+
+(* The route mix of the zipf client, and the keepalive probe period per
+   connection. *)
+let static_routes = 96
+let dynamic_routes = 32
+let probe_interval_ns = 2_500_000
 
 type outcome = {
   completed : int;
@@ -377,9 +372,7 @@ let run cfg =
   let sys = Sls.boot () in
   let machine = sys.Sls.machine in
   let clk = machine.Machine.clock in
-  let srv =
-    create ~machine ~workers:cfg.workers ~dynamic_pages:cfg.dynamic_pages ()
-  in
+  let srv = create ~machine () in
   (* One queued link per direction: requests serialize onto the wire in
      schedule order, responses in completion order.  Sharing one resource
      would make responses queue behind requests scheduled far in the
@@ -414,7 +407,7 @@ let run cfg =
                  let n = max 1 (window_ns / 150_000) in
                  for _ = 1 to n do
                    if !hook_conn.c_closed then hook_conn := connect srv;
-                   let route = Http_load.Dynamic (!hook_route mod cfg.dynamic_routes) in
+                   let route = Http_load.Dynamic (!hook_route mod dynamic_routes) in
                    incr hook_route;
                    ignore
                      (feed srv !hook_conn ~now:(Clock.now clk) ~on:spare
@@ -440,8 +433,7 @@ let run cfg =
   done;
   let schedule =
     Http_load.generate ~seed:cfg.seed ~rate:cfg.rate ~duration_ns:cfg.duration_ns
-      ~conns:cfg.conns ~static_routes:cfg.static_routes
-      ~dynamic_routes:cfg.dynamic_routes ()
+      ~conns:cfg.conns ~static_routes ~dynamic_routes ()
   in
   List.iter
     (fun r ->
@@ -473,14 +465,11 @@ let run cfg =
   (match group_opt with
   | Some (_, period) -> Event_queue.schedule q ~time:(t_start + period) Ckpt_due
   | None -> ());
-  if cfg.probe_interval_ns > 0 then
-    for i = 0 to cfg.conns - 1 do
-      (* Stagger first probes across one interval so they don't arrive as
-         a synchronized burst. *)
-      Event_queue.schedule q
-        ~time:(t_start + (i * cfg.probe_interval_ns / cfg.conns))
-        (Probe i)
-    done;
+  for i = 0 to cfg.conns - 1 do
+    (* Stagger first probes across one interval so they don't arrive as
+       a synchronized burst. *)
+    Event_queue.schedule q ~time:(t_start + (i * probe_interval_ns / cfg.conns)) (Probe i)
+  done;
   let handle time = function
     | Deliver (slot, bytes, send_t) ->
         let conn =
@@ -532,8 +521,8 @@ let run cfg =
               Event_queue.schedule q ~time:(time + period) Ckpt_due)
     | Probe slot ->
         keepalive srv slots.(slot);
-        if time + cfg.probe_interval_ns < t_end then
-          Event_queue.schedule q ~time:(time + cfg.probe_interval_ns) (Probe slot)
+        if time + probe_interval_ns < t_end then
+          Event_queue.schedule q ~time:(time + probe_interval_ns) (Probe slot)
   in
   Event_queue.run q ~clock:clk ~handler:(fun time ev -> handle time ev) ~until:t_end;
   Machine.set_run_hook machine None;

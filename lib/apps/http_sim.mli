@@ -27,7 +27,6 @@ type conn = {
 val create :
   machine:Aurora_kern.Machine.t ->
   ?workers:int ->
-  ?dynamic_pages:int ->
   ?keep_alive_max:int ->
   unit ->
   t
@@ -96,13 +95,10 @@ type config = {
   duration_ns : int;
   period_ns : int option;  (** [None] = uncheckpointed baseline *)
   speculative : bool;
-  static_routes : int;
-  dynamic_routes : int;
-  workers : int;
-  dynamic_pages : int;
-  probe_interval_ns : int;
-      (** keepalive probe period per connection; 0 disables probes *)
 }
+(** The server runs 4 workers and a 64-page dynamic arena; the client
+    spreads its requests over 96 static and 32 dynamic routes and probes
+    each connection every 2.5 ms. *)
 
 val default_config : config
 

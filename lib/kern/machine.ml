@@ -56,9 +56,17 @@ let alloc_pid t =
   t.next_pid <- t.next_pid + 1;
   t.next_pid
 
+let tid_base = 100_000
+
 let alloc_tid t =
   t.next_tid <- t.next_tid + 1;
-  100_000 + t.next_tid
+  tid_base + t.next_tid
+
+let reserve_ids t (p : Process.t) =
+  t.next_pid <- max t.next_pid p.Process.pid_local;
+  List.iter
+    (fun (th : Thread.t) -> t.next_tid <- max t.next_tid (th.Thread.tid_local - tid_base))
+    p.Process.threads
 
 let alloc_seq t =
   t.next_conn <- t.next_conn + 1;

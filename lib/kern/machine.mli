@@ -39,6 +39,12 @@ val vfs_exn : t -> Vfs.ops
 val alloc_pid : t -> int
 val alloc_tid : t -> int
 
+val reserve_ids : t -> Process.t -> unit
+(** Issue no later pid or tid at or below the process's local pid and
+    its threads' local tids: a restored process keeps the ids it had at
+    checkpoint time, and a fork on the restoring machine must not reuse
+    them. *)
+
 val alloc_seq : t -> int
 (** The initial sequence number of the next TCP connection this machine
     accepts: it depends on this machine's connections only. *)

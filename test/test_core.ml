@@ -1158,6 +1158,77 @@ let test_restored_identities_reused () =
   Alcotest.(check (list (pair int string))) "the restored epoch's oids, no fresh one"
     (oids restored) (oids st.Group.epoch)
 
+(* A restored machine issues local pids past every one it restored: four
+   forks of a process restored with local pid 5 must not reuse it, and
+   every process keeps its own memory through a second crash and
+   restore. *)
+let test_restored_local_pids_not_reissued () =
+  let sys = Sls.boot () in
+  for _ = 1 to 4 do
+    ignore (Syscall.spawn sys.Sls.machine ~name:"other")
+  done;
+  let p, _e, addr = spawn_with_memory sys ~name:"app" ~npages:2 in
+  Alcotest.(check int) "the group's only process" 5 p.Process.pid_local;
+  Vm_space.write_string p.Process.space ~addr "parent!";
+  ignore (Group.checkpoint ~wait_durable:true (Sls.attach sys [ p ]));
+  let sys', r = Sls.reboot_and_restore sys in
+  let parent = List.hd r.Restore.procs in
+  let children =
+    List.init 4 (fun i ->
+        let c = Syscall.fork sys'.Sls.machine parent in
+        Group.add_process r.Restore.group c;
+        Vm_space.write_string c.Process.space ~addr (Printf.sprintf "child %d" i);
+        c)
+  in
+  let local_pids procs = List.sort compare (List.map (fun q -> q.Process.pid_local) procs) in
+  Alcotest.(check int) "distinct local pids" 5
+    (List.length (List.sort_uniq compare (local_pids (parent :: children))));
+  ignore (Group.checkpoint ~wait_durable:true r.Restore.group);
+  let _, r2 = Sls.reboot_and_restore sys' in
+  Alcotest.(check (list int)) "the same local pids" (local_pids (parent :: children))
+    (local_pids r2.Restore.procs);
+  Alcotest.(check (list string)) "every process's memory"
+    [ "child 0"; "child 1"; "child 2"; "child 3"; "parent!" ]
+    (List.sort compare
+       (List.map (fun q -> Vm_space.read_string q.Process.space ~addr ~len:7) r2.Restore.procs))
+
+(* A clean connection keeps its peer's identity: a connection to a client
+   outside the group is serialized, skipped for a cycle, then dirtied
+   again, and both of its images name the same peer oid. *)
+let test_skipped_socket_keeps_peer_oid () =
+  let sys = Sls.boot () in
+  let m = sys.Sls.machine in
+  let server = Syscall.spawn m ~name:"server" in
+  let client = Syscall.spawn m ~name:"client" in
+  let addr = { Aurora_kern.Socket.host = "10.0.0.2"; port = 8080 } in
+  let listener = Syscall.socket m server Aurora_kern.Socket.Inet Aurora_kern.Socket.Tcp in
+  Syscall.bind server ~fd:listener addr;
+  Syscall.listen server ~fd:listener;
+  let c = Syscall.socket m client Aurora_kern.Socket.Inet Aurora_kern.Socket.Tcp in
+  Alcotest.(check bool) "connected" true (Syscall.tcp_connect m client ~fd:c addr);
+  ignore (Option.get (Syscall.accept m server ~fd:listener));
+  let group = Sls.attach sys [ server ] in
+  let peer_oids (st : Group.ckpt_stats) =
+    List.filter_map
+      (fun (oid, kind) ->
+        if kind <> Aurora_core.Serial.kind_socket then None
+        else
+          let image =
+            Aurora_core.Serial.socket_of_string
+              (Store.read_meta sys.Sls.store ~epoch:st.Group.epoch ~oid)
+          in
+          if image.Aurora_core.Serial.i_peer_oid = 0 then None
+          else Some image.Aurora_core.Serial.i_peer_oid)
+      (Store.objects_at sys.Sls.store ~epoch:st.Group.epoch)
+  in
+  let first = Group.checkpoint ~wait_durable:true group in
+  let clean = Group.checkpoint ~wait_durable:true group in
+  Alcotest.(check int) "nothing serialized in the clean cycle" 0 clean.Group.objects_serialized;
+  Syscall.send_msg m client ~fd:c "ping";
+  let dirty = Group.checkpoint ~wait_durable:true group in
+  Alcotest.(check int) "the connection serialized again" 1 dirty.Group.objects_serialized;
+  Alcotest.(check (list int)) "the same peer oid" (peer_oids first) (peer_oids dirty)
+
 (* A restored server's first checkpoint reads its shells' images and
    rebuilds none: it stops as long, serializes as long and stages the
    same socket metadata as after an eager restore. *)
@@ -3248,6 +3319,10 @@ let () =
         [
           Alcotest.test_case "incremental after restore" `Quick test_checkpoint_after_restore_is_incremental;
           Alcotest.test_case "restored identities reused" `Quick test_restored_identities_reused;
+          Alcotest.test_case "restored local pids not reissued" `Quick
+            test_restored_local_pids_not_reissued;
+          Alcotest.test_case "skipped socket keeps its peer oid" `Quick
+            test_skipped_socket_keeps_peer_oid;
           Alcotest.test_case "first checkpoint after restore materializes nothing" `Quick
             test_first_checkpoint_after_restore_materializes_nothing;
           Alcotest.test_case "mem-only then full" `Quick test_mem_only_then_full_preserves_data;
