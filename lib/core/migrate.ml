@@ -137,8 +137,9 @@ let open_ack = open_sealed ~what:"ack" ack_codec
 (* Install a shipment, verifying the composed epoch against the sender's
    manifest digest before committing anything.  The delta is staged first;
    the check composes it over the previous epoch from the epoch table and
-   the leaves ([Store.staging_manifest_source]), independently of the row
-   cache the standby's own manifest is then composed from at commit.  On
+   the leaves ([Store.staging_manifest_source]), independently of the
+   manifest rows its versions carry, which the standby's own manifest is
+   then composed from at commit.  On
    [Error] the staging epoch is aborted and the standby store is
    untouched. *)
 let install_verified ~store (sh : shipment) =

@@ -28,6 +28,7 @@ type version = {
   v_off : int; (* byte offset in that block, *)
   v_len : int; (* and exact length *)
   v_leaves : int IntMap.t;
+  mutable v_row : Manifest.entry option; (* its manifest row, once known ([committed_row]) *)
 }
 
 type epoch_info = {
@@ -37,10 +38,13 @@ type epoch_info = {
   mutable e_versions : versions;
 }
 
-(* An epoch's version table, oid -> version.  A recovered store keeps an
-   older epoch's checkpoint-record entries [(oid, blk, off, len)] until
-   the epoch's first use loads them ([table]). *)
-and versions = Loaded of (int, version) Hashtbl.t | Listed of (int * int * int * int) list
+(* An epoch's version table, oid -> version: an immutable map that a
+   commit extends from its parent's, so retained epochs share structure
+   and every version value an unchanged object carries.  A recovered
+   store keeps an older epoch's checkpoint-record entries
+   [(oid, blk, off, len)] until the epoch's first use loads them
+   ([table]). *)
+and versions = Loaded of version IntMap.t | Listed of (int * int * int * int) list
 
 type staged = {
   mutable s_kind : string;
@@ -85,9 +89,9 @@ let empty_flush_stats =
     fs_comp_out = 0;
   }
 
-(* The manifest row of an object with no committed version.  Rows are
-   cached per object at commit (see [committed_row]), so composing a
-   manifest never re-walks the leaves of carried (unchanged) objects. *)
+(* The manifest row of an object with no committed version.  Each
+   version carries its row (see [committed_row]), so composing a manifest
+   never re-walks the leaves of carried (unchanged) objects. *)
 let zero_row =
   { Manifest.me_oid = 0; me_kind = "memory"; me_meta_crc = 0; me_pages = 0; me_pages_crc = 0 }
 
@@ -138,11 +142,6 @@ type t = {
   mutable packed : bool;
       (* content-addressed packed layout (dedup index + RLE coding +
          packed extents); false is the pre-dedup block-per-page layout *)
-  rows : (int, Manifest.entry) Hashtbl.t;
-      (* oid -> manifest row of the newest committed epoch; updated at
-         commit_checkpoint (the single choke point every epoch passes
-         through, including migration installs), recomputed lazily from
-         the version's leaves when cold (post-recovery). *)
   mutable epochs : epoch_info list; (* oldest first *)
   mutable unsettled : (int * int, int * version) Hashtbl.t option;
       (* a recovered store until [settle]: every version loaded so far, as
@@ -338,7 +337,8 @@ let read_versions t loaded (todo, runs) =
         in
         Hashtbl.replace loaded (blk, off)
           (vr.vr_oid, { v_kind = vr.vr_kind; v_meta = vr.vr_meta; v_blk = blk; v_off = off;
-                        v_len = len; v_leaves = IntMap.of_seq (List.to_seq vr.vr_leaves) })
+                        v_len = len; v_leaves = IntMap.of_seq (List.to_seq vr.vr_leaves);
+                        v_row = None })
       done)
     runs
 
@@ -368,14 +368,13 @@ let load_tables ?span t loaded es =
   let tables =
     List.map
       (fun (e, entries) ->
-        let table = Hashtbl.create (List.length entries) in
-        List.iter
-          (fun (oid, blk, off, len) ->
-            let v_oid, v = Hashtbl.find loaded (blk, off) in
-            if v_oid <> oid || v.v_len <> len then raise (Corrupt_store "version/oid mismatch");
-            Hashtbl.replace table oid v)
-          entries;
-        (e, table))
+        ( e,
+          List.fold_left
+            (fun table (oid, blk, off, len) ->
+              let v_oid, v = Hashtbl.find loaded (blk, off) in
+              if v_oid <> oid || v.v_len <> len then raise (Corrupt_store "version/oid mismatch");
+              IntMap.add oid v table)
+            IntMap.empty entries ))
       listed
   in
   List.iter (fun (e, table) -> e.e_versions <- Loaded table) tables;
@@ -390,7 +389,7 @@ let rec table t e =
       table t e
 
 let head_table t =
-  match last_epoch_info t with Some e -> table t e | None -> Hashtbl.create 0
+  match last_epoch_info t with Some e -> table t e | None -> IntMap.empty
 
 (* The leaf blocks of version [v], pushed onto [acc]. *)
 let leaf_blocks v acc = IntMap.fold (fun _ blk acc -> blk :: acc) v.v_leaves acc
@@ -413,20 +412,20 @@ let version_crcs t v =
 let version_key v = (v.v_blk * block_size) + v.v_off
 
 (* Each distinct item of [epochs] that [except] does not hold, as [f item]:
-   each epoch's checkpoint record, then each of its versions, and each of
-   their leaves, not visited before, with the entries [leaf] gives.
-   Commit copies the version table, so the same version, and the same
-   leaf block, appears under several epochs; each is visited once.  A
-   version [except] holds under the same oid, and a leaf it holds at the
-   same index, is skipped. *)
+   each epoch's checkpoint record, then each of its versions in oid
+   order, and each of their leaves, not visited before, with the entries
+   [leaf] gives.  Epochs share the versions their commits carried, so the
+   same version, and the same leaf block, appears under several epochs;
+   each is visited once.  A version [except] holds under the same oid,
+   and a leaf it holds at the same index, is skipped. *)
 let walk_items t ~leaf ~except epochs f =
   let versions = Hashtbl.create 1024 and leaves = Hashtbl.create 1024 in
   List.iter
     (fun e ->
       f (Record e);
-      Hashtbl.iter
+      IntMap.iter
         (fun oid v ->
-          let keeper = Hashtbl.find_opt except oid in
+          let keeper = IntMap.find_opt oid except in
           let key = version_key v in
           let held = match keeper with Some k -> version_key k = key | None -> false in
           if not (held || Hashtbl.mem versions key) then begin
@@ -453,7 +452,7 @@ let walk_items t ~leaf ~except epochs f =
    walk, and [content_index_consistent] recounts with it. *)
 let iter_items t ~leaf f =
   List.iter (fun j -> f (Journal j)) (Journal.all t.journals);
-  walk_items t ~leaf ~except:(Hashtbl.create 0) t.epochs f
+  walk_items t ~leaf ~except:IntMap.empty t.epochs f
 
 let leaf_entries_of item note = match item with Leaf (_, es) -> List.iter note es | _ -> ()
 
@@ -478,7 +477,7 @@ let settle t =
       let ts = Clock.now t.clk and read0 = Striped.bytes_read t.dev in
       let versions = load_tables t loaded t.epochs in
       let blks = ref [] in
-      walk_items t ~leaf:(fun _ -> []) ~except:(Hashtbl.create 0) t.epochs (function
+      walk_items t ~leaf:(fun _ -> []) ~except:IntMap.empty t.epochs (function
         | Leaf (blk, _) -> blks := blk :: !blks
         | _ -> ());
       let leaf = resident_leaves t !blks in
@@ -511,7 +510,6 @@ let fresh dev clk =
     journals = Journal.registry [];
     next_oid = 0;
     packed = true;
-    rows = Hashtbl.create 1024;
     epochs = [];
     unsettled = None;
     kept = None;
@@ -709,8 +707,8 @@ let class_bandwidth = function
    time (threaded into the next object's submissions: one flush thread),
    returns the object's manifest deltas: the XOR-fold fingerprint
    adjustment (replaced carried entries folded out, fresh entries folded
-   in) and the net page-count change, so commit can update the
-   manifest-row cache without re-walking untouched leaves.  Last come the
+   in) and the net page-count change, so commit can give the new version
+   its manifest row without re-walking untouched leaves.  Last come the
    moved pages with their staged payloads, by index: every fresh entry
    but one that replaces a carried entry at its own location, which is
    [read_delta]'s rule. *)
@@ -840,15 +838,16 @@ let build_version t ~now ~prev st =
       List.filteri (fun k _ -> moved.(k)) (Array.to_list fresh) )
   end
 
-(* Manifest row of a committed version, from the cache when warm.  The cold
-   path (first touch after recovery) walks the version's leaves once and
-   memoizes the result. *)
+(* Manifest row of a committed version: the one its commit set from its
+   base row and its flush's deltas or, on a recovered version, a walk of
+   its leaves at first need, memoized on the version (shared by every
+   epoch that carries it). *)
 let committed_row t oid v =
-  match Hashtbl.find_opt t.rows oid with
+  match v.v_row with
   | Some r -> r
   | None ->
       let r = Manifest.entry_of_source (oid, v.v_kind, v.v_meta, version_crcs t v) in
-      Hashtbl.replace t.rows oid r;
+      v.v_row <- Some r;
       r
 
 let commit_checkpoint t =
@@ -857,7 +856,6 @@ let commit_checkpoint t =
   let epoch = t.staging_epoch in
   let parent = last_epoch_info t in
   let prev_table = head_table t in
-  let new_table : (int, version) Hashtbl.t = Hashtbl.copy prev_table in
   (* The epoch's delta against [parent], newest oid first: what
      [read_delta] would find, with the staged bytes as payloads. *)
   let delta = ref [] in
@@ -875,7 +873,7 @@ let commit_checkpoint t =
     @@ fun () ->
     List.map
       (fun (oid, st) ->
-        let prev = Hashtbl.find_opt prev_table oid in
+        let prev = IntMap.find_opt oid prev_table in
         let kind =
           if st.s_kind <> "" then st.s_kind
           else match prev with Some v -> v.v_kind | None -> "memory"
@@ -885,7 +883,7 @@ let commit_checkpoint t =
           else match prev with Some v -> v.v_meta | None -> ""
         in
         (* Base row first (it may lazily walk the previous version), then
-           apply this commit's deltas so the cache tracks the new epoch. *)
+           this commit's deltas give the new version's row. *)
         let base =
           match prev with Some v -> committed_row t oid v | None -> zero_row
         in
@@ -898,7 +896,7 @@ let commit_checkpoint t =
         then delta := (oid, kind, meta, moved) :: !delta;
         cpu_now := cpu_end;
         if c > !data_done then data_done := c;
-        Hashtbl.replace t.rows oid
+        let row =
           {
             Manifest.me_oid = oid;
             me_kind = kind;
@@ -907,27 +905,20 @@ let commit_checkpoint t =
                else base.me_meta_crc);
             me_pages = base.me_pages + n_delta;
             me_pages_crc = base.me_pages_crc lxor fp_delta;
-          };
-        (oid, { v_kind = kind; v_meta = meta; v_blk = 0; v_off = 0; v_len = 0; v_leaves = leaves }))
+          }
+        in
+        (oid, { v_kind = kind; v_meta = meta; v_blk = 0; v_off = 0; v_len = 0; v_leaves = leaves;
+                v_row = Some row }))
       staged_list
   in
   (* A staged manifest gets its body here, before any version record is
-     encoded: the staged rows the data pass just updated, the carried rows
-     from the cache, the manifest itself left out. *)
+     encoded: the row of every version the epoch will hold, in oid order,
+     staged ones from the data pass, the manifest itself left out. *)
   let manifest_meta =
     lazy
-      (let entries =
-         Hashtbl.fold
-           (fun oid v acc ->
-             if Hashtbl.mem s oid || v.v_kind = Manifest.kind then acc
-             else committed_row t oid v :: acc)
-           prev_table
-           (List.filter_map
-              (fun (oid, v) ->
-                if v.v_kind = Manifest.kind then None else Some (Hashtbl.find t.rows oid))
-              pending)
-         |> List.sort (fun a b -> compare a.Manifest.me_oid b.Manifest.me_oid)
-       in
+      (let staged = List.fold_left (fun m (oid, v) -> IntMap.add oid v m) prev_table pending in
+       let row oid v acc = if v.v_kind = Manifest.kind then acc else committed_row t oid v :: acc in
+       let entries = List.rev (IntMap.fold row staged []) in
        Wire.to_string Manifest.codec
          { Manifest.m_epoch = epoch; m_count = List.length entries; m_entries = entries })
   in
@@ -937,38 +928,39 @@ let commit_checkpoint t =
         if v.v_kind <> Manifest.kind then (oid, v)
         else begin
           let meta = Lazy.force manifest_meta in
-          Hashtbl.replace t.rows oid
-            { (Hashtbl.find t.rows oid) with me_meta_crc = Crc32.of_string meta };
-          (oid, { v with v_meta = meta })
+          let row r = { r with Manifest.me_meta_crc = Crc32.of_string meta } in
+          (oid, { v with v_meta = meta; v_row = Option.map row v.v_row })
         end)
       pending
   in
   (* Version records pack back to back into fresh extents, like page
      payloads and in either page layout: one exact-length submission covers
-     many objects' records. *)
-  Otrace.with_span ~cat:"store" ~name:"commit.records" (fun () ->
-      let records = packer t ~aligned:false in
-      List.iter
-        (fun (oid, v) ->
-          let record =
-            Wire.encode version_codec
-              { vr_oid = oid; vr_epoch = epoch; vr_kind = v.v_kind; vr_meta = v.v_meta;
-                vr_leaves = IntMap.bindings v.v_leaves }
-          in
-          let blk, off = place records record and v_len = Bytes.length record in
-          let v = { v with v_blk = blk; v_off = off; v_len } in
-          covers (Version v) (Allocator.retain t.alloc);
-          Hashtbl.replace new_table oid v)
-        pending;
-      let c = submit records ~now in
-      if c > !data_done then data_done := c);
-  (* Checkpoint record after all object data (write ordering). *)
-  let table_list =
-    Hashtbl.fold (fun oid v acc -> (oid, v) :: acc) new_table []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+     many objects' records.  The epoch's table is its parent's with each
+     placed version added. *)
+  let table =
+    Otrace.with_span ~cat:"store" ~name:"commit.records" (fun () ->
+        let records = packer t ~aligned:false in
+        let table =
+          List.fold_left
+            (fun table (oid, v) ->
+              let record =
+                Wire.encode version_codec
+                  { vr_oid = oid; vr_epoch = epoch; vr_kind = v.v_kind; vr_meta = v.v_meta;
+                    vr_leaves = IntMap.bindings v.v_leaves }
+              in
+              let blk, off = place records record and v_len = Bytes.length record in
+              let v = { v with v_blk = blk; v_off = off; v_len } in
+              covers (Version v) (Allocator.retain t.alloc);
+              IntMap.add oid v table)
+            prev_table pending
+        in
+        let c = submit records ~now in
+        if c > !data_done then data_done := c;
+        table)
   in
+  (* Checkpoint record after all object data (write ordering). *)
   let cr_prev_block, cr_prev_nblocks =
-    match last_epoch_info t with
+    match parent with
     | Some e -> (e.e_record_block, e.e_record_nblocks)
     | None -> (0, 0)
   in
@@ -978,7 +970,9 @@ let commit_checkpoint t =
         cr_epoch = epoch;
         cr_prev_block;
         cr_prev_nblocks;
-        cr_table = List.map (fun (oid, v) -> (oid, v.v_blk, v.v_off, v.v_len)) table_list;
+        cr_table =
+          List.rev
+            (IntMap.fold (fun oid v acc -> (oid, v.v_blk, v.v_off, v.v_len) :: acc) table []);
       }
   in
   let rblock, rc, rnblocks =
@@ -987,7 +981,7 @@ let commit_checkpoint t =
   in
   let head =
     { e_epoch = epoch; e_record_block = rblock; e_record_nblocks = rnblocks;
-      e_versions = Loaded new_table }
+      e_versions = Loaded table }
   in
   covers (Record head) (Allocator.retain t.alloc);
   t.epochs <- t.epochs @ [ head ];
@@ -1161,23 +1155,25 @@ let recover ~dev ~clock =
 
 (* Reading ------------------------------------------------------------------------- *)
 
-(* A retained epoch's version table: an older epoch's first use on a
-   recovered store loads its versions, charged. *)
-let epoch_table t epoch =
+let retained_exn t epoch =
   match List.find_opt (fun e -> e.e_epoch = epoch) t.epochs with
-  | Some e -> table t e
+  | Some e -> e
   | None -> raise (Corrupt_store (Printf.sprintf "unknown epoch %d" epoch))
 
+(* A retained epoch's version table: an older epoch's first use on a
+   recovered store loads its versions, charged. *)
+let epoch_table t epoch = table t (retained_exn t epoch)
+
 let version_exn t ~epoch ~oid =
-  match Hashtbl.find_opt (epoch_table t epoch) oid with
+  match IntMap.find_opt oid (epoch_table t epoch) with
   | Some v -> v
   | None -> raise (Corrupt_store (Printf.sprintf "oid %d not in epoch %d" oid epoch))
 
 let objects_at t ~epoch =
-  Hashtbl.fold
+  IntMap.fold
     (fun oid v acc -> if v.v_kind = Manifest.kind then acc else (oid, v.v_kind) :: acc)
     (epoch_table t epoch) []
-  |> List.sort compare
+  |> List.rev
 
 let read_meta t ~epoch ~oid = (version_exn t ~epoch ~oid).v_meta
 
@@ -1400,12 +1396,12 @@ let read_pages t ~epoch ~oid = take_all (List.assoc oid (stream_pages t ~epoch [
    record [base] does not share, the leaves [base] does not share,
    ascending, each with [base]'s leaf at its index. *)
 let device_delta t ~base ~epoch =
-  let base_table = if base = 0 then Hashtbl.create 0 else epoch_table t base in
+  let base_table = if base = 0 then IntMap.empty else epoch_table t base in
   let plan =
     List.filter_map
       (fun (oid, kind) ->
         let v = version_exn t ~epoch ~oid in
-        match Hashtbl.find_opt base_table oid with
+        match IntMap.find_opt oid base_table with
         | Some b when v.v_blk = b.v_blk && v.v_off = b.v_off -> None
         | b ->
             let old i = Option.bind b (fun b -> IntMap.find_opt i b.v_leaves) in
@@ -1498,15 +1494,16 @@ let journal_records t j = Journal.records j ~read:(read_range t)
 
 (* History ------------------------------------------------------------------------------- *)
 
-(* Only what died is walked.  Tables are copied at every commit and never
-   lose an oid, so a version, or a leaf block, that any kept epoch holds
-   is held by the oldest kept epoch under the same oid (and leaf index):
-   every other version a dropped epoch names is dead, and so is each of
-   its leaves the oid's oldest kept version does not hold.  Each dead
-   item, counted once, gives back its blocks; a block at zero is freed,
-   in ascending order, and the index forgets every location over a freed
-   block before anything can dedup against it. *)
+(* Only what died is walked.  A commit adds to its parent's table and
+   never removes an oid, so a version, or a leaf block, that any kept
+   epoch holds is held by the oldest kept epoch under the same oid (and
+   leaf index): every other version a dropped epoch names is dead, and so
+   is each of its leaves the oid's oldest kept version does not hold.
+   Each dead item, counted once, gives back its blocks; a block at zero is
+   freed, in ascending order, and the index forgets every location over a
+   freed block before anything can dedup against it. *)
 let prune_history t ~keep =
+  if keep < 0 then invalid_arg "Store.prune_history: negative keep";
   settle t;
   let n = List.length t.epochs in
   if n <= keep then 0
@@ -1515,15 +1512,9 @@ let prune_history t ~keep =
       ~args:[ ("keep", Otrace.Int keep); ("epochs", Otrace.Int n) ]
     @@ fun () ->
     let drop = n - keep in
-    let dropped, kept =
-      let rec split i acc = function
-        | rest when i = drop -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | e :: rest -> split (i + 1) (e :: acc) rest
-      in
-      split 0 [] t.epochs
-    in
-    let oldest = match kept with e :: _ -> table t e | [] -> Hashtbl.create 0 in
+    let dropped = List.filteri (fun i _ -> i < drop) t.epochs
+    and kept = List.filteri (fun i _ -> i >= drop) t.epochs in
+    let oldest = match kept with e :: _ -> table t e | [] -> IntMap.empty in
     let dead = ref [] in
     walk_items t ~leaf:(Leaf_cache.entries t.leaves) ~except:oldest dropped (fun item ->
         covers item (fun b -> if Allocator.release t.alloc b then dead := b :: !dead));
@@ -1556,33 +1547,26 @@ let blocks_allocated t =
    leave it out.  These are an epoch's manifest objects, lowest oid first;
    a sound epoch has exactly one. *)
 let manifest_oids table =
-  Hashtbl.fold
-    (fun oid v acc -> if v.v_kind = Manifest.kind then oid :: acc else acc)
-    table []
-  |> List.sort compare
+  IntMap.fold (fun oid v acc -> if v.v_kind = Manifest.kind then oid :: acc else acc) table []
+  |> List.rev
 
 (* What the open staging epoch will contain once committed: carried
    objects included, with per-page checksums merged the same way
    [commit_checkpoint] merges leaves (previous leaves overridden by staged
-   payloads).  Reads the epoch table and the leaves, never the row cache,
-   so it is the reference the committed manifest is checked against and
-   the independent composition a verified install checks a frame with. *)
+   payloads).  Reads the epoch table and the leaves, never a version's
+   manifest row, so it is the reference the committed manifest is checked
+   against and the independent composition a verified install checks a
+   frame with. *)
 let staging_manifest_source t =
-  let s = staging_exn t in
-  let prev_table = head_table t in
-  let oids = Hashtbl.create 64 in
-  Hashtbl.iter (fun oid _ -> Hashtbl.replace oids oid ()) prev_table;
-  Hashtbl.iter (fun oid _ -> Hashtbl.replace oids oid ()) s;
-  Hashtbl.fold
-    (fun oid () acc ->
-      let st = Hashtbl.find_opt s oid in
-      let prev = Hashtbl.find_opt prev_table oid in
+  let staged = Hashtbl.fold IntMap.add (staging_exn t) IntMap.empty in
+  IntMap.merge
+    (fun oid prev st ->
       let kind =
         match st with
         | Some st when st.s_kind <> "" -> st.s_kind
         | _ -> ( match prev with Some v -> v.v_kind | None -> "memory")
       in
-      if kind = Manifest.kind then acc
+      if kind = Manifest.kind then None
       else begin
         let meta =
           match st with
@@ -1603,10 +1587,10 @@ let staging_manifest_source t =
           Hashtbl.fold (fun idx crc acc -> (idx, crc) :: acc) crcs []
           |> List.sort compare
         in
-        (oid, kind, meta, pages) :: acc
+        Some (oid, kind, meta, pages)
       end)
-    oids []
-  |> List.sort compare
+    (head_table t) staged
+  |> IntMap.bindings |> List.map snd
 
 (* One stable manifest oid per store: the one the head epoch's manifest
    carries, so a restored or failed-over store keeps writing its manifest
@@ -1644,19 +1628,19 @@ let check_walk t ~epoch ~check_meta ~pages =
     | _ :: _ :: _ -> Error "several manifest objects"
     | [ moid ] -> (
         let others oid _ acc = if oid = moid then acc else oid :: acc in
-        let oids = Hashtbl.fold others table [] in
+        let oids = List.rev (IntMap.fold others table []) in
         let objects = List.length oids in
-        match Manifest.of_string (Hashtbl.find table moid).v_meta with
+        match Manifest.of_string (IntMap.find moid table).v_meta with
         | Error msg -> Error ("malformed manifest: " ^ msg)
         | Ok m when m.Manifest.m_epoch <> epoch ->
             fail "manifest written for epoch %d, found in epoch %d" m.Manifest.m_epoch epoch
         | Ok m when objects <> m.Manifest.m_count ->
             fail "epoch holds %d objects, manifest says %d" objects m.Manifest.m_count
         | Ok m ->
-            let streams = if pages then stream_pages t ~epoch (List.sort compare oids) else [] in
+            let streams = if pages then stream_pages t ~epoch oids else [] in
             let check (me : Manifest.entry) =
               let oid = me.Manifest.me_oid in
-              match if oid = moid then None else Hashtbl.find_opt table oid with
+              match if oid = moid then None else IntMap.find_opt oid table with
               | None -> fail "oid %d named but absent" oid
               | Some v when v.v_kind <> me.Manifest.me_kind ->
                   fail "oid %d is %S, manifest says %S" oid v.v_kind me.Manifest.me_kind
@@ -1701,8 +1685,9 @@ let verify_epoch t ~epoch ~check_meta = check_walk t ~epoch ~check_meta ~pages:t
    prove that manifest verification and epoch fallback actually fire. *)
 
 let corrupt_meta_for_tests t ~epoch ~oid =
-  let table = epoch_table t epoch in
-  match Hashtbl.find_opt table oid with
+  let e = retained_exn t epoch in
+  let table = table t e in
+  match IntMap.find_opt oid table with
   | None -> raise (Corrupt_store (Printf.sprintf "oid %d not in epoch %d" oid epoch))
   | Some v ->
       let meta =
@@ -1713,10 +1698,11 @@ let corrupt_meta_for_tests t ~epoch ~oid =
           Bytes.to_string b
         end
       in
-      (* Version records are shared across epoch tables by commit's
-         table copy; replacing the binding corrupts this epoch only.  The
-         kept delta is dropped, so a frame ships what the store holds. *)
-      Hashtbl.replace table oid { v with v_meta = meta };
+      (* Epochs share their tables' structure and version values;
+         rebinding the oid in this epoch's own map corrupts this epoch
+         only.  The kept delta is dropped, so a frame ships what the store
+         holds. *)
+      e.e_versions <- Loaded (IntMap.add oid { v with v_meta = meta } table);
       t.kept <- None
 
 let corrupt_page_for_tests t ~epoch ~oid =

@@ -395,8 +395,9 @@ val staging_manifest_source : t -> (int * string * string * (int * int) list) li
     will contain once committed — carried objects included, previous
     leaves merged with staged payloads exactly as commit merges them, the
     manifest left out.  Sorted by oid.  It reads the epoch table and the
-    leaves, not the row cache {!commit_checkpoint} composes the manifest
-    from, so it is an independent reference for the committed manifest.
+    leaves, not the manifest rows the versions carry, which
+    {!commit_checkpoint} composes the manifest from, so it is an
+    independent reference for the committed manifest.
     Invalid outside [begin_checkpoint] .. [commit_checkpoint]. *)
 
 val manifest_oid : t -> int
@@ -408,9 +409,10 @@ val put_manifest : t -> oid:int -> unit
     composes it: its epoch is the staging epoch, its entries describe the
     committed epoch (the manifest left out) exactly as
     {!staging_manifest_source} taken just before the commit does, whatever
-    is staged after this call.  Carried objects come from a row cache
-    maintained at commit in O(1) each; staged objects from the deltas
-    their flush computes.  Uncharged.  Future allocations exceed [oid]. *)
+    is staged after this call.  A carried object's row is the one its
+    version carries, set when it was committed (a recovered version's is
+    computed from its leaves at first need); a staged object's is its base
+    row plus the deltas its flush computes.  Uncharged.  Future allocations exceed [oid]. *)
 
 val manifest : t -> epoch:int -> (int * Manifest.t, string) result
 (** [(oid, manifest)] of a committed epoch, or why it has no readable
@@ -485,7 +487,8 @@ val journal_records : t -> journal -> string list
 
 val prune_history : t -> keep:int -> int
 (** Drop the oldest checkpoints beyond [keep] and return the number of
-    blocks freed; [keep:0] drops them all.  Every block carries a
+    blocks freed; [keep:0] drops them all, and a negative [keep] raises
+    [Invalid_argument] before anything changes.  Every block carries a
     reference count: the live items covering it, where an item is a
     retained checkpoint record, a distinct version record, a distinct
     leaf block, an entry of a distinct live leaf, or a journal.  Only

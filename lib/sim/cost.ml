@@ -1,6 +1,4 @@
 (* CPU and memory *)
-let cache_miss = 90
-let lock_acquire = 30
 let page_copy = 450
 let memory_copy_bandwidth = 9 * 1024 * 1024 * 1024
 

@@ -9,12 +9,6 @@
 
 (** {1 CPU and memory} *)
 
-val cache_miss : int
-(** One memory-latency pointer chase; ~90 ns on the paper's Xeon. *)
-
-val lock_acquire : int
-(** Uncontended lock acquire/release pair. *)
-
 val page_copy : int
 (** Copying one 4 KiB page within memory (~9 GiB/s streaming). *)
 

@@ -139,11 +139,11 @@ let test_unstamped_mutation_control () =
     (run ~cure:false);
   Alcotest.(check string) "full pass captures it" "v2" (run ~cure:true)
 
-(* Store-level: the manifest commit composes from the delta-maintained
-   row cache must match the reference full walk taken just before the
-   commit, across carried objects, replaced pages and meta-only updates,
-   over warm rows and over the cold rows a recovered store rebuilds from
-   its leaves. *)
+(* Store-level: the manifest commit composes from the rows its versions
+   carry (each set at commit from its flush's deltas) must match the
+   reference full walk taken just before the commit, across carried
+   objects, replaced pages and meta-only updates, over warm rows and over
+   the cold rows a recovered store rebuilds from its leaves. *)
 let test_manifest_entries_match_reference () =
   let clock = Clock.create () in
   let dev = Striped.create () in
@@ -185,12 +185,12 @@ let test_manifest_entries_match_reference () =
   commit_checked "second epoch: carried + page deltas + new object" (fun st ->
       Store.put_pages st ~oid:o2 [ (0, payload 'x'); (3, payload 'y'); (100, payload 'z') ];
       Store.put_object st ~oid:o3 ~kind:"pipe" ~meta:"pipe-meta");
-  (* Meta-only restage of o1; o2/o3 carried from their commit-maintained
-     cache rows. *)
+  (* Meta-only restage of o1; o2/o3 carried with the rows their commit
+     gave their versions. *)
   commit_checked "third epoch: meta-only update over warm rows" (fun st ->
       Store.put_object st ~oid:o1 ~kind:"proc" ~meta:"proc-meta-2");
-  (* A recovered store starts with no rows: carried objects take the cold
-     path, rebuilt from their leaves. *)
+  (* A recovered store's versions carry no rows: carried objects take the
+     cold path, rebuilt from their leaves. *)
   store := Store.recover ~dev ~clock;
   commit_checked "after recover: cold rows" (fun st ->
       Store.put_pages st ~oid:o2 [ (3, payload 'q'); (200, payload 'r') ])

@@ -852,6 +852,43 @@ let test_prune_all_keeps_numbering () =
   Alcotest.(check (list int)) "all four recover" epochs (Store.checkpoint_epochs store);
   Alcotest.(check bool) "numbered above the dropped epochs" true (List.hd epochs > 3)
 
+(* A negative [keep] is rejected before anything changes: the retained
+   epochs, the next commit's pages and a recovery all match a store that
+   never made the call. *)
+let test_prune_negative_keep () =
+  let run ~call =
+    let clock, dev, store = fresh () in
+    let oid = Store.alloc_oid store in
+    let commit i =
+      ignore (Store.begin_checkpoint store);
+      Store.put_object store ~oid ~kind:"memory" ~meta:"m";
+      Store.put_pages store ~oid [ (i, payload (Char.chr (Char.code 'a' + i))) ];
+      ignore (Store.commit_checkpoint store)
+    in
+    List.iter commit [ 1; 2; 3 ];
+    if call then
+      Alcotest.(check bool) "keep -1 raises Invalid_argument" true
+        (try
+           ignore (Store.prune_history store ~keep:(-1));
+           false
+         with Invalid_argument _ -> true);
+    let epochs = Store.checkpoint_epochs store in
+    commit 4;
+    let head = Store.last_complete_epoch store in
+    let pages = Store.read_pages store ~epoch:head ~oid in
+    Store.wait_durable store;
+    Striped.crash dev ~now:(Clock.now clock);
+    let store = Store.recover ~dev ~clock in
+    (epochs, pages, Store.checkpoint_epochs store, Store.read_pages store ~epoch:head ~oid)
+  in
+  let epochs, pages, recovered, reread = run ~call:true in
+  let epochs', pages', recovered', reread' = run ~call:false in
+  let pages_t = Alcotest.(list (pair int bytes)) in
+  Alcotest.(check (list int)) "retained epochs untouched" epochs' epochs;
+  Alcotest.(check pages_t) "next commit carries pages 1-3" pages' pages;
+  Alcotest.(check (list int)) "recovered epochs" recovered' recovered;
+  Alcotest.(check pages_t) "recovered pages" reread' reread
+
 (* Leaf residency ------------------------------------------------------------ *)
 
 (* A full page of incompressible bytes: stored raw, one block, so a data
@@ -1969,21 +2006,25 @@ let gen_steps =
          ]))
 
 (* Replay [steps] against a store and a model of every retained epoch's
-   pages.  After each step the store's incrementally kept counts, free
-   set and index must match a fresh walk, and every page of every
-   retained epoch must read back. *)
+   objects.  Every commit stages each object's meta as its epoch number,
+   and a manifest.  After each step the store's incrementally kept counts,
+   free set and index must match a fresh walk, and every retained epoch
+   must list the model's objects, read back each one's meta and pages,
+   and pass [check_epoch] (its manifest rows against its leaves). *)
 let counts_match_a_fresh_walk steps =
   let clock = Clock.create () and dev = Striped.create () in
   let store = ref (Store.format ~dev ~clock) in
   let oids = Array.init 3 (fun _ -> Store.alloc_oid !store) in
   let packed = ref true in
-  (* (epoch, [(oid, pages ascending)]) per retained epoch, oldest first. *)
+  (* (epoch, [(oid, meta, pages ascending)] by oid) per retained epoch,
+     oldest first. *)
   let history = ref [] in
   let stage objs =
     let e = Store.begin_checkpoint !store in
+    Store.put_manifest !store ~oid:(Store.manifest_oid !store);
     List.iter
       (fun (slot, pages) ->
-        Store.put_object !store ~oid:oids.(slot) ~kind:"memory" ~meta:"m";
+        Store.put_object !store ~oid:oids.(slot) ~kind:"memory" ~meta:(string_of_int e);
         Store.put_pages !store ~oid:oids.(slot) (List.map (fun (i, c) -> (i, content c)) pages))
       objs;
     e
@@ -1996,21 +2037,26 @@ let counts_match_a_fresh_walk steps =
     (match List.rev !history with
     | (_, head) :: _ ->
         List.iter
-          (fun (oid, pages) -> Hashtbl.replace state oid (Hashtbl.of_seq (List.to_seq pages)))
+          (fun (oid, meta, pages) ->
+            Hashtbl.replace state oid (meta, Hashtbl.of_seq (List.to_seq pages)))
           head
     | [] -> ());
     List.iter
       (fun (slot, pages) ->
         let oid = oids.(slot) in
-        if not (Hashtbl.mem state oid) then Hashtbl.replace state oid (Hashtbl.create 16);
-        List.iter (fun (i, c) -> Hashtbl.replace (Hashtbl.find state oid) i c) pages)
+        let pages_of =
+          match Hashtbl.find_opt state oid with Some (_, h) -> h | None -> Hashtbl.create 16
+        in
+        Hashtbl.replace state oid (string_of_int e, pages_of);
+        List.iter (fun (i, c) -> Hashtbl.replace pages_of i c) pages)
       objs;
     let objs =
       Hashtbl.fold
-        (fun oid h acc -> (oid, List.sort compare (List.of_seq (Hashtbl.to_seq h))) :: acc)
+        (fun oid (meta, h) acc ->
+          (oid, meta, List.sort compare (List.of_seq (Hashtbl.to_seq h))) :: acc)
         state []
     in
-    history := !history @ [ (e, objs) ]
+    history := !history @ [ (e, List.sort compare objs) ]
   in
   let prune k =
     ignore (Store.prune_history !store ~keep:k);
@@ -2022,10 +2068,14 @@ let counts_match_a_fresh_walk steps =
     && Store.checkpoint_epochs !store = List.map fst !history
     && List.for_all
          (fun (epoch, objs) ->
-           List.for_all
-             (fun (oid, pages) ->
-               Store.read_pages !store ~epoch ~oid = List.map (fun (i, c) -> (i, content c)) pages)
-             objs)
+           Store.objects_at !store ~epoch = List.map (fun (oid, _, _) -> (oid, "memory")) objs
+           && Result.is_ok (Store.check_epoch !store ~epoch ~check_meta:(fun ~kind:_ _ -> Ok ()))
+           && List.for_all
+                (fun (oid, meta, pages) ->
+                  Store.read_meta !store ~epoch ~oid = meta
+                  && Store.read_pages !store ~epoch ~oid
+                     = List.map (fun (i, c) -> (i, content c)) pages)
+                objs)
          !history
   in
   List.for_all
@@ -2041,6 +2091,9 @@ let counts_match_a_fresh_walk steps =
           Store.wait_durable !store;
           Striped.crash dev ~now:(Clock.now clock);
           store := Store.recover ~dev ~clock;
+          (* The object oids were allocated before any commit made them
+             durable: keep the manifest's fresh oid clear of them. *)
+          Store.reserve_oids !store ~upto:oids.(2);
           packed := true
       | Toggle_packed ->
           packed := not !packed;
@@ -2517,6 +2570,7 @@ let () =
           Alcotest.test_case "freed blocks survive recovery" `Quick
             test_recovery_keeps_freed_blocks;
           Alcotest.test_case "prune all keeps numbering" `Quick test_prune_all_keeps_numbering;
+          Alcotest.test_case "negative keep rejected" `Quick test_prune_negative_keep;
         ] );
       ( "residency",
         [
