@@ -141,15 +141,16 @@ let identity_check ~conns ~nkeys =
   let socks = Array.init conns (fun _ -> Syscall.socketpair m p) in
   let group = Sls.attach sys [ p ] in
   ignore (Group.checkpoint ~wait_durable:true group);
+  Group.set_speculative group true;
   let mut = Mutilate.create ~nkeys ~get_ratio:0.3 ~seed:99 () in
   for _ = 1 to 2 do
     for _ = 1 to 40 do
       serve mc mut
     done;
     Array.iter (fun (a, _) -> ignore (Syscall.write m p ~fd:a "i")) socks;
-    ignore (Group.checkpoint ~wait_durable:true ~speculative:true group)
+    ignore (Group.checkpoint ~wait_durable:true group)
   done;
-  let c1 = Group.checkpoint ~wait_durable:true ~speculative:true group in
+  let c1 = Group.checkpoint ~wait_durable:true group in
   let c2 = Group.checkpoint ~wait_durable:true ~full:true group in
   let store = sys.Sls.store in
   let e1 = c1.Group.epoch and e2 = c2.Group.epoch in

@@ -1244,11 +1244,8 @@ let resident_group_pages t =
     (fun acc p -> acc + Vm_space.resident_pages p.Process.space)
     0 (persistent_members t)
 
-let checkpoint ?(wait_durable = false) ?(full = false) ?speculative t =
-  let speculative =
-    match speculative with Some v -> v | None -> t.speculative
-  in
-  let stats = checkpoint_common t ~flush:true ~full ~speculative in
+let checkpoint ?(wait_durable = false) ?(full = false) t =
+  let stats = checkpoint_common t ~flush:true ~full ~speculative:t.speculative in
   if wait_durable then Store.wait_durable t.st;
   stats
 

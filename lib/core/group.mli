@@ -124,11 +124,12 @@ val detach_process : t -> Aurora_kern.Process.t -> unit
 val set_ext_sync : t -> bool -> unit
 
 val set_speculative : t -> bool -> unit
-(** Make speculative soft-quiesce the group's default checkpoint mode
-    (equivalent to passing [~speculative:true] to every {!checkpoint}). *)
+(** The group's checkpoint mode, the one way to choose it: [true] makes
+    every later {!checkpoint} run the speculative soft-quiesce cycle,
+    [false] (the default) the stop-the-world one.  A [~full:true] cycle
+    runs stop-the-world in either mode. *)
 
-val checkpoint :
-  ?wait_durable:bool -> ?full:bool -> ?speculative:bool -> t -> ckpt_stats
+val checkpoint : ?wait_durable:bool -> ?full:bool -> t -> ckpt_stats
 (** One full checkpoint cycle.  With [wait_durable] (default false) the
     clock additionally advances until the checkpoint is on stable storage
     ([sls_barrier] semantics).
@@ -151,8 +152,8 @@ val checkpoint :
     the paired arm of [bench/main.exe ckpt-steady].  The paper tables (4 and 7
     included) run incremental cycles.
 
-    [~speculative:true] (default: the group's {!set_speculative} mode)
-    runs the speculative soft-quiesce cycle: the serialize and harvest
+    In the speculative mode ({!set_speculative}), the cycle is the
+    speculative soft-quiesce one: the serialize and harvest
     work happens {e before} the stop window, concurrent with execution
     (the workload keeps running through the machine's run hook on the
     virtual clock), and the stop window shrinks to quiesce + a

@@ -738,8 +738,8 @@ let stores_identical ~src ~src_epoch ~dst ~dst_epoch =
          oa = ob && ka = kb
          && Store.read_meta src ~epoch:src_epoch ~oid:oa
             = Store.read_meta dst ~epoch:dst_epoch ~oid:ob
-         && List.sort compare (Store.page_crcs src ~epoch:src_epoch ~oid:oa)
-            = List.sort compare (Store.page_crcs dst ~epoch:dst_epoch ~oid:ob))
+         && Store.page_crcs src ~epoch:src_epoch ~oid:oa
+            = Store.page_crcs dst ~epoch:dst_epoch ~oid:ob)
        a b
 
 (* Live migration -------------------------------------------------------- *)

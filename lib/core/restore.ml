@@ -271,7 +271,7 @@ let restore_proc ctx (oid, (image : Serial.proc_image)) =
         else
           match Hashtbl.find_opt ctx.kinds e.Serial.i_obj_oid with
           | Some k when k = Serial.kind_memobj -> memobj ctx e.Serial.i_obj_oid
-          | Some "fs.vnode" -> (
+          | Some k when k = Fs.kind_vnode -> (
               match ctx.restored_fs with
               | Some filesystem -> (
                   match Fs.vnode_by_oid filesystem e.Serial.i_obj_oid with
@@ -375,9 +375,9 @@ let rebuild ~machine ~store ~epoch ~lazy_pages ?group_oid ~start shares =
   (* The file system comes back first: descriptions reference vnodes.
      Its files' pages come from a stream of their own, before memory's. *)
   let restored_fs =
-    if not (List.exists (fun (_, kind) -> kind = "fs.namespace") objects) then None
+    if not (List.exists (fun (_, kind) -> kind = Fs.kind_namespace) objects) then None
     else
-      let vnodes = List.filter (fun (_, kind) -> kind = "fs.vnode") objects in
+      let vnodes = List.filter (fun (_, kind) -> kind = Fs.kind_vnode) objects in
       let files = Hashtbl.of_seq (List.to_seq (shares (List.map fst vnodes))) in
       let pages oid = Store.take_all (Hashtbl.find files oid) in
       Some (Fs.restore_from_store ~store ~epoch ~pages)

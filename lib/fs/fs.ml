@@ -11,6 +11,8 @@ module Page = Aurora_vm.Page
    global lock"). *)
 let create_lock_cost = 7_500
 let namespace_update_cost = 1_100
+let kind_namespace = "fs.namespace"
+let kind_vnode = "fs.vnode"
 
 type t = {
   st : Store.t;
@@ -138,7 +140,7 @@ let serialize_vnode_meta vn =
 let flush_to_store t =
   if t.namespace_dirty then begin
     if t.namespace_oid = 0 then t.namespace_oid <- Store.alloc_oid t.st;
-    Store.put_object t.st ~oid:t.namespace_oid ~kind:"fs.namespace"
+    Store.put_object t.st ~oid:t.namespace_oid ~kind:kind_namespace
       ~meta:(serialize_namespace t);
     t.namespace_dirty <- false
   end;
@@ -155,7 +157,7 @@ let flush_to_store t =
       then begin
         let oid = oid_for t ino in
         Hashtbl.replace t.flushed_gens ino (Vnode.generation vn);
-        Store.put_object t.st ~oid ~kind:"fs.vnode" ~meta:(serialize_vnode_meta vn);
+        Store.put_object t.st ~oid ~kind:kind_vnode ~meta:(serialize_vnode_meta vn);
         let pages =
           List.filter_map
             (fun idx ->
@@ -174,7 +176,7 @@ let restore_from_store ~store ~epoch ~pages =
   (* Namespace first: paths and the inode allocator. *)
   List.iter
     (fun (oid, kind) ->
-      if kind = "fs.namespace" then begin
+      if kind = kind_namespace then begin
         t.namespace_oid <- oid;
         let entries, next_inode =
           Wire.of_string namespace_codec (Store.read_meta store ~epoch ~oid)
@@ -186,7 +188,7 @@ let restore_from_store ~store ~epoch ~pages =
   (* Vnodes: metadata, link counts and page contents. *)
   List.iter
     (fun (oid, kind) ->
-      if kind = "fs.vnode" then begin
+      if kind = kind_vnode then begin
         let ino, size, links = Wire.of_string vnode_codec (Store.read_meta store ~epoch ~oid) in
         let vn = Vnode.create ~inode:ino in
         for _ = 1 to links do

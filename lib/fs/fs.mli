@@ -20,12 +20,17 @@
 
 type t
 
+(** {1 Object kind tags used in the store} *)
+
+val kind_namespace : string
+val kind_vnode : string
+
 val namespace_codec : ((string * int) list * int) Aurora_objstore.Wire.codec
-(** The ["fs.namespace"] object's metadata: (path, inode) pairs sorted by
+(** The {!kind_namespace} object's metadata: (path, inode) pairs sorted by
     path, then the next inode number. *)
 
 val vnode_codec : (int * int * int) Aurora_objstore.Wire.codec
-(** An ["fs.vnode"] object's metadata: (inode, size, link count). *)
+(** A {!kind_vnode} object's metadata: (inode, size, link count). *)
 
 val create : store:Aurora_objstore.Store.t -> t
 (** A fresh, empty file system over the store. *)

@@ -177,17 +177,6 @@ type t = {
   mutable torture_misorder : bool;
 }
 
-(* What decoding stored bytes gave: a payload with its CRC-32, coded
-   bytes that do not decode, or the read's error ([Pending] until a batch
-   decodes them). *)
-type decoded = Pending | Payload of bytes * int | Undecodable | Unread of string
-
-(* Entry [p]'s payload decoded from its stored bytes. *)
-let payload_of p stored =
-  match if p.p_comp then Rle.decompress ~olen:p.p_olen stored else stored with
-  | payload -> Payload (payload, Crc32.of_bytes payload)
-  | exception Invalid_argument _ -> Undecodable
-
 let last_epoch_info t =
   match List.rev t.epochs with [] -> None | e :: _ -> Some e
 
@@ -1068,9 +1057,7 @@ let content_index_consistent t =
       iter_items t ~leaf:(Leaf_cache.entries t.leaves) (fun item -> covers item count))
   && Content_index.consistent t.index t.alloc ~payload:(fun p ->
          let off = off_of_block p.p_blk + p.p_off in
-         match payload_of p (Striped.read_nocharge t.dev ~off ~len:p.p_clen) with
-         | Payload (payload, _) -> Some payload
-         | _ -> None)
+         Page_stream.payload p (Striped.read_nocharge t.dev ~off ~len:p.p_clen))
 
 (* Recovery ---------------------------------------------------------------------- *)
 
@@ -1177,146 +1164,27 @@ let objects_at t ~epoch =
 
 let read_meta t ~epoch ~oid = (version_exn t ~epoch ~oid).v_meta
 
-(* Pages one lazy page-in brings in: the faulting page's aligned window
-   of 16 pages, 64 KiB of 4 KiB pages.  That is the paper's stripe unit
-   and Linux's default [fault_around_bytes]: a window's reads cost one
-   device round trip, close to what the faulting page alone costs. *)
-let fault_cluster = 16
-
-(* The one fault-around rule, shared by [read_cluster] and the restore
-   stream: page [i] is in [idx]'s window of [span] pages when both lie in
-   the same aligned run of [span] pages and in the same radix leaf. *)
-let in_window ~span idx i = i / span = idx / span && i / leaf_span = idx / leaf_span
-
-(* A range a page batch read: the first entry naming it, its arrival and
-   read, its decode, and whether a page took the decoded buffer. *)
-type range = {
-  r_entry : leaf_entry;
-  r_read : int * (bytes, string) result;
-  mutable r_decoded : decoded;
-  mutable r_claimed : bool;
-}
-
-(* A page read: its object, its leaf entry and its range. *)
-type streamed = { s_oid : int; s_entry : leaf_entry; s_range : range }
-
-(* The stored bytes of every [(oid, entries)] object, submitted at [now]
-   as one vectored batch ([submit_ranges]: per-range retries) without
-   waiting; each object's pages, in order.  Each distinct stored range
-   is read once and decoded once. *)
-let submit_pages t ~now objects =
-  let n = List.fold_left (fun n (_, entries) -> n + List.length entries) 0 objects in
-  let slots = Hashtbl.create n and ranges = ref [] in
-  let slot p =
-    let r = (off_of_block p.p_blk + p.p_off, p.p_clen) in
-    match Hashtbl.find_opt slots r with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length slots in
-        Hashtbl.replace slots r i;
-        ranges := (r, p) :: !ranges;
-        i
-  in
-  let slotted = List.map (fun (_, entries) -> Array.of_list (List.map slot entries)) objects in
-  let reads = Array.of_list (List.rev !ranges) in
-  let decoded =
-    Array.map2
-      (fun (_, r_entry) r_read -> { r_entry; r_read; r_decoded = Pending; r_claimed = false })
-      reads (submit_ranges t ~now (Array.map fst reads))
-  in
-  List.map2
-    (fun (s_oid, entries) slots ->
-      List.mapi (fun k s_entry -> { s_oid; s_entry; s_range = decoded.(slots.(k)) }) entries)
-    objects slotted
-
-(* Wait for the last arrival of the ranges of [pages] not yet decoded,
-   decode them and charge their decompression once, so a range decoded
-   before, for any page, costs nothing again. *)
-let decode_ranges t pages =
-  let arrival = ref (Clock.now t.clk) and coded = ref 0 in
-  List.iter
-    (fun { s_range = r; _ } ->
-      if r.r_decoded = Pending then begin
-        let p = r.r_entry and at, read = r.r_read in
-        r.r_decoded <- (match read with Ok stored -> payload_of p stored | Error msg -> Unread msg);
-        arrival := max !arrival at;
-        if p.p_comp && Result.is_ok read then coded := !coded + p.p_olen
-      end)
-    pages;
-  Clock.advance_to t.clk !arrival;
-  if !coded > 0 then
-    Clock.advance t.clk (Cost.transfer_time ~bandwidth:Cost.decompress_bandwidth !coded)
-
-(* Page [x]'s payload from its decoded range, checked against its leaf
-   CRC, or the exception a demand for it raises. *)
-let checked x =
-  let p = x.s_entry in
-  match x.s_range.r_decoded with
-  | Payload (_, crc) when crc <> p.p_crc ->
-      Error (Corrupt_store (Printf.sprintf "oid %d page %d payload corrupt" x.s_oid p.p_idx))
-  | Payload (payload, _) -> Ok payload
-  | Undecodable -> Error (Corrupt_store (Printf.sprintf "page %d: corrupt coded payload" p.p_idx))
-  | Unread msg -> Error (Fault.Io_error msg)
-  | Pending -> assert false
-
-(* [decode_ranges], then raise the first page's error, taking nothing. *)
-let check_pages t pages =
-  decode_ranges t pages;
-  List.iter (fun x -> Result.iter_error raise (checked x)) pages
-
-(* [decode_ranges], then every page of [pages] that checks, in order: the
-   first to take a range gets its decoded buffer, every other a copy, so
-   no two pages share one.  A [demanded] page raises for its read
-   ([Fault.Io_error]) or its payload ([Corrupt_store]); any other that
-   fails is left out, to fail the call that demands it. *)
-let decode_pages t ~demanded pages =
-  decode_ranges t pages;
-  List.filter_map
-    (fun x ->
-      let r = x.s_range in
-      match checked x with
-      | Ok payload when r.r_claimed -> Some (x.s_entry.p_idx, Bytes.copy payload)
-      | Ok payload ->
-          r.r_claimed <- true;
-          Some (x.s_entry.p_idx, payload)
-      | Error e when demanded x.s_entry.p_idx -> raise e
-      | Error _ -> None)
-    pages
-
 (* The stored pages of [oid] at [epoch] in [idx]'s window of [span]
-   pages: one paid leaf lookup, then one batch of reads.  [] without a
-   data read when [idx] is not stored. *)
+   pages: one paid leaf lookup, then the window's read. *)
 let read_window t ~epoch ~oid ~idx ~span =
   let v = version_exn t ~epoch ~oid in
   match IntMap.find_opt (idx / leaf_span) v.v_leaves with
   | None -> []
   | Some leaf_blk ->
-      let entries = resident_leaves t [ leaf_blk ] leaf_blk in
-      if not (List.exists (fun p -> p.p_idx = idx) entries) then []
-      else
-        let window = List.filter (fun p -> in_window ~span idx p.p_idx) entries in
-        decode_pages t ~demanded:(( = ) idx)
-          (List.concat (submit_pages t ~now:(Clock.now t.clk) [ (oid, window) ]))
+      Page_stream.read_window ~submit:(submit_ranges t) t.clk ~oid ~idx ~span
+        (resident_leaves t [ leaf_blk ] leaf_blk)
 
 let read_page t ~epoch ~oid ~idx =
   List.assoc_opt idx (read_window t ~epoch ~oid ~idx ~span:1)
 
+let fault_cluster = Page_stream.fault_cluster
 let read_cluster t ~epoch ~oid ~idx = read_window t ~epoch ~oid ~idx ~span:fault_cluster
 
-(* One object's share of a stream, which owns the pages read until the
-   pager takes them: those not yet taken by index, and its unlisted
-   leaves, by leaf index, each with its arrival and the error the demand
-   path raises. *)
-type stream = {
-  owner : t;
-  slots : (int, streamed) Hashtbl.t;
-  unlisted : (int * exn) IntMap.t;
-}
+type stream = Page_stream.share
 
 (* Every stored page of the distinct [oids] at [epoch], read in the
    background: the leaves not yet resident in one batch submitted now,
-   then every page they list in one batch submitted when the last leaf
-   arrives; the clock does not move. *)
+   then the stream of every page they list; the clock does not move. *)
 let stream_pages t ~epoch oids =
   let now = Clock.now t.clk in
   let versions = List.map (fun oid -> (oid, version_exn t ~epoch ~oid)) oids in
@@ -1324,69 +1192,12 @@ let stream_pages t ~epoch oids =
     Leaf_cache.paid t.leaves ~submit:(submit_ranges t) ~now
       (List.fold_left (fun acc (_, v) -> leaf_blocks v acc) [] versions)
   in
-  (* Each object's listed pages, and its unlisted leaves by leaf index. *)
-  let objects =
-    List.map
-      (fun (oid, v) ->
-        let entries, unlisted =
-          IntMap.fold
-            (fun leaf blk (entries, unlisted) ->
-              match Hashtbl.find listed blk with
-              | _, Ok es -> (List.rev_append es entries, unlisted)
-              | arrival, Error e -> (entries, IntMap.add leaf (arrival, e) unlisted))
-            v.v_leaves ([], IntMap.empty)
-        in
-        ((oid, List.rev entries), unlisted))
-      versions
-  in
-  let now = Hashtbl.fold (fun _ (arrival, _) m -> max m arrival) listed now in
-  List.map2
-    (fun ((oid, _), unlisted) pages ->
-      let slots = Hashtbl.create (List.length pages) in
-      List.iter (fun x -> Hashtbl.replace slots x.s_entry.p_idx x) pages;
-      (oid, { owner = t; slots; unlisted }))
-    objects
-    (submit_pages t ~now (List.map fst objects))
+  Page_stream.stream ~submit:(submit_ranges t) t.clk ~now listed
+    (List.map (fun (oid, v) -> (oid, v.v_leaves)) versions)
 
-(* Wait for an unlisted leaf's arrival, then raise its error. *)
-let fail_unlisted s (arrival, e) =
-  Clock.advance_to s.owner.clk arrival;
-  raise e
-
-let pager s idx =
-  match IntMap.find_opt (idx / leaf_span) s.unlisted with
-  | Some u -> fail_unlisted s u
-  | None when not (Hashtbl.mem s.slots idx) -> []
-  | None ->
-      let lo = idx / fault_cluster * fault_cluster in
-      let taken =
-        decode_pages s.owner
-          ~demanded:(( = ) idx)
-          (List.filter_map
-             (fun i ->
-               if in_window ~span:fault_cluster idx i then Hashtbl.find_opt s.slots i else None)
-             (List.init fault_cluster (fun k -> lo + k)))
-      in
-      List.iter (fun (i, _) -> Hashtbl.remove s.slots i) taken;
-      taken
-
-(* The stream already knows every entry [check_epoch] listed, so this
-   costs nothing.  An unlisted leaf's indices count as stored: a fault
-   there raises. *)
-let pager_stores s idx = Hashtbl.mem s.slots idx || IntMap.mem (idx / leaf_span) s.unlisted
-
-(* Every page left in [s], by index, once an unlisted leaf has raised. *)
-let pages_left s =
-  Option.iter (fun (_, u) -> fail_unlisted s u) (IntMap.min_binding_opt s.unlisted);
-  List.sort
-    (fun x y -> compare x.s_entry.p_idx y.s_entry.p_idx)
-    (List.of_seq (Hashtbl.to_seq_values s.slots))
-
-let take_all s =
-  let pages = decode_pages s.owner ~demanded:(fun _ -> true) (pages_left s) in
-  Hashtbl.reset s.slots;
-  pages
-
+let pager = Page_stream.pager
+let pager_stores = Page_stream.pager_stores
+let take_all = Page_stream.take_all
 let read_pages t ~epoch ~oid = take_all (List.assoc oid (stream_pages t ~epoch [ oid ]))
 
 (* Leaf and data blocks are copy-on-write and [base] keeps its blocks
@@ -1443,17 +1254,11 @@ let device_delta t ~base ~epoch =
       plan
   in
   (* Every moved page, in object then index order, in one batch. *)
-  let all _ = true in
-  let pages =
-    submit_pages t ~now:(Clock.now t.clk)
-      (List.map (fun (oid, _, _, changed) -> (oid, List.rev changed)) deltas)
-  in
-  (* One wait and one decompression charge for the batch, then each
-     object's pages, decoded already. *)
-  check_pages t (List.concat pages);
   List.map2
-    (fun (oid, kind, meta, _) ps -> (oid, kind, meta, decode_pages t ~demanded:all ps))
-    deltas pages
+    (fun (oid, kind, meta, _) ps -> (oid, kind, meta, ps))
+    deltas
+    (Page_stream.read ~submit:(submit_ranges t) t.clk
+       (List.map (fun (oid, _, _, changed) -> (oid, List.rev changed)) deltas))
 
 (* The newest epoch's delta against its parent is the one its commit
    kept, while the parent is retained (a prune drops oldest first, so the
@@ -1659,7 +1464,7 @@ let check_walk t ~epoch ~check_meta ~pages =
                     | Ok () when not pages -> Ok ()
                     | Ok () -> (
                         (* A CRC failure's reason is the decoder's wording. *)
-                        try Ok (check_pages t (pages_left (List.assoc oid streams)))
+                        try Ok (Page_stream.check (List.assoc oid streams))
                         with
                         | Corrupt_store msg when String.ends_with ~suffix:"payload corrupt" msg ->
                             Error msg))

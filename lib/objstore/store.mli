@@ -39,10 +39,12 @@
 
     The store is split along its invariants: {!Allocator} (frontier,
     free set, per-block reference counts), {!Leaf_cache} (parsed leaves
-    and their residency), {!Content_index} (the dedup index) and
-    {!Journal} (journals) each own their state, and this module, their
-    only caller, keeps the catalogue, staging and commit, recovery,
-    prune, the page stream, deltas, manifests and verification.
+    and their residency), {!Content_index} (the dedup index),
+    {!Journal} (journals) and {!Page_stream} (how a stored page is read,
+    decoded, checked and handed out) each own their state, and this
+    module, their only caller, keeps the catalogue, staging and commit,
+    recovery, prune, deltas, manifests, verification, and which pages a
+    read needs.
     DESIGN.md, "Store module map", says which module owns which
     invariant and which may mutate what. *)
 
@@ -274,7 +276,8 @@ val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
     device time once, whichever path pays, not once per page or per
     path.  A leaf whose read keeps failing, or whose bytes do not parse,
     stays as it was, and costs the next path a read again.  The one-page
-    case of {!read_cluster}. *)
+    case of {!read_cluster}: the store looks the leaf up, and
+    {!Page_stream.read_window} reads, decodes and checks the page. *)
 
 val fault_cluster : int
 (** Pages in a lazy page-in's window: 16, 64 KiB of 4 KiB pages — the
@@ -302,12 +305,12 @@ type stream
 val stream_pages : t -> epoch:int -> int list -> (int * stream) list
 (** [stream_pages t ~epoch oids] starts reading every stored page of the
     distinct objects [oids] at [epoch] in the background, and returns
-    each oid with its share: the store's one bulk page reader.  The
-    clock does not move: the leaves not yet resident are read in one
-    vectored batch submitted now (they become resident, as under
-    {!read_page}), and every page they list in one vectored batch
-    submitted when the last leaf arrives, retried per range under
-    {!set_read_policy}.  A share outlives a prune of [epoch]; its
+    each oid with its share ({!Page_stream.stream}): the store's one
+    bulk page reader.  The clock does not move: the leaves not yet
+    resident are read in one vectored batch submitted now (they become
+    resident, as under {!read_page}), and every page they list in one
+    vectored batch submitted when the last leaf arrives, retried per
+    range under {!set_read_policy}.  A share outlives a prune of [epoch]; its
     consumers, {!pager} and {!take_all}, issue no device read.  The
     first consumer to wait for a stored range waits for its arrival and
     charges its decompression, once however many pages name it; each
@@ -318,10 +321,11 @@ val stream_pages : t -> epoch:int -> int list -> (int * stream) list
 val pager : stream -> int -> (int * bytes) list
 (** Lazy restore's fault pager ({!Aurora_vm.Vm_object.set_pager}), over
     a share of the stream its {!check_epoch} (or {!verify_epoch}) passed:
-    {!read_cluster} served from the stream, errors included.  It waits
-    for [idx]'s window, decodes it, and returns the window's pages it has
-    not returned before, dropping them from the share.  A fault in the
-    range of a leaf the stream could not read or parse raises its error. *)
+    {!read_cluster} served from the stream, errors included
+    ({!Page_stream.pager}).  It waits for [idx]'s window, decodes it,
+    and returns the window's pages it has not returned before, dropping
+    them from the share.  A fault in the range of a leaf the stream could
+    not read or parse raises its error. *)
 
 val pager_stores : stream -> int -> bool
 (** The {!pager}'s [stores] query ({!Aurora_vm.Vm_object.set_pager}),
@@ -384,8 +388,9 @@ val read_delta :
     {!check_epoch} against its manifest alone. *)
 
 val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
-(** [(page index, payload CRC-32)] of every stored page, from the leaf
-    entries alone (no data-block reads, no device charge).  Being
+(** [(page index, payload CRC-32)] of every stored page, sorted by page
+    index, from the leaf entries alone (no data-block reads, no device
+    charge).  Being
     uncharged, it never makes a leaf resident, nor do commit or pruning:
     only a charged read path, or {!recover}'s deferred pass, does, by
     the rule of {!read_page}. *)

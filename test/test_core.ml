@@ -883,7 +883,8 @@ let test_stop_window_stats_invariant () =
   check_mode "incremental stop-the-world" stw;
   Alcotest.(check int) "stw reports no validation pass" 0 stw.Group.validate_ns;
   ignore (Syscall.write m p ~fd:wr "b");
-  let spec = Group.checkpoint ~speculative:true group in
+  Group.set_speculative group true;
+  let spec = Group.checkpoint group in
   check_mode "speculative" spec;
   Alcotest.(check bool) "speculative cycle accounted a validation pass" true
     (spec.Group.validate_ns > 0);

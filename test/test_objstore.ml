@@ -1567,10 +1567,10 @@ let test_resident_hit_skips_on_read () =
   Alcotest.(check int) "on_read sees the data read only" 1 (List.length warm)
 
 (* Fault-around: a cold cluster read pays the leaf and then one round trip
-   for its whole window, clipped to the faulting page's leaf; an unstored
-   index reads no data, only its leaf.  A round trip's fragments are all
-   collected when it is submitted, so the distinct clock readings the
-   read hook sees count round trips. *)
+   for its whole window, clipped to the faulting page's leaf, as a stream
+   pager's window is; an unstored index reads no data, only its leaf.  A
+   round trip's fragments are all collected when it is submitted, so the
+   distinct clock readings the read hook sees count round trips. *)
 let test_cluster_one_round_trip () =
   let clock, dev, store = fresh () in
   let oid = Store.alloc_oid store in
@@ -1613,7 +1613,13 @@ let test_cluster_one_round_trip () =
   Alcotest.(check int) "resident leaf: one round trip" 1 trips;
   let pages, _, reads = round_trips (fun () -> Store.read_cluster store ~epoch ~oid ~idx:130) in
   Alcotest.(check int) "unstored index: empty" 0 (List.length pages);
-  Alcotest.(check int) "unstored index: its cold leaf, no data" 1 reads
+  Alcotest.(check int) "unstored index: its cold leaf, no data" 1 reads;
+  (* A stream share holds every leaf's pages, so its pager clips by rule. *)
+  let share = List.assoc oid (Store.stream_pages store ~epoch [ oid ]) in
+  Alcotest.(check (list (pair int bytes))) "stream: clipped to the faulting page's leaf"
+    (expect 96 100) (Store.pager share 98);
+  Alcotest.(check (list (pair int bytes))) "stream: the next leaf's window" (expect 100 112)
+    (Store.pager share 100)
 
 (* The two pagers over one version: the swap path's demand reads, and
    the restore stream started when the pager is made. *)

@@ -99,7 +99,8 @@ let test_speculative_identity_with_conflicts () =
          Vm_space.touch_write w.p.Process.space
            ~addr:(w.addr + (i mod 32 * Page.logical_size))
            ~len:Page.logical_size));
-  let c = Group.checkpoint ~wait_durable:true ~speculative:true w.group in
+  Group.set_speculative w.group true;
+  let c = Group.checkpoint ~wait_durable:true w.group in
   Alcotest.(check bool) "workload progressed during speculation" true (!ops > 0);
   Alcotest.(check bool) "speculation window has nonzero duration" true
     (c.Group.speculate_ns > 0);
@@ -140,7 +141,8 @@ let test_respeculated_object_not_skipped () =
            fired := true;
            ignore (Syscall.write w.m w.p ~fd:(snd w.pipes.(0)) "late")
          end));
-  let c = Group.checkpoint ~wait_durable:true ~speculative:true w.group in
+  Group.set_speculative w.group true;
+  let c = Group.checkpoint ~wait_durable:true w.group in
   Machine.set_run_hook w.m None;
   Alcotest.(check bool) "the mid-window write fired" true !fired;
   Alcotest.(check bool) "conflict set includes the re-written pipe" true
@@ -168,7 +170,8 @@ let test_unstamped_poke_keeps_speculative_image () =
            fired := true;
            Pipe.unstamped_poke_for_tests (pipe_of w 0) "poked!"
          end));
-  ignore (Group.checkpoint ~wait_durable:true ~speculative:true w.group);
+  Group.set_speculative w.group true;
+  ignore (Group.checkpoint ~wait_durable:true w.group);
   Machine.set_run_hook w.m None;
   Alcotest.(check bool) "the poke fired mid-window" true !fired;
   let sys', result = Sls.reboot_and_restore w.sys in
@@ -189,7 +192,8 @@ let test_crash_during_speculation_recovers_previous_epoch () =
   let t_mid = ref 0 in
   Machine.set_run_hook w.m
     (Some (fun _ns -> if !t_mid = 0 then t_mid := Clock.now w.m.Machine.clock));
-  let c = Group.checkpoint ~wait_durable:true ~speculative:true w.group in
+  Group.set_speculative w.group true;
+  let c = Group.checkpoint ~wait_durable:true w.group in
   Machine.set_run_hook w.m None;
   Alcotest.(check bool) "hook recorded a mid-speculation instant" true
     (!t_mid > 0 && !t_mid < Clock.now w.m.Machine.clock);
@@ -211,7 +215,7 @@ let test_crash_during_speculation_recovers_previous_epoch () =
    fork-free map/unmap churn) with speculative and incremental
    stop-the-world checkpoints, then compare the final epoch byte-for-byte
    against a forced-full one.  Mirrors test_incremental's trace property
-   with ~speculative:true.  The final checkpoint is speculative unless the
+   with the speculative mode set.  The final checkpoint is speculative unless the
    generator picks stop-the-world, which checks an incremental STW epoch
    taken after speculative ones directly. *)
 
@@ -291,13 +295,14 @@ let run_spec_trace (ops, structural, final_stw) =
             ~len:Page.logical_size
       | Sig signo -> ignore (Syscall.kill w.m ~pid:w.p.Process.pid_global ~signo)
       | Ckpt ->
-          ignore (Group.checkpoint ~wait_durable:true ~speculative:true w.group)
+          Group.set_speculative w.group true;
+          ignore (Group.checkpoint ~wait_durable:true w.group)
       | Ckpt_stw ->
-          ignore (Group.checkpoint ~wait_durable:true ~speculative:false w.group))
+          Group.set_speculative w.group false;
+          ignore (Group.checkpoint ~wait_durable:true w.group))
     ops;
-  let c1 =
-    Group.checkpoint ~wait_durable:true ~speculative:(not final_stw) w.group
-  in
+  Group.set_speculative w.group (not final_stw);
+  let c1 = Group.checkpoint ~wait_durable:true w.group in
   Machine.set_run_hook w.m None;
   let c2 = Group.checkpoint ~wait_durable:true ~full:true w.group in
   if c2.Group.objects_skipped <> 0 then
