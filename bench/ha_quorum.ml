@@ -32,21 +32,24 @@ module Ha_torture = Aurora_faultsim.Ha_torture
 let failures = ref []
 let fail what = failures := ("ha-quorum: " ^ what) :: !failures
 
-let run_quorum_sweep ?(speculative = false) ~seed ~runs_per_cell ~rates ~ns
-    ~rounds () =
+let run_quorum_sweep ?(speculative = false) ?pace_ns ~seed ~runs_per_cell ~rates
+    ~ns ~rounds () =
   let s =
-    Ha_torture.quorum_sweep ~speculative ~seed ~runs_per_cell ~rates ~ns
+    Ha_torture.quorum_sweep ~speculative ?pace_ns ~seed ~runs_per_cell ~rates ~ns
       ~rounds ()
   in
   Printf.printf
     "quorum n=%-4s %-4s seed=%-8d runs=%-3d ok=%-3d evict=%d rejoin=%d \
-     retx=%d released=%d dropped=%d\n\
+     retx=%d released=%d dropped=%d%s\n\
      %!"
     (String.concat "," (List.map string_of_int ns))
     (if speculative then "spec" else "stw")
     seed s.Ha_torture.q_runs s.Ha_torture.q_ok s.Ha_torture.q_evictions
     s.Ha_torture.q_rejoins s.Ha_torture.q_retransmits s.Ha_torture.q_released
-    s.Ha_torture.q_dropped;
+    s.Ha_torture.q_dropped
+    (match pace_ns with
+    | None -> ""
+    | Some _ -> Printf.sprintf " rounds=%d paced prunes>=%d" rounds s.Ha_torture.q_prunes);
   List.iter
     (fun r -> Printf.printf "  FAIL %s\n%!" (Ha_torture.pp_quorum r))
     s.Ha_torture.q_failures;
@@ -111,6 +114,18 @@ let controls () =
           fail ("control " ^ label))
     [ ("meta", Ha_torture.Meta); ("page", Ha_torture.Page) ]
 
+(* The quorum sweep paced like a service that checkpoints every 10 ms,
+   long enough that the primary and every surviving standby prune at
+   least twice (a store prunes once it retains 26 epochs). *)
+let retention_sweep ~seed ~runs_per_cell ~rates =
+  let s =
+    run_quorum_sweep ~pace_ns:10_000_000 ~seed ~runs_per_cell ~rates ~ns:[ 3; 5 ]
+      ~rounds:50 ()
+  in
+  if s.Ha_torture.q_prunes < 2 then
+    fail (Printf.sprintf "retention sweep seed=%d: a store pruned %d times" seed
+            s.Ha_torture.q_prunes)
+
 let fast () =
   controls ();
   run_single_sweeps ~seed:42 ~runs_per_cell:3 ~rates:[ 0.0; 0.05; 0.10 ]
@@ -119,7 +134,8 @@ let fast () =
     (run_quorum_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
        ~ns:[ 3; 5 ] ~rounds:6 ());
   ignore (run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3);
-  ignore (run_migration ~seed:42 ~rate:0.0)
+  ignore (run_migration ~seed:42 ~rate:0.0);
+  retention_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
 
 let deep seed =
   controls ();
@@ -141,7 +157,8 @@ let deep seed =
     (fun s ->
       ignore (run_migration ~seed:s ~rate:0.0);
       ignore (run_migration ~seed:s ~rate:0.02))
-    [ seed; seed + 1 ]
+    [ seed; seed + 1 ];
+  retention_sweep ~seed ~runs_per_cell:4 ~rates:[ 0.0; 0.05; 0.12 ]
 
 (* Smoke: the @bench-smoke runs and their gates. *)
 let smoke () =

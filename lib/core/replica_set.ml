@@ -16,12 +16,16 @@ let health_name = function
 (* One sequenced frame of the shared epoch log: the delta from the
    previous logged epoch (full stream for the first).  Frames are the
    same bytes for every standby because every standby follows the same
-   chain; only rejoin catch-up frames are built per standby. *)
+   chain; only rejoin catch-up frames are built per standby.  An entry
+   outlives its frame: the frame is dropped (set to "") once every live,
+   non-evicted standby has acked it, and the entry once every standby
+   not dead has (see [trim_log]). *)
 type log_entry = {
   le_idx : int;
   le_epoch : int;
-  le_frame : string;
+  mutable le_frame : string;
   le_bytes : int; (* stream (body) size, for lag accounting *)
+  le_upto_bytes : int; (* [le_bytes] of this entry and every older one *)
 }
 
 type inflight = {
@@ -52,12 +56,14 @@ type standby = {
   (* receiver side (the standby proper) *)
   mutable sb_rcv_epoch : int; (* newest primary epoch installed *)
   mutable sb_gap : (int * Migrate.shipment) list; (* epoch -> buffered frame *)
-  mutable sb_installed : (int * int) list; (* standby epoch -> primary epoch *)
+  mutable sb_installed : (int * int) list;
+      (* standby epoch -> primary epoch, retained epochs only *)
   (* counters *)
   mutable sb_retransmits : int;
   mutable sb_timeouts : int;
   mutable sb_dup_acks : int;
   mutable sb_verify_rejects : int;
+  mutable sb_prunes : int;
 }
 
 type stats = {
@@ -71,6 +77,7 @@ type stats = {
   rs_evictions : int;
   rs_rejoins : int;
   rs_released_msgs : int;
+  rs_primary_prunes : int;
 }
 
 type t = {
@@ -78,9 +85,10 @@ type t = {
   outbox : Extsync.t option;
   window : int;
   standbys : standby array;
-  mutable log : log_entry list; (* newest first *)
-  mutable log_len : int;
+  mutable log : log_entry list; (* newest first, trimmed *)
+  mutable log_len : int; (* entries ever logged, trimmed ones included *)
   mutable log_bytes : int; (* stream bytes of every logged frame *)
+  mutable log_trimmed : int * int; (* entries trimmed, their stream bytes *)
   mutable last_logged : int; (* newest primary epoch in the log *)
   mutable quorum_released : int; (* outbox released up to this epoch *)
   mutable st_attempts : int;
@@ -88,6 +96,7 @@ type t = {
   mutable st_evictions : int;
   mutable st_rejoins : int;
   mutable st_released : int;
+  mutable st_prunes : int;
 }
 
 (* Attempts per frame before the standby is evicted, and the
@@ -95,6 +104,14 @@ type t = {
 let max_retries = 8
 let degrade_after = 2
 let evict_after = 6
+
+(* Retention.  Every store of the set keeps at least its newest
+   [keep_epochs] epochs, the depth a verified restore can fall back
+   through, and prunes once it retains [prune_every] epochs more than it
+   must keep, so each prune's synchronous superblock write is paid once
+   per [prune_every] epochs. *)
+let keep_epochs = 16
+let prune_every = 10
 
 let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
   if standbys = [] then invalid_arg "Replica_set.create: no standbys";
@@ -122,6 +139,7 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
       sb_timeouts = 0;
       sb_dup_acks = 0;
       sb_verify_rejects = 0;
+      sb_prunes = 0;
     }
   in
   {
@@ -132,6 +150,7 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
     log = [];
     log_len = 0;
     log_bytes = 0;
+    log_trimmed = (0, 0);
     last_logged = 0;
     quorum_released = 0;
     st_attempts = 0;
@@ -139,6 +158,7 @@ let create ?(window = 4) ?(seed = 1) ?outbox ~primary ~standbys () =
     st_evictions = 0;
     st_rejoins = 0;
     st_released = 0;
+    st_prunes = 0;
   }
 
 (* Acks needed before an epoch is quorum-committed: ⌈(N+1)/2⌉. *)
@@ -159,6 +179,21 @@ let quorum_epoch t =
   List.nth acked (quorum t - 1)
 
 (* Receiver -------------------------------------------------------------- *)
+
+(* A standby keeps its newest [keep_epochs] installed epochs, and its
+   epoch map only their entries.  It prunes on its own store's clock
+   once its acks are on the wire and no frame waits in its gap buffer, so
+   neither an ack nor a buffered install waits on the prune's synchronous
+   superblock write. *)
+let prune_standby sb =
+  let store = sb.sb_store in
+  if sb.sb_gap = [] && List.length (Store.checkpoint_epochs store) >= keep_epochs + prune_every
+  then begin
+    ignore (Store.prune_history store ~keep:keep_epochs);
+    sb.sb_prunes <- sb.sb_prunes + 1;
+    let oldest = match Store.checkpoint_epochs store with e :: _ -> e | [] -> max_int in
+    sb.sb_installed <- List.filter (fun (e, _) -> e >= oldest) sb.sb_installed
+  end
 
 (* Install shipments strictly in epoch order: a frame whose base is ahead
    of what the standby holds waits in the gap buffer until the missing
@@ -230,14 +265,18 @@ let rs_receive sb (d : Link.delivery) =
               ("installed", Otrace.Int sb.sb_rcv_epoch);
             ];
       (* Acks travel back through the same fault plane. *)
-      List.concat_map
-        (fun frame ->
-          Link.transmit sb.sb_link ~now:(Clock.now sclk) ~payload:frame ()
-          |> List.filter_map (fun (ad : Link.delivery) ->
-                 match Migrate.open_ack ad.Link.d_payload with
-                 | Ok a -> Some (ad.Link.d_arrival, a)
-                 | Error _ -> None))
-        (List.rev !acks)
+      let acks =
+        List.concat_map
+          (fun frame ->
+            Link.transmit sb.sb_link ~now:(Clock.now sclk) ~payload:frame ()
+            |> List.filter_map (fun (ad : Link.delivery) ->
+                   match Migrate.open_ack ad.Link.d_payload with
+                   | Ok a -> Some (ad.Link.d_arrival, a)
+                   | Error _ -> None))
+          (List.rev !acks)
+      in
+      prune_standby sb;
+      acks
 
 (* Sender ---------------------------------------------------------------- *)
 
@@ -250,6 +289,15 @@ let idx_of_epoch t epoch =
 
 let log_nth t idx =
   List.find_opt (fun le -> le.le_idx = idx) t.log
+
+(* Entries logged at or below [epoch] and their stream bytes, trimmed
+   ones included: the newest such entry counts every older one.  Exact
+   for any epoch at or above the newest trimmed entry's, which every ack
+   is (see [trim_log]). *)
+let logged_upto t epoch =
+  match List.find_opt (fun le -> le.le_epoch <= epoch) t.log with
+  | Some le -> (le.le_idx + 1, le.le_upto_bytes)
+  | None -> t.log_trimmed
 
 let alive_active sb =
   (not sb.sb_dead) && sb.sb_health <> Evicted
@@ -304,17 +352,13 @@ let apply_ack t sb (a : Migrate.ack) =
     let cum = max a.Migrate.ack_seq a.Migrate.ack_epoch in
     if cum <= sb.sb_acked then sb.sb_dup_acks <- sb.sb_dup_acks + 1
     else begin
-      (* The log entries in (acked, cum]: the log is newest first, so the
-         walk stops at the first entry already acked. *)
-      let rec covered = function
-        | le :: rest when le.le_epoch > sb.sb_acked ->
-            if le.le_epoch <= cum then le :: covered rest else covered rest
-        | _ -> []
-      in
-      let covered = covered t.log in
-      let covered_bytes = List.fold_left (fun a le -> a + le.le_bytes) 0 covered in
-      sb.sb_acked_log <- sb.sb_acked_log + List.length covered;
-      sb.sb_acked_log_bytes <- sb.sb_acked_log_bytes + covered_bytes;
+      (* The log entries in (acked, cum]: [sb_acked_log] and its bytes
+         count the entries at or below [sb_acked]. *)
+      let upto, upto_bytes = logged_upto t cum in
+      let covered = upto - sb.sb_acked_log
+      and covered_bytes = upto_bytes - sb.sb_acked_log_bytes in
+      sb.sb_acked_log <- upto;
+      sb.sb_acked_log_bytes <- upto_bytes;
       (match (sb.sb_health, sb.sb_inflight) with
       | Rejoining, [ inf ] when cum >= inf.if_epoch ->
           (* The catch-up frame covers the whole (acked, target] gap in
@@ -323,7 +367,7 @@ let apply_ack t sb (a : Migrate.ack) =
           t.st_acked_total <- t.st_acked_total + 1
       | _ ->
           sb.sb_acked_bytes <- sb.sb_acked_bytes + covered_bytes;
-          t.st_acked_total <- t.st_acked_total + List.length covered);
+          t.st_acked_total <- t.st_acked_total + covered);
       sb.sb_acked <- cum;
       sb.sb_consec_timeouts <- 0;
       sb.sb_inflight <-
@@ -429,10 +473,36 @@ let release_at_quorum t ~now =
         t.quorum_released <- qe
       end
 
+(* The primary keeps every epoch at or above the lowest epoch acked by a
+   live, non-evicted standby (the base of that standby's catch-up frame
+   should it be evicted; a standby that acked nothing needs none), the
+   newest logged epoch (the next frame's base), and always its newest
+   [keep_epochs].  It prunes in [pump], after the release, and only when
+   the outbox holds no message: no held message waits on the prune's
+   synchronous superblock write. *)
+let prune_primary t =
+  let held = match t.outbox with None -> 0 | Some outbox -> Extsync.pending outbox in
+  if held = 0 then begin
+    let store = Group.store t.primary in
+    let epochs = Store.checkpoint_epochs store in
+    let pin =
+      Array.fold_left
+        (fun m sb -> if alive_active sb && sb.sb_acked > 0 then min m sb.sb_acked else m)
+        t.last_logged t.standbys
+    in
+    let pinned = if pin = 0 then 0 else List.length (List.filter (fun e -> e >= pin) epochs) in
+    let keep = max keep_epochs pinned in
+    if List.length epochs >= keep + prune_every then begin
+      ignore (Store.prune_history store ~keep);
+      t.st_prunes <- t.st_prunes + 1
+    end
+  end
+
 let pump t =
   let now = Clock.now (pclock t) in
   Array.iter (fun sb -> pump_standby t sb ~now) t.standbys;
   release_at_quorum t ~now;
+  prune_primary t;
   if Otrace.is_on () then
     Otrace.instant ~cat:"rset" "window"
       ~args:
@@ -444,10 +514,33 @@ let pump t =
                     Otrace.Int (List.length sb.sb_inflight) ))
                 t.standbys))
 
+(* Forget what no standby can still ask for: a frame once every live,
+   non-evicted standby has acked it (only frames above a standby's acked
+   epoch are ever put in flight, and a rejoin builds its own catch-up
+   frame), an entry once every standby not dead has (a rejoined
+   standby's late acks still count the entries above its acked epoch;
+   [logged_upto] counts the trimmed ones). *)
+let trim_log t =
+  let lowest f =
+    Array.fold_left (fun m sb -> if f sb then min m sb.sb_acked else m) max_int t.standbys
+  in
+  let frames_upto = lowest alive_active and entries_upto = lowest (fun sb -> not sb.sb_dead) in
+  let rec keep = function
+    | [] -> []
+    | le :: _ when le.le_epoch <= entries_upto ->
+        t.log_trimmed <- (le.le_idx + 1, le.le_upto_bytes);
+        []
+    | le :: rest ->
+        if le.le_epoch <= frames_upto then le.le_frame <- "";
+        le :: keep rest
+  in
+  t.log <- keep t.log
+
 let ship t =
   let newest = Group.last_epoch t.primary in
   if newest > t.last_logged then begin
     let store = Group.store t.primary in
+    trim_log t;
     (* Every epoch checkpointed since the last call becomes one frame;
        when the caller skipped rounds the single delta base..newest is
        the whole gap. *)
@@ -456,7 +549,7 @@ let ship t =
     | Ok (frame, bytes) ->
         let le =
           { le_idx = t.log_len; le_epoch = newest; le_frame = frame;
-            le_bytes = bytes }
+            le_bytes = bytes; le_upto_bytes = t.log_bytes + bytes }
         in
         t.log <- le :: t.log;
         t.log_len <- t.log_len + 1;
@@ -539,11 +632,16 @@ let rejoin t i =
     let now = Clock.now (pclock t) in
     let store = Group.store t.primary in
     (* Catch-up: a window of one frame, the cumulative delta from the
-       standby's last acked epoch (the full checkpoint stream when it
-       never acked anything).  The verified ack that empties the window
-       covers the whole gap and returns the standby to normal window
-       shipping. *)
-    match Migrate.frame ~store ~base:sb.sb_acked ~epoch:t.last_logged with
+       standby's last acked epoch, or the full checkpoint stream (base 0)
+       when it never acked anything or the primary has pruned that epoch
+       (an evicted standby pins nothing).  A full frame stages every
+       object over whatever the standby holds.  The verified ack that
+       empties the window covers the whole gap and returns the standby to
+       normal window shipping. *)
+    let base =
+      if List.mem sb.sb_acked (Store.checkpoint_epochs store) then sb.sb_acked else 0
+    in
+    match Migrate.frame ~store ~base ~epoch:t.last_logged with
     | Error msg -> failwith ("Replica_set.rejoin: " ^ msg)
     | Ok (frame, bytes) ->
         let inf =
@@ -565,7 +663,7 @@ let rejoin t i =
             ~args:
               [
                 ("standby", Otrace.Int i);
-                ("base", Otrace.Int sb.sb_acked);
+                ("base", Otrace.Int base);
                 ("target", Otrace.Int t.last_logged);
               ];
         transmit_frame t sb ~now ~retransmit:false inf
@@ -588,6 +686,7 @@ type standby_view = {
   sv_dup_acks : int;
   sv_verify_rejects : int;
   sv_shipped_bytes : int;
+  sv_prunes : int;
 }
 
 let view t i =
@@ -608,6 +707,7 @@ let view t i =
     sv_dup_acks = sb.sb_dup_acks;
     sv_verify_rejects = sb.sb_verify_rejects;
     sv_shipped_bytes = sb.sb_acked_bytes;
+    sv_prunes = sb.sb_prunes;
   }
 
 let views t = List.init (Array.length t.standbys) (view t)
@@ -625,6 +725,7 @@ let stats t =
     rs_evictions = t.st_evictions;
     rs_rejoins = t.st_rejoins;
     rs_released_msgs = t.st_released;
+    rs_primary_prunes = t.st_prunes;
   }
 
 (* Election and failover ------------------------------------------------- *)

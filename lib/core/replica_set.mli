@@ -28,10 +28,36 @@
     window so a dead or partitioned minority degrades throughput instead
     of stalling the pipeline); an evicted standby rejoins with a window
     of one frame — the cumulative catch-up delta from its last acked
-    epoch (a full checkpoint stream if it never acked anything) — and
+    epoch (a full checkpoint stream if it never acked anything or the
+    primary has pruned that epoch) — and
     returns to [Healthy] when the ack for it empties the window.  A standby that
     {e nacks} a composed epoch has diverged and is evicted immediately;
     retransmitting cannot help it.
+
+    {b Retention.}  A replica set owns the history of its stores, the
+    primary's included, and prunes each through
+    {!Aurora_objstore.Store.prune_history} down to what the protocol can
+    still ask for.  A store keeps at least its newest [K = 16] epochs,
+    the depth a verified restore or a vote can fall back through, and
+    prunes once it retains 10 epochs more than it must keep, so a prune's
+    synchronous superblock write is paid once per 10 epochs.
+    - The primary also keeps every epoch at or above the lowest epoch
+      acked by a live, non-evicted standby (the base of that standby's
+      catch-up, should it be evicted; a standby that acked nothing pins
+      nothing) and the newest logged epoch (the next frame's base).  It
+      prunes in {!pump} (so in {!ship} and {!drain} too), after the
+      quorum release, and only while the outbox holds no message: no held
+      message waits on the prune.
+    - A standby keeps its newest [K] installed epochs, and its map from
+      standby to primary epochs only theirs.  It prunes on its own store's
+      clock right after an install's acks are on the wire, and only with
+      no frame in its gap buffer.
+    - The shipping log drops a frame once every live, non-evicted standby
+      has acked it, and the entry itself once every standby not killed
+      has (so a standby evicted and never rejoined keeps the entries, not
+      the frames, above its acked epoch).
+    An evicted standby pins nothing, so its acked epoch may be pruned;
+    its rejoin then ships the full checkpoint stream (base 0).
 
     {b Failover.}  {!elect_and_failover} is the partition-tolerant
     election: the surviving standbys exchange their newest
@@ -66,7 +92,9 @@ val create :
 (** [window] (default 4) bounds in-flight epochs per standby.  A frame
     gets 8 attempts before its standby is evicted; a standby degrades
     after 2 consecutive timeouts and is evicted after 6.  [seed]
-    (default 1) drives the per-standby retransmit jitter.
+    (default 1) drives the per-standby retransmit jitter.  From here on
+    the set prunes the primary's store and every standby's (see
+    Retention above), epochs checkpointed before [create] included.
     [outbox] is the primary's external-synchrony buffer: messages are
     released as [quorum_epoch] advances and dropped past the failover
     point. *)
@@ -104,8 +132,9 @@ val kill : t -> int -> unit
 val rejoin : t -> int -> unit
 (** Bring an evicted standby back: state [Rejoining], and its window is
     one catch-up frame (cumulative delta from its last acked epoch, or the
-    full checkpoint stream if it never acked), retransmitted like any
-    other frame; the verified ack that empties the window returns it to
+    full checkpoint stream if it never acked or the primary has pruned
+    that epoch; a full frame installs over whatever the standby holds),
+    retransmitted like any other frame; the verified ack that empties the window returns it to
     [Healthy] and normal window shipping resumes.  No-op unless the
     standby is evicted and alive. *)
 
@@ -126,6 +155,7 @@ type standby_view = {
   sv_dup_acks : int;
   sv_verify_rejects : int;
   sv_shipped_bytes : int;  (** stream bytes verified-acked *)
+  sv_prunes : int;  (** prunes of the standby's store by the set *)
 }
 
 val view : t -> int -> standby_view
@@ -142,6 +172,7 @@ type stats = {
   rs_evictions : int;
   rs_rejoins : int;
   rs_released_msgs : int;  (** outbox messages released at quorum *)
+  rs_primary_prunes : int;  (** prunes of the primary's store by the set *)
 }
 
 val stats : t -> stats

@@ -140,11 +140,15 @@ type quorum_report = {
   qr_dropped : int;  (** outbox messages dropped with the lost window *)
   qr_one_round : bool;
       (** the takeover paid one vote round trip plus the restore *)
+  qr_prunes : int;  (** fewest prunes of the primary or a surviving standby *)
   qr_outcome : string;
   qr_ok : bool;
 }
 
-let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
+(* Paced runs pump the replica set every [pump_ns] between rounds. *)
+let pump_ns = 100_000
+
+let quorum_run ?(speculative = false) ?pace_ns ~seed ~rounds ~rate ~n () =
   if n < 1 then invalid_arg "quorum_run: n < 1";
   let rng = Rng.create seed in
   (* In the speculative arm the service carries enough kernel objects
@@ -253,7 +257,15 @@ let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
           failover must drop it. *)
        if not (abrupt_death && r = rounds) then Replica_set.ship rs;
        (* Evicted survivors come back with catch-up shipments. *)
-       if Rng.int rng 3 = 0 then rejoin_evicted rs
+       if Rng.int rng 3 = 0 then rejoin_evicted rs;
+       (* A paced service runs between checkpoints while acks land. *)
+       match pace_ns with
+       | Some pace when r < rounds ->
+           for _ = 1 to pace / pump_ns do
+             Clock.advance primary.Sls.machine.Machine.clock pump_ns;
+             Replica_set.pump rs
+           done
+       | _ -> ()
      done;
      (* Unless death is abrupt, let the pipeline reach the quorum
         commit point, rejoining any survivor the fault plane evicted
@@ -272,6 +284,11 @@ let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
   let survivors =
     List.filter (fun i -> not (List.mem i killed)) (List.init n Fun.id)
   in
+  let prunes =
+    List.fold_left
+      (fun m i -> min m (Replica_set.view rs i).Replica_set.sv_prunes)
+      st.Replica_set.rs_primary_prunes survivors
+  in
   let base =
     {
       qr_seed = seed;
@@ -289,6 +306,7 @@ let quorum_run ?(speculative = false) ~seed ~rounds ~rate ~n () =
       qr_released = st.Replica_set.rs_released_msgs;
       qr_dropped = 0;
       qr_one_round = false;
+      qr_prunes = prunes;
       qr_outcome = "match";
       qr_ok = true;
     }
@@ -401,17 +419,18 @@ type quorum_sweep_report = {
   q_released : int;
   q_dropped : int;
   q_one_round : int;
+  q_prunes : int;
   q_failures : quorum_report list;
 }
 
-let quorum_sweep ?speculative ~seed ~runs_per_cell ~rates ~ns ~rounds () =
+let quorum_sweep ?speculative ?pace_ns ~seed ~runs_per_cell ~rates ~ns ~rounds () =
   let reports =
     List.concat_map
       (fun n ->
         List.concat_map
           (fun rate ->
             List.init runs_per_cell (fun i ->
-                quorum_run ?speculative
+                quorum_run ?speculative ?pace_ns
                   ~seed:
                     (seed + (i * 131) + (n * 17)
                     + int_of_float (rate *. 10_000.))
@@ -428,6 +447,7 @@ let quorum_sweep ?speculative ~seed ~runs_per_cell ~rates ~ns ~rounds () =
     q_released = List.fold_left (fun a r -> a + r.qr_released) 0 reports;
     q_dropped = List.fold_left (fun a r -> a + r.qr_dropped) 0 reports;
     q_one_round = List.length (List.filter (fun r -> r.qr_one_round) reports);
+    q_prunes = List.fold_left (fun a r -> min a r.qr_prunes) max_int reports;
     q_failures = List.filter (fun r -> not r.qr_ok) reports;
   }
 

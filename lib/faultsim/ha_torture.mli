@@ -61,12 +61,16 @@ type quorum_report = {
       (** the takeover machine's clock moved by one vote round trip plus
           what restoring the winner's epoch alone moves a fresh machine
           by *)
+  qr_prunes : int;
+      (** the fewest prunes any store made: the primary's or a standby's
+          that was not killed *)
   qr_outcome : string;
   qr_ok : bool;
 }
 
 val quorum_run :
   ?speculative:bool ->
+  ?pace_ns:int ->
   seed:int ->
   rounds:int ->
   rate:float ->
@@ -79,7 +83,11 @@ val quorum_run :
     and a run hook mutates a scratch page and a pipe inside every
     speculation window, so each shipped epoch carries validated conflict
     splices; failover must still land on a model-consistent epoch —
-    never a half-spliced image. *)
+    never a half-spliced image.  With [~pace_ns] the service runs for
+    that much virtual time after every round but the last, pumping the
+    replica set every 100 µs, so acks land and held messages release
+    between checkpoints, as in a service that checkpoints periodically;
+    without it the rounds run back to back. *)
 
 val pp_quorum : quorum_report -> string
 
@@ -92,11 +100,13 @@ type quorum_sweep_report = {
   q_released : int;
   q_dropped : int;
   q_one_round : int;  (** runs whose takeover paid one vote round *)
+  q_prunes : int;  (** the fewest [qr_prunes] of any run *)
   q_failures : quorum_report list;
 }
 
 val quorum_sweep :
   ?speculative:bool ->
+  ?pace_ns:int ->
   seed:int ->
   runs_per_cell:int ->
   rates:float list ->

@@ -2694,7 +2694,7 @@ let test_lazy_restore_checks_page_at_fault () =
 
 (* Quorum replica set -------------------------------------------------------------- *)
 
-let rset_fixture ?(n = 3) ?outbox ?(fault = fun _ _ -> ()) () =
+let rset_fixture ?(n = 3) ?window ?outbox ?(fault = fun _ _ -> ()) () =
   let sys = Sls.boot () in
   let p, _e, addr = spawn_with_memory sys ~name:"svc" ~npages:8 in
   Vm_space.touch_write p.Process.space ~addr ~len:(8 * 4096);
@@ -2705,7 +2705,7 @@ let rset_fixture ?(n = 3) ?outbox ?(fault = fun _ _ -> ()) () =
         fault i link;
         ((Sls.boot ()).Sls.store, link))
   in
-  let rs = Replica_set.create ?outbox ~seed:9 ~primary:group ~standbys () in
+  let rs = Replica_set.create ?window ?outbox ~seed:9 ~primary:group ~standbys () in
   (sys, p, addr, group, rs, List.map fst standbys)
 
 let rset_round group p ~addr rs r =
@@ -3037,6 +3037,184 @@ let test_rset_lag_bytes_gauge () =
   check_lag ~drained:true "rejoined";
   Alcotest.(check int) "rejoined standby lags nothing" 0
     (Replica_set.view rs 0).Replica_set.sv_lag_bytes
+
+(* Retention ---------------------------------------------------------------------- *)
+
+(* The encoded length of the superblock on [store]'s device. *)
+let superblock_bytes store =
+  Bytes.length
+    (Wire.encode Store_format.superblock_codec
+       (Store.decode "superblock" Store_format.superblock_codec
+          (Striped.read_nocharge (Store.device store) ~off:0 ~len:Store.block_size)))
+
+let memobj_oid store ~epoch =
+  fst (List.find (fun (_, kind) -> kind = Serial.kind_memobj) (Store.objects_at store ~epoch))
+
+(* Standby 0 is evicted after three rounds, and the primary prunes its
+   acked epoch: the rejoin cannot ship a delta from a base the primary no
+   longer holds, so its catch-up is the full stream (base 0), installed
+   over the three epochs the standby kept. *)
+let test_rset_rejoin_after_prune () =
+  let dark = ref None in
+  let _sys, p, addr, group, rs, stores =
+    rset_fixture ~fault:(fun i link -> if i = 0 then dark := Some link) ()
+  in
+  let link0 = Option.get !dark in
+  for r = 1 to 3 do
+    rset_round group p ~addr rs r
+  done;
+  Alcotest.(check bool) "first rounds everywhere" true (Replica_set.drain rs `All);
+  let base = (Replica_set.view rs 0).Replica_set.sv_acked_epoch in
+  Link.set_faults link0 ~seed:5 { Link.no_faults with p_drop = 1.0 };
+  rset_round group p ~addr rs 4;
+  Alcotest.(check bool) "drained around the dark standby" true (Replica_set.drain rs `All);
+  Alcotest.(check bool) "dark standby evicted" true
+    ((Replica_set.view rs 0).Replica_set.sv_health = Replica_set.Evicted);
+  for r = 5 to 40 do
+    rset_round group p ~addr rs r
+  done;
+  let primary = Group.store group in
+  Alcotest.(check bool) "the primary pruned" true
+    ((Replica_set.stats rs).Replica_set.rs_primary_prunes > 0);
+  Alcotest.(check bool) "the evicted standby's base is pruned" false
+    (List.mem base (Store.checkpoint_epochs primary));
+  Link.set_faults link0 ~seed:5 Link.no_faults;
+  let last = Replica_set.last_logged_epoch rs in
+  let before = (Replica_set.view rs 0).Replica_set.sv_shipped_bytes in
+  Replica_set.rejoin rs 0;
+  Alcotest.(check bool) "all current after rejoin" true (Replica_set.drain rs `All);
+  let v0 = Replica_set.view rs 0 in
+  Alcotest.(check bool) "rejoined standby healthy" true
+    (v0.Replica_set.sv_health = Replica_set.Healthy);
+  Alcotest.(check int) "rejoined standby current" last v0.Replica_set.sv_acked_epoch;
+  let full =
+    match Migrate.frame ~store:primary ~base:0 ~epoch:last with
+    | Ok (_, bytes) -> bytes
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "the catch-up was the full stream" full
+    (v0.Replica_set.sv_shipped_bytes - before);
+  let store0 = List.hd stores in
+  Alcotest.(check bool) "byte-identical to the primary" true
+    (Replica_set.stores_identical ~src:primary ~src_epoch:last ~dst:store0
+       ~dst_epoch:(Store.last_complete_epoch store0))
+
+(* K is the fallback depth: right after its first prune a standby holds
+   exactly its newest 16 installed epochs.  With the newest 15 corrupt,
+   its vote falls back to the 16th and names it; with all 16 corrupt,
+   nothing older is left to fall back to. *)
+let test_rset_fallback_within_k () =
+  let _sys, p, addr, group, rs, stores = rset_fixture ~n:1 () in
+  let primary_epochs = Array.make 27 0 in
+  for r = 1 to 26 do
+    rset_round group p ~addr rs r;
+    primary_epochs.(r) <- Group.last_epoch group
+  done;
+  Alcotest.(check bool) "drained" true (Replica_set.drain rs `All);
+  let store = List.hd stores in
+  let epochs = Store.checkpoint_epochs store in
+  Alcotest.(check int) "one standby prune" 1 (Replica_set.view rs 0).Replica_set.sv_prunes;
+  Alcotest.(check int) "the standby keeps its newest 16" 16 (List.length epochs);
+  let oldest = List.hd epochs in
+  List.iter
+    (fun epoch ->
+      if epoch <> oldest then
+        Store.corrupt_meta_for_tests store ~epoch ~oid:(memobj_oid store ~epoch))
+    epochs;
+  let rep =
+    match Replica_set.elect_and_failover rs ~survivors:[ 0 ] ~machine:(Machine.create ()) with
+    | Ok rep -> rep
+    | Error e -> Alcotest.fail e
+  in
+  let vote = List.hd rep.Replica_set.el_votes in
+  Alcotest.(check int) "the vote names the 16th newest epoch" oldest
+    vote.Replica_set.vt_standby_epoch;
+  Alcotest.(check int) "installed from round 11's primary epoch" primary_epochs.(11)
+    vote.Replica_set.vt_primary_epoch;
+  (match rep.Replica_set.el_restore.Restore.vr_result.Restore.procs with
+  | [ p' ] ->
+      Alcotest.(check string) "round 11's state" "round-11"
+        (Vm_space.read_string p'.Process.space ~addr ~len:8)
+  | _ -> Alcotest.fail "expected 1 process");
+  Store.corrupt_meta_for_tests store ~epoch:oldest ~oid:(memobj_oid store ~epoch:oldest);
+  Alcotest.(check bool) "no fallback past the 16th" true
+    (Result.is_error
+       (Replica_set.elect_and_failover rs ~survivors:[ 0 ] ~machine:(Machine.create ())))
+
+(* Standby 0 sits behind a declared partition: its deadlines wait out
+   the heal (with a window of one frame it times out only twice, too few
+   to be evicted), so it lags without being evicted.  While the other two
+   standbys ack 40 more rounds, through the primary's prune rounds at
+   26, 36, 46 and 56 epochs, the primary keeps standby 0's acked epoch
+   (the base of its catch-up, were it evicted) and every epoch after it;
+   only the first round finds anything older to drop.  Once the link
+   heals standby 0 catches up through the log's frames, and the primary
+   prunes as its base moves up. *)
+let test_rset_lagging_standby_keeps_base () =
+  let links = Array.make 3 None in
+  let _sys, p, addr, group, rs, stores =
+    rset_fixture ~window:1 ~fault:(fun i link -> links.(i) <- Some link) ()
+  in
+  for r = 1 to 20 do
+    rset_round group p ~addr rs r
+  done;
+  Alcotest.(check bool) "first rounds everywhere" true (Replica_set.drain rs `All);
+  let primary = Group.store group in
+  let base = (Replica_set.view rs 0).Replica_set.sv_acked_epoch in
+  Link.partition (Option.get links.(0)) ~now:(Clock.now (Store.clock primary))
+    ~duration:1_000_000_000;
+  for r = 21 to 60 do
+    rset_round group p ~addr rs r;
+    Alcotest.(check bool) (Printf.sprintf "round %d: base retained" r) true
+      (List.mem base (Store.checkpoint_epochs primary))
+  done;
+  let v0 = Replica_set.view rs 0 in
+  Alcotest.(check bool) "lagging, not evicted" true (v0.Replica_set.sv_health <> Replica_set.Evicted);
+  Alcotest.(check int) "acked nothing since" base v0.Replica_set.sv_acked_epoch;
+  Alcotest.(check int) "the primary pruned once, what is older than the base" 1
+    (Replica_set.stats rs).Replica_set.rs_primary_prunes;
+  let epochs = Store.checkpoint_epochs primary in
+  Alcotest.(check bool) "every epoch since the base retained" true
+    (List.hd epochs > 1 && List.hd epochs <= base
+    && List.length epochs >= Group.last_epoch group - base + 1);
+  Alcotest.(check bool) "current after the heal" true (Replica_set.drain rs `All);
+  let last = Replica_set.last_logged_epoch rs in
+  Alcotest.(check int) "no rejoin" 0 (Replica_set.stats rs).Replica_set.rs_rejoins;
+  Alcotest.(check int) "standby 0 current" last (Replica_set.view rs 0).Replica_set.sv_acked_epoch;
+  let store0 = List.hd stores in
+  Alcotest.(check bool) "byte-identical to the primary" true
+    (Replica_set.stores_identical ~src:primary ~src_epoch:last ~dst:store0
+       ~dst_epoch:(Store.last_complete_epoch store0));
+  Alcotest.(check bool) "back under 26 epochs once the base is released" true
+    (List.length (Store.checkpoint_epochs primary) < 26)
+
+(* Space and the superblock stay flat as a replica set runs: 60 and 240
+   rounds land at the same point of the prune cadence. *)
+let test_rset_flat_history () =
+  let _sys, p, addr, group, rs, stores = rset_fixture ~n:1 () in
+  let standby = List.hd stores and primary = Group.store group in
+  let measure upto =
+    for r = Replica_set.last_logged_epoch rs + 1 to upto do
+      rset_round group p ~addr rs r
+    done;
+    Alcotest.(check bool) "drained" true (Replica_set.drain rs `All);
+    List.concat_map
+      (fun (who, store) ->
+        [
+          (who ^ " blocks", Store.blocks_allocated store);
+          (who ^ " superblock bytes", superblock_bytes store);
+        ])
+      [ ("primary", primary); ("standby", standby) ]
+  in
+  let at60 = measure 60 in
+  let at240 = measure 240 in
+  List.iter2
+    (fun (what, a) (_, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d after 60 rounds, %d after 240" what a b)
+        true
+        (abs (b - a) * 10 <= a))
+    at60 at240
 
 (* Elections ---------------------------------------------------------------------- *)
 
@@ -3385,6 +3563,12 @@ let () =
           Alcotest.test_case "steady-state ship reads nothing" `Quick
             test_steady_ship_reads_nothing;
           Alcotest.test_case "lag bytes gauge" `Quick test_rset_lag_bytes_gauge;
+          Alcotest.test_case "rejoin after its base was pruned" `Quick
+            test_rset_rejoin_after_prune;
+          Alcotest.test_case "fallback within K" `Quick test_rset_fallback_within_k;
+          Alcotest.test_case "lagging standby keeps its base" `Quick
+            test_rset_lagging_standby_keeps_base;
+          Alcotest.test_case "flat history" `Quick test_rset_flat_history;
           Alcotest.test_case "election: one vote round" `Quick test_election_one_vote_round;
           Alcotest.test_case "election: downtime" `Quick test_election_downtime;
           Alcotest.test_case "election: the winner reads its epoch once" `Quick
