@@ -1080,10 +1080,6 @@ let checkpoint_common t ~flush ~full ~speculative =
       in
       let frozen_pages = stage_where "flush.frozen" (fun r -> Option.is_some r.frozen) in
       let static_pages = stage_where "flush.static" (fun r -> Option.is_none r.frozen) in
-      (* The commit composes the manifest of the whole epoch it is part
-         of; this only gives the epoch one. *)
-      Otrace.with_span ~cat:"ckpt" ~name:"manifest" (fun () ->
-          Store.put_manifest t.st ~oid:(Store.manifest_oid t.st));
       charge c Cost.ckpt_record_write;
       Otrace.with_span ~cat:"ckpt" ~name:"commit" (fun () ->
           ignore (Store.commit_checkpoint t.st));
@@ -1173,7 +1169,6 @@ let checkpoint_region t (entry : Vm_map.entry) =
   charge c Cost.async_flush_setup;
   let mark_ns = Clock.elapsed_since clk stop_begin in
   let pages = stage c r in
-  Store.put_manifest t.st ~oid:(Store.manifest_oid t.st);
   charge c Cost.ckpt_record_write;
   ignore (Store.commit_checkpoint t.st);
   t.last_epoch_committed <- epoch;

@@ -46,7 +46,7 @@ type ckpt_stats = {
   mem_mark_ns : int;  (** shadowing + PTE downgrades + TLB *)
   flush_ns : int;
       (** virtual time of the synchronous flush-submission phase (staging,
-          manifest, commit); the asynchronous tail runs to [durable_at] *)
+          commit); the asynchronous tail runs to [durable_at] *)
   pages_flushed : int;
   pages_serialized : int;
       (** distinct dirty pages whose payloads the store actually wrote
@@ -64,7 +64,7 @@ type ckpt_stats = {
           for memory-only checkpoints, which skip the store flush) *)
   objects_serialized : int;
       (** OS-state objects serialized and staged this cycle (the group
-          object and the manifest are bookkeeping, not counted) *)
+          object is bookkeeping, not counted) *)
   objects_skipped : int;
       (** OS-state objects whose generation stamp matched their last
           persisted image: dirty-checked and skipped, carried into the new

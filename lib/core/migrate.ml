@@ -61,7 +61,6 @@ type shipment = {
   sh_seq : int;
   sh_base : int;
   sh_epoch : int;
-  sh_manifest_oid : int;
   sh_count : int;
   sh_summary : int;
   sh_body : string;
@@ -71,13 +70,12 @@ type ack = { ack_seq : int; ack_epoch : int; ack_ok : bool; ack_reason : string 
 
 let shipment_codec =
   Wire.Codec.(
-    record (fun sh_seq sh_base sh_epoch sh_manifest_oid sh_count sh_summary sh_body ->
-        { sh_seq; sh_base; sh_epoch; sh_manifest_oid; sh_count; sh_summary; sh_body })
+    record (fun sh_seq sh_base sh_epoch sh_count sh_summary sh_body ->
+        { sh_seq; sh_base; sh_epoch; sh_count; sh_summary; sh_body })
     |> magic str "AURSHIP1" "shipment magic"
     |> field u64 (fun s -> s.sh_seq)
     |> field u64 (fun s -> s.sh_base)
     |> field u64 (fun s -> s.sh_epoch)
-    |> field u64 (fun s -> s.sh_manifest_oid)
     |> field u32 (fun s -> s.sh_count)
     |> field u32 (fun s -> s.sh_summary)
     |> field str (fun s -> s.sh_body)
@@ -116,14 +114,13 @@ let frame ~store ~base ~epoch =
   let body = serialize_incremental ~store ~base ~epoch in
   match Store.manifest store ~epoch with
   | Error e -> Error e
-  | Ok (manifest_oid, m) ->
+  | Ok m ->
       Ok
         ( seal shipment_codec
             {
               sh_seq = epoch;
               sh_base = base;
               sh_epoch = epoch;
-              sh_manifest_oid = manifest_oid;
               sh_count = m.Manifest.m_count;
               sh_summary = Manifest.summary m.Manifest.m_entries;
               sh_body = body;
@@ -170,13 +167,13 @@ let install_verified ~store (sh : shipment) =
             Error "composed epoch contradicts the shipped manifest digest"
           else Ok epoch
         in
+        (* The commit gives the standby's epoch its own manifest, which
+           names the standby's epoch (epochs are local to a store); the
+           primary-epoch correspondence is the shipping layer's to
+           remember. *)
         (match verdict with
         | Error _ -> Store.abort_checkpoint store
         | Ok _ ->
-            (* The standby's manifest names its own epoch (epochs are local
-               to a store); the primary-epoch correspondence is the
-               shipping layer's to remember. *)
-            Store.put_manifest store ~oid:sh.sh_manifest_oid;
             ignore (Store.commit_checkpoint store);
             Store.wait_durable store);
         verdict

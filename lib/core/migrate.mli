@@ -10,8 +10,7 @@
     receiver's previous epoch and committed, with the receiver's own
     manifest, only if the composed epoch matches the digest.  A received
     epoch therefore always passes {!Restore.restore_verified}.  Manifests
-    never cross the wire as stream objects (the store does not list
-    them).
+    never cross the wire: they are not objects of their epoch.
 
     The stream, the shipment frame and the ack are each stated once, as
     {!stream_codec}, {!shipment_codec} and {!ack_codec}: the sender and
@@ -43,8 +42,7 @@ type shipment = {
   sh_seq : int;  (** ARQ sequence number *)
   sh_base : int;  (** base epoch the delta assumes (0 = full stream) *)
   sh_epoch : int;  (** sender epoch the stream materializes *)
-  sh_manifest_oid : int;  (** oid the manifest object lives at *)
-  sh_count : int;  (** objects in the epoch, manifest excluded *)
+  sh_count : int;  (** objects in the epoch *)
   sh_summary : int;
       (** {!Aurora_objstore.Manifest.summary} of the sender manifest *)
   sh_body : string;  (** the {!serialize_incremental} stream *)
@@ -84,7 +82,7 @@ val install_verified :
 (** Install a shipment: stage the delta, check the object count and
     digest of the composed epoch, which
     {!Aurora_objstore.Store.staging_manifest_source} reads off the epoch
-    table and the leaves, then stage the receiver's own manifest at the
-    frame's manifest oid and commit.  On [Error] the staging epoch is
+    table and the leaves, then commit, which gives the receiver's epoch
+    its own manifest.  On [Error] the staging epoch is
     aborted ({!Aurora_objstore.Store.abort_checkpoint}) and the store is
     untouched. *)

@@ -255,6 +255,5 @@ val stores_identical :
   dst_epoch:int ->
   bool
 (** Byte-identity of two checkpoints: equal object sets
-    ({!Aurora_objstore.Store.objects_at}, which leaves out the manifest
-    each store writes for its local epoch), equal kinds and metadata,
+    ({!Aurora_objstore.Store.objects_at}), equal kinds and metadata,
     equal page CRC sets. *)

@@ -1,8 +1,6 @@
 module Crc32 = Aurora_util.Crc32
 module Hash64 = Aurora_util.Hash64
 
-let kind = "sls.manifest"
-
 type entry = {
   me_oid : int;
   me_kind : string;
@@ -56,7 +54,7 @@ let of_string s =
   match Wire.of_string codec s with
   | m -> Ok m
   | exception (Wire.Corrupt msg | Failure msg | Invalid_argument msg) ->
-      Error (kind ^ ": " ^ msg)
+      Error ("sls.manifest: " ^ msg)
 
 (* Whole-manifest digest: shipped in the replication frame (a few bytes)
    so the receiver can check its freshly composed epoch against the

@@ -1,14 +1,12 @@
-(** The epoch manifest: one per committed epoch, stored as an object of
-    kind {!kind} inside the epoch it describes.  It records the epoch id,
-    the object count and, per object, a CRC-32 of the metadata, the page
-    count and a {!fingerprint} of the per-page CRC-32s the store keeps in
-    its radix leaves.  {!Store.commit_checkpoint} composes it for an epoch
-    given one by {!Store.put_manifest}, and {!Store.verify_epoch} checks an
+(** The epoch manifest: one per committed epoch, a property of the epoch
+    rather than an object in it.  It records the epoch id, the object
+    count and, per object, a CRC-32 of the metadata, the page count and a
+    {!fingerprint} of the per-page CRC-32s the store keeps in its radix
+    leaves.  {!Store.commit_checkpoint} composes it for every epoch and
+    packs its bytes beside the epoch's version records, where the
+    checkpoint record locates them, and {!Store.verify_epoch} checks an
     epoch against it, so corruption is detected instead of deserialized.
     A replication frame carries only its {!summary}. *)
-
-val kind : string
-(** ["sls.manifest"], the manifest object's kind in the store. *)
 
 type entry = {
   me_oid : int;
@@ -20,7 +18,7 @@ type entry = {
 
 type t = {
   m_epoch : int;  (** the epoch id at the store that wrote it *)
-  m_count : int;  (** objects in the epoch, manifest excluded *)
+  m_count : int;  (** objects in the epoch *)
   m_entries : entry list;  (** sorted by oid *)
 }
 

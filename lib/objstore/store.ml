@@ -35,16 +35,18 @@ type epoch_info = {
   e_epoch : int;
   e_record_block : int;
   e_record_nblocks : int;
+  e_manifest : int * int * int; (* (block, offset, length) of its manifest's bytes *)
   mutable e_versions : versions;
 }
 
 (* An epoch's version table, oid -> version: an immutable map that a
    commit extends from its parent's, so retained epochs share structure
-   and every version value an unchanged object carries.  A recovered
-   store keeps an older epoch's checkpoint-record entries
-   [(oid, blk, off, len)] until the epoch's first use loads them
-   ([table]). *)
-and versions = Loaded of version IntMap.t | Listed of (int * int * int * int) list
+   and every version value an unchanged object carries, with the epoch's
+   manifest as its [Manifest.codec] bytes, parsed only by a check.  A
+   recovered store keeps an older epoch's checkpoint-record entries
+   [(oid, blk, off, len)] until the epoch's first use loads them and its
+   manifest ([contents]). *)
+and versions = Loaded of version IntMap.t * string | Listed of (int * int * int * int) list
 
 type staged = {
   mutable s_kind : string;
@@ -106,7 +108,7 @@ let same_location p q = p.p_blk = q.p_blk && p.p_off = q.p_off && p.p_clen = q.p
 
 (* A live item: what a block's reference count counts. *)
 type item =
-  | Record of epoch_info (* a retained checkpoint record *)
+  | Record of epoch_info (* a retained checkpoint record, and its manifest's bytes *)
   | Version of version (* a distinct version record *)
   | Leaf of int * leaf_entry list (* a distinct leaf block, with its entries *)
   | Journal of journal
@@ -118,7 +120,10 @@ type item =
    touch. *)
 let covers item f =
   match item with
-  | Record e -> span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) f
+  | Record e ->
+      span_blocks e.e_record_block 0 (e.e_record_nblocks * block_size) f;
+      let blk, off, len = e.e_manifest in
+      span_blocks blk off len f
   | Version v -> span_blocks v.v_blk v.v_off v.v_len f
   | Leaf (blk, entries) ->
       f blk;
@@ -267,26 +272,22 @@ let check_extent ~frontier what blk nblocks =
          (Printf.sprintf "%s at block %d (+%d) outside the store (%d blocks)" what blk
             nblocks frontier))
 
-(* The distinct versions [entries] name that [loaded] lacks, sorted by
-   (blk, off), and the runs that read them, as (first record, last record
-   + 1, first block, blocks): the blocks covering the records coalesce
-   into runs of at most [max_extent_blocks] (records sharing a block or
-   in adjacent blocks join one run).  Every entry is checked first. *)
-let version_runs ~frontier loaded entries =
-  let want = Hashtbl.create 1024 in
-  List.iter
-    (fun (_, blk, off, len) ->
-      if off >= block_size || len < 1 then
-        raise
-          (Corrupt_store
-             (Printf.sprintf "version record at block %d: offset %d, length %d" blk off len));
-      check_extent ~frontier "version record" blk (span_end blk off len - blk + 1);
-      if not (Hashtbl.mem loaded (blk, off)) then Hashtbl.replace want (blk, off) len)
-    entries;
-  let todo =
-    Hashtbl.fold (fun (blk, off) len acc -> (blk, off, len) :: acc) want [] |> Array.of_list
-  in
-  Array.sort compare todo;
+(* A byte range [(blk, off, len)] read off the device, a version record
+   or a manifest, must start inside its first block, hold a byte, and end
+   below the [frontier]. *)
+let check_range ~frontier what (blk, off, len) =
+  if off >= block_size || len < 1 then
+    raise
+      (Corrupt_store (Printf.sprintf "%s at block %d: offset %d, length %d" what blk off len));
+  check_extent ~frontier what blk (span_end blk off len - blk + 1)
+
+(* The distinct byte ranges [locs], each sliced out at its offset, read
+   in one charged vectored batch (in a [span] with its ranges and bytes,
+   when named): the blocks covering them coalesce into runs of at most
+   [max_extent_blocks] (ranges sharing a block or in adjacent blocks join
+   one run), each read once. *)
+let read_packed ?span t locs =
+  let todo = Array.of_list (List.sort_uniq compare locs) in
   let last k =
     let blk, off, len = todo.(k) in
     span_end blk off len
@@ -307,53 +308,66 @@ let version_runs ~frontier loaded entries =
     runs := (!i, !j, base, !run_end - base + 1) :: !runs;
     i := !j
   done;
-  (todo, Array.of_list (List.rev !runs))
-
-(* Read the runs in one charged vectored batch, and add every record,
-   sliced out at its offset, to [loaded]. *)
-let read_versions t loaded (todo, runs) =
-  let data =
+  let runs = Array.of_list (List.rev !runs) in
+  let read () =
     read_ranges t
       (Array.map (fun (_, _, base, nblocks) -> (off_of_block base, nblocks * block_size)) runs)
   in
+  let data =
+    match span with
+    | None -> read ()
+    | Some name ->
+        let bytes =
+          Array.fold_left (fun n (_, _, _, nblocks) -> n + (nblocks * block_size)) 0 runs
+        in
+        Otrace.with_span ~cat:"store" ~name
+          ~args:[ ("ranges", Otrace.Int (Array.length runs)); ("bytes", Otrace.Int bytes) ]
+          read
+  in
+  let got = Hashtbl.create n in
   Array.iteri
     (fun r (first, stop, base, _) ->
       for k = first to stop - 1 do
-        let blk, off, len = todo.(k) in
-        let vr =
-          decode "version record" version_codec
-            (Bytes.sub data.(r) (((blk - base) * block_size) + off) len)
-        in
-        Hashtbl.replace loaded (blk, off)
-          (vr.vr_oid, { v_kind = vr.vr_kind; v_meta = vr.vr_meta; v_blk = blk; v_off = off;
-                        v_len = len; v_leaves = IntMap.of_seq (List.to_seq vr.vr_leaves);
-                        v_row = None })
+        let ((blk, off, len) as loc) = todo.(k) in
+        Hashtbl.replace got loc (Bytes.sub data.(r) (((blk - base) * block_size) + off) len)
       done)
-    runs
+    runs;
+  got
 
-(* Give the [Listed] epochs of [es] their tables: the versions [loaded]
-   lacks are read in one batch (in a [span] with its ranges and bytes,
-   when named), and the tables share version values with every epoch
-   loaded before, as they did before the crash.  Every entry must name
-   a version of its oid and length, else [Corrupt_store], and then no
-   epoch of [es] changes.  Returns the versions read. *)
+(* Give the [Listed] epochs of [es] their tables and manifests: every
+   entry is checked first, then the manifests and the versions [loaded]
+   lacks are read in one batch ([read_packed]), each version is added to
+   [loaded] by (blk, off), and the tables share version values with every
+   epoch loaded before, as they did before the crash.  Every entry must
+   name a version of its oid and length, else [Corrupt_store], and then
+   no epoch of [es] changes.  Returns the versions read. *)
 let load_tables ?span t loaded es =
   let listed =
     List.filter_map
       (fun e -> match e.e_versions with Listed l -> Some (e, l) | Loaded _ -> None)
       es
   in
-  let ((todo, runs) as plan) =
-    version_runs ~frontier:(Allocator.frontier t.alloc) loaded (List.concat_map snd listed)
+  let frontier = Allocator.frontier t.alloc in
+  let wanted =
+    List.concat_map
+      (fun (_, entries) ->
+        List.filter_map
+          (fun (_, blk, off, len) ->
+            check_range ~frontier "version record" (blk, off, len);
+            if Hashtbl.mem loaded (blk, off) then None else Some (blk, off, len))
+          entries)
+      listed
+    |> List.sort_uniq compare
   in
-  let read () = read_versions t loaded plan in
-  (match span with
-  | None -> read ()
-  | Some name ->
-      let bytes = Array.fold_left (fun n (_, _, _, nblocks) -> n + (nblocks * block_size)) 0 runs in
-      Otrace.with_span ~cat:"store" ~name
-        ~args:[ ("ranges", Otrace.Int (Array.length runs)); ("bytes", Otrace.Int bytes) ]
-        read);
+  let got = read_packed ?span t (List.map (fun (e, _) -> e.e_manifest) listed @ wanted) in
+  List.iter
+    (fun ((blk, off, len) as loc) ->
+      let vr = decode "version record" version_codec (Hashtbl.find got loc) in
+      Hashtbl.replace loaded (blk, off)
+        (vr.vr_oid, { v_kind = vr.vr_kind; v_meta = vr.vr_meta; v_blk = blk; v_off = off;
+                      v_len = len; v_leaves = IntMap.of_seq (List.to_seq vr.vr_leaves);
+                      v_row = None }))
+    wanted;
   let tables =
     List.map
       (fun (e, entries) ->
@@ -363,19 +377,23 @@ let load_tables ?span t loaded es =
               let v_oid, v = Hashtbl.find loaded (blk, off) in
               if v_oid <> oid || v.v_len <> len then raise (Corrupt_store "version/oid mismatch");
               IntMap.add oid v table)
-            IntMap.empty entries ))
+            IntMap.empty entries,
+          Bytes.to_string (Hashtbl.find got e.e_manifest) ))
       listed
   in
-  List.iter (fun (e, table) -> e.e_versions <- Loaded table) tables;
-  Array.length todo
+  List.iter (fun (e, table, manifest) -> e.e_versions <- Loaded (table, manifest)) tables;
+  List.length wanted
 
-(* An epoch's version table, loaded on first use (charged). *)
-let rec table t e =
+(* An epoch's version table and manifest bytes, loaded on first use
+   (charged). *)
+let rec contents t e =
   match e.e_versions with
-  | Loaded table -> table
+  | Loaded (table, manifest) -> (table, manifest)
   | Listed _ ->
       ignore (load_tables t (Option.get t.unsettled) [ e ]);
-      table t e
+      contents t e
+
+let table t e = fst (contents t e)
 
 let head_table t =
   match last_epoch_info t with Some e -> table t e | None -> IntMap.empty
@@ -879,10 +897,8 @@ let commit_checkpoint t =
         let leaves, c, cpu_end, fp_delta, n_delta, moved =
           build_version t ~now:!cpu_now ~prev st
         in
-        if
-          kind <> Manifest.kind
-          && not (moved = [] && Option.map (fun v -> v.v_meta) prev = Some meta)
-        then delta := (oid, kind, meta, moved) :: !delta;
+        if not (moved = [] && Option.map (fun v -> v.v_meta) prev = Some meta) then
+          delta := (oid, kind, meta, moved) :: !delta;
         cpu_now := cpu_end;
         if c > !data_done then data_done := c;
         let row =
@@ -900,33 +916,12 @@ let commit_checkpoint t =
                 v_row = Some row }))
       staged_list
   in
-  (* A staged manifest gets its body here, before any version record is
-     encoded: the row of every version the epoch will hold, in oid order,
-     staged ones from the data pass, the manifest itself left out. *)
-  let manifest_meta =
-    lazy
-      (let staged = List.fold_left (fun m (oid, v) -> IntMap.add oid v m) prev_table pending in
-       let row oid v acc = if v.v_kind = Manifest.kind then acc else committed_row t oid v :: acc in
-       let entries = List.rev (IntMap.fold row staged []) in
-       Wire.to_string Manifest.codec
-         { Manifest.m_epoch = epoch; m_count = List.length entries; m_entries = entries })
-  in
-  let pending =
-    List.map
-      (fun (oid, v) ->
-        if v.v_kind <> Manifest.kind then (oid, v)
-        else begin
-          let meta = Lazy.force manifest_meta in
-          let row r = { r with Manifest.me_meta_crc = Crc32.of_string meta } in
-          (oid, { v with v_meta = meta; v_row = Option.map row v.v_row })
-        end)
-      pending
-  in
   (* Version records pack back to back into fresh extents, like page
      payloads and in either page layout: one exact-length submission covers
      many objects' records.  The epoch's table is its parent's with each
-     placed version added. *)
-  let table =
+     placed version added.  The epoch's manifest packs after them: the row
+     of every version the table holds, in oid order. *)
+  let table, manifest, mloc =
     Otrace.with_span ~cat:"store" ~name:"commit.records" (fun () ->
         let records = packer t ~aligned:false in
         let table =
@@ -943,9 +938,17 @@ let commit_checkpoint t =
               IntMap.add oid v table)
             prev_table pending
         in
+        let entries =
+          List.rev (IntMap.fold (fun oid v acc -> committed_row t oid v :: acc) table [])
+        in
+        let manifest =
+          Wire.to_string Manifest.codec
+            { Manifest.m_epoch = epoch; m_count = List.length entries; m_entries = entries }
+        in
+        let blk, off = place records (Bytes.of_string manifest) in
         let c = submit records ~now in
         if c > !data_done then data_done := c;
-        table)
+        (table, manifest, (blk, off, String.length manifest)))
   in
   (* Checkpoint record after all object data (write ordering). *)
   let cr_prev_block, cr_prev_nblocks =
@@ -959,6 +962,7 @@ let commit_checkpoint t =
         cr_epoch = epoch;
         cr_prev_block;
         cr_prev_nblocks;
+        cr_manifest = mloc;
         cr_table =
           List.rev
             (IntMap.fold (fun oid v acc -> (oid, v.v_blk, v.v_off, v.v_len) :: acc) table []);
@@ -969,8 +973,8 @@ let commit_checkpoint t =
         write_record t ~now:!data_done record)
   in
   let head =
-    { e_epoch = epoch; e_record_block = rblock; e_record_nblocks = rnblocks;
-      e_versions = Loaded table }
+    { e_epoch = epoch; e_record_block = rblock; e_record_nblocks = rnblocks; e_manifest = mloc;
+      e_versions = Loaded (table, manifest) }
   in
   covers (Record head) (Allocator.retain t.alloc);
   t.epochs <- t.epochs @ [ head ];
@@ -1063,10 +1067,10 @@ let content_index_consistent t =
 
 (* Recovery reads what serving the newest epoch needs, in three round
    trips: the superblock, the checkpoint records it lists, and the
-   newest epoch's distinct versions, their blocks coalesced into runs
-   read in one charged vectored batch.  An older epoch's versions wait
-   for its first use ([table]), and the counts, the free set and the
-   content index for [settle]. *)
+   newest epoch's distinct versions and its manifest, their blocks
+   coalesced into runs read in one charged vectored batch.  An older
+   epoch's versions and manifest wait for its first use ([contents]), and
+   the counts, the free set and the content index for [settle]. *)
 
 let recover ~dev ~clock =
   let t = fresh dev clock in
@@ -1109,7 +1113,8 @@ let recover ~dev ~clock =
         let epoch = r.cr_epoch in
         if epoch >= below then
           raise (Corrupt_store (Printf.sprintf "checkpoint record of epoch %d out of order" epoch));
-        let acc = (epoch, block, nblocks, r.cr_table) :: acc in
+        check_range ~frontier "manifest" r.cr_manifest;
+        let acc = (epoch, block, nblocks, r.cr_manifest, r.cr_table) :: acc in
         (* Pruned epochs' blocks may have been reused: stop at the oldest
            retained record instead of following its prev pointer. *)
         let prev =
@@ -1130,9 +1135,9 @@ let recover ~dev ~clock =
   in
   t.epochs <-
     List.map
-      (fun (epoch, block, nblocks, entries) ->
+      (fun (epoch, block, nblocks, manifest, entries) ->
         { e_epoch = epoch; e_record_block = block; e_record_nblocks = nblocks;
-          e_versions = Listed entries })
+          e_manifest = manifest; e_versions = Listed entries })
       chain;
   let loaded = Hashtbl.create 1024 in
   t.unsettled <- Some loaded;
@@ -1147,9 +1152,10 @@ let retained_exn t epoch =
   | Some e -> e
   | None -> raise (Corrupt_store (Printf.sprintf "unknown epoch %d" epoch))
 
-(* A retained epoch's version table: an older epoch's first use on a
-   recovered store loads its versions, charged. *)
-let epoch_table t epoch = table t (retained_exn t epoch)
+(* A retained epoch's version table and manifest bytes: an older epoch's
+   first use on a recovered store loads them, charged. *)
+let epoch_contents t epoch = contents t (retained_exn t epoch)
+let epoch_table t epoch = fst (epoch_contents t epoch)
 
 let version_exn t ~epoch ~oid =
   match IntMap.find_opt oid (epoch_table t epoch) with
@@ -1157,10 +1163,7 @@ let version_exn t ~epoch ~oid =
   | None -> raise (Corrupt_store (Printf.sprintf "oid %d not in epoch %d" oid epoch))
 
 let objects_at t ~epoch =
-  IntMap.fold
-    (fun oid v acc -> if v.v_kind = Manifest.kind then acc else (oid, v.v_kind) :: acc)
-    (epoch_table t epoch) []
-  |> List.rev
+  List.rev (IntMap.fold (fun oid v acc -> (oid, v.v_kind) :: acc) (epoch_table t epoch) [])
 
 let read_meta t ~epoch ~oid = (version_exn t ~epoch ~oid).v_meta
 
@@ -1347,14 +1350,6 @@ let blocks_allocated t =
 
 (* Manifests ---------------------------------------------------------------------------- *)
 
-(* The manifest is store bookkeeping, not an object of its epoch:
-   [objects_at], [staging_manifest_source] and the manifest's own entries
-   leave it out.  These are an epoch's manifest objects, lowest oid first;
-   a sound epoch has exactly one. *)
-let manifest_oids table =
-  IntMap.fold (fun oid v acc -> if v.v_kind = Manifest.kind then oid :: acc else acc) table []
-  |> List.rev
-
 (* What the open staging epoch will contain once committed: carried
    objects included, with per-page checksums merged the same way
    [commit_checkpoint] merges leaves (previous leaves overridden by staged
@@ -1371,54 +1366,32 @@ let staging_manifest_source t =
         | Some st when st.s_kind <> "" -> st.s_kind
         | _ -> ( match prev with Some v -> v.v_kind | None -> "memory")
       in
-      if kind = Manifest.kind then None
-      else begin
-        let meta =
-          match st with
-          | Some st when st.s_meta <> "" -> st.s_meta
-          | _ -> ( match prev with Some v -> v.v_meta | None -> "")
-        in
-        let crcs = Hashtbl.create 16 in
-        Option.iter
-          (fun v -> List.iter (fun (idx, crc) -> Hashtbl.replace crcs idx crc) (version_crcs t v))
-          prev;
-        (match st with
-        | None -> ()
-        | Some st ->
-            Hashtbl.iter
-              (fun idx payload -> Hashtbl.replace crcs idx (Crc32.of_bytes payload))
-              st.s_pages);
-        let pages =
-          Hashtbl.fold (fun idx crc acc -> (idx, crc) :: acc) crcs []
-          |> List.sort compare
-        in
-        Some (oid, kind, meta, pages)
-      end)
+      let meta =
+        match st with
+        | Some st when st.s_meta <> "" -> st.s_meta
+        | _ -> ( match prev with Some v -> v.v_meta | None -> "")
+      in
+      let crcs = Hashtbl.create 16 in
+      Option.iter
+        (fun v -> List.iter (fun (idx, crc) -> Hashtbl.replace crcs idx crc) (version_crcs t v))
+        prev;
+      (match st with
+      | None -> ()
+      | Some st ->
+          Hashtbl.iter
+            (fun idx payload -> Hashtbl.replace crcs idx (Crc32.of_bytes payload))
+            st.s_pages);
+      let pages =
+        Hashtbl.fold (fun idx crc acc -> (idx, crc) :: acc) crcs [] |> List.sort compare
+      in
+      Some (oid, kind, meta, pages))
     (head_table t) staged
   |> IntMap.bindings |> List.map snd
 
-(* One stable manifest oid per store: the one the head epoch's manifest
-   carries, so a restored or failed-over store keeps writing its manifest
-   where it found it. *)
-let manifest_oid t =
-  match Option.map (fun e -> manifest_oids (table t e)) (last_epoch_info t) with
-  | Some (oid :: _) -> oid
-  | Some [] | None -> alloc_oid t
-
-(* Stage the epoch's manifest at [oid].  Only the oid is chosen here:
-   [commit_checkpoint] composes the body, so the manifest describes the
-   whole epoch whatever is staged after this call. *)
-let put_manifest t ~oid =
-  reserve_oids t ~upto:oid;
-  put_object t ~oid ~kind:Manifest.kind ~meta:""
-
 let manifest t ~epoch =
-  match manifest_oids (epoch_table t epoch) with
-  | [] -> Error (Printf.sprintf "epoch %d carries no manifest" epoch)
-  | moid :: _ -> (
-      match Manifest.of_string (read_meta t ~epoch ~oid:moid) with
-      | Ok m -> Ok (moid, m)
-      | Error msg -> Error ("manifest unreadable: " ^ msg))
+  Result.map_error
+    (fun msg -> "manifest unreadable: " ^ msg)
+    (Manifest.of_string (snd (epoch_contents t epoch)))
 
 (* The check order and reason strings are part of the contract (see the
    .mli).  With [pages], the whole epoch is streamed once the epoch-level
@@ -1427,53 +1400,48 @@ let manifest t ~epoch =
 let check_walk t ~epoch ~check_meta ~pages =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   try
-    let table = epoch_table t epoch in
-    match manifest_oids table with
-    | [] -> Error "no manifest object"
-    | _ :: _ :: _ -> Error "several manifest objects"
-    | [ moid ] -> (
-        let others oid _ acc = if oid = moid then acc else oid :: acc in
-        let oids = List.rev (IntMap.fold others table []) in
-        let objects = List.length oids in
-        match Manifest.of_string (IntMap.find moid table).v_meta with
-        | Error msg -> Error ("malformed manifest: " ^ msg)
-        | Ok m when m.Manifest.m_epoch <> epoch ->
-            fail "manifest written for epoch %d, found in epoch %d" m.Manifest.m_epoch epoch
-        | Ok m when objects <> m.Manifest.m_count ->
-            fail "epoch holds %d objects, manifest says %d" objects m.Manifest.m_count
-        | Ok m ->
-            let streams = if pages then stream_pages t ~epoch oids else [] in
-            let check (me : Manifest.entry) =
-              let oid = me.Manifest.me_oid in
-              match if oid = moid then None else IntMap.find_opt oid table with
-              | None -> fail "oid %d named but absent" oid
-              | Some v when v.v_kind <> me.Manifest.me_kind ->
-                  fail "oid %d is %S, manifest says %S" oid v.v_kind me.Manifest.me_kind
-              | Some v when Crc32.of_string v.v_meta <> me.Manifest.me_meta_crc ->
-                  fail "oid %d metadata CRC mismatch" oid
-              | Some v -> (
-                  let crcs = page_crcs t ~epoch ~oid in
-                  let npages = List.length crcs in
-                  if npages <> me.Manifest.me_pages then
-                    fail "oid %d has %d pages, manifest says %d" oid npages me.Manifest.me_pages
-                  else if Manifest.fingerprint crcs <> me.Manifest.me_pages_crc then
-                    fail "oid %d page-set fingerprint mismatch" oid
-                  else
-                    match check_meta ~kind:v.v_kind v.v_meta with
-                    | Error msg -> fail "oid %d metadata unparseable: %s" oid msg
-                    | Ok () when not pages -> Ok ()
-                    | Ok () -> (
-                        (* A CRC failure's reason is the decoder's wording. *)
-                        try Ok (Page_stream.check (List.assoc oid streams))
-                        with
-                        | Corrupt_store msg when String.ends_with ~suffix:"payload corrupt" msg ->
-                            Error msg))
-            in
-            let rec all = function
-              | [] -> Ok (m, streams)
-              | me :: rest -> ( match check me with Ok () -> all rest | Error _ as err -> err)
-            in
-            all m.Manifest.m_entries)
+    let table, manifest = epoch_contents t epoch in
+    let oids = List.rev (IntMap.fold (fun oid _ acc -> oid :: acc) table []) in
+    let objects = List.length oids in
+    match Manifest.of_string manifest with
+    | Error msg -> Error ("malformed manifest: " ^ msg)
+    | Ok m when m.Manifest.m_epoch <> epoch ->
+        fail "manifest written for epoch %d, found in epoch %d" m.Manifest.m_epoch epoch
+    | Ok m when objects <> m.Manifest.m_count ->
+        fail "epoch holds %d objects, manifest says %d" objects m.Manifest.m_count
+    | Ok m ->
+        let streams = if pages then stream_pages t ~epoch oids else [] in
+        let check (me : Manifest.entry) =
+          let oid = me.Manifest.me_oid in
+          match IntMap.find_opt oid table with
+          | None -> fail "oid %d named but absent" oid
+          | Some v when v.v_kind <> me.Manifest.me_kind ->
+              fail "oid %d is %S, manifest says %S" oid v.v_kind me.Manifest.me_kind
+          | Some v when Crc32.of_string v.v_meta <> me.Manifest.me_meta_crc ->
+              fail "oid %d metadata CRC mismatch" oid
+          | Some v -> (
+              let crcs = page_crcs t ~epoch ~oid in
+              let npages = List.length crcs in
+              if npages <> me.Manifest.me_pages then
+                fail "oid %d has %d pages, manifest says %d" oid npages me.Manifest.me_pages
+              else if Manifest.fingerprint crcs <> me.Manifest.me_pages_crc then
+                fail "oid %d page-set fingerprint mismatch" oid
+              else
+                match check_meta ~kind:v.v_kind v.v_meta with
+                | Error msg -> fail "oid %d metadata unparseable: %s" oid msg
+                | Ok () when not pages -> Ok ()
+                | Ok () -> (
+                    (* A CRC failure's reason is the decoder's wording. *)
+                    try Ok (Page_stream.check (List.assoc oid streams))
+                    with
+                    | Corrupt_store msg when String.ends_with ~suffix:"payload corrupt" msg ->
+                        Error msg))
+        in
+        let rec all = function
+          | [] -> Ok (m, streams)
+          | me :: rest -> ( match check me with Ok () -> all rest | Error _ as err -> err)
+        in
+        all m.Manifest.m_entries
   with
   | Corrupt_store msg -> Error ("corrupt store: " ^ msg)
   | Fault.Io_error msg -> Error ("read failed: " ^ msg)
@@ -1491,7 +1459,7 @@ let verify_epoch t ~epoch ~check_meta = check_walk t ~epoch ~check_meta ~pages:t
 
 let corrupt_meta_for_tests t ~epoch ~oid =
   let e = retained_exn t epoch in
-  let table = table t e in
+  let table, manifest = contents t e in
   match IntMap.find_opt oid table with
   | None -> raise (Corrupt_store (Printf.sprintf "oid %d not in epoch %d" oid epoch))
   | Some v ->
@@ -1507,7 +1475,7 @@ let corrupt_meta_for_tests t ~epoch ~oid =
          rebinding the oid in this epoch's own map corrupts this epoch
          only.  The kept delta is dropped, so a frame ships what the store
          holds. *)
-      e.e_versions <- Loaded (IntMap.add oid { v with v_meta = meta } table);
+      e.e_versions <- Loaded (IntMap.add oid { v with v_meta = meta } table, manifest);
       t.kept <- None
 
 let corrupt_page_for_tests t ~epoch ~oid =

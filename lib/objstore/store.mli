@@ -17,10 +17,11 @@
     size of every retained checkpoint record that fits, newest first,
     journal registry).  Each checkpoint
     record names its predecessor the same way, by first block and block
-    count, and every live object's version record by its byte-granular
-    location [(block, offset, length)]: version records are packed back to
-    back into fresh extents, like page payloads, so an epoch's records
-    take the bytes they hold, not a block each.  A packed extent never
+    count, and its epoch's manifest and every live object's version
+    record by byte-granular location [(block, offset, length)]: version
+    records are packed back to back into fresh extents, like page
+    payloads, with the manifest after them, so an epoch's records take
+    the bytes they hold, not a block each.  A packed extent never
     shares a block with an earlier commit, so a torn write cannot touch a
     durable record.  A checkpoint commit orders its writes like a real
     COW file
@@ -75,18 +76,20 @@ val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
     past a full list the older ones are read one at a time along their
     prev pointers.  Each record's prev pointer must name the next listed
     record and epochs must strictly decrease.  Then the newest epoch's
-    distinct version records are loaded, keyed by [(block, offset)]: the
-    blocks covering them are coalesced into runs, every run is read once
-    in a single charged vectored batch, and each record is sliced out at
-    its offset.  Traced as a [store/recover] span with
+    distinct version records are loaded, keyed by [(block, offset)], with
+    its manifest's bytes: the blocks covering them are coalesced into
+    runs, every run is read once in a single charged vectored batch, and
+    each record is sliced out at its offset.  Traced as a [store/recover] span with
     [recover.superblock], [recover.records] and [recover.versions]
     children, the last with the batch's [ranges] and [bytes].
 
     The rest waits, charged, for whoever needs it.  An older epoch's
-    versions are loaded at its first use (any call naming the epoch, in
-    one batch of the versions no loaded epoch shares), so a garbled one
-    raises {!Corrupt_store} there ({!verify_epoch} returns it as
-    [Error "corrupt store: ..."]), not here.  Neither the per-block
+    versions and manifest are loaded at its first use (any call naming
+    the epoch, in one batch of its manifest and the versions no loaded
+    epoch shares), so a garbled version raises {!Corrupt_store} there
+    ({!verify_epoch} returns it as [Error "corrupt store: ..."]), not
+    here.  A manifest is parsed only by a check: garbled, it fails its
+    own epoch's {!check_epoch} and {!verify_epoch}.  Neither the per-block
     reference counts (see {!prune_history}), the free set nor the
     content index is persisted: a deferred pass rebuilds them once, on
     the store's clock, at the first {!begin_checkpoint},
@@ -108,8 +111,9 @@ val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
     one a prune dropped.  Raises {!Corrupt_store} if no valid superblock
     is found, a record is truncated, garbled, out of range or out of
     epoch order, the superblock's list disagrees with the prev pointers,
-    or a newest-epoch version entry has an offset past its block, a zero
-    length, or a byte range past the allocated blocks. *)
+    a record's manifest location or a newest-epoch version entry has an
+    offset past its block, a zero length, or a byte range past the
+    allocated blocks. *)
 
 val clock : t -> Aurora_sim.Clock.t
 val device : t -> Aurora_block.Striped.t
@@ -155,8 +159,14 @@ val commit_checkpoint : t -> int
     rewritten radix leaves ride extents of their own, and version records
     are packed back to back into exact-length writes.
     A 10k-dirty-page epoch issues O(extents) device submissions instead of
-    O(pages).  A manifest staged by {!put_manifest} is composed here,
-    after the data pass and before any version record is encoded. *)
+    O(pages).  Every epoch gets its manifest here ({!Manifest.t}): its
+    epoch is the staging epoch, and its entries describe the committed
+    epoch exactly as {!staging_manifest_source} taken just before the
+    commit does.  A carried object's row is the one its version carries,
+    set when it was committed (a recovered version's is computed from its
+    leaves at first need); a staged object's is its base row plus the
+    deltas its flush computes.  Its bytes pack after the version records,
+    and the checkpoint record names their location. *)
 
 type flush_stats = {
   fs_epoch : int;  (** epoch the stats describe *)
@@ -261,8 +271,7 @@ val checkpoint_epochs : t -> int list
 (** {1 Reading} *)
 
 val objects_at : t -> epoch:int -> (int * string) list
-(** [(oid, kind)] of every object in the checkpoint, sorted by oid.  The
-    epoch's manifest is store bookkeeping and is not listed. *)
+(** [(oid, kind)] of every object in the checkpoint, sorted by oid. *)
 
 val read_meta : t -> epoch:int -> oid:int -> string
 val read_page : t -> epoch:int -> oid:int -> idx:int -> bytes option
@@ -380,10 +389,10 @@ val read_delta :
 (** {1 Manifests and verification}
 
     Every flushed page carries a CRC-32 in its radix-leaf entry, computed
-    once at flush time.  An epoch whose staging called {!put_manifest}
-    carries a {!Manifest.t} built from these checksums, composed once by
-    {!commit_checkpoint} and stored as an object of kind {!Manifest.kind}
-    that {!objects_at} does not list.  {!verify_epoch} compares an epoch
+    once at flush time.  Every epoch carries a {!Manifest.t} built from
+    these checksums, composed once by {!commit_checkpoint} and stored
+    beside the epoch's version records, not as an object of the epoch:
+    its checkpoint record locates it.  {!verify_epoch} compares an epoch
     against both its manifest and a deep re-read of the data blocks, and
     {!check_epoch} against its manifest alone. *)
 
@@ -398,30 +407,16 @@ val page_crcs : t -> epoch:int -> oid:int -> (int * int) list
 val staging_manifest_source : t -> (int * string * string * (int * int) list) list
 (** [(oid, kind, meta, page_crcs)] of every object the open staging epoch
     will contain once committed — carried objects included, previous
-    leaves merged with staged payloads exactly as commit merges them, the
-    manifest left out.  Sorted by oid.  It reads the epoch table and the
+    leaves merged with staged payloads exactly as commit merges them.
+    Sorted by oid.  It reads the epoch table and the
     leaves, not the manifest rows the versions carry, which
     {!commit_checkpoint} composes the manifest from, so it is an
     independent reference for the committed manifest.
     Invalid outside [begin_checkpoint] .. [commit_checkpoint]. *)
 
-val manifest_oid : t -> int
-(** The oid the head epoch's manifest lives at, or a fresh {!alloc_oid}
-    when the head epoch has none (or no epoch is committed). *)
-
-val put_manifest : t -> oid:int -> unit
-(** Give the open epoch a manifest at [oid].  {!commit_checkpoint}
-    composes it: its epoch is the staging epoch, its entries describe the
-    committed epoch (the manifest left out) exactly as
-    {!staging_manifest_source} taken just before the commit does, whatever
-    is staged after this call.  A carried object's row is the one its
-    version carries, set when it was committed (a recovered version's is
-    computed from its leaves at first need); a staged object's is its base
-    row plus the deltas its flush computes.  Uncharged.  Future allocations exceed [oid]. *)
-
-val manifest : t -> epoch:int -> (int * Manifest.t, string) result
-(** [(oid, manifest)] of a committed epoch, or why it has no readable
-    manifest. *)
+val manifest : t -> epoch:int -> (Manifest.t, string) result
+(** The manifest of a committed epoch, or why it does not parse
+    (["manifest unreadable: ..."]). *)
 
 val check_epoch :
   t ->
@@ -440,11 +435,11 @@ val verify_epoch :
   epoch:int ->
   check_meta:(kind:string -> string -> (unit, string) result) ->
   (Manifest.t * (int * stream) list, string) result
-(** Check [epoch] against its own manifest, in this order: exactly one
-    manifest object, its epoch id, its object count; then per entry,
-    sorted by oid: presence, kind, metadata CRC, page count, page-set
-    fingerprint, [check_meta ~kind meta], and every page re-read off
-    the device against its leaf CRC.  The first failure is the [Error]
+(** Check [epoch] against its own manifest, in this order: the manifest
+    parses (else ["malformed manifest: ..."]), its epoch id, its object
+    count; then per entry, sorted by oid: presence, kind, metadata CRC,
+    page count, page-set fingerprint, [check_meta ~kind meta], and every
+    page re-read off the device against its leaf CRC.  The first failure is the [Error]
     reason.  Once the epoch-level checks pass, the whole epoch is
     streamed once ({!stream_pages}), and each entry's page check decodes
     its share.  [Ok] carries the manifest and every object's share by
@@ -495,7 +490,8 @@ val prune_history : t -> keep:int -> int
     blocks freed; [keep:0] drops them all, and a negative [keep] raises
     [Invalid_argument] before anything changes.  Every block carries a
     reference count: the live items covering it, where an item is a
-    retained checkpoint record, a distinct version record, a distinct
+    retained checkpoint record with its manifest's bytes, a distinct
+    version record, a distinct
     leaf block, an entry of a distinct live leaf, or a journal.  Only
     what died is walked: the dropped epochs' records, the versions the
     oldest kept epoch no longer holds, and those versions' leaves that

@@ -53,6 +53,7 @@ type checkpoint_record = {
   cr_epoch : int;
   cr_prev_block : int;
   cr_prev_nblocks : int;
+  cr_manifest : int * int * int;
   cr_table : (int * int * int * int) list;
 }
 
@@ -104,20 +105,23 @@ let leaf_codec =
     in
     record Fun.id |> magic u8 0xA3 "leaf magic" |> field (list entry) Fun.id |> seal)
 
-(* A checkpoint record names its predecessor by (first block, blocks) and
-   every live object's version record by (oid, block, offset, length), so
-   recovery reads each record once and no more than the store wrote.  The
+(* A checkpoint record names its predecessor by (first block, blocks),
+   its epoch's manifest ([Manifest.codec] bytes, packed after the epoch's
+   version records) by (block, offset, length), and every live object's
+   version record by (oid, block, offset, length), so recovery reads each
+   record once and no more than the store wrote.  The
    prev pointers form a chain, newest to oldest, that the superblock's
    directory restates: recovery checks one against the other, and
    follows the chain alone past a full directory. *)
 let checkpoint_codec =
   Wire.Codec.(
-    record (fun cr_epoch cr_prev_block cr_prev_nblocks cr_table ->
-        { cr_epoch; cr_prev_block; cr_prev_nblocks; cr_table })
+    record (fun cr_epoch cr_prev_block cr_prev_nblocks cr_manifest cr_table ->
+        { cr_epoch; cr_prev_block; cr_prev_nblocks; cr_manifest; cr_table })
     |> magic u8 0xA1 "record magic"
     |> field u64 (fun c -> c.cr_epoch)
     |> field u64 (fun c -> c.cr_prev_block)
     |> field u32 (fun c -> c.cr_prev_nblocks)
+    |> field (triple u64 u32 u32) (fun c -> c.cr_manifest)
     |> field (list (quad u64 u64 u32 u32)) (fun c -> c.cr_table)
     |> seal)
 

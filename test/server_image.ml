@@ -121,5 +121,5 @@ let epoch_contents store ~epoch =
       (fun (oid, kind) -> (oid, kind, Store.read_meta store ~epoch ~oid))
       (Store.objects_at store ~epoch),
     match Store.manifest store ~epoch with
-    | Ok (_, m) -> m.Manifest.m_entries
+    | Ok m -> m.Manifest.m_entries
     | Error e -> failwith e )

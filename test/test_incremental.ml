@@ -156,13 +156,12 @@ let test_manifest_entries_match_reference () =
   let commit_checked what stage =
     let epoch = Store.begin_checkpoint !store in
     stage !store;
-    Store.put_manifest !store ~oid:(Store.manifest_oid !store);
     let reference = List.map Manifest.entry_of_source (Store.staging_manifest_source !store) in
     ignore (Store.commit_checkpoint !store);
     Store.wait_durable !store;
     let m =
       match Store.manifest !store ~epoch with
-      | Ok (_, m) -> m
+      | Ok m -> m
       | Error e -> Alcotest.failf "%s: %s" what e
     in
     Alcotest.(check (list (pair int (pair string (pair int (pair int int))))))
@@ -197,30 +196,23 @@ let test_manifest_entries_match_reference () =
 
 (* Random store histories: after every commit the committed manifest
    equals the reference walk taken just before it, and the epoch verifies.
-   The manifest is given to the epoch at a random point of its staging, so
-   objects staged after [put_manifest] must still be described.  Prunes
-   and crashes interleave; a crash recovers with cold rows. *)
+   Prunes and crashes interleave; a crash recovers with cold rows. *)
 
 type stage =
   | Restage of int * (int * char) list  (* pages of an existing object *)
   | Remeta of int * string  (* meta-only restage *)
   | Create of string * (int * char) list  (* a new object *)
 
-type history_step = {
-  stages : stage list;
-  manifest_at : int;  (* [put_manifest] goes before this stage, or last *)
-  after : [ `Keep | `Prune of int | `Crash ];
-}
+type history_step = { stages : stage list; after : [ `Keep | `Prune of int | `Crash ] }
 
-let print_step { stages; manifest_at; after } =
+let print_step { stages; after } =
   let stage = function
     | Restage (i, ps) -> Printf.sprintf "restage %d (%d pages)" i (List.length ps)
     | Remeta (i, meta) -> Printf.sprintf "remeta %d %S" i meta
     | Create (kind, ps) -> Printf.sprintf "create %s (%d pages)" kind (List.length ps)
   in
-  Printf.sprintf "[%s; manifest at %d; %s]"
+  Printf.sprintf "[%s; %s]"
     (String.concat ", " (List.map stage stages))
-    manifest_at
     (match after with `Keep -> "keep" | `Prune k -> Printf.sprintf "prune keep:%d" k | `Crash -> "crash")
 
 let history_arb =
@@ -236,9 +228,9 @@ let history_arb =
       ]
   in
   let step =
-    map3
-      (fun stages manifest_at after -> { stages; manifest_at; after })
-      (list_size (int_range 1 5) stage) (int_bound 5)
+    map2
+      (fun stages after -> { stages; after })
+      (list_size (int_range 1 5) stage)
       (frequency
          [ (4, return `Keep); (1, map (fun k -> `Prune k) (int_range 1 3)); (1, return `Crash) ])
   in
@@ -266,22 +258,16 @@ let run_history history =
         Store.put_pages st ~oid (payloads ps)
   in
   List.iteri
-    (fun n { stages; manifest_at; after } ->
+    (fun n { stages; after } ->
       let st = !store in
       let epoch = Store.begin_checkpoint st in
-      List.iteri
-        (fun k s ->
-          if k = manifest_at then Store.put_manifest st ~oid:(Store.manifest_oid st);
-          stage_one st s)
-        stages;
-      if manifest_at >= List.length stages then
-        Store.put_manifest st ~oid:(Store.manifest_oid st);
+      List.iter (stage_one st) stages;
       let reference = List.map Manifest.entry_of_source (Store.staging_manifest_source st) in
       ignore (Store.commit_checkpoint st);
       Store.wait_durable st;
       (match Store.manifest st ~epoch with
       | Error e -> QCheck.Test.fail_reportf "epoch %d (step %d): %s" epoch n e
-      | Ok (_, m) ->
+      | Ok m ->
           if
             m.Manifest.m_entries <> reference
             || m.Manifest.m_count <> List.length reference

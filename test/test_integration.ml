@@ -1249,7 +1249,6 @@ let test_migrate_stream_fuzz () =
           Migrate.sh_seq = 1;
           sh_base = 0;
           sh_epoch = 1;
-          sh_manifest_oid = 1;
           sh_count = 1;
           sh_summary = Aurora_util.Rng.int rng 0x10000;
           sh_body = garbage;

@@ -511,9 +511,11 @@ let overwrite dev clock ~off data =
   Striped.settle dev ~clock
 
 (* Checkpoint record layout: magic u8, epoch u64, prev block u64, prev
-   blocks u32, entry count u32, then per entry oid u64, version block u64,
-   offset u32, length u32. *)
-let first_entry_offset = 1 + 8 + 8 + 4 + 4
+   blocks u32, manifest block u64, offset u32 and length u32, entry count
+   u32, then per object oid u64, version block u64, offset u32, length
+   u32.  [manifest_offset] is where the manifest's location starts. *)
+let manifest_offset = 1 + 8 + 8 + 4
+let first_entry_offset = manifest_offset + 8 + 4 + 4 + 4
 
 (* [(oid, (block, offset, length))] of every version record the head
    checkpoint record names, in oid order. *)
@@ -574,6 +576,9 @@ let test_recover_large_checkpoint_record () =
   Alcotest.(check bool)
     (Printf.sprintf "record spans %d blocks" record_blocks)
     true (record_blocks > 64);
+  (* The epoch's manifest spans blocks no version record touches: the
+     counts cover them through the checkpoint record. *)
+  Alcotest.(check bool) "counts cover the manifest" true (Store.content_index_consistent store);
   Striped.crash dev ~now:(Clock.now clock);
   let store2 = Store.recover ~dev ~clock in
   Alcotest.(check int) "all objects recovered" n (List.length (Store.objects_at store2 ~epoch:e));
@@ -638,19 +643,28 @@ let test_recover_bad_record_is_corrupt_store () =
   overwrite dev clock ~off:((vblock * Store.block_size) + voff) junk;
   Alcotest.(check bool) "garbled version record" true
     (raises_corrupt_store (fun () -> Store.recover ~dev ~clock));
-  (* A version entry whose offset, length or byte range is out of bounds
-     is Corrupt_store too, never Invalid_argument or a raw wire error. *)
-  let bad_entry what ~field value =
+  (* A version entry or the manifest location whose offset, length or
+     byte range is out of bounds is Corrupt_store too, never
+     Invalid_argument or a raw wire error.  [width] bytes of [value]
+     little-endian at byte [off] of the record. *)
+  let bad_field what ~off ~width value =
     let clock, dev = build () in
     let blk, _ = head_record dev in
-    let v = Bytes.create 4 in
-    Bytes.set_int32_le v 0 (Int32.of_int value);
-    overwrite dev clock ~off:((blk * Store.block_size) + first_entry_offset + field) v;
+    let v = Bytes.create 8 in
+    Bytes.set_int64_le v 0 (Int64.of_int value);
+    overwrite dev clock ~off:((blk * Store.block_size) + off) (Bytes.sub v 0 width);
     Alcotest.(check bool) what true (raises_corrupt_store (fun () -> Store.recover ~dev ~clock))
   in
-  bad_entry "version offset past its block" ~field:16 Store.block_size;
-  bad_entry "empty version record" ~field:20 0;
-  bad_entry "version record past the allocated blocks" ~field:20 1_000_000
+  bad_field "version offset past its block" ~off:(first_entry_offset + 16) ~width:4
+    Store.block_size;
+  bad_field "empty version record" ~off:(first_entry_offset + 20) ~width:4 0;
+  bad_field "version record past the allocated blocks" ~off:(first_entry_offset + 20) ~width:4
+    1_000_000;
+  bad_field "manifest block past the allocated blocks" ~off:manifest_offset ~width:8 1_000_000;
+  bad_field "manifest bytes past the allocated blocks" ~off:(manifest_offset + 12) ~width:4
+    1_000_000;
+  bad_field "manifest offset past its block" ~off:(manifest_offset + 8) ~width:4 Store.block_size;
+  bad_field "empty manifest" ~off:(manifest_offset + 12) ~width:4 0
 
 (* Recovery reads each distinct version record once, and only the blocks
    its packed bytes cover: K epochs that each rewrite one of M objects read
@@ -1339,12 +1353,13 @@ let batch_read dev clock ranges =
 
 (* Recovery reads what serving needs ------------------------------------------ *)
 
-(* The table [(oid, blk, off, len)] of the checkpoint record at [(blk,
-   nblocks)], read uncharged. *)
-let record_entries dev (blk, nblocks) =
-  (Store.decode "checkpoint record" Store_format.checkpoint_codec
-     (Striped.read_nocharge dev ~off:(blk * Store.block_size) ~len:(nblocks * Store.block_size)))
-    .Store_format.cr_table
+(* The checkpoint record at [(blk, nblocks)], read uncharged. *)
+let record dev (blk, nblocks) =
+  Store.decode "checkpoint record" Store_format.checkpoint_codec
+    (Striped.read_nocharge dev ~off:(blk * Store.block_size) ~len:(nblocks * Store.block_size))
+
+(* Its table [(oid, blk, off, len)]. *)
+let record_entries dev loc = (record dev loc).Store_format.cr_table
 
 (* [(oid, leaf blocks)] of every version the record at [loc] names,
    read uncharged. *)
@@ -1368,10 +1383,8 @@ let accept_meta ~kind:_ _ = Ok ()
 let test_corrupt_older_version_at_first_use () =
   let clock, dev, store = fresh () in
   let x = Store.alloc_oid store and y = Store.alloc_oid store in
-  let moid = Store.alloc_oid store in
   let commit stage =
     let e = Store.begin_checkpoint store in
-    Store.put_manifest store ~oid:moid;
     stage ();
     ignore (Store.commit_checkpoint store);
     e
@@ -1410,6 +1423,60 @@ let test_corrupt_older_version_at_first_use () =
     (raises_corrupt_store (fun () -> Store.prune_history store2 ~keep:1));
   Alcotest.(check bool) "the first commit raises Corrupt_store" true
     (raises_corrupt_store (fun () -> Store.begin_checkpoint store2))
+
+(* An older epoch's manifest is read with its versions at the epoch's
+   first use, and parsed only by a check: garbled, it leaves recovery,
+   the newest epoch, prune and the next commit whole, and fails its own
+   epoch's checks alone. *)
+let test_corrupt_older_manifest_at_first_use () =
+  let clock, dev, store = fresh () in
+  let x = Store.alloc_oid store and y = Store.alloc_oid store in
+  let commit stage =
+    let e = Store.begin_checkpoint store in
+    stage ();
+    ignore (Store.commit_checkpoint store);
+    e
+  in
+  let e1 =
+    commit (fun () ->
+        Store.put_object store ~oid:x ~kind:"memory" ~meta:"x old";
+        Store.put_pages store ~oid:x [ (0, payload 'x') ];
+        Store.put_object store ~oid:y ~kind:"memory" ~meta:"y";
+        Store.put_pages store ~oid:y [ (0, payload 'y') ])
+  in
+  let e2 = commit (fun () -> Store.put_object store ~oid:x ~kind:"memory" ~meta:"x new") in
+  Store.wait_durable store;
+  let older =
+    match (superblock dev).Store_format.sb_records with
+    | [ _; older ] -> older
+    | _ -> Alcotest.fail "two records listed"
+  in
+  let mblk, moff, mlen = (record dev older).Store_format.cr_manifest in
+  overwrite dev clock ~off:((mblk * Store.block_size) + moff) (Bytes.make mlen '\xff');
+  Striped.crash dev ~now:(Clock.now clock);
+  let store2 = Store.recover ~dev ~clock in
+  Alcotest.(check bool) "the newest epoch verifies" true
+    (Result.is_ok (Store.verify_epoch store2 ~epoch:e2 ~check_meta:accept_meta));
+  Alcotest.(check (list (pair int bytes))) "the newest epoch reads back"
+    [ (0, payload 'y') ] (Store.read_pages store2 ~epoch:e2 ~oid:y);
+  let malformed what = function
+    | Ok _ -> Alcotest.failf "%s: the older epoch passed" what
+    | Error msg ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %S" what msg) true
+          (String.starts_with ~prefix:"malformed manifest: sls.manifest: " msg)
+  in
+  malformed "check_epoch" (Store.check_epoch store2 ~epoch:e1 ~check_meta:accept_meta);
+  malformed "verify_epoch" (Store.verify_epoch store2 ~epoch:e1 ~check_meta:accept_meta);
+  Alcotest.(check bool) "the older epoch's objects read back" true
+    (Store.read_meta store2 ~epoch:e1 ~oid:x = "x old");
+  Alcotest.(check bool) "the index and counts are consistent" true
+    (Store.content_index_consistent store2);
+  Alcotest.(check bool) "prune frees the older epoch" true (Store.prune_history store2 ~keep:1 > 0);
+  let e3 = Store.begin_checkpoint store2 in
+  Store.put_object store2 ~oid:y ~kind:"memory" ~meta:"y new";
+  ignore (Store.commit_checkpoint store2);
+  Alcotest.(check bool) "the next commit verifies" true
+    (Result.is_ok (Store.verify_epoch store2 ~epoch:e3 ~check_meta:accept_meta))
 
 (* Two stores that differ only in how large their oldest epoch's
    versions are, every one of them rewritten by the newest epoch: their
@@ -1512,7 +1579,6 @@ let test_verify_one_leaf_round_trip () =
     ignore (Store.begin_checkpoint store);
     Store.put_object store ~oid ~kind:"memory" ~meta:"m";
     Store.put_pages store ~oid (List.init n (fun i -> (i * Store.leaf_span, noise_page i)));
-    Store.put_manifest store ~oid:(Store.manifest_oid store);
     ignore (Store.commit_checkpoint store);
     Store.wait_durable store;
     Striped.settle dev ~clock;
@@ -1758,7 +1824,7 @@ let test_stream_unlisted_leaf_raises () =
       match f () with _ -> false | exception Store.Corrupt_store _ -> true)
 
 (* Residency is paid once, whichever path pays it.  One leaf of coded
-   pages under a manifest: data reads are shorter than a block, so a
+   pages: data reads are shorter than a block, so a
    device read of exactly [Store.block_size] bytes is a leaf read.  Each
    path runs on a freshly recovered store, whose leaf is parsed but not
    resident. *)
@@ -1768,7 +1834,6 @@ let test_residency_paid_once () =
   let epoch = Store.begin_checkpoint store in
   Store.put_object store ~oid ~kind:"memory" ~meta:"m";
   Store.put_pages store ~oid (List.init 3 (fun i -> (i, payload (Char.chr (Char.code 'a' + i)))));
-  Store.put_manifest store ~oid:(Store.manifest_oid store);
   ignore (Store.commit_checkpoint store);
   Store.wait_durable store;
   Striped.settle dev ~clock;
@@ -2012,8 +2077,8 @@ let gen_steps =
          ]))
 
 (* Replay [steps] against a store and a model of every retained epoch's
-   objects.  Every commit stages each object's meta as its epoch number,
-   and a manifest.  After each step the store's incrementally kept counts,
+   objects.  Every commit stages each object's meta as its epoch number.
+   After each step the store's incrementally kept counts,
    free set and index must match a fresh walk, and every retained epoch
    must list the model's objects, read back each one's meta and pages,
    and pass [check_epoch] (its manifest rows against its leaves). *)
@@ -2027,7 +2092,6 @@ let counts_match_a_fresh_walk steps =
   let history = ref [] in
   let stage objs =
     let e = Store.begin_checkpoint !store in
-    Store.put_manifest !store ~oid:(Store.manifest_oid !store);
     List.iter
       (fun (slot, pages) ->
         Store.put_object !store ~oid:oids.(slot) ~kind:"memory" ~meta:(string_of_int e);
@@ -2097,9 +2161,6 @@ let counts_match_a_fresh_walk steps =
           Store.wait_durable !store;
           Striped.crash dev ~now:(Clock.now clock);
           store := Store.recover ~dev ~clock;
-          (* The object oids were allocated before any commit made them
-             durable: keep the manifest's fresh oid clear of them. *)
-          Store.reserve_oids !store ~upto:oids.(2);
           packed := true
       | Toggle_packed ->
           packed := not !packed;
@@ -2557,6 +2618,8 @@ let () =
             test_recover_skips_older_versions;
           Alcotest.test_case "corrupt older version at first use" `Quick
             test_corrupt_older_version_at_first_use;
+          Alcotest.test_case "corrupt older manifest at first use" `Quick
+            test_corrupt_older_manifest_at_first_use;
           Alcotest.test_case "deferred pass reads charged" `Quick test_settle_reads_charged;
         ] );
       ( "journal",
