@@ -124,7 +124,8 @@ let retention_sweep ~seed ~runs_per_cell ~rates =
   in
   if s.Ha_torture.q_prunes < 2 then
     fail (Printf.sprintf "retention sweep seed=%d: a store pruned %d times" seed
-            s.Ha_torture.q_prunes)
+            s.Ha_torture.q_prunes);
+  s
 
 let fast () =
   controls ();
@@ -135,7 +136,7 @@ let fast () =
        ~ns:[ 3; 5 ] ~rounds:6 ());
   ignore (run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3);
   ignore (run_migration ~seed:42 ~rate:0.0);
-  retention_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ]
+  ignore (retention_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ])
 
 let deep seed =
   controls ();
@@ -158,7 +159,7 @@ let deep seed =
       ignore (run_migration ~seed:s ~rate:0.0);
       ignore (run_migration ~seed:s ~rate:0.02))
     [ seed; seed + 1 ];
-  retention_sweep ~seed ~runs_per_cell:4 ~rates:[ 0.0; 0.05; 0.12 ]
+  ignore (retention_sweep ~seed ~runs_per_cell:4 ~rates:[ 0.0; 0.05; 0.12 ])
 
 (* Smoke: the @bench-smoke runs and their gates. *)
 let smoke () =
@@ -168,6 +169,8 @@ let smoke () =
   in
   let p = run_pipeline ~seed:42 ~rounds:20 ~rate:0.05 ~n:3 in
   let m = run_migration ~seed:42 ~rate:0.0 in
+  (* The fast run's paced retention cell: every store prunes. *)
+  let r = retention_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ] in
   let q_ok = q.Ha_torture.q_ok and q_runs = q.Ha_torture.q_runs in
   Report.gates "ha-quorum"
     [
@@ -181,6 +184,10 @@ let smoke () =
         ">= 3",
         p.Ha_torture.pl_speedup >= 3.0 );
       ("migration", Str m.Ha_torture.mc_outcome, "<= 2 periods, identical", m.Ha_torture.mc_ok);
+      ( "paced cell: sectors held beyond allocated + pending discards",
+        Count r.Ha_torture.q_space_excess,
+        "<= 0",
+        r.Ha_torture.q_space_excess <= 0 );
     ]
 
 let run mode =

@@ -10,7 +10,12 @@ let h_dev_qwait = Ometrics.histogram "dev.queue_wait_ns"
 let h_dev_service = Ometrics.histogram "dev.service_ns"
 
 
-type pending = { completion : int; off : int; data : bytes }
+(* An in-flight operation: a write's bytes, or a discard of [len] bytes
+   (an NVMe Deallocate), which reads as zeros and, once durable, drops
+   the committed sectors it fully covers. *)
+type op = Write of bytes | Discard of int
+
+type pending = { completion : int; off : int; op : op }
 
 type t = {
   dev_name : string;
@@ -137,11 +142,12 @@ let land_write t ~outcome ~completion ~off data =
   | Fault.Torn nsectors ->
       let keep = min (Bytes.length data) (nsectors * sector_size) in
       if keep > 0 then
-        t.inflight <- { completion; off; data = Bytes.sub data 0 keep } :: t.inflight
+        t.inflight <- { completion; off; op = Write (Bytes.sub data 0 keep) } :: t.inflight
   | Fault.Delay d ->
-      t.inflight <- { completion = completion + d; off; data = Bytes.copy data } :: t.inflight
+      t.inflight <-
+        { completion = completion + d; off; op = Write (Bytes.copy data) } :: t.inflight
   | Fault.Land ->
-      t.inflight <- { completion; off; data = Bytes.copy data } :: t.inflight
+      t.inflight <- { completion; off; op = Write (Bytes.copy data) } :: t.inflight
 
 let submit_write ?charge t ~now ~off data ~latency =
   let len = Bytes.length data in
@@ -180,7 +186,7 @@ let submit_extent t ~now ~off ~len segments =
     List.iter
       (fun (rel, data) ->
         if Bytes.length data > 0 then
-          t.inflight <- { completion; off = off + rel; data } :: t.inflight)
+          t.inflight <- { completion; off = off + rel; op = Write data } :: t.inflight)
       segments
   in
   (match outcome with
@@ -218,14 +224,42 @@ let write_priority t ~now ~off data ~completion =
   report_completion faulted ~completion;
   completion
 
-(* Fold inflight writes whose completion is at or before [now] into the
-   committed store.  Inflight is newest-first, so replay oldest-first to keep
-   last-writer-wins semantics. *)
+(* A durable discard: every sector it fully covers leaves the map, and
+   the bytes it covers of a partly covered sector read as zeros. *)
+let discard_committed t ~off ~len =
+  let first = off / sector_size and last = (off + len - 1) / sector_size in
+  for s = first to last do
+    let sector_off = s * sector_size in
+    if off <= sector_off && sector_off + sector_size <= off + len then
+      Hashtbl.remove t.committed s
+    else
+      match Hashtbl.find_opt t.committed s with
+      | None -> ()
+      | Some b ->
+          let start = max off sector_off - sector_off in
+          let stop = min (off + len - sector_off) (Bytes.length b) in
+          if stop > start then Bytes.fill b start (stop - start) '\000'
+  done
+
+(* A discard occupies no queue time, consults no fault handler and
+   counts as no device operation: it is an in-flight entry completing at
+   [now], so a crash before [now] undoes it. *)
+let discard t ~now ~off ~len =
+  if len > 0 then t.inflight <- { completion = now; off; op = Discard len } :: t.inflight
+
+(* Fold inflight operations whose completion is at or before [now] into
+   the committed store.  Inflight is newest-first, so replay oldest-first
+   to keep last-writer-wins semantics. *)
 let commit_until t now =
   let durable, pending =
     List.partition (fun p -> p.completion <= now) t.inflight
   in
-  List.iter (fun p -> apply_committed t ~off:p.off p.data) (List.rev durable);
+  List.iter
+    (fun p ->
+      match p.op with
+      | Write data -> apply_committed t ~off:p.off data
+      | Discard len -> discard_committed t ~off:p.off ~len)
+    (List.rev durable);
   t.inflight <- pending
 
 let read_committed t ~off ~len =
@@ -244,16 +278,18 @@ let read_committed t ~off ~len =
   done;
   out
 
-(* Newest-data read: committed state overlaid with inflight writes in
-   submission order. *)
+(* Newest-data read: committed state overlaid with inflight writes and
+   discards in submission order. *)
 let read_nocharge t ~off ~len =
   let out = read_committed t ~off ~len in
   let overlay p =
-    let p_end = p.off + Bytes.length p.data in
-    let copy_start = max off p.off and copy_end = min (off + len) p_end in
+    let p_len = match p.op with Write data -> Bytes.length data | Discard n -> n in
+    let copy_start = max off p.off and copy_end = min (off + len) (p.off + p_len) in
     if copy_start < copy_end then
-      Bytes.blit p.data (copy_start - p.off) out (copy_start - off)
-        (copy_end - copy_start)
+      match p.op with
+      | Write data ->
+          Bytes.blit data (copy_start - p.off) out (copy_start - off) (copy_end - copy_start)
+      | Discard _ -> Bytes.fill out (copy_start - off) (copy_end - copy_start) '\000'
   in
   List.iter overlay (List.rev t.inflight);
   out
@@ -335,6 +371,8 @@ let import_sectors t sectors =
   reset_stats t;
   List.iter (fun (idx, sector) -> Hashtbl.replace t.committed idx (Bytes.copy sector)) sectors
 
+let sectors_held t = Hashtbl.length t.committed
+let bytes_held t = Hashtbl.fold (fun _ b n -> n + Bytes.length b) t.committed 0
 let bytes_written t = t.written
 let bytes_read t = t.read_bytes
 let write_ops t = t.ops

@@ -76,6 +76,19 @@ val collect_read : t -> completion:int -> off:int -> len:int -> (bytes, string) 
 val read_nocharge : t -> off:int -> len:int -> bytes
 (** Read without charging time; used by integrity checks in tests. *)
 
+val discard : t -> now:int -> off:int -> len:int -> unit
+(** [discard t ~now ~off ~len] deallocates [[off, off+len)], as an NVMe
+    Deallocate does.  It is an in-flight entry completing at [now]: from
+    then on newest-data reads see the range as zeros (until a later
+    write lands there), and once its completion passes ({!apply_durable},
+    {!settle}, {!crash} at or after [now]) the committed sectors it fully
+    covers leave the device, and the bytes it covers of a partly covered
+    one read as zeros.  A crash before [now] undoes it.  A write
+    submitted after the discard lands over it as usual.  No data moves:
+    a discard occupies no queue time, is no fault-handler submission (so
+    it adds no crash-point boundary), counts in no accounting counter
+    and emits no trace event. *)
+
 (** {1 Durability} *)
 
 val settle : t -> clock:Aurora_sim.Clock.t -> unit
@@ -113,6 +126,14 @@ val import_sectors : t -> (int * bytes) list -> unit
     the call is consistent on a used device as well as a fresh one. *)
 
 (** {1 Accounting} *)
+
+val sectors_held : t -> int
+(** Committed sectors the device holds: the host memory its durable
+    state takes, in sectors.  Writes and discards still in flight are not
+    counted until their completion is folded in. *)
+
+val bytes_held : t -> int
+(** The bytes those sectors hold: each keeps only its written prefix. *)
 
 val bytes_written : t -> int
 (** Logical bytes written: the [?charge] size when given. *)

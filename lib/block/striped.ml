@@ -182,6 +182,12 @@ let read_nocharge t ~off ~len =
       Bytes.blit frag 0 out frag_off frag_len);
   out
 
+(* Each stripe fragment is discarded on its member device; the store
+   discards whole blocks, which never straddle a stripe. *)
+let discard t ~now ~off ~len =
+  iter_fragments t ~off ~len (fun dev dev_off _ frag_len ->
+      Device.discard dev ~now ~off:dev_off ~len:frag_len)
+
 let settle t ~clock = Array.iter (fun d -> Device.settle d ~clock) t.devs
 
 let apply_durable t ~now = Array.iter (fun d -> Device.apply_durable d ~now) t.devs
@@ -246,6 +252,8 @@ let load_file path =
       (t, saved_time))
 
 let sum f t = Array.fold_left (fun acc d -> acc + f d) 0 t.devs
+let sectors_held t = sum Device.sectors_held t
+let bytes_held t = sum Device.bytes_held t
 let bytes_written t = sum Device.bytes_written t
 let bytes_read t = sum Device.bytes_read t
 let write_ops t = sum Device.write_ops t

@@ -66,6 +66,14 @@ val set_arbiter : t -> (Arbiter.t * Arbiter.tenant) option -> unit
     for their own bytes, so a striped extent consumes lane bandwidth
     exactly once. *)
 
+val discard : t -> now:int -> off:int -> len:int -> unit
+(** Deallocate the logical range [[off, off+len)]: each stripe fragment
+    is a {!Device.discard} on its member device, completing at [now].
+    Reads see the range as zeros at once; a crash before [now] undoes
+    it; once durable, the member devices drop the sectors it fully
+    covers.  No queue time, no fault-handler submission, no trace
+    event. *)
+
 val settle : t -> clock:Aurora_sim.Clock.t -> unit
 val apply_durable : t -> now:int -> unit
 val crash : t -> now:int -> unit
@@ -79,6 +87,12 @@ val load_file : string -> t * int
 (** Rebuild an array from a host image file; returns it with the saved
     virtual time (to resume the clock from).  Raises [Sys_error] or
     [Failure] on a missing or corrupt image. *)
+
+val sectors_held : t -> int
+(** Committed sectors over every member device ({!Device.sectors_held}). *)
+
+val bytes_held : t -> int
+(** Their bytes ({!Device.bytes_held}). *)
 
 val bytes_written : t -> int
 val bytes_read : t -> int

@@ -141,6 +141,9 @@ type quorum_report = {
   qr_one_round : bool;
       (** the takeover paid one vote round trip plus the restore *)
   qr_prunes : int;  (** fewest prunes of the primary or a surviving standby *)
+  qr_space_excess : int;
+      (** most sectors any store held beyond its allocated blocks and
+          pending discards, once the rounds are over *)
   qr_outcome : string;
   qr_ok : bool;
 }
@@ -289,6 +292,15 @@ let quorum_run ?(speculative = false) ?pace_ns ~seed ~rounds ~rate ~n () =
       (fun m i -> min m (Replica_set.view rs i).Replica_set.sv_prunes)
       st.Replica_set.rs_primary_prunes survivors
   in
+  let space_excess =
+    List.fold_left
+      (fun m store ->
+        max m
+          (Store.sectors_held store - Store.blocks_allocated store
+          - Store.pending_discards store))
+      min_int
+      (primary.Sls.store :: List.map fst standbys)
+  in
   let base =
     {
       qr_seed = seed;
@@ -307,6 +319,7 @@ let quorum_run ?(speculative = false) ?pace_ns ~seed ~rounds ~rate ~n () =
       qr_dropped = 0;
       qr_one_round = false;
       qr_prunes = prunes;
+      qr_space_excess = space_excess;
       qr_outcome = "match";
       qr_ok = true;
     }
@@ -420,6 +433,7 @@ type quorum_sweep_report = {
   q_dropped : int;
   q_one_round : int;
   q_prunes : int;
+  q_space_excess : int;
   q_failures : quorum_report list;
 }
 
@@ -448,6 +462,7 @@ let quorum_sweep ?speculative ?pace_ns ~seed ~runs_per_cell ~rates ~ns ~rounds (
     q_dropped = List.fold_left (fun a r -> a + r.qr_dropped) 0 reports;
     q_one_round = List.length (List.filter (fun r -> r.qr_one_round) reports);
     q_prunes = List.fold_left (fun a r -> min a r.qr_prunes) max_int reports;
+    q_space_excess = List.fold_left (fun a r -> max a r.qr_space_excess) min_int reports;
     q_failures = List.filter (fun r -> not r.qr_ok) reports;
   }
 

@@ -64,6 +64,12 @@ type quorum_report = {
   qr_prunes : int;
       (** the fewest prunes any store made: the primary's or a standby's
           that was not killed *)
+  qr_space_excess : int;
+      (** once the rounds are over, the most sectors any store (the
+          primary's or a standby's, killed or not) holds beyond its
+          allocated blocks and its freed blocks waiting for their
+          discard ({!Aurora_objstore.Store.sectors_held}); at most 0
+          when every freed block leaves the device *)
   qr_outcome : string;
   qr_ok : bool;
 }
@@ -101,6 +107,7 @@ type quorum_sweep_report = {
   q_dropped : int;
   q_one_round : int;  (** runs whose takeover paid one vote round *)
   q_prunes : int;  (** the fewest [qr_prunes] of any run *)
+  q_space_excess : int;  (** the largest [qr_space_excess] of any run *)
   q_failures : quorum_report list;
 }
 

@@ -15,6 +15,7 @@ let create ?(frontier = 1) () =
 let frontier t = t.frontier
 let calls t = t.calls
 let allocated t = t.frontier - Hashtbl.length t.free_set
+let is_free t b = b >= t.frontier || Hashtbl.mem t.free_set b
 
 let alloc_block t =
   t.calls <- t.calls + 1;
@@ -92,9 +93,14 @@ let recount t walk =
         if b > !top then top := b
       end);
   t.frontier <- !top + 1;
-  for b = !top - 1 downto superblock_block + 1 do
-    if count t b = 0 then free t b
-  done
+  let uncounted = ref [] in
+  for b = frontier - 1 downto superblock_block + 1 do
+    if count t b = 0 then begin
+      uncounted := b :: !uncounted;
+      if b < !top then free t b
+    end
+  done;
+  !uncounted
 
 let consistent t walk =
   let fresh = ref [||] in

@@ -52,6 +52,10 @@ val release : t -> int -> bool
 val count : t -> int -> int
 (** Live items covering the block (0 for a block never counted). *)
 
+val is_free : t -> int -> bool
+(** The block is in the free set or at or above the frontier: no
+    allocation holds it. *)
+
 val allocated : t -> int
 (** Blocks below the frontier outside the free set, the superblock
     included. *)
@@ -59,14 +63,16 @@ val allocated : t -> int
 val calls : t -> int
 (** Allocations over the allocator's lifetime; an extent counts once. *)
 
-val recount : t -> ((int -> unit) -> unit) -> unit
+val recount : t -> ((int -> unit) -> unit) -> int list
 (** Rebuild a recovered store's counts and free set.  [walk f] must call
     [f b] once per live item covering block [b], over every live item;
     only blocks below the current frontier (the one read off the device)
     are counted.  The frontier then moves to just above the
     highest counted block, and every uncounted block below it (freed
     before a crash, or taken by a commit that never completed) is freed,
-    highest first, so the lowest free block is reused first. *)
+    highest first, so the lowest free block is reused first.  Returns,
+    ascending, every uncounted block between the superblock and the old
+    frontier: the freed ones and those the frontier moved below. *)
 
 val consistent : t -> ((int -> unit) -> unit) -> bool
 (** The allocator's half of the store's oracle: the counts equal a fresh

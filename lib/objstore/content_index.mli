@@ -6,11 +6,12 @@
     is never re-written; a miss is placed and {!insert}ed at once, so a
     later identical page of the same commit hits.  The index is derived
     state: {!forget_freed} drops every entry over a block a prune freed,
-    before anything can dedup against it, and {!rebuild} recomputes it
-    from the durable leaves, whose entries carry the hash, so no data
-    block is read.  An entry names allocated blocks only, though no live
-    leaf need still reference it: blocks are immutable while allocated,
-    and a leaf that dedups against the entry counts its blocks again. *)
+    before anything can dedup against it (a block -> hashes map finds
+    them), and {!rebuild} recomputes it from the durable leaves, whose
+    entries carry the hash, so no data block is read.  An entry names
+    allocated blocks only, though no live leaf need still reference it:
+    blocks are immutable while allocated, and a leaf that dedups against
+    the entry counts its blocks again. *)
 
 type t
 
@@ -31,11 +32,16 @@ val rebuild : t -> ((Store_format.leaf_entry -> unit) -> unit) -> unit
 val size : t -> int
 (** Distinct hashes indexed. *)
 
-val forget_freed : t -> Allocator.t -> unit
-(** Drop every entry over a block no live item covers. *)
+val forget_freed : t -> int list -> unit
+(** [forget_freed t freed] drops every entry over a block of [freed],
+    the blocks a prune just freed.  A block -> hashes map kept by
+    {!insert} finds them, so the cost is the entries ever inserted over
+    those blocks, not the index's size.  Every other entry already lies
+    in counted blocks, so this drops every entry over a block no live
+    item covers. *)
 
 val consistent : t -> Allocator.t -> payload:(Store_format.leaf_entry -> bytes option) -> bool
 (** The index's half of the store's oracle: every entry lies in counted
-    blocks, and [payload] of it (its stored bytes decoded, [None] when
-    they do not decode) has the entry's hash, original length and
-    CRC-32. *)
+    blocks, each of which maps back to the entry's hash, and [payload]
+    of it (its stored bytes decoded, [None] when they do not decode) has
+    the entry's hash, original length and CRC-32. *)

@@ -56,6 +56,12 @@ type staged = {
 
 type journal = Journal.t
 
+(* Blocks freed together, waiting for their discard.  The durable
+   superblock already names none of them; they may leave the device once
+   the next superblock is acknowledged durable.  [ready] is that
+   superblock's completion, [max_int] until it is written. *)
+type discard_batch = { mutable ready : int; blocks : int list }
+
 type flush_stats = {
   fs_epoch : int;
   fs_extents : int;
@@ -163,6 +169,10 @@ type t = {
   mutable staging_epoch : int;
   mutable staging_next_oid : int; (* [next_oid] at begin_checkpoint *)
   mutable durable : int; (* completion time of the last superblock write *)
+  mutable discards : discard_batch list;
+      (* freed blocks not yet discarded, oldest batch first: the rule
+         is one superblock behind the one that stopped naming them
+         ([defer_discards], [issue_discards]) *)
   mutable oldest_retained : int; (* chain-walk bound after pruning; 0 = all *)
   mutable window : flush_stats;
       (* the open flush window, from begin_checkpoint: the packer and the
@@ -201,21 +211,68 @@ let write_superblock t ~now =
   let listed = directory_capacity ~journals:(List.length sb_journals) in
   let newest_first = List.rev t.epochs in
   let sb_epoch = match newest_first with e :: _ -> e.e_epoch | [] -> t.oldest_retained in
-  Striped.write t.dev ~now ~off:(off_of_block superblock_block)
-    (Wire.encode superblock_codec
-       {
-         sb_epoch;
-         sb_next_block = Allocator.frontier t.alloc;
-         sb_next_oid = t.next_oid;
-         sb_oldest_retained = t.oldest_retained;
-         sb_records =
-           List.filteri (fun i _ -> i < listed)
-             (List.map (fun e -> (e.e_record_block, e.e_record_nblocks)) newest_first);
-         sb_journals;
-       })
+  let c =
+    Striped.write t.dev ~now ~off:(off_of_block superblock_block)
+      (Wire.encode superblock_codec
+         {
+           sb_epoch;
+           sb_next_block = Allocator.frontier t.alloc;
+           sb_next_oid = t.next_oid;
+           sb_oldest_retained = t.oldest_retained;
+           sb_records =
+             List.filteri (fun i _ -> i < listed)
+               (List.map (fun e -> (e.e_record_block, e.e_record_nblocks)) newest_first);
+           sb_journals;
+         })
+  in
+  List.iter (fun d -> if d.ready = max_int then d.ready <- c) t.discards;
+  c
 
 (* The superblock, written synchronously. *)
 let sync_superblock t = Clock.advance_to t.clk (write_superblock t ~now:(Clock.now t.clk))
+
+(* Freed blocks leave the device one superblock behind: [blocks], freed
+   and named by no superblock written since, wait until the next
+   superblock is acknowledged durable.  Until then the device's durable
+   superblock may still name them, as when the one that stopped naming
+   them is lost.  A block freed again is only in its newest batch, so an
+   older batch never discards it early. *)
+let defer_discards t blocks =
+  if blocks <> [] then begin
+    if t.discards <> [] then begin
+      let refreed = Hashtbl.create (List.length blocks) in
+      List.iter (fun b -> Hashtbl.replace refreed b ()) blocks;
+      t.discards <-
+        List.map
+          (fun d -> { d with blocks = List.filter (fun b -> not (Hashtbl.mem refreed b)) d.blocks })
+          t.discards
+    end;
+    t.discards <- t.discards @ [ { ready = max_int; blocks } ]
+  end
+
+(* Discard, at the clock's time, every batch whose superblock is
+   acknowledged durable by now, contiguous blocks as one range.  A block
+   an allocation holds again is skipped: its new bytes stay. *)
+let issue_discards t =
+  let now = Clock.now t.clk in
+  let ready, waiting = List.partition (fun d -> d.ready <= now) t.discards in
+  if ready <> [] then begin
+    t.discards <- waiting;
+    let runs =
+      List.fold_left
+        (fun runs b ->
+          match runs with
+          | (first, n) :: rest when b = first + n -> (first, n + 1) :: rest
+          | _ -> (b, 1) :: runs)
+        []
+        (List.filter (Allocator.is_free t.alloc)
+           (List.sort Int.compare (List.concat_map (fun d -> d.blocks) ready)))
+    in
+    List.iter
+      (fun (first, n) ->
+        Striped.discard t.dev ~now ~off:(off_of_block first) ~len:(n * block_size))
+      (List.rev runs)
+  end
 
 (* The latest of [now] and the arrivals of a batch's ranges. *)
 let last_arrival now arrived = Array.fold_left (fun m (c, _) -> max m c) now arrived
@@ -490,11 +547,15 @@ let settle t =
       let leaf = resident_leaves t !blks in
       (* A leaf that does not parse raises here, before anything is counted. *)
       List.iter (fun blk -> ignore (leaf blk)) !blks;
+      let uncounted = ref [] in
       Content_index.rebuild t.index (fun note ->
-          Allocator.recount t.alloc (fun count ->
-              iter_items t ~leaf (fun item ->
-                  covers item count;
-                  leaf_entries_of item note)));
+          uncounted :=
+            Allocator.recount t.alloc (fun count ->
+                iter_items t ~leaf (fun item ->
+                    covers item count;
+                    leaf_entries_of item note)));
+      (* The durable superblock recovery read names none of them. *)
+      defer_discards t !uncounted;
       t.unsettled <- None;
       if Otrace.is_on () then
         Otrace.complete ~ts ~dur:(Clock.now t.clk - ts) ~cat:"store" "settle"
@@ -525,6 +586,7 @@ let fresh dev clk =
     staging_epoch = 0;
     staging_next_oid = 0;
     durable = 0;
+    discards = [];
     oldest_retained = 0;
     window = empty_flush_stats;
     last_flush = empty_flush_stats;
@@ -648,8 +710,10 @@ let with_lifetime t k w =
 let begin_checkpoint t =
   if t.staging <> None then invalid_arg "Store.begin_checkpoint: already staging";
   settle t;
-  (* Housekeeping: fold already-durable writes into the committed device
-     state so the in-flight lists stay short on long runs. *)
+  (* Housekeeping: discard what is due, then fold already-durable writes
+     and discards into the committed device state so the in-flight lists
+     stay short on long runs. *)
+  issue_discards t;
   Striped.apply_durable t.dev ~now:(Clock.now t.clk);
   t.current_epoch <- t.current_epoch + 1;
   t.staging <- Some (Hashtbl.create 64);
@@ -1024,7 +1088,9 @@ let commit_checkpoint t =
 
 let flush_stats t = t.last_flush
 let durable_at t = t.durable
-let wait_durable t = Clock.advance_to t.clk t.durable
+let wait_durable t =
+  Clock.advance_to t.clk t.durable;
+  issue_discards t
 
 let set_read_policy t ~retries ~backoff_ns =
   if retries < 0 || backoff_ns < 0 then invalid_arg "Store.set_read_policy";
@@ -1326,27 +1392,41 @@ let prune_history t ~keep =
     let dead = ref [] in
     walk_items t ~leaf:(Leaf_cache.entries t.leaves) ~except:oldest dropped (fun item ->
         covers item (fun b -> if Allocator.release t.alloc b then dead := b :: !dead));
+    let dead = List.sort Int.compare !dead in
     (* A freed block also leaves the leaf cache, so a reused block can
        never serve stale parsed entries or a stale residency. *)
     List.iter
       (fun b ->
         Allocator.free t.alloc b;
         Leaf_cache.forget t.leaves b)
-      (List.sort Int.compare !dead);
-    if !dead <> [] then Content_index.forget_freed t.index t.alloc;
+      dead;
+    Content_index.forget_freed t.index dead;
     t.epochs <- kept;
     (* Persist the new chain bound so recovery never follows a prev
        pointer into reused blocks.  With nothing kept it is the newest
        dropped epoch, which also numbers the next one (see
        [write_superblock]). *)
     t.oldest_retained <- (match kept with e :: _ -> e | [] -> List.nth dropped (drop - 1)).e_epoch;
+    (* This superblock stops naming the freed blocks; they leave the
+       device once the one after it is durable. *)
     sync_superblock t;
-    List.length !dead
+    defer_discards t dead;
+    issue_discards t;
+    List.length dead
   end
 
 let blocks_allocated t =
   settle t;
   Allocator.allocated t.alloc
+
+let pending_discards t =
+  List.fold_left
+    (fun n d -> n + List.length (List.filter (Allocator.is_free t.alloc) d.blocks))
+    0 t.discards
+
+let sectors_held t =
+  Striped.apply_durable t.dev ~now:(Clock.now t.clk);
+  Striped.sectors_held t.dev
 
 (* Manifests ---------------------------------------------------------------------------- *)
 

@@ -101,7 +101,11 @@ val recover : dev:Aurora_block.Striped.t -> clock:Aurora_sim.Clock.t -> t
     every leaf has parsed counts every item the retained epochs and the
     journals hold; every block below the frontier that no item covers (a
     block a prune freed, or an incomplete commit wrote) is freed, so
-    {!blocks_allocated} survives a crash.  The pass writes nothing, so a
+    {!blocks_allocated} survives a crash, and waits for its discard like
+    a block a prune frees, under the same rule, counted from the
+    superblock recovery read (see {!prune_history}); a block at or past
+    that superblock's frontier, which an incomplete commit may have
+    written, is not discarded.  The pass writes nothing, so a
     crash during it leaves the device as recovery found it; a read or
     parse that fails raises from the call that ran it and leaves the
     pass to the next one.  Traced as a [store/settle] complete event with
@@ -260,7 +264,8 @@ val durable_at : t -> int
 (** Durability time of the most recently committed checkpoint. *)
 
 val wait_durable : t -> unit
-(** Advance the clock to {!durable_at}. *)
+(** Advance the clock to {!durable_at}, then discard the freed blocks
+    that are due (see {!prune_history}). *)
 
 val last_complete_epoch : t -> int
 (** 0 when no checkpoint has committed. *)
@@ -499,8 +504,32 @@ val prune_history : t -> keep:int -> int
     reaching zero are freed in ascending order, and then the index
     forgets every location over a freed block.  The cost is O(dropped
     items): the dropped epochs' table entries and the dead items, plus
-    one pass over the content index; the kept epochs are never walked. *)
+    the index entries over the freed blocks; the kept epochs and the
+    rest of the index are never walked.
+
+    Freed blocks leave the device one superblock behind.  The prune's
+    own superblock, written synchronously, is the first that names none
+    of them; they wait on a pending list until one more superblock,
+    written after it, is acknowledged durable (its completion has
+    passed on the store's clock), so a lost prune superblock leaves the
+    previous one naming blocks that still hold their bytes.  The store
+    then issues one {!Aurora_block.Striped.discard} per run of
+    contiguous blocks, at its clock's time, never earlier, at the next
+    {!begin_checkpoint}, {!wait_durable} or {!prune_history}; a block an allocation holds
+    again by then is skipped, and a block freed again waits for its
+    newest batch only.  A discard moves no clock and no counter, so
+    freeing changes no virtual time. *)
 
 val blocks_allocated : t -> int
 (** Blocks below the frontier outside the free set, the superblock
     included. *)
+
+val pending_discards : t -> int
+(** Freed blocks, still free, that wait for their discard. *)
+
+val sectors_held : t -> int
+(** The committed sectors the store's device holds once every write and
+    discard completed by the store's clock is folded in
+    ({!Aurora_block.Striped.sectors_held}).  Without a crash this is at
+    most {!blocks_allocated} plus {!pending_discards}: every block
+    written is allocated, pending or discarded. *)

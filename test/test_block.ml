@@ -255,6 +255,81 @@ let test_import_sectors_resets_used_device () =
   Alcotest.(check int) "stats reset" 0 (Device.write_ops dst);
   Alcotest.(check int) "nothing in flight" 0 (Device.durable_until dst)
 
+(* A discard is an in-flight entry completing at its issue time: reads
+   see zeros at once, a crash before its completion undoes it, once
+   folded in the committed sectors it fully covers are gone, and a write
+   submitted after it lands over it.  It moves no queue, no counter and
+   no fault handler. *)
+let test_device_discard () =
+  let clock = Clock.create () in
+  let setup () =
+    let d = Device.create ~name:"nvme0" in
+    let f = Fault.create () in
+    Device.set_fault d (Some f);
+    ignore (Device.write d ~now:0 ~off:0 (Bytes.make 8192 'a'));
+    ignore (Device.write d ~now:0 ~off:8192 (Bytes.make 100 'b'));
+    Device.settle d ~clock;
+    (d, f)
+  in
+  let read d off len = Bytes.to_string (Device.read_nocharge d ~off ~len) in
+  let now = Clock.now clock in
+  let d, f = setup () in
+  Alcotest.(check int) "three sectors held" 3 (Device.sectors_held d);
+  let ops = Device.write_ops d and written = Device.bytes_written d in
+  Device.discard d ~now ~off:0 ~len:4096;
+  Alcotest.(check string) "discarded range reads zeros" (String.make 4096 '\000') (read d 0 4096);
+  Alcotest.(check string) "the rest is kept" (String.make 4096 'a') (read d 4096 4096);
+  Alcotest.(check int) "no device operation" ops (Device.write_ops d);
+  Alcotest.(check int) "no bytes written" written (Device.bytes_written d);
+  Alcotest.(check int) "no fault-handler submission" 2 (Fault.submissions f);
+  Alcotest.(check int) "no queue time" now (Device.durable_until d);
+  Device.crash d ~now:(now - 1);
+  Alcotest.(check string) "a crash before completion keeps the sectors" (String.make 4096 'a')
+    (read d 0 4096);
+  Alcotest.(check int) "all three held" 3 (Device.sectors_held d);
+  let d, _ = setup () in
+  Device.discard d ~now ~off:0 ~len:4096;
+  Device.crash d ~now;
+  Alcotest.(check int) "after completion the sector is gone" 2 (Device.sectors_held d);
+  Alcotest.(check string) "and reads zeros" (String.make 4096 '\000') (read d 0 4096);
+  (* A partly covered sector stays, zeroed where covered. *)
+  let d, _ = setup () in
+  Device.discard d ~now ~off:8192 ~len:50;
+  Device.apply_durable d ~now;
+  Alcotest.(check int) "a partly covered sector stays" 3 (Device.sectors_held d);
+  Alcotest.(check string) "zeroed where covered"
+    (String.make 50 '\000' ^ String.make 50 'b')
+    (read d 8192 100);
+  (* A write submitted after the discard survives both. *)
+  let d, _ = setup () in
+  Device.discard d ~now ~off:0 ~len:8192;
+  let c = Device.write d ~now ~off:4096 (Bytes.make 4096 'n') in
+  Device.apply_durable d ~now:c;
+  Device.crash d ~now:c;
+  Alcotest.(check string) "the later write survives" (String.make 4096 'n') (read d 4096 4096);
+  Alcotest.(check string) "the rest stays discarded" (String.make 4096 '\000') (read d 0 4096);
+  Alcotest.(check int) "held: the rewritten sector and the tail" 2 (Device.sectors_held d)
+
+(* A striped discard deallocates each stripe fragment on its member. *)
+let test_striped_discard () =
+  let clock = Clock.create () in
+  let s = Striped.create () in
+  let len = 2 * Cost.nvme_stripe_size in
+  ignore (Striped.write s ~now:0 ~off:0 (Bytes.make len 'x'));
+  Striped.settle s ~clock;
+  let held = Striped.sectors_held s and ops = Striped.write_ops s in
+  Alcotest.(check int) "every sector held" (len / 4096) held;
+  Striped.discard s ~now:(Clock.now clock) ~off:4096 ~len:(len - 8192);
+  Alcotest.(check string) "reads zeros across the stripe boundary"
+    (String.make (len - 8192) '\000')
+    (Bytes.to_string (Striped.read_nocharge s ~off:4096 ~len:(len - 8192)));
+  Striped.apply_durable s ~now:(Clock.now clock);
+  Alcotest.(check int) "two sectors left" 2 (Striped.sectors_held s);
+  Alcotest.(check int) "no device operation" ops (Striped.write_ops s);
+  Alcotest.(check string) "the ends kept" "xx"
+    (Bytes.to_string (Striped.read_nocharge s ~off:0 ~len:1)
+    ^ Bytes.to_string (Striped.read_nocharge s ~off:(len - 1) ~len:1))
+
 (* [Striped.submit_vec] at the clock's time; the clock advances to the
    last arrival. *)
 let read_vec s ~clock ranges =
@@ -481,6 +556,7 @@ let () =
           Alcotest.test_case "crash resets stats" `Quick test_crash_resets_stats;
           Alcotest.test_case "import resets used device" `Quick
             test_import_sectors_resets_used_device;
+          Alcotest.test_case "discard" `Quick test_device_discard;
         ] );
       ( "striped",
         [
@@ -501,6 +577,7 @@ let () =
             test_write_vec_drop_one_device;
           Alcotest.test_case "image save/load" `Quick test_image_save_load;
           Alcotest.test_case "image bad file" `Quick test_image_bad_file;
+          Alcotest.test_case "discard" `Quick test_striped_discard;
         ] );
       ("properties", qcheck_tests);
     ]

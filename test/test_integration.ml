@@ -394,6 +394,40 @@ let test_bounded_history_under_continuous_checkpointing () =
   let _sys', result = Sls.reboot_and_restore sys in
   Alcotest.(check int) "restorable" 1 (List.length result.Restore.procs)
 
+(* A long run holds only live blocks: 200 checkpoints of a process
+   rewriting eight pages with fresh bytes each round, pruned to 16
+   epochs every 10.  The device never holds more sectors than the
+   allocated blocks plus the freed ones waiting for their discard, and
+   the bytes it holds stop growing with the run. *)
+let test_long_run_holds_live_blocks () =
+  let sys = Sls.boot () in
+  let store = sys.Sls.store in
+  let p = Syscall.spawn sys.Sls.machine ~name:"app" in
+  let e = Syscall.mmap_anon p ~npages:64 in
+  let addr = Vm_space.addr_of_entry e in
+  let group = Sls.attach sys [ p ] in
+  let held_at = Hashtbl.create 2 in
+  for round = 1 to 200 do
+    for i = 0 to 7 do
+      Vm_space.write_string p.Process.space
+        ~addr:(addr + ((((round * 8) + i) mod 64) * 4096))
+        (Printf.sprintf "round %d page %d" round i)
+    done;
+    ignore (Group.checkpoint ~wait_durable:true group);
+    if round mod 10 = 0 then ignore (Store.prune_history store ~keep:16);
+    let held = Store.sectors_held store in
+    let bound = Store.blocks_allocated store + Store.pending_discards store in
+    if held > bound then
+      Alcotest.failf "round %d: %d sectors held, %d allocated or pending" round held bound;
+    if round = 50 || round = 200 then
+      Hashtbl.replace held_at round (Striped.bytes_held (Store.device store))
+  done;
+  let at50 = Hashtbl.find held_at 50 and at200 = Hashtbl.find held_at 200 in
+  Alcotest.(check bool)
+    (Printf.sprintf "bytes held flat (%d at round 50, %d at round 200)" at50 at200)
+    true
+    (float_of_int (abs (at200 - at50)) <= 0.1 *. float_of_int at50)
+
 let test_mmap_file_unified_page_cache () =
   (* Files and memory are one: a store through a MAP_SHARED mapping is
      visible to read(2), persists with the checkpoint, and the restored
@@ -1372,6 +1406,7 @@ let () =
           Alcotest.test_case "restore keeps groups apart" `Quick test_restore_keeps_groups_apart;
           Alcotest.test_case "late attach" `Quick test_attach_new_process_to_running_group;
           Alcotest.test_case "bounded history" `Quick test_bounded_history_under_continuous_checkpointing;
+          Alcotest.test_case "long run holds live blocks" `Quick test_long_run_holds_live_blocks;
           Alcotest.test_case "prune then restore" `Quick test_history_prune_preserves_latest_restorability;
         ] );
       ("high availability", [ Alcotest.test_case "failover" `Quick test_ha_failover ]);

@@ -903,6 +903,150 @@ let test_prune_negative_keep () =
   Alcotest.(check (list int)) "recovered epochs" recovered' recovered;
   Alcotest.(check pages_t) "recovered pages" reread' reread
 
+(* Freed blocks leave the device ------------------------------------------- *)
+
+(* Epoch [e] of one object: its metadata and eight pages, all distinct
+   from every other epoch's, so a prune frees whole epochs. *)
+let commit_distinct store ~oid e =
+  ignore (Store.begin_checkpoint store);
+  Store.put_object store ~oid ~kind:"memory" ~meta:(Printf.sprintf "m%d" e);
+  Store.put_pages store ~oid
+    (List.init 8 (fun i ->
+         (i, Bytes.of_string (Printf.sprintf "%-64s" (Printf.sprintf "e%d/p%d" e i)))));
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store
+
+let distinct_history n =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  for e = 1 to n do
+    commit_distinct store ~oid e
+  done;
+  (clock, dev, store, oid)
+
+let all_verified store =
+  List.for_all
+    (fun epoch ->
+      Result.is_ok (Store.verify_epoch store ~epoch ~check_meta:(fun ~kind:_ _ -> Ok ())))
+    (Store.checkpoint_epochs store)
+
+let crash_and_recover clock dev =
+  Striped.crash dev ~now:(Clock.now clock);
+  Store.recover ~dev ~clock
+
+(* A fault handler that drops every superblock write until the returned
+   flag is cleared. *)
+let superblock_dropper dev =
+  let drop = ref true in
+  let f = Fault.create () in
+  f.Fault.on_write <-
+    (fun w ->
+      if !drop && w.Fault.w_dev = "nvme0" && w.Fault.w_off = 0 then Fault.Drop else Fault.Land);
+  Striped.set_fault dev (Some f);
+  drop
+
+(* The prune's superblock is acknowledged but lost: the durable
+   superblock still names every pruned epoch, so their blocks must keep
+   their bytes.  A crash then recovers the whole pre-prune history.
+   Once a later superblock lands, the freed blocks leave the device and
+   a crash recovers exactly the kept epochs and the new one. *)
+let test_lost_prune_superblock () =
+  let lost_prune () =
+    let clock, dev, store, oid = distinct_history 6 in
+    let drop = superblock_dropper dev in
+    let freed = Store.prune_history store ~keep:2 in
+    drop := false;
+    Alcotest.(check bool) "the prune frees blocks" true (freed > 0);
+    Alcotest.(check int) "every freed block waits for its discard" freed
+      (Store.pending_discards store);
+    (clock, dev, store, oid)
+  in
+  let clock, dev, _, _ = lost_prune () in
+  let store = crash_and_recover clock dev in
+  Alcotest.(check (list int)) "the pre-prune history recovers" [ 1; 2; 3; 4; 5; 6 ]
+    (Store.checkpoint_epochs store);
+  Alcotest.(check bool) "every epoch verifies" true (all_verified store);
+  let clock, dev, store, oid = lost_prune () in
+  let held = Store.sectors_held store in
+  commit_distinct store ~oid 7;
+  Alcotest.(check int) "discarded once a later superblock is durable" 0
+    (Store.pending_discards store);
+  Alcotest.(check bool) "the device holds fewer sectors" true (Store.sectors_held store < held);
+  Alcotest.(check bool) "and no more than the allocated blocks" true
+    (Store.sectors_held store <= Store.blocks_allocated store);
+  let store = crash_and_recover clock dev in
+  Alcotest.(check (list int)) "the kept epochs and the new one" [ 5; 6; 7 ]
+    (Store.checkpoint_epochs store);
+  Alcotest.(check bool) "every epoch verifies" true (all_verified store)
+
+(* Recovery's deferred pass frees what no retained epoch covers, here a
+   prune's blocks whose discard the crash cut off; they leave the device
+   under the same rule, once the recovered store's first superblock is
+   durable. *)
+let test_recovery_discards_freed () =
+  let clock, dev, store, oid = distinct_history 6 in
+  ignore (Store.prune_history store ~keep:2);
+  Alcotest.(check bool) "the prune's blocks wait" true (Store.pending_discards store > 0);
+  let store = crash_and_recover clock dev in
+  let held = Store.sectors_held store in
+  Alcotest.(check bool) "the device holds the pruned blocks" true
+    (held > Store.blocks_allocated store);
+  Alcotest.(check bool) "the deferred pass's freed blocks wait" true
+    (Store.pending_discards store > 0);
+  commit_distinct store ~oid 7;
+  Alcotest.(check int) "discarded once a superblock is durable" 0 (Store.pending_discards store);
+  Alcotest.(check bool) "the device holds only allocated blocks" true
+    (Store.sectors_held store <= Store.blocks_allocated store);
+  let store = crash_and_recover clock dev in
+  Alcotest.(check (list int)) "epochs" [ 5; 6; 7 ] (Store.checkpoint_epochs store);
+  Alcotest.(check bool) "every epoch verifies" true (all_verified store)
+
+(* A block freed, reused and freed again waits for its newest batch: the
+   next checkpoint record reuses a block the first prune freed, and a
+   prune of every epoch, whose superblock is lost, frees it again before
+   the first batch is due.  The durable superblock still names that
+   record, so its block must keep its bytes. *)
+let test_refreed_block_waits () =
+  let clock, dev, store, oid = distinct_history 4 in
+  let head, _ = head_record dev in
+  ignore (Store.prune_history store ~keep:1);
+  ignore (Store.begin_checkpoint store);
+  Store.put_object store ~oid ~kind:"memory" ~meta:"m5";
+  ignore (Store.commit_checkpoint store);
+  Alcotest.(check bool) "the record reuses a freed block" true (fst (head_record dev) < head);
+  let drop = superblock_dropper dev in
+  ignore (Store.prune_history store ~keep:0);
+  drop := false;
+  let store = crash_and_recover clock dev in
+  Alcotest.(check (list int)) "the lost prune's epochs recover" [ 4; 5 ]
+    (Store.checkpoint_epochs store);
+  Alcotest.(check bool) "every epoch verifies" true (all_verified store)
+
+(* A freed block an allocation takes again before its discard is due
+   keeps its new bytes: a single block (the next checkpoint record reuses
+   the most recently freed one) and extents carved again once a prune of
+   every epoch folds the freed blocks back into the frontier. *)
+let test_reused_block_keeps_bytes () =
+  let clock, dev, store, oid = distinct_history 4 in
+  let head, _ = head_record dev in
+  ignore (Store.prune_history store ~keep:1);
+  commit_distinct store ~oid 5;
+  Alcotest.(check bool) "the next checkpoint record reuses a freed block" true
+    (fst (head_record dev) < head);
+  Alcotest.(check int) "nothing left to discard" 0 (Store.pending_discards store);
+  let store = crash_and_recover clock dev in
+  Alcotest.(check (list int)) "record reused: epochs" [ 4; 5 ] (Store.checkpoint_epochs store);
+  Alcotest.(check bool) "record reused: every epoch verifies" true (all_verified store);
+  let frontier = (superblock dev).Store_format.sb_next_block in
+  ignore (Store.prune_history store ~keep:0);
+  commit_distinct store ~oid 6;
+  Alcotest.(check bool) "the commit carves the freed blocks again" true
+    ((superblock dev).Store_format.sb_next_block < frontier);
+  Alcotest.(check int) "nothing left to discard" 0 (Store.pending_discards store);
+  let store = crash_and_recover clock dev in
+  Alcotest.(check (list int)) "extents reused: epochs" [ 6 ] (Store.checkpoint_epochs store);
+  Alcotest.(check bool) "extents reused: every epoch verifies" true (all_verified store)
+
 (* Leaf residency ------------------------------------------------------------ *)
 
 (* A full page of incompressible bytes: stored raw, one block, so a data
@@ -2640,6 +2784,14 @@ let () =
             test_recovery_keeps_freed_blocks;
           Alcotest.test_case "prune all keeps numbering" `Quick test_prune_all_keeps_numbering;
           Alcotest.test_case "negative keep rejected" `Quick test_prune_negative_keep;
+          Alcotest.test_case "lost prune superblock keeps the old chain" `Quick
+            test_lost_prune_superblock;
+          Alcotest.test_case "reused freed block keeps its bytes" `Quick
+            test_reused_block_keeps_bytes;
+          Alcotest.test_case "freed again waits for its newest batch" `Quick
+            test_refreed_block_waits;
+          Alcotest.test_case "recovery discards what it frees" `Quick
+            test_recovery_discards_freed;
         ] );
       ( "residency",
         [
