@@ -20,7 +20,10 @@
      - pipelined replication-plane throughput >= 3x stop-and-wait at
        N = 3 over a lossy link;
      - live-migration downtime <= 2 checkpoint periods with a
-       byte-identical target.
+       byte-identical target;
+     - a lossless N = 3 cell pumped every 100 µs and every 30 µs holds
+       each externally-synchronized message equally long: a message
+       leaves at its quorum ack's arrival, not at the next pump.
 
    Every run failure and failed gate is returned to [main.exe], which
    exits nonzero; every failure prints its seed so it reproduces by
@@ -161,6 +164,24 @@ let deep seed =
     [ seed; seed + 1 ];
   ignore (retention_sweep ~seed ~runs_per_cell:4 ~rates:[ 0.0; 0.05; 0.12 ])
 
+(* Each held message's hold (release minus the start of the checkpoint
+   that produced it) in a lossless N = 3 cell, pumped every 100 µs and
+   every 30 µs. *)
+let mean_us hs =
+  float_of_int (List.fold_left ( + ) 0 hs) /. float_of_int (max 1 (List.length hs)) /. 1e3
+
+let run_holds () =
+  let holds pump_ns =
+    List.map
+      (fun (_, start, release) -> release - start)
+      (Ha_torture.hold_run ~pump_ns ~rounds:20 ~n:3).Ha_torture.hr_releases
+  in
+  let slow = holds 100_000 and fast = holds 30_000 in
+  Printf.printf
+    "holds n=3 rate=0.00 rounds=20: mean %.1f us pumped every 100 us, %.1f us every 30 us\n%!"
+    (mean_us slow) (mean_us fast);
+  (slow, fast)
+
 (* Smoke: the @bench-smoke runs and their gates. *)
 let smoke () =
   let q =
@@ -171,6 +192,7 @@ let smoke () =
   let m = run_migration ~seed:42 ~rate:0.0 in
   (* The fast run's paced retention cell: every store prunes. *)
   let r = retention_sweep ~seed:42 ~runs_per_cell:2 ~rates:[ 0.0; 0.05 ] in
+  let slow, fast = run_holds () in
   let q_ok = q.Ha_torture.q_ok and q_runs = q.Ha_torture.q_runs in
   Report.gates "ha-quorum"
     [
@@ -188,6 +210,10 @@ let smoke () =
         Count r.Ha_torture.q_space_excess,
         "<= 0",
         r.Ha_torture.q_space_excess <= 0 );
+      ( "lossless n=3 holds, pump 100 us vs 30 us",
+        Str (Printf.sprintf "%.1f / %.1f us" (mean_us slow) (mean_us fast)),
+        "identical per message",
+        slow <> [] && slow = fast );
     ]
 
 let run mode =

@@ -20,10 +20,17 @@ val buffer : t -> epoch:int -> release -> unit
 
 val pending : t -> int
 
+val observe : t -> now:int -> unit
+(** The holder looked at the outbox at [now]: every message buffered so
+    far was buffered no later than [now].  A holder that releases at an
+    instant earlier than its own clock (an ack's arrival, found by a later
+    poll) observes first, so no release precedes its message's buffering. *)
+
 val release_up_to : t -> epoch:int -> now:int -> int
 (** A checkpoint covering intervals up to [epoch] became durable at [now]:
-    deliver every buffered message from those intervals; returns how many
-    were released. *)
+    deliver every buffered message from those intervals, each at [now] or
+    at the {!observe} instant that first found it, whichever is later;
+    returns how many were released. *)
 
 val drop_all : t -> int
 (** A crash: buffered messages were never visible outside, which is the

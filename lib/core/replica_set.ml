@@ -338,10 +338,11 @@ let transmit_frame t sb ~now ~retransmit inf =
     (fun d -> sb.sb_pending_acks <- sb.sb_pending_acks @ rs_receive sb d)
     (List.sort (fun a b -> compare a.Link.d_arrival b.Link.d_arrival) deliveries)
 
-(* Apply one ack.  [ack_seq] carries the receiver's cumulative installed
-   epoch, so a single surviving ack can advance past several lost ones
-   (in-order install makes cumulative acks sound). *)
-let apply_ack t sb (a : Migrate.ack) =
+(* Apply one ack, which reached the primary at [arrival].  [ack_seq]
+   carries the receiver's cumulative installed epoch, so a single
+   surviving ack can advance past several lost ones (in-order install
+   makes cumulative acks sound). *)
+let apply_ack t sb ~arrival (a : Migrate.ack) =
   if not a.Migrate.ack_ok then begin
     (* The frame arrived intact but the composed epoch contradicts the
        manifest digest: the standby has diverged, retransmitting the
@@ -379,7 +380,7 @@ let apply_ack t sb (a : Migrate.ack) =
           sb.sb_next <- idx_of_epoch t cum
       | _ -> ());
       if Otrace.is_on () then
-        Otrace.instant ~cat:"rset" "ack"
+        Otrace.instant ~ts:arrival ~cat:"rset" "ack"
           ~args:
             [
               ("standby", Otrace.Int sb.sb_idx);
@@ -403,73 +404,78 @@ let on_timeout t sb =
         ~args:[ ("standby", Otrace.Int sb.sb_idx) ]
   end
 
+(* A standby's retransmits and window fill at [now], after [pump] has
+   applied its arrived acks. *)
 let pump_standby t sb ~now =
   if alive_active sb then begin
-    (* 1. Acks that have arrived by now, oldest first. *)
-    let usable, later =
-      List.partition (fun (arrival, _) -> arrival <= now) sb.sb_pending_acks
-    in
-    sb.sb_pending_acks <- later;
-    List.iter
-      (fun (_, a) -> apply_ack t sb a)
-      (List.sort (fun (a, _) (b, _) -> compare a b) usable);
-    if alive_active sb then begin
-      (* 2. Expired frames: back off and retransmit, unless the frame is
-         out of attempts — then the standby cannot make in-order
-         progress and is evicted. *)
-      let retransmit inf =
-        if alive_active sb && inf.if_deadline <= now then begin
-          on_timeout t sb;
-          if alive_active sb then begin
-            if inf.if_attempts >= max_retries then
-              evict t sb
-                ~reason:
-                  (Printf.sprintf "epoch %d unacked after %d attempts"
-                     inf.if_epoch inf.if_attempts)
-            else begin
-              inf.if_attempts <- inf.if_attempts + 1;
-              inf.if_deadline <-
-                next_deadline sb ~now ~frame:inf.if_frame
-                  ~attempts:inf.if_attempts;
-              transmit_frame t sb ~now ~retransmit:true inf
-            end
+    (* 1. Expired frames: back off and retransmit, unless the frame is
+       out of attempts — then the standby cannot make in-order progress
+       and is evicted. *)
+    let retransmit inf =
+      if alive_active sb && inf.if_deadline <= now then begin
+        on_timeout t sb;
+        if alive_active sb then begin
+          if inf.if_attempts >= max_retries then
+            evict t sb
+              ~reason:
+                (Printf.sprintf "epoch %d unacked after %d attempts"
+                   inf.if_epoch inf.if_attempts)
+          else begin
+            inf.if_attempts <- inf.if_attempts + 1;
+            inf.if_deadline <-
+              next_deadline sb ~now ~frame:inf.if_frame
+                ~attempts:inf.if_attempts;
+            transmit_frame t sb ~now ~retransmit:true inf
           end
         end
-      in
-      List.iter retransmit sb.sb_inflight;
-      (* 3. Fill the window with the next epochs of the chain. *)
-      if sb.sb_health = Healthy || sb.sb_health = Degraded then begin
-        while
-          List.length sb.sb_inflight < t.window && sb.sb_next < t.log_len
-        do
-          match log_nth t sb.sb_next with
-          | None -> sb.sb_next <- t.log_len
-          | Some le ->
-              let inf =
-                {
-                  if_epoch = le.le_epoch;
-                  if_frame = le.le_frame;
-                  if_bytes = le.le_bytes;
-                  if_attempts = 1;
-                  if_deadline = now + base_timeout le.le_frame;
-                }
-              in
-              sb.sb_inflight <- sb.sb_inflight @ [ inf ];
-              sb.sb_next <- sb.sb_next + 1;
-              transmit_frame t sb ~now ~retransmit:false inf
-        done
       end
+    in
+    List.iter retransmit sb.sb_inflight;
+    (* 2. Fill the window with the next epochs of the chain. *)
+    if sb.sb_health = Healthy || sb.sb_health = Degraded then begin
+      while
+        List.length sb.sb_inflight < t.window && sb.sb_next < t.log_len
+      do
+        match log_nth t sb.sb_next with
+        | None -> sb.sb_next <- t.log_len
+        | Some le ->
+            let inf =
+              {
+                if_epoch = le.le_epoch;
+                if_frame = le.le_frame;
+                if_bytes = le.le_bytes;
+                if_attempts = 1;
+                if_deadline = now + base_timeout le.le_frame;
+              }
+            in
+            sb.sb_inflight <- sb.sb_inflight @ [ inf ];
+            sb.sb_next <- sb.sb_next + 1;
+            transmit_frame t sb ~now ~retransmit:false inf
+      done
     end
   end
 
-let release_at_quorum t ~now =
+(* The ack from [sb] that arrived at [arrival] was applied: if it
+   advanced the quorum, the outbox releases at its arrival, not at the
+   poll ([now]) that found it. *)
+let release_at_quorum t sb ~arrival ~now =
   match t.outbox with
   | None -> ()
   | Some outbox ->
       let qe = quorum_epoch t in
       if qe > t.quorum_released then begin
-        t.st_released <-
-          t.st_released + Extsync.release_up_to outbox ~epoch:qe ~now;
+        let n = Extsync.release_up_to outbox ~epoch:qe ~now:arrival in
+        t.st_released <- t.st_released + n;
+        if Otrace.is_on () then
+          Otrace.instant ~ts:arrival ~cat:"rset" "release"
+            ~args:
+              [
+                ("standby", Otrace.Int sb.sb_idx);
+                ("epoch", Otrace.Int sb.sb_acked);
+                ("quorum_epoch", Otrace.Int qe);
+                ("now", Otrace.Int now);
+                ("msgs", Otrace.Int n);
+              ];
         t.quorum_released <- qe
       end
 
@@ -500,8 +506,31 @@ let prune_primary t =
 
 let pump t =
   let now = Clock.now (pclock t) in
+  Option.iter (Extsync.observe ~now) t.outbox;
+  (* 1. The acks of every live standby that have arrived by now, in
+     arrival order (ties by standby index, each standby's own oldest
+     first), releasing after each at its arrival.  Standbys share no
+     sender state, so merging their acks moves no protocol decision. *)
+  let arrived =
+    Array.to_list t.standbys
+    |> List.concat_map (fun sb ->
+           if not (alive_active sb) then []
+           else begin
+             let usable, later =
+               List.partition (fun (arrival, _) -> arrival <= now) sb.sb_pending_acks
+             in
+             sb.sb_pending_acks <- later;
+             List.map (fun (arrival, a) -> (arrival, sb, a)) usable
+           end)
+    |> List.stable_sort (fun (a, sa, _) (b, sb, _) -> compare (a, sa.sb_idx) (b, sb.sb_idx))
+  in
+  List.iter
+    (fun (arrival, sb, a) ->
+      apply_ack t sb ~arrival a;
+      release_at_quorum t sb ~arrival ~now)
+    arrived;
+  (* 2. Retransmits and window fills, at now. *)
   Array.iter (fun sb -> pump_standby t sb ~now) t.standbys;
-  release_at_quorum t ~now;
   prune_primary t;
   if Otrace.is_on () then
     Otrace.instant ~cat:"rset" "window"

@@ -101,14 +101,20 @@ val create :
 
 val ship : t -> unit
 (** Pick up every primary epoch checkpointed since the last call (each
-    becomes one sequenced delta frame in the shared epoch log), then pump
-    each standby's window: process acks that have arrived by now,
-    retransmit expired frames with jittered backoff, fill windows.
-    Non-blocking — the primary's clock never waits on the network. *)
+    becomes one sequenced delta frame in the shared epoch log), then
+    {!pump}.  Non-blocking — the primary's clock never waits on the
+    network. *)
 
 val pump : t -> unit
-(** The pump half of {!ship} alone (no new epochs logged); call when
-    virtual time advanced for other reasons and acks may have landed. *)
+(** Apply every live standby's acks that have arrived by now, merged in
+    arrival order (ties by standby index); after each ack that advances
+    {!quorum_epoch}, release the outbox up to it at that ack's arrival,
+    not at now, so how often the caller pumps moves no release.  A message
+    the outbox first shows at this call is released no earlier than now
+    ({!Extsync.observe}).  Then retransmit expired frames with jittered
+    backoff and fill each standby's window, at now.  {!ship} calls it;
+    call it alone when virtual time advanced for other reasons and acks
+    may have landed. *)
 
 val drain : t -> [ `Quorum | `All ] -> bool
 (** Advance the primary's clock through ack arrivals and retransmit

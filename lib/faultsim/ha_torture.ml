@@ -560,6 +560,48 @@ let pipeline_vs_stop_and_wait ~seed ~rounds ~rate ~n =
     pl_pipe_ok = pipe_ok;
   }
 
+(* Held messages ------------------------------------------------------------------- *)
+
+type hold_report = { hr_releases : (int * int * int) list; hr_retransmits : int }
+
+(* A lossless paced cell: the service checkpoints every 10 ms, buffers one
+   externally-synchronized message per epoch, ships to [n] standbys over
+   fault-free links and pumps every [pump_ns] until the next round. *)
+let hold_run ~pump_ns ~rounds ~n =
+  let primary, p, addr, group, _ = boot_service () in
+  let clk = primary.Sls.machine.Machine.clock in
+  let outbox = Extsync.create () in
+  let standbys =
+    List.init n (fun i ->
+        ((Sls.boot ()).Sls.store, Link.create ~name:(Printf.sprintf "hold-%d" i) ()))
+  in
+  let rs = Replica_set.create ~outbox ~primary:group ~standbys () in
+  let period = 10_000_000 in
+  let t0 = Clock.now clk in
+  let releases = ref [] in
+  for r = 1 to rounds do
+    Clock.advance_to clk (t0 + (r * period));
+    Vm_space.write_string p.Process.space ~addr (state_of_round r);
+    let start = Clock.now clk in
+    ignore (Group.checkpoint group);
+    let epoch = Group.last_epoch group in
+    Extsync.buffer outbox ~epoch
+      {
+        Extsync.tag = Printf.sprintf "msg-%d" r;
+        deliver = (fun ~release_time -> releases := (epoch, start, release_time) :: !releases);
+      };
+    Replica_set.ship rs;
+    while Clock.now clk + pump_ns < t0 + ((r + 1) * period) do
+      Clock.advance clk pump_ns;
+      Replica_set.pump rs
+    done
+  done;
+  ignore (Replica_set.drain rs `Quorum);
+  {
+    hr_releases = List.rev !releases;
+    hr_retransmits = (Replica_set.stats rs).Replica_set.rs_retransmits;
+  }
+
 (* Live migration ------------------------------------------------------------------ *)
 
 type migration_check = {

@@ -149,6 +149,23 @@ val pipeline_vs_stop_and_wait :
     (pipelined).  Checkpoint production is excluded — it is identical on
     both sides. *)
 
+(** {1 Held messages} *)
+
+type hold_report = {
+  hr_releases : (int * int * int) list;
+      (** (epoch, checkpoint start, release time) of every held message,
+          in release order *)
+  hr_retransmits : int;
+}
+
+val hold_run : pump_ns:int -> rounds:int -> n:int -> hold_report
+(** A lossless paced cell: a service checkpoints every 10 ms, buffers one
+    externally-synchronized message per epoch, ships each epoch to [n]
+    standbys over fault-free links and pumps the replica set every
+    [pump_ns] until the next round, then drains to quorum.  A message
+    leaves at the arrival of the ack that completes its epoch's quorum,
+    so its release time does not depend on [pump_ns]. *)
+
 (** {1 Live migration} *)
 
 type migration_check = {

@@ -1014,7 +1014,11 @@ let commit_checkpoint t =
         if c > !data_done then data_done := c;
         (table, manifest, (blk, off, String.length manifest)))
   in
-  (* Checkpoint record after all object data (write ordering). *)
+  (* The checkpoint record goes out as soon as the flush thread has
+     composed it, at the end of the CPU pass, racing the data, leaf and
+     version-record writes still in flight: nothing names it until the
+     superblock does, so a crash before the superblock leaves it an
+     unreferenced block either way. *)
   let cr_prev_block, cr_prev_nblocks =
     match parent with
     | Some e -> (e.e_record_block, e.e_record_nblocks)
@@ -1034,7 +1038,7 @@ let commit_checkpoint t =
   in
   let rblock, rc, rnblocks =
     Otrace.with_span ~cat:"store" ~name:"commit.record" (fun () ->
-        write_record t ~now:!data_done record)
+        write_record t ~now:!cpu_now record)
   in
   let head =
     { e_epoch = epoch; e_record_block = rblock; e_record_nblocks = rnblocks; e_manifest = mloc;
@@ -1042,10 +1046,12 @@ let commit_checkpoint t =
   in
   covers (Record head) (Allocator.retain t.alloc);
   t.epochs <- t.epochs @ [ head ];
-  (* Superblock strictly after the record.  The torture knob submits it at
+  (* The superblock is the commit point: it goes out once the latest of
+     the commit's writes (data, leaves, version records, manifest and the
+     checkpoint record) has completed.  The torture knob submits it at
      commit start instead — metadata racing ahead of data — so the
      crash-point enumerator can demonstrate it catches ordering bugs. *)
-  let sb_submit = if t.torture_misorder then now else rc in
+  let sb_submit = if t.torture_misorder then now else max rc !data_done in
   let sc =
     Otrace.with_span ~cat:"store" ~name:"commit.superblock" (fun () ->
         write_superblock t ~now:sb_submit)

@@ -170,7 +170,15 @@ val commit_checkpoint : t -> int
     set when it was committed (a recovered version's is computed from its
     leaves at first need); a staged object's is its base row plus the
     deltas its flush computes.  Its bytes pack after the version records,
-    and the checkpoint record names their location. *)
+    and the checkpoint record names their location.
+
+    Write order: two device round trips.  The checkpoint record is
+    submitted once the flush thread has composed it, at the end of the
+    hashing and compression pass, concurrently with the data, leaf and
+    version-record writes still in flight: nothing names it until the
+    superblock does.  The superblock, the commit point, is submitted when
+    the latest of all those writes has completed, so a crash before it
+    leaves the parent epoch intact. *)
 
 type flush_stats = {
   fs_epoch : int;  (** epoch the stats describe *)
@@ -255,8 +263,9 @@ val read_faults : t -> int
 
 val set_torture_misorder : t -> bool -> unit
 (** TESTING ONLY: when set, {!commit_checkpoint} submits the superblock at
-    commit start instead of after the checkpoint record completes — the
-    classic metadata-before-data ordering bug.  Exists so the
+    commit start instead of after the latest of the commit's other writes
+    (data, leaves, version records, manifest, checkpoint record) completes
+    — the classic metadata-before-data ordering bug.  Exists so the
     crash-consistency torture harness can demonstrate that it catches the
     resulting corruption; never set it outside tests. *)
 

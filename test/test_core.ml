@@ -2769,6 +2769,68 @@ let test_rset_minority_kill_and_election () =
             (Vm_space.read_string p'.Process.space ~addr ~len:7)
       | _ -> Alcotest.fail "expected 1 process")
 
+(* A held message leaves when its epoch's quorum is durable, not when a
+   poll notices: over fault-free links the pump cadence moves no release,
+   and each release is the arrival of the ack that completed its epoch's
+   quorum (the second of three standbys to cover it), never before the
+   checkpoint that produced the message started. *)
+let test_rset_release_at_quorum_ack () =
+  let module Ha = Aurora_faultsim.Ha_torture in
+  let module Trace = Aurora_obs.Trace in
+  let run pump_ns = Ha.hold_run ~pump_ns ~rounds:6 ~n:3 in
+  (* Every ack instant is stamped at its arrival. *)
+  Trace.enable ~clock:(Clock.create ()) ();
+  let slow, acks =
+    Fun.protect ~finally:Trace.disable (fun () ->
+        let slow = run 100_000 in
+        ( slow,
+          List.filter_map
+            (fun (e : Trace.event) ->
+              match (e.ev_cat, e.ev_name, e.ev_args) with
+              | "rset", "ack", ("standby", Trace.Int i) :: ("cum", Trace.Int cum) :: _ ->
+                  Some (i, cum, e.ev_ts)
+              | _ -> None)
+            (Trace.events ()) ))
+  in
+  let fast = run 30_000 in
+  Alcotest.(check (pair int int)) "no retransmits" (0, 0)
+    (slow.Ha.hr_retransmits, fast.Ha.hr_retransmits);
+  Alcotest.(check int) "every message released" 6 (List.length slow.Ha.hr_releases);
+  Alcotest.(check (list (triple int int int))) "pump cadence moves no release"
+    slow.Ha.hr_releases fast.Ha.hr_releases;
+  List.iter
+    (fun (epoch, start, release) ->
+      let covered =
+        List.init 3 (fun i ->
+            List.fold_left
+              (fun m (sb, cum, arrival) -> if sb = i && cum >= epoch then min m arrival else m)
+              max_int acks)
+        |> List.sort compare
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "epoch %d released at its quorum ack's arrival" epoch)
+        (List.nth covered 1) release;
+      Alcotest.(check bool)
+        (Printf.sprintf "epoch %d released after its checkpoint started" epoch)
+        true (release >= start))
+    slow.Ha.hr_releases
+
+(* A message buffered under an epoch already shipped, after the ack that
+   completes the epoch's quorum arrived but before a pump applied it,
+   leaves at that pump, not at the ack's earlier arrival. *)
+let test_rset_release_not_before_buffering () =
+  let outbox = Extsync.create () in
+  let sys, p, addr, group, rs, _stores = rset_fixture ~outbox () in
+  let clock = sys.Sls.machine.Machine.clock in
+  rset_round group p ~addr rs 1;
+  Clock.advance clock 5_000_000;
+  let buffered = Clock.now clock in
+  let released = ref None in
+  Extsync.buffer outbox ~epoch:(Group.last_epoch group)
+    { Extsync.tag = "late"; deliver = (fun ~release_time -> released := Some release_time) };
+  Replica_set.pump rs;
+  Alcotest.(check (option int)) "released at the pump that found it" (Some buffered) !released
+
 let test_rset_evict_and_rejoin () =
   (* Standby 0's link silently eats every frame: unlike a declared
      partition (whose heal time the backoff waits out), pure loss burns
@@ -3557,6 +3619,10 @@ let () =
             test_rset_pipeline_all_current;
           Alcotest.test_case "minority kill and election" `Quick
             test_rset_minority_kill_and_election;
+          Alcotest.test_case "release at the quorum ack" `Quick
+            test_rset_release_at_quorum_ack;
+          Alcotest.test_case "release not before buffering" `Quick
+            test_rset_release_not_before_buffering;
           Alcotest.test_case "evict and rejoin" `Quick test_rset_evict_and_rejoin;
           Alcotest.test_case "divergent standby evicted" `Quick
             test_rset_divergent_standby_evicted;

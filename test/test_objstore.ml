@@ -8,6 +8,7 @@ module Store_format = Aurora_objstore.Store_format
 module Allocator = Aurora_objstore.Allocator
 module Vm_object = Aurora_vm.Vm_object
 module Page = Aurora_vm.Page
+module Trace = Aurora_obs.Trace
 
 let payload c = Bytes.make 64 c
 
@@ -1054,6 +1055,77 @@ let test_reused_block_keeps_bytes () =
 let noise_page seed =
   let r = Aurora_util.Rng.create seed in
   Bytes.init Store.block_size (fun _ -> Char.chr (Aurora_util.Rng.int r 256))
+
+(* Commit write order ---------------------------------------------------------- *)
+
+(* Every device write [f ()] submits, as (innermost store span,
+   submission, completion), in submission order. *)
+let traced_writes clock f =
+  Trace.enable ~clock ();
+  Fun.protect ~finally:Trace.disable @@ fun () ->
+  f ();
+  let spans = ref [] in
+  List.filter_map
+    (fun (e : Trace.event) ->
+      match e.ev_ph with
+      | Trace.Begin when e.ev_cat = "store" ->
+          spans := e.ev_name :: !spans;
+          None
+      | Trace.End when e.ev_cat = "store" ->
+          spans := List.tl !spans;
+          None
+      | Trace.Complete when e.ev_cat = "dev" ->
+          Some ((match !spans with s :: _ -> s | [] -> ""), e.ev_ts, e.ev_ts + e.ev_dur)
+      | _ -> None)
+    (Trace.events ())
+
+(* Nothing names the checkpoint record until the superblock does, so the
+   record goes out at the end of the flush thread's CPU pass, racing the
+   data; only the superblock, the commit point, waits for every other
+   write.  A crash once the record is durable but before the last data
+   extent has landed recovers the parent epoch byte-exactly. *)
+let test_commit_write_order () =
+  let clock, dev, store = fresh () in
+  let oid = Store.alloc_oid store in
+  let parent_pages = List.init 8 (fun i -> (i, noise_page (100 + i))) in
+  let e1 = Store.begin_checkpoint store in
+  Store.put_object store ~oid ~kind:"memory" ~meta:"parent";
+  Store.put_pages store ~oid parent_pages;
+  ignore (Store.commit_checkpoint store);
+  Store.wait_durable store;
+  let writes =
+    traced_writes clock (fun () ->
+        ignore (Store.begin_checkpoint store);
+        Store.put_object store ~oid ~kind:"memory" ~meta:"child";
+        Store.put_pages store ~oid (List.init 24 (fun i -> (i, noise_page (200 + i))));
+        ignore (Store.commit_checkpoint store))
+  in
+  let of_span name = List.filter (fun (s, _, _) -> s = name) writes in
+  let latest ws = List.fold_left (fun m (_, _, c) -> max m c) min_int ws in
+  let data = of_span "commit.data" and records = of_span "commit.records" in
+  match (of_span "commit.record", of_span "commit.superblock") with
+  | [ ((_, rec_submit, rec_done) as record) ], [ (_, sb_submit, _) ] ->
+      let data_done = latest data in
+      Alcotest.(check bool) "data and version records written" true (data <> [] && records <> []);
+      Alcotest.(check bool) "record submitted before the last data extent completes" true
+        (rec_submit < data_done);
+      Alcotest.(check int) "superblock submitted at the latest completion"
+        (latest (record :: (data @ records)))
+        sb_submit;
+      Alcotest.(check bool) "record durable before the last data extent" true
+        (rec_done < data_done);
+      Striped.crash dev ~now:rec_done;
+      let store = Store.recover ~dev ~clock in
+      Alcotest.(check int) "parent epoch recovered" e1 (Store.last_complete_epoch store);
+      Alcotest.(check string) "parent meta" "parent" (Store.read_meta store ~epoch:e1 ~oid);
+      List.iter
+        (fun (idx, page) ->
+          Alcotest.(check (option bytes))
+            (Printf.sprintf "parent page %d" idx)
+            (Some page)
+            (Store.read_page store ~epoch:e1 ~oid ~idx))
+        parent_pages
+  | _ -> Alcotest.fail "expected one record write and one superblock write"
 
 (* Identical pages of one commit, in one object and across two, are
    stored once: the first is placed and indexed as the commit plans it,
@@ -2742,6 +2814,7 @@ let () =
         [
           Alcotest.test_case "clean shutdown" `Quick test_recovery_after_clean_shutdown;
           Alcotest.test_case "crash mid-checkpoint" `Quick test_crash_mid_checkpoint_keeps_previous;
+          Alcotest.test_case "commit write order" `Quick test_commit_write_order;
           Alcotest.test_case "crash before first" `Quick test_crash_before_any_checkpoint;
           Alcotest.test_case "uninitialized device" `Quick test_recover_uninitialized_device_fails;
           Alcotest.test_case "read retry absorbs transients" `Quick
